@@ -6,7 +6,7 @@ from .branching import (InvalidParamsError, KTypeTable, TemperedParams,
                         nu_independence_check, sign_factor, validate_params)
 from .characters import (ConeError, CutoffError, FormalCharacter, HMCharacter,
                          HMLattice, LatticeError, Weight, ZCharTable,
-                         char_mul, coefficient, dot, geometric_series,
+                         char_mul, dot, geometric_series,
                          graded_exterior, kostant_partition, pairing, weight)
 from .groups import (GroupDataError, RealGroupData, RootSystem, WeylElement,
                      builtin_group, builtin_group_names, load_group_data,

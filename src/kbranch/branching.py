@@ -8,10 +8,17 @@ The engine realises the branching rule
     x (line with weight lambda - rho_c + rho_n, tagged by the finite
     component character)
 
-evaluated in two independent ways: truncated series arithmetic, and
-on-demand signed sums of partition counts.  Tables carry the global sign
-(-1)^(dim s_M / 2) as metadata; the entries themselves are the restricted
-representation and are always nonnegative.
+in two steps.  Preparation validates the parameters once and derives
+what every K-type shares: the lattice graded by the parameters' positive
+system, the base character lambda - rho_c + rho_n, the noncompact
+positives and the signed compact-subset offsets.  Evaluation then maps a
+batch of restricted K-types to multiplicities, in one of two modes that
+stay independent oracles for each other: signed sums of Kostant partition
+counts, and coefficients of one truncated series product built per batch.
+ktype_multiplicity, ktype_table (partition entries with series spot
+checks) and ktype_table_series are thin callers of these two steps.
+Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
+themselves are the restricted representation and are always nonnegative.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from .characters import (CutoffError, FormalCharacter, HMCharacter,
                          HMLattice, LatticeError, Weight, dot,
                          geometric_series, graded_exterior, kostant_partition,
                          weight)
-from .groups import GroupDataError, RealGroupData, rho_half_sum
+from .groups import (GroupDataError, RealGroupData, rho_half_sum, root_sum,
+                     simple_roots)
 from .ktypes import KType, enumerate_ktypes, restrict_to_hm
 
 
@@ -80,12 +88,6 @@ class KTypeTable:
     def rows(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.entries.items())
 
-    def __eq__(self, other):
-        return (isinstance(other, KTypeTable)
-                and self.entries == other.entries
-                and self.window == other.window
-                and self.sign == other.sign)
-
 
 def sign_factor(g: RealGroupData) -> int:
     """(-1)^(dim s_M / 2); the dimension is even for valid data."""
@@ -93,13 +95,6 @@ def sign_factor(g: RealGroupData) -> int:
         raise GroupDataError("sign factor parity",
                              f"s_M dimension {g.dim_s_m} is odd")
     return -1 if (g.dim_s_m // 2) % 2 else 1
-
-
-def _simples_of(positives: Sequence[Weight]) -> list[Weight]:
-    pos = {p.coords for p in positives}
-    return [p for p in positives if not any(
-        tuple(a + b for a, b in zip(q, r)) == p.coords
-        for q in pos for r in pos)]
 
 
 def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
@@ -123,14 +118,11 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
         return invalid("positive system does not split the roots into halves")
 
     # a genuine positive system is separated by its own root sum
-    if p.rmplus:
-        two_rho = p.rmplus[0] * 0
-        for a in p.rmplus:
-            two_rho = two_rho + a
-        for a in p.rmplus:
-            if dot(a, two_rho) <= 0:
-                return invalid(
-                    f"chosen positive system is not pointed at {a.coords}")
+    two_rho = weight(root_sum(p.rmplus, g.hm.rank), g.hm.lattice)
+    for a in p.rmplus:
+        if dot(a, two_rho) <= 0:
+            return invalid(
+                f"chosen positive system is not pointed at {a.coords}")
 
     for a in p.rmplus:
         if dot(p.lam, a) < 0:
@@ -157,44 +149,103 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
             return invalid("component character disagrees with the shifted "
                            "parameter on the torus overlap")
 
-    for a in _simples_of(p.rmplus):
+    for a in simple_roots(p.rmplus):
         if g.is_compact(a) and dot(p.lam, a) == 0:
             return ParamVerdict(
                 "zero", f"parameter orthogonal to simple compact root {a.coords}")
     return ParamVerdict("nonzero")
 
 
-def _require_nonzero(g, p) -> None:
-    v = validate_params(g, p)
-    if v.verdict != "nonzero":
-        raise InvalidParamsError(v)
+
+# ------------------------------------------------------------------ engine
+
+@dataclass(frozen=True)
+class _Prepared:
+    """What every K-type shares for one validated parameter tuple: the
+    lattice graded by the parameters' positive system, the base character
+    lambda - rho_c + rho_n tagged by chi, the positives split by type, and
+    ((-1)^|S|, base + sum of S) for every set S of compact positives."""
+
+    hm: HMLattice
+    base: HMCharacter
+    compact: tuple[Weight, ...]
+    noncompact: tuple[Weight, ...]
+    offsets: tuple[tuple[int, Weight], ...]
 
 
-def _params_lattice(g: RealGroupData, p: TemperedParams) -> HMLattice:
-    """Character lattice graded by the chosen positive system.
+def _prepare(g: RealGroupData, p: TemperedParams,
+             zero_ok: bool = False) -> Optional[_Prepared]:
+    """Validate once and derive the shared data.  Raises InvalidParamsError
+    unless the verdict is nonzero; with zero_ok a zero verdict gives None.
 
-    The truncation height must be positive on the cone where the infinite
-    series live; that cone is spanned by the parameters' own positive
-    system, which need not be the one declared in the group file (Weyl
-    images of it are equally valid).
+    Heights are measured against the parameters' own positive system, which
+    need not be the one declared in the group file: the infinite series
+    live in the cone it spans.
     """
-    hv = [0] * g.hm.rank
-    for r in p.rmplus:
-        for i, c in enumerate(r.coords):
-            hv[i] += c
-    return HMLattice(g.hm.rank, g.hm.lattice, tuple(hv), g.hm.ztable)
-
-
-def _base_character(g: RealGroupData, p: TemperedParams,
-                    hm: HMLattice) -> HMCharacter:
-    compact = g.compact_positives(p.rmplus)
-    noncompact = g.noncompact_positives(p.rmplus)
-    rho_c = rho_half_sum(compact, rank=g.hm.rank, lattice=g.hm.lattice)
-    rho_n = rho_half_sum(noncompact, rank=g.hm.rank, lattice=g.hm.lattice)
-    base = p.lam - rho_c + rho_n
+    verdict = validate_params(g, p)
+    if verdict.verdict == "zero" and zero_ok:
+        return None
+    if verdict.verdict != "nonzero":
+        raise InvalidParamsError(verdict)
+    rank, lattice = g.hm.rank, g.hm.lattice
+    hm = HMLattice(rank, lattice, root_sum(p.rmplus, rank), g.hm.ztable)
+    compact = tuple(g.compact_positives(p.rmplus))
+    noncompact = tuple(g.noncompact_positives(p.rmplus))
+    base = (p.lam - rho_half_sum(compact, rank=rank, lattice=lattice)
+            + rho_half_sum(noncompact, rank=rank, lattice=lattice))
     if not base.is_integral():
         raise LatticeError("shifted parameter is not a lattice weight")
-    return hm.char(base, p.chi)
+    offsets = tuple(((-1) ** r, base + weight(root_sum(sub, rank), lattice))
+                    for r in range(len(compact) + 1)
+                    for sub in itertools.combinations(compact, r))
+    return _Prepared(hm, hm.char(base, p.chi), compact, noncompact, offsets)
+
+
+def _virtual_character(prep: _Prepared, cutoff: int) -> FormalCharacter:
+    acc = FormalCharacter(prep.hm, {prep.base: 1})
+    acc = acc * graded_exterior(prep.hm, prep.compact)
+    for beta in prep.noncompact:
+        acc = acc * geometric_series(prep.hm, beta, cutoff)
+    return acc
+
+
+def _partition_multiplicities(prep: _Prepared,
+                              restricted: Sequence[FormalCharacter]
+                              ) -> list[int]:
+    """Signed Kostant partition counts: every weight of a restricted K-type
+    that carries the base's Z' character, less every compact offset."""
+    out = []
+    for res in restricted:
+        total = 0
+        for c, m in res.items():
+            if c.zchar == prep.base.zchar:
+                for sign, offset in prep.offsets:
+                    total += sign * m * kostant_partition(
+                        c.tweight - offset, prep.noncompact, prep.hm)
+        out.append(total)
+    return out
+
+
+def _series_multiplicities(prep: _Prepared,
+                           restricted: Sequence[FormalCharacter]
+                           ) -> list[int]:
+    """Coefficients of one truncated virtual character built for the batch.
+
+    No term of the character lies below the base height h_b, so the
+    char_mul certificate of the product is cutoff + floor(h_b / 2); the
+    cutoff is the least one whose certificate covers the whole batch.
+    FormalCharacter.coefficient raises CutoffError should it fall short.
+    """
+    h2_base = prep.hm.height2(prep.base.tweight)
+    h2_top = max([h2_base] + [prep.hm.height2(c.tweight)
+                              for res in restricted for c in res.support()])
+    virt = _virtual_character(prep, -(-h2_top // 2) - h2_base // 2)
+    return [sum(m * virt.coefficient(c) for c, m in res.items())
+            for res in restricted]
+
+
+_EVALUATORS = {"partition": _partition_multiplicities,
+               "series": _series_multiplicities}
 
 
 def hm_virtual_character(g: RealGroupData, p: TemperedParams,
@@ -206,71 +257,63 @@ def hm_virtual_character(g: RealGroupData, p: TemperedParams,
     shifted-parameter term carrying the component character.  Heights are
     measured against the parameters' positive system.
     """
-    _require_nonzero(g, p)
-    hm = _params_lattice(g, p)
-    base = _base_character(g, p, hm)
-    if hm.height2(base.tweight) > 2 * cutoff:
+    prep = _prepare(g, p)
+    if prep.hm.height2(prep.base.tweight) > 2 * cutoff:
         raise CutoffError("cutoff too small to contain the base weight")
-    acc = FormalCharacter(hm, {base: 1})
-    acc = acc * graded_exterior(hm, g.compact_positives(p.rmplus))
-    for beta in g.noncompact_positives(p.rmplus):
-        acc = acc * geometric_series(hm, beta, cutoff)
-    return acc
+    return _virtual_character(prep, cutoff)
 
 
 def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
                        mode: str = "partition") -> int:
     """Multiplicity of one K-type, by series or by partition counts.
 
-    Both modes pair the dual K-type against the virtual character
-    (invariants match a character against its inverse); they must agree.
+    Both modes pair the restricted K-type against the virtual character;
+    they must agree.
     """
-    _require_nonzero(g, p)
-    if mode not in ("series", "partition"):
+    prep = _prepare(g, p)
+    if mode not in _EVALUATORS:
         raise ValueError(f"unknown mode {mode!r}")
-    restricted = restrict_to_hm(g, kt).dual()
-    zt = g.hm.ztable
-    hm = _params_lattice(g, p)
-
-    if mode == "partition":
-        base = _base_character(g, p, hm)
-        compact = g.compact_positives(p.rmplus)
-        noncompact = g.noncompact_positives(p.rmplus)
-        total = 0
-        for c, m in restricted.items():
-            if zt.inverse(c.zchar) != base.zchar:
-                continue
-            target0 = (-c.tweight) - base.tweight
-            for r in range(len(compact) + 1):
-                for sub in itertools.combinations(compact, r):
-                    target = target0
-                    for a in sub:
-                        target = target - a
-                    cnt = kostant_partition(target, noncompact, hm)
-                    if cnt:
-                        total += m * (-1) ** r * cnt
-        return total
-
-    needed = [HMCharacter(-c.tweight, zt.inverse(c.zchar))
-              for c in restricted.support()]
-    if not needed:
-        return 0
-    base = _base_character(g, p, hm)
-    h2 = max([hm.height2(c.tweight) for c in needed]
-             + [hm.height2(base.tweight)])
-    cutoff = max(0, h2 // 2 + 1)
-    for _ in range(4):
-        try:
-            virt = hm_virtual_character(g, p, cutoff)
-            return sum(m * virt.coefficient(HMCharacter(-c.tweight,
-                                                        zt.inverse(c.zchar)))
-                       for c, m in restricted.items())
-        except CutoffError:
-            cutoff = 2 * cutoff + 2
-    raise CutoffError("series cutoff failed to stabilise")
+    return _EVALUATORS[mode](prep, [restrict_to_hm(g, kt)])[0]
 
 
 _SPOT_CHECKS = 3
+
+
+def _table(g: RealGroupData, p: TemperedParams, window: int, mode: str,
+           check_mode: Optional[str] = None,
+           restrictions: Optional[dict] = None) -> KTypeTable:
+    """Validate once, evaluate every K-type of the window in one batch, and
+    recompute the first few nonzero entries in check_mode if given."""
+    prep = _prepare(g, p, zero_ok=True)
+    table = KTypeTable({}, window, sign_factor(g))
+    if prep is None:
+        return table
+    if restrictions is None:
+        restrictions = {}
+    ktypes = enumerate_ktypes(g, window)
+    for kt in ktypes:
+        if kt.highest not in restrictions:
+            restrictions[kt.highest] = restrict_to_hm(g, kt)
+    restricted = [restrictions[kt.highest] for kt in ktypes]
+    rows = []
+    for kt, res, m in zip(ktypes, restricted,
+                          _EVALUATORS[mode](prep, restricted)):
+        if m < 0:
+            raise ArithmeticError(
+                f"negative multiplicity {m} at {kt.highest.coords}; "
+                "representation tables must be nonnegative")
+        if m:
+            table.entries[kt.highest.coords] = m
+            rows.append((kt.highest.coords, res, m))
+
+    if check_mode:
+        spot = rows[:_SPOT_CHECKS]
+        checked = _EVALUATORS[check_mode](prep, [res for _, res, _ in spot])
+        for (coords, _, m), s in zip(spot, checked):
+            if s != m:
+                raise ArithmeticError(f"mode disagreement at {coords}: "
+                                      f"{check_mode} {s} vs {mode} {m}")
+    return table
 
 
 def ktype_table(g: RealGroupData, p: TemperedParams, window: int) -> KTypeTable:
@@ -280,31 +323,7 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int) -> KTypeTable:
     entries.  Entries are the restricted representation itself (sign
     already reconciled); the table's sign field records the index sign.
     """
-    verdict = validate_params(g, p)
-    if verdict.verdict == "invalid":
-        raise InvalidParamsError(verdict)
-    sign = sign_factor(g)
-    if verdict.verdict == "zero":
-        return KTypeTable({}, window, sign)
-
-    entries: dict[tuple[int, ...], int] = {}
-    for kt in enumerate_ktypes(g, window):
-        m = ktype_multiplicity(g, p, kt, mode="partition")
-        if m < 0:
-            raise ArithmeticError(
-                f"negative multiplicity {m} at {kt.highest.coords}; "
-                "representation tables must be nonnegative")
-        if m:
-            entries[kt.highest.coords] = m
-
-    for coords in list(entries)[:_SPOT_CHECKS]:
-        kt = KType(weight(coords, g.t_lattice.lattice))
-        s = ktype_multiplicity(g, p, kt, mode="series")
-        if s != entries[coords]:
-            raise ArithmeticError(
-                f"mode disagreement at {coords}: series {s} vs partition "
-                f"{entries[coords]}")
-    return KTypeTable(entries, window, sign)
+    return _table(g, p, window, "partition", check_mode="series")
 
 
 def nu_independence_check(g: RealGroupData, p: TemperedParams,
@@ -320,44 +339,6 @@ def ktype_table_series(g: RealGroupData, p: TemperedParams, window: int,
     """Whole-window table in pure series mode, one shared character build.
 
     Used to cross-check the partition-mode tables; restrictions may carry
-    precomputed dual restrictions keyed by highest weight.
+    precomputed restrictions keyed by highest weight, and is filled in.
     """
-    verdict = validate_params(g, p)
-    if verdict.verdict == "invalid":
-        raise InvalidParamsError(verdict)
-    sign = sign_factor(g)
-    if verdict.verdict == "zero":
-        return KTypeTable({}, window, sign)
-
-    hm = _params_lattice(g, p)
-    zt = g.hm.ztable
-    ktypes = enumerate_ktypes(g, window)
-    if restrictions is None:
-        restrictions = {}
-    duals = {}
-    for kt in ktypes:
-        key = kt.highest
-        if key not in restrictions:
-            restrictions[key] = restrict_to_hm(g, kt).dual()
-        duals[key] = restrictions[key]
-
-    base = _base_character(g, p, hm)
-    h2 = hm.height2(base.tweight)
-    for d in duals.values():
-        for c in d.support():
-            h2 = max(h2, hm.height2(-c.tweight))
-    cutoff = max(0, h2 // 2 + 1)
-    for _ in range(4):
-        try:
-            virt = hm_virtual_character(g, p, cutoff)
-            entries = {}
-            for key, d in duals.items():
-                m = sum(mult * virt.coefficient(
-                    HMCharacter(-c.tweight, zt.inverse(c.zchar)))
-                    for c, mult in d.items())
-                if m:
-                    entries[key.coords] = m
-            return KTypeTable(entries, window, sign)
-        except CutoffError:
-            cutoff = 2 * cutoff + 2
-    raise CutoffError("series cutoff failed to stabilise")
+    return _table(g, p, window, "series", restrictions=restrictions)

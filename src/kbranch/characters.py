@@ -422,8 +422,3 @@ def kostant_partition(target: Weight, roots: Sequence[Weight],
         return total
 
     return count(target.coords, hm.height2(target), 0)
-
-
-def coefficient(c: FormalCharacter, at: HMCharacter) -> int:
-    """Functional spelling of FormalCharacter.coefficient."""
-    return c.coefficient(at)

@@ -145,6 +145,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _window(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kbranch",
@@ -158,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "group-data file path")
     t.add_argument("--params", required=True,
                    help="JSON parameter document (friendly or raw)")
-    t.add_argument("--window", type=int, default=10,
+    t.add_argument("--window", type=_window, default=10,
                    help="max-coordinate norm of enumerated K-types")
     t.add_argument("--format", choices=("csv", "json"), default="csv")
     t.add_argument("--out", help="output path (default stdout)")

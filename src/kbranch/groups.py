@@ -62,6 +62,19 @@ class WeylElement:
         return WeylElement(m, self.det * other.det)
 
 
+def root_sum(roots: Sequence[Weight], rank: int) -> tuple[int, ...]:
+    """Coordinatewise sum of the roots: twice rho for a positive system,
+    and a height covector positive on it."""
+    return tuple(sum(r.coords[i] for r in roots) for i in range(rank))
+
+
+def simple_roots(positives: Sequence[Weight]) -> tuple[Weight, ...]:
+    """The indecomposable positives: those not the sum of two positives."""
+    pos = [p.coords for p in positives]
+    sums = {tuple(a + b for a, b in zip(q, r)) for q in pos for r in pos}
+    return tuple(p for p in positives if p.coords not in sums)
+
+
 def rho_half_sum(roots: Sequence[Weight], *, rank: Optional[int] = None,
                  lattice: str = "t") -> Weight:
     """Half the sum of the given weights, exact in the doubled lattice.
@@ -75,21 +88,12 @@ def rho_half_sum(roots: Sequence[Weight], *, rank: Optional[int] = None,
         return Weight((0,) * rank, lattice)
     lattice = roots[0].lattice
     rank = roots[0].rank
-    total = [0] * rank
     for r in roots:
         if not r.is_integral():
             raise LatticeError("roots must be integral")
         if r.lattice != lattice or r.rank != rank:
             raise LatticeError("mixed lattices in rho computation")
-        for i, c in enumerate(r.coords):
-            total[i] += c
-    return weight(total, lattice, denom=2)
-
-
-def _rho_or_zero(roots: Sequence[Weight], rank: int, lattice: str) -> Weight:
-    if not roots:
-        return Weight((0,) * rank, lattice)
-    return rho_half_sum(roots)
+    return weight(root_sum(roots, rank), lattice, denom=2)
 
 
 def validate_dominant(rs: RootSystem, mu: Weight) -> bool:
@@ -131,7 +135,8 @@ def _det(matrix: tuple[tuple[int, ...], ...]) -> int:
             f = rows[r][col] * inv
             if f:
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ArithmeticError(f"integer matrix has determinant {det}")
     return int(det)
 
 
@@ -255,10 +260,7 @@ def _validate_root_system(rs: RootSystem, label: str,
             r += 1
         if r != len(rs.simples):
             bad("simple decomposition", "simple roots are linearly dependent")
-    hvec = [0] * rs.rank
-    for p in rs.positives:
-        for i, c in enumerate(p.coords):
-            hvec[i] += c
+    hvec = root_sum(rs.positives, rs.rank)
     for p in rs.positives:
         if decompose_in_simples(p, rs.simples, hvec) is None:
             bad("simple decomposition",
@@ -481,12 +483,7 @@ def _build(doc: dict) -> RealGroupData:
         raise GroupDataError("schema",
                              "compact_flags must be booleans aligned with m.roots")
     flags = tuple(flags_raw)
-    # simples of the Levi system are the indecomposable positives
-    pos_set = {p.coords for p in m_pos}
-    simples = tuple(p for p in m_pos if not any(
-        tuple(a + b for a, b in zip(q.coords, r.coords)) == p.coords
-        for q in m_pos for r in m_pos))
-    m_roots = RootSystem(m_rank, m_all, m_pos, simples)
+    m_roots = RootSystem(m_rank, m_all, m_pos, simple_roots(m_pos))
     _validate_root_system(m_roots, "m", checklist)
 
     flag_of = {r.coords: f for r, f in zip(m_all, flags)}
@@ -503,16 +500,12 @@ def _build(doc: dict) -> RealGroupData:
     a_lab = f"{name}:a"
     r_roots = _parse_weight_list(_require(restr, "roots", list), dim_a, a_lab, "schema")
     r_pos = _parse_weight_list(_require(restr, "positives", list), dim_a, a_lab, "schema")
-    if r_pos:
-        two_rho_a = [0] * dim_a
-        for b in r_pos:
-            for i, c in enumerate(b.coords):
-                two_rho_a[i] += c
-        for b in r_pos:
-            if sum(x * y for x, y in zip(b.coords, two_rho_a)) <= 0:
-                raise GroupDataError(
-                    "restricted pointed cone",
-                    f"no linear functional separates {b.coords}")
+    two_rho_a = root_sum(r_pos, dim_a)
+    for b in r_pos:
+        if sum(x * y for x, y in zip(b.coords, two_rho_a)) <= 0:
+            raise GroupDataError(
+                "restricted pointed cone",
+                f"no linear functional separates {b.coords}")
     checklist.append("restricted pointed cone")
 
     # ---- restriction matrix -------------------------------------------------
@@ -598,15 +591,8 @@ def _build(doc: dict) -> RealGroupData:
     checklist.append("dims consistency")
 
     # ---- assemble lattices -----------------------------------------------------
-    def cone_vec(positives, rank):
-        hv = [0] * rank
-        for p in positives:
-            for i, c in enumerate(p.coords):
-                hv[i] += c
-        return tuple(hv)
-
-    hm = HMLattice(m_rank, tm_lab, cone_vec(m_pos, m_rank), ztable)
-    t_lattice = HMLattice(k_rank, t_lab, cone_vec(k_roots.positives, k_rank))
+    hm = HMLattice(m_rank, tm_lab, root_sum(m_pos, m_rank), ztable)
+    t_lattice = HMLattice(k_rank, t_lab, root_sum(k_roots.positives, k_rank))
 
     g = RealGroupData(
         name=name, k_roots=k_roots, m_roots=m_roots, compact_flags=flags,

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .characters import FormalCharacter, HMCharacter, LatticeError, Weight, dot
 from .groups import (RealGroupData, decompose_in_simples, rho_half_sum,
-                     validate_dominant)
+                     root_sum, validate_dominant)
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,7 @@ def weight_multiplicities(g: RealGroupData, kt: KType) -> FormalCharacter:
     if not rs.positives:
         return FormalCharacter(lat, {lat.char(hw): 1})
 
-    rank = rs.rank
-    rho2 = [0] * rank
-    for p in rs.positives:
-        for i, c in enumerate(p.coords):
-            rho2[i] += c
+    rho2 = root_sum(rs.positives, rs.rank)
     hvec = rho2  # height functional: positive on every positive root
 
     def nsq(coords):
@@ -120,7 +116,9 @@ def weight_multiplicities(g: RealGroupData, kt: KType) -> FormalCharacter:
                 if m:
                     s += m * sum(x * y for x, y in zip(cur, a.coords))
         val, rem = divmod(8 * s, denom)
-        assert rem == 0, "Freudenthal recursion produced a non-integer"
+        if rem:
+            raise ArithmeticError(
+                f"Freudenthal recursion produced a non-integer at {coords}")
         if val:
             mult[coords] = val
 

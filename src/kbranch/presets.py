@@ -18,6 +18,28 @@ class ParamSchemaError(ValueError):
     pass
 
 
+def _integers(doc: dict, field: str, default=None, depth: int = 0):
+    """doc[field] or the default, which must be JSON integers nested depth
+    lists deep: floats, bools and strings are refused, not truncated."""
+    def ok(v, d):
+        if d:
+            return isinstance(v, list) and all(ok(x, d - 1) for x in v)
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    value = doc.get(field, default)
+    if not ok(value, depth):
+        shape = ("an integer", "a list of integers", "a list of integer lists")
+        raise ParamSchemaError(f"{field!r} must be {shape[depth]}, got {value!r}")
+    return value
+
+
+def _sign(doc: dict) -> str:
+    sign = doc.get("sign", "+")
+    if sign not in ("+", "-"):
+        raise ParamSchemaError(f'sign must be "+" or "-", got {sign!r}')
+    return sign
+
+
 def sl2_discrete(g: RealGroupData, n: int, sign: str) -> TemperedParams:
     if n < 1:
         raise ParamSchemaError("discrete series need n >= 1")
@@ -72,10 +94,12 @@ def su21_from_lambda(g: RealGroupData, coords,
 
 def raw_params(g: RealGroupData, doc: dict) -> TemperedParams:
     try:
-        lam = g.tm_weight(doc["lambda"], denom=doc.get("lambda_denom", 1))
-        rmplus = tuple(g.tm_weight(c) for c in doc.get("rmplus", []))
-        chi = int(doc.get("chi", 0))
-        nu = g.a_weight(doc.get("nu", [0] * g.dim_a))
+        lam = g.tm_weight(_integers(doc, "lambda", depth=1),
+                          denom=_integers(doc, "lambda_denom", 1))
+        rmplus = tuple(g.tm_weight(c)
+                       for c in _integers(doc, "rmplus", [], 2))
+        chi = _integers(doc, "chi", 0)
+        nu = g.a_weight(_integers(doc, "nu", [0] * g.dim_a, 1))
     except (KeyError, TypeError, ValueError) as e:
         raise ParamSchemaError(f"bad raw parameter document: {e}") from e
     return TemperedParams(lam=lam, rmplus=rmplus, chi=chi, nu=nu)
@@ -90,19 +114,23 @@ def resolve_params(g: RealGroupData, doc: dict) -> TemperedParams:
     if g.name == "sl2r-compact":
         series = doc.get("series")
         if series == "discrete":
-            return sl2_discrete(g, int(doc.get("n", 0)), doc.get("sign", "+"))
+            return sl2_discrete(g, _integers(doc, "n", 0), _sign(doc))
         if series == "limit":
-            return sl2_limit(g, doc.get("sign", "+"))
+            return sl2_limit(g, _sign(doc))
         raise ParamSchemaError(
             'expected {"series": "discrete"|"limit", ...} or raw parameters')
     if g.name == "sl2r-split":
         if "chi" in doc:
-            return sl2_principal(g, doc["chi"], int(doc.get("nu", 1)))
+            return sl2_principal(g, doc["chi"], _integers(doc, "nu", 1))
         raise ParamSchemaError(
             'expected {"chi": "plus"|"minus"} or raw parameters')
     if g.name == "su21":
         if "lambda" in doc:
-            return su21_from_lambda(g, doc["lambda"], doc.get("rmplus"),
-                                    int(doc.get("chi", 0)))
+            lam = _integers(doc, "lambda", depth=1)
+            if len(lam) != g.hm.rank:
+                raise ParamSchemaError(f"'lambda' needs {g.hm.rank} entries")
+            rmplus = (None if doc.get("rmplus") is None
+                      else _integers(doc, "rmplus", depth=2))
+            return su21_from_lambda(g, lam, rmplus, _integers(doc, "chi", 0))
         raise ParamSchemaError('expected {"lambda": [a, b, c], ...}')
     return raw_params(g, doc)

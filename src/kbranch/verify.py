@@ -25,7 +25,8 @@ from .branching import (TemperedParams, ktype_multiplicity, ktype_table,
 from .characters import (FormalCharacter, HMLattice, ZCharTable, Weight,
                          char_mul, dot, geometric_series, graded_exterior,
                          kostant_partition)
-from .groups import RootSystem, builtin_group, rho_half_sum, weyl_group
+from .groups import (RootSystem, builtin_group, rho_half_sum, simple_roots,
+                     weyl_group)
 from .ktypes import enumerate_ktypes
 from .oscillator import GridSpec, cylinder_sl2, oscillator_1d, oscillator_nd
 from .sl2_oracles import SL2Series, oracle_match, sl2_branching
@@ -118,7 +119,7 @@ def _weyl_denominator_check(name, hm, compact_positives) -> Check:
     if compact_positives:
         roots = tuple(compact_positives) + tuple(-r for r in compact_positives)
         rs = RootSystem(hm.rank, roots, tuple(compact_positives),
-                        tuple(_indecomposables(compact_positives)))
+                        simple_roots(compact_positives))
         rho_c = rho_half_sum(compact_positives)
         elements = weyl_group(rs)
     else:
@@ -134,13 +135,6 @@ def _weyl_denominator_check(name, hm, compact_positives) -> Check:
         rhs = FormalCharacter.one(hm)
     return _check(f"weyl denominator identity ({name})", lhs == rhs,
                   "formal equality", "equal" if lhs == rhs else "unequal")
-
-
-def _indecomposables(positives):
-    pos = {p.coords for p in positives}
-    return [p for p in positives if not any(
-        tuple(a + b for a, b in zip(q, r)) == p.coords
-        for q in pos for r in pos)]
 
 
 def random_su21_params(g, rng, scale: int = 4) -> TemperedParams:

@@ -195,6 +195,26 @@ def test_w_equivariance_of_parameters():
     assert ktype_table(GU, p1, 5) == ktype_table(GU, p2, 5)
 
 
+@pytest.mark.parametrize("table", [ktype_table, ktype_table_series],
+                         ids=["partition", "series"])
+def test_tables_validate_once(monkeypatch, table):
+    import kbranch.branching as branching
+    calls = []
+
+    def counted(g, p):
+        calls.append(p)
+        return validate_params(g, p)
+
+    monkeypatch.setattr(branching, "validate_params", counted)
+    p = su21_from_lambda(GU, [3, 1, -1])
+    counts = []
+    for window in (2, 4):
+        calls.clear()
+        table(GU, p, window)
+        counts.append(len(calls))
+    assert counts == [1, 1]
+
+
 def test_mode_equivalence_table_level():
     for p in (sl2_discrete(GC, 2, "-"), sl2_limit(GC, "-")):
         assert ktype_table(GC, p, 40) == ktype_table_series(GC, p, 40)

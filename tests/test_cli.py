@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from kbranch.cli import main
 from kbranch.groups import _BUILTIN_DIR
 
@@ -53,6 +55,31 @@ def test_bad_params_document_exits_2(capsys):
     code, _, err = run(capsys, "table", "--group", "sl2r-compact",
                        "--params", '{"series":"unknown"}')
     assert code == 2
+
+
+@pytest.mark.parametrize("group, params", [
+    ("su21", '{"lambda":[3.7,1,-1]}'),
+    ("su21", '{"lambda":"abc"}'),
+    ("sl2r-compact", '{"series":"discrete","n":"x"}'),
+    ("sl2r-compact", '{"series":"discrete","n":3,"sign":"banana"}'),
+    ("su21", '{"lambda":[1,2]}'),
+])
+def test_malformed_params_document_exits_2(capsys, group, params):
+    code, out, err = run(capsys, "table", "--group", group,
+                         "--params", params, "--window", "2")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_negative_window_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--group", "sl2r-compact", "--params",
+              '{"series":"discrete","n":1,"sign":"+"}', "--window", "-1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--window" in out.err
 
 
 def test_missing_group_exits_3(capsys):
