@@ -11,14 +11,35 @@ The engine realises the branching rule
 in two steps.  Preparation validates the parameters once and derives
 what every K-type shares: the lattice graded by the parameters' positive
 system, the base character lambda - rho_c + rho_n, the noncompact
-positives and the signed compact-subset offsets.  Evaluation then maps a
-batch of restricted K-types to multiplicities, in one of two modes that
-stay independent oracles for each other: signed sums of Kostant partition
-counts, and coefficients of one truncated series product built per batch.
-ktype_multiplicity, ktype_table (partition entries with series spot
-checks) and ktype_table_series are thin callers of these two steps.
-Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
-themselves are the restricted representation and are always nonnegative.
+positives, the signed compact-subset offsets and, where the group data
+allow it, the terms of Blattner's formula.  Evaluation then maps K-types
+to multiplicities by one of three evaluators.
+
+Blattner's formula (Hecht-Schmid) is what the rule becomes once the
+compact exterior cancels the Weyl denominator of K:
+
+    mult(mu) = eps * sum_{w in W_K} det(w) * P_n(R w(mu + rho_K) - base
+                                                  - rho_Phi)
+
+with R the torus restriction, P_n the partition count over the noncompact
+positives, rho_Phi the compact half-sum of the parameters' positive system
+Phi and eps = det(w_Phi) for the w_Phi taking the positive K roots onto
+Phi's compact positives.  It applies when R maps the K roots one-to-one
+onto the compact Levi roots and every K root has a trivial Z' character;
+both are read from the data.  It drives ktype_table: its candidates come
+from the noncompact cone, one per lattice point whose preimage
+w^-1 R^-1(base + rho_Phi + cone point) - rho_K is a dominant in-window
+weight, so the cost follows the rows of the table and not the box of
+K-types, and it needs no Freudenthal expansion.
+
+The other two evaluators map a batch of restricted K-types to
+multiplicities and stay independent oracles: signed sums of Kostant
+partition counts over the weights of each K-type (ktype_multiplicity's
+partition mode, and ktype_table where Blattner's formula does not apply),
+and coefficients of one truncated series product built per batch
+(ktype_table_series, and the spot checks of ktype_table).  Tables carry
+the global sign (-1)^(dim s_M / 2) as metadata; the entries themselves
+are the restricted representation and are always nonnegative.
 """
 
 from __future__ import annotations
@@ -26,15 +47,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import lru_cache
+from math import lcm
+from typing import Iterator, Optional, Sequence
 
 from .characters import (CutoffError, FormalCharacter, HMCharacter,
                          HMLattice, LatticeError, Weight, dot,
                          geometric_series, graded_exterior, kostant_partition,
                          weight)
-from .groups import (GroupDataError, RealGroupData, rho_half_sum, root_sum,
-                     simple_roots)
-from .ktypes import KType, enumerate_ktypes, restrict_to_hm
+from .groups import (GroupDataError, RealGroupData, WeylElement,
+                     rho_half_sum, root_sum, row_reduce, simple_roots,
+                     weyl_group)
+from .ktypes import KType, enumerate_ktypes, is_dominant, restrict_to_hm
 
 
 class InvalidParamsError(ValueError):
@@ -160,17 +184,151 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
 # ------------------------------------------------------------------ engine
 
 @dataclass(frozen=True)
+class _Fibres:
+    """Integral solutions x of R x = b for an integer matrix R.
+
+    transform is an integer matrix T with T R = d * (reduced row echelon
+    form of R): its first rows carry d at the pivot columns, the rest
+    vanish.  So R x = b exactly when T b vanishes past the rank and
+    d * x_pivot = (T b)_pivot - sum over free f of (T R)_f x_f.
+    """
+
+    ncols: int
+    transform: tuple[tuple[int, ...], ...]
+    reduced: tuple[tuple[int, ...], ...]
+    d: int
+    pivots: tuple[int, ...]
+    free: tuple[int, ...]
+
+    @classmethod
+    def of(cls, mat: Sequence[Sequence[int]], ncols: int) -> "_Fibres":
+        m = len(mat)
+        rows = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                               for j in range(m)]
+                for i, row in enumerate(mat)]
+        pivots = row_reduce(rows, ncols)
+        d = lcm(*(a.denominator for row in rows for a in row))
+        scaled = [tuple(int(a * d) for a in row) for row in rows]
+        return cls(ncols, tuple(row[ncols:] for row in scaled),
+                   tuple(row[:ncols] for row in scaled), d, tuple(pivots),
+                   tuple(c for c in range(ncols) if c not in pivots))
+
+    def solutions(self, b: Sequence[int], bound: int
+                  ) -> Iterator[tuple[int, ...]]:
+        """Every integral solution with free coordinates in [-bound, bound];
+        pivot coordinates are not bounded here."""
+        tb = [sum(t * x for t, x in zip(row, b)) for row in self.transform]
+        rank = len(self.pivots)
+        if any(tb[rank:]):
+            return
+        for values in itertools.product(range(-bound, bound + 1),
+                                        repeat=len(self.free)):
+            x = [0] * self.ncols
+            for f, v in zip(self.free, values):
+                x[f] = v
+            for i, c in enumerate(self.pivots):
+                q, r = divmod(tb[i] - sum(self.reduced[i][f] * x[f]
+                                          for f in self.free), self.d)
+                if r:
+                    break
+                x[c] = q
+            else:
+                yield tuple(x)
+
+
+@dataclass(frozen=True)
+class _KData:
+    """What Blattner's formula needs of the group: W_K, twice rho_K, the
+    positive and simple K roots, each compact Levi root's K root, and the
+    fibres of R = tM_in_t."""
+
+    weyl: tuple[WeylElement, ...]
+    two_rho: tuple[int, ...]
+    positives: frozenset[tuple[int, ...]]
+    simples: list[tuple[int, ...]]
+    k_root_of: dict[tuple[int, ...], tuple[int, ...]]
+    fibres: _Fibres
+
+
+@lru_cache(maxsize=32)
+def _k_data(g: RealGroupData) -> Optional[_KData]:
+    """None unless R maps the K roots one-to-one onto the compact Levi roots
+    (so the compact exterior cancels the Weyl denominator of K) and every K
+    root has a trivial Z' character (so all weights of a K-type carry its
+    highest weight's Z' character)."""
+    k = g.k_roots
+    k_root_of = {g.restrict_weight(a).coords: a.coords for a in k.roots}
+    compact = {r.coords for r, f in zip(g.m_roots.roots, g.compact_flags) if f}
+    if len(k_root_of) != len(k.roots) or set(k_root_of) != compact:
+        return None
+    if any(any(g.zchar_exponents(a)) for a in k.roots):
+        return None
+    return _KData(tuple(weyl_group(k)), root_sum(k.positives, k.rank),
+                  frozenset(a.coords for a in k.positives),
+                  [s.coords for s in k.simples], k_root_of,
+                  _Fibres.of(g.tm_in_t, k.rank))
+
+
+def _apply(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in mat)
+
+
+def _apply_transpose(mat: Sequence[Sequence[int]], v: Sequence[int],
+                     ncols: int) -> tuple[int, ...]:
+    return tuple(sum(row[j] * x for row, x in zip(mat, v))
+                 for j in range(ncols))
+
+
+@dataclass(frozen=True)
+class _Blattner:
+    """Blattner's formula for one parameter tuple, as terms (w, shift_w)
+    with shift_w = R(w rho_K - w_Phi rho_K) - base, an integer vector:
+
+        mult(mu) = eps * sum_w det(w) * P_n(R w mu + shift_w).
+    """
+
+    k: _KData
+    eps: int
+    terms: tuple[tuple[WeylElement, tuple[int, ...]], ...]
+
+
+def _blattner(g: RealGroupData, compact: Sequence[Weight],
+              base: Weight) -> Optional[_Blattner]:
+    kd = _k_data(g)
+    if kd is None:
+        return None
+    preimage = {kd.k_root_of[c.coords] for c in compact}
+    w_phi = next((w for w in kd.weyl
+                  if {_apply(w.matrix, a) for a in kd.positives} == preimage),
+                 None)
+    if w_phi is None:
+        return None
+    phi_two_rho = _apply(w_phi.matrix, kd.two_rho)
+    terms = []
+    for w in kd.weyl:
+        diff = [a - b for a, b in zip(_apply(w.matrix, kd.two_rho),
+                                      phi_two_rho)]
+        if any(x % 2 for x in diff):
+            raise ArithmeticError("w rho_K - w_Phi rho_K is not integral")
+        shift = _apply(g.tm_in_t, [x // 2 for x in diff])
+        terms.append((w, tuple(a - b for a, b in zip(shift, base.coords))))
+    return _Blattner(kd, w_phi.det, tuple(terms))
+
+
+@dataclass(frozen=True)
 class _Prepared:
     """What every K-type shares for one validated parameter tuple: the
     lattice graded by the parameters' positive system, the base character
-    lambda - rho_c + rho_n tagged by chi, the positives split by type, and
-    ((-1)^|S|, base + sum of S) for every set S of compact positives."""
+    lambda - rho_c + rho_n tagged by chi, the positives split by type,
+    ((-1)^|S|, base + sum of S) for every set S of compact positives, and
+    Blattner's formula where it applies."""
 
     hm: HMLattice
     base: HMCharacter
     compact: tuple[Weight, ...]
     noncompact: tuple[Weight, ...]
     offsets: tuple[tuple[int, Weight], ...]
+    blattner: Optional[_Blattner]
 
 
 def _prepare(g: RealGroupData, p: TemperedParams,
@@ -198,7 +356,8 @@ def _prepare(g: RealGroupData, p: TemperedParams,
     offsets = tuple(((-1) ** r, base + weight(root_sum(sub, rank), lattice))
                     for r in range(len(compact) + 1)
                     for sub in itertools.combinations(compact, r))
-    return _Prepared(hm, hm.char(base, p.chi), compact, noncompact, offsets)
+    return _Prepared(hm, hm.char(base, p.chi), compact, noncompact, offsets,
+                     _blattner(g, compact, base))
 
 
 def _virtual_character(prep: _Prepared, cutoff: int) -> FormalCharacter:
@@ -213,7 +372,11 @@ def _partition_multiplicities(prep: _Prepared,
                               restricted: Sequence[FormalCharacter]
                               ) -> list[int]:
     """Signed Kostant partition counts: every weight of a restricted K-type
-    that carries the base's Z' character, less every compact offset."""
+    that carries the base's Z' character, less every compact offset.
+
+    Kept as an oracle independent of Blattner's formula: it serves
+    ktype_multiplicity's partition mode, the verify suites, the benchmark's
+    checks, and ktype_table on groups the formula does not cover."""
     out = []
     for res in restricted:
         total = 0
@@ -242,6 +405,62 @@ def _series_multiplicities(prep: _Prepared,
     virt = _virtual_character(prep, -(-h2_top // 2) - h2_base // 2)
     return [sum(m * virt.coefficient(c) for c, m in res.items())
             for res in restricted]
+
+
+def _cone_points(roots: Sequence[Weight], hm: HMLattice,
+                 bound2: int) -> list[tuple[int, ...]]:
+    """The distinct nonnegative integer combinations of the roots with
+    doubled height at most bound2."""
+    points = {(0,) * hm.rank: 0} if bound2 >= 0 else {}
+    for beta in roots:
+        h2 = hm.height2(beta)
+        grown = {}
+        for pt, ph2 in points.items():
+            for n in range((bound2 - ph2) // h2 + 1):
+                grown[tuple(x + n * b for x, b in zip(pt, beta.coords))] = (
+                    ph2 + n * h2)
+        points = grown
+    return list(points)
+
+
+def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
+                    ) -> tuple[list[KType], list[int]]:
+    """The K-types of the window that Blattner's formula can make nonzero,
+    in lexical order, with their multiplicities.
+
+    P_n vanishes off the noncompact cone, so mu can be nonzero only if some
+    target R w mu + shift_w is a cone point t; then w mu is a solution x of
+    R x = t - shift_w.  The cone points are cut at the largest target height
+    in the window, and since w is a signed permutation, |x| and |mu| share
+    the max-norm bound.  Each (mu, w) found this way contributes
+    det(w) P_n(t); every other term vanishes.
+    """
+    bl, hm = prep.blattner, prep.hm
+    rank, lattice = g.k_roots.rank, g.t_lattice.lattice
+    # (R w mu, h) = (mu, w^T R^T h), and |w^T v|_1 = |v|_1
+    rt_h = _apply_transpose(g.tm_in_t, hm.height_vec, rank)
+    bound2 = window * sum(map(abs, rt_h)) + max(
+        sum(a * b for a, b in zip(hm.height_vec, shift))
+        for _, shift in bl.terms)
+    points = _cone_points(prep.noncompact, hm, bound2)
+    found: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    for w, shift in bl.terms:
+        for t in points:
+            b = [x - y for x, y in zip(t, shift)]
+            for x in bl.k.fibres.solutions(b, window):
+                mu = _apply_transpose(w.matrix, x, rank)
+                if (max(map(abs, mu), default=0) <= window
+                        and is_dominant(mu, bl.k.simples)
+                        and g.zchar_of_t_weight(Weight(mu, lattice))
+                        == prep.base.zchar):
+                    found.setdefault(mu, []).append((w.det, t))
+    ktypes, mults = [], []
+    for mu in sorted(found):
+        ktypes.append(KType(Weight(mu, lattice)))
+        mults.append(bl.eps * sum(
+            det * kostant_partition(Weight(t, hm.lattice), prep.noncompact, hm)
+            for det, t in found[mu]))
+    return ktypes, mults
 
 
 _EVALUATORS = {"partition": _partition_multiplicities,
@@ -279,51 +498,68 @@ def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
 _SPOT_CHECKS = 3
 
 
-def _table(g: RealGroupData, p: TemperedParams, window: int, mode: str,
-           check_mode: Optional[str] = None,
+def _table(g: RealGroupData, p: TemperedParams, window: int,
+           series: bool = False,
            restrictions: Optional[dict] = None) -> KTypeTable:
-    """Validate once, evaluate every K-type of the window in one batch, and
-    recompute the first few nonzero entries in check_mode if given."""
+    """Validate once and evaluate the window: in series mode over the whole
+    box, otherwise by Blattner's formula where it applies and by partition
+    counts over the box where not, with series checks on the first few
+    nonzero entries."""
     prep = _prepare(g, p, zero_ok=True)
     table = KTypeTable({}, window, sign_factor(g))
     if prep is None:
         return table
     if restrictions is None:
         restrictions = {}
-    ktypes = enumerate_ktypes(g, window)
-    for kt in ktypes:
-        if kt.highest not in restrictions:
-            restrictions[kt.highest] = restrict_to_hm(g, kt)
-    restricted = [restrictions[kt.highest] for kt in ktypes]
+
+    def restricted(ktypes):
+        for kt in ktypes:
+            if kt.highest not in restrictions:
+                restrictions[kt.highest] = restrict_to_hm(g, kt)
+        return [restrictions[kt.highest] for kt in ktypes]
+
+    if series:
+        evaluator = "series"
+        ktypes = enumerate_ktypes(g, window)
+        mults = _series_multiplicities(prep, restricted(ktypes))
+    elif prep.blattner is not None:
+        evaluator = "blattner"
+        ktypes, mults = _blattner_table(g, prep, window)
+    else:
+        evaluator = "partition"
+        ktypes = enumerate_ktypes(g, window)
+        mults = _partition_multiplicities(prep, restricted(ktypes))
     rows = []
-    for kt, res, m in zip(ktypes, restricted,
-                          _EVALUATORS[mode](prep, restricted)):
+    for kt, m in zip(ktypes, mults):
         if m < 0:
             raise ArithmeticError(
                 f"negative multiplicity {m} at {kt.highest.coords}; "
                 "representation tables must be nonnegative")
         if m:
             table.entries[kt.highest.coords] = m
-            rows.append((kt.highest.coords, res, m))
+            rows.append(kt)
 
-    if check_mode:
+    if not series:
         spot = rows[:_SPOT_CHECKS]
-        checked = _EVALUATORS[check_mode](prep, [res for _, res, _ in spot])
-        for (coords, _, m), s in zip(spot, checked):
+        for kt, s in zip(spot, _series_multiplicities(prep, restricted(spot))):
+            m = table.entries[kt.highest.coords]
             if s != m:
-                raise ArithmeticError(f"mode disagreement at {coords}: "
-                                      f"{check_mode} {s} vs {mode} {m}")
+                raise ArithmeticError(
+                    f"evaluator disagreement at {kt.highest.coords}: "
+                    f"series {s} vs {evaluator} {m}")
     return table
 
 
 def ktype_table(g: RealGroupData, p: TemperedParams, window: int) -> KTypeTable:
     """Multiplicities of every K-type in the window; empty for zero verdicts.
 
-    Partition mode throughout, with series-mode spot checks on a few
-    entries.  Entries are the restricted representation itself (sign
-    already reconciled); the table's sign field records the index sign.
+    Blattner's formula over the K-types the noncompact cone reaches where
+    the group data allow it, else partition counts over every K-type of the
+    window; series-mode spot checks on the first few nonzero entries.
+    Entries are the restricted representation itself (sign already
+    reconciled); the table's sign field records the index sign.
     """
-    return _table(g, p, window, "partition", check_mode="series")
+    return _table(g, p, window)
 
 
 def nu_independence_check(g: RealGroupData, p: TemperedParams,
@@ -341,4 +577,4 @@ def ktype_table_series(g: RealGroupData, p: TemperedParams, window: int,
     Used to cross-check the partition-mode tables; restrictions may carry
     precomputed restrictions keyed by highest weight, and is filled in.
     """
-    return _table(g, p, window, "series", restrictions=restrictions)
+    return _table(g, p, window, series=True, restrictions=restrictions)

@@ -370,8 +370,10 @@ def graded_exterior(hm: HMLattice, weights: Sequence[Weight]) -> FormalCharacter
 
 
 # memo shared across calls; keyed by the root multiset so permutations of
-# logically equal queries reuse one table
+# logically equal queries reuse one table.  Cleared when it reaches the cap,
+# which lies far above what one table or verify suite stores.
 _KP_MEMO: dict[tuple, int] = {}
+_KP_MEMO_CAP = 100_000
 
 
 def kostant_partition(target: Weight, roots: Sequence[Weight],
@@ -418,6 +420,8 @@ def kostant_partition(target: Weight, roots: Sequence[Weight],
             cur = tuple(x - y for x, y in zip(cur, root.coords))
             cur_h2 -= h2
             k += 1
+        if len(_KP_MEMO) >= _KP_MEMO_CAP:
+            _KP_MEMO.clear()
         _KP_MEMO[memo_key] = total
         return total
 

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from . import verify as verify_mod
 from .branching import (InvalidParamsError, KTypeTable, ktype_table,
                         validate_params)
 from .groups import GroupDataError, builtin_group_names, data_dir, load_group_data
-from .oscillator import GridSpec
+from .oscillator import GridError, GridSpec
 from .presets import ParamSchemaError, resolve_params
 
 EXIT_OK = 0
@@ -25,6 +26,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_PARAMS = 2
 EXIT_IO = 3
 EXIT_SCHEMA = 4
+
+# size caps: the largest K-type window of `table`, and the most points of
+# the `verify dirac` grid, whose dense SVDs take O(n^2) memory
+MAX_WINDOW = 64
+MAX_GRID_POINTS = 2000
 
 
 def _load_group(spec: str):
@@ -117,7 +123,16 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     kwargs = {}
     if args.suite == "dirac":
-        kwargs["grid"] = GridSpec(args.grid_L, args.grid_h)
+        npoints = 2 * args.grid_L / args.grid_h + 1
+        if npoints > MAX_GRID_POINTS:
+            print(f"error: the grid would have {npoints:.6g} points; at most "
+                  f"{MAX_GRID_POINTS} are allowed", file=sys.stderr)
+            return EXIT_INVALID_PARAMS
+        try:
+            kwargs["grid"] = GridSpec(args.grid_L, args.grid_h)
+        except GridError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_INVALID_PARAMS
         kwargs["svd_tol"] = args.svd_tol
     report = verify_mod.run_suite(args.suite, **kwargs)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -150,10 +165,21 @@ def _window(text: str) -> int:
         n = int(text)
     except ValueError:
         n = -1
-    if n < 0:
+    if not 0 <= n <= MAX_WINDOW:
         raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
+            f"expected an integer from 0 to {MAX_WINDOW}, got {text!r}")
     return n
+
+
+def _positive(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}")
+    return x
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(verify_mod.SUITES))
-    v.add_argument("--grid-L", type=float, default=8.0)
-    v.add_argument("--grid-h", type=float, default=0.05)
-    v.add_argument("--svd-tol", type=float, default=1e-6)
+    v.add_argument("--grid-L", type=_positive, default=8.0)
+    v.add_argument("--grid-h", type=_positive, default=0.05)
+    v.add_argument("--svd-tol", type=_positive, default=1e-6)
     v.add_argument("--out", help="output path (default stdout)")
     v.set_defaults(func=cmd_verify)
 

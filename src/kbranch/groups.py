@@ -243,23 +243,9 @@ def _validate_root_system(rs: RootSystem, label: str,
         if s.coords not in pos:
             bad("simple decomposition", f"simple {s.coords} is not positive")
     # independence makes simple-root coordinates unique
-    if rs.simples:
-        mat = [list(s.coords) for s in rs.simples]
-        rows = [[Fraction(x) for x in row] for row in mat]
-        r = 0
-        for col in range(rs.rank):
-            piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0),
-                       None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(len(rows)):
-                if i != r and rows[i][col] != 0:
-                    f = rows[i][col] / rows[r][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            r += 1
-        if r != len(rs.simples):
-            bad("simple decomposition", "simple roots are linearly dependent")
+    rows = [[Fraction(x) for x in s.coords] for s in rs.simples]
+    if len(row_reduce(rows, rs.rank)) != len(rs.simples):
+        bad("simple decomposition", "simple roots are linearly dependent")
     hvec = root_sum(rs.positives, rs.rank)
     for p in rs.positives:
         if decompose_in_simples(p, rs.simples, hvec) is None:
@@ -314,6 +300,9 @@ class ZGenerator:
 
 @dataclass(frozen=True)
 class RealGroupData:
+    """Validated group data.  Equality compares every field; the hash reads
+    the name only, so the caches keyed on a group stay cheap to probe."""
+
     name: str
     k_roots: RootSystem
     m_roots: RootSystem
@@ -327,6 +316,9 @@ class RealGroupData:
     t_lattice: HMLattice                     # characters of T live here
     dim_s_m: int
     checklist: tuple[str, ...]
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     # -- weight constructors ------------------------------------------------
     def t_weight(self, coords, denom: int = 1) -> Weight:
@@ -386,29 +378,36 @@ class RealGroupData:
         return idx
 
 
+def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination in place on the first ncols columns; any
+    further columns ride along.  Returns the pivot columns: row i then holds
+    1 at pivot i and 0 at every other pivot, and the rows past the rank
+    vanish on the first ncols columns."""
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        scale = rows[r][c]
+        rows[r] = [a / scale for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots
+
+
 def _solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]
                     ) -> Optional[list[Fraction]]:
     """Solve mat @ x = rhs exactly; None if inconsistent."""
-    nrows, ncols = len(mat), (len(mat[0]) if mat else 0)
+    ncols = len(mat[0]) if mat else 0
     aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][c]
-        aug[r] = [a / scale for a in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
+    pivots = row_reduce(aug, ncols)
+    if any(row[ncols] != 0 for row in aug[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
         x[c] = aug[i][ncols]

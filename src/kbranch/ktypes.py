@@ -24,17 +24,22 @@ class KType:
     highest: Weight
 
 
+def is_dominant(coords: tuple[int, ...],
+                simples: list[tuple[int, ...]]) -> bool:
+    """Dominance of an integral weight: its coroot pairings have the signs
+    of its integer dot products with the simple roots."""
+    return all(sum(x * y for x, y in zip(coords, s)) >= 0 for s in simples)
+
+
 def enumerate_ktypes(g: RealGroupData, norm_cutoff: int) -> list[KType]:
     """All dominant weights with max-coordinate norm <= norm_cutoff, in
     lexicographic order."""
-    rank = g.k_roots.rank
-    out = []
-    for coords in itertools.product(range(-norm_cutoff, norm_cutoff + 1),
-                                    repeat=rank):
-        w = g.t_weight(coords)
-        if validate_dominant(g.k_roots, w):
-            out.append(KType(w))
-    return out
+    simples = [s.coords for s in g.k_roots.simples]
+    lattice = g.t_lattice.lattice
+    return [KType(Weight(coords, lattice))
+            for coords in itertools.product(
+                range(-norm_cutoff, norm_cutoff + 1), repeat=g.k_roots.rank)
+            if is_dominant(coords, simples)]
 
 
 def weyl_dimension(g: RealGroupData, kt: KType) -> int:

@@ -4,7 +4,8 @@ Four suites, each a list of named checks with expected/actual values:
 
     sl2   -- every SL(2,R) family against its closed-form table, plus
              independence from the continuous parameter;
-    su21  -- Weyl-denominator identity, series/partition mode equivalence,
+    su21  -- Weyl-denominator identity, evaluator agreement (tables
+             against series tables, partition against series queries),
              and the multiplicity-free expectation on sampled tables;
     dirac -- oscillator kernel dimensions, the cylinder reconciliation and
              deformation-scaling stability;

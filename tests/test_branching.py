@@ -1,6 +1,8 @@
 """The multiplicity engine: validation verdicts, virtual characters,
-series/partition modes, tables, signs, and an independent SU(2,1) oracle."""
+series/partition modes, Blattner tables, signs, and an independent SU(2,1)
+oracle."""
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -12,12 +14,14 @@ from kbranch.branching import (InvalidParamsError, TemperedParams,
                                ktype_table, ktype_table_series,
                                nu_independence_check, sign_factor,
                                validate_params)
+from kbranch import branching
 from kbranch.characters import dot
-from kbranch.groups import builtin_group, load_group_data
-from kbranch.ktypes import KType, weight_multiplicities
+from kbranch.groups import _BUILTIN_DIR, builtin_group, load_group_data
+from kbranch.ktypes import (KType, enumerate_ktypes, restrict_to_hm,
+                            weight_multiplicities)
 from kbranch.presets import (sl2_discrete, sl2_limit, sl2_principal,
                              su21_from_lambda)
-from kbranch.verify import random_su21_params
+from kbranch.verify import _sl2_param_sets, random_su21_params
 
 GC = builtin_group("sl2r-compact")
 GS = builtin_group("sl2r-split")
@@ -222,6 +226,122 @@ def test_mode_equivalence_table_level():
     for _ in range(5):
         p = random_su21_params(GU, rng)
         assert ktype_table(GU, p, 5) == ktype_table_series(GU, p, 5)
+
+
+# ------------------------------------------------- Blattner evaluator
+
+def partition_table(g, p, window):
+    """The partition evaluator over every K-type of the window."""
+    prep = branching._prepare(g, p)
+    ktypes = enumerate_ktypes(g, window)
+    mults = branching._partition_multiplicities(
+        prep, [restrict_to_hm(g, kt) for kt in ktypes])
+    return {kt.highest.coords: m for kt, m in zip(ktypes, mults) if m}
+
+
+def all_noncompact_su21():
+    """su21 with every Levi root flagged noncompact: it loads, but the K
+    root no longer maps onto a compact Levi root, so Blattner's formula
+    does not apply."""
+    doc = json.loads((_BUILTIN_DIR / "su21.json").read_text())
+    doc["m"]["compact_flags"] = [False] * 6
+    doc["dims"]["s_M"] = 6
+    return load_group_data(json.dumps(doc))
+
+
+def test_blattner_applies_on_shipped_groups_only():
+    assert all(branching._k_data(g) is not None for g in (GC, GS, GU))
+    assert branching._k_data(all_noncompact_su21()) is None
+
+
+@pytest.mark.parametrize("window", [4, 6, 8])
+def test_blattner_su21_matches_series_and_partition(window):
+    rng = random.Random(23)
+    restrictions = {}
+    for _ in range(4):
+        p = random_su21_params(GU, rng, scale=5)
+        t = ktype_table(GU, p, window)
+        assert t == ktype_table_series(GU, p, window, restrictions)
+        assert t.entries == partition_table(GU, p, window)
+
+
+def test_blattner_sl2_families_window_60():
+    families = [(GC, p) for _, p, _ in _sl2_param_sets(GC)]
+    families += [(GS, sl2_principal(GS, chi)) for chi in ("plus", "minus")]
+    for g, p in families:
+        t = ktype_table(g, p, 60)
+        assert t == ktype_table_series(g, p, 60)
+        assert t.entries == partition_table(g, p, 60)
+
+
+def test_all_noncompact_su21_keeps_partition_table():
+    g = all_noncompact_su21()
+    p = su21_from_lambda(g, [3, 1, -1])
+    t = ktype_table(g, p, 4)
+    assert t.entries == {(4, 1, -2): 1, (4, 2, -3): 1, (4, 3, -4): 1}
+    assert t.sign == -1
+    assert t == ktype_table_series(g, p, 4)
+
+
+def test_blattner_fibres_of_a_non_injective_restriction():
+    # a rank-2 torus restricting onto the compact Cartan of SL(2,R): each
+    # cone point has a whole line of preimages, and Z' splits them by parity
+    doc = {"name": "sl2xu1",
+           "k": {"rank": 2, "roots": [], "positives": [], "simples": []},
+           "m": {"rank": 1, "roots": [[2], [-2]], "positives": [[2]],
+                 "compact_flags": [False, False]},
+           "restricted": {"dim_a": 0, "roots": [], "positives": []},
+           "tM_in_t": [[1, 0]],
+           "zmprime": {"order": 2, "generators": [
+               {"v": ["1/2", "1/2"], "char_table_row": [0, 1]}]},
+           "dims": {"s_M": 2, "a": 0}}
+    g = load_group_data(json.dumps(doc))
+    p = TemperedParams(g.tm_weight([3]), (g.tm_weight([2]),), 1,
+                       g.a_weight([]))
+    t = ktype_table(g, p, 4)
+    assert t.entries == {(4, k): 1 for k in (-3, -1, 1, 3)}
+    for lam, chi, root in itertools.product(range(-5, 6), (0, 1), (2, -2)):
+        p = TemperedParams(g.tm_weight([lam]), (g.tm_weight([root]),), chi,
+                           g.a_weight([]))
+        if validate_params(g, p).verdict == "nonzero":
+            assert ktype_table(g, p, 5).entries == partition_table(g, p, 5)
+
+
+def test_blattner_partition_calls_track_rows(monkeypatch):
+    kostant = branching.kostant_partition
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kostant(*args)
+
+    monkeypatch.setattr(branching, "kostant_partition", counted)
+    t = ktype_table(GU, su21_from_lambda(GU, [3, 1, -1]), 16)
+    # the box holds 18,513 K-types, each needing |W_K| = 2 counts
+    assert len(t.entries) == 28
+    assert len(calls) <= 10 * len(t.entries)
+
+
+def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ktype_table scanned the K-type box")
+
+    restricted = []
+
+    def counted(g, kt):
+        restricted.append(kt)
+        return restrict_to_hm(g, kt)
+
+    monkeypatch.setattr(branching, "enumerate_ktypes", refuse)
+    monkeypatch.setattr(branching, "restrict_to_hm", counted)
+    for g, p in ((GU, su21_from_lambda(GU, [3, 1, -1])),
+                 (GC, sl2_discrete(GC, 2, "-")),
+                 (GS, sl2_principal(GS, "minus"))):
+        restricted.clear()
+        t = ktype_table(g, p, 12)
+        assert len(t.entries) > 3
+        assert [kt.highest.coords for kt in restricted] == [
+            k for k, _ in t.rows()[:3]]
 
 
 # ------------------------------------------- independent SU(2,1) oracle

@@ -232,3 +232,23 @@ def test_cutoff_soundness_randomized():
 def test_lattice_mismatch_in_product():
     with pytest.raises(LatticeError):
         char_mul(FormalCharacter.one(SL2), FormalCharacter.one(U21))
+
+
+def test_kostant_memo_stays_under_its_cap(monkeypatch):
+    import kbranch.characters as characters
+
+    class Watched(dict):
+        peak = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            Watched.peak = max(Watched.peak, len(self))
+
+    roots = [B1, Weight((0, 1, -1), "su21:tM")]
+    targets = [n1 * roots[0] + n2 * roots[1] + Weight((1, -1, 0), "su21:tM")
+               for n1 in range(12) for n2 in range(12)]
+    unbounded = [kostant_partition(t, roots, U21) for t in targets]
+    monkeypatch.setattr(characters, "_KP_MEMO", Watched())
+    monkeypatch.setattr(characters, "_KP_MEMO_CAP", 16)
+    assert [kostant_partition(t, roots, U21) for t in targets] == unbounded
+    assert 0 < Watched.peak <= 16

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from kbranch.cli import main
+from kbranch.cli import MAX_GRID_POINTS, MAX_WINDOW, main
 from kbranch.groups import _BUILTIN_DIR
 
 
@@ -80,6 +80,37 @@ def test_negative_window_exits_2(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "--window" in out.err
+
+
+def exits_2_with_empty_stdout(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "error" in out.err
+
+
+def test_window_above_cap_exits_2(capsys):
+    exits_2_with_empty_stdout(
+        capsys, "table", "--group", "su21", "--params", '{"lambda":[3,1,-1]}',
+        "--window", str(MAX_WINDOW + 1))
+
+
+def test_grid_above_cap_exits_2(capsys):
+    # 2L/h + 1 = MAX_GRID_POINTS + 1 points: refused before any matrix
+    step = 2 * 8.0 / MAX_GRID_POINTS
+    exits_2_with_empty_stdout(capsys, "verify", "dirac", "--grid-L", "8",
+                              "--grid-h", repr(step))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--grid-h", "0"), ("--grid-h", "-0.05"), ("--grid-h", "nan"),
+    ("--grid-L", "inf"), ("--svd-tol", "0"), ("--grid-h", "0.03")])
+def test_bad_grid_exits_2(capsys, flag, value):
+    exits_2_with_empty_stdout(capsys, "verify", "dirac", flag, value)
 
 
 def test_missing_group_exits_3(capsys):

@@ -6,8 +6,8 @@ import pytest
 
 from kbranch.characters import Weight, pairing
 from kbranch.groups import (GroupDataError, RootSystem, builtin_group,
-                            load_group_data, rho_half_sum, validate_dominant,
-                            weyl_group)
+                            data_dir, load_group_data, rho_half_sum,
+                            validate_dominant, weyl_group)
 
 
 def doc_sl2_compact():
@@ -205,3 +205,14 @@ def test_checklist_is_reported():
     for piece in ("schema", "Weyl closure", "sign factor parity",
                   "zmprime compatibility", "restriction integrality"):
         assert piece in joined
+
+
+def test_group_hash_reads_name_equality_reads_data():
+    a, b = builtin_group("su21"), builtin_group("su21")
+    assert a is not b and a == b and hash(a) == hash(b)
+    doc = json.loads((data_dir() / "su21.json").read_text())
+    doc["m"]["compact_flags"] = [False] * 6
+    doc["dims"]["s_M"] = 6
+    c = load_group_data(json.dumps(doc))
+    assert c.name == a.name and c != a
+    assert len({a: 1, c: 2}) == 2

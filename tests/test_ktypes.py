@@ -1,10 +1,12 @@
 """K-type enumeration, dimensions, weight multiplicities, restriction."""
 
+import itertools
 import json
 
 import pytest
 
-from kbranch.groups import builtin_group, load_group_data, weyl_group
+from kbranch.groups import (builtin_group, builtin_group_names,
+                            load_group_data, validate_dominant, weyl_group)
 from kbranch.ktypes import (KType, enumerate_ktypes, restrict_to_hm,
                             weight_multiplicities, weyl_dimension)
 
@@ -129,3 +131,14 @@ def test_restrict_to_hm_compact_cartan():
     r = restrict_to_hm(g, KType(g.t_weight([5])))
     assert [(c.tweight.coords, c.zchar, m) for c, m in r.items()] == [
         ((5,), 1, 1)]
+
+
+@pytest.mark.parametrize("name", builtin_group_names())
+def test_enumerate_matches_coroot_dominance(name):
+    g = builtin_group(name)
+    for window in range(6):
+        box = itertools.product(range(-window, window + 1),
+                                repeat=g.k_roots.rank)
+        want = [KType(g.t_weight(c)) for c in box
+                if validate_dominant(g.k_roots, g.t_weight(c))]
+        assert enumerate_ktypes(g, window) == want
