@@ -11,9 +11,10 @@ The engine realises the branching rule
 in two steps.  Preparation validates the parameters once and derives
 what every K-type shares: the lattice graded by the parameters' positive
 system, the base character lambda - rho_c + rho_n, the noncompact
-positives, the signed compact-subset offsets and, where the group data
-allow it, the terms of Blattner's formula.  Evaluation then maps K-types
-to multiplicities by one of three evaluators.
+positives and the signed compact-subset offsets.  Evaluation then maps
+K-types to multiplicities by one of three evaluators.  What the group
+alone determines (W_K, rho_K, compactness, the fibres of the torus
+restriction) is derived once when the group is loaded, and read here.
 
 Blattner's formula (Hecht-Schmid) is what the rule becomes once the
 compact exterior cancels the Weyl denominator of K:
@@ -26,8 +27,9 @@ positives, rho_Phi the compact half-sum of the parameters' positive system
 Phi and eps = det(w_Phi) for the w_Phi taking the positive K roots onto
 Phi's compact positives.  It applies when R maps the K roots one-to-one
 onto the compact Levi roots and every K root has a trivial Z' character;
-both are read from the data.  It drives ktype_table: its candidates come
-from the noncompact cone, one per lattice point whose preimage
+the group loader decides both from the data.  It drives ktype_table, the
+only caller that derives its terms.  Its candidates come from the
+noncompact cone, one per lattice point whose preimage
 w^-1 R^-1(base + rho_Phi + cone point) - rho_K is a dominant in-window
 weight, so the cost follows the rows of the table and not the box of
 K-types, and it needs no Freudenthal expansion.
@@ -47,17 +49,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .characters import (CutoffError, FormalCharacter, HMCharacter,
                          HMLattice, LatticeError, Weight, dot,
                          geometric_series, graded_exterior, kostant_partition,
                          weight)
 from .groups import (GroupDataError, RealGroupData, WeylElement,
-                     rho_half_sum, root_sum, row_reduce, simple_roots,
-                     weyl_group)
+                     rho_half_sum, root_sum, simple_roots)
 from .ktypes import KType, enumerate_ktypes, is_dominant, restrict_to_hm
 
 
@@ -183,92 +182,6 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
 
 # ------------------------------------------------------------------ engine
 
-@dataclass(frozen=True)
-class _Fibres:
-    """Integral solutions x of R x = b for an integer matrix R.
-
-    transform is an integer matrix T with T R = d * (reduced row echelon
-    form of R): its first rows carry d at the pivot columns, the rest
-    vanish.  So R x = b exactly when T b vanishes past the rank and
-    d * x_pivot = (T b)_pivot - sum over free f of (T R)_f x_f.
-    """
-
-    ncols: int
-    transform: tuple[tuple[int, ...], ...]
-    reduced: tuple[tuple[int, ...], ...]
-    d: int
-    pivots: tuple[int, ...]
-    free: tuple[int, ...]
-
-    @classmethod
-    def of(cls, mat: Sequence[Sequence[int]], ncols: int) -> "_Fibres":
-        m = len(mat)
-        rows = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                               for j in range(m)]
-                for i, row in enumerate(mat)]
-        pivots = row_reduce(rows, ncols)
-        d = lcm(*(a.denominator for row in rows for a in row))
-        scaled = [tuple(int(a * d) for a in row) for row in rows]
-        return cls(ncols, tuple(row[ncols:] for row in scaled),
-                   tuple(row[:ncols] for row in scaled), d, tuple(pivots),
-                   tuple(c for c in range(ncols) if c not in pivots))
-
-    def solutions(self, b: Sequence[int], bound: int
-                  ) -> Iterator[tuple[int, ...]]:
-        """Every integral solution with free coordinates in [-bound, bound];
-        pivot coordinates are not bounded here."""
-        tb = [sum(t * x for t, x in zip(row, b)) for row in self.transform]
-        rank = len(self.pivots)
-        if any(tb[rank:]):
-            return
-        for values in itertools.product(range(-bound, bound + 1),
-                                        repeat=len(self.free)):
-            x = [0] * self.ncols
-            for f, v in zip(self.free, values):
-                x[f] = v
-            for i, c in enumerate(self.pivots):
-                q, r = divmod(tb[i] - sum(self.reduced[i][f] * x[f]
-                                          for f in self.free), self.d)
-                if r:
-                    break
-                x[c] = q
-            else:
-                yield tuple(x)
-
-
-@dataclass(frozen=True)
-class _KData:
-    """What Blattner's formula needs of the group: W_K, twice rho_K, the
-    positive and simple K roots, each compact Levi root's K root, and the
-    fibres of R = tM_in_t."""
-
-    weyl: tuple[WeylElement, ...]
-    two_rho: tuple[int, ...]
-    positives: frozenset[tuple[int, ...]]
-    simples: list[tuple[int, ...]]
-    k_root_of: dict[tuple[int, ...], tuple[int, ...]]
-    fibres: _Fibres
-
-
-@lru_cache(maxsize=32)
-def _k_data(g: RealGroupData) -> Optional[_KData]:
-    """None unless R maps the K roots one-to-one onto the compact Levi roots
-    (so the compact exterior cancels the Weyl denominator of K) and every K
-    root has a trivial Z' character (so all weights of a K-type carry its
-    highest weight's Z' character)."""
-    k = g.k_roots
-    k_root_of = {g.restrict_weight(a).coords: a.coords for a in k.roots}
-    compact = {r.coords for r, f in zip(g.m_roots.roots, g.compact_flags) if f}
-    if len(k_root_of) != len(k.roots) or set(k_root_of) != compact:
-        return None
-    if any(any(g.zchar_exponents(a)) for a in k.roots):
-        return None
-    return _KData(tuple(weyl_group(k)), root_sum(k.positives, k.rank),
-                  frozenset(a.coords for a in k.positives),
-                  [s.coords for s in k.simples], k_root_of,
-                  _Fibres.of(g.tm_in_t, k.rank))
-
-
 def _apply(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(a * x for a, x in zip(row, v)) for row in mat)
 
@@ -280,55 +193,17 @@ def _apply_transpose(mat: Sequence[Sequence[int]], v: Sequence[int],
 
 
 @dataclass(frozen=True)
-class _Blattner:
-    """Blattner's formula for one parameter tuple, as terms (w, shift_w)
-    with shift_w = R(w rho_K - w_Phi rho_K) - base, an integer vector:
-
-        mult(mu) = eps * sum_w det(w) * P_n(R w mu + shift_w).
-    """
-
-    k: _KData
-    eps: int
-    terms: tuple[tuple[WeylElement, tuple[int, ...]], ...]
-
-
-def _blattner(g: RealGroupData, compact: Sequence[Weight],
-              base: Weight) -> Optional[_Blattner]:
-    kd = _k_data(g)
-    if kd is None:
-        return None
-    preimage = {kd.k_root_of[c.coords] for c in compact}
-    w_phi = next((w for w in kd.weyl
-                  if {_apply(w.matrix, a) for a in kd.positives} == preimage),
-                 None)
-    if w_phi is None:
-        return None
-    phi_two_rho = _apply(w_phi.matrix, kd.two_rho)
-    terms = []
-    for w in kd.weyl:
-        diff = [a - b for a, b in zip(_apply(w.matrix, kd.two_rho),
-                                      phi_two_rho)]
-        if any(x % 2 for x in diff):
-            raise ArithmeticError("w rho_K - w_Phi rho_K is not integral")
-        shift = _apply(g.tm_in_t, [x // 2 for x in diff])
-        terms.append((w, tuple(a - b for a, b in zip(shift, base.coords))))
-    return _Blattner(kd, w_phi.det, tuple(terms))
-
-
-@dataclass(frozen=True)
 class _Prepared:
     """What every K-type shares for one validated parameter tuple: the
     lattice graded by the parameters' positive system, the base character
-    lambda - rho_c + rho_n tagged by chi, the positives split by type,
-    ((-1)^|S|, base + sum of S) for every set S of compact positives, and
-    Blattner's formula where it applies."""
+    lambda - rho_c + rho_n tagged by chi, the positives split by type, and
+    ((-1)^|S|, base + sum of S) for every set S of compact positives."""
 
     hm: HMLattice
     base: HMCharacter
     compact: tuple[Weight, ...]
     noncompact: tuple[Weight, ...]
     offsets: tuple[tuple[int, Weight], ...]
-    blattner: Optional[_Blattner]
 
 
 def _prepare(g: RealGroupData, p: TemperedParams,
@@ -356,8 +231,7 @@ def _prepare(g: RealGroupData, p: TemperedParams,
     offsets = tuple(((-1) ** r, base + weight(root_sum(sub, rank), lattice))
                     for r in range(len(compact) + 1)
                     for sub in itertools.combinations(compact, r))
-    return _Prepared(hm, hm.char(base, p.chi), compact, noncompact, offsets,
-                     _blattner(g, compact, base))
+    return _Prepared(hm, hm.char(base, p.chi), compact, noncompact, offsets)
 
 
 def _virtual_character(prep: _Prepared, cutoff: int) -> FormalCharacter:
@@ -423,6 +297,37 @@ def _cone_points(roots: Sequence[Weight], hm: HMLattice,
     return list(points)
 
 
+def _blattner_terms(g: RealGroupData, prep: _Prepared
+                    ) -> tuple[int, list[tuple[WeylElement, tuple[int, ...]]]]:
+    """Blattner's formula for one parameter tuple, as eps = det(w_Phi) and
+    terms (w, shift_w) with shift_w = R(w rho_K - w_Phi rho_K) - base, an
+    integer vector:
+
+        mult(mu) = eps * sum_w det(w) * P_n(R w mu + shift_w).
+
+    R maps the K roots one-to-one onto the compact Levi roots, so w_Phi is
+    the w whose positive K roots R maps onto Phi's compact positives.
+    """
+    two_rho = g.t_lattice.height_vec
+    target = {c.coords for c in prep.compact}
+    w_phi = next((w for w in g.k_weyl
+                  if {_apply(g.tm_in_t, _apply(w.matrix, a.coords))
+                      for a in g.k_roots.positives} == target), None)
+    if w_phi is None:
+        raise ArithmeticError("no w in W_K takes the positive K roots onto "
+                              "the compact positives")
+    phi_two_rho = _apply(w_phi.matrix, two_rho)
+    terms = []
+    for w in g.k_weyl:
+        diff = [a - b for a, b in zip(_apply(w.matrix, two_rho), phi_two_rho)]
+        if any(x % 2 for x in diff):
+            raise ArithmeticError("w rho_K - w_Phi rho_K is not integral")
+        shift = _apply(g.tm_in_t, [x // 2 for x in diff])
+        terms.append((w, tuple(a - b for a, b in
+                               zip(shift, prep.base.tweight.coords))))
+    return w_phi.det, terms
+
+
 def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
                     ) -> tuple[list[KType], list[int]]:
     """The K-types of the window that Blattner's formula can make nonzero,
@@ -435,29 +340,31 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     the max-norm bound.  Each (mu, w) found this way contributes
     det(w) P_n(t); every other term vanishes.
     """
-    bl, hm = prep.blattner, prep.hm
+    eps, terms = _blattner_terms(g, prep)
+    hm = prep.hm
     rank, lattice = g.k_roots.rank, g.t_lattice.lattice
+    simples = [s.coords for s in g.k_roots.simples]
     # (R w mu, h) = (mu, w^T R^T h), and |w^T v|_1 = |v|_1
     rt_h = _apply_transpose(g.tm_in_t, hm.height_vec, rank)
     bound2 = window * sum(map(abs, rt_h)) + max(
         sum(a * b for a, b in zip(hm.height_vec, shift))
-        for _, shift in bl.terms)
+        for _, shift in terms)
     points = _cone_points(prep.noncompact, hm, bound2)
     found: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for w, shift in bl.terms:
+    for w, shift in terms:
         for t in points:
             b = [x - y for x, y in zip(t, shift)]
-            for x in bl.k.fibres.solutions(b, window):
+            for x in g.fibres.solutions(b, window):
                 mu = _apply_transpose(w.matrix, x, rank)
                 if (max(map(abs, mu), default=0) <= window
-                        and is_dominant(mu, bl.k.simples)
+                        and is_dominant(mu, simples)
                         and g.zchar_of_t_weight(Weight(mu, lattice))
                         == prep.base.zchar):
                     found.setdefault(mu, []).append((w.det, t))
     ktypes, mults = [], []
     for mu in sorted(found):
         ktypes.append(KType(Weight(mu, lattice)))
-        mults.append(bl.eps * sum(
+        mults.append(eps * sum(
             det * kostant_partition(Weight(t, hm.lattice), prep.noncompact, hm)
             for det, t in found[mu]))
     return ktypes, mults
@@ -499,8 +406,7 @@ _SPOT_CHECKS = 3
 
 
 def _table(g: RealGroupData, p: TemperedParams, window: int,
-           series: bool = False,
-           restrictions: Optional[dict] = None) -> KTypeTable:
+           series: bool = False) -> KTypeTable:
     """Validate once and evaluate the window: in series mode over the whole
     box, otherwise by Blattner's formula where it applies and by partition
     counts over the box where not, with series checks on the first few
@@ -509,20 +415,15 @@ def _table(g: RealGroupData, p: TemperedParams, window: int,
     table = KTypeTable({}, window, sign_factor(g))
     if prep is None:
         return table
-    if restrictions is None:
-        restrictions = {}
 
     def restricted(ktypes):
-        for kt in ktypes:
-            if kt.highest not in restrictions:
-                restrictions[kt.highest] = restrict_to_hm(g, kt)
-        return [restrictions[kt.highest] for kt in ktypes]
+        return [restrict_to_hm(g, kt) for kt in ktypes]
 
     if series:
         evaluator = "series"
         ktypes = enumerate_ktypes(g, window)
         mults = _series_multiplicities(prep, restricted(ktypes))
-    elif prep.blattner is not None:
+    elif g.blattner_applies:
         evaluator = "blattner"
         ktypes, mults = _blattner_table(g, prep, window)
     else:
@@ -574,7 +475,7 @@ def ktype_table_series(g: RealGroupData, p: TemperedParams, window: int,
                        restrictions: Optional[dict] = None) -> KTypeTable:
     """Whole-window table in pure series mode, one shared character build.
 
-    Used to cross-check the partition-mode tables; restrictions may carry
-    precomputed restrictions keyed by highest weight, and is filled in.
+    Used to cross-check ktype_table.  restrictions is accepted and not
+    used: restrict_to_hm caches every restricted K-type.
     """
-    return _table(g, p, window, series=True, restrictions=restrictions)
+    return _table(g, p, window, series=True)

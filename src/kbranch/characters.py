@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -132,11 +133,11 @@ class ZCharTable:
             if any(not (0 <= e < self.order) for e in r):
                 raise LatticeError("character exponent out of range")
 
-    @property
+    @cached_property
     def index_of(self) -> dict[tuple[int, ...], int]:
         return {r: i for i, r in enumerate(self.rows)}
 
-    @property
+    @cached_property
     def identity(self) -> int:
         ngen = len(self.rows[0])
         return self.index_of[(0,) * ngen]

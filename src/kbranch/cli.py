@@ -27,9 +27,12 @@ EXIT_INVALID_PARAMS = 2
 EXIT_IO = 3
 EXIT_SCHEMA = 4
 
-# size caps: the largest K-type window of `table`, and the most points of
-# the `verify dirac` grid, whose dense SVDs take O(n^2) memory
+# size caps: the largest K-type window of `table`; the most K-types,
+# (2w+1)^rank, that `table` may scan on a group outside Blattner's formula
+# (the rank-3 box of window 16); and the most points of the `verify dirac`
+# grid, whose dense SVDs take O(n^2) memory
 MAX_WINDOW = 64
+MAX_BOX = 33 ** 3
 MAX_GRID_POINTS = 2000
 
 
@@ -104,6 +107,13 @@ def cmd_table(args) -> int:
     verdict = validate_params(g, params)
     if verdict.verdict != "nonzero":
         print(f"verdict: {verdict}", file=sys.stderr)
+        return EXIT_INVALID_PARAMS
+
+    box = (2 * args.window + 1) ** g.k_roots.rank
+    if not g.blattner_applies and box > MAX_BOX:
+        print(f"error: {g.name} is outside Blattner's formula, so window "
+              f"{args.window} would scan {box} K-types; at most {MAX_BOX} "
+              "are allowed", file=sys.stderr)
         return EXIT_INVALID_PARAMS
 
     table = ktype_table(g, params, args.window)

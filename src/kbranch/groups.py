@@ -5,19 +5,25 @@ root system of the maximal compact subgroup, the root system of the Levi
 factor with compact/noncompact labels, the restricted roots, the torus
 restriction matrix and the finite component group of the compact Cartan.
 Loading validates every structural invariant and names the first violated
-one.  Weight coordinates are, by convention, orthonormal for an invariant
-inner product; this is what makes coroot pairings exact integers and is
-enforced by the crystallographic checks below.
+one, and derives, once per group, the root data the engine reads: the Weyl
+group of K, the simple-root coordinates of its positive roots, the
+compactness of each Levi root, the fibres of the torus restriction and
+whether Blattner's formula applies.  Weight coordinates are, by
+convention, orthonormal for an invariant inner product; this is what makes
+coroot pairings exact integers and is enforced by the crystallographic
+checks below.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .characters import (ConeError, HMLattice, LatticeError, Weight,
                          ZCharTable, pairing, weight)
@@ -116,30 +122,6 @@ def _reflection_matrix(alpha: Weight, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cols[j][i] for j in range(rank)) for i in range(rank))
 
 
-def _det(matrix: tuple[tuple[int, ...], ...]) -> int:
-    n = len(matrix)
-    if n == 0:
-        return 1
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    if det.denominator != 1:
-        raise ArithmeticError(f"integer matrix has determinant {det}")
-    return int(det)
-
-
 _WEYL_CAP = 200_000
 
 
@@ -154,8 +136,7 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     root_set = {r.coords for r in rs.roots}
     gens = []
     for a in rs.simples:
-        m = _reflection_matrix(a, rank)
-        el = WeylElement(m, _det(m))
+        el = WeylElement(_reflection_matrix(a, rank), -1)  # a reflection
         image = {el.apply(r).coords for r in rs.roots}
         if image != root_set:
             raise GroupDataError(
@@ -215,8 +196,11 @@ def decompose_in_simples(mu: Weight, simples: Sequence[Weight],
     return search(mu.coords, mu_h2, 0, [])
 
 
-def _validate_root_system(rs: RootSystem, label: str,
-                          checklist: list[str]) -> None:
+def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
+                          ) -> tuple[tuple[WeylElement, ...],
+                                     tuple[tuple[int, ...], ...]]:
+    """Raise on the first violated invariant; return the Weyl group and the
+    simple-root coordinates of each positive root, both derived here."""
     def bad(inv, msg):
         raise GroupDataError(inv, f"{label}: {msg}")
 
@@ -247,8 +231,10 @@ def _validate_root_system(rs: RootSystem, label: str,
     if len(row_reduce(rows, rs.rank)) != len(rs.simples):
         bad("simple decomposition", "simple roots are linearly dependent")
     hvec = root_sum(rs.positives, rs.rank)
-    for p in rs.positives:
-        if decompose_in_simples(p, rs.simples, hvec) is None:
+    simple_coords = tuple(decompose_in_simples(p, rs.simples, hvec)
+                          for p in rs.positives)
+    for p, c in zip(rs.positives, simple_coords):
+        if c is None:
             bad("simple decomposition",
                 f"positive {p.coords} is not a nonnegative integer "
                 "combination of the simples")
@@ -259,8 +245,9 @@ def _validate_root_system(rs: RootSystem, label: str,
             if pairing(b, a).denominator != 1:
                 bad("Weyl closure",
                     f"pairing of {b.coords} with {a.coords} is not integral")
-    weyl_group(rs)  # raises on reflection-closure failure
+    weyl = tuple(weyl_group(rs))  # raises on reflection-closure failure
     checklist.append(f"{label} Weyl closure")
+    return weyl, simple_coords
 
 
 def _parse_weight_list(raw, rank, lattice, inv):
@@ -300,8 +287,9 @@ class ZGenerator:
 
 @dataclass(frozen=True)
 class RealGroupData:
-    """Validated group data.  Equality compares every field; the hash reads
-    the name only, so the caches keyed on a group stay cheap to probe."""
+    """Validated group data, with the root data derived from it once, at
+    load.  Equality compares every field; the hash reads the name only, so
+    the caches keyed on a group stay cheap to probe."""
 
     name: str
     k_roots: RootSystem
@@ -316,6 +304,12 @@ class RealGroupData:
     t_lattice: HMLattice                     # characters of T live here
     dim_s_m: int
     checklist: tuple[str, ...]
+    # derived at load; twice rho_K is t_lattice.height_vec
+    compact_of: dict[tuple[int, ...], bool]  # Levi root -> compact flag
+    k_weyl: tuple[WeylElement, ...]
+    k_simple_coords: tuple[tuple[int, ...], ...]  # of each K positive
+    fibres: Fibres                           # integral solutions of R x = b
+    blattner_applies: bool
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -332,10 +326,11 @@ class RealGroupData:
 
     # -- structure queries --------------------------------------------------
     def is_compact(self, root: Weight) -> bool:
-        for r, flag in zip(self.m_roots.roots, self.compact_flags):
-            if r.coords == root.coords:
-                return flag
-        raise LatticeError(f"{root.coords} is not a root of the Levi factor")
+        try:
+            return self.compact_of[root.coords]
+        except KeyError:
+            raise LatticeError(
+                f"{root.coords} is not a root of the Levi factor") from None
 
     def compact_positives(self, positives=None) -> list[Weight]:
         pos = self.m_roots.positives if positives is None else positives
@@ -414,6 +409,72 @@ def _solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]
     return x
 
 
+@dataclass(frozen=True)
+class Fibres:
+    """Integral solutions x of R x = b for an integer matrix R.
+
+    transform is an integer matrix T with T R = d * (reduced row echelon
+    form of R): its first rows carry d at the pivot columns, the rest
+    vanish.  So R x = b exactly when T b vanishes past the rank and
+    d * x_pivot = (T b)_pivot - sum over free f of (T R)_f x_f.
+    """
+
+    ncols: int
+    transform: tuple[tuple[int, ...], ...]
+    reduced: tuple[tuple[int, ...], ...]
+    d: int
+    pivots: tuple[int, ...]
+    free: tuple[int, ...]
+
+    @classmethod
+    def of(cls, mat: Sequence[Sequence[int]], ncols: int) -> "Fibres":
+        m = len(mat)
+        rows = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                               for j in range(m)]
+                for i, row in enumerate(mat)]
+        pivots = row_reduce(rows, ncols)
+        d = lcm(*(a.denominator for row in rows for a in row))
+        scaled = [tuple(int(a * d) for a in row) for row in rows]
+        return cls(ncols, tuple(row[ncols:] for row in scaled),
+                   tuple(row[:ncols] for row in scaled), d, tuple(pivots),
+                   tuple(c for c in range(ncols) if c not in pivots))
+
+    def solutions(self, b: Sequence[int], bound: int
+                  ) -> Iterator[tuple[int, ...]]:
+        """Every integral solution with free coordinates in [-bound, bound];
+        pivot coordinates are not bounded here."""
+        tb = [sum(t * x for t, x in zip(row, b)) for row in self.transform]
+        rank = len(self.pivots)
+        if any(tb[rank:]):
+            return
+        for values in itertools.product(range(-bound, bound + 1),
+                                        repeat=len(self.free)):
+            x = [0] * self.ncols
+            for f, v in zip(self.free, values):
+                x[f] = v
+            for i, c in enumerate(self.pivots):
+                q, r = divmod(tb[i] - sum(self.reduced[i][f] * x[f]
+                                          for f in self.free), self.d)
+                if r:
+                    break
+                x[c] = q
+            else:
+                yield tuple(x)
+
+
+def _blattner_applies(g: RealGroupData,
+                      k_restricted: Sequence[tuple[int, ...]]) -> bool:
+    """Whether Blattner's formula holds for the group, given R = tM_in_t
+    applied to each K root: R maps the K roots one-to-one onto the compact
+    Levi roots, so the compact exterior cancels the Weyl denominator of K,
+    and every K root has a trivial Z' character, so all weights of a K-type
+    carry its highest weight's Z' character."""
+    compact = {r for r, f in g.compact_of.items() if f}
+    return (len(set(k_restricted)) == len(k_restricted)
+            and set(k_restricted) == compact
+            and not any(any(g.zchar_exponents(a)) for a in g.k_roots.roots))
+
+
 _SCHEMA_FIELDS = {
     "name": str, "k": dict, "m": dict, "restricted": dict,
     "tM_in_t": list, "zmprime": dict, "dims": dict,
@@ -470,7 +531,7 @@ def _build(doc: dict) -> RealGroupData:
         _parse_weight_list(_require(k, "roots", list), k_rank, t_lab, "schema"),
         _parse_weight_list(_require(k, "positives", list), k_rank, t_lab, "schema"),
         _parse_weight_list(_require(k, "simples", list), k_rank, t_lab, "schema"))
-    _validate_root_system(k_roots, "k", checklist)
+    k_weyl, k_simple_coords = _validate_root_system(k_roots, "k", checklist)
 
     # ---- m root system with compact flags ----------------------------------
     m = doc["m"]
@@ -593,14 +654,17 @@ def _build(doc: dict) -> RealGroupData:
     hm = HMLattice(m_rank, tm_lab, root_sum(m_pos, m_rank), ztable)
     t_lattice = HMLattice(k_rank, t_lab, root_sum(k_roots.positives, k_rank))
 
+    # checklist and blattner_applies are final once the checks below pass
     g = RealGroupData(
         name=name, k_roots=k_roots, m_roots=m_roots, compact_flags=flags,
         restricted_roots=r_roots, restricted_positives=r_pos, dim_a=dim_a,
         tm_in_t=tm_in_t, zgens=zgens, hm=hm, t_lattice=t_lattice,
-        dim_s_m=dim_s_m, checklist=tuple(checklist))
+        dim_s_m=dim_s_m, checklist=(), compact_of=flag_of, k_weyl=k_weyl,
+        k_simple_coords=k_simple_coords, fibres=Fibres.of(tm_in_t, k_rank),
+        blattner_applies=False)
 
     # compact m-roots must come from roots of the compact subgroup
-    k_restr = {g.restrict_weight(r).coords for r in k_roots.roots}
+    k_restr = [g.restrict_weight(r).coords for r in k_roots.roots]
     for r, f in zip(m_all, flags):
         if f and r.coords not in k_restr:
             raise GroupDataError(
@@ -628,8 +692,8 @@ def _build(doc: dict) -> RealGroupData:
         g.zchar_of_t_weight(e)  # raises "zmprime compatibility"
     checklist.append("zmprime compatibility")
 
-    object.__setattr__(g, "checklist", tuple(checklist))
-    return g
+    return replace(g, checklist=tuple(checklist),
+                   blattner_applies=_blattner_applies(g, k_restr))
 
 
 def data_dir() -> Path:

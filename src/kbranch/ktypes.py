@@ -13,8 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import FormalCharacter, HMCharacter, LatticeError, Weight, dot
-from .groups import (RealGroupData, decompose_in_simples, rho_half_sum,
-                     root_sum, validate_dominant)
+from .groups import RealGroupData, rho_half_sum, validate_dominant
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,7 @@ def weight_multiplicities(g: RealGroupData, kt: KType) -> FormalCharacter:
     if not rs.positives:
         return FormalCharacter(lat, {lat.char(hw): 1})
 
-    rho2 = root_sum(rs.positives, rs.rank)
-    hvec = rho2  # height functional: positive on every positive root
+    rho2 = lat.height_vec  # twice rho_K
 
     def nsq(coords):
         v = [2 * c + r for c, r in zip(coords, rho2)]
@@ -83,8 +81,6 @@ def weight_multiplicities(g: RealGroupData, kt: KType) -> FormalCharacter:
 
     n_top = nsq(hw.coords)
     simples = rs.simples
-    simple_coords = [
-        decompose_in_simples(p, simples, hvec) for p in rs.positives]
 
     # candidates: hw minus nonnegative simple combinations inside the ball
     # |mu + rho| <= |hw + rho|; every weight of the representation is one
@@ -112,7 +108,7 @@ def weight_multiplicities(g: RealGroupData, kt: KType) -> FormalCharacter:
         if denom == 0:
             continue  # on the sphere |mu+rho| = |hw+rho|: never a weight
         s = 0
-        for a, acoords in zip(rs.positives, simple_coords):
+        for a, acoords in zip(rs.positives, g.k_simple_coords):
             jmax = min(n // c for n, c in zip(ns, acoords) if c > 0)
             cur = coords
             for j in range(1, jmax + 1):
@@ -132,7 +128,13 @@ def weight_multiplicities(g: RealGroupData, kt: KType) -> FormalCharacter:
 
 
 @lru_cache(maxsize=65536)
-def _restrict_cached(g: RealGroupData, kt: KType) -> FormalCharacter:
+def restrict_to_hm(g: RealGroupData, kt: KType) -> FormalCharacter:
+    """Restriction of a K-type to H = T_M Z': push weights through the torus
+    restriction and attach the Z'-character each weight induces.
+
+    Cached per (group, K-type), the one cache of restricted K-types; the
+    returned character is shared and must be treated as immutable.
+    """
     full = weight_multiplicities(g, kt)
     acc: dict[HMCharacter, int] = {}
     for c, m in full.items():
@@ -140,13 +142,3 @@ def _restrict_cached(g: RealGroupData, kt: KType) -> FormalCharacter:
         key = g.hm.char(g.restrict_weight(w), g.zchar_of_t_weight(w))
         acc[key] = acc.get(key, 0) + m
     return FormalCharacter(g.hm, acc)
-
-
-def restrict_to_hm(g: RealGroupData, kt: KType) -> FormalCharacter:
-    """Restriction of a K-type to H = T_M Z': push weights through the torus
-    restriction and attach the Z'-character each weight induces.
-
-    Cached per (group, K-type); the returned character is shared and must
-    be treated as immutable.
-    """
-    return _restrict_cached(g, kt)

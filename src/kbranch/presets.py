@@ -61,11 +61,12 @@ def sl2_limit(g: RealGroupData, sign: str) -> TemperedParams:
 
 
 def sl2_principal(g: RealGroupData, chi: str, nu: int = 1) -> TemperedParams:
-    idx = {"plus": 0, "minus": 1}.get(chi)
-    if idx is None:
+    # a tuple test, not a dict lookup: chi may be any JSON value
+    if chi not in ("plus", "minus"):
         raise ParamSchemaError("chi must be 'plus' or 'minus'")
-    return TemperedParams(
-        lam=g.tm_weight([]), rmplus=(), chi=idx, nu=g.a_weight([nu]))
+    return TemperedParams(lam=g.tm_weight([]), rmplus=(),
+                          chi=("plus", "minus").index(chi),
+                          nu=g.a_weight([nu]))
 
 
 def su21_from_lambda(g: RealGroupData, coords,

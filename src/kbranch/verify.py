@@ -5,12 +5,16 @@ Four suites, each a list of named checks with expected/actual values:
     sl2   -- every SL(2,R) family against its closed-form table, plus
              independence from the continuous parameter;
     su21  -- Weyl-denominator identity, evaluator agreement (tables
-             against series tables, partition against series queries),
-             and the multiplicity-free expectation on sampled tables;
+             against series tables and the partition evaluator, partition
+             against series queries), and the multiplicity-free
+             expectation on sampled tables;
     dirac -- oscillator kernel dimensions, the cylinder reconciliation and
              deformation-scaling stability;
     ring  -- formal-character ring laws, the defining inverse identity and
-             partition-vs-series agreement.
+             partition-vs-series agreement, of counts and of tables.
+
+partition_table is the one implementation of the partition evaluator
+over a whole window, shared with the tests.
 """
 
 from __future__ import annotations
@@ -20,15 +24,15 @@ from dataclasses import dataclass, asdict
 from typing import Optional
 
 from . import presets
-from .branching import (TemperedParams, ktype_multiplicity, ktype_table,
-                        ktype_table_series, nu_independence_check,
-                        validate_params)
+from .branching import (TemperedParams, _partition_multiplicities, _prepare,
+                        ktype_multiplicity, ktype_table, ktype_table_series,
+                        nu_independence_check, validate_params)
 from .characters import (FormalCharacter, HMLattice, ZCharTable, Weight,
                          char_mul, dot, geometric_series, graded_exterior,
                          kostant_partition)
 from .groups import (RootSystem, builtin_group, rho_half_sum, simple_roots,
                      weyl_group)
-from .ktypes import enumerate_ktypes
+from .ktypes import enumerate_ktypes, restrict_to_hm
 from .oscillator import GridSpec, cylinder_sl2, oscillator_1d, oscillator_nd
 from .sl2_oracles import SL2Series, oracle_match, sl2_branching
 
@@ -117,25 +121,34 @@ def _weyl_denominator_check(name, hm, compact_positives) -> Check:
     """Graded exterior over compact positives equals the alternating sum of
     e^(rho_c - w rho_c) over the compact Weyl group."""
     lhs = graded_exterior(hm, compact_positives)
-    if compact_positives:
-        roots = tuple(compact_positives) + tuple(-r for r in compact_positives)
-        rs = RootSystem(hm.rank, roots, tuple(compact_positives),
-                        simple_roots(compact_positives))
-        rho_c = rho_half_sum(compact_positives)
-        elements = weyl_group(rs)
-    else:
-        rho_c = None
-        elements = None
+    roots = tuple(compact_positives) + tuple(-r for r in compact_positives)
+    rs = RootSystem(hm.rank, roots, tuple(compact_positives),
+                    simple_roots(compact_positives))
+    rho_c = rho_half_sum(compact_positives, rank=hm.rank, lattice=hm.lattice)
     terms = {}
-    if compact_positives:
-        for w in elements:
-            key = hm.char(rho_c - w.apply(rho_c))
-            terms[key] = terms.get(key, 0) + w.det
-        rhs = FormalCharacter(hm, terms)
-    else:
-        rhs = FormalCharacter.one(hm)
+    for w in weyl_group(rs):
+        key = hm.char(rho_c - w.apply(rho_c))
+        terms[key] = terms.get(key, 0) + w.det
+    rhs = FormalCharacter(hm, terms)
     return _check(f"weyl denominator identity ({name})", lhs == rhs,
                   "formal equality", "equal" if lhs == rhs else "unequal")
+
+
+def partition_table(g, p, window: int) -> dict:
+    """The partition evaluator over every K-type of the window, as table
+    entries."""
+    prep = _prepare(g, p)
+    ktypes = enumerate_ktypes(g, window)
+    mults = _partition_multiplicities(
+        prep, [restrict_to_hm(g, kt) for kt in ktypes])
+    return {kt.highest.coords: m for kt, m in zip(ktypes, mults) if m}
+
+
+def _tables_agree(g, p, window: int) -> bool:
+    """ktype_table, the series table and the partition evaluator agree."""
+    t = ktype_table(g, p, window)
+    return (t == ktype_table_series(g, p, window)
+            and t.entries == partition_table(g, p, window))
 
 
 def random_su21_params(g, rng, scale: int = 4) -> TemperedParams:
@@ -172,14 +185,10 @@ def suite_su21(samples: int = 50, queries: int = 200,
         "su21", gu.hm, gu.compact_positives()))
 
     # mode equivalence, exhaustively on the SL(2,R) families
-    ok = True
-    for label, p, _ in _sl2_param_sets(gc):
-        if ktype_table(gc, p, 60) != ktype_table_series(gc, p, 60):
-            ok = False
-    for chi in ("plus", "minus"):
-        p = presets.sl2_principal(gs, chi)
-        if ktype_table(gs, p, 60) != ktype_table_series(gs, p, 60):
-            ok = False
+    families = [(gc, p) for _, p, _ in _sl2_param_sets(gc)]
+    families += [(gs, presets.sl2_principal(gs, chi))
+                 for chi in ("plus", "minus")]
+    ok = all(_tables_agree(g, p, 60) for g, p in families)
     checks.append(_check("mode equivalence sl2 exhaustive window 60", ok,
                          "series == partition", "agree" if ok else "disagree"))
 
@@ -198,13 +207,12 @@ def suite_su21(samples: int = 50, queries: int = 200,
                          "agree" if ok else "disagree"))
 
     # multiplicity-free expectation, falsifiable with a reproducer
-    restrictions: dict = {}
     offender = None
     ok = True
     for i in range(samples):
         p = random_su21_params(gu, rng)
         t = ktype_table(gu, p, 6)
-        ts = ktype_table_series(gu, p, 6, restrictions)
+        ts = ktype_table_series(gu, p, 6)
         if t != ts:
             ok = False
             offender = (p, "mode disagreement")
@@ -292,7 +300,6 @@ def suite_ring(seed: int = 20260811) -> list[Check]:
     rng = random.Random(seed)
     ok = True
     betas = gu.noncompact_positives()
-    series = None
     H = 12
     series = geometric_series(gu.hm, betas[0], H)
     series = char_mul(series, geometric_series(gu.hm, betas[1], H))
@@ -327,8 +334,7 @@ def suite_ring(seed: int = 20260811) -> list[Check]:
                          "laws hold", "hold" if ok else "violated"))
 
     # partition-vs-series agreement at the representation level
-    p = presets.sl2_discrete(gc, 3, "+")
-    ok = ktype_table(gc, p, 30) == ktype_table_series(gc, p, 30)
+    ok = _tables_agree(gc, presets.sl2_discrete(gc, 3, "+"), 30)
     checks.append(_check("partition vs series tables (sl2 discrete)", ok,
                          "equal tables", "equal" if ok else "differ"))
     return checks

@@ -137,7 +137,6 @@ def test_criterion_09_su21_multiplicity_free():
     rng = random.Random(SEED)
     ok = True
     reproducer = None
-    restrictions = {}
     for _ in range(50):
         p = random_su21_params(GU, rng)
         t = ktype_table(GU, p, 6)
@@ -145,7 +144,7 @@ def test_criterion_09_su21_multiplicity_free():
             ok = False
             reproducer = p
             break
-        if t != ktype_table_series(GU, p, 6, restrictions):
+        if t != ktype_table_series(GU, p, 6):
             ok = False
             reproducer = p
             break

@@ -14,14 +14,14 @@ from kbranch.branching import (InvalidParamsError, TemperedParams,
                                ktype_table, ktype_table_series,
                                nu_independence_check, sign_factor,
                                validate_params)
-from kbranch import branching
+from kbranch import branching, groups, ktypes
 from kbranch.characters import dot
 from kbranch.groups import _BUILTIN_DIR, builtin_group, load_group_data
-from kbranch.ktypes import (KType, enumerate_ktypes, restrict_to_hm,
-                            weight_multiplicities)
+from kbranch.ktypes import KType, restrict_to_hm, weight_multiplicities
 from kbranch.presets import (sl2_discrete, sl2_limit, sl2_principal,
                              su21_from_lambda)
-from kbranch.verify import _sl2_param_sets, random_su21_params
+from kbranch.verify import (_sl2_param_sets, partition_table,
+                            random_su21_params)
 
 GC = builtin_group("sl2r-compact")
 GS = builtin_group("sl2r-split")
@@ -230,15 +230,6 @@ def test_mode_equivalence_table_level():
 
 # ------------------------------------------------- Blattner evaluator
 
-def partition_table(g, p, window):
-    """The partition evaluator over every K-type of the window."""
-    prep = branching._prepare(g, p)
-    ktypes = enumerate_ktypes(g, window)
-    mults = branching._partition_multiplicities(
-        prep, [restrict_to_hm(g, kt) for kt in ktypes])
-    return {kt.highest.coords: m for kt, m in zip(ktypes, mults) if m}
-
-
 def all_noncompact_su21():
     """su21 with every Levi root flagged noncompact: it loads, but the K
     root no longer maps onto a compact Levi root, so Blattner's formula
@@ -250,18 +241,53 @@ def all_noncompact_su21():
 
 
 def test_blattner_applies_on_shipped_groups_only():
-    assert all(branching._k_data(g) is not None for g in (GC, GS, GU))
-    assert branching._k_data(all_noncompact_su21()) is None
+    assert all(g.blattner_applies for g in (GC, GS, GU))
+    assert not all_noncompact_su21().blattner_applies
+
+
+def test_engine_reads_the_weyl_group_from_load(monkeypatch):
+    doc = json.loads((_BUILTIN_DIR / "su21.json").read_text())
+    doc["name"] = "su21-fresh"  # no cache has seen this group
+    g = load_group_data(json.dumps(doc))
+    weyl_group = groups.weyl_group
+    calls = []
+
+    def counted(rs):
+        calls.append(rs)
+        return weyl_group(rs)
+
+    for mod in (groups, branching):
+        if getattr(mod, "weyl_group", None) is weyl_group:
+            monkeypatch.setattr(mod, "weyl_group", counted)
+    p = su21_from_lambda(g, [3, 1, -1])
+    ktype_table(g, p, 6)
+    ktype_table_series(g, p, 4)
+    ktype_multiplicity(g, p, KType(g.t_weight([4, 1, -2])))
+    assert calls == []
+    assert len(g.k_weyl) == 2
+
+
+def test_series_tables_share_the_restriction_cache(monkeypatch):
+    p = su21_from_lambda(GU, [4, 1, -2])
+    ktype_table_series(GU, p, 4)
+    calls = []
+
+    def counted(g, kt):
+        calls.append(kt)
+        return weight_multiplicities(g, kt)
+
+    monkeypatch.setattr(ktypes, "weight_multiplicities", counted)
+    ktype_table_series(GU, p, 4)
+    assert calls == []
 
 
 @pytest.mark.parametrize("window", [4, 6, 8])
 def test_blattner_su21_matches_series_and_partition(window):
     rng = random.Random(23)
-    restrictions = {}
     for _ in range(4):
         p = random_su21_params(GU, rng, scale=5)
         t = ktype_table(GU, p, window)
-        assert t == ktype_table_series(GU, p, window, restrictions)
+        assert t == ktype_table_series(GU, p, window)
         assert t.entries == partition_table(GU, p, window)
 
 

@@ -168,6 +168,13 @@ def test_zchar_table_group_structure():
         ZCharTable(2, ((0,), (0,)))
 
 
+def test_zchar_table_index_is_built_once():
+    zt = ZCharTable(2, ((1,), (0,)))
+    assert zt.index_of is zt.index_of
+    assert zt.index_of == {(1,): 0, (0,): 1}
+    assert zt.identity == 1
+
+
 def test_zchars_multiply_along_characters():
     a = FormalCharacter(SL2, {ch(SL2, [1], 1): 1})
     b = FormalCharacter(SL2, {ch(SL2, [2], 1): 1})

@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kbranch import branching
 from kbranch.cli import MAX_GRID_POINTS, MAX_WINDOW, main
 from kbranch.groups import _BUILTIN_DIR
 
@@ -63,6 +66,8 @@ def test_bad_params_document_exits_2(capsys):
     ("sl2r-compact", '{"series":"discrete","n":"x"}'),
     ("sl2r-compact", '{"series":"discrete","n":3,"sign":"banana"}'),
     ("su21", '{"lambda":[1,2]}'),
+    ("sl2r-split", '{"chi":[]}'),
+    ("sl2r-split", '{"chi":{}}'),
 ])
 def test_malformed_params_document_exits_2(capsys, group, params):
     code, out, err = run(capsys, "table", "--group", group,
@@ -97,6 +102,27 @@ def test_window_above_cap_exits_2(capsys):
     exits_2_with_empty_stdout(
         capsys, "table", "--group", "su21", "--params", '{"lambda":[3,1,-1]}',
         "--window", str(MAX_WINDOW + 1))
+
+
+def test_box_above_cap_exits_2_without_scanning(capsys, tmp_path,
+                                                monkeypatch):
+    # su21 with every Levi root noncompact falls back to the box scan
+    doc = json.loads((_BUILTIN_DIR / "su21.json").read_text())
+    doc["m"]["compact_flags"] = [False] * 6
+    doc["dims"]["s_M"] = 6
+    path = tmp_path / "su21-noncompact.json"
+    path.write_text(json.dumps(doc))
+    argv = ["table", "--group", str(path), "--params", '{"lambda":[3,1,-1]}']
+
+    def refuse(*args):
+        raise AssertionError("scanned the K-type box")
+
+    with monkeypatch.context() as m:
+        m.setattr(branching, "enumerate_ktypes", refuse)
+        exits_2_with_empty_stdout(capsys, *argv, "--window", "17")
+    code, out, _ = run(capsys, *argv, "--window", "4")
+    assert code == 0
+    assert len(parse_csv(out)) == 3
 
 
 def test_grid_above_cap_exits_2(capsys):
@@ -201,3 +227,52 @@ def test_output_file_and_data_dir_override(tmp_path, capsys, monkeypatch):
                             '{"series":"discrete","n":1,"sign":"+"}',
                             "--window", "4")
     assert code == 0
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["plus", "minus", "discrete", "limit", "+", "-", ""]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+_SMALL = st.integers(-6, 6)
+_RAW = {"lambda": st.lists(_SMALL, max_size=4),
+        "lambda_denom": st.integers(-1, 2),
+        "rmplus": st.lists(st.lists(st.integers(-1, 1), min_size=1,
+                                    max_size=3), max_size=3),
+        "chi": st.integers(-1, 2),
+        "nu": st.lists(_SMALL, max_size=2)}
+# a friendly or raw document of each shipped group
+_DOCS = {
+    "sl2r-compact": st.fixed_dictionaries(
+        {"series": st.sampled_from(["discrete", "limit"])},
+        optional={"n": _SMALL, "sign": st.sampled_from(["+", "-"])}),
+    "sl2r-split": st.fixed_dictionaries(
+        {"chi": st.sampled_from(["plus", "minus"])}, optional={"nu": _SMALL}),
+    "su21": st.fixed_dictionaries(
+        {"lambda": st.lists(_SMALL, min_size=3, max_size=3)},
+        optional={"rmplus": _RAW["rmplus"], "chi": _RAW["chi"]}),
+    "raw": st.fixed_dictionaries({}, optional=_RAW),
+}
+
+
+@st.composite
+def _table_argv(draw):
+    """A table command whose document is a plausible one with up to two
+    fields replaced by any JSON value."""
+    group = draw(st.sampled_from(["sl2r-compact", "sl2r-split", "su21"]))
+    doc = draw(_DOCS[draw(st.sampled_from([group, "raw"]))])
+    for key in draw(st.lists(st.sampled_from(
+            ["series", "n", "sign", "chi", "nu", *_RAW, "other"]),
+            max_size=2, unique=True)):
+        doc[key] = draw(_JSON)
+    return ["table", "--group", group, "--params", json.dumps(doc),
+            "--window", str(draw(st.integers(0, 8)))]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=_table_argv())
+def test_fuzzed_params_documents_exit_0_or_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2)
