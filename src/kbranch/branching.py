@@ -32,7 +32,8 @@ only caller that derives its terms.  Its candidates come from the
 noncompact cone, one per lattice point whose preimage
 w^-1 R^-1(base + rho_Phi + cone point) - rho_K is a dominant in-window
 weight, so the cost follows the rows of the table and not the box of
-K-types, and it needs no Freudenthal expansion.
+K-types, and it needs no Freudenthal expansion.  One partition_counts
+table holds the cone points and P_n at each.
 
 The other two evaluators map a batch of restricted K-types to
 multiplicities and stay independent oracles: signed sums of Kostant
@@ -53,7 +54,7 @@ from typing import Optional, Sequence
 
 from .characters import (CutoffError, FormalCharacter, HMCharacter,
                          HMLattice, LatticeError, Weight, dot,
-                         geometric_series, graded_exterior, kostant_partition,
+                         geometric_series, graded_exterior, partition_counts,
                          weight)
 from .groups import (GroupDataError, RealGroupData, WeylElement,
                      rho_half_sum, root_sum, simple_roots)
@@ -246,21 +247,19 @@ def _partition_multiplicities(prep: _Prepared,
                               restricted: Sequence[FormalCharacter]
                               ) -> list[int]:
     """Signed Kostant partition counts: every weight of a restricted K-type
-    that carries the base's Z' character, less every compact offset.
+    that carries the base's Z' character, less every compact offset, read
+    from one partition_counts table cut at the batch's highest target.
 
     Kept as an oracle independent of Blattner's formula: it serves
     ktype_multiplicity's partition mode, the verify suites, the benchmark's
     checks, and ktype_table on groups the formula does not cover."""
-    out = []
-    for res in restricted:
-        total = 0
-        for c, m in res.items():
-            if c.zchar == prep.base.zchar:
-                for sign, offset in prep.offsets:
-                    total += sign * m * kostant_partition(
-                        c.tweight - offset, prep.noncompact, prep.hm)
-        out.append(total)
-    return out
+    terms = [[(sign * m, c.tweight - offset)
+              for c, m in res.items() if c.zchar == prep.base.zchar
+              for sign, offset in prep.offsets]
+             for res in restricted]
+    counts = partition_counts(prep.noncompact, prep.hm, max(
+        (prep.hm.height2(t) for ts in terms for _, t in ts), default=-1))
+    return [sum(s * counts.get(t.coords, 0) for s, t in ts) for ts in terms]
 
 
 def _series_multiplicities(prep: _Prepared,
@@ -279,22 +278,6 @@ def _series_multiplicities(prep: _Prepared,
     virt = _virtual_character(prep, -(-h2_top // 2) - h2_base // 2)
     return [sum(m * virt.coefficient(c) for c, m in res.items())
             for res in restricted]
-
-
-def _cone_points(roots: Sequence[Weight], hm: HMLattice,
-                 bound2: int) -> list[tuple[int, ...]]:
-    """The distinct nonnegative integer combinations of the roots with
-    doubled height at most bound2."""
-    points = {(0,) * hm.rank: 0} if bound2 >= 0 else {}
-    for beta in roots:
-        h2 = hm.height2(beta)
-        grown = {}
-        for pt, ph2 in points.items():
-            for n in range((bound2 - ph2) // h2 + 1):
-                grown[tuple(x + n * b for x, b in zip(pt, beta.coords))] = (
-                    ph2 + n * h2)
-        points = grown
-    return list(points)
 
 
 def _blattner_terms(g: RealGroupData, prep: _Prepared
@@ -349,7 +332,7 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     bound2 = window * sum(map(abs, rt_h)) + max(
         sum(a * b for a, b in zip(hm.height_vec, shift))
         for _, shift in terms)
-    points = _cone_points(prep.noncompact, hm, bound2)
+    points = partition_counts(prep.noncompact, hm, bound2)
     found: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for w, shift in terms:
         for t in points:
@@ -364,9 +347,7 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     ktypes, mults = [], []
     for mu in sorted(found):
         ktypes.append(KType(Weight(mu, lattice)))
-        mults.append(eps * sum(
-            det * kostant_partition(Weight(t, hm.lattice), prep.noncompact, hm)
-            for det, t in found[mu]))
+        mults.append(eps * sum(det * points[t] for det, t in found[mu]))
     return ktypes, mults
 
 

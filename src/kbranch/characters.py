@@ -3,8 +3,10 @@
 Weights are integer (or half-integer) vectors in a fixed lattice basis.
 Formal characters are finitely supported integer combinations of characters
 of a compact abelian group H = (torus T) x (finite abelian Z), possibly
-truncated to a height window with an exactness certificate.  All arithmetic
-is exact; coefficients are arbitrary-precision integers.
+truncated to a height window with an exactness certificate.  Every Kostant
+partition count is read from one partition_counts table; no state outlives
+a call.  All arithmetic is exact; coefficients are arbitrary-precision
+integers.
 """
 
 from __future__ import annotations
@@ -150,13 +152,6 @@ class ZCharTable:
         except KeyError:
             raise LatticeError("character table not closed under product")
 
-    def inverse(self, i: int) -> int:
-        row = tuple((-a) % self.order for a in self.rows[i])
-        try:
-            return self.index_of[row]
-        except KeyError:
-            raise LatticeError("character table not closed under inverse")
-
 
 TRIVIAL_Z = ZCharTable(order=1, rows=((),))
 
@@ -272,15 +267,6 @@ class FormalCharacter:
                 f"height {Fraction(h2, 2)} beyond certified cutoff {self.cutoff}")
         return self._terms.get(at, 0)
 
-    def dual(self) -> "FormalCharacter":
-        """Contragredient: negate weights, invert Z-characters (exact only)."""
-        if self.cutoff is not None:
-            raise CutoffError("dual of a truncated character is not certified")
-        zt = self.hm.ztable
-        return FormalCharacter(self.hm, {
-            HMCharacter(-c.tweight, zt.inverse(c.zchar)): m
-            for c, m in self._terms.items()})
-
     def truncate(self, cutoff: int) -> "FormalCharacter":
         """Restrict to height <= cutoff; requires exactness there."""
         if self.cutoff is not None and cutoff > self.cutoff:
@@ -370,60 +356,38 @@ def graded_exterior(hm: HMLattice, weights: Sequence[Weight]) -> FormalCharacter
     return FormalCharacter(hm, acc)
 
 
-# memo shared across calls; keyed by the root multiset so permutations of
-# logically equal queries reuse one table.  Cleared when it reaches the cap,
-# which lies far above what one table or verify suite stores.
-_KP_MEMO: dict[tuple, int] = {}
-_KP_MEMO_CAP = 100_000
+def partition_counts(roots: Sequence[Weight], hm: HMLattice,
+                     bound2: int) -> dict[tuple[int, ...], int]:
+    """Kostant partition counts of the cone the roots span, cut at a doubled
+    height: each point maps to the number of ways it is a nonnegative
+    integer sum of the roots (a multiset: repeated roots count apart).
+
+    The roots must be strictly positive for the lattice height (pointed
+    cone), so every partial sum of a point within the cut lies within it
+    too and the cut loses no partition.  The counts are the coefficients
+    of the product of the roots' geometric series up to that height.
+    """
+    counts = {(0,) * hm.rank: 1} if bound2 >= 0 else {}
+    for beta in roots:
+        h2 = hm.height2(beta)
+        if h2 <= 0:
+            raise ConeError(
+                f"root {beta.coords} not in the declared positive cone")
+        grown: dict[tuple[int, ...], int] = {}
+        for pt, n in counts.items():
+            pt_h2 = sum(x * y for x, y in zip(pt, hm.height_vec))
+            for _ in range((bound2 - pt_h2) // h2 + 1):
+                grown[pt] = grown.get(pt, 0) + n
+                pt = tuple(x + b for x, b in zip(pt, beta.coords))
+        counts = grown
+    return counts
 
 
 def kostant_partition(target: Weight, roots: Sequence[Weight],
                       hm: HMLattice) -> int:
-    """Number of ways to write target as a nonnegative sum of the roots.
-
-    Equals the coefficient of e^{target} in the product of untruncated
-    geometric series of the roots.  The roots must be strictly positive for
-    the lattice height (pointed cone), which bounds the search.
-    """
+    """Number of ways to write target as a nonnegative sum of the roots:
+    its entry in the partition_counts table cut at its own height."""
     if not target.is_integral():
         return 0
-    hm.height2(target)
-    heights = []
-    for r in roots:
-        h2 = hm.height2(r)
-        if h2 <= 0:
-            raise ConeError(
-                f"root {r.coords} not in the declared positive cone")
-        heights.append(h2)
-    # canonical coordinate order: the memo must not depend on the input
-    # permutation, nor on the height functional -- the same root multiset
-    # is queried under different gradings (one per chamber choice), and the
-    # partition counts are grading-independent
-    order = sorted(range(len(roots)), key=lambda i: roots[i].coords)
-    rs = tuple(roots[i] for i in order)
-    hs = tuple(heights[i] for i in order)
-    key_roots = tuple(r.coords for r in rs) + (hm.lattice,)
-
-    def count(rem: tuple[int, ...], rem_h2: int, idx: int) -> int:
-        if rem_h2 == 0 and all(c == 0 for c in rem):
-            return 1
-        if idx == len(rs) or rem_h2 < 0:
-            return 0
-        memo_key = (key_roots, rem, idx)
-        hit = _KP_MEMO.get(memo_key)
-        if hit is not None:
-            return hit
-        root, h2 = rs[idx], hs[idx]
-        total = 0
-        cur, cur_h2, k = rem, rem_h2, 0
-        while cur_h2 >= 0:
-            total += count(cur, cur_h2, idx + 1)
-            cur = tuple(x - y for x, y in zip(cur, root.coords))
-            cur_h2 -= h2
-            k += 1
-        if len(_KP_MEMO) >= _KP_MEMO_CAP:
-            _KP_MEMO.clear()
-        _KP_MEMO[memo_key] = total
-        return total
-
-    return count(target.coords, hm.height2(target), 0)
+    return partition_counts(roots, hm, hm.height2(target)).get(
+        target.coords, 0)

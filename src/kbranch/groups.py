@@ -25,7 +25,7 @@ from math import lcm
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
-from .characters import (ConeError, HMLattice, LatticeError, Weight,
+from .characters import (HMLattice, LatticeError, Weight,
                          ZCharTable, pairing, weight)
 
 DATA_ENV_VAR = "KTYPE_DATA_DIR"
@@ -164,38 +164,6 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     return sorted(seen.values(), key=lambda e: e.matrix)
 
 
-def decompose_in_simples(mu: Weight, simples: Sequence[Weight],
-                         hvec: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Nonnegative-integer coordinates of mu in the simple roots, or None.
-
-    Requires the simple roots to be linearly independent, which makes the
-    expansion unique when it exists.
-    """
-    if not simples:
-        return () if mu.is_zero() else None
-    h2 = [sum(x * y for x, y in zip(s.coords, hvec)) for s in simples]
-    if any(h <= 0 for h in h2):
-        raise ConeError("simple root with nonpositive height")
-
-    def search(rem, rem_h2, idx, acc):
-        if idx == len(simples):
-            return tuple(acc) if all(c == 0 for c in rem) and rem_h2 == 0 else None
-        cur, cur_h2, k = rem, rem_h2, 0
-        while cur_h2 >= 0:
-            hit = search(cur, cur_h2, idx + 1, acc + [k])
-            if hit is not None:
-                return hit
-            cur = tuple(a - b for a, b in zip(cur, simples[idx].coords))
-            cur_h2 -= h2[idx]
-            k += 1
-        return None
-
-    mu_h2 = sum(x * y for x, y in zip(mu.coords, hvec))
-    if mu_h2 < 0:
-        return None
-    return search(mu.coords, mu_h2, 0, [])
-
-
 def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
                           ) -> tuple[tuple[WeylElement, ...],
                                      tuple[tuple[int, ...], ...]]:
@@ -230,14 +198,17 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
     rows = [[Fraction(x) for x in s.coords] for s in rs.simples]
     if len(row_reduce(rows, rs.rank)) != len(rs.simples):
         bad("simple decomposition", "simple roots are linearly dependent")
-    hvec = root_sum(rs.positives, rs.rank)
-    simple_coords = tuple(decompose_in_simples(p, rs.simples, hvec)
-                          for p in rs.positives)
-    for p, c in zip(rs.positives, simple_coords):
-        if c is None:
+    simples_as_columns = [[Fraction(s.coords[i]) for s in rs.simples]
+                          for i in range(rs.rank)]
+    simple_coords = []
+    for p in rs.positives:
+        x = _solve_rational(simples_as_columns,
+                            [Fraction(c) for c in p.coords])
+        if x is None or any(c < 0 or c.denominator != 1 for c in x):
             bad("simple decomposition",
                 f"positive {p.coords} is not a nonnegative integer "
                 "combination of the simples")
+        simple_coords.append(tuple(int(c) for c in x))
     checklist.append(f"{label} simple decomposition")
 
     for a in rs.roots:
@@ -247,7 +218,7 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
                     f"pairing of {b.coords} with {a.coords} is not integral")
     weyl = tuple(weyl_group(rs))  # raises on reflection-closure failure
     checklist.append(f"{label} Weyl closure")
-    return weyl, simple_coords
+    return weyl, tuple(simple_coords)
 
 
 def _parse_weight_list(raw, rank, lattice, inv):
@@ -267,9 +238,10 @@ def _parse_fraction(v, inv):
     if isinstance(v, str):
         try:
             return Fraction(v)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
-    raise GroupDataError(inv, f"expected an integer or a fraction string, got {v!r}")
+    raise GroupDataError(inv, "expected an integer or a fraction string with "
+                              f"a nonzero denominator, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Friendly parameter documents for the shipped groups.
 
 Each builtin group accepts a small JSON vocabulary that maps onto raw
-parameter tuples; raw input (lambda, rmplus, chi, nu) is always accepted
-as an escape hatch.
+parameter tuples; raw input (lambda, lambda_denom, rmplus, chi, nu) is
+always accepted as an escape hatch.  Every form refuses a field it does
+not read, rather than leaving it at a default.
 """
 
 from __future__ import annotations
@@ -31,6 +32,15 @@ def _integers(doc: dict, field: str, default=None, depth: int = 0):
         shape = ("an integer", "a list of integers", "a list of integer lists")
         raise ParamSchemaError(f"{field!r} must be {shape[depth]}, got {value!r}")
     return value
+
+
+def _only(doc: dict, *fields: str) -> None:
+    """Refuse a field the document's form does not read."""
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ParamSchemaError(
+            f"unknown field {unknown[0]!r}; this form reads "
+            + ", ".join(map(repr, fields)))
 
 
 def _sign(doc: dict) -> str:
@@ -94,6 +104,7 @@ def su21_from_lambda(g: RealGroupData, coords,
 
 
 def raw_params(g: RealGroupData, doc: dict) -> TemperedParams:
+    _only(doc, "lambda", "lambda_denom", "rmplus", "chi", "nu")
     try:
         lam = g.tm_weight(_integers(doc, "lambda", depth=1),
                           denom=_integers(doc, "lambda_denom", 1))
@@ -115,18 +126,22 @@ def resolve_params(g: RealGroupData, doc: dict) -> TemperedParams:
     if g.name == "sl2r-compact":
         series = doc.get("series")
         if series == "discrete":
+            _only(doc, "series", "n", "sign")
             return sl2_discrete(g, _integers(doc, "n", 0), _sign(doc))
         if series == "limit":
+            _only(doc, "series", "sign")
             return sl2_limit(g, _sign(doc))
         raise ParamSchemaError(
             'expected {"series": "discrete"|"limit", ...} or raw parameters')
     if g.name == "sl2r-split":
         if "chi" in doc:
+            _only(doc, "chi", "nu")
             return sl2_principal(g, doc["chi"], _integers(doc, "nu", 1))
         raise ParamSchemaError(
             'expected {"chi": "plus"|"minus"} or raw parameters')
     if g.name == "su21":
         if "lambda" in doc:
+            _only(doc, "lambda", "rmplus", "chi")
             lam = _integers(doc, "lambda", depth=1)
             if len(lam) != g.hm.rank:
                 raise ParamSchemaError(f"'lambda' needs {g.hm.rank} entries")

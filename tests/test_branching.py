@@ -334,18 +334,19 @@ def test_blattner_fibres_of_a_non_injective_restriction():
 
 
 def test_blattner_partition_calls_track_rows(monkeypatch):
-    kostant = branching.kostant_partition
-    calls = []
+    counts = branching.partition_counts
+    tables = []
 
     def counted(*args):
-        calls.append(args)
-        return kostant(*args)
+        tables.append(counts(*args))
+        return tables[-1]
 
-    monkeypatch.setattr(branching, "kostant_partition", counted)
+    monkeypatch.setattr(branching, "partition_counts", counted)
     t = ktype_table(GU, su21_from_lambda(GU, [3, 1, -1]), 16)
     # the box holds 18,513 K-types, each needing |W_K| = 2 counts
     assert len(t.entries) == 28
-    assert len(calls) <= 10 * len(t.entries)
+    assert len(tables) == 1
+    assert len(tables[0]) <= 10 * len(t.entries)
 
 
 def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):

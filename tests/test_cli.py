@@ -68,6 +68,10 @@ def test_bad_params_document_exits_2(capsys):
     ("su21", '{"lambda":[1,2]}'),
     ("sl2r-split", '{"chi":[]}'),
     ("sl2r-split", '{"chi":{}}'),
+    ("su21", '{"lambda":[3,1,-1],"bogus":5}'),
+    ("su21", '{"lambda":[3,1,-1],"lambda_denom":2}'),
+    ("sl2r-compact", '{"series":"limit","n":3,"sign":"+"}'),
+    ("sl2r-split", '{"chi":"plus","rmplus":[[1]]}'),
 ])
 def test_malformed_params_document_exits_2(capsys, group, params):
     code, out, err = run(capsys, "table", "--group", group,
@@ -75,6 +79,13 @@ def test_malformed_params_document_exits_2(capsys, group, params):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_unknown_params_field_is_named(capsys):
+    code, out, err = run(capsys, "table", "--group", "su21", "--params",
+                         '{"lambda":[3,1,-1],"lambda_denom":2}')
+    assert (code, out) == (2, "")
+    assert "'lambda_denom'" in err
 
 
 def test_negative_window_exits_2(capsys):
@@ -178,6 +189,37 @@ def test_validate_nonclosed_roots_names_weyl_closure(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 4
     assert "Weyl closure" in err
+
+
+def _zero_denominator(doc):
+    doc["zmprime"]["generators"][0]["v"] = ["1/0"]
+
+
+def _unpointed_k_positives(doc):
+    # a B2 root system whose positives hold (1,1) and (-1,1) but whose
+    # simples (1,0), (0,-1) give them mixed signs: no pointed cone
+    doc["k"] = {"rank": 2,
+                "roots": [[1, 0], [-1, 0], [0, 1], [0, -1],
+                          [1, 1], [-1, -1], [1, -1], [-1, 1]],
+                "positives": [[1, 0], [0, -1], [1, 1], [-1, 1]],
+                "simples": [[1, 0], [0, -1]]}
+    doc["tM_in_t"] = [[1, 0]]
+
+
+@pytest.mark.parametrize("mutate, invariant", [
+    (_zero_denominator, "zmprime table"),
+    (_unpointed_k_positives, "simple decomposition"),
+])
+def test_validate_malformed_group_file_exits_4(tmp_path, capsys, mutate,
+                                               invariant):
+    doc = json.loads((_BUILTIN_DIR / "sl2r-compact.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 4
+    assert out == ""
+    assert f"invalid: {invariant}" in err
 
 
 def test_verify_ring_passes(capsys):

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbranch.characters import Weight, pairing
 from kbranch.groups import (GroupDataError, RootSystem, builtin_group,
@@ -216,3 +217,49 @@ def test_group_hash_reads_name_equality_reads_data():
     c = load_group_data(json.dumps(doc))
     assert c.name == a.name and c != a
     assert len({a: 1, c: 2}) == 2
+
+
+def _leaf_paths(node, path=()):
+    """Key and index paths of every non-container value of a document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for k, v in items for p in _leaf_paths(v, path + (k,))]
+
+
+# small values only: the loader has no cap on ranks or orders, and a huge
+# one is a resource question, not a parsing one
+_FRACTION = st.sampled_from(["1/0", "-3/0", "1/2", "2/4", "1/", "x"])
+_LEAF = _FRACTION | st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | _FRACTION,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["v", "rank", "x"]),
+                                     inner, max_size=2)),
+    max_leaves=4)
+
+
+@st.composite
+def _mutated_group_doc(draw):
+    """A shipped group document with up to two leaves replaced."""
+    name = draw(st.sampled_from(["sl2r-compact", "sl2r-split", "su21"]))
+    doc = json.loads((data_dir() / f"{name}.json").read_text())
+    paths = _leaf_paths(doc)
+    for path in draw(st.lists(st.sampled_from(paths), max_size=2,
+                              unique=True)):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(_LEAF)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=_mutated_group_doc())
+def test_mutated_group_documents_load_or_raise_group_data_error(text):
+    try:
+        load_group_data(text)
+    except GroupDataError:
+        pass
