@@ -11,38 +11,32 @@ The engine realises the branching rule
 in two steps.  Preparation validates the parameters once and derives
 what every K-type shares: the lattice graded by the parameters' positive
 system, the base character lambda - rho_c + rho_n, the noncompact
-positives and the signed compact-subset offsets.  Evaluation then maps
-K-types to multiplicities by one of three evaluators.  What the group
-alone determines (W_K, rho_K, compactness, the fibres of the torus
-restriction) is derived once when the group is loaded, and read here.
+positives and the signed compact-subset offsets.  What the group alone
+determines (W_K, rho_K, compactness, the fibres of the torus restriction)
+is derived once when the group is loaded, and read here.
 
-Blattner's formula (Hecht-Schmid) is what the rule becomes once the
-compact exterior cancels the Weyl denominator of K:
+ktype_table evaluates Blattner's formula (Hecht-Schmid)
 
     mult(mu) = eps * sum_{w in W_K} det(w) * P_n(R w(mu + rho_K) - base
                                                   - rho_Phi)
 
 with R the torus restriction, P_n the partition count over the noncompact
 positives, rho_Phi the compact half-sum of the parameters' positive system
-Phi and eps = det(w_Phi) for the w_Phi taking the positive K roots onto
-Phi's compact positives.  It applies when R maps the K roots one-to-one
-onto the compact Levi roots and every K root has a trivial Z' character;
-the group loader decides both from the data.  It drives ktype_table, the
-only caller that derives its terms.  Its candidates come from the
-noncompact cone, one per lattice point whose preimage
-w^-1 R^-1(base + rho_Phi + cone point) - rho_K is a dominant in-window
-weight, so the cost follows the rows of the table and not the box of
-K-types, and it needs no Freudenthal expansion.  One partition_counts
-table holds the cone points and P_n at each.
+Phi and eps = det(w_Phi).  It holds when R maps the K roots one-to-one
+onto the compact Levi roots and every K root has a trivial Z' character,
+and it runs only on the K-types the noncompact cone reaches, so its cost
+follows the rows of the table and not the box of K-types.
 
-The other two evaluators map a batch of restricted K-types to
-multiplicities and stay independent oracles: signed sums of Kostant
-partition counts over the weights of each K-type (ktype_multiplicity's
-partition mode, and ktype_table where Blattner's formula does not apply),
-and coefficients of one truncated series product built per batch
-(ktype_table_series, and the spot checks of ktype_table).  Tables carry
-the global sign (-1)^(dim s_M / 2) as metadata; the entries themselves
-are the restricted representation and are always nonnegative.
+Two oracles stay independent of it and of each other: signed sums of
+Kostant partition counts over the weights of each restricted K-type, and
+the coefficients of one truncated series product.  Each takes a batch of
+restricted K-types, checks it once at the boundary (lattice and rank, and
+for the series the truncation certificate against the batch's highest
+term), then works on coordinate tuples and dict lookups.  Every table that
+scans the window's box runs one path: the series table, the partition
+table of verify and ktype_table on groups outside Blattner's formula.
+Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
+are the restricted representation and always nonnegative.
 """
 
 from __future__ import annotations
@@ -198,13 +192,13 @@ class _Prepared:
     """What every K-type shares for one validated parameter tuple: the
     lattice graded by the parameters' positive system, the base character
     lambda - rho_c + rho_n tagged by chi, the positives split by type, and
-    ((-1)^|S|, base + sum of S) for every set S of compact positives."""
+    ((-1)^|S|, base + sum of S as coordinates) for every compact subset S."""
 
     hm: HMLattice
     base: HMCharacter
     compact: tuple[Weight, ...]
     noncompact: tuple[Weight, ...]
-    offsets: tuple[tuple[int, Weight], ...]
+    offsets: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def _prepare(g: RealGroupData, p: TemperedParams,
@@ -229,7 +223,7 @@ def _prepare(g: RealGroupData, p: TemperedParams,
             + rho_half_sum(noncompact, rank=rank, lattice=lattice))
     if not base.is_integral():
         raise LatticeError("shifted parameter is not a lattice weight")
-    offsets = tuple(((-1) ** r, base + weight(root_sum(sub, rank), lattice))
+    offsets = tuple(((-1) ** r, root_sum((base, *sub), rank))
                     for r in range(len(compact) + 1)
                     for sub in itertools.combinations(compact, r))
     return _Prepared(hm, hm.char(base, p.chi), compact, noncompact, offsets)
@@ -243,23 +237,33 @@ def _virtual_character(prep: _Prepared, cutoff: int) -> FormalCharacter:
     return acc
 
 
+def _batch(prep: _Prepared, restricted: Sequence[FormalCharacter]) -> list:
+    """The oracles' one boundary check: each restricted K-type, exact and
+    on prep's lattice and rank, as ((coordinates, Z' index), multiplicity)
+    terms.  Its terms were validated against its own lattice when it was
+    built, so one check per character covers them all."""
+    if any((r.hm.lattice, r.hm.rank) != (prep.hm.lattice, prep.hm.rank)
+           for r in restricted):
+        raise LatticeError(f"restricted K-type off lattice {prep.hm.lattice!r}")
+    return [[((c.tweight.coords, c.zchar), m)
+             for c, m in res.coefficients().items()] for res in restricted]
+
+
 def _partition_multiplicities(prep: _Prepared,
                               restricted: Sequence[FormalCharacter]
                               ) -> list[int]:
     """Signed Kostant partition counts: every weight of a restricted K-type
     that carries the base's Z' character, less every compact offset, read
-    from one partition_counts table cut at the batch's highest target.
-
-    Kept as an oracle independent of Blattner's formula: it serves
-    ktype_multiplicity's partition mode, the verify suites, the benchmark's
-    checks, and ktype_table on groups the formula does not cover."""
-    terms = [[(sign * m, c.tweight - offset)
-              for c, m in res.items() if c.zchar == prep.base.zchar
+    from one partition_counts table cut at the batch's highest target."""
+    hv = prep.hm.height_vec
+    terms = [[(sign * m, tuple(x - y for x, y in zip(coords, offset)))
+              for (coords, z), m in res if z == prep.base.zchar
               for sign, offset in prep.offsets]
-             for res in restricted]
+             for res in _batch(prep, restricted)]
     counts = partition_counts(prep.noncompact, prep.hm, max(
-        (prep.hm.height2(t) for ts in terms for _, t in ts), default=-1))
-    return [sum(s * counts.get(t.coords, 0) for s, t in ts) for ts in terms]
+        (sum(x * y for x, y in zip(t, hv)) for ts in terms for _, t in ts),
+        default=-1))
+    return [sum(s * counts.get(t, 0) for s, t in ts) for ts in terms]
 
 
 def _series_multiplicities(prep: _Prepared,
@@ -267,17 +271,20 @@ def _series_multiplicities(prep: _Prepared,
                            ) -> list[int]:
     """Coefficients of one truncated virtual character built for the batch.
 
-    No term of the character lies below the base height h_b, so the
-    char_mul certificate of the product is cutoff + floor(h_b / 2); the
-    cutoff is the least one whose certificate covers the whole batch.
-    FormalCharacter.coefficient raises CutoffError should it fall short.
+    No term of it lies below the base height h_b, so its char_mul
+    certificate is at least cutoff + floor(h_b / 2).  The least cutoff that
+    covers the batch's highest term is checked once against the certificate
+    (CutoffError should it fall short); then coefficients are read by key.
     """
+    hv = prep.hm.height_vec
+    batch = _batch(prep, restricted)
     h2_base = prep.hm.height2(prep.base.tweight)
-    h2_top = max([h2_base] + [prep.hm.height2(c.tweight)
-                              for res in restricted for c in res.support()])
+    h2_top = max([h2_base] + [sum(x * y for x, y in zip(key[0], hv))
+                              for res in batch for key, _ in res])
     virt = _virtual_character(prep, -(-h2_top // 2) - h2_base // 2)
-    return [sum(m * virt.coefficient(c) for c, m in res.items())
-            for res in restricted]
+    coeff = {(c.tweight.coords, c.zchar): m
+             for c, m in virt.coefficients(h2_top).items()}
+    return [sum(m * coeff.get(key, 0) for key, m in res) for res in batch]
 
 
 def _blattner_terms(g: RealGroupData, prep: _Prepared
@@ -312,7 +319,7 @@ def _blattner_terms(g: RealGroupData, prep: _Prepared
 
 
 def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
-                    ) -> tuple[list[KType], list[int]]:
+                    ) -> list[tuple[KType, int]]:
     """The K-types of the window that Blattner's formula can make nonzero,
     in lexical order, with their multiplicities.
 
@@ -344,11 +351,9 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
                         and g.zchar_of_t_weight(Weight(mu, lattice))
                         == prep.base.zchar):
                     found.setdefault(mu, []).append((w.det, t))
-    ktypes, mults = [], []
-    for mu in sorted(found):
-        ktypes.append(KType(Weight(mu, lattice)))
-        mults.append(eps * sum(det * points[t] for det, t in found[mu]))
-    return ktypes, mults
+    return [(KType(Weight(mu, lattice)),
+             eps * sum(det * points[t] for det, t in found[mu]))
+            for mu in sorted(found)]
 
 
 _EVALUATORS = {"partition": _partition_multiplicities,
@@ -372,76 +377,70 @@ def hm_virtual_character(g: RealGroupData, p: TemperedParams,
 
 def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
                        mode: str = "partition") -> int:
-    """Multiplicity of one K-type, by series or by partition counts.
-
-    Both modes pair the restricted K-type against the virtual character;
-    they must agree.
-    """
+    """Multiplicity of one K-type by one oracle, "series" or "partition";
+    the two must agree."""
     prep = _prepare(g, p)
     if mode not in _EVALUATORS:
         raise ValueError(f"unknown mode {mode!r}")
     return _EVALUATORS[mode](prep, [restrict_to_hm(g, kt)])[0]
 
 
-_SPOT_CHECKS = 3
-
-
-def _table(g: RealGroupData, p: TemperedParams, window: int,
-           series: bool = False) -> KTypeTable:
-    """Validate once and evaluate the window: in series mode over the whole
-    box, otherwise by Blattner's formula where it applies and by partition
-    counts over the box where not, with series checks on the first few
-    nonzero entries."""
-    prep = _prepare(g, p, zero_ok=True)
-    table = KTypeTable({}, window, sign_factor(g))
-    if prep is None:
-        return table
-
-    def restricted(ktypes):
-        return [restrict_to_hm(g, kt) for kt in ktypes]
-
-    if series:
-        evaluator = "series"
-        ktypes = enumerate_ktypes(g, window)
-        mults = _series_multiplicities(prep, restricted(ktypes))
-    elif g.blattner_applies:
-        evaluator = "blattner"
-        ktypes, mults = _blattner_table(g, prep, window)
-    else:
-        evaluator = "partition"
-        ktypes = enumerate_ktypes(g, window)
-        mults = _partition_multiplicities(prep, restricted(ktypes))
-    rows = []
-    for kt, m in zip(ktypes, mults):
+def _nonzero(rows: Sequence[tuple[KType, int]]) -> list[tuple[KType, int]]:
+    for kt, m in rows:
         if m < 0:
             raise ArithmeticError(
                 f"negative multiplicity {m} at {kt.highest.coords}; "
                 "representation tables must be nonnegative")
-        if m:
-            table.entries[kt.highest.coords] = m
-            rows.append(kt)
+    return [(kt, m) for kt, m in rows if m]
 
-    if not series:
-        spot = rows[:_SPOT_CHECKS]
-        for kt, s in zip(spot, _series_multiplicities(prep, restricted(spot))):
-            m = table.entries[kt.highest.coords]
-            if s != m:
-                raise ArithmeticError(
-                    f"evaluator disagreement at {kt.highest.coords}: "
-                    f"series {s} vs {evaluator} {m}")
-    return table
+
+def _box(g: RealGroupData, prep: _Prepared, window: int, evaluate
+         ) -> list[tuple[KType, int]]:
+    """The one path of every table that scans the window's box: enumerate
+    its K-types, restrict each, evaluate them as one batch, keep the
+    nonzero rows."""
+    ktypes = enumerate_ktypes(g, window)
+    mults = evaluate(prep, [restrict_to_hm(g, kt) for kt in ktypes])
+    return _nonzero(list(zip(ktypes, mults)))
+
+
+def box_table(g: RealGroupData, p: TemperedParams, window: int,
+              mode: str) -> KTypeTable:
+    """One oracle, "series" or "partition", over the window's box; empty
+    for zero verdicts."""
+    prep = _prepare(g, p, zero_ok=True)
+    rows = [] if prep is None else _box(g, prep, window, _EVALUATORS[mode])
+    return KTypeTable({kt.highest.coords: m for kt, m in rows}, window,
+                      sign_factor(g))
+
+
+_SPOT_CHECKS = 3
 
 
 def ktype_table(g: RealGroupData, p: TemperedParams, window: int) -> KTypeTable:
     """Multiplicities of every K-type in the window; empty for zero verdicts.
 
     Blattner's formula over the K-types the noncompact cone reaches where
-    the group data allow it, else partition counts over every K-type of the
-    window; series-mode spot checks on the first few nonzero entries.
-    Entries are the restricted representation itself (sign already
-    reconciled); the table's sign field records the index sign.
+    the group data allow it, else partition counts over the box; the series
+    oracle checks the first few nonzero entries.  Entries are the restricted
+    representation itself; the table's sign field records the index sign.
     """
-    return _table(g, p, window)
+    prep = _prepare(g, p, zero_ok=True)
+    if prep is None:
+        return KTypeTable({}, window, sign_factor(g))
+    evaluator = "blattner" if g.blattner_applies else "partition"
+    rows = (_nonzero(_blattner_table(g, prep, window)) if g.blattner_applies
+            else _box(g, prep, window, _partition_multiplicities))
+    spot = rows[:_SPOT_CHECKS]
+    series = _series_multiplicities(
+        prep, [restrict_to_hm(g, kt) for kt, _ in spot])
+    for (kt, m), s in zip(spot, series):
+        if s != m:
+            raise ArithmeticError(
+                f"evaluator disagreement at {kt.highest.coords}: "
+                f"series {s} vs {evaluator} {m}")
+    return KTypeTable({kt.highest.coords: m for kt, m in rows}, window,
+                      sign_factor(g))
 
 
 def nu_independence_check(g: RealGroupData, p: TemperedParams,
@@ -454,9 +453,6 @@ def nu_independence_check(g: RealGroupData, p: TemperedParams,
 
 def ktype_table_series(g: RealGroupData, p: TemperedParams, window: int,
                        restrictions: Optional[dict] = None) -> KTypeTable:
-    """Whole-window table in pure series mode, one shared character build.
-
-    Used to cross-check ktype_table.  restrictions is accepted and not
-    used: restrict_to_hm caches every restricted K-type.
-    """
-    return _table(g, p, window, series=True)
+    """The series oracle's box table; restrictions is not used, as
+    restrict_to_hm caches every restricted K-type."""
+    return box_table(g, p, window, "series")

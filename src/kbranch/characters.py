@@ -3,10 +3,11 @@
 Weights are integer (or half-integer) vectors in a fixed lattice basis.
 Formal characters are finitely supported integer combinations of characters
 of a compact abelian group H = (torus T) x (finite abelian Z), possibly
-truncated to a height window with an exactness certificate.  Every Kostant
-partition count is read from one partition_counts table; no state outlives
-a call.  All arithmetic is exact; coefficients are arbitrary-precision
-integers.
+truncated to a height window with an exactness certificate, which a batch
+of queries checks once (coefficients) before reading coefficients by key.
+Every Kostant partition count is read from one partition_counts table; no
+state outlives a call.  All arithmetic is exact; coefficients are
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -223,8 +225,8 @@ class FormalCharacter:
         for c, m in dict(terms).items():
             if m == 0:
                 continue
-            hm.height2(c.tweight)
-            if cutoff is not None and hm.height2(c.tweight) > 2 * cutoff:
+            h2 = hm.height2(c.tweight)  # validates lattice/rank/integrality
+            if cutoff is not None and h2 > 2 * cutoff:
                 raise CutoffError("stored term above the cutoff certificate")
             clean[c] = int(m)
         self._terms = clean
@@ -259,13 +261,18 @@ class FormalCharacter:
         tail = "" if self.cutoff is None else f" (cutoff {self.cutoff})"
         return "FormalCharacter(" + " + ".join(parts or ["0"]) + tail + ")"
 
+    def coefficients(self, top2: Optional[int] = None
+                     ) -> Mapping[HMCharacter, int]:
+        """Read-only coefficients by key, exact up to the doubled height top2
+        (everywhere if None); raises CutoffError beyond the certificate."""
+        if self.cutoff is not None and (top2 is None or top2 > 2 * self.cutoff):
+            raise CutoffError(f"doubled height {top2} beyond certified cutoff "
+                              f"{self.cutoff}")
+        return MappingProxyType(self._terms)
+
     def coefficient(self, at: HMCharacter) -> int:
         """Coefficient at a character; raises CutoffError beyond certificate."""
-        h2 = self.hm.height2(at.tweight)
-        if self.cutoff is not None and h2 > 2 * self.cutoff:
-            raise CutoffError(
-                f"height {Fraction(h2, 2)} beyond certified cutoff {self.cutoff}")
-        return self._terms.get(at, 0)
+        return self.coefficients(self.hm.height2(at.tweight)).get(at, 0)
 
     def truncate(self, cutoff: int) -> "FormalCharacter":
         """Restrict to height <= cutoff; requires exactness there."""

@@ -123,6 +123,9 @@ def _reflection_matrix(alpha: Weight, rank: int) -> tuple[tuple[int, ...], ...]:
 
 
 _WEYL_CAP = 200_000
+# loading costs O(rank^2) and O(order^2) before any shape check can fail;
+# the shipped groups use ranks 1-3 and order 2
+_RANK_CAP, _ORDER_CAP = 8, 64
 
 
 def weyl_group(rs: RootSystem) -> list[WeylElement]:
@@ -474,11 +477,13 @@ def load_group_data(source: Union[str, bytes, os.PathLike]) -> RealGroupData:
     return _build(doc)
 
 
-def _require(doc: dict, field: str, typ, inv="schema"):
+def _require(doc: dict, field: str, typ, inv="schema", cap=None):
     if field not in doc:
         raise GroupDataError(inv, f"missing field {field!r}")
     if not isinstance(doc[field], typ):
         raise GroupDataError(inv, f"field {field!r} must be {typ.__name__}")
+    if cap is not None and doc[field] > cap:
+        raise GroupDataError("size cap", f"{field} {doc[field]} is above {cap}")
     return doc[field]
 
 
@@ -497,7 +502,7 @@ def _build(doc: dict) -> RealGroupData:
 
     # ---- k root system -----------------------------------------------------
     k = doc["k"]
-    k_rank = _require(k, "rank", int)
+    k_rank = _require(k, "rank", int, cap=_RANK_CAP)
     k_roots = RootSystem(
         k_rank,
         _parse_weight_list(_require(k, "roots", list), k_rank, t_lab, "schema"),
@@ -507,7 +512,7 @@ def _build(doc: dict) -> RealGroupData:
 
     # ---- m root system with compact flags ----------------------------------
     m = doc["m"]
-    m_rank = _require(m, "rank", int)
+    m_rank = _require(m, "rank", int, cap=_RANK_CAP)
     m_all = _parse_weight_list(_require(m, "roots", list), m_rank, tm_lab, "schema")
     m_pos = _parse_weight_list(_require(m, "positives", list), m_rank, tm_lab, "schema")
     flags_raw = _require(m, "compact_flags", list)
@@ -551,7 +556,7 @@ def _build(doc: dict) -> RealGroupData:
 
     # ---- zmprime -------------------------------------------------------------
     z = doc["zmprime"]
-    order = _require(z, "order", int)
+    order = _require(z, "order", int, cap=_ORDER_CAP)
     gens_raw = _require(z, "generators", list)
     if order < 1:
         raise GroupDataError("zmprime table", "order must be >= 1")

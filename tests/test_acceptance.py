@@ -9,15 +9,13 @@ import random
 import time
 
 from kbranch.branching import (ktype_table, ktype_table_series,
-                               ktype_multiplicity, nu_independence_check,
-                               sign_factor)
+                               nu_independence_check, sign_factor)
 from kbranch.groups import builtin_group
-from kbranch.ktypes import enumerate_ktypes
 from kbranch.oscillator import GridSpec, cylinder_sl2, oscillator_1d
 from kbranch.presets import sl2_discrete, sl2_limit, sl2_principal
 from kbranch.sl2_oracles import SL2Series, oracle_match
 from kbranch.verify import (_sl2_param_sets, _weyl_denominator_check,
-                            random_su21_params)
+                            su21_queries_agree, su21_table_offender)
 
 GC = builtin_group("sl2r-compact")
 GS = builtin_group("sl2r-split")
@@ -72,18 +70,9 @@ def test_criterion_03_principal_series_window_60():
 def test_criterion_04_mode_equivalence():
     t0 = time.perf_counter()
     ok = True
-    for _, p, _series in _sl2_param_sets(GC):
-        ok &= ktype_table(GC, p, 60) == ktype_table_series(GC, p, 60)
-    for chi in ("plus", "minus"):
-        p = sl2_principal(GS, chi)
-        ok &= ktype_table(GS, p, 60) == ktype_table_series(GS, p, 60)
-    rng = random.Random(SEED)
-    ktypes6 = enumerate_ktypes(GU, 6)
-    for _ in range(200):
-        p = random_su21_params(GU, rng)
-        kt = rng.choice(ktypes6)
-        ok &= (ktype_multiplicity(GU, p, kt, "partition")
-               == ktype_multiplicity(GU, p, kt, "series"))
+    for _, g, p, _series in _sl2_param_sets():
+        ok &= ktype_table(g, p, 60) == ktype_table_series(g, p, 60)
+    ok &= su21_queries_agree(GU, random.Random(SEED), 200)
     _report(4, "series mode == partition mode (exhaustive sl2 + 200 random "
                "su21 queries)", ok, t0, 30.0)
 
@@ -134,25 +123,13 @@ def test_criterion_08_cylinder_reconciliation():
 
 def test_criterion_09_su21_multiplicity_free():
     t0 = time.perf_counter()
-    rng = random.Random(SEED)
-    ok = True
-    reproducer = None
-    for _ in range(50):
-        p = random_su21_params(GU, rng)
-        t = ktype_table(GU, p, 6)
-        if any(m > 1 for m in t.entries.values()):
-            ok = False
-            reproducer = p
-            break
-        if t != ktype_table_series(GU, p, 6):
-            ok = False
-            reproducer = p
-            break
-    if reproducer is not None:
+    offender = su21_table_offender(GU, random.Random(SEED), 50)
+    if offender is not None:
+        reproducer = offender[0]
         print(f"reproducer: lam={reproducer.lam.coords} "
               f"rmplus={[r.coords for r in reproducer.rmplus]}")
     _report(9, "50 sampled su21 tables multiplicity-free and mode-equivalent",
-            ok, t0, 120.0)
+            offender is None, t0, 120.0)
 
 
 def test_criterion_10_deformation_stability():

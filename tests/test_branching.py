@@ -15,7 +15,8 @@ from kbranch.branching import (InvalidParamsError, TemperedParams,
                                nu_independence_check, sign_factor,
                                validate_params)
 from kbranch import branching, groups, ktypes
-from kbranch.characters import dot
+from kbranch.characters import (CutoffError, FormalCharacter, HMLattice,
+                                LatticeError, Weight, dot)
 from kbranch.groups import _BUILTIN_DIR, builtin_group, load_group_data
 from kbranch.ktypes import KType, restrict_to_hm, weight_multiplicities
 from kbranch.presets import (sl2_discrete, sl2_limit, sl2_principal,
@@ -292,9 +293,7 @@ def test_blattner_su21_matches_series_and_partition(window):
 
 
 def test_blattner_sl2_families_window_60():
-    families = [(GC, p) for _, p, _ in _sl2_param_sets(GC)]
-    families += [(GS, sl2_principal(GS, chi)) for chi in ("plus", "minus")]
-    for g, p in families:
+    for _, g, p, _ in _sl2_param_sets():
         t = ktype_table(g, p, 60)
         assert t == ktype_table_series(g, p, 60)
         assert t.entries == partition_table(g, p, 60)
@@ -307,6 +306,83 @@ def test_all_noncompact_su21_keeps_partition_table():
     assert t.entries == {(4, 1, -2): 1, (4, 2, -3): 1, (4, 3, -4): 1}
     assert t.sign == -1
     assert t == ktype_table_series(g, p, 4)
+
+
+def test_partition_fallback_is_the_partition_table():
+    g = all_noncompact_su21()
+    for lam in ([3, 1, -1], [4, -2, 1], [-1, -3, 2]):
+        p = su21_from_lambda(g, lam)
+        assert ktype_table(g, p, 4).entries == partition_table(g, p, 4)
+
+
+# ------------------------------------------------------ oracle boundaries
+
+def _count_calls(monkeypatch, *targets):
+    calls = Counter()
+    for cls, name in targets:
+        def counted(*args, _fn=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_series_oracle_reads_no_coefficient(monkeypatch):
+    calls = _count_calls(monkeypatch, (FormalCharacter, "coefficient"))
+    p = su21_from_lambda(GU, [4, 1, -2])
+    assert ktype_table_series(GU, p, 4).entries
+    assert ktype_multiplicity(GU, p, KType(GU.t_weight([4, 2, -3])),
+                              "series") == 1
+    assert calls == {}
+
+
+@pytest.mark.parametrize("mode", ["partition", "series"])
+def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
+    prep = branching._prepare(GU, su21_from_lambda(GU, [4, 1, -2]))
+    batch = [restrict_to_hm(GU, kt) for kt in ktypes.enumerate_ktypes(GU, 4)]
+    built = {}
+    virtual = branching._virtual_character
+
+    def cached(prep, cutoff):  # the character's own build is not the batch's
+        if cutoff not in built:
+            built[cutoff] = virtual(prep, cutoff)
+        return built[cutoff]
+
+    monkeypatch.setattr(branching, "_virtual_character", cached)
+    evaluate = branching._EVALUATORS[mode]
+    want = evaluate(prep, batch)
+    calls = _count_calls(monkeypatch, (Weight, "__add__"), (Weight, "__sub__"),
+                         (HMLattice, "height2"),
+                         (FormalCharacter, "coefficient"))
+    assert evaluate(prep, batch) == want
+    # the base height, and one height per root of the partition table
+    assert sum(calls.values()) <= 1 + len(prep.noncompact)
+    assert sum(len(res) for res in batch) > 1000
+
+
+def test_short_certificate_raises_cutoff_error(monkeypatch):
+    p = su21_from_lambda(GU, [4, 1, -2])
+    top = max(ktype_table(GU, p, 4).entries)
+    virtual = branching._virtual_character
+    monkeypatch.setattr(branching, "_virtual_character",
+                        lambda prep, cutoff: virtual(prep, cutoff - 1))
+    for evaluate in (lambda: ktype_table_series(GU, p, 4),
+                     lambda: ktype_table(GU, p, 4),
+                     lambda: ktype_multiplicity(GU, p, KType(GU.t_weight(top)),
+                                                "series")):
+        with pytest.raises(CutoffError):
+            evaluate()
+
+
+@pytest.mark.parametrize("foreign", [HMLattice(3, "elsewhere", (2, 0, -2)),
+                                     HMLattice(2, GU.hm.lattice, (1, 1))])
+@pytest.mark.parametrize("mode", ["partition", "series"])
+def test_restricted_ktype_on_a_foreign_lattice_raises(mode, foreign):
+    prep = branching._prepare(GU, su21_from_lambda(GU, [3, 1, -1]))
+    home = restrict_to_hm(GU, KType(GU.t_weight([4, 1, -2])))
+    res = FormalCharacter(foreign, {foreign.char(foreign.zero_weight()): 1})
+    with pytest.raises(LatticeError):
+        branching._EVALUATORS[mode](prep, [home, res])
 
 
 def test_blattner_fibres_of_a_non_injective_restriction():

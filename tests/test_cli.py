@@ -222,6 +222,28 @@ def test_validate_malformed_group_file_exits_4(tmp_path, capsys, mutate,
     assert f"invalid: {invariant}" in err
 
 
+def test_validate_rank_above_cap_exits_4(tmp_path, capsys):
+    doc = json.loads((_BUILTIN_DIR / "sl2r-compact.json").read_text())
+    doc["k"]["rank"] = 1000
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (4, "")
+    assert "invalid: size cap" in err
+
+
+def test_verify_dirac_inconclusive_kernel_fails_cleanly(capsys):
+    # svd_tol 1 puts singular values of the 1-D kernel inside the band
+    code, out, err = run(capsys, "verify", "dirac", "--svd-tol", "1")
+    assert code == 1
+    doc = json.loads(out)
+    assert not doc["pass"]
+    actual = {c["name"]: c["actual"] for c in doc["checks"]}
+    assert actual["oscillator kernel dims"] == "inconclusive"
+    assert actual["cylinder even matches principal oracle"] == "inconclusive"
+    assert "Traceback" not in err
+
+
 def test_verify_ring_passes(capsys):
     code, out, _ = run(capsys, "verify", "ring")
     assert code == 0

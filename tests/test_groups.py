@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kbranch import groups
 from kbranch.characters import Weight, pairing
 from kbranch.groups import (GroupDataError, RootSystem, builtin_group,
                             data_dir, load_group_data, rho_half_sum,
@@ -113,6 +114,32 @@ def test_zmprime_value_must_be_exact_on_lattice():
     with pytest.raises(GroupDataError) as e:
         load_group_data(json.dumps(doc))
     assert e.value.invariant in ("zmprime compatibility", "zmprime table")
+
+
+def _rank_1000(doc):
+    doc["k"]["rank"] = 1000
+
+
+def _order_600(doc):
+    doc["zmprime"] = {"order": 600, "generators": [
+        {"v": ["1/600"], "char_table_row": list(range(600))}]}
+
+
+# each refused before the work quadratic in it: the Weyl group's identity
+# matrix, or the character table's closure check
+@pytest.mark.parametrize("mutate, quadratic", [(_rank_1000, "weyl_group"),
+                                               (_order_600, "ZCharTable")])
+def test_size_caps_refuse_before_any_quadratic_work(monkeypatch, mutate,
+                                                    quadratic):
+    def refuse(*args):
+        raise AssertionError(f"reached {quadratic}")
+
+    monkeypatch.setattr(groups, quadratic, refuse)
+    doc = doc_sl2_compact()
+    mutate(doc)
+    with pytest.raises(GroupDataError) as e:
+        load_group_data(json.dumps(doc))
+    assert e.value.invariant == "size cap"
 
 
 def test_rho_half_sum_examples():
@@ -230,8 +257,8 @@ def _leaf_paths(node, path=()):
     return [p for k, v in items for p in _leaf_paths(v, path + (k,))]
 
 
-# small values only: the loader has no cap on ranks or orders, and a huge
-# one is a resource question, not a parsing one
+# small values only: the loader refuses ranks above 8 and orders above 64
+# (tested above), so a larger one reaches nothing past that refusal
 _FRACTION = st.sampled_from(["1/0", "-3/0", "1/2", "2/4", "1/", "x"])
 _LEAF = _FRACTION | st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | _FRACTION,

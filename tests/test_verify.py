@@ -1,6 +1,8 @@
 """Verification suites end to end (reduced sampling where it only
 repeats the acceptance gate)."""
 
+from kbranch import verify
+from kbranch.oscillator import InconclusiveKernelError
 from kbranch.verify import run_suite
 
 
@@ -19,6 +21,23 @@ def test_suite_su21_reduced():
 
 def test_suite_dirac():
     _assert_all_pass(run_suite("dirac"))
+
+
+def test_suite_dirac_reports_inconclusive_kernels(monkeypatch):
+    def inconclusive(*args, **kwargs):
+        raise InconclusiveKernelError("singular value inside the band")
+
+    monkeypatch.setattr(verify, "oscillator_nd", inconclusive)
+    monkeypatch.setattr(verify, "cylinder_sl2", inconclusive)
+    report = run_suite("dirac")
+    assert not report["pass"]
+    failed = {c["name"]: c["actual"] for c in report["checks"]
+              if not c["passed"]}
+    assert failed == {
+        "2-D tensor rule (1, 0) with explicit confirmation": "inconclusive",
+        "cylinder even matches principal oracle": "inconclusive",
+        "cylinder odd matches principal oracle": "inconclusive",
+        "deformation scaling f in {1,2,4} stable": "inconclusive"}
 
 
 def test_suite_ring():
