@@ -27,13 +27,11 @@ EXIT_INVALID_PARAMS = 2
 EXIT_IO = 3
 EXIT_SCHEMA = 4
 
-# size caps: the largest K-type window of `table`; the most K-types,
+# size caps: the largest K-type window of `table`, and the most K-types,
 # (2w+1)^rank, that `table` may scan on a group outside Blattner's formula
-# (the rank-3 box of window 16); and the most points of the `verify dirac`
-# grid, whose dense SVDs take O(n^2) memory
+# (the rank-3 box of window 16); GridSpec caps the `verify dirac` grid
 MAX_WINDOW = 64
 MAX_BOX = 33 ** 3
-MAX_GRID_POINTS = 2000
 
 
 def _load_group(spec: str):
@@ -133,11 +131,6 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     kwargs = {}
     if args.suite == "dirac":
-        npoints = 2 * args.grid_L / args.grid_h + 1
-        if npoints > MAX_GRID_POINTS:
-            print(f"error: the grid would have {npoints:.6g} points; at most "
-                  f"{MAX_GRID_POINTS} are allowed", file=sys.stderr)
-            return EXIT_INVALID_PARAMS
         try:
             kwargs["grid"] = GridSpec(args.grid_L, args.grid_h)
         except GridError as e:

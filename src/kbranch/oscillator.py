@@ -11,6 +11,7 @@ component on midpoints - which is second-order accurate and, with Dirichlet
 handled by removing boundary degrees of freedom, makes each component
 matrix overdetermined by one.  Kernel dimensions are then plain counts of
 small singular values, auditable against an explicit inconclusive band.
+A cylinder table is read from one such 1-D report (`cylinder_table`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .branching import KTypeTable
+
+MAX_GRID_POINTS = 2000  # the dense SVDs take O(n^2) memory
 
 
 class GridError(ValueError):
@@ -37,16 +40,16 @@ class GridSpec:
 
     halfwidth: float
     step: float
-    boundary: str = "dirichlet"
 
     def __post_init__(self):
         if self.halfwidth <= 0:
             raise GridError("halfwidth must be positive")
         if not (0 < self.step < self.halfwidth):
             raise GridError("need 0 < step < halfwidth")
-        if self.boundary != "dirichlet":
-            raise GridError(f"unsupported boundary {self.boundary!r}")
         ratio = 2 * self.halfwidth / self.step
+        if ratio + 1 > MAX_GRID_POINTS:
+            raise GridError(f"the grid would have {ratio + 1:.6g} points; at "
+                            f"most {MAX_GRID_POINTS} are allowed")
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) % 2 != 0:
             raise GridError("grid must have an odd point count symmetric "
                             "through 0")
@@ -69,7 +72,6 @@ class KernelReport:
 
     kernel_dim_even: Optional[int]
     kernel_dim_odd: Optional[int]
-    smallest_singular_values: list[float]
     gaussian_l2_error: float
     even_singular_values: list[float] = field(default_factory=list)
     odd_singular_values: list[float] = field(default_factory=list)
@@ -138,8 +140,6 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
     return KernelReport(
         kernel_dim_even=None if ambiguous else dim_even,
         kernel_dim_odd=None if ambiguous else dim_odd,
-        smallest_singular_values=sorted(
-            np.concatenate([s_even[-3:], s_odd[-3:]]).tolist()),
         gaussian_l2_error=float(err),
         even_singular_values=sorted(s_even[-3:].tolist()),
         odd_singular_values=sorted(s_odd[-3:].tolist()),
@@ -147,23 +147,35 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
     )
 
 
-def _explicit_2d(grid: GridSpec, svd_tol: float, scale: float):
-    """Direct 2-D discretisation of the even spinor block.
+def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
+                  potential_scale: float = 1.0) -> KernelReport:
+    """Kernel of the n = 2 operator: the graded tensor rule on the 1-D dims
+    (e, o), even = e^2 + o^2 and odd = 2eo, confirmed by a direct 2-D
+    discretisation of the even spinor block, which supplies the reported
+    singular values and Gaussian error.  Any other n raises ValueError.
 
-    Returns (kernel dim, ambiguity flag, singular values, gaussian error).
     The even block couples degrees 0 and 2 through the two odd components;
     staggering per axis matches the 1-D scheme.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    n = grid.npoints
-    even1, odd1 = _component_matrices(grid, scale)
+    if n != 2:
+        raise ValueError("desk scale covers n = 2 only")
+    rep1 = oscillator_1d(grid, svd_tol, potential_scale)
+    if rep1.inconclusive:
+        raise InconclusiveKernelError(
+            "1-D oscillator report is inconclusive; cannot tensor")
+    e, o = rep1.kernel_dim_even, rep1.kernel_dim_odd
+    ev, od = e * e + o * o, 2 * e * o
+
+    m = grid.npoints
+    even1, odd1 = _component_matrices(grid, potential_scale)
     P = sp.csr_matrix(even1)          # nodes-interior -> midpoints
     M = sp.csr_matrix(odd1)           # midpoints -> nodes
-    E = sp.csr_matrix((np.ones(n - 2), (np.arange(1, n - 1), np.arange(n - 2))),
-                      shape=(n, n - 2))
-    I1 = sp.identity(n - 1)
+    E = sp.csr_matrix((np.ones(m - 2), (np.arange(1, m - 1), np.arange(m - 2))),
+                      shape=(m, m - 2))
+    I1 = sp.identity(m - 1)
     # rows: odd components v1 on (mid x node), v2 on (node x mid);
     # cols: degree 0 on (interior x interior), degree 2 on (mid x mid)
     A = sp.bmat([[sp.kron(P, E), -sp.kron(I1, M)],
@@ -172,64 +184,28 @@ def _explicit_2d(grid: GridSpec, svd_tol: float, scale: float):
     vals, vecs = spla.eigsh(ata, k=4, sigma=0, which="LM")
     svals = np.sqrt(np.abs(np.sort(vals)))
     dim, ambiguous = _band_count(svals, svd_tol)
-
-    order = np.argsort(np.abs(vals))
-    v = vecs[:, order[0]]
-    n0 = (n - 2) * (n - 2)
-    xi = grid.nodes()[1:-1]
-    g2 = np.exp(-scale * (xi[:, None] ** 2 + xi[None, :] ** 2) / 2).ravel()
-    g2 /= np.linalg.norm(g2)
-    u0 = v[:n0] / np.linalg.norm(v)
-    err = min(np.linalg.norm(u0 - g2), np.linalg.norm(u0 + g2))
-    return dim, ambiguous, sorted(svals.tolist()), float(err)
-
-
-def _graded_tensor_dims(e: int, o: int, n: int) -> tuple[int, int]:
-    """Graded dims of the n-fold tensor power of a (even=e, odd=o) kernel."""
-    ev, od = 1, 0
-    for _ in range(n):
-        ev, od = ev * e + od * o, ev * o + od * e
-    return ev, od
-
-
-def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
-                  potential_scale: float = 1.0) -> KernelReport:
-    """Kernel of the n-dimensional operator via the tensor structure.
-
-    Dimensions multiply gradedly across axes.  For n = 2 an explicit 2-D
-    finite-difference computation of the even block confirms the rule and
-    supplies the reported Gaussian error.
-    """
-    if not 1 <= n <= 3:
-        raise ValueError("desk scale covers n in {1, 2, 3}")
-    rep1 = oscillator_1d(grid, svd_tol, potential_scale)
-    if n == 1:
-        return rep1
-    if rep1.inconclusive:
+    if ambiguous:
         raise InconclusiveKernelError(
-            "1-D oscillator report is inconclusive; cannot tensor")
-    ev, od = _graded_tensor_dims(rep1.kernel_dim_even, rep1.kernel_dim_odd, n)
+            "explicit 2-D singular values fall in the tolerance band")
+    if dim != ev:
+        raise ArithmeticError(
+            f"explicit 2-D kernel dimension {dim} contradicts the "
+            f"tensor rule {ev}")
 
-    if n == 2:
-        dim2, amb2, svals2, err2 = _explicit_2d(grid, svd_tol, potential_scale)
-        if amb2:
-            raise InconclusiveKernelError(
-                "explicit 2-D singular values fall in the tolerance band")
-        if dim2 != ev:
-            raise ArithmeticError(
-                f"explicit 2-D kernel dimension {dim2} contradicts the "
-                f"tensor rule {ev}")
-        return KernelReport(ev, od, svals2, err2,
-                            even_singular_values=svals2)
-    return KernelReport(ev, od, rep1.smallest_singular_values,
-                        rep1.gaussian_l2_error,
-                        even_singular_values=rep1.even_singular_values,
-                        odd_singular_values=rep1.odd_singular_values)
+    v = vecs[:, np.argsort(np.abs(vals))[0]]
+    xi = grid.nodes()[1:-1]
+    g2 = np.exp(-potential_scale * (xi[:, None] ** 2 + xi[None, :] ** 2) / 2)
+    g2 = g2.ravel() / np.linalg.norm(g2)
+    u0 = v[:(m - 2) * (m - 2)] / np.linalg.norm(v)
+    err = min(np.linalg.norm(u0 - g2), np.linalg.norm(u0 + g2))
+    return KernelReport(ev, od, float(err),
+                        even_singular_values=sorted(svals.tolist()))
 
 
-def cylinder_sl2(parity: str, weight_window: int, grid: GridSpec,
-                 svd_tol: float, potential_scale: float = 1.0) -> KTypeTable:
-    """K-type table of the cylinder operator, assembled mode by mode.
+def cylinder_table(rep: KernelReport, parity: str,
+                   weight_window: int) -> KTypeTable:
+    """K-type table of the cylinder operator, assembled mode by mode from
+    `rep`, the 1-D report of the transverse oscillator.
 
     Fourier modes along the compact direction carry even K-weights for the
     trivial component character and odd K-weights for the sign character
@@ -241,7 +217,6 @@ def cylinder_sl2(parity: str, weight_window: int, grid: GridSpec,
         raise ValueError("parity must be 'even' or 'odd'")
     if weight_window < 0:
         raise ValueError("weight window must be nonnegative")
-    rep = oscillator_1d(grid, svd_tol, potential_scale)
     if rep.inconclusive:
         raise InconclusiveKernelError(
             "oscillator report inconclusive; cylinder table not assembled")
@@ -251,3 +226,10 @@ def cylinder_sl2(parity: str, weight_window: int, grid: GridSpec,
                for k in range(-weight_window, weight_window + 1)
                if abs(k) % 2 == want and per_mode != 0}
     return KTypeTable(entries, weight_window, sign=1)
+
+
+def cylinder_sl2(parity: str, weight_window: int, grid: GridSpec,
+                 svd_tol: float, potential_scale: float = 1.0) -> KTypeTable:
+    """`oscillator_1d` followed by `cylinder_table`."""
+    return cylinder_table(oscillator_1d(grid, svd_tol, potential_scale),
+                          parity, weight_window)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbranch import branching
-from kbranch.cli import MAX_GRID_POINTS, MAX_WINDOW, main
+from kbranch.cli import MAX_WINDOW, main
+from kbranch.oscillator import MAX_GRID_POINTS
 from kbranch.groups import _BUILTIN_DIR
 
 

@@ -2,21 +2,26 @@
 
 import pytest
 
+from kbranch import oscillator
 from kbranch.oscillator import (GridSpec, GridError, InconclusiveKernelError,
-                                cylinder_sl2, oscillator_1d, oscillator_nd)
+                                cylinder_sl2, cylinder_table, oscillator_1d,
+                                oscillator_nd)
 from kbranch.sl2_oracles import SL2Series, oracle_match
 
 GRID = GridSpec(8.0, 0.05)
 TOL = 1e-6
 
 
-def test_grid_validation():
+def test_grid_validation(monkeypatch):
     with pytest.raises(GridError):
         GridSpec(8.0, 9.0)  # step >= halfwidth
     with pytest.raises(GridError):
         GridSpec(-1.0, 0.1)
-    with pytest.raises(GridError):
-        GridSpec(8.0, 0.05, boundary="neumann")
+    with monkeypatch.context() as m:
+        # 2001 points: refused before numpy builds any array
+        m.setattr(oscillator, "np", None)
+        with pytest.raises(GridError, match="2001 points; at most 2000"):
+            GridSpec(8.0, 16 / 2000)
     with pytest.raises(GridError):
         GridSpec(8.0, 0.0512)  # point count not odd/symmetric
     assert GRID.npoints == 321
@@ -65,15 +70,23 @@ def test_inconclusive_band_flags_instead_of_claiming():
     assert rep.kernel_dim_even is None and rep.kernel_dim_odd is None
     with pytest.raises(InconclusiveKernelError):
         cylinder_sl2("even", 4, GRID, 0.5)
+    with pytest.raises(InconclusiveKernelError):
+        cylinder_table(rep, "even", 4)
+
+
+def test_cylinder_table_reads_one_report():
+    rep = oscillator_1d(GRID, TOL)
+    for parity in ("even", "odd"):
+        for window in (0, 20):
+            assert (cylinder_table(rep, parity, window)
+                    == cylinder_sl2(parity, window, GRID, TOL))
 
 
 def test_nd_reduces_and_tensors():
-    rep1 = oscillator_nd(1, GRID, TOL)
-    assert (rep1.kernel_dim_even, rep1.kernel_dim_odd) == (1, 0)
-    rep3 = oscillator_nd(3, GRID, TOL)
-    assert (rep3.kernel_dim_even, rep3.kernel_dim_odd) == (1, 0)
-    with pytest.raises(ValueError):
-        oscillator_nd(4, GRID, TOL)
+    # only n = 2 has an explicit check; n = 1 is oscillator_1d
+    for n in (1, 3, 4):
+        with pytest.raises(ValueError):
+            oscillator_nd(n, GRID, TOL)
 
 
 def test_nd_explicit_2d_confirmation():

@@ -1,7 +1,7 @@
 """Verification suites end to end (reduced sampling where it only
 repeats the acceptance gate)."""
 
-from kbranch import verify
+from kbranch import oscillator, verify
 from kbranch.oscillator import InconclusiveKernelError
 from kbranch.verify import run_suite
 
@@ -19,8 +19,20 @@ def test_suite_su21_reduced():
     _assert_all_pass(run_suite("su21", samples=8, queries=40))
 
 
-def test_suite_dirac():
+def test_suite_dirac(monkeypatch):
+    # one 1-D kernel solve per scale f in {1, 2, 4}, and one inside the 2-D
+    # check
+    calls = []
+    solve = oscillator.oscillator_1d
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(oscillator, "oscillator_1d", counted)
+    monkeypatch.setattr(verify, "oscillator_1d", counted)
     _assert_all_pass(run_suite("dirac"))
+    assert len(calls) == 4
 
 
 def test_suite_dirac_reports_inconclusive_kernels(monkeypatch):
@@ -28,7 +40,7 @@ def test_suite_dirac_reports_inconclusive_kernels(monkeypatch):
         raise InconclusiveKernelError("singular value inside the band")
 
     monkeypatch.setattr(verify, "oscillator_nd", inconclusive)
-    monkeypatch.setattr(verify, "cylinder_sl2", inconclusive)
+    monkeypatch.setattr(verify, "cylinder_table", inconclusive)
     report = run_suite("dirac")
     assert not report["pass"]
     failed = {c["name"]: c["actual"] for c in report["checks"]
