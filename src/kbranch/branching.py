@@ -291,31 +291,26 @@ def _blattner_terms(g: RealGroupData, prep: _Prepared
                     ) -> tuple[int, list[tuple[WeylElement, tuple[int, ...]]]]:
     """Blattner's formula for one parameter tuple, as eps = det(w_Phi) and
     terms (w, shift_w) with shift_w = R(w rho_K - w_Phi rho_K) - base, an
-    integer vector:
+    integer vector read from the load-time shifts w rho_K - rho_K:
 
         mult(mu) = eps * sum_w det(w) * P_n(R w mu + shift_w).
 
     R maps the K roots one-to-one onto the compact Levi roots, so w_Phi is
     the w whose positive K roots R maps onto Phi's compact positives.
     """
-    two_rho = g.t_lattice.height_vec
     target = {c.coords for c in prep.compact}
-    w_phi = next((w for w in g.k_weyl
-                  if {_apply(g.tm_in_t, _apply(w.matrix, a.coords))
-                      for a in g.k_roots.positives} == target), None)
+    w_phi, phi_shift = next(
+        ((w, s) for w, s in zip(g.k_weyl, g.k_rho_shifts)
+         if {_apply(g.tm_in_t, _apply(w.matrix, a.coords))
+             for a in g.k_roots.positives} == target), (None, None))
     if w_phi is None:
         raise ArithmeticError("no w in W_K takes the positive K roots onto "
                               "the compact positives")
-    phi_two_rho = _apply(w_phi.matrix, two_rho)
-    terms = []
-    for w in g.k_weyl:
-        diff = [a - b for a, b in zip(_apply(w.matrix, two_rho), phi_two_rho)]
-        if any(x % 2 for x in diff):
-            raise ArithmeticError("w rho_K - w_Phi rho_K is not integral")
-        shift = _apply(g.tm_in_t, [x // 2 for x in diff])
-        terms.append((w, tuple(a - b for a, b in
-                               zip(shift, prep.base.tweight.coords))))
-    return w_phi.det, terms
+    base = prep.base.tweight.coords
+    return w_phi.det, [
+        (w, tuple(a - b for a, b in zip(
+            _apply(g.tm_in_t, [x - y for x, y in zip(s, phi_shift)]), base)))
+        for w, s in zip(g.k_weyl, g.k_rho_shifts)]
 
 
 def _blattner_table(g: RealGroupData, prep: _Prepared, window: int

@@ -235,10 +235,6 @@ class FormalCharacter:
     def one(cls, hm: HMLattice) -> "FormalCharacter":
         return cls(hm, {hm.char(hm.zero_weight()): 1})
 
-    @classmethod
-    def zero(cls, hm: HMLattice) -> "FormalCharacter":
-        return cls(hm, {})
-
     def items(self) -> Iterator[tuple[HMCharacter, int]]:
         return iter(sorted(
             self._terms.items(),
@@ -310,7 +306,7 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
         raise LatticeError("characters live over different lattices")
     hm = a.hm
     if (not a._terms and a.cutoff is None) or (not b._terms and b.cutoff is None):
-        return FormalCharacter.zero(hm)
+        return FormalCharacter(hm)
 
     bounds2 = []
     if a.cutoff is not None:

@@ -155,7 +155,7 @@ def cmd_validate(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except GroupDataError as e:
-        print(f"invalid: {e.invariant}: {e}", file=sys.stderr)
+        print(f"invalid: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     for inv in g.checklist:
         print(f"ok: {inv}")

@@ -6,7 +6,7 @@ factor with compact/noncompact labels, the restricted roots, the torus
 restriction matrix and the finite component group of the compact Cartan.
 Loading validates every structural invariant and names the first violated
 one, and derives, once per group, the root data the engine reads: the Weyl
-group of K, the simple-root coordinates of its positive roots, the
+group of K, the shift w rho_K - rho_K of each of its elements, the
 compactness of each Levi root, the fibres of the torus restriction and
 whether Blattner's formula applies.  Weight coordinates are, by
 convention, orthonormal for an invariant inner product; this is what makes
@@ -102,11 +102,6 @@ def rho_half_sum(roots: Sequence[Weight], *, rank: Optional[int] = None,
     return weight(root_sum(roots, rank), lattice, denom=2)
 
 
-def validate_dominant(rs: RootSystem, mu: Weight) -> bool:
-    """True iff <mu, alpha^vee> >= 0 for every simple root alpha."""
-    return all(pairing(mu, a) >= 0 for a in rs.simples)
-
-
 def _reflection_matrix(alpha: Weight, rank: int) -> tuple[tuple[int, ...], ...]:
     cols = []
     for j in range(rank):
@@ -168,10 +163,9 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
 
 
 def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
-                          ) -> tuple[tuple[WeylElement, ...],
-                                     tuple[tuple[int, ...], ...]]:
-    """Raise on the first violated invariant; return the Weyl group and the
-    simple-root coordinates of each positive root, both derived here."""
+                          ) -> tuple[WeylElement, ...]:
+    """Raise on the first violated invariant; return the Weyl group, derived
+    here."""
     def bad(inv, msg):
         raise GroupDataError(inv, f"{label}: {msg}")
 
@@ -203,7 +197,6 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
         bad("simple decomposition", "simple roots are linearly dependent")
     simples_as_columns = [[Fraction(s.coords[i]) for s in rs.simples]
                           for i in range(rs.rank)]
-    simple_coords = []
     for p in rs.positives:
         x = _solve_rational(simples_as_columns,
                             [Fraction(c) for c in p.coords])
@@ -211,7 +204,6 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
             bad("simple decomposition",
                 f"positive {p.coords} is not a nonnegative integer "
                 "combination of the simples")
-        simple_coords.append(tuple(int(c) for c in x))
     checklist.append(f"{label} simple decomposition")
 
     for a in rs.roots:
@@ -221,7 +213,7 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
                     f"pairing of {b.coords} with {a.coords} is not integral")
     weyl = tuple(weyl_group(rs))  # raises on reflection-closure failure
     checklist.append(f"{label} Weyl closure")
-    return weyl, tuple(simple_coords)
+    return weyl
 
 
 def _parse_weight_list(raw, rank, lattice, inv):
@@ -282,7 +274,7 @@ class RealGroupData:
     # derived at load; twice rho_K is t_lattice.height_vec
     compact_of: dict[tuple[int, ...], bool]  # Levi root -> compact flag
     k_weyl: tuple[WeylElement, ...]
-    k_simple_coords: tuple[tuple[int, ...], ...]  # of each K positive
+    k_rho_shifts: tuple[tuple[int, ...], ...]  # w rho_K - rho_K, per k_weyl
     fibres: Fibres                           # integral solutions of R x = b
     blattner_applies: bool
 
@@ -462,14 +454,14 @@ def load_group_data(source: Union[str, bytes, os.PathLike]) -> RealGroupData:
     Accepts a path, or raw JSON text/bytes.  Raises GroupDataError with the
     violated invariant named.
     """
-    if isinstance(source, (os.PathLike, Path)):
-        text = Path(source).read_text()
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
-    else:  # a string path
-        text = Path(source).read_text()
+    else:  # raw bytes, or a path
+        raw = source if isinstance(source, bytes) else Path(source).read_bytes()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise GroupDataError("schema", f"not UTF-8 text: {e}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -508,7 +500,16 @@ def _build(doc: dict) -> RealGroupData:
         _parse_weight_list(_require(k, "roots", list), k_rank, t_lab, "schema"),
         _parse_weight_list(_require(k, "positives", list), k_rank, t_lab, "schema"),
         _parse_weight_list(_require(k, "simples", list), k_rank, t_lab, "schema"))
-    k_weyl, k_simple_coords = _validate_root_system(k_roots, "k", checklist)
+    k_weyl = _validate_root_system(k_roots, "k", checklist)
+    two_rho = root_sum(k_roots.positives, k_rank)
+    k_rho_shifts = []
+    for w in k_weyl:
+        diff = [sum(a * x for a, x in zip(row, two_rho)) - r
+                for row, r in zip(w.matrix, two_rho)]
+        if any(x % 2 for x in diff):
+            raise GroupDataError("Weyl closure", f"k: w rho - rho is not "
+                                                 f"integral for {w.matrix}")
+        k_rho_shifts.append(tuple(x // 2 for x in diff))
 
     # ---- m root system with compact flags ----------------------------------
     m = doc["m"]
@@ -629,7 +630,7 @@ def _build(doc: dict) -> RealGroupData:
 
     # ---- assemble lattices -----------------------------------------------------
     hm = HMLattice(m_rank, tm_lab, root_sum(m_pos, m_rank), ztable)
-    t_lattice = HMLattice(k_rank, t_lab, root_sum(k_roots.positives, k_rank))
+    t_lattice = HMLattice(k_rank, t_lab, two_rho)
 
     # checklist and blattner_applies are final once the checks below pass
     g = RealGroupData(
@@ -637,7 +638,7 @@ def _build(doc: dict) -> RealGroupData:
         restricted_roots=r_roots, restricted_positives=r_pos, dim_a=dim_a,
         tm_in_t=tm_in_t, zgens=zgens, hm=hm, t_lattice=t_lattice,
         dim_s_m=dim_s_m, checklist=(), compact_of=flag_of, k_weyl=k_weyl,
-        k_simple_coords=k_simple_coords, fibres=Fibres.of(tm_in_t, k_rank),
+        k_rho_shifts=tuple(k_rho_shifts), fibres=Fibres.of(tm_in_t, k_rank),
         blattner_applies=False)
 
     # compact m-roots must come from roots of the compact subgroup

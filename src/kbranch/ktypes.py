@@ -1,8 +1,9 @@
 """Irreducible representations of the maximal compact subgroup.
 
 Enumeration of dominant weights, exact Weyl dimensions, full weight
-multiplicities by the Freudenthal recursion, and restriction of a K-type
-to the compact Cartan component group H = T x Z'.
+multiplicities by Kostant's multiplicity formula (one partition_counts
+table per K-type, summed over the W_K derived at load), and restriction of
+a K-type to the compact Cartan component group H = T x Z'.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import FormalCharacter, HMCharacter, LatticeError, Weight, dot
-from .groups import RealGroupData, rho_half_sum, validate_dominant
+from .characters import (FormalCharacter, HMCharacter, LatticeError, Weight,
+                         dot, partition_counts)
+from .groups import RealGroupData, rho_half_sum
 
 
 @dataclass(frozen=True)
@@ -59,72 +61,39 @@ def weyl_dimension(g: RealGroupData, kt: KType) -> int:
 def weight_multiplicities(g: RealGroupData, kt: KType) -> FormalCharacter:
     """Full weight character of the irreducible with this highest weight.
 
-    Freudenthal recursion in pure integer arithmetic: with N(mu) denoting
-    the integer |2*mu + 2*rho|^2, the recursion reads
+    Kostant's multiplicity formula, with P_K the partition count over the
+    positive K roots and w(hw + rho_K) - rho_K = w hw + (w rho_K - rho_K):
 
-        (N(hw) - N(mu)) * m(mu) = 8 * sum_{alpha>0, j>=1}
-                                      m(mu + j*alpha) * (mu + j*alpha, alpha).
+        m(mu) = sum_{w in W_K} det(w) * P_K(w(hw + rho_K) - rho_K - mu).
+
+    Every weight lies below hw by a cone point no higher than hw - w_0 hw,
+    and so does every argument of P_K, so one partition_counts table cut
+    there covers them all; each of its points t gives the candidate
+    mu = hw - t.
     """
-    rs = g.k_roots
-    hw = kt.highest
-    if not hw.is_integral() or not validate_dominant(rs, hw):
-        raise LatticeError(f"{hw.coords} is not a dominant lattice weight")
     lat = g.t_lattice
-    if not rs.positives:
-        return FormalCharacter(lat, {lat.char(hw): 1})
-
-    rho2 = lat.height_vec  # twice rho_K
-
-    def nsq(coords):
-        v = [2 * c + r for c, r in zip(coords, rho2)]
-        return sum(x * x for x in v)
-
-    n_top = nsq(hw.coords)
-    simples = rs.simples
-
-    # candidates: hw minus nonnegative simple combinations inside the ball
-    # |mu + rho| <= |hw + rho|; every weight of the representation is one
-    levels: dict[tuple[int, ...], tuple[int, ...]] = {
-        hw.coords: (0,) * len(simples)}
-    frontier = [hw.coords]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            ns = levels[cur]
-            for si, s in enumerate(simples):
-                cand = tuple(a - b for a, b in zip(cur, s.coords))
-                if cand in levels or nsq(cand) > n_top:
-                    continue
-                levels[cand] = tuple(n + (1 if i == si else 0)
-                                     for i, n in enumerate(ns))
-                nxt.append(cand)
-        frontier = nxt
-
-    by_depth = sorted(levels, key=lambda c: (sum(levels[c]), c))
-    mult: dict[tuple[int, ...], int] = {hw.coords: 1}
-    for coords in by_depth[1:]:
-        ns = levels[coords]
-        denom = n_top - nsq(coords)
-        if denom == 0:
-            continue  # on the sphere |mu+rho| = |hw+rho|: never a weight
-        s = 0
-        for a, acoords in zip(rs.positives, g.k_simple_coords):
-            jmax = min(n // c for n, c in zip(ns, acoords) if c > 0)
-            cur = coords
-            for j in range(1, jmax + 1):
-                cur = tuple(x + y for x, y in zip(cur, a.coords))
-                m = mult.get(cur, 0)
-                if m:
-                    s += m * sum(x * y for x, y in zip(cur, a.coords))
-        val, rem = divmod(8 * s, denom)
-        if rem:
+    hw = kt.highest
+    h2 = lat.height2(hw)  # LatticeError off the lattice or non-integral
+    if not is_dominant(hw.coords, [s.coords for s in g.k_roots.simples]):
+        raise LatticeError(f"{hw.coords} is not a dominant lattice weight")
+    images = [w.apply(hw) for w in g.k_weyl]
+    counts = partition_counts(g.k_roots.positives, lat,
+                              h2 - min(map(lat.height2, images)))
+    # P_K's argument at mu = hw - t is t + (w hw + shift_w - hw)
+    terms = [(w.det, tuple(a + b - c for a, b, c in
+                           zip(image.coords, shift, hw.coords)))
+             for w, image, shift in zip(g.k_weyl, images, g.k_rho_shifts)]
+    acc: dict[HMCharacter, int] = {}
+    for t in counts:
+        m = sum(det * counts.get(tuple(x + y for x, y in zip(t, off)), 0)
+                for det, off in terms)
+        if m < 0:
             raise ArithmeticError(
-                f"Freudenthal recursion produced a non-integer at {coords}")
-        if val:
-            mult[coords] = val
-
-    return FormalCharacter(lat, {
-        lat.char(Weight(c, lat.lattice)): m for c, m in mult.items()})
+                f"Kostant's formula gave multiplicity {m} at {hw.coords} - {t}")
+        if m:
+            mu = Weight(tuple(a - b for a, b in zip(hw.coords, t)), lat.lattice)
+            acc[lat.char(mu)] = m
+    return FormalCharacter(lat, acc)
 
 
 @lru_cache(maxsize=65536)

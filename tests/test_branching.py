@@ -257,13 +257,14 @@ def test_engine_reads_the_weyl_group_from_load(monkeypatch):
         calls.append(rs)
         return weyl_group(rs)
 
-    for mod in (groups, branching):
+    for mod in (groups, branching, ktypes):
         if getattr(mod, "weyl_group", None) is weyl_group:
             monkeypatch.setattr(mod, "weyl_group", counted)
     p = su21_from_lambda(g, [3, 1, -1])
     ktype_table(g, p, 6)
     ktype_table_series(g, p, 4)
     ktype_multiplicity(g, p, KType(g.t_weight([4, 1, -2])))
+    weight_multiplicities(g, KType(g.t_weight([5, 0, -3])))
     assert calls == []
     assert len(g.k_weyl) == 2
 

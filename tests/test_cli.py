@@ -207,20 +207,30 @@ def _unpointed_k_positives(doc):
     doc["tM_in_t"] = [[1, 0]]
 
 
+def _undecodable(doc):
+    return b"\xff\xfe{}"  # not UTF-8
+
+
 @pytest.mark.parametrize("mutate, invariant", [
     (_zero_denominator, "zmprime table"),
     (_unpointed_k_positives, "simple decomposition"),
+    (_undecodable, "schema"),
 ])
 def test_validate_malformed_group_file_exits_4(tmp_path, capsys, mutate,
                                                invariant):
+    """mutate edits the document in place, or returns the file's bytes."""
     doc = json.loads((_BUILTIN_DIR / "sl2r-compact.json").read_text())
-    mutate(doc)
+    raw = mutate(doc)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(json.dumps(doc).encode() if raw is None else raw)
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 4
     assert out == ""
     assert f"invalid: {invariant}" in err
+    code, out, err = run(capsys, "table", "--group", str(bad), "--params",
+                         '{"series":"discrete","n":3,"sign":"+"}')
+    assert (code, out) == (4, "")
+    assert f"error: {invariant}" in err
 
 
 def test_validate_rank_above_cap_exits_4(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Group-data loading, validation, Weyl groups, rho shifts, dominance."""
+"""Group-data loading, validation, Weyl groups, rho shifts."""
 
 import json
 
@@ -9,7 +9,7 @@ from kbranch import groups
 from kbranch.characters import Weight, pairing
 from kbranch.groups import (GroupDataError, RootSystem, builtin_group,
                             data_dir, load_group_data, rho_half_sum,
-                            validate_dominant, weyl_group)
+                            weyl_group)
 
 
 def doc_sl2_compact():
@@ -189,17 +189,6 @@ def test_rho_characterization():
     rho = rho_half_sum(rs.positives)
     for a in rs.simples:
         assert pairing(rho, a) == 1
-
-
-def test_validate_dominant_examples():
-    rs = RootSystem(1, (Weight((2,), "t"), Weight((-2,), "t")),
-                    (Weight((2,), "t"),), (Weight((2,), "t"),))
-    assert validate_dominant(rs, Weight((0,), "t"))
-    assert validate_dominant(rs, Weight((3,), "t"))
-    assert not validate_dominant(rs, Weight((-3,), "t"))
-    u2 = RootSystem(2, (Weight((1, -1), "t"), Weight((-1, 1), "t")),
-                    (Weight((1, -1), "t"),), (Weight((1, -1), "t"),))
-    assert not validate_dominant(u2, Weight((2, 5), "t"))
 
 
 def test_zchar_evaluation_on_shipped_groups():

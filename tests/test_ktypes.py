@@ -5,10 +5,13 @@ import json
 
 import pytest
 
+from kbranch import ktypes
+from kbranch.characters import pairing
 from kbranch.groups import (builtin_group, builtin_group_names,
-                            load_group_data, validate_dominant, weyl_group)
-from kbranch.ktypes import (KType, enumerate_ktypes, restrict_to_hm,
-                            weight_multiplicities, weyl_dimension)
+                            load_group_data, weyl_group)
+from kbranch.ktypes import (KType, enumerate_ktypes, is_dominant,
+                            restrict_to_hm, weight_multiplicities,
+                            weyl_dimension)
 
 
 def compact_group_doc(name, rank, roots, positives, simples):
@@ -35,6 +38,12 @@ U3 = load_group_data(json.dumps(compact_group_doc(
     [[1, -1, 0], [-1, 1, 0], [1, 0, -1], [-1, 0, 1], [0, 1, -1], [0, -1, 1]],
     [[1, -1, 0], [1, 0, -1], [0, 1, -1]],
     [[1, -1, 0], [0, 1, -1]])))
+B2 = load_group_data(json.dumps(compact_group_doc(
+    "b2-test", 2,
+    [[1, -1], [-1, 1], [1, 1], [-1, -1], [1, 0], [-1, 0], [0, 1], [0, -1]],
+    [[1, -1], [1, 1], [1, 0], [0, 1]],
+    [[1, -1], [0, 1]])))  # SO(5)
+COMPACT = {"u3-test": U3, "b2-test": B2}
 
 
 def test_enumerate_circle_group():
@@ -74,11 +83,36 @@ def test_weight_multiplicities_u2_adjoint():
 
 
 def test_weight_multiplicities_su3_adjoint():
-    wm = weight_multiplicities(U3, KType(U3.t_weight([1, 0, -1])))
+    for coords, zero, total in [((1, 0, -1), 2, 8), ((2, 0, -2), 3, 27)]:
+        wm = weight_multiplicities(U3, KType(U3.t_weight(coords)))
+        table = {c.tweight.coords: m for c, m in wm.items()}
+        assert table[(0, 0, 0)] == zero
+        assert sum(table.values()) == total
+        if total == 8:
+            assert all(m == 1 for w, m in table.items() if w != (0, 0, 0))
+
+
+def test_weight_multiplicities_b2_adjoint():
+    wm = weight_multiplicities(B2, KType(B2.t_weight([1, 1])))
     table = {c.tweight.coords: m for c, m in wm.items()}
-    assert table[(0, 0, 0)] == 2
-    assert sum(table.values()) == 8
-    assert all(m == 1 for w, m in table.items() if w != (0, 0, 0))
+    assert table == {(0, 0): 2, **{r.coords: 1 for r in B2.k_roots.roots}}
+
+
+def test_one_partition_table_per_weight_character(monkeypatch):
+    partition_counts = ktypes.partition_counts
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return partition_counts(*args)
+
+    monkeypatch.setattr(ktypes, "partition_counts", counted)
+    n = 0
+    for g in (builtin_group("sl2r-compact"), builtin_group("su21"), U3, B2):
+        for kt in enumerate_ktypes(g, 2):
+            weight_multiplicities(g, kt)
+            n += 1
+            assert len(calls) == n
 
 
 def test_rank_one_string():
@@ -91,22 +125,31 @@ def test_rank_one_string():
     assert diffs == list(range(-h, h + 1, 2))
 
 
-@pytest.mark.parametrize("name", ["sl2r-compact", "sl2r-split", "su21"])
+@pytest.mark.parametrize("name",
+                         ["sl2r-compact", "sl2r-split", "su21", *COMPACT])
 def test_dimension_sum_rule(name):
-    g = builtin_group(name)
-    for kt in enumerate_ktypes(g, 4):
+    g, window = (COMPACT[name], 3) if name in COMPACT else (builtin_group(name), 4)
+    for kt in enumerate_ktypes(g, window):
         wm = weight_multiplicities(g, kt)
         assert wm.total_mass() == weyl_dimension(g, kt)
 
 
 def test_weyl_invariance_of_weights():
-    els = weyl_group(U3.k_roots)
-    for coords in [(2, 1, 0), (3, 0, -1), (1, 1, -2)]:
-        wm = weight_multiplicities(U3, KType(U3.t_weight(coords)))
-        table = {c.tweight.coords: m for c, m in wm.items()}
-        for w, m in table.items():
-            for e in els:
-                assert table.get(e.apply(U3.t_weight(w)).coords) == m
+    for g in COMPACT.values():
+        els = weyl_group(g.k_roots)
+        for kt in enumerate_ktypes(g, 3):
+            wm = weight_multiplicities(g, kt)
+            table = {c.tweight.coords: m for c, m in wm.items()}
+            for w, m in table.items():
+                for e in els:
+                    assert table.get(e.apply(g.t_weight(w)).coords) == m
+
+
+def test_is_dominant_examples():
+    assert is_dominant((0,), [(2,)])
+    assert is_dominant((3,), [(2,)])
+    assert not is_dominant((-3,), [(2,)])
+    assert not is_dominant((2, 5), [(1, -1)])
 
 
 def test_restrict_preserves_total_multiplicity():
@@ -140,5 +183,6 @@ def test_enumerate_matches_coroot_dominance(name):
         box = itertools.product(range(-window, window + 1),
                                 repeat=g.k_roots.rank)
         want = [KType(g.t_weight(c)) for c in box
-                if validate_dominant(g.k_roots, g.t_weight(c))]
+                if all(pairing(g.t_weight(c), s) >= 0
+                       for s in g.k_roots.simples)]
         assert enumerate_ktypes(g, window) == want
