@@ -30,9 +30,9 @@ follows the rows of the table and not the box of K-types.
 Two oracles stay independent of it and of each other: signed sums of
 Kostant partition counts over the weights of each restricted K-type, and
 the coefficients of one truncated series product.  Each takes a batch of
-restricted K-types, checks it once at the boundary (lattice and rank, and
-for the series the truncation certificate against the batch's highest
-term), then works on coordinate tuples and dict lookups.  Every table that
+restricted K-types, the integer maps of restrict_to_hm, and works on
+coordinate tuples and dict lookups; the series checks its truncation
+certificate once, against the batch's highest term.  Every table that
 scans the window's box runs one path: the series table, the partition
 table of verify and ktype_table on groups outside Blattner's formula.
 Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
@@ -44,13 +44,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .characters import (CutoffError, FormalCharacter, HMCharacter,
                          HMLattice, LatticeError, Weight, dot,
                          geometric_series, graded_exterior, partition_counts,
                          weight)
-from .groups import (GroupDataError, RealGroupData, WeylElement,
+from .groups import (GroupDataError, RealGroupData, WeylElement, matvec,
                      rho_half_sum, root_sum, simple_roots)
 from .ktypes import KType, enumerate_ktypes, is_dominant, restrict_to_hm
 
@@ -177,10 +177,6 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
 
 # ------------------------------------------------------------------ engine
 
-def _apply(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in mat)
-
-
 def _apply_transpose(mat: Sequence[Sequence[int]], v: Sequence[int],
                      ncols: int) -> tuple[int, ...]:
     return tuple(sum(row[j] * x for row, x in zip(mat, v))
@@ -237,29 +233,19 @@ def _virtual_character(prep: _Prepared, cutoff: int) -> FormalCharacter:
     return acc
 
 
-def _batch(prep: _Prepared, restricted: Sequence[FormalCharacter]) -> list:
-    """The oracles' one boundary check: each restricted K-type, exact and
-    on prep's lattice and rank, as ((coordinates, Z' index), multiplicity)
-    terms.  Its terms were validated against its own lattice when it was
-    built, so one check per character covers them all."""
-    if any((r.hm.lattice, r.hm.rank) != (prep.hm.lattice, prep.hm.rank)
-           for r in restricted):
-        raise LatticeError(f"restricted K-type off lattice {prep.hm.lattice!r}")
-    return [[((c.tweight.coords, c.zchar), m)
-             for c, m in res.coefficients().items()] for res in restricted]
+_Restricted = Mapping[tuple[tuple[int, ...], int], int]  # of restrict_to_hm
 
 
 def _partition_multiplicities(prep: _Prepared,
-                              restricted: Sequence[FormalCharacter]
-                              ) -> list[int]:
+                              restricted: Sequence[_Restricted]) -> list[int]:
     """Signed Kostant partition counts: every weight of a restricted K-type
     that carries the base's Z' character, less every compact offset, read
     from one partition_counts table cut at the batch's highest target."""
     hv = prep.hm.height_vec
     terms = [[(sign * m, tuple(x - y for x, y in zip(coords, offset)))
-              for (coords, z), m in res if z == prep.base.zchar
+              for (coords, z), m in res.items() if z == prep.base.zchar
               for sign, offset in prep.offsets]
-             for res in _batch(prep, restricted)]
+             for res in restricted]
     counts = partition_counts(prep.noncompact, prep.hm, max(
         (sum(x * y for x, y in zip(t, hv)) for ts in terms for _, t in ts),
         default=-1))
@@ -267,8 +253,7 @@ def _partition_multiplicities(prep: _Prepared,
 
 
 def _series_multiplicities(prep: _Prepared,
-                           restricted: Sequence[FormalCharacter]
-                           ) -> list[int]:
+                           restricted: Sequence[_Restricted]) -> list[int]:
     """Coefficients of one truncated virtual character built for the batch.
 
     No term of it lies below the base height h_b, so its char_mul
@@ -277,14 +262,14 @@ def _series_multiplicities(prep: _Prepared,
     (CutoffError should it fall short); then coefficients are read by key.
     """
     hv = prep.hm.height_vec
-    batch = _batch(prep, restricted)
     h2_base = prep.hm.height2(prep.base.tweight)
-    h2_top = max([h2_base] + [sum(x * y for x, y in zip(key[0], hv))
-                              for res in batch for key, _ in res])
+    h2_top = max([h2_base] + [sum(x * y for x, y in zip(coords, hv))
+                              for res in restricted for coords, _ in res])
     virt = _virtual_character(prep, -(-h2_top // 2) - h2_base // 2)
     coeff = {(c.tweight.coords, c.zchar): m
              for c, m in virt.coefficients(h2_top).items()}
-    return [sum(m * coeff.get(key, 0) for key, m in res) for res in batch]
+    return [sum(m * coeff.get(key, 0) for key, m in res.items())
+            for res in restricted]
 
 
 def _blattner_terms(g: RealGroupData, prep: _Prepared
@@ -301,7 +286,7 @@ def _blattner_terms(g: RealGroupData, prep: _Prepared
     target = {c.coords for c in prep.compact}
     w_phi, phi_shift = next(
         ((w, s) for w, s in zip(g.k_weyl, g.k_rho_shifts)
-         if {_apply(g.tm_in_t, _apply(w.matrix, a.coords))
+         if {matvec(g.tm_in_t, matvec(w.matrix, a.coords))
              for a in g.k_roots.positives} == target), (None, None))
     if w_phi is None:
         raise ArithmeticError("no w in W_K takes the positive K roots onto "
@@ -309,7 +294,7 @@ def _blattner_terms(g: RealGroupData, prep: _Prepared
     base = prep.base.tweight.coords
     return w_phi.det, [
         (w, tuple(a - b for a, b in zip(
-            _apply(g.tm_in_t, [x - y for x, y in zip(s, phi_shift)]), base)))
+            matvec(g.tm_in_t, [x - y for x, y in zip(s, phi_shift)]), base)))
         for w, s in zip(g.k_weyl, g.k_rho_shifts)]
 
 
@@ -343,8 +328,7 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
                 mu = _apply_transpose(w.matrix, x, rank)
                 if (max(map(abs, mu), default=0) <= window
                         and is_dominant(mu, simples)
-                        and g.zchar_of_t_weight(Weight(mu, lattice))
-                        == prep.base.zchar):
+                        and g.zchar(mu) == prep.base.zchar):
                     found.setdefault(mu, []).append((w.det, t))
     return [(KType(Weight(mu, lattice)),
              eps * sum(det * points[t] for det, t in found[mu]))

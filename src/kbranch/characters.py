@@ -257,11 +257,10 @@ class FormalCharacter:
         tail = "" if self.cutoff is None else f" (cutoff {self.cutoff})"
         return "FormalCharacter(" + " + ".join(parts or ["0"]) + tail + ")"
 
-    def coefficients(self, top2: Optional[int] = None
-                     ) -> Mapping[HMCharacter, int]:
-        """Read-only coefficients by key, exact up to the doubled height top2
-        (everywhere if None); raises CutoffError beyond the certificate."""
-        if self.cutoff is not None and (top2 is None or top2 > 2 * self.cutoff):
+    def coefficients(self, top2: int) -> Mapping[HMCharacter, int]:
+        """Read-only coefficients by key, exact up to the doubled height
+        top2; raises CutoffError beyond the certificate."""
+        if self.cutoff is not None and top2 > 2 * self.cutoff:
             raise CutoffError(f"doubled height {top2} beyond certified cutoff "
                               f"{self.cutoff}")
         return MappingProxyType(self._terms)
@@ -289,9 +288,6 @@ class FormalCharacter:
 
     def __mul__(self, other: "FormalCharacter") -> "FormalCharacter":
         return char_mul(self, other)
-
-    def total_mass(self) -> int:
-        return sum(self._terms.values())
 
 
 def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:

@@ -11,7 +11,8 @@ compactness of each Levi root, the fibres of the torus restriction and
 whether Blattner's formula applies.  Weight coordinates are, by
 convention, orthonormal for an invariant inner product; this is what makes
 coroot pairings exact integers and is enforced by the crystallographic
-checks below.
+checks below.  The Z' character of a T-weight is one integer product with
+the rows order * v of the generators, looked up in the character table.
 """
 
 from __future__ import annotations
@@ -56,9 +57,7 @@ class WeylElement:
     det: int
 
     def apply(self, w: Weight) -> Weight:
-        coords = tuple(sum(row[j] * w.coords[j] for j in range(len(row)))
-                       for row in self.matrix)
-        return Weight(coords, w.lattice, w.denom)
+        return Weight(matvec(self.matrix, w.coords), w.lattice, w.denom)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         n = len(self.matrix)
@@ -66,6 +65,11 @@ class WeylElement:
                             for k in range(n)) for j in range(n))
                   for i in range(n))
         return WeylElement(m, self.det * other.det)
+
+
+def matvec(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    """The integer matrix-vector product mat v."""
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in mat)
 
 
 def root_sum(roots: Sequence[Weight], rank: int) -> tuple[int, ...]:
@@ -220,7 +224,7 @@ def _parse_weight_list(raw, rank, lattice, inv):
     out = []
     for entry in raw:
         if (not isinstance(entry, list) or len(entry) != rank
-                or not all(isinstance(c, int) for c in entry)):
+                or not all(type(c) is int for c in entry)):  # no bools
             raise GroupDataError(
                 inv, f"expected integer arrays of length {rank}, got {entry!r}")
         out.append(Weight(tuple(entry), lattice))
@@ -228,7 +232,7 @@ def _parse_weight_list(raw, rank, lattice, inv):
 
 
 def _parse_fraction(v, inv):
-    if isinstance(v, int):
+    if type(v) is int:
         return Fraction(v)
     if isinstance(v, str):
         try:
@@ -267,6 +271,7 @@ class RealGroupData:
     dim_a: int
     tm_in_t: tuple[tuple[int, ...], ...]     # (rank tM) x (rank t)
     zgens: tuple[ZGenerator, ...]
+    zchar_rows: tuple[tuple[int, ...], ...]  # order * v, per Z' generator
     hm: HMLattice                            # characters of H_M live here
     t_lattice: HMLattice                     # characters of T live here
     dim_s_m: int
@@ -311,33 +316,15 @@ class RealGroupData:
         """Push a weight of the big torus to the small torus."""
         if w.lattice != self.t_lattice.lattice:
             raise LatticeError("can only restrict weights of the big torus")
-        coords = tuple(sum(row[j] * w.coords[j] for j in range(len(row)))
-                       for row in self.tm_in_t)
-        return weight(coords, self.hm.lattice, w.denom)
+        return weight(matvec(self.tm_in_t, w.coords), self.hm.lattice, w.denom)
 
-    def zchar_exponents(self, w: Weight) -> tuple[int, ...]:
-        """Evaluate a big-torus weight at the Z' generators, as exponents."""
+    def zchar(self, coords: Sequence[int]) -> int:
+        """Z' character index of the integral T-weight with these coordinates.
+        The table rows form a group holding the values of every basis weight
+        (checked at load), so the lookup cannot miss."""
         order = self.hm.ztable.order
-        exps = []
-        for g in self.zgens:
-            val = order * sum(Fraction(c) * v
-                              for c, v in zip(w.coords, g.v)) / w.denom
-            if val.denominator != 1:
-                raise GroupDataError(
-                    "zmprime compatibility",
-                    f"weight {w.coords} has no exact value at a Z' generator")
-            exps.append(int(val) % order)
-        return tuple(exps)
-
-    def zchar_of_t_weight(self, w: Weight) -> int:
-        exps = self.zchar_exponents(w)
-        idx = self.hm.ztable.index_of.get(exps)
-        if idx is None:
-            raise GroupDataError(
-                "zmprime compatibility",
-                f"Z' values {exps} of weight {w.coords} match no character "
-                "table row")
-        return idx
+        return self.hm.ztable.index_of[
+            tuple(e % order for e in matvec(self.zchar_rows, coords))]
 
 
 def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
@@ -410,7 +397,7 @@ class Fibres:
                   ) -> Iterator[tuple[int, ...]]:
         """Every integral solution with free coordinates in [-bound, bound];
         pivot coordinates are not bounded here."""
-        tb = [sum(t * x for t, x in zip(row, b)) for row in self.transform]
+        tb = matvec(self.transform, b)
         rank = len(self.pivots)
         if any(tb[rank:]):
             return
@@ -439,7 +426,8 @@ def _blattner_applies(g: RealGroupData,
     compact = {r for r, f in g.compact_of.items() if f}
     return (len(set(k_restricted)) == len(k_restricted)
             and set(k_restricted) == compact
-            and not any(any(g.zchar_exponents(a)) for a in g.k_roots.roots))
+            and all(g.zchar(a.coords) == g.hm.ztable.identity
+                    for a in g.k_roots.roots))
 
 
 _SCHEMA_FIELDS = {
@@ -472,7 +460,7 @@ def load_group_data(source: Union[str, bytes, os.PathLike]) -> RealGroupData:
 def _require(doc: dict, field: str, typ, inv="schema", cap=None):
     if field not in doc:
         raise GroupDataError(inv, f"missing field {field!r}")
-    if not isinstance(doc[field], typ):
+    if not isinstance(doc[field], typ) or isinstance(doc[field], bool):
         raise GroupDataError(inv, f"field {field!r} must be {typ.__name__}")
     if cap is not None and doc[field] > cap:
         raise GroupDataError("size cap", f"{field} {doc[field]} is above {cap}")
@@ -504,8 +492,7 @@ def _build(doc: dict) -> RealGroupData:
     two_rho = root_sum(k_roots.positives, k_rank)
     k_rho_shifts = []
     for w in k_weyl:
-        diff = [sum(a * x for a, x in zip(row, two_rho)) - r
-                for row, r in zip(w.matrix, two_rho)]
+        diff = [a - r for a, r in zip(matvec(w.matrix, two_rho), two_rho)]
         if any(x % 2 for x in diff):
             raise GroupDataError("Weyl closure", f"k: w rho - rho is not "
                                                  f"integral for {w.matrix}")
@@ -550,7 +537,7 @@ def _build(doc: dict) -> RealGroupData:
     tm_raw = doc["tM_in_t"]
     if len(tm_raw) != m_rank or any(
             not isinstance(row, list) or len(row) != k_rank
-            or not all(isinstance(x, int) for x in row) for row in tm_raw):
+            or not all(type(x) is int for x in row) for row in tm_raw):
         raise GroupDataError("schema",
                              f"tM_in_t must be a {m_rank}x{k_rank} integer matrix")
     tm_in_t = tuple(tuple(row) for row in tm_raw)
@@ -570,7 +557,7 @@ def _build(doc: dict) -> RealGroupData:
                                  "char_table_row")
         row = g["char_table_row"]
         if (not isinstance(row, list) or len(row) != order
-                or not all(isinstance(e, int) for e in row)):
+                or not all(type(e) is int for e in row)):
             raise GroupDataError(
                 "zmprime table",
                 f"char_table_row must list {order} integer exponents")
@@ -593,12 +580,14 @@ def _build(doc: dict) -> RealGroupData:
     checklist.append("zmprime table")
 
     # generator values must be exact on the weight lattice
+    zchar_rows = []
     for j, v in enumerate(vs):
-        for i in range(k_rank):
-            if (order * v[i]).denominator != 1:
-                raise GroupDataError(
-                    "zmprime compatibility",
-                    f"generator {j} gives lattice weights inexact values")
+        row = [order * x for x in v]
+        if any(x.denominator != 1 for x in row):
+            raise GroupDataError(
+                "zmprime compatibility",
+                f"generator {j} gives lattice weights inexact values")
+        zchar_rows.append(tuple(map(int, row)))
     checklist.append("zmprime integrality")
 
     # descent to the small torus where the generator lies in it
@@ -636,10 +625,10 @@ def _build(doc: dict) -> RealGroupData:
     g = RealGroupData(
         name=name, k_roots=k_roots, m_roots=m_roots, compact_flags=flags,
         restricted_roots=r_roots, restricted_positives=r_pos, dim_a=dim_a,
-        tm_in_t=tm_in_t, zgens=zgens, hm=hm, t_lattice=t_lattice,
-        dim_s_m=dim_s_m, checklist=(), compact_of=flag_of, k_weyl=k_weyl,
-        k_rho_shifts=tuple(k_rho_shifts), fibres=Fibres.of(tm_in_t, k_rank),
-        blattner_applies=False)
+        tm_in_t=tm_in_t, zgens=zgens, zchar_rows=tuple(zchar_rows), hm=hm,
+        t_lattice=t_lattice, dim_s_m=dim_s_m, checklist=(), compact_of=flag_of,
+        k_weyl=k_weyl, k_rho_shifts=tuple(k_rho_shifts),
+        fibres=Fibres.of(tm_in_t, k_rank), blattner_applies=False)
 
     # compact m-roots must come from roots of the compact subgroup
     k_restr = [g.restrict_weight(r).coords for r in k_roots.roots]
@@ -666,8 +655,11 @@ def _build(doc: dict) -> RealGroupData:
 
     # character table consistent with the v-vectors on a spanning set
     for i in range(k_rank):
-        e = Weight(tuple(1 if j == i else 0 for j in range(k_rank)), t_lab)
-        g.zchar_of_t_weight(e)  # raises "zmprime compatibility"
+        try:
+            g.zchar(tuple(int(j == i) for j in range(k_rank)))
+        except KeyError:
+            raise GroupDataError("zmprime compatibility", f"basis weight {i} "
+                                 "has Z' values in no table row") from None
     checklist.append("zmprime compatibility")
 
     return replace(g, checklist=tuple(checklist),

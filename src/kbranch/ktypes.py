@@ -3,7 +3,10 @@
 Enumeration of dominant weights, exact Weyl dimensions, full weight
 multiplicities by Kostant's multiplicity formula (one partition_counts
 table per K-type, summed over the W_K derived at load), and restriction of
-a K-type to the compact Cartan component group H = T x Z'.
+a K-type to the compact Cartan component group H = T_M x Z'.  Both are
+plain integer maps, {coords: m} and {(coords on T_M, Z' index): m}, built
+after weight_multiplicities checks the K-type once (lattice, rank,
+integrality, dominance); no truncation certificate is involved.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
-from .characters import (FormalCharacter, HMCharacter, LatticeError, Weight,
-                         dot, partition_counts)
-from .groups import RealGroupData, rho_half_sum
+from .characters import LatticeError, Weight, dot, partition_counts
+from .groups import RealGroupData, matvec, rho_half_sum
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,10 @@ def weyl_dimension(g: RealGroupData, kt: KType) -> int:
     return int(dim)
 
 
-def weight_multiplicities(g: RealGroupData, kt: KType) -> FormalCharacter:
-    """Full weight character of the irreducible with this highest weight.
+def weight_multiplicities(g: RealGroupData, kt: KType
+                          ) -> dict[tuple[int, ...], int]:
+    """Full weight character of the irreducible with this highest weight,
+    as {weight coordinates: multiplicity}.
 
     Kostant's multiplicity formula, with P_K the partition count over the
     positive K roots and w(hw + rho_K) - rho_K = w hw + (w rho_K - rho_K):
@@ -83,7 +89,7 @@ def weight_multiplicities(g: RealGroupData, kt: KType) -> FormalCharacter:
     terms = [(w.det, tuple(a + b - c for a, b, c in
                            zip(image.coords, shift, hw.coords)))
              for w, image, shift in zip(g.k_weyl, images, g.k_rho_shifts)]
-    acc: dict[HMCharacter, int] = {}
+    acc: dict[tuple[int, ...], int] = {}
     for t in counts:
         m = sum(det * counts.get(tuple(x + y for x, y in zip(t, off)), 0)
                 for det, off in terms)
@@ -91,23 +97,21 @@ def weight_multiplicities(g: RealGroupData, kt: KType) -> FormalCharacter:
             raise ArithmeticError(
                 f"Kostant's formula gave multiplicity {m} at {hw.coords} - {t}")
         if m:
-            mu = Weight(tuple(a - b for a, b in zip(hw.coords, t)), lat.lattice)
-            acc[lat.char(mu)] = m
-    return FormalCharacter(lat, acc)
+            acc[tuple(a - b for a, b in zip(hw.coords, t))] = m
+    return acc
 
 
 @lru_cache(maxsize=65536)
-def restrict_to_hm(g: RealGroupData, kt: KType) -> FormalCharacter:
-    """Restriction of a K-type to H = T_M Z': push weights through the torus
-    restriction and attach the Z'-character each weight induces.
+def restrict_to_hm(g: RealGroupData, kt: KType
+                   ) -> Mapping[tuple[tuple[int, ...], int], int]:
+    """Restriction of a K-type to H = T_M Z', as a read-only map
+    {(coordinates on T_M, Z' index): multiplicity}: each weight pushed
+    through the torus restriction, with the Z' character it induces.
 
-    Cached per (group, K-type), the one cache of restricted K-types; the
-    returned character is shared and must be treated as immutable.
+    Cached per (group, K-type), the one cache of restricted K-types.
     """
-    full = weight_multiplicities(g, kt)
-    acc: dict[HMCharacter, int] = {}
-    for c, m in full.items():
-        w = c.tweight
-        key = g.hm.char(g.restrict_weight(w), g.zchar_of_t_weight(w))
+    acc: dict[tuple[tuple[int, ...], int], int] = {}
+    for mu, m in weight_multiplicities(g, kt).items():
+        key = (matvec(g.tm_in_t, mu), g.zchar(mu))
         acc[key] = acc.get(key, 0) + m
-    return FormalCharacter(g.hm, acc)
+    return MappingProxyType(acc)

@@ -12,14 +12,13 @@ handled by removing boundary degrees of freedom, makes each component
 matrix overdetermined by one.  Kernel dimensions are then plain counts of
 small singular values, auditable against an explicit inconclusive band.
 A cylinder table is read from one such 1-D report (`cylinder_table`).
+numpy and scipy load inside the functions that compute, not on import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .branching import KTypeTable
 
@@ -58,7 +57,8 @@ class GridSpec:
     def npoints(self) -> int:
         return int(round(2 * self.halfwidth / self.step)) + 1
 
-    def nodes(self) -> np.ndarray:
+    def nodes(self):
+        import numpy as np
         return np.linspace(-self.halfwidth, self.halfwidth, self.npoints)
 
 
@@ -85,6 +85,7 @@ def _component_matrices(grid: GridSpec, scale: float):
     Odd component: columns are midpoints, rows are all nodes (stencil values
     beyond the boundary are Dirichlet zeros).  Both are rows = cols + 1.
     """
+    import numpy as np
     n = grid.npoints
     h = grid.step
     x = grid.nodes()
@@ -106,11 +107,11 @@ def _component_matrices(grid: GridSpec, scale: float):
     return even, odd
 
 
-def _band_count(svals: np.ndarray, tol: float):
+def _band_count(svals, tol: float):
     """(count below tol, inside-band flag) for the ambiguity band
     [tol/10, 10*tol]."""
-    inside = np.any((svals >= tol / 10) & (svals <= tol * 10))
-    return int(np.sum(svals < tol)), bool(inside)
+    inside = ((svals >= tol / 10) & (svals <= tol * 10)).any()
+    return int((svals < tol).sum()), bool(inside)
 
 
 def oscillator_1d(grid: GridSpec, svd_tol: float,
@@ -121,6 +122,7 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
     the grid Gaussian; the odd component's formal solution grows like
     exp(+x^2/2) and is rejected by the boundary, so its kernel is empty.
     """
+    import numpy as np
     if svd_tol <= 0:
         raise ValueError("svd_tol must be positive")
     even, odd = _component_matrices(grid, potential_scale)
@@ -157,6 +159,7 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     The even block couples degrees 0 and 2 through the two odd components;
     staggering per axis matches the 1-D scheme.
     """
+    import numpy as np
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -375,30 +376,63 @@ def test_short_certificate_raises_cutoff_error(monkeypatch):
             evaluate()
 
 
-@pytest.mark.parametrize("foreign", [HMLattice(3, "elsewhere", (2, 0, -2)),
-                                     HMLattice(2, GU.hm.lattice, (1, 1))])
-@pytest.mark.parametrize("mode", ["partition", "series"])
-def test_restricted_ktype_on_a_foreign_lattice_raises(mode, foreign):
-    prep = branching._prepare(GU, su21_from_lambda(GU, [3, 1, -1]))
-    home = restrict_to_hm(GU, KType(GU.t_weight([4, 1, -2])))
-    res = FormalCharacter(foreign, {foreign.char(foreign.zero_weight()): 1})
-    with pytest.raises(LatticeError):
-        branching._EVALUATORS[mode](prep, [home, res])
+def test_restrict_to_hm_does_no_weight_work(monkeypatch):
+    kts = ktypes.enumerate_ktypes(GU, 4)
+    weights = {kt: weight_multiplicities(GU, kt) for kt in kts}
+    monkeypatch.setattr(ktypes, "weight_multiplicities",
+                        lambda g, kt: weights[kt])
+    restrict_to_hm.cache_clear()
+    calls = _count_calls(monkeypatch, (HMLattice, "char"),
+                         (HMLattice, "height2"), (Weight, "__add__"),
+                         (groups.RealGroupData, "restrict_weight"))
+    restricted = [restrict_to_hm(GU, kt) for kt in kts]
+    assert calls == {}
+    assert sum(len(res) for res in restricted) > 1000
+
+
+@pytest.mark.parametrize("kt", [
+    KType(Weight((4, 1, -2), "elsewhere")),           # off the lattice
+    KType(GU.t_weight([4, 1])),                       # wrong rank
+    KType(Weight((3, 1, -1), GU.t_lattice.lattice, 2)),  # half-integral
+    KType(GU.t_weight([1, 4, -2])),                   # not dominant
+])
+def test_ktype_off_the_group_lattice_raises(kt):
+    p = su21_from_lambda(GU, [3, 1, -1])
+    for evaluate in (lambda: weight_multiplicities(GU, kt),
+                     lambda: restrict_to_hm(GU, kt),
+                     lambda: ktype_multiplicity(GU, p, kt, "partition"),
+                     lambda: ktype_multiplicity(GU, p, kt, "series")):
+        with pytest.raises(LatticeError):
+            evaluate()
+
+
+# a rank-2 torus restricting onto the compact Cartan of SL(2,R): each cone
+# point has a whole line of preimages, and Z' splits them by parity
+SL2XU1 = load_group_data(json.dumps({
+    "name": "sl2xu1",
+    "k": {"rank": 2, "roots": [], "positives": [], "simples": []},
+    "m": {"rank": 1, "roots": [[2], [-2]], "positives": [[2]],
+          "compact_flags": [False, False]},
+    "restricted": {"dim_a": 0, "roots": [], "positives": []},
+    "tM_in_t": [[1, 0]],
+    "zmprime": {"order": 2, "generators": [
+        {"v": ["1/2", "1/2"], "char_table_row": [0, 1]}]},
+    "dims": {"s_M": 2, "a": 0}}))
+
+
+@pytest.mark.parametrize("g", [GC, GS, SL2XU1], ids=lambda g: g.name)
+def test_zchar_is_the_fraction_evaluation(g):
+    order = g.hm.ztable.order
+    for mu in itertools.product(range(-6, 7), repeat=g.k_roots.rank):
+        values = [order * sum(Fraction(c) * v for c, v in zip(mu, gen.v))
+                  for gen in g.zgens]
+        assert all(x.denominator == 1 for x in values)
+        want = g.hm.ztable.index_of[tuple(int(x) % order for x in values)]
+        assert g.zchar(mu) == want
 
 
 def test_blattner_fibres_of_a_non_injective_restriction():
-    # a rank-2 torus restricting onto the compact Cartan of SL(2,R): each
-    # cone point has a whole line of preimages, and Z' splits them by parity
-    doc = {"name": "sl2xu1",
-           "k": {"rank": 2, "roots": [], "positives": [], "simples": []},
-           "m": {"rank": 1, "roots": [[2], [-2]], "positives": [[2]],
-                 "compact_flags": [False, False]},
-           "restricted": {"dim_a": 0, "roots": [], "positives": []},
-           "tM_in_t": [[1, 0]],
-           "zmprime": {"order": 2, "generators": [
-               {"v": ["1/2", "1/2"], "char_table_row": [0, 1]}]},
-           "dims": {"s_M": 2, "a": 0}}
-    g = load_group_data(json.dumps(doc))
+    g = SL2XU1
     p = TemperedParams(g.tm_weight([3]), (g.tm_weight([2]),), 1,
                        g.a_weight([]))
     t = ktype_table(g, p, 4)
@@ -466,8 +500,7 @@ def su21_holomorphic_oracle(lam_coords, window, margin=14):
     base = tuple(lam_coords[i] + (-rho_c[i] + rho_n[i]) // 2 for i in range(3))
     total = Counter()
     wm = weight_multiplicities(GU, KType(GU.t_weight(base)))
-    for c, m in wm.items():
-        w0 = c.tweight.coords
+    for w0, m in wm.items():
         for m1 in range(margin):
             for m2 in range(margin):
                 w = (w0[0] + m1, w0[1] + m2, w0[2] - m1 - m2)
@@ -485,9 +518,9 @@ def su21_holomorphic_oracle(lam_coords, window, margin=14):
         top = max(live, key=lambda w: (height(w), w))
         m = total[top]
         assert m > 0, "strip algorithm went negative"
-        for c, mm in weight_multiplicities(
+        for w, mm in weight_multiplicities(
                 GU, KType(GU.t_weight(top))).items():
-            total[c.tweight.coords] -= m * mm
+            total[w] -= m * mm
         table[top] = m
         if all(v == 0 for v in total.values()):
             break

@@ -4,10 +4,15 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kbranch
 from kbranch import branching
 from kbranch.cli import MAX_WINDOW, main
 from kbranch.oscillator import MAX_GRID_POINTS
@@ -211,10 +216,34 @@ def _undecodable(doc):
     return b"\xff\xfe{}"  # not UTF-8
 
 
+def _boolean(*path_and_value):
+    """A mutation setting doc[path...] to a value holding JSON booleans,
+    which are not integers; named after the path for the test id."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for p in path:
+            doc = doc[p]
+        doc[key] = value
+    mutate.__name__ = "_boolean_" + "_".join(map(str, (*path, key)))
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, invariant", [
     (_zero_denominator, "zmprime table"),
     (_unpointed_k_positives, "simple decomposition"),
     (_undecodable, "schema"),
+    (_boolean("k", "rank", True), "schema"),
+    (_boolean("m", "rank", True), "schema"),
+    (_boolean("tM_in_t", [[True]]), "schema"),
+    (_boolean("dims", "a", False), "schema"),
+    (_boolean("dims", "s_M", True), "schema"),
+    (_boolean("restricted", "dim_a", False), "schema"),
+    (_boolean("zmprime", "order", True), "schema"),
+    (_boolean("m", "positives", [[True]]), "schema"),
+    (_boolean("zmprime", "generators", 0, "char_table_row", [False, True]),
+     "zmprime table"),
+    (_boolean("zmprime", "generators", 0, "v", [True]), "zmprime table"),
 ])
 def test_validate_malformed_group_file_exits_4(tmp_path, capsys, mutate,
                                                invariant):
@@ -231,6 +260,21 @@ def test_validate_malformed_group_file_exits_4(tmp_path, capsys, mutate,
                          '{"series":"discrete","n":3,"sign":"+"}')
     assert (code, out) == (4, "")
     assert f"error: {invariant}" in err
+
+
+def test_cli_and_table_leave_numpy_unloaded():
+    script = ("import sys\n"
+              "from kbranch.cli import main\n"
+              "assert 'numpy' not in sys.modules\n"
+              "assert main(['table', '--group', 'su21', '--params',"
+              " '{\"lambda\": [3, 1, -1]}', '--window', '16']) == 0\n"
+              "assert 'numpy' not in sys.modules, 'table loaded numpy'\n")
+    src = str(Path(kbranch.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ktype_highest_weight,")
 
 
 def test_validate_rank_above_cap_exits_4(tmp_path, capsys):

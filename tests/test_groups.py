@@ -193,11 +193,11 @@ def test_rho_characterization():
 
 def test_zchar_evaluation_on_shipped_groups():
     gc = builtin_group("sl2r-compact")
-    assert gc.zchar_of_t_weight(gc.t_weight([2])) == 0
-    assert gc.zchar_of_t_weight(gc.t_weight([3])) == 1
+    assert gc.zchar((2,)) == 0
+    assert gc.zchar((3,)) == 1
     gs = builtin_group("sl2r-split")
-    assert gs.zchar_of_t_weight(gs.t_weight([2])) == 0
-    assert gs.zchar_of_t_weight(gs.t_weight([3])) == 1
+    assert gs.zchar((2,)) == 0
+    assert gs.zchar((3,)) == 1
 
 
 def test_restriction_map():

@@ -1,8 +1,9 @@
 """Finite-difference oscillator kernels and the cylinder table."""
 
+import sys
+
 import pytest
 
-from kbranch import oscillator
 from kbranch.oscillator import (GridSpec, GridError, InconclusiveKernelError,
                                 cylinder_sl2, cylinder_table, oscillator_1d,
                                 oscillator_nd)
@@ -19,7 +20,7 @@ def test_grid_validation(monkeypatch):
         GridSpec(-1.0, 0.1)
     with monkeypatch.context() as m:
         # 2001 points: refused before numpy builds any array
-        m.setattr(oscillator, "np", None)
+        m.setitem(sys.modules, "numpy", None)  # importing it would raise
         with pytest.raises(GridError, match="2001 points; at most 2000"):
             GridSpec(8.0, 16 / 2000)
     with pytest.raises(GridError):
