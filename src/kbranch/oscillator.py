@@ -11,8 +11,9 @@ component on midpoints - which is second-order accurate and, with Dirichlet
 handled by removing boundary degrees of freedom, makes each component
 matrix overdetermined by one.  Kernel dimensions are then plain counts of
 small singular values, auditable against an explicit inconclusive band.
+The 1-D Gaussian comes from inverse iteration, not from U/V of an SVD.
 A cylinder table is read from one such 1-D report (`cylinder_table`).
-numpy and scipy load inside the functions that compute, not on import.
+numpy loads inside the functions that compute, scipy in `oscillator_nd`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Optional
 
 from .branching import KTypeTable
 
-MAX_GRID_POINTS = 2000  # the dense SVDs take O(n^2) memory
+MAX_GRID_POINTS = 2000  # the dense 1-D SVDs and solve take O(n^2) memory
+MAX_GRID_POINTS_2D = 241  # oscillator_nd: ~2 m^2 unknowns, cost about m^3
 
 
 class GridError(ValueError):
@@ -67,7 +69,8 @@ class KernelReport:
     """Kernel dimensions with the singular values that justify them.
 
     Dimensions are None when the singular values fall inside the
-    inconclusive band around the tolerance.
+    inconclusive band around the tolerance.  From `oscillator_nd` the even
+    values are the residuals ||A v|| / ||v|| of its ev + 1 Ritz vectors.
     """
 
     kernel_dim_even: Optional[int]
@@ -91,19 +94,15 @@ def _component_matrices(grid: GridSpec, scale: float):
     x = grid.nodes()
     mid = (x[:-1] + x[1:]) / 2
 
+    j = np.arange(n - 2)  # midpoint j lies between nodes j and j + 1
     even = np.zeros((n - 1, n - 2))
-    for i in range(n - 1):
-        for node, coef in ((i, -1.0 / h + scale * mid[i] / 2),
-                           (i + 1, 1.0 / h + scale * mid[i] / 2)):
-            if 1 <= node <= n - 2:
-                even[i, node - 1] += coef
+    even[j, j] = 1.0 / h + scale * mid[:-1] / 2
+    even[j + 1, j] = -1.0 / h + scale * mid[1:] / 2
 
+    j = np.arange(n - 1)
     odd = np.zeros((n, n - 1))
-    for i in range(n):
-        if i - 1 >= 0:
-            odd[i, i - 1] = 1.0 / h + scale * x[i] / 2
-        if i <= n - 2:
-            odd[i, i] = -1.0 / h + scale * x[i] / 2
+    odd[j + 1, j] = 1.0 / h + scale * x[1:] / 2
+    odd[j, j] = -1.0 / h + scale * x[:-1] / 2
     return even, odd
 
 
@@ -127,15 +126,18 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
         raise ValueError("svd_tol must be positive")
     even, odd = _component_matrices(grid, potential_scale)
 
-    u, s_even, vt = np.linalg.svd(even)
+    s_even = np.linalg.svd(even, compute_uv=False)
     s_odd = np.linalg.svd(odd, compute_uv=False)
     dim_even, amb_even = _band_count(s_even, svd_tol)
     dim_odd, amb_odd = _band_count(s_odd, svd_tol)
 
+    # kernel vector: two inverse-iteration steps from a fixed start
+    ata = even.T @ even
+    v = np.linalg.solve(ata, np.linalg.solve(ata, np.ones(len(ata))))
+    v /= np.linalg.norm(v)
     xi = grid.nodes()[1:-1]
     gauss = np.exp(-potential_scale * xi ** 2 / 2)
     gauss /= np.linalg.norm(gauss)
-    v = vt[-1]
     err = min(np.linalg.norm(v - gauss), np.linalg.norm(v + gauss))
 
     ambiguous = amb_even or amb_odd
@@ -159,12 +161,15 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     The even block couples degrees 0 and 2 through the two odd components;
     staggering per axis matches the 1-D scheme.
     """
+    if n != 2:
+        raise ValueError("desk scale covers n = 2 only")
+    if grid.npoints > MAX_GRID_POINTS_2D:
+        raise GridError(f"the 2-D grid would have {grid.npoints} points per "
+                        f"axis; at most {MAX_GRID_POINTS_2D} are allowed")
     import numpy as np
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    if n != 2:
-        raise ValueError("desk scale covers n = 2 only")
     rep1 = oscillator_1d(grid, svd_tol, potential_scale)
     if rep1.inconclusive:
         raise InconclusiveKernelError(
@@ -184,10 +189,14 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     A = sp.bmat([[sp.kron(P, E), -sp.kron(I1, M)],
                  [sp.kron(E, P), sp.kron(M, I1)]], format="csc")
     ata = (A.T @ A).tocsc()
-    # a fixed start vector makes ARPACK, and so the report, reproducible
+    # shift-invert on one MMD-ordered factorisation; ev + 1 pairs confirm
+    # the kernel dimension and the gap above it; a fixed start, reproducible
+    lu = spla.splu(ata, permc_spec="MMD_AT_PLUS_A")
+    opinv = spla.LinearOperator(ata.shape, lu.solve, dtype=ata.dtype)
     v0 = np.random.default_rng(0).standard_normal(ata.shape[0])
-    vals, vecs = spla.eigsh(ata, k=4, sigma=0, which="LM", v0=v0)
-    svals = np.sqrt(np.abs(np.sort(vals)))
+    vals, vecs = spla.eigsh(ata, k=ev + 1, sigma=0, v0=v0, OPinv=opinv)
+    # residuals, as sqrt(|eigenvalue|) stops at the rounding floor of A^T A
+    svals = np.linalg.norm(A @ vecs, axis=0) / np.linalg.norm(vecs, axis=0)
     dim, ambiguous = _band_count(svals, svd_tol)
     if ambiguous:
         raise InconclusiveKernelError(

@@ -233,9 +233,9 @@ def suite_dirac(grid: GridSpec = GridSpec(8.0, 0.05),
                 svd_tol: float = 1e-6) -> list[Check]:
     """Checks read from `deformation_scales(grid, svd_tol)`, except the 2-D
     check: it ignores both and runs on GridSpec(6, 0.1) at svd_tol 1e-5, as
-    its smallest singular value, 6.82e-8 (the truncation floor at L = 6),
-    lies 1.17 decades below the band at 1e-5, only 0.17 below [1e-7, 1e-5]
-    at the default 1e-6."""
+    its smallest singular value, the residual 5.94e-8 (the truncation error
+    at L = 6), lies 1.23 decades below the band at 1e-5, only 0.23 below
+    [1e-7, 1e-5] at the default 1e-6."""
     checks = []
     scales = deformation_scales(grid, svd_tol)
 

@@ -1,12 +1,17 @@
 """Finite-difference oscillator kernels and the cylinder table."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import kbranch
 from kbranch.oscillator import (GridSpec, GridError, InconclusiveKernelError,
-                                cylinder_sl2, cylinder_table, oscillator_1d,
-                                oscillator_nd)
+                                _component_matrices, cylinder_sl2,
+                                cylinder_table, oscillator_1d, oscillator_nd)
 from kbranch.sl2_oracles import SL2Series, oracle_match
 
 GRID = GridSpec(8.0, 0.05)
@@ -27,6 +32,38 @@ def test_grid_validation(monkeypatch):
         GridSpec(8.0, 0.0512)  # point count not odd/symmetric
     assert GRID.npoints == 321
     assert GRID.npoints % 2 == 1
+
+
+def test_nd_grid_cap(monkeypatch):
+    big = GridSpec(12.1, 0.1)  # 243 points per axis; 1-D allows it
+    msg = "243 points per axis; at most 241 are allowed"
+    with monkeypatch.context() as m:
+        # refused before numpy or scipy is imported
+        for mod in ("numpy", "scipy", "scipy.sparse", "scipy.sparse.linalg"):
+            m.setitem(sys.modules, mod, None)
+        with pytest.raises(GridError, match=msg):
+            oscillator_nd(2, big, 1e-5)
+
+
+def test_component_matrices_match_stencil_loops():
+    # reference: the stencils entry by entry, as Python loops
+    for grid in (GridSpec(8.0, 0.05), GridSpec(1.0, 0.5)):
+        for f in (0.0, 1.0, 0.37):
+            n, h, x = grid.npoints, grid.step, grid.nodes()
+            mid = (x[:-1] + x[1:]) / 2
+            even, odd = np.zeros((n - 1, n - 2)), np.zeros((n, n - 1))
+            for i in range(n - 1):
+                if i >= 1:
+                    even[i, i - 1] = -1.0 / h + f * mid[i] / 2
+                if i <= n - 3:
+                    even[i, i] = 1.0 / h + f * mid[i] / 2
+            for i in range(n):
+                if i >= 1:
+                    odd[i, i - 1] = 1.0 / h + f * x[i] / 2
+                if i <= n - 2:
+                    odd[i, i] = -1.0 / h + f * x[i] / 2
+            got = _component_matrices(grid, f)
+            assert np.array_equal(got[0], even) and np.array_equal(got[1], odd)
 
 
 def test_oscillator_kernel_dimensions():
@@ -94,8 +131,20 @@ def test_nd_explicit_2d_confirmation():
     rep2 = oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
     assert (rep2.kernel_dim_even, rep2.kernel_dim_odd) == (1, 0)
     assert rep2.gaussian_l2_error < 5e-3
+    # ev + 1 residuals: the truncation error at L = 6, then the gap
+    s1 = rep2.even_singular_values
+    assert len(s1) == 2
+    assert s1[0] == pytest.approx(5.94e-8, rel=1e-2)
+    assert s1[1] > 1.4
     # reproducible to the last digit: ARPACK starts from a fixed vector
     assert oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5) == rep2
+
+
+def test_nd_singular_values_are_residuals():
+    # ||A v|| / ||v|| of the Ritz vector, not sqrt of its eigenvalue of
+    # A^T A, which stops near 7.7e-8 at scale 2
+    rep = oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5, potential_scale=2.0)
+    assert rep.even_singular_values[0] < 1e-12
 
 
 def test_cylinder_tables_match_oracles():
@@ -117,3 +166,44 @@ def test_gaussian_vector_really_is_the_gaussian():
     # the minimal singular vector reproduces exp(-x^2/2) pointwise
     rep = oscillator_1d(GRID, TOL)
     assert rep.gaussian_l2_error == pytest.approx(0, abs=5e-4)
+
+
+def test_1d_gaussian_matches_full_svd(monkeypatch):
+    real_svd = np.linalg.svd
+    calls = []
+
+    def svd_values_only(a, *args, **kwargs):
+        assert kwargs.get("compute_uv") is False, "asked for U/V"
+        calls.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    for grid in (GridSpec(8.0, 0.05), GridSpec(6.0, 0.1)):
+        xi = grid.nodes()[1:-1]
+        for f in (1.0, 2.0, 4.0):
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", svd_values_only)
+                rep = oscillator_1d(grid, TOL, potential_scale=f)
+            v = real_svd(_component_matrices(grid, f)[0])[2][-1]
+            v *= np.sign(v.sum())
+            gauss = np.exp(-f * xi ** 2 / 2)
+            want = np.linalg.norm(v - gauss / np.linalg.norm(gauss))
+            # unit vectors within 1e-12 of each other give errors within
+            # 1e-12 of each other (triangle inequality)
+            assert rep.gaussian_l2_error == pytest.approx(want, abs=1e-12)
+    assert len(calls) == 12  # both components, six grids and scales
+
+
+def test_1d_and_cylinder_leave_scipy_unloaded():
+    script = ("import sys\n"
+              "from kbranch.oscillator import GridSpec, cylinder_sl2, "
+              "oscillator_1d\n"
+              "grid = GridSpec(8.0, 0.05)\n"
+              "assert oscillator_1d(grid, 1e-6).kernel_dim_even == 1\n"
+              "assert cylinder_sl2('even', 4, grid, 1e-6).entries\n"
+              "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+              "assert not loaded, loaded\n")
+    src = str(Path(kbranch.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
