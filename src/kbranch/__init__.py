@@ -10,7 +10,7 @@ from .characters import (ConeError, CutoffError, FormalCharacter, HMCharacter,
                          graded_exterior, kostant_partition, pairing, weight)
 from .groups import (GroupDataError, RealGroupData, RootSystem, WeylElement,
                      builtin_group, builtin_group_names, load_group_data,
-                     rho_half_sum, weyl_group)
+                     weyl_group)
 from .ktypes import (KType, enumerate_ktypes, restrict_to_hm,
                      weight_multiplicities, weyl_dimension)
 from .oscillator import (GridSpec, InconclusiveKernelError, KernelReport,

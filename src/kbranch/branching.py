@@ -10,7 +10,8 @@ The engine realises the branching rule
 
 in two steps.  Preparation validates the parameters once and derives
 what every K-type shares: the lattice graded by the parameters' positive
-system, the base character lambda - rho_c + rho_n, the noncompact
+system, whose rho gives the base character lambda - rho_c + rho_n as
+lambda - rho + (sum of the noncompact positives), the noncompact
 positives and the signed compact-subset offsets.  What the group alone
 determines (W_K, rho_K, compactness, the fibres of the torus restriction)
 is derived once when the group is loaded, and read here.
@@ -47,11 +48,10 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .characters import (CutoffError, FormalCharacter, HMCharacter,
-                         HMLattice, LatticeError, Weight, dot,
-                         geometric_series, graded_exterior, partition_counts,
-                         weight)
+                         HMLattice, Weight, dot, geometric_series,
+                         graded_exterior, partition_counts)
 from .groups import (GroupDataError, RealGroupData, WeylElement, matvec,
-                     rho_half_sum, root_sum, simple_roots)
+                     simple_roots)
 from .ktypes import KType, enumerate_ktypes, is_dominant, restrict_to_hm
 
 
@@ -136,9 +136,9 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
         return invalid("positive system does not split the roots into halves")
 
     # a genuine positive system is separated by its own root sum
-    two_rho = weight(root_sum(p.rmplus, g.hm.rank), g.hm.lattice)
+    hm = HMLattice.graded(g.hm.rank, g.hm.lattice, p.rmplus)
     for a in p.rmplus:
-        if dot(a, two_rho) <= 0:
+        if hm.height2(a) <= 0:
             return invalid(
                 f"chosen positive system is not pointed at {a.coords}")
 
@@ -147,19 +147,17 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
             return invalid(
                 f"parameter is not dominant for the root {a.coords}")
 
-    rho = rho_half_sum(p.rmplus, rank=g.hm.rank, lattice=g.hm.lattice)
-    shifted = p.lam - rho
+    shifted = p.lam - hm.rho
     if not shifted.is_integral():
         return invalid("parameter minus rho does not lift to the torus")
 
     # component character must agree with the shifted parameter on the
     # overlap of the torus with the finite group
     order = g.hm.ztable.order
-    for j, gen in enumerate(g.zgens):
-        if gen.w is None:
+    for j, w in enumerate(g.zgen_w):
+        if w is None:
             continue  # generator lies outside the small torus
-        val = order * sum(Fraction(c) * x
-                          for c, x in zip(shifted.coords, gen.w))
+        val = order * sum(Fraction(c) * x for c, x in zip(shifted.coords, w))
         if val.denominator != 1:
             return invalid("shifted parameter has no exact value at a "
                            "component generator")
@@ -211,15 +209,13 @@ def _prepare(g: RealGroupData, p: TemperedParams,
         return None
     if verdict.verdict != "nonzero":
         raise InvalidParamsError(verdict)
-    rank, lattice = g.hm.rank, g.hm.lattice
-    hm = HMLattice(rank, lattice, root_sum(p.rmplus, rank), g.hm.ztable)
+    hm = HMLattice.graded(g.hm.rank, g.hm.lattice, p.rmplus, g.hm.ztable)
     compact = tuple(g.compact_positives(p.rmplus))
     noncompact = tuple(g.noncompact_positives(p.rmplus))
-    base = (p.lam - rho_half_sum(compact, rank=rank, lattice=lattice)
-            + rho_half_sum(noncompact, rank=rank, lattice=lattice))
-    if not base.is_integral():
-        raise LatticeError("shifted parameter is not a lattice weight")
-    offsets = tuple(((-1) ** r, root_sum((base, *sub), rank))
+    # lambda - rho + (sum of noncompact positives) = lambda - rho_c + rho_n,
+    # integral since validation checked lambda - rho
+    base = sum(noncompact, p.lam - hm.rho)
+    offsets = tuple(((-1) ** r, sum(sub, base).coords)
                     for r in range(len(compact) + 1)
                     for sub in itertools.combinations(compact, r))
     return _Prepared(hm, hm.char(base, p.chi), compact, noncompact, offsets)

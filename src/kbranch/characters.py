@@ -178,6 +178,25 @@ class HMLattice:
         if len(self.height_vec) != self.rank:
             raise LatticeError("height covector has wrong rank")
 
+    @classmethod
+    def graded(cls, rank: int, lattice: str, positives: Iterable[Weight],
+               ztable: ZCharTable = TRIVIAL_Z) -> "HMLattice":
+        """The lattice graded by a positive system: height_vec is the sum of
+        its roots, twice its rho."""
+        positives = tuple(positives)
+        for r in positives:
+            if r.lattice != lattice or r.rank != rank or not r.is_integral():
+                raise LatticeError(f"{r.coords} is not an integral weight of "
+                                   f"lattice {lattice!r} of rank {rank}")
+        return cls(rank, lattice, tuple(sum(r.coords[i] for r in positives)
+                                        for i in range(rank)), ztable)
+
+    @property
+    def rho(self) -> Weight:
+        """Half the height covector: the rho of the grading positive system,
+        exact in the doubled lattice."""
+        return weight(self.height_vec, self.lattice, denom=2)
+
     def height2(self, w: Weight) -> int:
         """Doubled height (mu, height_vec); integer for integral weights."""
         if w.lattice != self.lattice or w.rank != self.rank:

@@ -132,11 +132,18 @@ def cmd_verify(args) -> int:
     kwargs = {}
     if args.suite == "dirac":
         try:
-            kwargs["grid"] = GridSpec(args.grid_L, args.grid_h)
+            kwargs["grid"] = GridSpec(args.grid_L or 8.0, args.grid_h or 0.05)
         except GridError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_INVALID_PARAMS
-        kwargs["svd_tol"] = args.svd_tol
+        kwargs["svd_tol"] = args.svd_tol or 1e-6
+    else:  # refuse a flag the suite would ignore
+        for flag in ("grid_L", "grid_h", "svd_tol"):
+            if getattr(args, flag) is not None:
+                print(f"error: --{flag.replace('_', '-')} applies to verify "
+                      f"dirac only, not to verify {args.suite}",
+                      file=sys.stderr)
+                return EXIT_INVALID_PARAMS
     report = verify_mod.run_suite(args.suite, **kwargs)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     try:
@@ -206,9 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(verify_mod.SUITES))
-    v.add_argument("--grid-L", type=_positive, default=8.0)
-    v.add_argument("--grid-h", type=_positive, default=0.05)
-    v.add_argument("--svd-tol", type=_positive, default=1e-6)
+    # verify dirac only; unset, they read 8.0, 0.05 and 1e-6
+    v.add_argument("--grid-L", type=_positive)
+    v.add_argument("--grid-h", type=_positive)
+    v.add_argument("--svd-tol", type=_positive)
     v.add_argument("--out", help="output path (default stdout)")
     v.set_defaults(func=cmd_verify)
 

@@ -5,14 +5,16 @@ root system of the maximal compact subgroup, the root system of the Levi
 factor with compact/noncompact labels, the restricted roots, the torus
 restriction matrix and the finite component group of the compact Cartan.
 Loading validates every structural invariant and names the first violated
-one, and derives, once per group, the root data the engine reads: the Weyl
-group of K, the shift w rho_K - rho_K of each of its elements, the
-compactness of each Levi root, the fibres of the torus restriction and
-whether Blattner's formula applies.  Weight coordinates are, by
-convention, orthonormal for an invariant inner product; this is what makes
-coroot pairings exact integers and is enforced by the crystallographic
-checks below.  The Z' character of a T-weight is one integer product with
-the rows order * v of the generators, looked up in the character table.
+one, and derives, once per group, the root data the engine reads: the
+lattices of T and T_M graded by the positive systems of K and of the Levi
+factor (with their rho), the Weyl group of K, the shift w rho_K - rho_K of
+each of its elements, the compactness of each Levi root, the fibres of the
+torus restriction and whether Blattner's formula applies.  Weight
+coordinates are, by convention, orthonormal for an invariant inner
+product; this is what makes coroot pairings exact integers and is enforced
+by the crystallographic checks below.  The Z' character of a T-weight is
+one integer product with the rows order * v of the generators, looked up
+in the character table.
 """
 
 from __future__ import annotations
@@ -72,38 +74,11 @@ def matvec(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(a * x for a, x in zip(row, v)) for row in mat)
 
 
-def root_sum(roots: Sequence[Weight], rank: int) -> tuple[int, ...]:
-    """Coordinatewise sum of the roots: twice rho for a positive system,
-    and a height covector positive on it."""
-    return tuple(sum(r.coords[i] for r in roots) for i in range(rank))
-
-
 def simple_roots(positives: Sequence[Weight]) -> tuple[Weight, ...]:
     """The indecomposable positives: those not the sum of two positives."""
     pos = [p.coords for p in positives]
     sums = {tuple(a + b for a, b in zip(q, r)) for q in pos for r in pos}
     return tuple(p for p in positives if p.coords not in sums)
-
-
-def rho_half_sum(roots: Sequence[Weight], *, rank: Optional[int] = None,
-                 lattice: str = "t") -> Weight:
-    """Half the sum of the given weights, exact in the doubled lattice.
-
-    For an empty collection the ambient rank (and lattice) must be given.
-    """
-    roots = list(roots)
-    if not roots:
-        if rank is None:
-            raise ValueError("rho of an empty collection needs an explicit rank")
-        return Weight((0,) * rank, lattice)
-    lattice = roots[0].lattice
-    rank = roots[0].rank
-    for r in roots:
-        if not r.is_integral():
-            raise LatticeError("roots must be integral")
-        if r.lattice != lattice or r.rank != rank:
-            raise LatticeError("mixed lattices in rho computation")
-    return weight(root_sum(roots, rank), lattice, denom=2)
 
 
 def _reflection_matrix(alpha: Weight, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -244,19 +219,6 @@ def _parse_fraction(v, inv):
 
 
 @dataclass(frozen=True)
-class ZGenerator:
-    """Generator of the finite component group Z', with evaluation vectors.
-
-    v evaluates weights of the big torus at this generator:
-    value = exp(2*pi*i*<mu, v>).  w is the analogous vector on the small
-    torus when the generator lies in it (None otherwise).
-    """
-
-    v: tuple[Fraction, ...]
-    w: Optional[tuple[Fraction, ...]]
-
-
-@dataclass(frozen=True)
 class RealGroupData:
     """Validated group data, with the root data derived from it once, at
     load.  Equality compares every field; the hash reads the name only, so
@@ -265,18 +227,17 @@ class RealGroupData:
     name: str
     k_roots: RootSystem
     m_roots: RootSystem
-    compact_flags: tuple[bool, ...]          # aligned with m_roots.roots
-    restricted_roots: tuple[Weight, ...]
-    restricted_positives: tuple[Weight, ...]
     dim_a: int
     tm_in_t: tuple[tuple[int, ...], ...]     # (rank tM) x (rank t)
-    zgens: tuple[ZGenerator, ...]
+    # per Z' generator, w with value exp(2*pi*i*<mu, w>) at a weight mu of
+    # T_M, or None where the generator lies outside T_M
+    zgen_w: tuple[Optional[tuple[Fraction, ...]], ...]
     zchar_rows: tuple[tuple[int, ...], ...]  # order * v, per Z' generator
     hm: HMLattice                            # characters of H_M live here
-    t_lattice: HMLattice                     # characters of T live here
+    t_lattice: HMLattice                     # characters of T, graded by K
     dim_s_m: int
     checklist: tuple[str, ...]
-    # derived at load; twice rho_K is t_lattice.height_vec
+    # derived at load; rho_K is t_lattice.rho
     compact_of: dict[tuple[int, ...], bool]  # Levi root -> compact flag
     k_weyl: tuple[WeylElement, ...]
     k_rho_shifts: tuple[tuple[int, ...], ...]  # w rho_K - rho_K, per k_weyl
@@ -350,7 +311,7 @@ def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
 
 
 def _solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]
-                    ) -> Optional[list[Fraction]]:
+                    ) -> Optional[tuple[Fraction, ...]]:
     """Solve mat @ x = rhs exactly; None if inconsistent."""
     ncols = len(mat[0]) if mat else 0
     aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
@@ -360,7 +321,7 @@ def _solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]
     x = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
         x[c] = aug[i][ncols]
-    return x
+    return tuple(x)
 
 
 @dataclass(frozen=True)
@@ -489,25 +450,25 @@ def _build(doc: dict) -> RealGroupData:
         _parse_weight_list(_require(k, "positives", list), k_rank, t_lab, "schema"),
         _parse_weight_list(_require(k, "simples", list), k_rank, t_lab, "schema"))
     k_weyl = _validate_root_system(k_roots, "k", checklist)
-    two_rho = root_sum(k_roots.positives, k_rank)
+    t_lattice = HMLattice.graded(k_rank, t_lab, k_roots.positives)
+    rho_k = t_lattice.rho
     k_rho_shifts = []
     for w in k_weyl:
-        diff = [a - r for a, r in zip(matvec(w.matrix, two_rho), two_rho)]
-        if any(x % 2 for x in diff):
+        shift = w.apply(rho_k) - rho_k
+        if not shift.is_integral():
             raise GroupDataError("Weyl closure", f"k: w rho - rho is not "
                                                  f"integral for {w.matrix}")
-        k_rho_shifts.append(tuple(x // 2 for x in diff))
+        k_rho_shifts.append(shift.coords)
 
     # ---- m root system with compact flags ----------------------------------
     m = doc["m"]
     m_rank = _require(m, "rank", int, cap=_RANK_CAP)
     m_all = _parse_weight_list(_require(m, "roots", list), m_rank, tm_lab, "schema")
     m_pos = _parse_weight_list(_require(m, "positives", list), m_rank, tm_lab, "schema")
-    flags_raw = _require(m, "compact_flags", list)
-    if len(flags_raw) != len(m_all) or not all(isinstance(f, bool) for f in flags_raw):
+    flags = _require(m, "compact_flags", list)
+    if len(flags) != len(m_all) or not all(isinstance(f, bool) for f in flags):
         raise GroupDataError("schema",
                              "compact_flags must be booleans aligned with m.roots")
-    flags = tuple(flags_raw)
     m_roots = RootSystem(m_rank, m_all, m_pos, simple_roots(m_pos))
     _validate_root_system(m_roots, "m", checklist)
 
@@ -523,11 +484,11 @@ def _build(doc: dict) -> RealGroupData:
     restr = doc["restricted"]
     dim_a = _require(restr, "dim_a", int)
     a_lab = f"{name}:a"
-    r_roots = _parse_weight_list(_require(restr, "roots", list), dim_a, a_lab, "schema")
+    _parse_weight_list(_require(restr, "roots", list), dim_a, a_lab, "schema")
     r_pos = _parse_weight_list(_require(restr, "positives", list), dim_a, a_lab, "schema")
-    two_rho_a = root_sum(r_pos, dim_a)
+    cone = HMLattice.graded(dim_a, a_lab, r_pos)
     for b in r_pos:
-        if sum(x * y for x, y in zip(b.coords, two_rho_a)) <= 0:
+        if cone.height2(b) <= 0:
             raise GroupDataError(
                 "restricted pointed cone",
                 f"no linear functional separates {b.coords}")
@@ -591,13 +552,9 @@ def _build(doc: dict) -> RealGroupData:
     checklist.append("zmprime integrality")
 
     # descent to the small torus where the generator lies in it
-    zgens = []
-    for v in vs:
-        mat = [[Fraction(tm_in_t[i][r]) for i in range(m_rank)]
-               for r in range(k_rank)]
-        sol = _solve_rational(mat, list(v))
-        zgens.append(ZGenerator(v, tuple(sol) if sol is not None else None))
-    zgens = tuple(zgens)
+    mat = [[Fraction(tm_in_t[i][r]) for i in range(m_rank)]
+           for r in range(k_rank)]
+    zgen_w = tuple(_solve_rational(mat, list(v)) for v in vs)
 
     # ---- dims -----------------------------------------------------------------
     dims = doc["dims"]
@@ -617,15 +574,13 @@ def _build(doc: dict) -> RealGroupData:
                              "dims.a disagrees with restricted.dim_a")
     checklist.append("dims consistency")
 
-    # ---- assemble lattices -----------------------------------------------------
-    hm = HMLattice(m_rank, tm_lab, root_sum(m_pos, m_rank), ztable)
-    t_lattice = HMLattice(k_rank, t_lab, two_rho)
+    # ---- the Levi lattice, graded by the declared positives -------------------
+    hm = HMLattice.graded(m_rank, tm_lab, m_pos, ztable)
 
     # checklist and blattner_applies are final once the checks below pass
     g = RealGroupData(
-        name=name, k_roots=k_roots, m_roots=m_roots, compact_flags=flags,
-        restricted_roots=r_roots, restricted_positives=r_pos, dim_a=dim_a,
-        tm_in_t=tm_in_t, zgens=zgens, zchar_rows=tuple(zchar_rows), hm=hm,
+        name=name, k_roots=k_roots, m_roots=m_roots, dim_a=dim_a,
+        tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=tuple(zchar_rows), hm=hm,
         t_lattice=t_lattice, dim_s_m=dim_s_m, checklist=(), compact_of=flag_of,
         k_weyl=k_weyl, k_rho_shifts=tuple(k_rho_shifts),
         fibres=Fibres.of(tm_in_t, k_rank), blattner_applies=False)

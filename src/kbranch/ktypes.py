@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .characters import LatticeError, Weight, dot, partition_counts
-from .groups import RealGroupData, matvec, rho_half_sum
+from .groups import RealGroupData, matvec
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,10 @@ def enumerate_ktypes(g: RealGroupData, norm_cutoff: int) -> list[KType]:
 
 def weyl_dimension(g: RealGroupData, kt: KType) -> int:
     """Product over positive roots of <hw+rho, alpha>/<rho, alpha>, exact."""
-    pos = g.k_roots.positives
-    if not pos:
-        return 1
-    rho = rho_half_sum(pos)
+    rho = g.t_lattice.rho
     top = kt.highest + rho
     dim = Fraction(1)
-    for a in pos:
+    for a in g.k_roots.positives:
         dim *= dot(top, a) / dot(rho, a)
     if dim.denominator != 1 or dim <= 0:
         raise LatticeError(f"highest weight {kt.highest.coords} is not dominant")

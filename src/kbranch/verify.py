@@ -33,8 +33,7 @@ from .branching import (TemperedParams, box_table, ktype_multiplicity,
 from .characters import (FormalCharacter, HMLattice, ZCharTable, Weight,
                          char_mul, dot, geometric_series, graded_exterior,
                          kostant_partition)
-from .groups import (RootSystem, builtin_group, rho_half_sum, simple_roots,
-                     weyl_group)
+from .groups import RootSystem, builtin_group, simple_roots, weyl_group
 from .ktypes import enumerate_ktypes
 from .oscillator import (GridSpec, InconclusiveKernelError, cylinder_table,
                          oscillator_1d, oscillator_nd)
@@ -111,7 +110,7 @@ def _weyl_denominator_check(name, hm, compact_positives) -> Check:
     roots = tuple(compact_positives) + tuple(-r for r in compact_positives)
     rs = RootSystem(hm.rank, roots, tuple(compact_positives),
                     simple_roots(compact_positives))
-    rho_c = rho_half_sum(compact_positives, rank=hm.rank, lattice=hm.lattice)
+    rho_c = HMLattice.graded(hm.rank, hm.lattice, compact_positives).rho
     terms = {}
     for w in weyl_group(rs):
         key = hm.char(rho_c - w.apply(rho_c))

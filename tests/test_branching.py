@@ -7,6 +7,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +18,9 @@ from kbranch.branching import (InvalidParamsError, TemperedParams,
                                validate_params)
 from kbranch import branching, groups, ktypes
 from kbranch.characters import (CutoffError, FormalCharacter, HMLattice,
-                                LatticeError, Weight, dot)
-from kbranch.groups import _BUILTIN_DIR, builtin_group, load_group_data
+                                LatticeError, Weight, dot, pairing, weight)
+from kbranch.groups import (_BUILTIN_DIR, builtin_group, load_group_data,
+                            simple_roots)
 from kbranch.ktypes import KType, restrict_to_hm, weight_multiplicities
 from kbranch.presets import (sl2_discrete, sl2_limit, sl2_principal,
                              su21_from_lambda)
@@ -199,6 +201,49 @@ def test_w_equivariance_of_parameters():
     p2 = TemperedParams(swap(lam), tuple(swap(r) for r in STD_POS), 0,
                         GU.a_weight([]))
     assert ktype_table(GU, p1, 5) == ktype_table(GU, p2, 5)
+
+
+SP4R = load_group_data(Path(__file__).parent / "data" / "sp4r.json")
+
+
+def _chamber(g, lam):
+    """A regular parameter on the Levi positive system it picks."""
+    w = g.tm_weight(lam)
+    return TemperedParams(w, tuple(r if dot(w, r) > 0 else -r
+                                   for r in g.m_roots.positives),
+                          0, g.a_weight([]))
+
+
+_SU21_RNG = random.Random(20261018)
+PREPARED = ([(g, p) for _, g, p, _ in _sl2_param_sets()]
+            + [(GU, random_su21_params(GU, _SU21_RNG)) for _ in range(30)]
+            + [(SP4R, _chamber(SP4R, lam)) for lam in
+               [(2, 1), (3, 1), (5, 2), (6, 1), (2, -1), (3, -1), (4, -3),
+                (1, -2)]])
+
+
+def test_prepared_samples_include_singular_parameters():
+    assert any(dot(p.lam, a) == 0 for g, p in PREPARED if g is GU
+               for a in p.rmplus)
+
+
+@pytest.mark.parametrize("g, p", PREPARED,
+                         ids=[f"{g.name}-{i}" for i, (g, _) in
+                              enumerate(PREPARED)])
+def test_prepared_lattice_holds_rho_and_base(g, p):
+    """The prepared lattice's rho pairs to 1 with every simple root of the
+    parameters' positive system, and the base is lambda - rho_c + rho_n
+    from explicit coordinate half-sums."""
+    prep = branching._prepare(g, p)
+    for a in simple_roots(p.rmplus):
+        assert pairing(prep.hm.rho, a) == 1
+    compact = [r.coords for r in p.rmplus if g.is_compact(r)]
+    noncompact = [r.coords for r in p.rmplus if not g.is_compact(r)]
+    two_rho_n_less_two_rho_c = [sum(c[i] for c in noncompact)
+                                - sum(c[i] for c in compact)
+                                for i in range(g.hm.rank)]
+    assert prep.base.tweight == p.lam + weight(two_rho_n_less_two_rho_c,
+                                               g.hm.lattice, 2)
 
 
 @pytest.mark.parametrize("table", [ktype_table, ktype_table_series],
@@ -408,7 +453,7 @@ def test_ktype_off_the_group_lattice_raises(kt):
 
 # a rank-2 torus restricting onto the compact Cartan of SL(2,R): each cone
 # point has a whole line of preimages, and Z' splits them by parity
-SL2XU1 = load_group_data(json.dumps({
+SL2XU1_DOC = {
     "name": "sl2xu1",
     "k": {"rank": 2, "roots": [], "positives": [], "simples": []},
     "m": {"rank": 1, "roots": [[2], [-2]], "positives": [[2]],
@@ -417,15 +462,24 @@ SL2XU1 = load_group_data(json.dumps({
     "tM_in_t": [[1, 0]],
     "zmprime": {"order": 2, "generators": [
         {"v": ["1/2", "1/2"], "char_table_row": [0, 1]}]},
-    "dims": {"s_M": 2, "a": 0}}))
+    "dims": {"s_M": 2, "a": 0}}
+SL2XU1 = load_group_data(json.dumps(SL2XU1_DOC))
 
 
-@pytest.mark.parametrize("g", [GC, GS, SL2XU1], ids=lambda g: g.name)
-def test_zchar_is_the_fraction_evaluation(g):
+@pytest.mark.parametrize("doc", [
+    json.loads((_BUILTIN_DIR / f"{name}.json").read_text())
+    for name in ("sl2r-compact", "sl2r-split")] + [SL2XU1_DOC],
+    ids=lambda doc: doc["name"])
+def test_zchar_is_the_fraction_evaluation(doc):
+    """The table lookup against each generator's v read from the document,
+    value exp(2*pi*i*<mu, v>), as exact fractions."""
+    g = load_group_data(json.dumps(doc))
     order = g.hm.ztable.order
+    vs = [[Fraction(x) for x in gen["v"]]
+          for gen in doc["zmprime"]["generators"]]
     for mu in itertools.product(range(-6, 7), repeat=g.k_roots.rank):
-        values = [order * sum(Fraction(c) * v for c, v in zip(mu, gen.v))
-                  for gen in g.zgens]
+        values = [order * sum(Fraction(c) * x for c, x in zip(mu, v))
+                  for v in vs]
         assert all(x.denominator == 1 for x in values)
         want = g.hm.ztable.index_of[tuple(int(x) % order for x in values)]
         assert g.zchar(mu) == want

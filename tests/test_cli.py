@@ -156,6 +156,16 @@ def test_bad_grid_exits_2(capsys, flag, value):
     exits_2_with_empty_stdout(capsys, "verify", "dirac", flag, value)
 
 
+@pytest.mark.parametrize("suite", ["sl2", "su21", "ring"])
+@pytest.mark.parametrize("flag, value", [
+    ("--grid-L", "8"), ("--grid-h", "0.03"), ("--svd-tol", "1e-6")])
+def test_grid_flags_on_a_suite_without_a_grid_exit_2(capsys, suite, flag,
+                                                     value):
+    code, out, err = run(capsys, "verify", suite, flag, value)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and flag in err
+
+
 def test_missing_group_exits_3(capsys):
     code, _, err = run(capsys, "table", "--group", "/nonexistent/g.json",
                        "--params", "{}")

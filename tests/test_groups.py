@@ -1,15 +1,18 @@
 """Group-data loading, validation, Weyl groups, rho shifts."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbranch import groups
-from kbranch.characters import Weight, pairing
+from kbranch.characters import HMLattice, LatticeError, Weight, pairing
 from kbranch.groups import (GroupDataError, RootSystem, builtin_group,
-                            data_dir, load_group_data, rho_half_sum,
-                            weyl_group)
+                            data_dir, load_group_data, weyl_group)
+
+SP4R = Path(__file__).parent / "data" / "sp4r.json"
 
 
 def doc_sl2_compact():
@@ -29,15 +32,15 @@ def doc_sl2_compact():
 def test_shipped_groups_load():
     gc = builtin_group("sl2r-compact")
     assert [r.coords for r in gc.m_roots.roots] == [(2,), (-2,)]
-    assert not any(gc.compact_flags)
-    assert gc.restricted_roots == ()
+    assert gc.compact_of == {(2,): False, (-2,): False}
     assert gc.hm.ztable.order == 2
+    assert gc.zgen_w == ((Fraction(1, 2),),)  # -I lies in T_M: w = v
 
     gs = builtin_group("sl2r-split")
     assert gs.m_roots.rank == 0
+    assert gs.compact_of == {}
     assert gs.hm.ztable.order == 2
-    assert [r.coords for r in gs.restricted_positives] == [(2,)]
-    assert gs.zgens[0].w is None  # -I does not lie in the trivial torus
+    assert gs.zgen_w == (None,)  # -I does not lie in the trivial torus
 
     gu = builtin_group("su21")
     assert gu.dim_s_m == 4
@@ -143,11 +146,19 @@ def test_size_caps_refuse_before_any_quadratic_work(monkeypatch, mutate,
 
 
 def test_rho_half_sum_examples():
-    assert rho_half_sum([], rank=2, lattice="x").coords == (0, 0)
-    r = rho_half_sum([Weight((2,), "t")])
+    assert HMLattice.graded(2, "x", []).rho == Weight((0, 0), "x")
+    r = HMLattice.graded(1, "t", [Weight((2,), "t")]).rho
     assert r.coords == (1,) and r.denom == 1
-    r2 = rho_half_sum([Weight((1, -1), "t")])
+    r2 = HMLattice.graded(2, "t", [Weight((1, -1), "t")]).rho
     assert r2.coords == (1, -1) and r2.denom == 2
+
+
+@pytest.mark.parametrize("bad", [Weight((2,), "other"), Weight((2, 0), "t"),
+                                 Weight((1,), "t", 2)],
+                         ids=["lattice", "rank", "non-integral"])
+def test_graded_rejects_a_foreign_positive(bad):
+    with pytest.raises(LatticeError):
+        HMLattice.graded(1, "t", [Weight((2,), "t"), bad])
 
 
 def test_weyl_group_rank1():
@@ -186,9 +197,17 @@ def test_weyl_group_su3_order_and_dets():
 
 def test_rho_characterization():
     rs = a2_system()
-    rho = rho_half_sum(rs.positives)
+    rho = HMLattice.graded(rs.rank, "t", rs.positives).rho
     for a in rs.simples:
         assert pairing(rho, a) == 1
+
+
+@pytest.mark.parametrize("g", [builtin_group(n) for n in ("sl2r-compact",
+                                                          "sl2r-split", "su21")]
+                         + [load_group_data(SP4R)], ids=lambda g: g.name)
+def test_k_rho_is_the_lattice_rho(g):
+    for a in g.k_roots.simples:
+        assert pairing(g.t_lattice.rho, a) == 1
 
 
 def test_zchar_evaluation_on_shipped_groups():

@@ -1,0 +1,47 @@
+"""Leftovers in the package source: imports nothing reads, and private
+module-level names nothing references."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import kbranch
+
+MODULES = sorted(p for p in Path(kbranch.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = _loaded_names(tree)
+    imported = [(a.asname or a.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names]
+    assert [n for n in imported if n not in used] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_private_name_is_referenced(path):
+    tree = ast.parse(path.read_text())
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            defined += [n.id for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name)]
+    private = [n for n in defined if n.startswith("_")
+               and not n.startswith("__")]
+    used = _loaded_names(tree)
+    assert [n for n in private if n not in used] == []
