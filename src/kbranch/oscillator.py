@@ -13,7 +13,8 @@ matrix overdetermined by one.  Kernel dimensions are then plain counts of
 small singular values, auditable against an explicit inconclusive band.
 The 1-D Gaussian comes from inverse iteration, not from U/V of an SVD.
 A cylinder table is read from one such 1-D report (`cylinder_table`).
-numpy loads inside the functions that compute, scipy in `oscillator_nd`.
+The 2-D check is matrix-free block LOBPCG.  numpy loads inside the
+functions that compute.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .branching import KTypeTable
 
 MAX_GRID_POINTS = 2000  # the dense 1-D SVDs and solve take O(n^2) memory
 MAX_GRID_POINTS_2D = 241  # oscillator_nd: ~2 m^2 unknowns, cost about m^3
+MAX_LOBPCG_ITERATIONS = 60  # oscillator_nd needs 11-30 on desk grids
 
 
 class GridError(ValueError):
@@ -69,8 +71,9 @@ class KernelReport:
     """Kernel dimensions with the singular values that justify them.
 
     Dimensions are None when the singular values fall inside the
-    inconclusive band around the tolerance.  From `oscillator_nd` the even
-    values are the residuals ||A v|| / ||v|| of its ev + 1 Ritz vectors.
+    inconclusive band around the tolerance, and read as eps * s_max below
+    that rounding floor.  From `oscillator_nd` the even values are the
+    residuals ||A v|| / ||v|| of its ev + 1 lowest LOBPCG Ritz vectors.
     """
 
     kernel_dim_even: Optional[int]
@@ -126,8 +129,8 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
         raise ValueError("svd_tol must be positive")
     even, odd = _component_matrices(grid, potential_scale)
 
-    s_even = np.linalg.svd(even, compute_uv=False)
-    s_odd = np.linalg.svd(odd, compute_uv=False)
+    s_even, s_odd = (np.maximum(s, np.finfo(float).eps * s[0]) for s in
+                     (np.linalg.svd(a, compute_uv=False) for a in (even, odd)))
     dim_even, amb_even = _band_count(s_even, svd_tol)
     dim_odd, amb_odd = _band_count(s_odd, svd_tol)
 
@@ -151,6 +154,42 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
     )
 
 
+def _orth(w, b):
+    """The rows of w made orthonormal and orthogonal to the orthonormal rows
+    of b, in two Gram passes that drop directions lost to rounding."""
+    import numpy as np
+    for _ in range(2):
+        w = w - (w @ b.T) @ b
+        w = w / np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-300)
+        g, z = np.linalg.eigh(w @ w.T)
+        keep = g > 1e-10 * g.max(initial=0)
+        w = (z[:, keep] / np.sqrt(g[keep])).T @ w
+    return w
+
+
+def _lobpcg(op, adj, prec, x, nwant: int, tol: float):
+    """Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the lowest
+    eigenpairs of op^T op from the rows of x: the Ritz vectors, lowest first,
+    and their images, once the first nwant residuals are <= tol + 1e-6 theta.
+    Rayleigh-Ritz runs on an orthonormal basis [x, p, w] and its images."""
+    import numpy as np
+    k = len(x)
+    q = _orth(x, x[:0])
+    aq = op(q)
+    for _ in range(MAX_LOBPCG_ITERATIONS):
+        theta, y = (a[..., :k] for a in np.linalg.eigh(aq @ aq.T))  # k lowest
+        x = y.T @ q
+        ax = op(x)  # fresh, so that the residual is the vectors' own
+        r = adj(ax) - theta[:, None] * x
+        if (np.linalg.norm(r, axis=1) <= tol + 1e-6 * theta)[:nwant].all():
+            return x, ax
+        # p: the part of the new x outside the old one, the first k rows
+        p = _orth(np.where(np.arange(len(y))[:, None] < k, 0, y).T, y.T)
+        w = _orth(prec(r), np.vstack([x, p @ q]))
+        q, aq = np.vstack([x, p @ q, w]), np.vstack([ax, p @ aq, op(w)])
+    raise InconclusiveKernelError("2-D LOBPCG hit MAX_LOBPCG_ITERATIONS")
+
+
 def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
                   potential_scale: float = 1.0) -> KernelReport:
     """Kernel of the n = 2 operator: the graded tensor rule on the 1-D dims
@@ -159,7 +198,8 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     singular values and Gaussian error.  Any other n raises ValueError.
 
     The even block couples degrees 0 and 2 through the two odd components;
-    staggering per axis matches the 1-D scheme.
+    staggering per axis matches the 1-D scheme.  The ev + 1 lowest pairs of
+    A^T A come from `_lobpcg` on ev + 2 vectors, the last a guard.
     """
     if n != 2:
         raise ValueError("desk scale covers n = 2 only")
@@ -167,8 +207,6 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
         raise GridError(f"the 2-D grid would have {grid.npoints} points per "
                         f"axis; at most {MAX_GRID_POINTS_2D} are allowed")
     import numpy as np
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
 
     rep1 = oscillator_1d(grid, svd_tol, potential_scale)
     if rep1.inconclusive:
@@ -178,25 +216,38 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     ev, od = e * e + o * o, 2 * e * o
 
     m = grid.npoints
-    even1, odd1 = _component_matrices(grid, potential_scale)
-    P = sp.csr_matrix(even1)          # nodes-interior -> midpoints
-    M = sp.csr_matrix(odd1)           # midpoints -> nodes
-    E = sp.csr_matrix((np.ones(m - 2), (np.arange(1, m - 1), np.arange(m - 2))),
-                      shape=(m, m - 2))
-    I1 = sp.identity(m - 1)
-    # rows: odd components v1 on (mid x node), v2 on (node x mid);
-    # cols: degree 0 on (interior x interior), degree 2 on (mid x mid)
-    A = sp.bmat([[sp.kron(P, E), -sp.kron(I1, M)],
-                 [sp.kron(E, P), sp.kron(M, I1)]], format="csc")
-    ata = (A.T @ A).tocsc()
-    # shift-invert on one MMD-ordered factorisation; ev + 1 pairs confirm
-    # the kernel dimension and the gap above it; a fixed start, reproducible
-    lu = spla.splu(ata, permc_spec="MMD_AT_PLUS_A")
-    opinv = spla.LinearOperator(ata.shape, lu.solve, dtype=ata.dtype)
-    v0 = np.random.default_rng(0).standard_normal(ata.shape[0])
-    vals, vecs = spla.eigsh(ata, k=ev + 1, sigma=0, v0=v0, OPinv=opinv)
-    # residuals, as sqrt(|eigenvalue|) stops at the rounding floor of A^T A
-    svals = np.linalg.norm(A @ vecs, axis=0) / np.linalg.norm(vecs, axis=0)
+    P, M = _component_matrices(grid, potential_scale)
+    n0 = (m - 2) ** 2
+    # columns: degree 0 on (interior x interior), degree 2 on (mid x mid);
+    # rows: odd components v1 on (mid x node), v2 on (node x mid)
+    def split(x, s0, s1):
+        a = s0[0] * s0[1]
+        return x[:, :a].reshape(-1, *s0), x[:, a:].reshape(-1, *s1)
+    def join(a, b):
+        return np.hstack([a.reshape(len(a), -1), b.reshape(len(b), -1)])
+    def op(x):  # v1 = P u0 E^T - u2 M^T, v2 = E u0 P^T + M u2
+        u0, u2 = split(x, (m - 2, m - 2), (m - 1, m - 1))
+        v1, v2 = -u2 @ M.T, M @ u2
+        v1[:, :, 1:-1] += P @ u0  # E: interior nodes into all nodes
+        v2[:, 1:-1] += u0 @ P.T
+        return join(v1, v2)
+    def adj(y):
+        v1, v2 = split(y, (m - 1, m), (m, m - 1))
+        return join(P.T @ v1[:, :, 1:-1] + v2[:, 1:-1] @ P, M.T @ v2 - v1 @ M)
+    # precondition by the inverse of the diagonal blocks P^T P (+) P^T P and
+    # M^T M (+) M^T M of A^T A by fast diagonalisation (Lynch, Rice, Thomas
+    # 1964), clamped at the rounding floor lest rounding pose as a kernel
+    svds = [np.linalg.svd(a, full_matrices=False)[1:] for a in (P, M)]
+    floor = 2 * np.finfo(float).eps * max(s[0] for s, _ in svds) ** 2
+    fd = [(vt, np.maximum(s[:, None] ** 2 + s ** 2, floor)) for s, vt in svds]
+    def prec(r):
+        return join(*(vt.T @ ((vt @ u @ vt.T) / den) @ vt for u, (vt, den)
+                      in zip(split(r, (m - 2, m - 2), (m - 1, m - 1)), fd)))
+
+    x0 = np.random.default_rng(0).standard_normal((ev + 2, n0 + (m - 1) ** 2))
+    x, ax = _lobpcg(op, adj, prec, x0, ev + 1, 10 * floor)
+    # residuals, as sqrt(theta) stops at the rounding floor of A^T A
+    svals = np.linalg.norm(ax[:ev + 1], axis=1)  # the rows of x are unit
     dim, ambiguous = _band_count(svals, svd_tol)
     if ambiguous:
         raise InconclusiveKernelError(
@@ -206,11 +257,10 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
             f"explicit 2-D kernel dimension {dim} contradicts the "
             f"tensor rule {ev}")
 
-    v = vecs[:, np.argsort(np.abs(vals))[0]]
     xi = grid.nodes()[1:-1]
     g2 = np.exp(-potential_scale * (xi[:, None] ** 2 + xi[None, :] ** 2) / 2)
     g2 = g2.ravel() / np.linalg.norm(g2)
-    u0 = v[:(m - 2) * (m - 2)] / np.linalg.norm(v)
+    u0 = x[0, :n0] / np.linalg.norm(x[0])
     err = min(np.linalg.norm(u0 - g2), np.linalg.norm(u0 + g2))
     return KernelReport(ev, od, float(err),
                         even_singular_values=sorted(svals.tolist()))

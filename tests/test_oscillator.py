@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import kbranch
+from kbranch import oscillator
 from kbranch.oscillator import (GridSpec, GridError, InconclusiveKernelError,
+                                KernelReport,
                                 _component_matrices, cylinder_sl2,
                                 cylinder_table, oscillator_1d, oscillator_nd)
 from kbranch.sl2_oracles import SL2Series, oracle_match
@@ -38,7 +40,7 @@ def test_nd_grid_cap(monkeypatch):
     big = GridSpec(12.1, 0.1)  # 243 points per axis; 1-D allows it
     msg = "243 points per axis; at most 241 are allowed"
     with monkeypatch.context() as m:
-        # refused before numpy or scipy is imported
+        # refused before any numerical module is imported
         for mod in ("numpy", "scipy", "scipy.sparse", "scipy.sparse.linalg"):
             m.setitem(sys.modules, mod, None)
         with pytest.raises(GridError, match=msg):
@@ -136,7 +138,7 @@ def test_nd_explicit_2d_confirmation():
     assert len(s1) == 2
     assert s1[0] == pytest.approx(5.94e-8, rel=1e-2)
     assert s1[1] > 1.4
-    # reproducible to the last digit: ARPACK starts from a fixed vector
+    # reproducible to the last digit: LOBPCG starts from a fixed block
     assert oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5) == rep2
 
 
@@ -145,6 +147,95 @@ def test_nd_singular_values_are_residuals():
     # A^T A, which stops near 7.7e-8 at scale 2
     rep = oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5, potential_scale=2.0)
     assert rep.even_singular_values[0] < 1e-12
+
+
+def _sparse_reference(grid, svd_tol, f):
+    """The 2-D check as assembled before the matrix-free solver: A as a
+    sparse block matrix, A^T A factored once, and shift-invert ARPACK from
+    a fixed start for ev + 1 = 2 pairs.  Returns (kernel dim, the residual
+    singular values, the Gaussian error)."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    m = grid.npoints
+    even1, odd1 = _component_matrices(grid, f)
+    P, M = sp.csr_matrix(even1), sp.csr_matrix(odd1)
+    E = sp.csr_matrix((np.ones(m - 2), (np.arange(1, m - 1),
+                                        np.arange(m - 2))), shape=(m, m - 2))
+    I1 = sp.identity(m - 1)
+    A = sp.bmat([[sp.kron(P, E), -sp.kron(I1, M)],
+                 [sp.kron(E, P), sp.kron(M, I1)]], format="csc")
+    ata = (A.T @ A).tocsc()
+    lu = spla.splu(ata, permc_spec="MMD_AT_PLUS_A")
+    opinv = spla.LinearOperator(ata.shape, lu.solve, dtype=ata.dtype)
+    v0 = np.random.default_rng(0).standard_normal(ata.shape[0])
+    vals, vecs = spla.eigsh(ata, k=2, sigma=0, v0=v0, OPinv=opinv)
+    svals = np.sort(np.linalg.norm(A @ vecs, axis=0)
+                    / np.linalg.norm(vecs, axis=0))
+    v = vecs[:, np.argsort(np.abs(vals))[0]]
+    xi = grid.nodes()[1:-1]
+    g2 = np.exp(-f * (xi[:, None] ** 2 + xi[None, :] ** 2) / 2)
+    g2 = g2.ravel() / np.linalg.norm(g2)
+    u0 = v[:(m - 2) ** 2] / np.linalg.norm(v)
+    err = min(np.linalg.norm(u0 - g2), np.linalg.norm(u0 + g2))
+    return int((svals < svd_tol).sum()), svals, err
+
+
+@pytest.mark.parametrize("grid, svd_tol, f", [
+    (GridSpec(6.0, 0.1), 1e-5, 1.0), (GridSpec(6.0, 0.1), 1e-5, 2.0),
+    (GridSpec(6.0, 0.1), 1e-5, 4.0),
+    # at L = 4 the truncation error is 1.3e-3 at scale 1, so the band
+    # [5e-3, 0.5] of svd_tol 0.05 sits between it and the gap at 1.41
+    (GridSpec(4.0, 0.1), 0.05, 1.0), (GridSpec(4.0, 0.1), 0.05, 2.0)])
+def test_nd_matches_sparse_reference(grid, svd_tol, f):
+    rep = oscillator_nd(2, grid, svd_tol, potential_scale=f)
+    dim, svals, err = _sparse_reference(grid, svd_tol, f)
+    got = rep.even_singular_values
+    assert (rep.kernel_dim_even, rep.kernel_dim_odd) == (dim, 0)
+    assert len(got) == len(svals)
+    assert got[1] == pytest.approx(svals[1], rel=1e-10)
+    if svals[0] > 1e-12:
+        assert got[0] == pytest.approx(svals[0], rel=1e-10)
+    else:  # both at the rounding floor of A, whose digits are noise
+        assert got[0] < 1e-12
+    assert rep.gaussian_l2_error == pytest.approx(err, abs=1e-13)
+
+
+def test_nd_smallest_value_tensors_the_1d_one():
+    # the 2-D kernel vector is near the tensor square of the 1-D one, so its
+    # residual is sqrt(2) times the 1-D residual
+    grid = GridSpec(6.0, 0.1)
+    s1 = oscillator_1d(grid, 1e-5).even_singular_values[0]
+    s2 = oscillator_nd(2, grid, 1e-5).even_singular_values[0]
+    assert s2 == pytest.approx(np.sqrt(2) * s1, rel=1e-6)
+
+
+def test_nd_iteration_cap_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(oscillator, "MAX_LOBPCG_ITERATIONS", 1)
+    with pytest.raises(InconclusiveKernelError):
+        oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
+
+
+def test_nd_contradicting_the_tensor_rule_raises(monkeypatch):
+    # 1-D dims (2, 0) predict ev = 4; the 2-D solve finds one kernel vector
+    monkeypatch.setattr(oscillator, "oscillator_1d",
+                        lambda *a: KernelReport(2, 0, 0.0))
+    with pytest.raises(ArithmeticError, match="dimension 1 contradicts "
+                                              "the tensor rule 4"):
+        oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
+
+
+def test_1d_values_stop_at_the_rounding_floor():
+    # values-only SVDs report driver noise below eps * s_max: 7.35e-23 at
+    # scale 2, where the full SVD gives 1.23e-14
+    eps = np.finfo(float).eps
+    for f in (1.0, 2.0, 4.0):
+        rep = oscillator_1d(GRID, TOL, potential_scale=f)
+        for a, svals in zip(_component_matrices(GRID, f),
+                            (rep.even_singular_values,
+                             rep.odd_singular_values)):
+            s_max = np.linalg.svd(a, compute_uv=False)[0]
+            assert min(svals) >= eps * s_max
+        assert (rep.kernel_dim_even, rep.kernel_dim_odd) == (1, 0)
 
 
 def test_cylinder_tables_match_oracles():
@@ -201,6 +292,25 @@ def test_1d_and_cylinder_leave_scipy_unloaded():
               "assert oscillator_1d(grid, 1e-6).kernel_dim_even == 1\n"
               "assert cylinder_sl2('even', 4, grid, 1e-6).entries\n"
               "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+              "assert not loaded, loaded\n")
+    src = str(Path(kbranch.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_2d_and_verify_dirac_run_without_scipy():
+    # importing scipy raises here, so any kbranch path that needs it fails
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from kbranch import verify\n"
+              "from kbranch.oscillator import GridSpec, oscillator_nd\n"
+              "rep = oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)\n"
+              "assert (rep.kernel_dim_even, rep.kernel_dim_odd) == (1, 0)\n"
+              "assert all(c.passed for c in verify.suite_dirac())\n"
+              "loaded = [m for m in sys.modules if m.startswith('scipy')\n"
+              "          and sys.modules[m] is not None]\n"
               "assert not loaded, loaded\n")
     src = str(Path(kbranch.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
