@@ -43,7 +43,7 @@ are the restricted representation and always nonnegative.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -85,6 +85,8 @@ class TemperedParams:
 class ParamVerdict:
     verdict: str                 # "nonzero" | "zero" | "invalid"
     reason: Optional[str] = None
+    # nonzero verdicts: the lattice graded by p.rmplus, which tables reuse
+    hm: Optional[HMLattice] = field(default=None, repr=False, compare=False)
 
     def __str__(self):
         return self.verdict if not self.reason else f"{self.verdict}: {self.reason}"
@@ -136,7 +138,7 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
         return invalid("positive system does not split the roots into halves")
 
     # a genuine positive system is separated by its own root sum
-    hm = HMLattice.graded(g.hm.rank, g.hm.lattice, p.rmplus)
+    hm = HMLattice.graded(g.hm.rank, g.hm.lattice, p.rmplus, g.hm.ztable)
     for a in p.rmplus:
         if hm.height2(a) <= 0:
             return invalid(
@@ -169,7 +171,7 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
         if g.is_compact(a) and dot(p.lam, a) == 0:
             return ParamVerdict(
                 "zero", f"parameter orthogonal to simple compact root {a.coords}")
-    return ParamVerdict("nonzero")
+    return ParamVerdict("nonzero", hm=hm)
 
 
 
@@ -195,21 +197,21 @@ class _Prepared:
     offsets: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _prepare(g: RealGroupData, p: TemperedParams,
-             zero_ok: bool = False) -> Optional[_Prepared]:
-    """Validate once and derive the shared data.  Raises InvalidParamsError
-    unless the verdict is nonzero; with zero_ok a zero verdict gives None.
+def _prepare(g: RealGroupData, p: TemperedParams, zero_ok: bool = False,
+             verdict: Optional[ParamVerdict] = None) -> Optional[_Prepared]:
+    """Derive the shared data from verdict, else from validate_params(g, p).
+    Raises InvalidParamsError unless nonzero; with zero_ok, zero gives None.
 
     Heights are measured against the parameters' own positive system, which
     need not be the one declared in the group file: the infinite series
     live in the cone it spans.
     """
-    verdict = validate_params(g, p)
+    verdict = verdict or validate_params(g, p)
     if verdict.verdict == "zero" and zero_ok:
         return None
     if verdict.verdict != "nonzero":
         raise InvalidParamsError(verdict)
-    hm = HMLattice.graded(g.hm.rank, g.hm.lattice, p.rmplus, g.hm.ztable)
+    hm = verdict.hm
     compact = tuple(g.compact_positives(p.rmplus))
     noncompact = tuple(g.noncompact_positives(p.rmplus))
     # lambda - rho + (sum of noncompact positives) = lambda - rho_c + rho_n,
@@ -392,15 +394,17 @@ def box_table(g: RealGroupData, p: TemperedParams, window: int,
 _SPOT_CHECKS = 3
 
 
-def ktype_table(g: RealGroupData, p: TemperedParams, window: int) -> KTypeTable:
+def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
+                verdict: Optional[ParamVerdict] = None) -> KTypeTable:
     """Multiplicities of every K-type in the window; empty for zero verdicts.
 
     Blattner's formula over the K-types the noncompact cone reaches where
     the group data allow it, else partition counts over the box; the series
     oracle checks the first few nonzero entries.  Entries are the restricted
     representation itself; the table's sign field records the index sign.
+    A caller holding validate_params(g, p) passes it as verdict.
     """
-    prep = _prepare(g, p, zero_ok=True)
+    prep = _prepare(g, p, zero_ok=True, verdict=verdict)
     if prep is None:
         return KTypeTable({}, window, sign_factor(g))
     evaluator = "blattner" if g.blattner_applies else "partition"

@@ -114,7 +114,7 @@ def cmd_table(args) -> int:
               "are allowed", file=sys.stderr)
         return EXIT_INVALID_PARAMS
 
-    table = ktype_table(g, params, args.window)
+    table = ktype_table(g, params, args.window, verdict)
     payload = _table_payload(g.name, doc, table)
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -10,7 +10,9 @@ the staggered centered scheme instead - even component on grid nodes, odd
 component on midpoints - which is second-order accurate and, with Dirichlet
 handled by removing boundary degrees of freedom, makes each component
 matrix overdetermined by one.  Kernel dimensions are then plain counts of
-small singular values, auditable against an explicit inconclusive band.
+small singular values, auditable against an explicit inconclusive band;
+both stencils anticommute with x -> -x, so the values come from each
+matrix's two blocks of order n/2 on the parity halves (`_parity_halves`).
 The 1-D Gaussian comes from inverse iteration, not from U/V of an SVD.
 A cylinder table is read from one such 1-D report (`cylinder_table`).
 The 2-D check is matrix-free block LOBPCG.  numpy loads inside the
@@ -24,7 +26,7 @@ from typing import Optional
 
 from .branching import KTypeTable
 
-MAX_GRID_POINTS = 2000  # the dense 1-D SVDs and solve take O(n^2) memory
+MAX_GRID_POINTS = 2000  # 1-D: n/2-square SVDs, the n-square Gaussian solve
 MAX_GRID_POINTS_2D = 241  # oscillator_nd: ~2 m^2 unknowns, cost about m^3
 MAX_LOBPCG_ITERATIONS = 60  # oscillator_nd needs 11-30 on desk grids
 
@@ -84,6 +86,18 @@ class KernelReport:
     inconclusive: bool = False
 
 
+def _staggered(pts, ncols: int, h: float, scale: float, sign: int):
+    """Lower bidiagonal sign * d/dx + scale * x with rows at the points pts:
+    (i, i) = sign/h + scale*pts[i]/2, (i, i - 1) = -sign/h + scale*pts[i]/2."""
+    import numpy as np
+    a = np.zeros((len(pts), ncols))
+    j = np.arange(ncols)
+    a[j, j] = sign / h + scale * pts[j] / 2
+    j = np.arange(1, min(len(pts), ncols + 1))
+    a[j, j - 1] = -sign / h + scale * pts[j] / 2
+    return a
+
+
 def _component_matrices(grid: GridSpec, scale: float):
     """Staggered matrices for (d/dx + s*x) and (-d/dx + s*x).
 
@@ -91,22 +105,22 @@ def _component_matrices(grid: GridSpec, scale: float):
     Odd component: columns are midpoints, rows are all nodes (stencil values
     beyond the boundary are Dirichlet zeros).  Both are rows = cols + 1.
     """
-    import numpy as np
-    n = grid.npoints
-    h = grid.step
     x = grid.nodes()
-    mid = (x[:-1] + x[1:]) / 2
+    return (_staggered((x[:-1] + x[1:]) / 2, len(x) - 2, grid.step, scale, 1),
+            _staggered(x, len(x) - 1, grid.step, scale, -1))
 
-    j = np.arange(n - 2)  # midpoint j lies between nodes j and j + 1
-    even = np.zeros((n - 1, n - 2))
-    even[j, j] = 1.0 / h + scale * mid[:-1] / 2
-    even[j + 1, j] = -1.0 / h + scale * mid[1:] / 2
 
-    j = np.arange(n - 1)
-    odd = np.zeros((n, n - 1))
-    odd[j + 1, j] = 1.0 / h + scale * x[1:] / 2
-    odd[j, j] = -1.0 / h + scale * x[:-1] / 2
-    return even, odd
+def _parity_halves(grid: GridSpec, scale: float):
+    """Each component matrix a, with a[::-1, ::-1] == -a, as its blocks from
+    even columns to odd rows and from odd to even, in the bases e_0 and
+    (e_i +- e_-i)/sqrt(2): top-left blocks of a, built from the nodes up to
+    0, with sqrt(2) on the centre column (even) or row (odd)."""
+    x = grid.nodes()[:grid.npoints // 2 + 1]
+    even = _staggered((x[:-1] + x[1:]) / 2, len(x) - 1, grid.step, scale, 1)
+    odd = _staggered(x, len(x) - 1, grid.step, scale, -1)
+    even[:, -1] *= 2 ** 0.5
+    odd[-1] *= 2 ** 0.5
+    return (even, even[:, :-1]), (odd, odd[:-1])
 
 
 def _band_count(svals, tol: float):
@@ -127,14 +141,16 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
     import numpy as np
     if svd_tol <= 0:
         raise ValueError("svd_tol must be positive")
-    even, odd = _component_matrices(grid, potential_scale)
-
-    s_even, s_odd = (np.maximum(s, np.finfo(float).eps * s[0]) for s in
-                     (np.linalg.svd(a, compute_uv=False) for a in (even, odd)))
+    # each spectrum: its halves' union, ascending, floored at eps * s_max
+    s_even, s_odd = (np.maximum(s, np.finfo(float).eps * s[-1]) for s in (
+        np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False)
+                                for b in halves]))
+        for halves in _parity_halves(grid, potential_scale)))
     dim_even, amb_even = _band_count(s_even, svd_tol)
     dim_odd, amb_odd = _band_count(s_odd, svd_tol)
 
     # kernel vector: two inverse-iteration steps from a fixed start
+    even = _component_matrices(grid, potential_scale)[0]
     ata = even.T @ even
     v = np.linalg.solve(ata, np.linalg.solve(ata, np.ones(len(ata))))
     v /= np.linalg.norm(v)
@@ -148,8 +164,8 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
         kernel_dim_even=None if ambiguous else dim_even,
         kernel_dim_odd=None if ambiguous else dim_odd,
         gaussian_l2_error=float(err),
-        even_singular_values=sorted(s_even[-3:].tolist()),
-        odd_singular_values=sorted(s_odd[-3:].tolist()),
+        even_singular_values=s_even[:3].tolist(),
+        odd_singular_values=s_odd[:3].tolist(),
         inconclusive=ambiguous,
     )
 

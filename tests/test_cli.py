@@ -309,6 +309,20 @@ def test_verify_dirac_inconclusive_kernel_fails_cleanly(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("golden, code, argv", [
+    ("verify_dirac_default.json", 0, ()),
+    ("verify_dirac_svd_tol_1.json", 1, ("--svd-tol", "1")),
+    ("verify_dirac_svd_tol_1e-13.json", 1, ("--svd-tol", "1e-13")),
+    ("verify_dirac_svd_tol_100.json", 1, ("--svd-tol", "100")),
+    ("verify_dirac_grid_12_0.025.json", 0,
+     ("--grid-L", "12", "--grid-h", "0.025"))])
+def test_verify_dirac_stdout_matches_golden_bytes(capsys, golden, code, argv):
+    # reports written by whole-matrix SVDs, an independent 1-D solver
+    want = (Path(__file__).parent / "data" / golden).read_bytes()
+    got = run(capsys, "verify", "dirac", *argv)
+    assert got == (code, want.decode(), "")
+
+
 def test_verify_ring_passes(capsys):
     code, out, _ = run(capsys, "verify", "ring")
     assert code == 0
@@ -336,6 +350,29 @@ def test_determinism_byte_identical(capsys):
     _, a, _ = run(capsys, *args)
     _, b, _ = run(capsys, *args)
     assert a == b
+
+
+def test_table_validates_and_grades_once(capsys, monkeypatch):
+    validations, lattices = [], []
+    real_validate = branching.validate_params
+
+    def counted(g, p):
+        validations.append(p)
+        return real_validate(g, p)
+
+    class Counted(branching.HMLattice):
+        @classmethod
+        def graded(cls, *args, **kwargs):
+            lattices.append(args)
+            return super().graded(*args, **kwargs)
+
+    monkeypatch.setattr(branching, "validate_params", counted)
+    monkeypatch.setattr("kbranch.cli.validate_params", counted)
+    monkeypatch.setattr(branching, "HMLattice", Counted)
+    code, out, _ = run(capsys, "table", "--group", "su21", "--params",
+                       '{"lambda":[3,1,-1]}', "--window", "16")
+    assert code == 0 and out
+    assert (len(validations), len(lattices)) == (1, 1)
 
 
 def test_output_file_and_data_dir_override(tmp_path, capsys, monkeypatch):

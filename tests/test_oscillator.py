@@ -12,7 +12,8 @@ import kbranch
 from kbranch import oscillator
 from kbranch.oscillator import (GridSpec, GridError, InconclusiveKernelError,
                                 KernelReport,
-                                _component_matrices, cylinder_sl2,
+                                _component_matrices, _parity_halves,
+                                cylinder_sl2,
                                 cylinder_table, oscillator_1d, oscillator_nd)
 from kbranch.sl2_oracles import SL2Series, oracle_match
 
@@ -66,6 +67,57 @@ def test_component_matrices_match_stencil_loops():
                     odd[i, i] = -1.0 / h + f * x[i] / 2
             got = _component_matrices(grid, f)
             assert np.array_equal(got[0], even) and np.array_equal(got[1], odd)
+
+
+def _parity_bases(m):
+    """Orthonormal bases of the even and odd vectors of R^m under reversal,
+    as the columns of two matrices."""
+    k = m // 2
+    i = np.arange(k)
+    even, odd = np.zeros((m, m - k)), np.zeros((m, k))
+    even[i, i] = even[m - 1 - i, i] = odd[i, i] = 2 ** -0.5
+    odd[m - 1 - i, i] = -2 ** -0.5
+    if m % 2:
+        even[k, k] = 1.0  # the centre
+    return even, odd
+
+
+@pytest.mark.parametrize("grid", [GridSpec(8.0, 0.05), GridSpec(6.0, 0.1),
+                                  GridSpec(1.0, 0.5), GridSpec(12.0, 0.02)])
+def test_parity_halves_split_the_component_matrices(grid):
+    eps = np.finfo(float).eps
+    for f in (0.0, 0.37, 1.0, 2.0, 4.0):
+        for a, halves in zip(_component_matrices(grid, f),
+                             _parity_halves(grid, f)):
+            # both stencils anticommute with the reflection x -> -x
+            a_max = np.abs(a).max()
+            assert np.abs(a[::-1, ::-1] + a).max() <= 4 * eps * a_max
+            # the halves are the matrix folded onto the parity bases
+            (re, ro), (ce, co) = map(_parity_bases, a.shape)
+            folds = {b.shape: b for b in (ro.T @ a @ ce, re.T @ a @ co)}
+            assert len(folds) == len(halves) == 2
+            for b in halves:
+                assert np.abs(folds[b.shape] - b).max() <= 4 * eps * a_max
+            # so their singular values are the matrix's; the whole SVD's
+            # own rounding error grows with the order, in the middle of the
+            # spectrum, to 8.3 eps s_max on 1,201 points
+            whole = np.linalg.svd(a, compute_uv=False)[::-1]
+            union = np.sort(np.concatenate(
+                [np.linalg.svd(b, compute_uv=False) for b in halves]))
+            tol = 4 * eps * whole[-1]
+            assert np.abs(union - whole)[:3].max() <= tol
+            assert (np.abs(union - whole).max()
+                    <= tol * max(1.0, grid.npoints / 321))
+
+
+def test_1d_sweep_always_reports():
+    # the Gaussian's inverse iteration must not meet a singular pivot
+    for L in (2.0, 4.0, 8.0, 12.0):
+        for h in (0.1, 0.05, 0.025):
+            for f in (0.5, 1.0, 2.0, 4.0, 8.0):
+                rep = oscillator_1d(GridSpec(L, h), TOL, potential_scale=f)
+                assert isinstance(rep, KernelReport)
+                assert np.isfinite(rep.gaussian_l2_error)
 
 
 def test_oscillator_kernel_dimensions():
@@ -281,7 +333,7 @@ def test_1d_gaussian_matches_full_svd(monkeypatch):
             # unit vectors within 1e-12 of each other give errors within
             # 1e-12 of each other (triangle inequality)
             assert rep.gaussian_l2_error == pytest.approx(want, abs=1e-12)
-    assert len(calls) == 12  # both components, six grids and scales
+    assert len(calls) == 24  # four parity halves, six grids and scales
 
 
 def test_1d_and_cylinder_leave_scipy_unloaded():
