@@ -13,22 +13,24 @@ matrix overdetermined by one.  Kernel dimensions are then plain counts of
 small singular values, auditable against an explicit inconclusive band;
 both stencils anticommute with x -> -x, so the values come from each
 matrix's two blocks of order n/2 on the parity halves (`_parity_halves`).
-The 1-D Gaussian comes from inverse iteration, not from U/V of an SVD.
-A cylinder table is read from one such 1-D report (`cylinder_table`).
-The 2-D check is matrix-free block LOBPCG.  numpy loads inside the
-functions that compute.
+Every matrix is read from the stencil diagonals, and the 1-D Gaussian comes
+from inverse iteration with the tridiagonal A^T A in O(n).  A cylinder table
+is read from one such 1-D report (`cylinder_table`).  The 2-D check is
+matrix-free block LOBPCG.  numpy loads inside the functions that compute.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .branching import KTypeTable
 
-MAX_GRID_POINTS = 2000  # 1-D: n/2-square SVDs, the n-square Gaussian solve
-MAX_GRID_POINTS_2D = 241  # oscillator_nd: ~2 m^2 unknowns, cost about m^3
+MAX_GRID_POINTS = 2000  # 1-D: n/2-square SVDs; the Gaussian costs O(n)
+MAX_GRID_POINTS_2D = 241  # oscillator_nd: A O(m^2), preconditioner O(m^3)
 MAX_LOBPCG_ITERATIONS = 60  # oscillator_nd needs 11-30 on desk grids
+MAX_LOBPCG_BLOCK = 16  # oscillator_nd: ev + 2 vectors, 3 on desk kernels
 
 
 class GridError(ValueError):
@@ -86,41 +88,51 @@ class KernelReport:
     inconclusive: bool = False
 
 
-def _staggered(pts, ncols: int, h: float, scale: float, sign: int):
-    """Lower bidiagonal sign * d/dx + scale * x with rows at the points pts:
-    (i, i) = sign/h + scale*pts[i]/2, (i, i - 1) = -sign/h + scale*pts[i]/2."""
+def _component_stencils(grid: GridSpec, scale: float):
+    """Staggered matrices for (d/dx + s*x) and (-d/dx + s*x) as diagonals
+    (d, l): column j holds d[j] in row j and l[j] in row j + 1.  Even
+    component: columns are interior nodes, rows are midpoints.  Odd
+    component: columns are midpoints, rows are all nodes (stencil values
+    beyond the boundary are Dirichlet zeros).  Both are rows = cols + 1."""
+    x, h = grid.nodes(), grid.step
+    return tuple((sign / h + scale * p[:-1] / 2, -sign / h + scale * p[1:] / 2)
+                 for p, sign in (((x[:-1] + x[1:]) / 2, 1), (x, -1)))
+
+
+def _dense(d, l):
+    """The (len(d) + 1) x len(d) lower bidiagonal with diagonals d and l."""
     import numpy as np
-    a = np.zeros((len(pts), ncols))
-    j = np.arange(ncols)
-    a[j, j] = sign / h + scale * pts[j] / 2
-    j = np.arange(1, min(len(pts), ncols + 1))
-    a[j, j - 1] = -sign / h + scale * pts[j] / 2
+    a, j = np.zeros((len(d) + 1, len(d))), np.arange(len(d))
+    a[j, j], a[j + 1, j] = d, l
     return a
 
 
-def _component_matrices(grid: GridSpec, scale: float):
-    """Staggered matrices for (d/dx + s*x) and (-d/dx + s*x).
-
-    Even component: columns are interior nodes, rows are midpoints.
-    Odd component: columns are midpoints, rows are all nodes (stencil values
-    beyond the boundary are Dirichlet zeros).  Both are rows = cols + 1.
-    """
-    x = grid.nodes()
-    return (_staggered((x[:-1] + x[1:]) / 2, len(x) - 2, grid.step, scale, 1),
-            _staggered(x, len(x) - 1, grid.step, scale, -1))
+def _bidiag(stencil, u, axis: int = -1, transpose: bool = False):
+    """A @ u (axis -2) or u @ A.T (axis -1) blockwise, A^T if transpose, for
+    A = (d, l) of `_component_stencils`: shifted multiplies, no matrix."""
+    import numpy as np
+    d, l = (c.reshape((-1,) + (1,) * (-1 - axis)) for c in stencil)
+    tail = (slice(None),) * (-1 - axis)
+    lo, hi = (..., slice(-1), *tail), (..., slice(1, None), *tail)
+    if transpose:
+        return d * u[lo] + l * u[hi]
+    y = np.zeros(u.shape[:axis] + (u.shape[axis] + 1,) + u.shape[axis:][1:])
+    np.multiply(d, u, out=y[lo])
+    y[hi] += l * u
+    return y
 
 
 def _parity_halves(grid: GridSpec, scale: float):
     """Each component matrix a, with a[::-1, ::-1] == -a, as its blocks from
     even columns to odd rows and from odd to even, in the bases e_0 and
-    (e_i +- e_-i)/sqrt(2): top-left blocks of a, built from the nodes up to
-    0, with sqrt(2) on the centre column (even) or row (odd)."""
-    x = grid.nodes()[:grid.npoints // 2 + 1]
-    even = _staggered((x[:-1] + x[1:]) / 2, len(x) - 1, grid.step, scale, 1)
-    odd = _staggered(x, len(x) - 1, grid.step, scale, -1)
+    (e_i +- e_-i)/sqrt(2): top-left blocks of a, built from the diagonals up
+    to 0, with sqrt(2) on the centre column (even) or row (odd)."""
+    k = grid.npoints // 2
+    even, odd = (_dense(d[:k], l[:k])
+                 for d, l in _component_stencils(grid, scale))
     even[:, -1] *= 2 ** 0.5
     odd[-1] *= 2 ** 0.5
-    return (even, even[:, :-1]), (odd, odd[:-1])
+    return (even[:-1], even[:-1, :-1]), (odd, odd[:-1])
 
 
 def _band_count(svals, tol: float):
@@ -128,6 +140,29 @@ def _band_count(svals, tol: float):
     [tol/10, 10*tol]."""
     inside = ((svals >= tol / 10) & (svals <= tol * 10)).any()
     return int((svals < tol).sum()), bool(inside)
+
+
+def _gaussian(grid: GridSpec, scale: float):
+    """The unit kernel vector of the even component A: two inverse-iteration
+    steps from ones with A^T A + mu I, tridiagonal, mu = eps * max(diag),
+    factored once as L D L^T in O(n).  D_k = l_k^2 + e_k, e_k = mu + d_k^2
+    e_(k-1) / D_(k-1), avoids the textbook form's cancellation (README)."""
+    import numpy as np
+    d, l = (c.tolist() for c in _component_stencils(grid, scale)[0])
+    mu = np.finfo(float).eps * max(a * a + b * b for a, b in zip(d, l))
+    e, piv = mu + d[0] ** 2, []
+    for dk, lk in zip(d[1:] + [0.0], l):
+        piv.append(e + lk * lk)
+        e = mu + dk * dk * e / piv[-1]
+    mul = [a * b / p for a, b, p in zip(l, d[1:], piv)]  # L below its diagonal
+    v = [1.0] * len(d)
+    for _ in range(2):
+        for j, c in enumerate(mul):
+            v[j + 1] -= c * v[j]
+        v = [x / p for x, p in zip(v, piv)]
+        for j in range(len(mul) - 1, -1, -1):
+            v[j] -= mul[j] * v[j + 1]
+    return np.array(v) / math.hypot(*v)
 
 
 def oscillator_1d(grid: GridSpec, svd_tol: float,
@@ -138,9 +173,9 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
     the grid Gaussian; the odd component's formal solution grows like
     exp(+x^2/2) and is rejected by the boundary, so its kernel is empty.
     """
+    if not (math.isfinite(svd_tol) and svd_tol > 0):
+        raise ValueError("svd_tol must be positive and finite")
     import numpy as np
-    if svd_tol <= 0:
-        raise ValueError("svd_tol must be positive")
     # each spectrum: its halves' union, ascending, floored at eps * s_max
     s_even, s_odd = (np.maximum(s, np.finfo(float).eps * s[-1]) for s in (
         np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False)
@@ -149,11 +184,7 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
     dim_even, amb_even = _band_count(s_even, svd_tol)
     dim_odd, amb_odd = _band_count(s_odd, svd_tol)
 
-    # kernel vector: two inverse-iteration steps from a fixed start
-    even = _component_matrices(grid, potential_scale)[0]
-    ata = even.T @ even
-    v = np.linalg.solve(ata, np.linalg.solve(ata, np.ones(len(ata))))
-    v /= np.linalg.norm(v)
+    v = _gaussian(grid, potential_scale)
     xi = grid.nodes()[1:-1]
     gauss = np.exp(-potential_scale * xi ** 2 / 2)
     gauss /= np.linalg.norm(gauss)
@@ -222,17 +253,19 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     if grid.npoints > MAX_GRID_POINTS_2D:
         raise GridError(f"the 2-D grid would have {grid.npoints} points per "
                         f"axis; at most {MAX_GRID_POINTS_2D} are allowed")
-    import numpy as np
-
-    rep1 = oscillator_1d(grid, svd_tol, potential_scale)
+    rep1 = oscillator_1d(grid, svd_tol, potential_scale)  # checks svd_tol
     if rep1.inconclusive:
         raise InconclusiveKernelError(
             "1-D oscillator report is inconclusive; cannot tensor")
     e, o = rep1.kernel_dim_even, rep1.kernel_dim_odd
     ev, od = e * e + o * o, 2 * e * o
+    if ev + 2 > MAX_LOBPCG_BLOCK:
+        raise ValueError(f"2-D kernel dimension {ev}: LOBPCG takes at most "
+                         f"{MAX_LOBPCG_BLOCK - 2}")
+    import numpy as np
 
     m = grid.npoints
-    P, M = _component_matrices(grid, potential_scale)
+    P, M = _component_stencils(grid, potential_scale)
     n0 = (m - 2) ** 2
     # columns: degree 0 on (interior x interior), degree 2 on (mid x mid);
     # rows: odd components v1 on (mid x node), v2 on (node x mid)
@@ -243,17 +276,19 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
         return np.hstack([a.reshape(len(a), -1), b.reshape(len(b), -1)])
     def op(x):  # v1 = P u0 E^T - u2 M^T, v2 = E u0 P^T + M u2
         u0, u2 = split(x, (m - 2, m - 2), (m - 1, m - 1))
-        v1, v2 = -u2 @ M.T, M @ u2
-        v1[:, :, 1:-1] += P @ u0  # E: interior nodes into all nodes
-        v2[:, 1:-1] += u0 @ P.T
+        v1, v2 = -_bidiag(M, u2), _bidiag(M, u2, -2)
+        v1[:, :, 1:-1] += _bidiag(P, u0, -2)  # E: interior nodes into all
+        v2[:, 1:-1] += _bidiag(P, u0)
         return join(v1, v2)
     def adj(y):
         v1, v2 = split(y, (m - 1, m), (m, m - 1))
-        return join(P.T @ v1[:, :, 1:-1] + v2[:, 1:-1] @ P, M.T @ v2 - v1 @ M)
+        return join(_bidiag(P, v1[:, :, 1:-1], -2, True)
+                    + _bidiag(P, v2[:, 1:-1], -1, True),
+                    _bidiag(M, v2, -2, True) - _bidiag(M, v1, -1, True))
     # precondition by the inverse of the diagonal blocks P^T P (+) P^T P and
     # M^T M (+) M^T M of A^T A by fast diagonalisation (Lynch, Rice, Thomas
     # 1964), clamped at the rounding floor lest rounding pose as a kernel
-    svds = [np.linalg.svd(a, full_matrices=False)[1:] for a in (P, M)]
+    svds = [np.linalg.svd(_dense(*a), full_matrices=False)[1:] for a in (P, M)]
     floor = 2 * np.finfo(float).eps * max(s[0] for s, _ in svds) ** 2
     fd = [(vt, np.maximum(s[:, None] ** 2 + s ** 2, floor)) for s, vt in svds]
     def prec(r):
@@ -282,6 +317,13 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
                         even_singular_values=sorted(svals.tolist()))
 
 
+def _check_cylinder(parity: str, weight_window: int):
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
+    if type(weight_window) is not int or weight_window < 0:
+        raise ValueError("weight window must be a nonnegative int")
+
+
 def cylinder_table(rep: KernelReport, parity: str,
                    weight_window: int) -> KTypeTable:
     """K-type table of the cylinder operator, assembled mode by mode from
@@ -293,10 +335,7 @@ def cylinder_table(rep: KernelReport, parity: str,
     mode contributes the transverse oscillator kernel: one even-degree
     dimension, none in odd degree.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    if weight_window < 0:
-        raise ValueError("weight window must be nonnegative")
+    _check_cylinder(parity, weight_window)
     if rep.inconclusive:
         raise InconclusiveKernelError(
             "oscillator report inconclusive; cylinder table not assembled")
@@ -310,6 +349,7 @@ def cylinder_table(rep: KernelReport, parity: str,
 
 def cylinder_sl2(parity: str, weight_window: int, grid: GridSpec,
                  svd_tol: float, potential_scale: float = 1.0) -> KTypeTable:
-    """`oscillator_1d` followed by `cylinder_table`."""
+    """`oscillator_1d` then `cylinder_table`, the arguments checked first."""
+    _check_cylinder(parity, weight_window)
     return cylinder_table(oscillator_1d(grid, svd_tol, potential_scale),
                           parity, weight_window)

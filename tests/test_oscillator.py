@@ -1,8 +1,10 @@
 """Finite-difference oscillator kernels and the cylinder table."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +13,18 @@ import pytest
 import kbranch
 from kbranch import oscillator
 from kbranch.oscillator import (GridSpec, GridError, InconclusiveKernelError,
-                                KernelReport,
-                                _component_matrices, _parity_halves,
-                                cylinder_sl2,
+                                KernelReport, _component_stencils, _dense,
+                                _parity_halves, cylinder_sl2,
                                 cylinder_table, oscillator_1d, oscillator_nd)
 from kbranch.sl2_oracles import SL2Series, oracle_match
 
 GRID = GridSpec(8.0, 0.05)
 TOL = 1e-6
+
+
+def _component_matrices(grid, f):
+    """The even and odd component matrices, dense, from their diagonals."""
+    return tuple(_dense(*s) for s in _component_stencils(grid, f))
 
 
 def test_grid_validation(monkeypatch):
@@ -118,6 +124,58 @@ def test_1d_sweep_always_reports():
                 rep = oscillator_1d(GridSpec(L, h), TOL, potential_scale=f)
                 assert isinstance(rep, KernelReport)
                 assert np.isfinite(rep.gaussian_l2_error)
+
+
+def _dense_gaussian_error(grid, f):
+    """The Gaussian error of two dense inverse-iteration steps with the whole
+    even matrix: the reference for the O(n) solve in `oscillator_1d`."""
+    even = _component_matrices(grid, f)[0]
+    ata = even.T @ even
+    v = np.linalg.solve(ata, np.linalg.solve(ata, np.ones(len(ata))))
+    v /= np.linalg.norm(v)
+    xi = grid.nodes()[1:-1]
+    gauss = np.exp(-f * xi ** 2 / 2)
+    gauss /= np.linalg.norm(gauss)
+    return min(np.linalg.norm(v - gauss), np.linalg.norm(v + gauss))
+
+
+def test_1d_gaussian_matches_dense_normal_solve():
+    for L in (2.0, 4.0, 8.0, 12.0):
+        for h in (0.1, 0.05, 0.025):
+            for f in (0.5, 1.0, 2.0, 4.0, 8.0):
+                grid = GridSpec(L, h)
+                rep = oscillator_1d(grid, TOL, potential_scale=f)
+                assert rep.gaussian_l2_error == pytest.approx(
+                    _dense_gaussian_error(grid, f), abs=1e-12)
+
+
+def test_1d_makes_no_dense_solve_and_no_n_square_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solve")
+
+    real_dense, orders = oscillator._dense, []
+
+    def dense(d, l):
+        orders.append(len(d))
+        return real_dense(d, l)
+
+    grid = GridSpec(12.0, 0.025)  # 961 points
+    n = grid.npoints - 2  # the order of the even normal matrix
+    oscillator_1d(grid, TOL)  # warm: first-call allocations are not the solve
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", refuse)
+        m.setattr(oscillator, "_dense", dense)
+        tracemalloc.start()
+        try:
+            rep = oscillator_1d(grid, TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (rep.kernel_dim_even, rep.kernel_dim_odd) == (1, 0)
+    assert orders == [grid.npoints // 2] * 2  # the parity halves only
+    # the two parity halves of order n/2 take half of one n x n matrix;
+    # even.T @ even with its LU factor would take two
+    assert peak < 0.75 * n * n * 8
 
 
 def test_oscillator_kernel_dimensions():
@@ -261,6 +319,42 @@ def test_nd_smallest_value_tensors_the_1d_one():
     assert s2 == pytest.approx(np.sqrt(2) * s1, rel=1e-6)
 
 
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1.0, 0.25), GridSpec(2.0, 0.2)])
+def test_nd_stencil_operator_matches_dense_kronecker(monkeypatch, grid):
+    # A and A^T as oscillator_nd hands them to _lobpcg, against A assembled
+    # densely from the Kronecker products of the 1-D component matrices
+    ops = {}
+
+    def capture(op, adj, *args):
+        ops.update(op=op, adj=adj)
+        raise _Captured
+
+    monkeypatch.setattr(oscillator, "oscillator_1d",
+                        lambda *a: KernelReport(1, 0, 0.0))
+    monkeypatch.setattr(oscillator, "_lobpcg", capture)
+    rng = np.random.default_rng(1)
+    m = grid.npoints
+    for f in (0.0, 0.37, 1.0, 2.0):
+        with pytest.raises(_Captured):
+            oscillator_nd(2, grid, 1e-5, potential_scale=f)
+        P, M = _component_matrices(grid, f)
+        E, I1 = np.eye(m)[:, 1:-1], np.eye(m - 1)
+        A = np.block([[np.kron(P, E), -np.kron(I1, M)],
+                      [np.kron(E, P), np.kron(M, I1)]])
+        x = rng.standard_normal((4, A.shape[1]))
+        y = rng.standard_normal((4, A.shape[0]))
+        ax, aty = ops["op"](x), ops["adj"](y)
+        atol = 1e-14 * np.abs(A).max()
+        assert np.abs(ax - x @ A.T).max() <= atol * np.abs(x).max()
+        assert np.abs(aty - y @ A).max() <= atol * np.abs(y).max()
+        for u, v, au, atv in zip(x, y, ax, aty):
+            assert au @ v == pytest.approx(u @ atv, rel=1e-13)
+
+
 def test_nd_iteration_cap_is_inconclusive(monkeypatch):
     monkeypatch.setattr(oscillator, "MAX_LOBPCG_ITERATIONS", 1)
     with pytest.raises(InconclusiveKernelError):
@@ -274,6 +368,42 @@ def test_nd_contradicting_the_tensor_rule_raises(monkeypatch):
     with pytest.raises(ArithmeticError, match="dimension 1 contradicts "
                                               "the tensor rule 4"):
         oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
+
+
+def test_nd_block_cap_raises_before_the_start_block(monkeypatch):
+    # 1-D dims (4, 0) predict ev = 16: a start block of 18 vectors
+    monkeypatch.setattr(oscillator, "oscillator_1d",
+                        lambda *a: KernelReport(4, 0, 0.0))
+    monkeypatch.setattr(np.random, "default_rng", None)  # calling it fails
+    with pytest.raises(ValueError, match="dimension 16: LOBPCG takes at "
+                                         "most 14"):
+        oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
+
+
+@pytest.mark.parametrize("svd_tol", [math.nan, math.inf, -math.inf, 0.0,
+                                     -1.0])
+def test_svd_tol_must_be_positive_and_finite(monkeypatch, svd_tol):
+    with monkeypatch.context() as m:
+        m.setitem(sys.modules, "numpy", None)  # checked before numpy loads
+        for solve in (lambda: oscillator_1d(GRID, svd_tol),
+                      lambda: oscillator_nd(2, GridSpec(6.0, 0.1), svd_tol)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                solve()
+
+
+@pytest.mark.parametrize("parity, window", [
+    ("diagonal", 4), ("even", -1), ("odd", 2.0), ("even", True),
+    ("even", "4")])
+def test_cylinder_arguments_checked_before_the_solve(monkeypatch, parity,
+                                                     window):
+    def refuse(*args):
+        raise AssertionError("solved before checking the arguments")
+
+    monkeypatch.setattr(oscillator, "oscillator_1d", refuse)
+    with pytest.raises(ValueError):
+        cylinder_sl2(parity, window, GRID, TOL)
+    with pytest.raises(ValueError):
+        cylinder_table(KernelReport(1, 0, 0.0), parity, window)
 
 
 def test_1d_values_stop_at_the_rounding_floor():
