@@ -4,10 +4,10 @@ reductive groups, with desk-scale numerical index verification."""
 from .branching import (InvalidParamsError, KTypeTable, TemperedParams,
                         hm_virtual_character, ktype_multiplicity, ktype_table,
                         nu_independence_check, sign_factor, validate_params)
-from .characters import (ConeError, CutoffError, FormalCharacter, HMCharacter,
-                         HMLattice, LatticeError, Weight, ZCharTable,
-                         char_mul, dot, geometric_series,
-                         graded_exterior, kostant_partition, pairing, weight)
+from .characters import (ConeError, CutoffError, FormalCharacter, HMLattice,
+                         LatticeError, Weight, ZCharTable, char_mul, dot,
+                         geometric_series, graded_exterior, kostant_partition,
+                         pairing, weight)
 from .groups import (GroupDataError, RealGroupData, RootSystem, WeylElement,
                      builtin_group, builtin_group_names, load_group_data,
                      weyl_group)

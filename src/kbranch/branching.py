@@ -47,9 +47,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .characters import (CutoffError, FormalCharacter, HMCharacter,
-                         HMLattice, Weight, dot, geometric_series,
-                         graded_exterior, partition_counts)
+from .characters import (CutoffError, FormalCharacter, HMLattice, Weight,
+                         dot, geometric_series, graded_exterior,
+                         partition_counts)
 from .groups import (GroupDataError, RealGroupData, WeylElement, matvec,
                      simple_roots)
 from .ktypes import KType, enumerate_ktypes, is_dominant, restrict_to_hm
@@ -186,12 +186,12 @@ def _apply_transpose(mat: Sequence[Sequence[int]], v: Sequence[int],
 @dataclass(frozen=True)
 class _Prepared:
     """What every K-type shares for one validated parameter tuple: the
-    lattice graded by the parameters' positive system, the base character
-    lambda - rho_c + rho_n tagged by chi, the positives split by type, and
+    lattice graded by the parameters' positive system, the base key
+    (lambda - rho_c + rho_n, chi), the positives split by type, and
     ((-1)^|S|, base + sum of S as coordinates) for every compact subset S."""
 
     hm: HMLattice
-    base: HMCharacter
+    base: tuple[tuple[int, ...], int]
     compact: tuple[Weight, ...]
     noncompact: tuple[Weight, ...]
     offsets: tuple[tuple[int, tuple[int, ...]], ...]
@@ -232,6 +232,7 @@ def _virtual_character(prep: _Prepared, cutoff: int) -> FormalCharacter:
 
 
 _Restricted = Mapping[tuple[tuple[int, ...], int], int]  # of restrict_to_hm
+_Row = tuple[tuple[int, ...], int]  # (highest-weight coordinates, m)
 
 
 def _partition_multiplicities(prep: _Prepared,
@@ -241,7 +242,7 @@ def _partition_multiplicities(prep: _Prepared,
     from one partition_counts table cut at the batch's highest target."""
     hv = prep.hm.height_vec
     terms = [[(sign * m, tuple(x - y for x, y in zip(coords, offset)))
-              for (coords, z), m in res.items() if z == prep.base.zchar
+              for (coords, z), m in res.items() if z == prep.base[1]
               for sign, offset in prep.offsets]
              for res in restricted]
     counts = partition_counts(prep.noncompact, prep.hm, max(
@@ -260,12 +261,11 @@ def _series_multiplicities(prep: _Prepared,
     (CutoffError should it fall short); then coefficients are read by key.
     """
     hv = prep.hm.height_vec
-    h2_base = prep.hm.height2(prep.base.tweight)
+    h2_base = prep.hm.key_height2(prep.base)
     h2_top = max([h2_base] + [sum(x * y for x, y in zip(coords, hv))
                               for res in restricted for coords, _ in res])
     virt = _virtual_character(prep, -(-h2_top // 2) - h2_base // 2)
-    coeff = {(c.tweight.coords, c.zchar): m
-             for c, m in virt.coefficients(h2_top).items()}
+    coeff = virt.coefficients(h2_top)
     return [sum(m * coeff.get(key, 0) for key, m in res.items())
             for res in restricted]
 
@@ -289,7 +289,7 @@ def _blattner_terms(g: RealGroupData, prep: _Prepared
     if w_phi is None:
         raise ArithmeticError("no w in W_K takes the positive K roots onto "
                               "the compact positives")
-    base = prep.base.tweight.coords
+    base = prep.base[0]
     return w_phi.det, [
         (w, tuple(a - b for a, b in zip(
             matvec(g.tm_in_t, [x - y for x, y in zip(s, phi_shift)]), base)))
@@ -297,9 +297,9 @@ def _blattner_terms(g: RealGroupData, prep: _Prepared
 
 
 def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
-                    ) -> list[tuple[KType, int]]:
+                    ) -> list[_Row]:
     """The K-types of the window that Blattner's formula can make nonzero,
-    in lexical order, with their multiplicities.
+    as (highest-weight coordinates, multiplicity) in lexical order.
 
     P_n vanishes off the noncompact cone, so mu can be nonzero only if some
     target R w mu + shift_w is a cone point t; then w mu is a solution x of
@@ -310,7 +310,7 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     """
     eps, terms = _blattner_terms(g, prep)
     hm = prep.hm
-    rank, lattice = g.k_roots.rank, g.t_lattice.lattice
+    rank = g.k_roots.rank
     simples = [s.coords for s in g.k_roots.simples]
     # (R w mu, h) = (mu, w^T R^T h), and |w^T v|_1 = |v|_1
     rt_h = _apply_transpose(g.tm_in_t, hm.height_vec, rank)
@@ -326,10 +326,9 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
                 mu = _apply_transpose(w.matrix, x, rank)
                 if (max(map(abs, mu), default=0) <= window
                         and is_dominant(mu, simples)
-                        and g.zchar(mu) == prep.base.zchar):
+                        and g.zchar(mu) == prep.base[1]):
                     found.setdefault(mu, []).append((w.det, t))
-    return [(KType(Weight(mu, lattice)),
-             eps * sum(det * points[t] for det, t in found[mu]))
+    return [(mu, eps * sum(det * points[t] for det, t in found[mu]))
             for mu in sorted(found)]
 
 
@@ -347,7 +346,7 @@ def hm_virtual_character(g: RealGroupData, p: TemperedParams,
     measured against the parameters' positive system.
     """
     prep = _prepare(g, p)
-    if prep.hm.height2(prep.base.tweight) > 2 * cutoff:
+    if prep.hm.key_height2(prep.base) > 2 * cutoff:
         raise CutoffError("cutoff too small to contain the base weight")
     return _virtual_character(prep, cutoff)
 
@@ -362,23 +361,23 @@ def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
     return _EVALUATORS[mode](prep, [restrict_to_hm(g, kt)])[0]
 
 
-def _nonzero(rows: Sequence[tuple[KType, int]]) -> list[tuple[KType, int]]:
-    for kt, m in rows:
+def _nonzero(rows: Sequence[_Row]) -> list[_Row]:
+    for mu, m in rows:
         if m < 0:
             raise ArithmeticError(
-                f"negative multiplicity {m} at {kt.highest.coords}; "
+                f"negative multiplicity {m} at {mu}; "
                 "representation tables must be nonnegative")
-    return [(kt, m) for kt, m in rows if m]
+    return [(mu, m) for mu, m in rows if m]
 
 
 def _box(g: RealGroupData, prep: _Prepared, window: int, evaluate
-         ) -> list[tuple[KType, int]]:
+         ) -> list[_Row]:
     """The one path of every table that scans the window's box: enumerate
     its K-types, restrict each, evaluate them as one batch, keep the
     nonzero rows."""
     ktypes = enumerate_ktypes(g, window)
     mults = evaluate(prep, [restrict_to_hm(g, kt) for kt in ktypes])
-    return _nonzero(list(zip(ktypes, mults)))
+    return _nonzero([(kt.highest.coords, m) for kt, m in zip(ktypes, mults)])
 
 
 def box_table(g: RealGroupData, p: TemperedParams, window: int,
@@ -387,8 +386,7 @@ def box_table(g: RealGroupData, p: TemperedParams, window: int,
     for zero verdicts."""
     prep = _prepare(g, p, zero_ok=True)
     rows = [] if prep is None else _box(g, prep, window, _EVALUATORS[mode])
-    return KTypeTable({kt.highest.coords: m for kt, m in rows}, window,
-                      sign_factor(g))
+    return KTypeTable(dict(rows), window, sign_factor(g))
 
 
 _SPOT_CHECKS = 3
@@ -412,14 +410,13 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
             else _box(g, prep, window, _partition_multiplicities))
     spot = rows[:_SPOT_CHECKS]
     series = _series_multiplicities(
-        prep, [restrict_to_hm(g, kt) for kt, _ in spot])
-    for (kt, m), s in zip(spot, series):
+        prep, [restrict_to_hm(g, KType(g.t_weight(mu))) for mu, _ in spot])
+    for (mu, m), s in zip(spot, series):
         if s != m:
             raise ArithmeticError(
-                f"evaluator disagreement at {kt.highest.coords}: "
+                f"evaluator disagreement at {mu}: "
                 f"series {s} vs {evaluator} {m}")
-    return KTypeTable({kt.highest.coords: m for kt, m in rows}, window,
-                      sign_factor(g))
+    return KTypeTable(dict(rows), window, sign_factor(g))
 
 
 def nu_independence_check(g: RealGroupData, p: TemperedParams,

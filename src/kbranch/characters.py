@@ -2,9 +2,10 @@
 
 Weights are integer (or half-integer) vectors in a fixed lattice basis.
 Formal characters are finitely supported integer combinations of characters
-of a compact abelian group H = (torus T) x (finite abelian Z), possibly
-truncated to a height window with an exactness certificate, which a batch
-of queries checks once (coefficients) before reading coefficients by key.
+of a compact abelian group H = (torus T) x (finite abelian Z), keyed by
+(torus coordinates, Z index), possibly truncated to a height window with an
+exactness certificate, which a batch of queries checks once (coefficients)
+before reading coefficients by key.
 Every Kostant partition count is read from one partition_counts table; no
 state outlives a call.  All arithmetic is exact; coefficients are
 arbitrary-precision integers.
@@ -32,6 +33,9 @@ class CutoffError(ValueError):
     """Coefficient query beyond a character's exactness certificate."""
 
 
+_Key = tuple[tuple[int, ...], int]  # (torus coordinates, Z index)
+
+
 @dataclass(frozen=True)
 class Weight:
     """Integer vector in a lattice basis; value is coords/denom.
@@ -45,8 +49,10 @@ class Weight:
     denom: int = 1
 
     def __post_init__(self):
-        if self.denom not in (1, 2):
-            raise LatticeError(f"denom must be 1 or 2, got {self.denom}")
+        if type(self.denom) is not int or self.denom not in (1, 2):
+            raise LatticeError(f"denom must be 1 or 2, got {self.denom!r}")
+        if not {int}.issuperset(map(type, self.coords)):  # no bools
+            raise LatticeError(f"coordinates {self.coords!r} are not integers")
 
     @property
     def rank(self) -> int:
@@ -87,7 +93,7 @@ class Weight:
 
 def weight(coords: Iterable[int], lattice: str = "t", denom: int = 1) -> Weight:
     """Build a Weight with the denominator reduced."""
-    coords = tuple(int(c) for c in coords)
+    coords = tuple(coords)
     if denom == 2 and all(c % 2 == 0 for c in coords):
         coords = tuple(c // 2 for c in coords)
         denom = 1
@@ -205,28 +211,28 @@ class HMLattice:
             raise LatticeError("characters require integral weights")
         return sum(x * y for x, y in zip(w.coords, self.height_vec))
 
-    def char(self, tweight: Weight, zchar: int = -1) -> "HMCharacter":
-        if zchar == -1:
-            zchar = self.ztable.identity
-        self.height2(tweight)  # validates lattice/rank/integrality
-        if not (0 <= zchar < len(self.ztable.rows)):
-            raise LatticeError(f"no character with index {zchar}")
-        return HMCharacter(tweight, zchar)
+    def char(self, w: Weight, z: Optional[int] = None) -> _Key:
+        """The key of the character e^w of T times the Z character z, by
+        default the identity."""
+        self.height2(w)  # validates lattice/rank/integrality
+        key = w.coords, self.ztable.identity if z is None else z
+        self.key_height2(key)
+        return key
 
-    def zero_weight(self) -> Weight:
-        return Weight((0,) * self.rank, self.lattice)
-
-
-@dataclass(frozen=True)
-class HMCharacter:
-    """A character of H = T x Z: a torus weight plus a Z-character index."""
-
-    tweight: Weight
-    zchar: int
+    def key_height2(self, key: _Key) -> int:
+        """Doubled height of a key (coordinates, Z index); LatticeError
+        unless it names a character of H."""
+        coords, z = key
+        if (type(coords) is not tuple or len(coords) != self.rank
+                or not {int}.issuperset(map(type, coords))
+                or type(z) is not int or not 0 <= z < self.ztable.order):
+            raise LatticeError(f"{key!r} is not a character of H")
+        return sum(x * y for x, y in zip(coords, self.height_vec))
 
 
 class FormalCharacter:
-    """Finitely supported Z-linear combination of HMCharacters.
+    """Finitely supported Z-linear combination of characters of H, keyed
+    by (torus coordinates, Z index).
 
     cutoff=None means the character is exact (finite support).  An integer
     cutoff certifies that every coefficient at height <= cutoff is exact,
@@ -235,31 +241,32 @@ class FormalCharacter:
 
     __slots__ = ("hm", "_terms", "cutoff")
 
-    def __init__(self, hm: HMLattice,
-                 terms: Mapping[HMCharacter, int] = (),
+    def __init__(self, hm: HMLattice, terms: Mapping[_Key, int] = (),
                  cutoff: Optional[int] = None):
+        if cutoff is not None and type(cutoff) is not int:
+            raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
         self.hm = hm
         self.cutoff = cutoff
-        clean: dict[HMCharacter, int] = {}
-        for c, m in dict(terms).items():
+        clean: dict[_Key, int] = {}
+        for key, m in dict(terms).items():
+            if type(m) is not int:
+                raise ValueError(f"coefficient {m!r} is not an integer")
             if m == 0:
                 continue
-            h2 = hm.height2(c.tweight)  # validates lattice/rank/integrality
+            h2 = hm.key_height2(key)
             if cutoff is not None and h2 > 2 * cutoff:
                 raise CutoffError("stored term above the cutoff certificate")
-            clean[c] = int(m)
+            clean[key] = m
         self._terms = clean
 
     @classmethod
     def one(cls, hm: HMLattice) -> "FormalCharacter":
-        return cls(hm, {hm.char(hm.zero_weight()): 1})
+        return cls(hm, {((0,) * hm.rank, hm.ztable.identity): 1})
 
-    def items(self) -> Iterator[tuple[HMCharacter, int]]:
-        return iter(sorted(
-            self._terms.items(),
-            key=lambda kv: (kv[0].tweight.coords, kv[0].zchar)))
+    def items(self) -> Iterator[tuple[_Key, int]]:
+        return iter(sorted(self._terms.items()))
 
-    def support(self) -> list[HMCharacter]:
+    def support(self) -> list[_Key]:
         return [c for c, _ in self.items()]
 
     def __len__(self) -> int:
@@ -272,11 +279,11 @@ class FormalCharacter:
                 and self.cutoff == other.cutoff)
 
     def __repr__(self) -> str:
-        parts = [f"{m}*e{c.tweight.coords}@z{c.zchar}" for c, m in self.items()]
+        parts = [f"{m}*e{c}@z{z}" for (c, z), m in self.items()]
         tail = "" if self.cutoff is None else f" (cutoff {self.cutoff})"
         return "FormalCharacter(" + " + ".join(parts or ["0"]) + tail + ")"
 
-    def coefficients(self, top2: int) -> Mapping[HMCharacter, int]:
+    def coefficients(self, top2: int) -> Mapping[_Key, int]:
         """Read-only coefficients by key, exact up to the doubled height
         top2; raises CutoffError beyond the certificate."""
         if self.cutoff is not None and top2 > 2 * self.cutoff:
@@ -284,22 +291,22 @@ class FormalCharacter:
                               f"{self.cutoff}")
         return MappingProxyType(self._terms)
 
-    def coefficient(self, at: HMCharacter) -> int:
+    def coefficient(self, at: _Key) -> int:
         """Coefficient at a character; raises CutoffError beyond certificate."""
-        return self.coefficients(self.hm.height2(at.tweight)).get(at, 0)
+        return self.coefficients(self.hm.key_height2(at)).get(at, 0)
 
     def truncate(self, cutoff: int) -> "FormalCharacter":
         """Restrict to height <= cutoff; requires exactness there."""
         if self.cutoff is not None and cutoff > self.cutoff:
             raise CutoffError("cannot extend a certificate by truncation")
-        kept = {c: m for c, m in self._terms.items()
-                if self.hm.height2(c.tweight) <= 2 * cutoff}
+        kept = {k: m for k, m in self._terms.items()
+                if self.hm.key_height2(k) <= 2 * cutoff}
         return FormalCharacter(self.hm, kept, cutoff)
 
     def _min_height2(self) -> Optional[int]:
         """Lower bound for the doubled height of the full support."""
         if self._terms:
-            return min(self.hm.height2(c.tweight) for c in self._terms)
+            return min(map(self.hm.key_height2, self._terms))
         if self.cutoff is not None:
             # certified zero up to the cutoff: support, if any, is above it
             return 2 * self.cutoff + 1
@@ -329,17 +336,17 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     if b.cutoff is not None:
         bounds2.append(2 * b.cutoff + a._min_height2())
 
-    acc: dict[HMCharacter, int] = {}
-    zt = hm.ztable
-    for ca, ma in a._terms.items():
-        for cb, mb in b._terms.items():
-            key = HMCharacter(ca.tweight + cb.tweight, zt.mul(ca.zchar, cb.zchar))
+    acc: dict[_Key, int] = {}
+    zmul = hm.ztable.mul
+    for (ca, za), ma in a._terms.items():
+        for (cb, zb), mb in b._terms.items():
+            key = tuple(x + y for x, y in zip(ca, cb)), zmul(za, zb)
             acc[key] = acc.get(key, 0) + ma * mb
 
     if not bounds2:
         return FormalCharacter(hm, acc)
     cutoff = min(bounds2) // 2  # floor keeps the certificate sound
-    kept = {c: m for c, m in acc.items() if hm.height2(c.tweight) <= 2 * cutoff}
+    kept = {k: m for k, m in acc.items() if hm.key_height2(k) <= 2 * cutoff}
     return FormalCharacter(hm, kept, cutoff)
 
 
@@ -347,30 +354,30 @@ def geometric_series(hm: HMLattice, root: Weight, cutoff: int) -> FormalCharacte
     """Sum of e^{n*root} over n >= 0 with height(n*root) <= cutoff."""
     if root.is_zero():
         raise ConeError("geometric series of the zero root")
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    h2 = hm.height2(root)
+    if type(cutoff) is not int or cutoff < 0:
+        raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
+    step, z = hm.char(root)
+    h2 = hm.key_height2((step, z))
     if h2 <= 0:
         raise ConeError("root has nonpositive height; series is not graded")
-    terms = {}
-    n = 0
-    while n * h2 <= 2 * cutoff:
-        terms[hm.char(n * root)] = 1
-        n += 1
+    terms, point = {}, (0,) * hm.rank
+    for _ in range(2 * cutoff // h2 + 1):
+        terms[point, z] = 1
+        point = tuple(x + y for x, y in zip(point, step))
     return FormalCharacter(hm, terms, cutoff)
 
 
 def graded_exterior(hm: HMLattice, weights: Sequence[Weight]) -> FormalCharacter:
     """Signed exterior-algebra character: product of (1 - e^{w})."""
-    acc = {hm.char(hm.zero_weight()): 1}
+    acc = dict(FormalCharacter.one(hm).items())
     for w in weights:
-        hm.height2(w)
-        nxt: dict[HMCharacter, int] = {}
-        for c, m in acc.items():
-            nxt[c] = nxt.get(c, 0) + m
-            shifted = HMCharacter(c.tweight + w, c.zchar)
+        step, _ = hm.char(w)
+        nxt: dict[_Key, int] = {}
+        for (c, z), m in acc.items():
+            nxt[c, z] = nxt.get((c, z), 0) + m
+            shifted = tuple(x + y for x, y in zip(c, step)), z
             nxt[shifted] = nxt.get(shifted, 0) - m
-        acc = {c: m for c, m in nxt.items() if m != 0}
+        acc = {k: m for k, m in nxt.items() if m != 0}
     return FormalCharacter(hm, acc)
 
 

@@ -175,6 +175,8 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
     """
     if not (math.isfinite(svd_tol) and svd_tol > 0):
         raise ValueError("svd_tol must be positive and finite")
+    if not math.isfinite(potential_scale):
+        raise ValueError("potential_scale must be finite")
     import numpy as np
     # each spectrum: its halves' union, ascending, floored at eps * s_max
     s_even, s_odd = (np.maximum(s, np.finfo(float).eps * s[-1]) for s in (
@@ -253,7 +255,7 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     if grid.npoints > MAX_GRID_POINTS_2D:
         raise GridError(f"the 2-D grid would have {grid.npoints} points per "
                         f"axis; at most {MAX_GRID_POINTS_2D} are allowed")
-    rep1 = oscillator_1d(grid, svd_tol, potential_scale)  # checks svd_tol
+    rep1 = oscillator_1d(grid, svd_tol, potential_scale)  # checks both
     if rep1.inconclusive:
         raise InconclusiveKernelError(
             "1-D oscillator report is inconclusive; cannot tensor")

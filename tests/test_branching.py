@@ -87,22 +87,21 @@ def test_validate_rejects_nonintegral_shift():
 
 def test_virtual_character_discrete():
     W = hm_virtual_character(GC, sl2_discrete(GC, 3, "+"), 12)
-    got = {c.tweight.coords[0]: m for c, m in W.items()}
+    got = {c[0]: m for (c, _), m in W.items()}
     assert all(m == 1 for m in got.values())
     assert set(got) >= {4, 6, 8, 10}
     assert all(k >= 4 and k % 2 == 0 for k in got)
-    assert all(c.zchar == 0 for c in W.support())
+    assert all(z == 0 for _, z in W.support())
 
 
 def test_virtual_character_split_is_single_term():
     W = hm_virtual_character(GS, sl2_principal(GS, "plus"), 5)
-    assert [(c.tweight.coords, c.zchar, m) for c, m in W.items()] == [
-        ((), 0, 1)]
+    assert [(c, z, m) for (c, z), m in W.items()] == [((), 0, 1)]
 
 
 def test_virtual_character_limit():
     W = hm_virtual_character(GC, sl2_limit(GC, "+"), 9)
-    got = sorted(c.tweight.coords[0] for c in W.support())
+    got = sorted(c[0] for c, _ in W.support())
     assert got == [1, 3, 5, 7, 9]
 
 
@@ -242,8 +241,8 @@ def test_prepared_lattice_holds_rho_and_base(g, p):
     two_rho_n_less_two_rho_c = [sum(c[i] for c in noncompact)
                                 - sum(c[i] for c in compact)
                                 for i in range(g.hm.rank)]
-    assert prep.base.tweight == p.lam + weight(two_rho_n_less_two_rho_c,
-                                               g.hm.lattice, 2)
+    assert prep.base == g.hm.char(
+        p.lam + weight(two_rho_n_less_two_rho_c, g.hm.lattice, 2), p.chi)
 
 
 @pytest.mark.parametrize("table", [ktype_table, ktype_table_series],
@@ -405,6 +404,17 @@ def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
     # the base height, and one height per root of the partition table
     assert sum(calls.values()) <= 1 + len(prep.noncompact)
     assert sum(len(res) for res in batch) > 1000
+
+
+def test_virtual_character_steps_coordinate_tuples(monkeypatch):
+    # each root is checked once as a Weight, then every term of the
+    # character is a (coordinates, Z' index) pair built by tuple sums
+    prep = branching._prepare(GU, su21_from_lambda(GU, [3, 1, -1]))
+    calls = _count_calls(monkeypatch, (Weight, "__add__"), (Weight, "__sub__"),
+                         (Weight, "__mul__"), (Weight, "__rmul__"),
+                         (HMLattice, "char"), (HMLattice, "height2"))
+    assert len(branching._virtual_character(prep, 40)) == 61
+    assert sum(calls.values()) <= 10
 
 
 def test_short_certificate_raises_cutoff_error(monkeypatch):

@@ -8,6 +8,7 @@ from kbranch.characters import (ConeError, CutoffError, FormalCharacter,
                                 HMLattice, LatticeError, Weight, ZCharTable,
                                 char_mul, geometric_series, graded_exterior,
                                 kostant_partition, partition_counts, weight)
+from kbranch.groups import builtin_group
 
 # rank-1 lattice shaped like the compact-Cartan setup: positive root (2),
 # height covector = that root, order-2 component group
@@ -21,7 +22,7 @@ B1 = Weight((1, 0, -1), "su21:tM")
 B2 = Weight((0, 1, -1), "su21:tM")
 
 
-def ch(hm, coords, z=-1):
+def ch(hm, coords, z=None):
     return hm.char(Weight(tuple(coords), hm.lattice), z)
 
 
@@ -33,6 +34,23 @@ def test_weight_arithmetic_and_denominators():
     assert weight([2, 4], "x", denom=2) == weight([1, 2], "x")
     assert (-a).coords == (-1, 1)
     assert (3 * a).coords == (3, -3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: weight([1.5, 2.7], "x"),
+    lambda: weight([True, 0], "x"),
+    lambda: Weight((1.5,), "x"),
+    lambda: Weight((1,), "x", 2.0),
+    lambda: builtin_group("su21").t_weight([1.9, 0, -1]),
+    lambda: FormalCharacter(SL2, {ch(SL2, [2]): 1.5}),
+    lambda: FormalCharacter(SL2, {ch(SL2, [2]): True}),
+    lambda: FormalCharacter(SL2, {}, 2.5),
+    lambda: geometric_series(SL2, ALPHA, 2.5),
+], ids=["weight", "weight-bool", "Weight", "denom", "t_weight", "coefficient",
+        "coefficient-bool", "cutoff", "series-cutoff"])
+def test_non_integers_are_refused_not_truncated(build):
+    with pytest.raises(ValueError):  # LatticeError is a ValueError
+        build()
 
 
 def test_weights_from_different_lattices_do_not_mix():
@@ -65,7 +83,7 @@ def test_sl2_discrete_shift_series():
 
 def test_geometric_series_examples():
     s = geometric_series(SL2, ALPHA, 6)
-    assert [c.tweight.coords for c in s.support()] == [(0,), (2,), (4,), (6,)]
+    assert [c for c, _ in s.support()] == [(0,), (2,), (4,), (6,)]
     assert geometric_series(SL2, ALPHA, 0) == FormalCharacter.one(SL2).truncate(0)
     # five terms at cutoff 4 * height(root), for either noncompact root
     for b in (B1, B2):
@@ -222,15 +240,15 @@ def test_cutoff_soundness_randomized():
         hb = rng.randint(-2, 6)
         ta = FormalCharacter(
             U21, {c: m for c, m in a.items()
-                  if U21.height2(c.tweight) <= 2 * ha}, ha)
+                  if U21.key_height2(c) <= 2 * ha}, ha)
         tb = FormalCharacter(
             U21, {c: m for c, m in b.items()
-                  if U21.height2(c.tweight) <= 2 * hb}, hb)
+                  if U21.key_height2(c) <= 2 * hb}, hb)
         prod = char_mul(ta, tb)
         if prod.cutoff is None:
             continue
         for c, m in exact.items():
-            if U21.height2(c.tweight) <= 2 * prod.cutoff:
+            if U21.key_height2(c) <= 2 * prod.cutoff:
                 assert prod.coefficient(c) == m
         for c, m in prod.items():
             assert exact.coefficient(c) == m
@@ -239,3 +257,30 @@ def test_cutoff_soundness_randomized():
 def test_lattice_mismatch_in_product():
     with pytest.raises(LatticeError):
         char_mul(FormalCharacter.one(SL2), FormalCharacter.one(U21))
+
+
+def test_char_defaults_to_the_identity_and_checks_its_index():
+    hm = HMLattice(1, "z", (2,), ZCharTable(2, ((1,), (0,))))
+    w = Weight((2,), "z")
+    assert hm.char(w) == ((2,), 1)
+    assert hm.char(w, 0) == ((2,), 0)
+    for z in (-1, -2, 2, True, 1.0):
+        with pytest.raises(LatticeError):
+            hm.char(w, z)
+    with pytest.raises(LatticeError):
+        hm.char(Weight((2,), "elsewhere"))
+
+
+@pytest.mark.parametrize("key", [
+    ((1, 0), 0),             # wrong rank
+    ((1.0, 0, -1), 0),       # not integers
+    ((1, 0, -1), 1),         # U21 has one Z' character
+    ((1, 0, -1), -1),
+    ((1, 0, -1), True),
+    (B1, 0),                 # a Weight, not its coordinates
+])
+def test_keys_off_the_lattice_are_refused(key):
+    with pytest.raises(LatticeError):
+        FormalCharacter(U21, {key: 1})
+    with pytest.raises(LatticeError):
+        geometric_series(U21, B1, 4).coefficient(key)

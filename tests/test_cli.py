@@ -315,11 +315,15 @@ def test_verify_dirac_inconclusive_kernel_fails_cleanly(capsys):
     ("verify_dirac_svd_tol_1e-13.json", 1, ("--svd-tol", "1e-13")),
     ("verify_dirac_svd_tol_100.json", 1, ("--svd-tol", "100")),
     ("verify_dirac_grid_12_0.025.json", 0,
-     ("--grid-L", "12", "--grid-h", "0.025"))])
+     ("--grid-L", "12", "--grid-h", "0.025")),
+    ("verify_ring.json", 0, ()),
+    ("verify_sl2.json", 0, ()),
+    ("verify_su21.json", 0, ())])
 def test_verify_dirac_stdout_matches_golden_bytes(capsys, golden, code, argv):
-    # reports written by whole-matrix SVDs, an independent 1-D solver
+    # each file is named verify_<suite>[_<flags>].json; the dirac reports
+    # were written by whole-matrix SVDs, an independent 1-D solver
     want = (Path(__file__).parent / "data" / golden).read_bytes()
-    got = run(capsys, "verify", "dirac", *argv)
+    got = run(capsys, "verify", Path(golden).stem.split("_")[1], *argv)
     assert got == (code, want.decode(), "")
 
 

@@ -391,6 +391,18 @@ def test_svd_tol_must_be_positive_and_finite(monkeypatch, svd_tol):
                 solve()
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+def test_potential_scale_must_be_finite(monkeypatch, scale):
+    with monkeypatch.context() as m:
+        m.setitem(sys.modules, "numpy", None)  # checked before numpy loads
+        for solve in (
+                lambda: oscillator_1d(GRID, TOL, scale),
+                lambda: oscillator_nd(2, GridSpec(6.0, 0.1), TOL, scale),
+                lambda: cylinder_sl2("even", 4, GRID, TOL, scale)):
+            with pytest.raises(ValueError, match="potential_scale"):
+                solve()
+
+
 @pytest.mark.parametrize("parity, window", [
     ("diagonal", 4), ("even", -1), ("odd", 2.0), ("even", True),
     ("even", "4")])
