@@ -354,11 +354,13 @@ def hm_virtual_character(g: RealGroupData, p: TemperedParams,
 def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
                        mode: str = "partition") -> int:
     """Multiplicity of one K-type by one oracle, "series" or "partition";
-    the two must agree."""
+    the two must agree.  The one conversion of a KType: its highest weight
+    is checked on the lattice of T and passed on as coordinates."""
     prep = _prepare(g, p)
     if mode not in _EVALUATORS:
         raise ValueError(f"unknown mode {mode!r}")
-    return _EVALUATORS[mode](prep, [restrict_to_hm(g, kt)])[0]
+    g.t_lattice.height2(kt.highest)
+    return _EVALUATORS[mode](prep, [restrict_to_hm(g, kt.highest.coords)])[0]
 
 
 def _nonzero(rows: Sequence[_Row]) -> list[_Row]:
@@ -376,8 +378,8 @@ def _box(g: RealGroupData, prep: _Prepared, window: int, evaluate
     its K-types, restrict each, evaluate them as one batch, keep the
     nonzero rows."""
     ktypes = enumerate_ktypes(g, window)
-    mults = evaluate(prep, [restrict_to_hm(g, kt) for kt in ktypes])
-    return _nonzero([(kt.highest.coords, m) for kt, m in zip(ktypes, mults)])
+    mults = evaluate(prep, [restrict_to_hm(g, mu) for mu in ktypes])
+    return _nonzero(list(zip(ktypes, mults)))
 
 
 def box_table(g: RealGroupData, p: TemperedParams, window: int,
@@ -410,7 +412,7 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
             else _box(g, prep, window, _partition_multiplicities))
     spot = rows[:_SPOT_CHECKS]
     series = _series_multiplicities(
-        prep, [restrict_to_hm(g, KType(g.t_weight(mu))) for mu, _ in spot])
+        prep, [restrict_to_hm(g, mu) for mu, _ in spot])
     for (mu, m), s in zip(spot, series):
         if s != m:
             raise ArithmeticError(

@@ -1,24 +1,25 @@
 """Irreducible representations of the maximal compact subgroup.
 
-Enumeration of dominant weights, exact Weyl dimensions, full weight
-multiplicities by Kostant's multiplicity formula (one partition_counts
-table per K-type, summed over the W_K derived at load), and restriction of
-a K-type to the compact Cartan component group H = T_M x Z'.  Both are
-plain integer maps, {coords: m} and {(coords on T_M, Z' index): m}, built
-after weight_multiplicities checks the K-type once (lattice, rank,
-integrality, dominance); no truncation certificate is involved.
+K-types are the coordinate tuples of their highest weights: enumeration,
+exact Weyl dimensions, full weight multiplicities by Kostant's multiplicity
+formula (one partition_counts table per K-type, summed over the W_K derived
+at load), and restriction to the compact Cartan component group
+H = T_M x Z'.  Both are plain integer maps, {coords: m} and
+{(coords on T_M, Z' index): m}, built after weight_multiplicities checks
+the tuple once (integer entries, rank, dominance); no truncation
+certificate is involved.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from types import MappingProxyType
 from typing import Mapping
 
-from .characters import LatticeError, Weight, dot, partition_counts
+from .characters import LatticeError, Weight, partition_counts
 from .groups import RealGroupData, matvec
 
 
@@ -36,30 +37,37 @@ def is_dominant(coords: tuple[int, ...],
     return all(sum(x * y for x, y in zip(coords, s)) >= 0 for s in simples)
 
 
-def enumerate_ktypes(g: RealGroupData, norm_cutoff: int) -> list[KType]:
-    """All dominant weights with max-coordinate norm <= norm_cutoff, in
-    lexicographic order."""
+def _check(g: RealGroupData, hw: tuple[int, ...]) -> None:
+    """LatticeError unless hw is a dominant integer tuple of K's rank."""
+    if (type(hw) is not tuple or len(hw) != g.k_roots.rank
+            or not {int}.issuperset(map(type, hw))
+            or not is_dominant(hw, [s.coords for s in g.k_roots.simples])):
+        raise LatticeError(f"{hw!r} is not a dominant integral weight of "
+                           f"rank {g.k_roots.rank}")
+
+
+def enumerate_ktypes(g: RealGroupData, norm_cutoff: int
+                     ) -> list[tuple[int, ...]]:
+    """The highest weights with max-coordinate norm <= norm_cutoff, as
+    coordinate tuples in lexicographic order."""
     simples = [s.coords for s in g.k_roots.simples]
-    lattice = g.t_lattice.lattice
-    return [KType(Weight(coords, lattice))
-            for coords in itertools.product(
+    return [coords for coords in itertools.product(
                 range(-norm_cutoff, norm_cutoff + 1), repeat=g.k_roots.rank)
             if is_dominant(coords, simples)]
 
 
-def weyl_dimension(g: RealGroupData, kt: KType) -> int:
-    """Product over positive roots of <hw+rho, alpha>/<rho, alpha>, exact."""
-    rho = g.t_lattice.rho
-    top = kt.highest + rho
-    dim = Fraction(1)
-    for a in g.k_roots.positives:
-        dim *= dot(top, a) / dot(rho, a)
-    if dim.denominator != 1 or dim <= 0:
-        raise LatticeError(f"highest weight {kt.highest.coords} is not dominant")
-    return int(dim)
+def weyl_dimension(g: RealGroupData, hw: tuple[int, ...]) -> int:
+    """Product over positive roots of <hw+rho, alpha>/<rho, alpha>, exact:
+    with 2 rho the height covector, of <2 hw + 2 rho, alpha>/<2 rho, alpha>."""
+    _check(g, hw)
+    rho2 = g.t_lattice.height_vec
+    pos = [alpha.coords for alpha in g.k_roots.positives]
+    return (prod(sum((2 * x + r) * a for x, r, a in zip(hw, rho2, alpha))
+                 for alpha in pos)
+            // prod(sum(r * a for r, a in zip(rho2, alpha)) for alpha in pos))
 
 
-def weight_multiplicities(g: RealGroupData, kt: KType
+def weight_multiplicities(g: RealGroupData, hw: tuple[int, ...]
                           ) -> dict[tuple[int, ...], int]:
     """Full weight character of the irreducible with this highest weight,
     as {weight coordinates: multiplicity}.
@@ -74,17 +82,15 @@ def weight_multiplicities(g: RealGroupData, kt: KType
     there covers them all; each of its points t gives the candidate
     mu = hw - t.
     """
-    lat = g.t_lattice
-    hw = kt.highest
-    h2 = lat.height2(hw)  # LatticeError off the lattice or non-integral
-    if not is_dominant(hw.coords, [s.coords for s in g.k_roots.simples]):
-        raise LatticeError(f"{hw.coords} is not a dominant lattice weight")
-    images = [w.apply(hw) for w in g.k_weyl]
-    counts = partition_counts(g.k_roots.positives, lat,
-                              h2 - min(map(lat.height2, images)))
+    _check(g, hw)
+    hv = g.t_lattice.height_vec
+    images = [matvec(w.matrix, hw) for w in g.k_weyl]
+    counts = partition_counts(
+        g.k_roots.positives, g.t_lattice,
+        max(sum((x - y) * h for x, y, h in zip(hw, image, hv))
+            for image in images))
     # P_K's argument at mu = hw - t is t + (w hw + shift_w - hw)
-    terms = [(w.det, tuple(a + b - c for a, b, c in
-                           zip(image.coords, shift, hw.coords)))
+    terms = [(w.det, tuple(a + b - c for a, b, c in zip(image, shift, hw)))
              for w, image, shift in zip(g.k_weyl, images, g.k_rho_shifts)]
     acc: dict[tuple[int, ...], int] = {}
     for t in counts:
@@ -92,23 +98,24 @@ def weight_multiplicities(g: RealGroupData, kt: KType
                 for det, off in terms)
         if m < 0:
             raise ArithmeticError(
-                f"Kostant's formula gave multiplicity {m} at {hw.coords} - {t}")
+                f"Kostant's formula gave multiplicity {m} at {hw} - {t}")
         if m:
-            acc[tuple(a - b for a, b in zip(hw.coords, t))] = m
+            acc[tuple(a - b for a, b in zip(hw, t))] = m
     return acc
 
 
 @lru_cache(maxsize=65536)
-def restrict_to_hm(g: RealGroupData, kt: KType
+def restrict_to_hm(g: RealGroupData, hw: tuple[int, ...]
                    ) -> Mapping[tuple[tuple[int, ...], int], int]:
     """Restriction of a K-type to H = T_M Z', as a read-only map
     {(coordinates on T_M, Z' index): multiplicity}: each weight pushed
     through the torus restriction, with the Z' character it induces.
 
-    Cached per (group, K-type), the one cache of restricted K-types.
+    Cached per (group, highest-weight tuple), the one cache of restricted
+    K-types; a miss checks the tuple in weight_multiplicities.
     """
     acc: dict[tuple[tuple[int, ...], int], int] = {}
-    for mu, m in weight_multiplicities(g, kt).items():
+    for mu, m in weight_multiplicities(g, hw).items():
         key = (matvec(g.tm_in_t, mu), g.zchar(mu))
         acc[key] = acc.get(key, 0) + m
     return MappingProxyType(acc)

@@ -280,10 +280,8 @@ def all_noncompact_su21():
     """su21 with every Levi root flagged noncompact: it loads, but the K
     root no longer maps onto a compact Levi root, so Blattner's formula
     does not apply."""
-    doc = json.loads((_BUILTIN_DIR / "su21.json").read_text())
-    doc["m"]["compact_flags"] = [False] * 6
-    doc["dims"]["s_M"] = 6
-    return load_group_data(json.dumps(doc))
+    return load_group_data(Path(__file__).parent / "data"
+                           / "su21-noncompact.json")
 
 
 def test_blattner_applies_on_shipped_groups_only():
@@ -309,7 +307,7 @@ def test_engine_reads_the_weyl_group_from_load(monkeypatch):
     ktype_table(g, p, 6)
     ktype_table_series(g, p, 4)
     ktype_multiplicity(g, p, KType(g.t_weight([4, 1, -2])))
-    weight_multiplicities(g, KType(g.t_weight([5, 0, -3])))
+    weight_multiplicities(g, (5, 0, -3))
     assert calls == []
     assert len(g.k_weyl) == 2
 
@@ -371,6 +369,23 @@ def _count_calls(monkeypatch, *targets):
             return _fn(*args)
         monkeypatch.setattr(cls, name, counted)
     return calls
+
+
+def test_tables_build_no_weight_per_ktype(monkeypatch):
+    # K-types travel as highest-weight tuples, so a warm table builds the
+    # same Weights, those of its parameters, at every window
+    p = su21_from_lambda(GU, [3, 1, -1])
+    calls = _count_calls(monkeypatch, (Weight, "__post_init__"))
+    for table in (lambda w: ktype_table_series(GU, p, w),
+                  lambda w: branching.box_table(GU, p, w, "partition"),
+                  lambda w: ktype_table(GU, p, w)):
+        built = []
+        for window in (4, 6):
+            table(window)  # fills the restriction cache
+            calls.clear()
+            table(window)
+            built.append(calls["__post_init__"])
+        assert built[0] == built[1] < 20
 
 
 def test_series_oracle_reads_no_coefficient(monkeypatch):
@@ -446,15 +461,21 @@ def test_restrict_to_hm_does_no_weight_work(monkeypatch):
 
 
 @pytest.mark.parametrize("kt", [
-    KType(Weight((4, 1, -2), "elsewhere")),           # off the lattice
-    KType(GU.t_weight([4, 1])),                       # wrong rank
-    KType(Weight((3, 1, -1), GU.t_lattice.lattice, 2)),  # half-integral
-    KType(GU.t_weight([1, 4, -2])),                   # not dominant
+    # (a KType, a highest-weight tuple), each refused
+    (KType(Weight((4, 1, -2), "elsewhere")), (4, 1, True)),  # lattice; bool
+    (KType(GU.t_weight([4, 1])), (4, 1)),                     # wrong rank
+    (KType(Weight((3, 1, -1), GU.t_lattice.lattice, 2)),      # half-integral
+     (1.5, 0.5, -0.5)),
+    (KType(GU.t_weight([1, 4, -2])), (1, 4, -2)),             # not dominant
 ])
 def test_ktype_off_the_group_lattice_raises(kt):
+    kt, hw = kt
     p = su21_from_lambda(GU, [3, 1, -1])
-    for evaluate in (lambda: weight_multiplicities(GU, kt),
-                     lambda: restrict_to_hm(GU, kt),
+    # the tuple is checked on a miss of the restriction cache; a hit
+    # compares keys by equality, and (4, 1, True) == (4, 1, 1)
+    restrict_to_hm.cache_clear()
+    for evaluate in (lambda: weight_multiplicities(GU, hw),
+                     lambda: restrict_to_hm(GU, hw),
                      lambda: ktype_multiplicity(GU, p, kt, "partition"),
                      lambda: ktype_multiplicity(GU, p, kt, "series")):
         with pytest.raises(LatticeError):
@@ -530,9 +551,9 @@ def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):
 
     restricted = []
 
-    def counted(g, kt):
-        restricted.append(kt)
-        return restrict_to_hm(g, kt)
+    def counted(g, mu):
+        restricted.append(mu)
+        return restrict_to_hm(g, mu)
 
     monkeypatch.setattr(branching, "enumerate_ktypes", refuse)
     monkeypatch.setattr(branching, "restrict_to_hm", counted)
@@ -542,8 +563,7 @@ def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):
         restricted.clear()
         t = ktype_table(g, p, 12)
         assert len(t.entries) > 3
-        assert [kt.highest.coords for kt in restricted] == [
-            k for k, _ in t.rows()[:3]]
+        assert restricted == [k for k, _ in t.rows()[:3]]
 
 
 # ------------------------------------------- independent SU(2,1) oracle
@@ -563,7 +583,7 @@ def su21_holomorphic_oracle(lam_coords, window, margin=14):
     rho_n = (1, 1, -2)
     base = tuple(lam_coords[i] + (-rho_c[i] + rho_n[i]) // 2 for i in range(3))
     total = Counter()
-    wm = weight_multiplicities(GU, KType(GU.t_weight(base)))
+    wm = weight_multiplicities(GU, base)
     for w0, m in wm.items():
         for m1 in range(margin):
             for m2 in range(margin):
@@ -582,8 +602,7 @@ def su21_holomorphic_oracle(lam_coords, window, margin=14):
         top = max(live, key=lambda w: (height(w), w))
         m = total[top]
         assert m > 0, "strip algorithm went negative"
-        for w, mm in weight_multiplicities(
-                GU, KType(GU.t_weight(top))).items():
+        for w, mm in weight_multiplicities(GU, top).items():
             total[w] -= m * mm
         table[top] = m
         if all(v == 0 for v in total.values()):

@@ -18,6 +18,8 @@ from kbranch.cli import MAX_WINDOW, main
 from kbranch.oscillator import MAX_GRID_POINTS
 from kbranch.groups import _BUILTIN_DIR
 
+DATA = Path(__file__).parent / "data"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -121,15 +123,10 @@ def test_window_above_cap_exits_2(capsys):
         "--window", str(MAX_WINDOW + 1))
 
 
-def test_box_above_cap_exits_2_without_scanning(capsys, tmp_path,
-                                                monkeypatch):
+def test_box_above_cap_exits_2_without_scanning(capsys, monkeypatch):
     # su21 with every Levi root noncompact falls back to the box scan
-    doc = json.loads((_BUILTIN_DIR / "su21.json").read_text())
-    doc["m"]["compact_flags"] = [False] * 6
-    doc["dims"]["s_M"] = 6
-    path = tmp_path / "su21-noncompact.json"
-    path.write_text(json.dumps(doc))
-    argv = ["table", "--group", str(path), "--params", '{"lambda":[3,1,-1]}']
+    argv = ["table", "--group", str(DATA / "su21-noncompact.json"),
+            "--params", '{"lambda":[3,1,-1]}']
 
     def refuse(*args):
         raise AssertionError("scanned the K-type box")
@@ -318,13 +315,27 @@ def test_verify_dirac_inconclusive_kernel_fails_cleanly(capsys):
      ("--grid-L", "12", "--grid-h", "0.025")),
     ("verify_ring.json", 0, ()),
     ("verify_sl2.json", 0, ()),
-    ("verify_su21.json", 0, ())])
+    ("verify_su21.json", 0, ()),
+    ("table_su21_w16.csv", 0,
+     ("table", "--group", "su21", "--params", '{"lambda":[3,1,-1]}',
+      "--window", "16", "--format", "csv")),
+    ("table_sp4r_w10.json", 0,
+     ("table", "--group", str(DATA / "sp4r.json"), "--params",
+      '{"lambda":[2,-1],"rmplus":[[1,-1],[2,0],[1,1],[0,-2]]}',
+      "--window", "10", "--format", "json")),
+    ("table_su21-noncompact_w4.csv", 0,
+     ("table", "--group", str(DATA / "su21-noncompact.json"), "--params",
+      '{"lambda":[3,1,-1]}', "--window", "4", "--format", "csv"))])
 def test_verify_dirac_stdout_matches_golden_bytes(capsys, golden, code, argv):
-    # each file is named verify_<suite>[_<flags>].json; the dirac reports
-    # were written by whole-matrix SVDs, an independent 1-D solver
-    want = (Path(__file__).parent / "data" / golden).read_bytes()
-    got = run(capsys, "verify", Path(golden).stem.split("_")[1], *argv)
-    assert got == (code, want.decode(), "")
+    # each verify file is named verify_<suite>[_<flags>].json, and its argv
+    # holds the flags; the dirac reports were written by whole-matrix SVDs,
+    # an independent 1-D solver.  Each table file holds the stdout of its
+    # whole argv: Blattner's formula on su21 and on an Sp(4,R) chamber, and
+    # the box fallback of a group outside it
+    want = (DATA / golden).read_bytes()
+    if golden.startswith("verify_"):
+        argv = ("verify", Path(golden).stem.split("_")[1], *argv)
+    assert run(capsys, *argv) == (code, want.decode(), "")
 
 
 def test_verify_ring_passes(capsys):

@@ -145,6 +145,48 @@ def test_size_caps_refuse_before_any_quadratic_work(monkeypatch, mutate,
     assert e.value.invariant == "size cap"
 
 
+def compact_b_doc(n):
+    """SO(2n + 1) as its own Levi factor, all roots compact: the B_n roots
+    +-e_i +-e_j and +-e_i, with simples e_i - e_(i+1) and e_n."""
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    pos = [[a + s * b for a, b in zip(e[i], e[j])]
+           for s in (-1, 1) for i in range(n) for j in range(i + 1, n)] + e
+    roots = pos + [[-c for c in r] for r in pos]
+    simples = [[a - b for a, b in zip(e[i], e[i + 1])]
+               for i in range(n - 1)] + [e[-1]]
+    return {
+        "name": f"b{n}-test",
+        "k": {"rank": n, "roots": roots, "positives": pos, "simples": simples},
+        "m": {"rank": n, "roots": roots, "positives": pos,
+              "compact_flags": [True] * len(roots)},
+        "restricted": {"dim_a": 0, "roots": [], "positives": []},
+        "tM_in_t": e,
+        "zmprime": {"order": 1, "generators": []},
+        "dims": {"s_M": 0, "a": 0},
+    }
+
+
+def test_weyl_group_above_the_cap_is_refused_as_it_grows(monkeypatch):
+    # W(B_5), of order 3,840, is below the cap; W(B_6), of order 46,080, is
+    # finite (its reflections permute the roots) but refused by size, as
+    # the element past the cap is added and not after a whole layer
+    b5 = load_group_data(json.dumps(compact_b_doc(5)))
+    assert len(b5.k_weyl) == 3840
+    compose = groups.WeylElement.compose
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(groups.WeylElement, "compose", counted)
+    with pytest.raises(GroupDataError) as e:
+        load_group_data(json.dumps(compact_b_doc(6)))
+    assert e.value.invariant == "size cap"
+    assert f"of {groups._WEYL_CAP + 1} or more elements" in str(e.value)
+    assert len(calls) <= 6 * (groups._WEYL_CAP + 1)
+
+
 def test_rho_half_sum_examples():
     assert HMLattice.graded(2, "x", []).rho == Weight((0, 0), "x")
     r = HMLattice.graded(1, "t", [Weight((2,), "t")]).rho

@@ -9,9 +9,8 @@ from kbranch import ktypes
 from kbranch.characters import pairing
 from kbranch.groups import (builtin_group, builtin_group_names,
                             load_group_data, weyl_group)
-from kbranch.ktypes import (KType, enumerate_ktypes, is_dominant,
-                            restrict_to_hm, weight_multiplicities,
-                            weyl_dimension)
+from kbranch.ktypes import (enumerate_ktypes, is_dominant, restrict_to_hm,
+                            weight_multiplicities, weyl_dimension)
 
 
 def compact_group_doc(name, rank, roots, positives, simples):
@@ -49,40 +48,40 @@ COMPACT = {"u3-test": U3, "b2-test": B2}
 def test_enumerate_circle_group():
     g = builtin_group("sl2r-compact")  # K = SO(2)
     kts = enumerate_ktypes(g, 3)
-    assert [kt.highest.coords for kt in kts] == [(k,) for k in range(-3, 4)]
-    assert [kt.highest.coords for kt in enumerate_ktypes(g, 0)] == [(0,)]
+    assert kts == [(k,) for k in range(-3, 4)]
+    assert enumerate_ktypes(g, 0) == [(0,)]
 
 
 def test_enumerate_u2():
     kts = enumerate_ktypes(U2, 1)
-    got = {kt.highest.coords for kt in kts}
+    got = set(kts)
     want = {(a, b) for a in range(-1, 2) for b in range(-1, 2) if a >= b}
     assert got == want
     # lexicographic order
-    assert [kt.highest.coords for kt in kts] == sorted(got)
+    assert kts == sorted(got)
 
 
 def test_weyl_dimension_examples():
     g = builtin_group("sl2r-compact")
-    assert weyl_dimension(g, KType(g.t_weight([0]))) == 1
-    assert weyl_dimension(g, KType(g.t_weight([7]))) == 1
-    assert weyl_dimension(U2, KType(U2.t_weight([2, 0]))) == 3
-    assert weyl_dimension(U3, KType(U3.t_weight([1, 0, -1]))) == 8
+    assert weyl_dimension(g, (0,)) == 1
+    assert weyl_dimension(g, (7,)) == 1
+    assert weyl_dimension(U2, (2, 0)) == 3
+    assert weyl_dimension(U3, (1, 0, -1)) == 8
 
 
 def test_weight_multiplicities_circle():
     g = builtin_group("sl2r-compact")
-    assert weight_multiplicities(g, KType(g.t_weight([5]))) == {(5,): 1}
+    assert weight_multiplicities(g, (5,)) == {(5,): 1}
 
 
 def test_weight_multiplicities_u2_adjoint():
-    assert weight_multiplicities(U2, KType(U2.t_weight([1, -1]))) == {
+    assert weight_multiplicities(U2, (1, -1)) == {
         (1, -1): 1, (0, 0): 1, (-1, 1): 1}
 
 
 def test_weight_multiplicities_su3_adjoint():
     for coords, zero, total in [((1, 0, -1), 2, 8), ((2, 0, -2), 3, 27)]:
-        table = weight_multiplicities(U3, KType(U3.t_weight(coords)))
+        table = weight_multiplicities(U3, coords)
         assert table[(0, 0, 0)] == zero
         assert sum(table.values()) == total
         if total == 8:
@@ -90,7 +89,7 @@ def test_weight_multiplicities_su3_adjoint():
 
 
 def test_weight_multiplicities_b2_adjoint():
-    table = weight_multiplicities(B2, KType(B2.t_weight([1, 1])))
+    table = weight_multiplicities(B2, (1, 1))
     assert table == {(0, 0): 2, **{r.coords: 1 for r in B2.k_roots.roots}}
 
 
@@ -115,7 +114,7 @@ def test_rank_one_string():
     # U(2) irreducible with highest weight (h, 0): weights step down by the
     # root, the su(2)-string h, h-2, ..., -h in the difference coordinate
     h = 4
-    wm = weight_multiplicities(U2, KType(U2.t_weight([h, 0])))
+    wm = weight_multiplicities(U2, (h, 0))
     diffs = sorted(a - b for a, b in wm)
     assert diffs == list(range(-h, h + 1, 2))
 
@@ -148,8 +147,7 @@ def test_is_dominant_examples():
 
 def test_restrict_preserves_total_multiplicity():
     gu = builtin_group("su21")
-    cases = [(gu, [KType(gu.t_weight(c))
-                   for c in [(2, 0, -1), (3, 1, -4), (1, 1, 1)]])]
+    cases = [(gu, [(2, 0, -1), (3, 1, -4), (1, 1, 1)])]
     cases += [(builtin_group(name), enumerate_ktypes(builtin_group(name), 4))
               for name in builtin_group_names()]
     cases += [(g, enumerate_ktypes(g, 3)) for g in COMPACT.values()]
@@ -160,15 +158,15 @@ def test_restrict_preserves_total_multiplicity():
 
 def test_restrict_to_hm_split_parities():
     g = builtin_group("sl2r-split")
-    assert restrict_to_hm(g, KType(g.t_weight([3]))) == {((), 1): 1}
-    assert restrict_to_hm(g, KType(g.t_weight([2]))) == {((), 0): 1}
+    assert restrict_to_hm(g, (3,)) == {((), 1): 1}
+    assert restrict_to_hm(g, (2,)) == {((), 0): 1}
     with pytest.raises(TypeError):  # read-only: shared through the cache
-        restrict_to_hm(g, KType(g.t_weight([2])))[((), 0)] = 2
+        restrict_to_hm(g, (2,))[((), 0)] = 2
 
 
 def test_restrict_to_hm_compact_cartan():
     g = builtin_group("sl2r-compact")
-    assert restrict_to_hm(g, KType(g.t_weight([5]))) == {((5,), 1): 1}
+    assert restrict_to_hm(g, (5,)) == {((5,), 1): 1}
 
 
 @pytest.mark.parametrize("name", builtin_group_names())
@@ -177,7 +175,7 @@ def test_enumerate_matches_coroot_dominance(name):
     for window in range(6):
         box = itertools.product(range(-window, window + 1),
                                 repeat=g.k_roots.rank)
-        want = [KType(g.t_weight(c)) for c in box
+        want = [c for c in box
                 if all(pairing(g.t_weight(c), s) >= 0
                        for s in g.k_roots.simples)]
         assert enumerate_ktypes(g, window) == want
