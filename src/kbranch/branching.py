@@ -29,13 +29,13 @@ and it runs only on the K-types the noncompact cone reaches, so its cost
 follows the rows of the table and not the box of K-types.
 
 Two oracles stay independent of it and of each other: signed sums of
-Kostant partition counts over the weights of each restricted K-type, and
-the coefficients of one truncated series product.  Each takes a batch of
-restricted K-types, the integer maps of restrict_to_hm, and works on
-coordinate tuples and dict lookups; the series checks its truncation
-certificate once, against the batch's highest term.  Every table that
-scans the window's box runs one path: the series table, the partition
-table of verify and ktype_table on groups outside Blattner's formula.
+Kostant partition counts over the compact offsets, and the coefficients of
+one truncated series product.  Each gives one value per H-key and scatters
+it through an inverted index of restricted K-types into the rows the key
+touches.  Every table over the window's box, the series table, the
+partition table of verify and ktype_table on groups outside Blattner's
+formula, reads the index of ktypes.ktype_box, built once per window, and
+costs the oracle's values and the rows they touch.
 Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
 are the restricted representation and always nonnegative.
 """
@@ -45,14 +45,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from operator import add, mul
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .characters import (CutoffError, FormalCharacter, HMLattice, Weight,
                          dot, geometric_series, graded_exterior,
                          partition_counts)
 from .groups import (GroupDataError, RealGroupData, WeylElement, matvec,
                      simple_roots)
-from .ktypes import KType, enumerate_ktypes, is_dominant, restrict_to_hm
+from .ktypes import KType, is_dominant, key_index, ktype_box, restrict_to_hm
 
 
 class InvalidParamsError(ValueError):
@@ -231,43 +232,60 @@ def _virtual_character(prep: _Prepared, cutoff: int) -> FormalCharacter:
     return acc
 
 
-_Restricted = Mapping[tuple[tuple[int, ...], int], int]  # of restrict_to_hm
 _Row = tuple[tuple[int, ...], int]  # (highest-weight coordinates, m)
 
 
-def _partition_multiplicities(prep: _Prepared,
-                              restricted: Sequence[_Restricted]) -> list[int]:
-    """Signed Kostant partition counts: every weight of a restricted K-type
-    that carries the base's Z' character, less every compact offset, read
-    from one partition_counts table cut at the batch's highest target."""
+def _partition_values(prep: _Prepared, top2: int) -> Iterable[tuple]:
+    """Signed Kostant partition counts: at each H-key with the base's Z'
+    character, the sum over the compact offsets of sign * P_n(coordinates -
+    offset), from one partition_counts table reaching doubled height top2."""
     hv = prep.hm.height_vec
-    terms = [[(sign * m, tuple(x - y for x, y in zip(coords, offset)))
-              for (coords, z), m in res.items() if z == prep.base[1]
-              for sign, offset in prep.offsets]
-             for res in restricted]
-    counts = partition_counts(prep.noncompact, prep.hm, max(
-        (sum(x * y for x, y in zip(t, hv)) for ts in terms for _, t in ts),
-        default=-1))
-    return [sum(s * counts.get(t, 0) for s, t in ts) for ts in terms]
+    counts = partition_counts(prep.noncompact, prep.hm, top2 - min(
+        sum(map(mul, offset, hv)) for _, offset in prep.offsets))
+    return (((tuple(map(add, t, offset)), prep.base[1]), sign * n)
+            for sign, offset in prep.offsets for t, n in counts.items())
 
 
-def _series_multiplicities(prep: _Prepared,
-                           restricted: Sequence[_Restricted]) -> list[int]:
-    """Coefficients of one truncated virtual character built for the batch.
+def _series_values(prep: _Prepared, top2: int) -> Iterable[tuple]:
+    """The terms of one truncated virtual character, exact up to the
+    doubled height top2.
 
     No term of it lies below the base height h_b, so its char_mul
     certificate is at least cutoff + floor(h_b / 2).  The least cutoff that
-    covers the batch's highest term is checked once against the certificate
-    (CutoffError should it fall short); then coefficients are read by key.
+    covers top2 is checked once against the certificate (CutoffError should
+    it fall short).
     """
-    hv = prep.hm.height_vec
     h2_base = prep.hm.key_height2(prep.base)
-    h2_top = max([h2_base] + [sum(x * y for x, y in zip(coords, hv))
-                              for res in restricted for coords, _ in res])
-    virt = _virtual_character(prep, -(-h2_top // 2) - h2_base // 2)
-    coeff = virt.coefficients(h2_top)
-    return [sum(m * coeff.get(key, 0) for key, m in res.items())
-            for res in restricted]
+    top2 = max(top2, h2_base)
+    virt = _virtual_character(prep, -(-top2 // 2) - h2_base // 2)
+    return virt.coefficients(top2).items()
+
+
+_EVALUATORS = {"partition": _partition_values, "series": _series_values}
+
+
+def _top2(index: Mapping[tuple, list], hv: tuple[int, ...]) -> int:
+    """The highest doubled height of an index's keys, -1 if it has none."""
+    return max((sum(map(mul, c, hv)) for c, _ in index), default=-1)
+
+
+def _evaluate(prep: _Prepared, mode: str, index: Mapping[tuple, list],
+              top2: int) -> dict[int, int]:
+    """One oracle's value at each H-key up to the doubled height top2,
+    scattered through an index of restricted K-types into {row: m}."""
+    acc: dict[int, int] = {}
+    for key, v in _EVALUATORS[mode](prep, top2):
+        for row, m in index.get(key, ()):
+            acc[row] = acc.get(row, 0) + v * m
+    return acc
+
+
+def _evaluate_ktypes(g: RealGroupData, prep: _Prepared, mode: str,
+                     hws: Sequence[tuple[int, ...]]) -> list[int]:
+    """One oracle on a few K-types, restricted through restrict_to_hm."""
+    index = key_index(restrict_to_hm(g, hw) for hw in hws)
+    acc = _evaluate(prep, mode, index, _top2(index, prep.hm.height_vec))
+    return [acc.get(row, 0) for row in range(len(hws))]
 
 
 def _blattner_terms(g: RealGroupData, prep: _Prepared
@@ -332,10 +350,6 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
             for mu in sorted(found)]
 
 
-_EVALUATORS = {"partition": _partition_multiplicities,
-               "series": _series_multiplicities}
-
-
 def hm_virtual_character(g: RealGroupData, p: TemperedParams,
                          cutoff: int) -> FormalCharacter:
     """The virtual character paired against K-types, truncated at a height.
@@ -360,7 +374,7 @@ def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
     if mode not in _EVALUATORS:
         raise ValueError(f"unknown mode {mode!r}")
     g.t_lattice.height2(kt.highest)
-    return _EVALUATORS[mode](prep, [restrict_to_hm(g, kt.highest.coords)])[0]
+    return _evaluate_ktypes(g, prep, mode, [kt.highest.coords])[0]
 
 
 def _nonzero(rows: Sequence[_Row]) -> list[_Row]:
@@ -372,14 +386,16 @@ def _nonzero(rows: Sequence[_Row]) -> list[_Row]:
     return [(mu, m) for mu, m in rows if m]
 
 
-def _box(g: RealGroupData, prep: _Prepared, window: int, evaluate
+def _box(g: RealGroupData, prep: _Prepared, window: int, mode: str
          ) -> list[_Row]:
-    """The one path of every table that scans the window's box: enumerate
-    its K-types, restrict each, evaluate them as one batch, keep the
-    nonzero rows."""
-    ktypes = enumerate_ktypes(g, window)
-    mults = evaluate(prep, [restrict_to_hm(g, mu) for mu in ktypes])
-    return _nonzero(list(zip(ktypes, mults)))
+    """The one path of every table over the window's box: one oracle's
+    values scattered through the box's index, the nonzero rows kept."""
+    ktypes, index, tops = ktype_box(g, window)
+    hv = prep.hm.height_vec
+    if hv not in tops:
+        tops[hv] = _top2(index, hv)
+    acc = _evaluate(prep, mode, index, tops[hv])
+    return _nonzero([(ktypes[row], acc[row]) for row in sorted(acc)])
 
 
 def box_table(g: RealGroupData, p: TemperedParams, window: int,
@@ -387,7 +403,7 @@ def box_table(g: RealGroupData, p: TemperedParams, window: int,
     """One oracle, "series" or "partition", over the window's box; empty
     for zero verdicts."""
     prep = _prepare(g, p, zero_ok=True)
-    rows = [] if prep is None else _box(g, prep, window, _EVALUATORS[mode])
+    rows = [] if prep is None else _box(g, prep, window, mode)
     return KTypeTable(dict(rows), window, sign_factor(g))
 
 
@@ -409,10 +425,9 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
         return KTypeTable({}, window, sign_factor(g))
     evaluator = "blattner" if g.blattner_applies else "partition"
     rows = (_nonzero(_blattner_table(g, prep, window)) if g.blattner_applies
-            else _box(g, prep, window, _partition_multiplicities))
+            else _box(g, prep, window, "partition"))
     spot = rows[:_SPOT_CHECKS]
-    series = _series_multiplicities(
-        prep, [restrict_to_hm(g, mu) for mu, _ in spot])
+    series = _evaluate_ktypes(g, prep, "series", [mu for mu, _ in spot])
     for (mu, m), s in zip(spot, series):
         if s != m:
             raise ArithmeticError(
@@ -432,5 +447,5 @@ def nu_independence_check(g: RealGroupData, p: TemperedParams,
 def ktype_table_series(g: RealGroupData, p: TemperedParams, window: int,
                        restrictions: Optional[dict] = None) -> KTypeTable:
     """The series oracle's box table; restrictions is not used, as
-    restrict_to_hm caches every restricted K-type."""
+    ktype_box keeps every window's restricted K-types."""
     return box_table(g, p, window, "series")

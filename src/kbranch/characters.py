@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, inf
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -322,7 +323,8 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     The result certificate H is chosen so that every pair of terms from the
     (possibly infinite) full supports that could land at height <= H was
     retained in the truncated inputs: H = min over truncated factors of
-    (factor cutoff + least height of the other factor's support).
+    (factor cutoff + least height of the other factor's support).  A pair
+    above H is skipped before it is formed: b's terms go in height order.
     """
     if a.hm != b.hm:
         raise LatticeError("characters live over different lattices")
@@ -335,19 +337,19 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
         bounds2.append(2 * a.cutoff + b._min_height2())
     if b.cutoff is not None:
         bounds2.append(2 * b.cutoff + a._min_height2())
+    cutoff = min(bounds2) // 2 if bounds2 else None  # floor keeps it sound
 
     acc: dict[_Key, int] = {}
     zmul = hm.ztable.mul
+    by_height = sorted((hm.key_height2(k), k, m) for k, m in b._terms.items())
     for (ca, za), ma in a._terms.items():
-        for (cb, zb), mb in b._terms.items():
-            key = tuple(x + y for x, y in zip(ca, cb)), zmul(za, zb)
+        room = inf if cutoff is None else 2 * cutoff - hm.key_height2((ca, za))
+        for h, (cb, zb), mb in by_height:
+            if h > room:
+                break
+            key = tuple(map(add, ca, cb)), zmul(za, zb)
             acc[key] = acc.get(key, 0) + ma * mb
-
-    if not bounds2:
-        return FormalCharacter(hm, acc)
-    cutoff = min(bounds2) // 2  # floor keeps the certificate sound
-    kept = {k: m for k, m in acc.items() if hm.key_height2(k) <= 2 * cutoff}
-    return FormalCharacter(hm, kept, cutoff)
+    return FormalCharacter(hm, acc, cutoff)
 
 
 def geometric_series(hm: HMLattice, root: Weight, cutoff: int) -> FormalCharacter:

@@ -25,6 +25,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -71,7 +72,7 @@ class WeylElement:
 
 def matvec(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     """The integer matrix-vector product mat v."""
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in mat)
+    return tuple(sum(map(mul, row, v)) for row in mat)
 
 
 def simple_roots(positives: Sequence[Weight]) -> tuple[Weight, ...]:
@@ -97,11 +98,24 @@ def _reflection_matrix(alpha: Weight, rank: int) -> tuple[tuple[int, ...], ...]:
 
 
 # the largest Weyl group loaded, |W(A_6)|: on a 2-CPU x86 host U(7) loads
-# in 5.9 s and SO(11) (|W(B_5)| = 3,840) in 2.1 s; SO(13) (46,080) took 31 s
+# in 2.9 s and SO(11) (|W(B_5)| = 3,840) in 1.0 s, building K's group alone
 _WEYL_CAP = 5_040
 # loading costs O(rank^2) and O(order^2) before any shape check can fail;
 # the shipped groups use ranks 1-3 and order 2
 _RANK_CAP, _ORDER_CAP = 8, 64
+
+
+def _simple_reflections(rs: RootSystem) -> list[WeylElement]:
+    """The simple reflections, which generate the Weyl group, each checked
+    to permute the roots; GroupDataError("Weyl closure") otherwise."""
+    root_set = {r.coords for r in rs.roots}
+    gens = [WeylElement(_reflection_matrix(a, rs.rank), -1) for a in rs.simples]
+    for a, el in zip(rs.simples, gens):
+        if {el.apply(r).coords for r in rs.roots} != root_set:
+            raise GroupDataError(
+                "Weyl closure",
+                f"reflection in {a.coords} does not permute the roots")
+    return gens
 
 
 def weyl_group(rs: RootSystem) -> list[WeylElement]:
@@ -112,16 +126,7 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     is finite, and GroupDataError("size cap") once it passes _WEYL_CAP.
     """
     rank = rs.rank
-    root_set = {r.coords for r in rs.roots}
-    gens = []
-    for a in rs.simples:
-        el = WeylElement(_reflection_matrix(a, rank), -1)  # a reflection
-        image = {el.apply(r).coords for r in rs.roots}
-        if image != root_set:
-            raise GroupDataError(
-                "Weyl closure",
-                f"reflection in {a.coords} does not permute the roots")
-        gens.append(el)
+    gens = _simple_reflections(rs)
     identity = WeylElement(
         tuple(tuple(1 if i == j else 0 for j in range(rank))
               for i in range(rank)), 1)
@@ -144,9 +149,8 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
 
 
 def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
-                          ) -> tuple[WeylElement, ...]:
-    """Raise on the first violated invariant; return the Weyl group, derived
-    here."""
+                          ) -> None:
+    """Raise on the first violated invariant."""
     def bad(inv, msg):
         raise GroupDataError(inv, f"{label}: {msg}")
 
@@ -192,9 +196,8 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
             if pairing(b, a).denominator != 1:
                 bad("Weyl closure",
                     f"pairing of {b.coords} with {a.coords} is not integral")
-    weyl = tuple(weyl_group(rs))  # raises on reflection-closure failure
+    _simple_reflections(rs)  # raises on reflection-closure failure
     checklist.append(f"{label} Weyl closure")
-    return weyl
 
 
 def _parse_weight_list(raw, rank, lattice, inv):
@@ -451,7 +454,8 @@ def _build(doc: dict) -> RealGroupData:
         _parse_weight_list(_require(k, "roots", list), k_rank, t_lab, "schema"),
         _parse_weight_list(_require(k, "positives", list), k_rank, t_lab, "schema"),
         _parse_weight_list(_require(k, "simples", list), k_rank, t_lab, "schema"))
-    k_weyl = _validate_root_system(k_roots, "k", checklist)
+    _validate_root_system(k_roots, "k", checklist)
+    k_weyl = tuple(weyl_group(k_roots))  # the one closure built at load
     t_lattice = HMLattice.graded(k_rank, t_lab, k_roots.positives)
     rho_k = t_lattice.rho
     k_rho_shifts = []

@@ -313,17 +313,52 @@ def test_engine_reads_the_weyl_group_from_load(monkeypatch):
 
 
 def test_series_tables_share_the_restriction_cache(monkeypatch):
+    # a second table at the same window, of either oracle, builds no box
     p = su21_from_lambda(GU, [4, 1, -2])
-    ktype_table_series(GU, p, 4)
+    ktypes.ktype_box.cache_clear()
+    restrict = ktypes._restrict
     calls = []
 
-    def counted(g, kt):
-        calls.append(kt)
-        return weight_multiplicities(g, kt)
+    def counted(g, kts):
+        calls.append(len(kts))
+        return restrict(g, kts)
 
-    monkeypatch.setattr(ktypes, "weight_multiplicities", counted)
+    monkeypatch.setattr(ktypes, "_restrict", counted)
     ktype_table_series(GU, p, 4)
-    assert calls == []
+    ktype_table_series(GU, su21_from_lambda(GU, [3, 1, -1]), 4)
+    branching.box_table(GU, p, 4, "partition")
+    assert calls == [len(ktypes.enumerate_ktypes(GU, 4))]
+    assert ktypes.ktype_box.cache_info().misses == 1
+
+
+def test_box_cache_evicts_past_its_maxsize():
+    box = ktypes.ktype_box
+    box.cache_clear()
+    size = box.cache_info().maxsize
+    for window in range(size + 1):
+        box(GC, window)
+    assert box.cache_info().currsize == size
+    box(GC, size)  # the newest stays
+    assert box.cache_info().misses == size + 1
+    box(GC, 0)  # the oldest was evicted
+    assert box.cache_info().misses == size + 2
+
+
+def test_box_tables_agree_with_ktype_table():
+    rng = random.Random(41)
+    for i in range(40):
+        p = random_su21_params(GU, rng)
+        window = 3 + i % 6
+        t = ktype_table(GU, p, window)
+        assert t == ktype_table_series(GU, p, window)
+        assert t == branching.box_table(GU, p, window, "partition")
+    # a box holds the highest height of each covector its tables read
+    ktypes.ktype_box.cache_clear()
+    for lam in ([3, 1, -1], [-1, 3, 1]):  # two positive systems
+        ktype_table_series(GU, su21_from_lambda(GU, lam), 5)
+    _, index, tops = ktypes.ktype_box(GU, 5)
+    assert len(tops) == 2
+    assert tops == {hv: branching._top2(index, hv) for hv in tops}
 
 
 @pytest.mark.parametrize("window", [4, 6, 8])
@@ -410,12 +445,13 @@ def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
         return built[cutoff]
 
     monkeypatch.setattr(branching, "_virtual_character", cached)
-    evaluate = branching._EVALUATORS[mode]
-    want = evaluate(prep, batch)
+    index = ktypes.key_index(batch)
+    top2 = branching._top2(index, prep.hm.height_vec)
+    want = branching._evaluate(prep, mode, index, top2)
     calls = _count_calls(monkeypatch, (Weight, "__add__"), (Weight, "__sub__"),
                          (HMLattice, "height2"),
                          (FormalCharacter, "coefficient"))
-    assert evaluate(prep, batch) == want
+    assert branching._evaluate(prep, mode, index, top2) == want
     # the base height, and one height per root of the partition table
     assert sum(calls.values()) <= 1 + len(prep.noncompact)
     assert sum(len(res) for res in batch) > 1000
@@ -447,17 +483,31 @@ def test_short_certificate_raises_cutoff_error(monkeypatch):
 
 
 def test_restrict_to_hm_does_no_weight_work(monkeypatch):
+    # Kostant's formula reads its partition tables, built here beforehand;
+    # the restriction, of one K-type or of a batch, then works on
+    # coordinate tuples alone
     kts = ktypes.enumerate_ktypes(GU, 4)
-    weights = {kt: weight_multiplicities(GU, kt) for kt in kts}
-    monkeypatch.setattr(ktypes, "weight_multiplicities",
-                        lambda g, kt: weights[kt])
-    restrict_to_hm.cache_clear()
+    tables = {}
+    partition_counts = ktypes.partition_counts
+
+    def memo(roots, hm, bound2):
+        if bound2 not in tables:
+            tables[bound2] = partition_counts(roots, hm, bound2)
+        return tables[bound2]
+
+    monkeypatch.setattr(ktypes, "partition_counts", memo)
     calls = _count_calls(monkeypatch, (HMLattice, "char"),
                          (HMLattice, "height2"), (Weight, "__add__"),
                          (groups.RealGroupData, "restrict_weight"))
-    restricted = [restrict_to_hm(GU, kt) for kt in kts]
-    assert calls == {}
-    assert sum(len(res) for res in restricted) > 1000
+    for restrict in (lambda: [restrict_to_hm(GU, kt) for kt in kts],
+                     lambda: list(ktypes._restrict(GU, kts))):
+        restrict_to_hm.cache_clear()
+        restrict()
+        restrict_to_hm.cache_clear()
+        calls.clear()
+        restricted = restrict()
+        assert calls == {}
+        assert sum(len(res) for res in restricted) > 1000
 
 
 @pytest.mark.parametrize("kt", [
@@ -555,7 +605,7 @@ def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):
         restricted.append(mu)
         return restrict_to_hm(g, mu)
 
-    monkeypatch.setattr(branching, "enumerate_ktypes", refuse)
+    monkeypatch.setattr(branching, "ktype_box", refuse)
     monkeypatch.setattr(branching, "restrict_to_hm", counted)
     for g, p in ((GU, su21_from_lambda(GU, [3, 1, -1])),
                  (GC, sl2_discrete(GC, 2, "-")),

@@ -254,6 +254,35 @@ def test_cutoff_soundness_randomized():
             assert exact.coefficient(c) == m
 
 
+@pytest.mark.parametrize("lat", [SL2, U21], ids=["order-2", "order-1"])
+def test_char_mul_equals_the_full_product_truncated(lat):
+    # pairs above the certificate are skipped before they are formed; the
+    # product still equals the product of every pair, truncated afterwards
+    rng = random.Random(17)
+    for _ in range(150):
+        a = _random_char(rng, lat, nterms=8, span=3)
+        b = _random_char(rng, lat, nterms=8, span=3)
+        cuts = [rng.choice([None, rng.randint(-3, 6)]) for _ in range(2)]
+        a, b = (x if c is None else FormalCharacter(
+                    lat, {k: m for k, m in x.items()
+                          if lat.key_height2(k) <= 2 * c}, c)
+                for x, c in zip((a, b), cuts))
+        full = {}
+        for (ca, za), ma in a.items():
+            for (cb, zb), mb in b.items():
+                key = (tuple(x + y for x, y in zip(ca, cb)),
+                       lat.ztable.mul(za, zb))
+                full[key] = full.get(key, 0) + ma * mb
+        prod = char_mul(a, b)
+        if prod.cutoff is None:
+            assert None in cuts or not len(a) or not len(b)
+            assert prod == FormalCharacter(lat, full)
+            continue
+        assert prod == FormalCharacter(
+            lat, {k: m for k, m in full.items()
+                  if lat.key_height2(k) <= 2 * prod.cutoff}, prod.cutoff)
+
+
 def test_lattice_mismatch_in_product():
     with pytest.raises(LatticeError):
         char_mul(FormalCharacter.one(SL2), FormalCharacter.one(U21))

@@ -132,7 +132,7 @@ def test_box_above_cap_exits_2_without_scanning(capsys, monkeypatch):
         raise AssertionError("scanned the K-type box")
 
     with monkeypatch.context() as m:
-        m.setattr(branching, "enumerate_ktypes", refuse)
+        m.setattr(branching, "ktype_box", refuse)
         exits_2_with_empty_stdout(capsys, *argv, "--window", "17")
     code, out, _ = run(capsys, *argv, "--window", "4")
     assert code == 0

@@ -187,6 +187,26 @@ def test_weyl_group_above_the_cap_is_refused_as_it_grows(monkeypatch):
     assert len(calls) <= 6 * (groups._WEYL_CAP + 1)
 
 
+def test_load_builds_one_weyl_group(monkeypatch):
+    # the Levi factor's reflection closure is checked on its simple
+    # reflections; only K's Weyl group is built
+    weyl_group = groups.weyl_group
+    calls = []
+
+    def counted(rs):
+        calls.append(rs)
+        return weyl_group(rs)
+
+    monkeypatch.setattr(groups, "weyl_group", counted)
+    for doc in (compact_b_doc(3), json.loads(SP4R.read_text()),
+                *(json.loads((groups._BUILTIN_DIR / f"{name}.json").read_text())
+                  for name in ("sl2r-compact", "sl2r-split", "su21"))):
+        calls.clear()
+        g = load_group_data(json.dumps(doc))
+        assert calls == [g.k_roots]
+        assert len(g.k_weyl) == len(weyl_group(g.k_roots))
+
+
 def test_rho_half_sum_examples():
     assert HMLattice.graded(2, "x", []).rho == Weight((0, 0), "x")
     r = HMLattice.graded(1, "t", [Weight((2,), "t")]).rho

@@ -45,3 +45,47 @@ def test_every_private_name_is_referenced(path):
                and not n.startswith("__")]
     used = _loaded_names(tree)
     assert [n for n in private if n not in used] == []
+
+
+def _unbounded_caches(tree: ast.Module) -> list[str]:
+    """The functools cache decorators that name no finite integer maxsize:
+    functools.cache, a bare lru_cache, and lru_cache(maxsize=None)."""
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            name = (target.attr if isinstance(target, ast.Attribute)
+                    else getattr(target, "id", None))
+            if name == "cache":
+                bad.append(node.name)
+            elif name == "lru_cache":
+                sizes = [] if call is None else call.args[:1] + [
+                    k.value for k in call.keywords if k.arg == "maxsize"]
+                if not (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                        and type(sizes[0].value) is int
+                        and sizes[0].value > 0):
+                    bad.append(node.name)
+    return bad
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_cache_is_bounded(path):
+    assert _unbounded_caches(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("source, bad", [
+    ("@functools.cache\ndef f(x): pass", ["f"]),
+    ("@cache\ndef f(x): pass", ["f"]),
+    ("@lru_cache(maxsize=None)\ndef f(x): pass", ["f"]),
+    ("@functools.lru_cache(None)\ndef f(x): pass", ["f"]),
+    ("@lru_cache\ndef f(x): pass", ["f"]),
+    ("@lru_cache()\ndef f(x): pass", ["f"]),
+    ("@lru_cache(maxsize=SIZE)\ndef f(x): pass", ["f"]),
+    ("@lru_cache(maxsize=4)\ndef f(x): pass", []),
+    ("@functools.lru_cache(64)\ndef f(x): pass", []),
+])
+def test_unbounded_caches_are_found(source, bad):
+    assert _unbounded_caches(ast.parse(source)) == bad

@@ -2,13 +2,14 @@
 
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
 from kbranch import ktypes
 from kbranch.characters import pairing
 from kbranch.groups import (builtin_group, builtin_group_names,
-                            load_group_data, weyl_group)
+                            load_group_data, matvec, weyl_group)
 from kbranch.ktypes import (enumerate_ktypes, is_dominant, restrict_to_hm,
                             weight_multiplicities, weyl_dimension)
 
@@ -179,3 +180,34 @@ def test_enumerate_matches_coroot_dominance(name):
                 if all(pairing(g.t_weight(c), s) >= 0
                        for s in g.k_roots.simples)]
         assert enumerate_ktypes(g, window) == want
+
+
+SP4R = load_group_data(Path(__file__).parent / "data" / "sp4r.json")
+# U(2) with a Z' of order 2 on which its root has the nontrivial character,
+# so the Z' index of a weight hw - t depends on t
+U2_Z2_DOC = compact_group_doc("u2-z2-test", 2, [[1, -1], [-1, 1]], [[1, -1]],
+                              [[1, -1]])
+U2_Z2_DOC["zmprime"] = {"order": 2, "generators": [
+    {"v": ["1/2", "0"], "char_table_row": [0, 1]}]}
+U2_Z2 = load_group_data(json.dumps(U2_Z2_DOC))
+
+
+@pytest.mark.parametrize("g", [*map(builtin_group, builtin_group_names()),
+                               SP4R, U2, U2_Z2, *COMPACT.values()],
+                         ids=lambda g: g.name)
+def test_batch_restriction_is_the_per_weight_definition(g):
+    # one batch, with one partition table for every K-type of the window,
+    # gives each weight mu of each K-type the key (R mu, zchar(mu))
+    kts = enumerate_ktypes(g, 3)
+    want = []
+    for kt in kts:
+        res = {}
+        for mu, m in weight_multiplicities(g, kt).items():
+            key = matvec(g.tm_in_t, mu), g.zchar(mu)
+            res[key] = res.get(key, 0) + m
+        want.append(res)
+    assert list(ktypes._restrict(g, kts)) == want
+    assert [restrict_to_hm(g, kt) for kt in kts] == want
+    box, index, _ = ktypes.ktype_box(g, 3)
+    assert box == tuple(kts)
+    assert index == ktypes.key_index(want)
