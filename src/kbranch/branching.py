@@ -24,9 +24,9 @@ ktype_table evaluates Blattner's formula (Hecht-Schmid)
 with R the torus restriction, P_n the partition count over the noncompact
 positives, rho_Phi the compact half-sum of the parameters' positive system
 Phi and eps = det(w_Phi).  It holds when R maps the K roots one-to-one
-onto the compact Levi roots and every K root has a trivial Z' character,
-and it runs only on the K-types the noncompact cone reaches, so its cost
-follows the rows of the table and not the box of K-types.
+onto the compact Levi roots and every K root has a trivial Z' character.
+Each W_K term reads its K-types from the noncompact cone points t through
+one integer map, d mu = A_w t - c, so no box of K-types is scanned.
 
 Two oracles stay independent of it and of each other: signed sums of
 Kostant partition counts over the compact offsets, and the coefficients of
@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .characters import (CutoffError, FormalCharacter, HMLattice, Weight,
@@ -177,12 +177,6 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
 
 
 # ------------------------------------------------------------------ engine
-
-def _apply_transpose(mat: Sequence[Sequence[int]], v: Sequence[int],
-                     ncols: int) -> tuple[int, ...]:
-    return tuple(sum(row[j] * x for row, x in zip(mat, v))
-                 for j in range(ncols))
-
 
 @dataclass(frozen=True)
 class _Prepared:
@@ -323,29 +317,42 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     target R w mu + shift_w is a cone point t; then w mu is a solution x of
     R x = t - shift_w.  The cone points are cut at the largest target height
     in the window, and since w is a signed permutation, |x| and |mu| share
-    the max-norm bound.  Each (mu, w) found this way contributes
-    det(w) P_n(t); every other term vanishes.
+    the max-norm bound.  As w^-1 = w^T, each term reads its solutions from
+    one integer map of the fibres, d mu = A_w t - c for each offset c, after
+    the consistency rows, shared by all terms, accept t.  Each (mu, w) found
+    this way contributes det(w) P_n(t); every other term vanishes.
     """
     eps, terms = _blattner_terms(g, prep)
     hm = prep.hm
-    rank = g.k_roots.rank
+    fibres = g.fibres
     simples = [s.coords for s in g.k_roots.simples]
     # (R w mu, h) = (mu, w^T R^T h), and |w^T v|_1 = |v|_1
-    rt_h = _apply_transpose(g.tm_in_t, hm.height_vec, rank)
+    rt_h = matvec(tuple(zip(*g.tm_in_t)), hm.height_vec)
     bound2 = window * sum(map(abs, rt_h)) + max(
         sum(a * b for a, b in zip(hm.height_vec, shift))
         for _, shift in terms)
     points = partition_counts(prep.noncompact, hm, bound2)
+    maps = [(w.det, *fibres.affine(tuple(zip(*w.matrix)), shift, window))
+            for w, shift in terms]
+    consistency, d = fibres.transform[len(fibres.pivots):], fibres.d
     found: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for w, shift in terms:
-        for t in points:
-            b = [x - y for x, y in zip(t, shift)]
-            for x in g.fibres.solutions(b, window):
-                mu = _apply_transpose(w.matrix, x, rank)
-                if (max(map(abs, mu), default=0) <= window
-                        and is_dominant(mu, simples)
+    for t in points:
+        consistent = matvec(consistency, t)
+        for det, a, target, offsets in maps:
+            if consistent != target:
+                continue
+            at = matvec(a, t)
+            for c in offsets:
+                mu = tuple(map(sub, at, c))  # d mu until divided below
+                if max(map(abs, mu), default=0) > d * window:
+                    continue
+                if d > 1:
+                    if any(x % d for x in mu):
+                        continue
+                    mu = tuple(x // d for x in mu)
+                if (is_dominant(mu, simples)
                         and g.zchar(mu) == prep.base[1]):
-                    found.setdefault(mu, []).append((w.det, t))
+                    found.setdefault(mu, []).append((det, t))
     return [(mu, eps * sum(det * points[t] for det, t in found[mu]))
             for mu in sorted(found)]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf
-from operator import add
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -304,15 +304,6 @@ class FormalCharacter:
                 if self.hm.key_height2(k) <= 2 * cutoff}
         return FormalCharacter(self.hm, kept, cutoff)
 
-    def _min_height2(self) -> Optional[int]:
-        """Lower bound for the doubled height of the full support."""
-        if self._terms:
-            return min(map(self.hm.key_height2, self._terms))
-        if self.cutoff is not None:
-            # certified zero up to the cutoff: support, if any, is above it
-            return 2 * self.cutoff + 1
-        return None  # exactly zero
-
     def __mul__(self, other: "FormalCharacter") -> "FormalCharacter":
         return char_mul(self, other)
 
@@ -332,24 +323,32 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     if (not a._terms and a.cutoff is None) or (not b._terms and b.cutoff is None):
         return FormalCharacter(hm)
 
+    # (doubled height, key, coefficient) of each term, lowest first; the
+    # least height of a truncated zero lies above its cutoff
+    hv = hm.height_vec
+    ga, gb = (sorted((sum(map(mul, c, hv)), (c, z), m)
+                     for (c, z), m in x._terms.items()) for x in (a, b))
     bounds2 = []
     if a.cutoff is not None:
-        bounds2.append(2 * a.cutoff + b._min_height2())
+        bounds2.append(2 * a.cutoff + (gb[0][0] if gb else 2 * b.cutoff + 1))
     if b.cutoff is not None:
-        bounds2.append(2 * b.cutoff + a._min_height2())
+        bounds2.append(2 * b.cutoff + (ga[0][0] if ga else 2 * a.cutoff + 1))
     cutoff = min(bounds2) // 2 if bounds2 else None  # floor keeps it sound
 
     acc: dict[_Key, int] = {}
     zmul = hm.ztable.mul
-    by_height = sorted((hm.key_height2(k), k, m) for k, m in b._terms.items())
-    for (ca, za), ma in a._terms.items():
-        room = inf if cutoff is None else 2 * cutoff - hm.key_height2((ca, za))
-        for h, (cb, zb), mb in by_height:
+    for ha, (ca, za), ma in ga:
+        room = inf if cutoff is None else 2 * cutoff - ha
+        for h, (cb, zb), mb in gb:
             if h > room:
                 break
             key = tuple(map(add, ca, cb)), zmul(za, zb)
             acc[key] = acc.get(key, 0) + ma * mb
-    return FormalCharacter(hm, acc, cutoff)
+    # sums of checked keys, within the certificate: no constructor checks
+    out = FormalCharacter.__new__(FormalCharacter)
+    out.hm, out.cutoff = hm, cutoff
+    out._terms = {k: m for k, m in acc.items() if m}
+    return out
 
 
 def geometric_series(hm: HMLattice, root: Weight, cutoff: int) -> FormalCharacter:

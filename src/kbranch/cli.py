@@ -27,9 +27,10 @@ EXIT_INVALID_PARAMS = 2
 EXIT_IO = 3
 EXIT_SCHEMA = 4
 
-# size caps: the largest K-type window of `table`, and the most K-types,
-# (2w+1)^rank, that `table` may scan on a group outside Blattner's formula
-# (the rank-3 box of window 16); GridSpec caps the `verify dirac` grid
+# size caps: the largest K-type window of `table`, and the most points,
+# (2w+1)^n, of a box `table` may scan: the K-types (n = rank) outside
+# Blattner's formula, each torus fibre (n free coordinates) inside it; 33^3
+# is the rank-3 box of window 16.  GridSpec caps the `verify dirac` grid
 MAX_WINDOW = 64
 MAX_BOX = 33 ** 3
 
@@ -107,11 +108,14 @@ def cmd_table(args) -> int:
         print(f"verdict: {verdict}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
 
-    box = (2 * args.window + 1) ** g.k_roots.rank
-    if not g.blattner_applies and box > MAX_BOX:
-        print(f"error: {g.name} is outside Blattner's formula, so window "
-              f"{args.window} would scan {box} K-types; at most {MAX_BOX} "
-              "are allowed", file=sys.stderr)
+    side = 2 * args.window + 1
+    walked, what = (
+        (side ** len(g.fibres.free), "fibre points per cone point")
+        if g.blattner_applies else
+        (side ** g.k_roots.rank, "K-types outside Blattner's formula"))
+    if walked > MAX_BOX:
+        print(f"error: {g.name}: window {args.window} would scan {walked} "
+              f"{what}; at most {MAX_BOX} are allowed", file=sys.stderr)
         return EXIT_INVALID_PARAMS
 
     table = ktype_table(g, params, args.window, verdict)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .characters import (HMLattice, LatticeError, Weight,
                          ZCharTable, pairing, weight)
@@ -246,7 +246,7 @@ class RealGroupData:
     compact_of: dict[tuple[int, ...], bool]  # Levi root -> compact flag
     k_weyl: tuple[WeylElement, ...]
     k_rho_shifts: tuple[tuple[int, ...], ...]  # w rho_K - rho_K, per k_weyl
-    fibres: Fibres                           # integral solutions of R x = b
+    fibres: Fibres                           # R x = b, solved by integer maps
     blattner_applies: bool
 
     def __hash__(self) -> int:
@@ -334,9 +334,10 @@ class Fibres:
     """Integral solutions x of R x = b for an integer matrix R.
 
     transform is an integer matrix T with T R = d * (reduced row echelon
-    form of R): its first rows carry d at the pivot columns, the rest
-    vanish.  So R x = b exactly when T b vanishes past the rank and
-    d * x_pivot = (T b)_pivot - sum over free f of (T R)_f x_f.
+    form of R): its first rows carry d at the pivot columns, and the rest,
+    the consistency rows, vanish.  So R x = b exactly when the consistency
+    rows vanish on b and d * x_pivot = (T b)_pivot - sum over free f of
+    (T R)_f x_f, the free coordinates x_f being arbitrary.
     """
 
     ncols: int
@@ -359,27 +360,31 @@ class Fibres:
                    tuple(row[:ncols] for row in scaled), d, tuple(pivots),
                    tuple(c for c in range(ncols) if c not in pivots))
 
-    def solutions(self, b: Sequence[int], bound: int
-                  ) -> Iterator[tuple[int, ...]]:
-        """Every integral solution with free coordinates in [-bound, bound];
-        pivot coordinates are not bounded here."""
-        tb = matvec(self.transform, b)
+    def affine(self, u: Sequence[Sequence[int]], shift: Sequence[int],
+               bound: int) -> tuple[tuple, tuple, list]:
+        """The solutions of R x = t - shift, carried by the integer matrix
+        u, as (A, target, offsets).  The equation is solvable exactly when
+        the consistency rows take t to target; its solutions with free
+        coordinates in [-bound, bound] are then the x with d * u x = A t - c,
+        one for each c in offsets."""
         rank = len(self.pivots)
-        if any(tb[rank:]):
-            return
+        ts = matvec(self.transform, shift)
+        # d x = E T t - y, E putting row i of T at the i-th pivot column and
+        # y holding (T shift)_i + (T R)_i v there and -d v at the free ones
+        pivot_rows_t = tuple(zip(*self.transform[:rank]))
+        a = tuple(matvec(pivot_rows_t, [row[c] for c in self.pivots])
+                  for row in u)
+        offsets = []
         for values in itertools.product(range(-bound, bound + 1),
                                         repeat=len(self.free)):
-            x = [0] * self.ncols
-            for f, v in zip(self.free, values):
-                x[f] = v
+            y = [0] * self.ncols
             for i, c in enumerate(self.pivots):
-                q, r = divmod(tb[i] - sum(self.reduced[i][f] * x[f]
-                                          for f in self.free), self.d)
-                if r:
-                    break
-                x[c] = q
-            else:
-                yield tuple(x)
+                y[c] = ts[i] + sum(self.reduced[i][f] * v
+                                   for f, v in zip(self.free, values))
+            for f, v in zip(self.free, values):
+                y[f] = -self.d * v
+            offsets.append(matvec(u, y))
+        return a, ts[rank:], offsets
 
 
 def _blattner_applies(g: RealGroupData,

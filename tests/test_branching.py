@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kbranch.branching import (InvalidParamsError, TemperedParams,
                                hm_virtual_character, ktype_multiplicity,
@@ -19,8 +20,8 @@ from kbranch.branching import (InvalidParamsError, TemperedParams,
 from kbranch import branching, groups, ktypes
 from kbranch.characters import (CutoffError, FormalCharacter, HMLattice,
                                 LatticeError, Weight, dot, pairing, weight)
-from kbranch.groups import (_BUILTIN_DIR, builtin_group, load_group_data,
-                            simple_roots)
+from kbranch.groups import (_BUILTIN_DIR, GroupDataError, builtin_group,
+                            load_group_data, simple_roots)
 from kbranch.ktypes import KType, restrict_to_hm, weight_multiplicities
 from kbranch.presets import (sl2_discrete, sl2_limit, sl2_principal,
                              su21_from_lambda)
@@ -577,6 +578,78 @@ def test_blattner_fibres_of_a_non_injective_restriction():
                            g.a_weight([]))
         if validate_params(g, p).verdict == "nonzero":
             assert ktype_table(g, p, 5).entries == partition_table(g, p, 5)
+
+
+# Blattner's formula against the partition oracle over the window's box
+_BLATTNER_PROPERTY = settings(max_examples=100, derandomize=True,
+                              deadline=None)
+_WINDOWS = st.integers(0, 6)
+
+
+def _agree_with_partition_box(g, p, window):
+    assume(validate_params(g, p).verdict == "nonzero")
+    assert ktype_table(g, p, window).entries == partition_table(g, p, window)
+
+
+@_BLATTNER_PROPERTY
+@given(lam=st.tuples(*[st.integers(-5, 5)] * 3), tie=st.booleans(),
+       window=_WINDOWS)
+def test_blattner_is_the_partition_box_on_su21(lam, tie, window):
+    # singular parameters take the positive system that tie breaks ties for
+    w = GU.tm_weight(list(lam))
+    pos = tuple(r if (dot(w, r), (-1) ** tie) > (0, 0) else -r
+                for r in GU.m_roots.positives)
+    _agree_with_partition_box(GU, TemperedParams(w, pos, 0, GU.a_weight([])),
+                              window)
+
+
+@_BLATTNER_PROPERTY
+@given(lam=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+       window=_WINDOWS)
+def test_blattner_is_the_partition_box_on_sp4r(lam, window):
+    assume(all(dot(SP4R.tm_weight(list(lam)), r) for r in
+               SP4R.m_roots.positives))
+    _agree_with_partition_box(SP4R, _chamber(SP4R, lam), window)
+
+
+@_BLATTNER_PROPERTY
+@given(row=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       lam=st.integers(-5, 5), chi=st.integers(0, 1),
+       root=st.sampled_from((2, -2)), window=_WINDOWS)
+@example(row=(2, 1), lam=3, chi=0, root=2, window=6)
+def test_blattner_is_the_partition_box_on_rank_2_tori(row, lam, chi, root,
+                                                      window):
+    # R = row restricts a rank-2 torus onto the compact Cartan of SL(2,R):
+    # (2, 1) reduces with d = 2 and one free coordinate, (0, 0) with two
+    try:
+        g = load_group_data(json.dumps({**SL2XU1_DOC, "name": f"t2{row}",
+                                        "tM_in_t": [list(row)]}))
+    except GroupDataError:
+        assume(False)
+    p = TemperedParams(g.tm_weight([lam]), (g.tm_weight([root]),), chi,
+                       g.a_weight([]))
+    _agree_with_partition_box(g, p, window)
+
+
+def test_blattner_reads_the_consistency_rows():
+    # a circle onto the first factor of the Cartan of SL(2,R) x U(1): R has
+    # rank 1 of 2, so a cone point t meets a fibre only where the U(1)
+    # coordinate of t - shift_w vanishes, at lam = (l, 0)
+    g = load_group_data(json.dumps({
+        "name": "circle-sl2xu1",
+        "k": {"rank": 1, "roots": [], "positives": [], "simples": []},
+        "m": {"rank": 2, "roots": [[2, 0], [-2, 0]], "positives": [[2, 0]],
+              "compact_flags": [False, False]},
+        "restricted": {"dim_a": 0, "roots": [], "positives": []},
+        "tM_in_t": [[1], [0]], "zmprime": {"order": 1, "generators": []},
+        "dims": {"s_M": 2, "a": 0}}))
+    assert g.fibres.transform[len(g.fibres.pivots):] == ((0, 1),)
+    for lam in itertools.product(range(4), range(-2, 3)):
+        p = TemperedParams(g.tm_weight(list(lam)), (g.tm_weight([2, 0]),),
+                           0, g.a_weight([]))
+        t = ktype_table(g, p, 8).entries
+        assert t == partition_table(g, p, 8)
+        assert bool(t) == (lam[1] == 0)
 
 
 def test_blattner_partition_calls_track_rows(monkeypatch):

@@ -256,9 +256,11 @@ def test_cutoff_soundness_randomized():
 
 @pytest.mark.parametrize("lat", [SL2, U21], ids=["order-2", "order-1"])
 def test_char_mul_equals_the_full_product_truncated(lat):
-    # pairs above the certificate are skipped before they are formed; the
-    # product still equals the product of every pair, truncated afterwards
+    # pairs above the certificate are skipped before they are formed, and
+    # the product is built without the constructor's checks; it still
+    # equals the product of every pair, truncated afterwards, built with them
     rng = random.Random(17)
+    cancelled = 0
     for _ in range(150):
         a = _random_char(rng, lat, nterms=8, span=3)
         b = _random_char(rng, lat, nterms=8, span=3)
@@ -277,10 +279,13 @@ def test_char_mul_equals_the_full_product_truncated(lat):
         if prod.cutoff is None:
             assert None in cuts or not len(a) or not len(b)
             assert prod == FormalCharacter(lat, full)
+            cancelled += list(full.values()).count(0)
             continue
-        assert prod == FormalCharacter(
-            lat, {k: m for k, m in full.items()
-                  if lat.key_height2(k) <= 2 * prod.cutoff}, prod.cutoff)
+        kept = {k: m for k, m in full.items()
+                if lat.key_height2(k) <= 2 * prod.cutoff}
+        assert prod == FormalCharacter(lat, kept, prod.cutoff)
+        cancelled += list(kept.values()).count(0)
+    assert cancelled  # coefficients that cancel are dropped
 
 
 def test_lattice_mismatch_in_product():

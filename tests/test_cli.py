@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kbranch
-from kbranch import branching
+from kbranch import branching, cli
 from kbranch.cli import MAX_WINDOW, main
 from kbranch.oscillator import MAX_GRID_POINTS
 from kbranch.groups import _BUILTIN_DIR
@@ -137,6 +138,46 @@ def test_box_above_cap_exits_2_without_scanning(capsys, monkeypatch):
     code, out, _ = run(capsys, *argv, "--window", "4")
     assert code == 0
     assert len(parse_csv(out)) == 3
+
+
+def test_fibre_box_above_cap_exits_2_before_table_work(capsys, monkeypatch,
+                                                       tmp_path):
+    # K a rank-4 torus over the compact Cartan of SL(2,R): inside Blattner's
+    # formula, with three free coordinates in each fibre of the restriction
+    doc = {"name": "sl2xt3",
+           "k": {"rank": 4, "roots": [], "positives": [], "simples": []},
+           "m": {"rank": 1, "roots": [[2], [-2]], "positives": [[2]],
+                 "compact_flags": [False, False]},
+           "restricted": {"dim_a": 0, "roots": [], "positives": []},
+           "tM_in_t": [[1, 0, 0, 0]],
+           "zmprime": {"order": 1, "generators": []},
+           "dims": {"s_M": 2, "a": 0}}
+    path = tmp_path / "sl2xt3.json"
+    path.write_text(json.dumps(doc))
+    argv = ["table", "--group", str(path), "--params",
+            '{"lambda":[1],"rmplus":[[2]]}']
+
+    def refuse(*args):
+        raise AssertionError("computed a table")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "ktype_table", refuse)
+        exits_2_with_empty_stdout(capsys, *argv, "--window", "17")
+    code, out, _ = run(capsys, *argv, "--window", "2")
+    assert code == 0
+    # the lowest K-type (2, x, y, z), for each (x, y, z) in [-2, 2]^3
+    assert parse_csv(out) == [(f"2 {x} {y} {z}", 1) for x in range(-2, 3)
+                              for y in range(-2, 3) for z in range(-2, 3)]
+
+
+def test_window_64_tables_match_their_digests(capsys):
+    # sha256 of the stdout of each parameter document's table at window 64,
+    # where the per-row cost of Blattner's formula shows
+    pinned = json.loads((DATA / "table_su21_w64.sha256.json").read_text())
+    for params, digest in pinned["sha256"].items():
+        code, out, err = run(capsys, *pinned["argv"], "--params", params)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_grid_above_cap_exits_2(capsys):
