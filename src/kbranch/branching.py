@@ -25,8 +25,12 @@ with R the torus restriction, P_n the partition count over the noncompact
 positives, rho_Phi the compact half-sum of the parameters' positive system
 Phi and eps = det(w_Phi).  It holds when R maps the K roots one-to-one
 onto the compact Levi roots and every K root has a trivial Z' character.
-Each W_K term reads its K-types from the noncompact cone points t through
-one integer map, d mu = A_w t - c, so no box of K-types is scanned.
+Each W_K term reads its K-types through one integer map, affine in the
+partition counts over the noncompact positives and the free coordinates of
+the torus fibres.  A walk over those carries the map as running sums and
+takes, one line of the last variable at a time, the integer interval that
+keeps mu in the window and the dominant chamber, so neither a box of
+K-types nor a table of partition counts is built.
 
 Two oracles stay independent of it and of each other: signed sums of
 Kostant partition counts over the compact offsets, and the coefficients of
@@ -45,7 +49,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .characters import (CutoffError, FormalCharacter, HMLattice, Weight,
@@ -53,7 +57,7 @@ from .characters import (CutoffError, FormalCharacter, HMLattice, Weight,
                          partition_counts)
 from .groups import (GroupDataError, RealGroupData, WeylElement, matvec,
                      simple_roots)
-from .ktypes import KType, is_dominant, key_index, ktype_box, restrict_to_hm
+from .ktypes import KType, key_index, ktype_box, restrict_to_hm
 
 
 class InvalidParamsError(ValueError):
@@ -313,48 +317,124 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     """The K-types of the window that Blattner's formula can make nonzero,
     as (highest-weight coordinates, multiplicity) in lexical order.
 
-    P_n vanishes off the noncompact cone, so mu can be nonzero only if some
-    target R w mu + shift_w is a cone point t; then w mu is a solution x of
-    R x = t - shift_w.  The cone points are cut at the largest target height
-    in the window, and since w is a signed permutation, |x| and |mu| share
-    the max-norm bound.  As w^-1 = w^T, each term reads its solutions from
-    one integer map of the fibres, d mu = A_w t - c for each offset c, after
-    the consistency rows, shared by all terms, accept t.  Each (mu, w) found
-    this way contributes det(w) P_n(t); every other term vanishes.
+    P_n(t) is the number of count vectors n in N^k with t = sum_j n_j beta_j
+    over the k noncompact positives, so the formula sums det(w) over the
+    pairs (n, w) for which R w mu + shift_w = t has a solution mu in the
+    window.  As w^-1 = w^T, one integer map of the fibres reads it: the
+    consistency rows take t to the term's target, and d mu = A_w t - c +
+    sum_f x_f dirs_f over the free coordinates x_f of w mu, which lie in
+    [-window, window] since w is a signed permutation.  So d mu is affine in
+    the walk variables, the free coordinates and then the counts, each count
+    at most the largest target height in the window over its own height.
+    The walk carries d mu, its pairings with the simple K roots, its Z' rows
+    and the consistency residues as running sums.  The window, dominance and
+    consistency conditions are linear, so each variable runs over one
+    integer interval, cut by what the later variables can still add; on the
+    last one the interval is exact.  Divisibility by d and the Z' character
+    have period d * |Z'| along it and are tested once per residue, so every
+    (n, w) the walk reaches adds det(w) at its mu.
     """
     eps, terms = _blattner_terms(g, prep)
-    hm = prep.hm
-    fibres = g.fibres
-    simples = [s.coords for s in g.k_roots.simples]
+    hm, fibres, d = prep.hm, g.fibres, g.fibres.d
+    ztable, zbase = hm.ztable, prep.base[1]
+    order = ztable.order
+    rank = g.k_roots.rank
     # (R w mu, h) = (mu, w^T R^T h), and |w^T v|_1 = |v|_1
-    rt_h = matvec(tuple(zip(*g.tm_in_t)), hm.height_vec)
+    hv = hm.height_vec
+    rt_h = matvec(tuple(zip(*g.tm_in_t)), hv)
     bound2 = window * sum(map(abs, rt_h)) + max(
-        sum(a * b for a, b in zip(hm.height_vec, shift))
-        for _, shift in terms)
-    points = partition_counts(prep.noncompact, hm, bound2)
-    maps = [(w.det, *fibres.affine(tuple(zip(*w.matrix)), shift, window))
-            for w, shift in terms]
-    consistency, d = fibres.transform[len(fibres.pivots):], fibres.d
-    found: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for t in points:
-        consistent = matvec(consistency, t)
-        for det, a, target, offsets in maps:
-            if consistent != target:
-                continue
-            at = matvec(a, t)
-            for c in offsets:
-                mu = tuple(map(sub, at, c))  # d mu until divided below
-                if max(map(abs, mu), default=0) > d * window:
+        sum(map(mul, hv, shift)) for _, shift in terms)
+    betas = [b.coords for b in prep.noncompact]
+    heights = [sum(map(mul, hv, b)) for b in betas]
+    consistency = fibres.transform[len(fibres.pivots):]
+    residues = [matvec(consistency, b) for b in betas]
+    # state: d mu, its pairings with the simple K roots and its Z' rows,
+    # then the consistency residues
+    simples = [s.coords for s in g.k_roots.simples]
+    probes = simples + (list(g.zchar_rows) if order > 1 else [])
+    zs = slice(rank + len(simples), rank + len(probes))
+    # each condition is sign * state[i] >= bound
+    conditions = ([(i, s, -d * window) for i in range(rank) for s in (1, -1)]
+                  + [(rank + j, 1, 0) for j in range(len(simples))]
+                  + [(zs.stop + j, s, 0)
+                     for j in range(len(consistency)) for s in (1, -1)])
+
+    def lift(dmu, residue):
+        return (*dmu, *matvec(probes, dmu), *residue)
+
+    found: dict[tuple[int, ...], int] = {}
+    for w, shift in terms:
+        a, target, c, dirs = fibres.affine(tuple(zip(*w.matrix)), shift)
+        # (column, lo, hi): no count exceeds the cut over its own height;
+        # with no variable at all, a zero column reads the start alone
+        variables = ([(lift(v, (0,) * len(consistency)), -window, window)
+                      for v in dirs]
+                     + [(lift(matvec(a, b), r), 0, bound2 // h)
+                        for b, h, r in zip(betas, heights, residues)]
+                     or [((0,) * (zs.stop + len(consistency)), 0, 0)])
+        col = variables[-1][0]
+        dcol, zcol = col[:rank], col[zs]
+        step, det = tuple(order * x for x in dcol), w.det
+        start = lift([-x for x in c], [-x for x in target])
+        for line, lo, hi in _walk(start, _levels(conditions, variables)):
+            dmu0, z0 = line[:rank], line[zs]
+            for n in range(lo, min(hi, lo + d * order - 1) + 1):
+                dmu = [x + n * y for x, y in zip(dmu0, dcol)]
+                if d > 1 and any(x % d for x in dmu):
                     continue
-                if d > 1:
-                    if any(x % d for x in mu):
-                        continue
-                    mu = tuple(x // d for x in mu)
-                if (is_dominant(mu, simples)
-                        and g.zchar(mu) == prep.base[1]):
-                    found.setdefault(mu, []).append((det, t))
-    return [(mu, eps * sum(det * points[t] for det, t in found[mu]))
-            for mu in sorted(found)]
+                if order > 1 and ztable.index_of[tuple(
+                        (x + n * y) // d % order
+                        for x, y in zip(z0, zcol))] != zbase:
+                    continue
+                mu = tuple(x // d for x in dmu)
+                for _ in range((hi - n) // (d * order) + 1):
+                    found[mu] = found.get(mu, 0) + det
+                    mu = tuple(map(add, mu, step))
+    return [(mu, eps * m) for mu, m in sorted(found.items())]
+
+
+def _levels(conditions: Sequence[tuple[int, int, int]],
+            variables: Sequence[tuple[tuple[int, ...], int, int]]
+            ) -> list[tuple]:
+    """Per walk variable (column, lo, hi), the conditions sign * state[i] >=
+    bound as it reads them: (column, lo, hi, rows), each row (i, sign,
+    bound, coefficient) with the bound lowered by the most that the later
+    variables can add over their ranges."""
+    levels = []
+    reach = [0] * len(conditions)
+    for col, lo, hi in reversed(variables):
+        levels.append((col, lo, hi, [
+            (i, s, bound - r, s * col[i])
+            for (i, s, bound), r in zip(conditions, reach)]))
+        reach = [r + max(s * col[i] * lo, s * col[i] * hi)
+                 for (i, s, _), r in zip(conditions, reach)]
+    return levels[::-1]
+
+
+def _walk(state: tuple[int, ...], levels: Sequence[tuple]
+          ) -> Iterable[tuple[tuple[int, ...], int, int]]:
+    """The lines of a walk over the levels' variables: (state at the last
+    variable 0, lo, hi), the last variable's values that meet its
+    conditions.  Each earlier variable steps through the values that meet
+    its own, adding its column to the state per unit step."""
+    (col, lo, hi, rows), rest = levels[0], levels[1:]
+    for i, s, bound, cc in rows:
+        slack = s * state[i] - bound  # slack + n * cc >= 0
+        if cc > 0:
+            lo = max(lo, -(slack // cc))
+        elif cc < 0:
+            hi = min(hi, slack // -cc)
+        elif slack < 0:
+            return
+    if lo > hi:
+        return
+    if not rest:
+        yield state, lo, hi
+        return
+    state = tuple(x + lo * y for x, y in zip(state, col))
+    for _ in range(lo, hi + 1):
+        yield from _walk(state, rest)
+        state = tuple(map(add, state, col))
 
 
 def hm_virtual_character(g: RealGroupData, p: TemperedParams,

@@ -19,7 +19,6 @@ in the character table.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass, replace
@@ -360,31 +359,32 @@ class Fibres:
                    tuple(row[:ncols] for row in scaled), d, tuple(pivots),
                    tuple(c for c in range(ncols) if c not in pivots))
 
-    def affine(self, u: Sequence[Sequence[int]], shift: Sequence[int],
-               bound: int) -> tuple[tuple, tuple, list]:
+    def affine(self, u: Sequence[Sequence[int]], shift: Sequence[int]
+               ) -> tuple[tuple, tuple, tuple, list]:
         """The solutions of R x = t - shift, carried by the integer matrix
-        u, as (A, target, offsets).  The equation is solvable exactly when
-        the consistency rows take t to target; its solutions with free
-        coordinates in [-bound, bound] are then the x with d * u x = A t - c,
-        one for each c in offsets."""
+        u, as (A, target, c, dirs).  The equation is solvable exactly when
+        the consistency rows take t to target; its solutions are then the x
+        with d * u x = A t - c + sum over free f of x_f * dirs_f, one for
+        each choice of the free coordinates x_f."""
         rank = len(self.pivots)
         ts = matvec(self.transform, shift)
-        # d x = E T t - y, E putting row i of T at the i-th pivot column and
-        # y holding (T shift)_i + (T R)_i v there and -d v at the free ones
+        # d x = E T t - y + sum_f x_f z_f, E putting row i of T at the i-th
+        # pivot column, y holding (T shift)_i there, and z_f holding d at f
+        # and -(T R)_if at the i-th pivot column
         pivot_rows_t = tuple(zip(*self.transform[:rank]))
         a = tuple(matvec(pivot_rows_t, [row[c] for c in self.pivots])
                   for row in u)
-        offsets = []
-        for values in itertools.product(range(-bound, bound + 1),
-                                        repeat=len(self.free)):
-            y = [0] * self.ncols
+        y = [0] * self.ncols
+        for i, c in enumerate(self.pivots):
+            y[c] = ts[i]
+        dirs = []
+        for f in self.free:
+            z = [0] * self.ncols
+            z[f] = self.d
             for i, c in enumerate(self.pivots):
-                y[c] = ts[i] + sum(self.reduced[i][f] * v
-                                   for f, v in zip(self.free, values))
-            for f, v in zip(self.free, values):
-                y[f] = -self.d * v
-            offsets.append(matvec(u, y))
-        return a, ts[rank:], offsets
+                z[c] = -self.reduced[i][f]
+            dirs.append(matvec(u, z))
+        return a, ts[rank:], matvec(u, y), dirs
 
 
 def _blattner_applies(g: RealGroupData,

@@ -631,6 +631,33 @@ def test_blattner_is_the_partition_box_on_rank_2_tori(row, lam, chi, root,
     _agree_with_partition_box(g, p, window)
 
 
+SL2XT3 = load_group_data(Path(__file__).parent / "data" / "sl2xt3.json")
+
+
+@pytest.mark.parametrize("window", range(5))
+def test_blattner_walks_three_free_coordinates(window):
+    # a rank-4 torus K over the compact Cartan of SL(2,R): three of the four
+    # coordinates of mu are free walk variables, the fourth reads the count
+    assert len(SL2XT3.fibres.free) == 3
+    for lam, root in itertools.product(range(-3, 4), (2, -2)):
+        p = TemperedParams(SL2XT3.tm_weight([lam]),
+                           (SL2XT3.tm_weight([root]),), 0, SL2XT3.a_weight([]))
+        if validate_params(SL2XT3, p).verdict == "nonzero":
+            assert (ktype_table(SL2XT3, p, window).entries
+                    == partition_table(SL2XT3, p, window))
+
+
+@pytest.mark.parametrize("window", range(7))
+def test_blattner_walks_the_split_cartan(window):
+    # no noncompact positive: the one walk variable is the free coordinate,
+    # and the Z' character picks every other value along it
+    assert (len(GS.fibres.free), GS.hm.ztable.order) == (1, 2)
+    for chi, nu in itertools.product(("plus", "minus"), (0, 3)):
+        p = sl2_principal(GS, chi, nu)
+        assert ktype_table(GS, p, window).entries == partition_table(GS, p,
+                                                                     window)
+
+
 def test_blattner_reads_the_consistency_rows():
     # a circle onto the first factor of the Cartan of SL(2,R) x U(1): R has
     # rank 1 of 2, so a cone point t meets a fibre only where the U(1)
@@ -653,19 +680,24 @@ def test_blattner_reads_the_consistency_rows():
 
 
 def test_blattner_partition_calls_track_rows(monkeypatch):
-    counts = branching.partition_counts
-    tables = []
+    def refuse(*args):
+        raise AssertionError("the Blattner path built a partition table")
+
+    blattner = branching._blattner_table
+    returned = []
 
     def counted(*args):
-        tables.append(counts(*args))
-        return tables[-1]
+        returned.append(blattner(*args))
+        return returned[-1]
 
-    monkeypatch.setattr(branching, "partition_counts", counted)
+    monkeypatch.setattr(branching, "partition_counts", refuse)
+    monkeypatch.setattr(branching, "_blattner_table", counted)
     t = ktype_table(GU, su21_from_lambda(GU, [3, 1, -1]), 16)
-    # the box holds 18,513 K-types, each needing |W_K| = 2 counts
+    # the box holds 18,513 K-types, each needing |W_K| = 2 counts; the walk
+    # returns the K-types some term reaches, before the terms cancel
     assert len(t.entries) == 28
-    assert len(tables) == 1
-    assert len(tables[0]) <= 10 * len(t.entries)
+    assert len(returned) == 1
+    assert len(returned[0]) <= 10 * len(t.entries)
 
 
 def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):

@@ -140,21 +140,10 @@ def test_box_above_cap_exits_2_without_scanning(capsys, monkeypatch):
     assert len(parse_csv(out)) == 3
 
 
-def test_fibre_box_above_cap_exits_2_before_table_work(capsys, monkeypatch,
-                                                       tmp_path):
+def test_fibre_box_above_cap_exits_2_before_table_work(capsys, monkeypatch):
     # K a rank-4 torus over the compact Cartan of SL(2,R): inside Blattner's
     # formula, with three free coordinates in each fibre of the restriction
-    doc = {"name": "sl2xt3",
-           "k": {"rank": 4, "roots": [], "positives": [], "simples": []},
-           "m": {"rank": 1, "roots": [[2], [-2]], "positives": [[2]],
-                 "compact_flags": [False, False]},
-           "restricted": {"dim_a": 0, "roots": [], "positives": []},
-           "tM_in_t": [[1, 0, 0, 0]],
-           "zmprime": {"order": 1, "generators": []},
-           "dims": {"s_M": 2, "a": 0}}
-    path = tmp_path / "sl2xt3.json"
-    path.write_text(json.dumps(doc))
-    argv = ["table", "--group", str(path), "--params",
+    argv = ["table", "--group", str(DATA / "sl2xt3.json"), "--params",
             '{"lambda":[1],"rmplus":[[2]]}']
 
     def refuse(*args):
@@ -170,14 +159,27 @@ def test_fibre_box_above_cap_exits_2_before_table_work(capsys, monkeypatch,
                               for y in range(-2, 3) for z in range(-2, 3)]
 
 
+def _match_digests(capsys, pinned_file, *group):
+    pinned = json.loads((DATA / pinned_file).read_text())
+    for params, digest in pinned["sha256"].items():
+        code, out, err = run(capsys, *pinned["argv"], *group,
+                             "--params", params)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_window_64_tables_match_their_digests(capsys):
     # sha256 of the stdout of each parameter document's table at window 64,
     # where the per-row cost of Blattner's formula shows
-    pinned = json.loads((DATA / "table_su21_w64.sha256.json").read_text())
-    for params, digest in pinned["sha256"].items():
-        code, out, err = run(capsys, *pinned["argv"], "--params", params)
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    _match_digests(capsys, "table_su21_w64.sha256.json")
+
+
+def test_window_32_sp4r_tables_match_their_digests(capsys):
+    # the eight Sp(4,R) chambers of the tests at window 32: their three
+    # noncompact positives are dependent, so the counts reach multiplicities
+    # up to 15 at heights the property windows and the window-10 golden miss
+    _match_digests(capsys, "table_sp4r_w32.sha256.json",
+                   "--group", str(DATA / "sp4r.json"))
 
 
 def test_grid_above_cap_exits_2(capsys):
