@@ -23,14 +23,15 @@ ktype_table evaluates Blattner's formula (Hecht-Schmid)
 
 with R the torus restriction, P_n the partition count over the noncompact
 positives, rho_Phi the compact half-sum of the parameters' positive system
-Phi and eps = det(w_Phi).  It holds when R maps the K roots one-to-one
-onto the compact Levi roots and every K root has a trivial Z' character.
-Each W_K term reads its K-types through one integer map, affine in the
-partition counts over the noncompact positives and the free coordinates of
-the torus fibres.  A walk over those carries the map as running sums and
-takes, one line of the last variable at a time, the integer interval that
-keeps mu in the window and the dominant chamber, so neither a box of
-K-types nor a table of partition counts is built.
+Phi and eps = det(w_Phi), where R w_Phi rho_K = rho_Phi.  It holds when R
+maps the K roots one-to-one onto the compact Levi roots, which gives eps
+and each term's shift in closed form, and every K root has a trivial Z'
+character.  Each W_K term reads its K-types through one integer map, affine
+in the partition counts over the noncompact positives and the free
+coordinates of the torus fibres.  A walk over those carries the map as
+running sums and takes, one line of the last variable at a time, the
+integer interval that keeps mu in the window and the dominant chamber, so
+neither a box of K-types nor a table of partition counts is built.
 
 Two oracles stay independent of it and of each other: signed sums of
 Kostant partition counts over the compact offsets, and the coefficients of
@@ -262,9 +263,15 @@ def _series_values(prep: _Prepared, top2: int) -> Iterable[tuple]:
 _EVALUATORS = {"partition": _partition_values, "series": _series_values}
 
 
-def _top2(index: Mapping[tuple, list], hv: tuple[int, ...]) -> int:
-    """The highest doubled height of an index's keys, -1 if it has none."""
-    return max((sum(map(mul, c, hv)) for c, _ in index), default=-1)
+def _top_covector(g: RealGroupData, hv: tuple[int, ...]) -> tuple[int, ...]:
+    """v, the K-dominant conjugate of R^T hv: under hv the keys of the K-type
+    mu reach (mu, v), its weights lying in the hull of W_K mu, and those of
+    the window window * |v|_1, as W_K acts by signed permutations and every
+    point of the window's cube is a weight of a K-type in the window."""
+    v = matvec(tuple(zip(*g.tm_in_t)), hv)
+    # of the conjugates, the dominant one is the highest under rho_K
+    return max((matvec(w.matrix, v) for w in g.k_weyl),
+               key=lambda u: sum(map(mul, u, g.t_lattice.height_vec)))
 
 
 def _evaluate(prep: _Prepared, mode: str, index: Mapping[tuple, list],
@@ -281,35 +288,35 @@ def _evaluate(prep: _Prepared, mode: str, index: Mapping[tuple, list],
 def _evaluate_ktypes(g: RealGroupData, prep: _Prepared, mode: str,
                      hws: Sequence[tuple[int, ...]]) -> list[int]:
     """One oracle on a few K-types, restricted through restrict_to_hm."""
-    index = key_index(restrict_to_hm(g, hw) for hw in hws)
-    acc = _evaluate(prep, mode, index, _top2(index, prep.hm.height_vec))
+    v = _top_covector(g, prep.hm.height_vec)
+    acc = _evaluate(prep, mode, key_index(restrict_to_hm(g, hw) for hw in hws),
+                    max((sum(map(mul, hw, v)) for hw in hws), default=-1))
     return [acc.get(row, 0) for row in range(len(hws))]
 
 
 def _blattner_terms(g: RealGroupData, prep: _Prepared
                     ) -> tuple[int, list[tuple[WeylElement, tuple[int, ...]]]]:
     """Blattner's formula for one parameter tuple, as eps = det(w_Phi) and
-    terms (w, shift_w) with shift_w = R(w rho_K - w_Phi rho_K) - base, an
-    integer vector read from the load-time shifts w rho_K - rho_K:
+    terms (w, shift_w) with shift_w = R(w rho_K - w_Phi rho_K) - base:
 
         mult(mu) = eps * sum_w det(w) * P_n(R w mu + shift_w).
 
-    R maps the K roots one-to-one onto the compact Levi roots, so w_Phi is
-    the w whose positive K roots R maps onto Phi's compact positives.
+    w_Phi takes the positive K roots to those R maps onto Phi's compact
+    positives Phi_c, and R maps the K roots one-to-one onto the compact
+    roots: so R w_Phi rho_K = rho_c, Phi_c's half-sum, det(w_Phi) = (-1)^(the
+    number of Phi_c outside R K^+), and shift_w = R(w rho_K - rho_K) + C
+    with C = R rho_K - rho_c - base (ArithmeticError if 2C is odd).
     """
-    target = {c.coords for c in prep.compact}
-    w_phi, phi_shift = next(
-        ((w, s) for w, s in zip(g.k_weyl, g.k_rho_shifts)
-         if {matvec(g.tm_in_t, matvec(w.matrix, a.coords))
-             for a in g.k_roots.positives} == target), (None, None))
-    if w_phi is None:
-        raise ArithmeticError("no w in W_K takes the positive K roots onto "
-                              "the compact positives")
-    base = prep.base[0]
-    return w_phi.det, [
-        (w, tuple(a - b for a, b in zip(
-            matvec(g.tm_in_t, [x - y for x, y in zip(s, phi_shift)]), base)))
-        for w, s in zip(g.k_weyl, g.k_rho_shifts)]
+    r = g.tm_in_t
+    positives = {matvec(r, a.coords) for a in g.k_roots.positives}
+    eps = (-1) ** sum(c.coords not in positives for c in prep.compact)
+    # twice C, with 2 rho_K the height covector of T
+    c2 = [x - 2 * b - sum(c.coords[i] for c in prep.compact) for i, (x, b)
+          in enumerate(zip(matvec(r, g.t_lattice.height_vec), prep.base[0]))]
+    if any(x % 2 for x in c2):
+        raise ArithmeticError(f"2 (R rho_K - rho_c - base) = {c2} is odd")
+    return eps, [(w, tuple(x + y // 2 for x, y in zip(matvec(r, s), c2)))
+                 for w, s in zip(g.k_weyl, g.k_rho_shifts)]
 
 
 def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
@@ -321,7 +328,7 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     over the k noncompact positives, so the formula sums det(w) over the
     pairs (n, w) for which R w mu + shift_w = t has a solution mu in the
     window.  As w^-1 = w^T, one integer map of the fibres reads it: the
-    consistency rows take t to the term's target, and d mu = A_w t - c +
+    consistency rows vanish on t - shift_w, and d mu = A_w (t - shift_w) +
     sum_f x_f dirs_f over the free coordinates x_f of w mu, which lie in
     [-window, window] since w is a signed permutation.  So d mu is affine in
     the walk variables, the free coordinates and then the counts, each count
@@ -336,13 +343,11 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     """
     eps, terms = _blattner_terms(g, prep)
     hm, fibres, d = prep.hm, g.fibres, g.fibres.d
-    ztable, zbase = hm.ztable, prep.base[1]
-    order = ztable.order
+    ztable, zbase, order = hm.ztable, prep.base[1], hm.ztable.order
     rank = g.k_roots.rank
-    # (R w mu, h) = (mu, w^T R^T h), and |w^T v|_1 = |v|_1
+    # R w mu runs over the window's keys, as w permutes the window's weights
     hv = hm.height_vec
-    rt_h = matvec(tuple(zip(*g.tm_in_t)), hv)
-    bound2 = window * sum(map(abs, rt_h)) + max(
+    bound2 = window * sum(map(abs, _top_covector(g, hv))) + max(
         sum(map(mul, hv, shift)) for _, shift in terms)
     betas = [b.coords for b in prep.noncompact]
     heights = [sum(map(mul, hv, b)) for b in betas]
@@ -364,7 +369,7 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
 
     found: dict[tuple[int, ...], int] = {}
     for w, shift in terms:
-        a, target, c, dirs = fibres.affine(tuple(zip(*w.matrix)), shift)
+        a, dirs = fibres.affine(tuple(zip(*w.matrix)))
         # (column, lo, hi): no count exceeds the cut over its own height;
         # with no variable at all, a zero column reads the start alone
         variables = ([(lift(v, (0,) * len(consistency)), -window, window)
@@ -375,7 +380,8 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
         col = variables[-1][0]
         dcol, zcol = col[:rank], col[zs]
         step, det = tuple(order * x for x in dcol), w.det
-        start = lift([-x for x in c], [-x for x in target])
+        start = lift([-x for x in matvec(a, shift)],
+                     [-x for x in matvec(consistency, shift)])
         for line, lo, hi in _walk(start, _levels(conditions, variables)):
             dmu0, z0 = line[:rank], line[zs]
             for n in range(lo, min(hi, lo + d * order - 1) + 1):
@@ -477,11 +483,9 @@ def _box(g: RealGroupData, prep: _Prepared, window: int, mode: str
          ) -> list[_Row]:
     """The one path of every table over the window's box: one oracle's
     values scattered through the box's index, the nonzero rows kept."""
-    ktypes, index, tops = ktype_box(g, window)
-    hv = prep.hm.height_vec
-    if hv not in tops:
-        tops[hv] = _top2(index, hv)
-    acc = _evaluate(prep, mode, index, tops[hv])
+    ktypes, index = ktype_box(g, window)
+    top2 = window * sum(map(abs, _top_covector(g, prep.hm.height_vec)))
+    acc = _evaluate(prep, mode, index, top2)
     return _nonzero([(ktypes[row], acc[row]) for row in sorted(acc)])
 
 
@@ -503,7 +507,8 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
 
     Blattner's formula over the K-types the noncompact cone reaches where
     the group data allow it, else partition counts over the box; the series
-    oracle checks the first few nonzero entries.  Entries are the restricted
+    oracle checks the few nonzero entries whose keys reach the least height,
+    where it is cheapest (ties in lexical order).  Entries are the restricted
     representation itself; the table's sign field records the index sign.
     A caller holding validate_params(g, p) passes it as verdict.
     """
@@ -513,7 +518,8 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
     evaluator = "blattner" if g.blattner_applies else "partition"
     rows = (_nonzero(_blattner_table(g, prep, window)) if g.blattner_applies
             else _box(g, prep, window, "partition"))
-    spot = rows[:_SPOT_CHECKS]
+    v = _top_covector(g, prep.hm.height_vec)
+    spot = sorted(rows, key=lambda r: sum(map(mul, r[0], v)))[:_SPOT_CHECKS]
     series = _evaluate_ktypes(g, prep, "series", [mu for mu, _ in spot])
     for (mu, m), s in zip(spot, series):
         if s != m:

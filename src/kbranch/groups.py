@@ -359,24 +359,17 @@ class Fibres:
                    tuple(row[:ncols] for row in scaled), d, tuple(pivots),
                    tuple(c for c in range(ncols) if c not in pivots))
 
-    def affine(self, u: Sequence[Sequence[int]], shift: Sequence[int]
-               ) -> tuple[tuple, tuple, tuple, list]:
-        """The solutions of R x = t - shift, carried by the integer matrix
-        u, as (A, target, c, dirs).  The equation is solvable exactly when
-        the consistency rows take t to target; its solutions are then the x
-        with d * u x = A t - c + sum over free f of x_f * dirs_f, one for
-        each choice of the free coordinates x_f."""
-        rank = len(self.pivots)
-        ts = matvec(self.transform, shift)
-        # d x = E T t - y + sum_f x_f z_f, E putting row i of T at the i-th
-        # pivot column, y holding (T shift)_i there, and z_f holding d at f
-        # and -(T R)_if at the i-th pivot column
-        pivot_rows_t = tuple(zip(*self.transform[:rank]))
+    def affine(self, u: Sequence[Sequence[int]]) -> tuple[tuple, list]:
+        """The solutions of R x = b, carried by the integer matrix u, as
+        (A, dirs).  The equation is solvable exactly when the consistency
+        rows vanish on b; its solutions are then the x with d * u x = A b +
+        sum over free f of x_f * dirs_f, one for each choice of the free
+        coordinates x_f.  So R x = t - s reads A t - A s, with no offset."""
+        # d x = E T b + sum_f x_f z_f: E puts row i of T at the i-th pivot
+        # column, and z_f holds d at f and -(T R)_if at the i-th pivot column
+        pivot_rows_t = tuple(zip(*self.transform[:len(self.pivots)]))
         a = tuple(matvec(pivot_rows_t, [row[c] for c in self.pivots])
                   for row in u)
-        y = [0] * self.ncols
-        for i, c in enumerate(self.pivots):
-            y[c] = ts[i]
         dirs = []
         for f in self.free:
             z = [0] * self.ncols
@@ -384,7 +377,7 @@ class Fibres:
             for i, c in enumerate(self.pivots):
                 z[c] = -self.reduced[i][f]
             dirs.append(matvec(u, z))
-        return a, ts[rank:], matvec(u, y), dirs
+        return a, dirs
 
 
 def _blattner_applies(g: RealGroupData,
@@ -433,8 +426,9 @@ def _require(doc: dict, field: str, typ, inv="schema", cap=None):
         raise GroupDataError(inv, f"missing field {field!r}")
     if not isinstance(doc[field], typ) or isinstance(doc[field], bool):
         raise GroupDataError(inv, f"field {field!r} must be {typ.__name__}")
-    if cap is not None and doc[field] > cap:
-        raise GroupDataError("size cap", f"{field} {doc[field]} is above {cap}")
+    if cap is not None and not 0 <= doc[field] <= cap:  # a size
+        raise GroupDataError("size cap" if doc[field] > cap else inv,
+                             f"{field} {doc[field]} is outside 0..{cap}")
     return doc[field]
 
 
@@ -493,7 +487,7 @@ def _build(doc: dict) -> RealGroupData:
 
     # ---- restricted roots ---------------------------------------------------
     restr = doc["restricted"]
-    dim_a = _require(restr, "dim_a", int)
+    dim_a = _require(restr, "dim_a", int, cap=_RANK_CAP)
     a_lab = f"{name}:a"
     _parse_weight_list(_require(restr, "roots", list), dim_a, a_lab, "schema")
     r_pos = _parse_weight_list(_require(restr, "positives", list), dim_a, a_lab, "schema")

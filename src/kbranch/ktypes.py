@@ -159,10 +159,9 @@ def key_index(restricted: Iterable[Mapping]) -> dict[tuple, list]:
 
 
 @lru_cache(maxsize=4)
-def ktype_box(g: RealGroupData, window: int) -> tuple[tuple, dict, dict]:
+def ktype_box(g: RealGroupData, window: int) -> tuple[tuple, dict]:
     """The box of a window, built once per (group, window) from one batch:
-    its dominant K-types in lexicographic order, the inverted index of their
-    restrictions (no restricted map is kept) and, for each height covector
-    a caller reads, the highest doubled height of its keys."""
+    its dominant K-types in lexicographic order and the inverted index of
+    their restrictions (no restricted map is kept)."""
     ktypes = enumerate_ktypes(g, window)
-    return tuple(ktypes), key_index(_restrict(g, ktypes)), {}
+    return tuple(ktypes), key_index(_restrict(g, ktypes))

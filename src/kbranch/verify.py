@@ -152,7 +152,7 @@ def random_su21_params(g, rng, scale: int = 4) -> TemperedParams:
 def su21_queries_agree(gu, rng, queries: int) -> bool:
     """Sample su21 parameters and K-types of window 6: the partition and
     series oracles must agree on each."""
-    ktypes6, _, _ = ktype_box(gu, 6)
+    ktypes6, _ = ktype_box(gu, 6)
     drawn = ((random_su21_params(gu, rng),
               KType(gu.t_weight(rng.choice(ktypes6)))) for _ in range(queries))
     return all(ktype_multiplicity(gu, p, kt, "partition")

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -345,6 +346,13 @@ def test_box_cache_evicts_past_its_maxsize():
     assert box.cache_info().misses == size + 2
 
 
+def _top2(keys, hv):
+    """The highest doubled height of a set of H-keys, -1 if it has none, by
+    the scan that the closed forms replace."""
+    return max((sum(x * y for x, y in zip(c, hv)) for c, _ in keys),
+               default=-1)
+
+
 def test_box_tables_agree_with_ktype_table():
     rng = random.Random(41)
     for i in range(40):
@@ -353,13 +361,18 @@ def test_box_tables_agree_with_ktype_table():
         t = ktype_table(GU, p, window)
         assert t == ktype_table_series(GU, p, window)
         assert t == branching.box_table(GU, p, window, "partition")
-    # a box holds the highest height of each covector its tables read
-    ktypes.ktype_box.cache_clear()
-    for lam in ([3, 1, -1], [-1, 3, 1]):  # two positive systems
-        ktype_table_series(GU, su21_from_lambda(GU, lam), 5)
-    _, index, tops = ktypes.ktype_box(GU, 5)
-    assert len(tops) == 2
-    assert tops == {hv: branching._top2(index, hv) for hv in tops}
+    # the highest heights of the box's keys, and of each K-type's, under a
+    # covector are the closed forms'
+    for g in (GC, GS, GU, SP4R, SL2XU1, SL2XT3, all_noncompact_su21()):
+        for window in range(7):
+            box, index = ktypes.ktype_box(g, window)
+            for hv in {g.hm.height_vec, *itertools.product(
+                    range(-1, 2), repeat=g.hm.rank)}:
+                v = branching._top_covector(g, hv)
+                assert window * sum(map(abs, v)) == _top2(index, hv)
+                assert window > 3 or all(
+                    sum(x * y for x, y in zip(mu, v))
+                    == _top2(restrict_to_hm(g, mu), hv) for mu in box)
 
 
 @pytest.mark.parametrize("window", [4, 6, 8])
@@ -447,7 +460,7 @@ def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
 
     monkeypatch.setattr(branching, "_virtual_character", cached)
     index = ktypes.key_index(batch)
-    top2 = branching._top2(index, prep.hm.height_vec)
+    top2 = _top2(index, prep.hm.height_vec)
     want = branching._evaluate(prep, mode, index, top2)
     calls = _count_calls(monkeypatch, (Weight, "__add__"), (Weight, "__sub__"),
                          (HMLattice, "height2"),
@@ -679,6 +692,65 @@ def test_blattner_reads_the_consistency_rows():
         assert bool(t) == (lam[1] == 0)
 
 
+def _searched_terms(g, prep):
+    """Blattner's terms by the W_K search that the closed forms replace:
+    w_Phi is the one w whose positive K roots R maps onto the compact
+    positives, and shift_w = R(w rho_K - w_Phi rho_K) - base."""
+    matvec, target = groups.matvec, {c.coords for c in prep.compact}
+    (w_phi, phi_shift), = [
+        (w, s) for w, s in zip(g.k_weyl, g.k_rho_shifts)
+        if {matvec(g.tm_in_t, matvec(w.matrix, a.coords))
+            for a in g.k_roots.positives} == target]
+    return w_phi.det, [
+        (w, tuple(a - b for a, b in zip(matvec(
+            g.tm_in_t, [x - y for x, y in zip(s, phi_shift)]), prep.base[0])))
+        for w, s in zip(g.k_weyl, g.k_rho_shifts)]
+
+
+def _term_cases():
+    """Nonzero (group, parameters): su21 and Sp(4,R) in every chamber, the
+    SL(2,R) families, sl2xt3 and the rank-2 tori onto SL(2,R)."""
+    cases = [(GU, _chamber(GU, lam))
+             for lam in itertools.product(range(-3, 4), repeat=3)
+             if all(dot(GU.tm_weight(list(lam)), r)
+                    for r in GU.m_roots.positives)]
+    # the 8 Sp(4,R) chambers of the test data and their compact mirrors
+    cases += [(SP4R, _chamber(SP4R, lam[::s])) for lam in
+              [(2, 1), (3, 1), (5, 2), (6, 1), (2, -1), (3, -1), (4, -3),
+               (1, -2)] for s in (1, -1)]
+    cases += [(g, p) for _, g, p, _ in _sl2_param_sets()]
+    tori = [SL2XT3] + [
+        load_group_data(json.dumps({**SL2XU1_DOC, "name": f"t2{row}",
+                                    "tM_in_t": [list(row)]}))
+        for row in itertools.product(range(-2, 3), repeat=2) if any(row)]
+    cases += [(g, TemperedParams(g.tm_weight([lam]), (g.tm_weight([root]),),
+                                 chi, g.a_weight([])))
+              for g in tori for lam, chi, root in itertools.product(
+                  range(-3, 4), range(g.hm.ztable.order), (2, -2))]
+    return [(g, p) for g, p in cases
+            if validate_params(g, p).verdict == "nonzero"]
+
+
+def test_blattner_terms_are_the_searched_terms():
+    signs = Counter()
+    for g, p in _term_cases():
+        prep = branching._prepare(g, p)
+        eps, terms = branching._blattner_terms(g, prep)
+        assert (eps, terms) == _searched_terms(g, prep)
+        signs[g.name, eps] += 1
+    # both compact chambers of su21 and of Sp(4,R)
+    assert all(signs[name, eps] for name in ("su21", "sp4r")
+               for eps in (1, -1))
+    assert signs["sl2xt3", 1] and len(signs) > 10
+
+
+def test_blattner_terms_refuse_a_half_integral_constant():
+    # without its compact positive, rho_c moves by half the root (1, -1, 0)
+    prep = branching._prepare(GU, su21_from_lambda(GU, [3, 1, -1]))
+    with pytest.raises(ArithmeticError, match="is odd"):
+        branching._blattner_terms(GU, replace(prep, compact=()))
+
+
 def test_blattner_partition_calls_track_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("the Blattner path built a partition table")
@@ -713,12 +785,18 @@ def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):
     monkeypatch.setattr(branching, "ktype_box", refuse)
     monkeypatch.setattr(branching, "restrict_to_hm", counted)
     for g, p in ((GU, su21_from_lambda(GU, [3, 1, -1])),
+                 (GU, su21_from_lambda(GU, [-1, 3, 1])),  # the other chamber
                  (GC, sl2_discrete(GC, 2, "-")),
                  (GS, sl2_principal(GS, "minus"))):
         restricted.clear()
         t = ktype_table(g, p, 12)
         assert len(t.entries) > 3
-        assert restricted == [k for k, _ in t.rows()[:3]]
+        # the rows whose keys reach the least height under the parameters'
+        # positive system, where the series is cheapest; ties lexical
+        hv = branching._prepare(g, p).hm.height_vec
+        lowest = sorted(t.entries, key=lambda mu: _top2(restrict_to_hm(g, mu),
+                                                        hv))
+        assert restricted == lowest[:3]
 
 
 # ------------------------------------------- independent SU(2,1) oracle

@@ -266,17 +266,33 @@ def _undecodable(doc):
     return b"\xff\xfe{}"  # not UTF-8
 
 
+def _setting(kind, *paths_and_values):
+    """A mutation setting doc[path...] to a value, for each path and value
+    in turn; named after the kind of value and the first path for the test
+    id."""
+    def mutate(doc):
+        for *path, key, value in paths_and_values:
+            node = doc
+            for p in path:
+                node = node[p]
+            node[key] = value
+    first_path = paths_and_values[0][:-1]
+    mutate.__name__ = f"_{kind}_" + "_".join(map(str, first_path))
+    return mutate
+
+
 def _boolean(*path_and_value):
     """A mutation setting doc[path...] to a value holding JSON booleans,
-    which are not integers; named after the path for the test id."""
-    *path, key, value = path_and_value
+    which are not integers."""
+    return _setting("boolean", path_and_value)
 
-    def mutate(doc):
-        for p in path:
-            doc = doc[p]
-        doc[key] = value
-    mutate.__name__ = "_boolean_" + "_".join(map(str, (*path, key)))
-    return mutate
+
+def _dim_a(kind, value):
+    """A mutation setting restricted.dim_a and dims.a to value."""
+    return _setting(kind, ("restricted", "dim_a", value), ("dims", "a", value))
+
+
+_EMPTY = {"roots": [], "positives": []}
 
 
 @pytest.mark.parametrize("mutate, invariant", [
@@ -294,6 +310,12 @@ def _boolean(*path_and_value):
     (_boolean("zmprime", "generators", 0, "char_table_row", [False, True]),
      "zmprime table"),
     (_boolean("zmprime", "generators", 0, "v", [True]), "zmprime table"),
+    (_setting("negative", ("k", {"rank": -1, "simples": [], **_EMPTY})),
+     "schema"),
+    (_setting("negative", ("m", {"rank": -1, "compact_flags": [], **_EMPTY})),
+     "schema"),
+    (_dim_a("negative", -1), "schema"),
+    (_dim_a("huge", 3_000_000), "size cap"),
 ])
 def test_validate_malformed_group_file_exits_4(tmp_path, capsys, mutate,
                                                invariant):

@@ -360,3 +360,24 @@ def test_mutated_group_documents_load_or_raise_group_data_error(text):
         load_group_data(text)
     except GroupDataError:
         pass
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3), n=st.integers(1, 4))
+def test_fibre_map_solves_the_restriction(data, m, n):
+    """For b = R x, the consistency rows vanish on b, and x is the solution
+    whose free coordinates are its own: d x = A b + sum_f x_f dirs_f, read
+    through the identity as u."""
+    ints = st.integers(-3, 3)
+    mat = data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+    x = data.draw(st.lists(ints, min_size=n, max_size=n))
+    fibres = groups.Fibres.of(mat, n)
+    b = groups.matvec(mat, x)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    a, dirs = fibres.affine(identity)
+    assert not any(groups.matvec(fibres.transform[len(fibres.pivots):], b))
+    want = list(groups.matvec(a, b))
+    for f, v in zip(fibres.free, dirs):
+        want = [y + x[f] * z for y, z in zip(want, v)]
+    assert want == [fibres.d * c for c in x]

@@ -17,16 +17,82 @@ def _loaded_names(tree: ast.Module) -> set[str]:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
+# the nodes whose code runs in a scope of its own
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _scope_code(scope: ast.AST) -> list[ast.AST]:
+    """The nodes of a scope's own code; a nested scope's node is listed, as
+    its name binds here, but not entered."""
+    code, todo = [], list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        code.append(node)
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return code
+
+
+def _imported(node: ast.AST) -> list[str]:
+    if (not isinstance(node, (ast.Import, ast.ImportFrom))
+            or getattr(node, "module", None) == "__future__"):
+        return []
+    return [(a.asname or a.name).split(".")[0] for a in node.names]
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The imported names that no load reads.  A load reads the binding of
+    the innermost enclosing scope that binds its name (by assignment,
+    argument, import or definition, unless declared global or nonlocal
+    there); a class body's bindings are seen by its own code alone."""
+    imports, loads = [], set()
+
+    def visit(scope, outer):
+        code = _scope_code(scope)
+        declared = {n for node in code
+                    if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for n in node.names}
+        bound = {n.id for n in code if isinstance(n, ast.Name)
+                 and not isinstance(n.ctx, ast.Load)}
+        bound |= {n.arg for n in code if isinstance(n, ast.arg)}
+        bound |= {n.name for n in code if isinstance(n, (
+            ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        bound |= {n for node in code for n in _imported(node)}
+        chain = [(scope, bound - declared), *outer]
+        for node in code:
+            imports.extend((scope, n) for n in _imported(node))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.add(next((id(s), node.id) for s, names in chain
+                               if node.id in names or s is tree))
+            elif isinstance(node, _SCOPES):
+                visit(node, chain[isinstance(scope, ast.ClassDef):])
+
+    visit(tree, [])
+    return [n for scope, n in imports if (id(scope), n) not in loads]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
-    tree = ast.parse(path.read_text())
-    used = _loaded_names(tree)
-    imported = [(a.asname or a.name).split(".")[0]
-                for node in ast.walk(tree)
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                and getattr(node, "module", None) != "__future__"
-                for a in node.names]
-    assert [n for n in imported if n not in used] == []
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("from operator import sub\nx = [sub for sub in y]", ["sub"]),
+    ("from operator import sub\nx = [sub(a, 1) for a in y]", []),
+    ("from operator import sub\ndef f(sub): return sub", ["sub"]),
+    ("from operator import sub\nf = lambda sub: sub", ["sub"]),
+    ("from operator import sub\ndef f(y): return sub(y, 1)", []),
+    ("import os\ndef f():\n    os = 1\n    return os", ["os"]),
+    ("import os\ndef f():\n    global os\n    os = os.sep", []),
+    ("import os\nclass C:\n    os = 1\n    def f(self): return os", []),
+    ("import os.path\nos.path.join", []),
+    ("from typing import Mapping\ndef f(x: Mapping): pass", []),
+    ("def f():\n    import os\n    return os", []),
+    ("def f():\n    import os\ndef g():\n    return os", ["os"]),
+])
+def test_shadowed_imports_are_found(source, unused):
+    assert _unused_imports(ast.parse(source)) == unused
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

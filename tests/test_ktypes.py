@@ -208,6 +208,6 @@ def test_batch_restriction_is_the_per_weight_definition(g):
         want.append(res)
     assert list(ktypes._restrict(g, kts)) == want
     assert [restrict_to_hm(g, kt) for kt in kts] == want
-    box, index, _ = ktypes.ktype_box(g, 3)
+    box, index = ktypes.ktype_box(g, 3)
     assert box == tuple(kts)
     assert index == ktypes.key_index(want)
