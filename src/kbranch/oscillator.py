@@ -29,7 +29,7 @@ from .branching import KTypeTable
 
 MAX_GRID_POINTS = 2000  # 1-D: n/2-square SVDs; the Gaussian costs O(n)
 MAX_GRID_POINTS_2D = 241  # oscillator_nd: A O(m^2), preconditioner O(m^3)
-MAX_LOBPCG_ITERATIONS = 60  # oscillator_nd needs 11-30 on desk grids
+MAX_LOBPCG_ITERATIONS = 60  # oscillator_nd needs 4-5 on desk grids
 MAX_LOBPCG_BLOCK = 16  # oscillator_nd: ev + 2 vectors, 3 on desk kernels
 
 
@@ -248,7 +248,8 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
 
     The even block couples degrees 0 and 2 through the two odd components;
     staggering per axis matches the 1-D scheme.  The ev + 1 lowest pairs of
-    A^T A come from `_lobpcg` on ev + 2 vectors, the last a guard.
+    A^T A come from `_lobpcg` on ev + 2 vectors, the last a guard, from the
+    preconditioner's lowest eigenvectors plus a seeded draw (README).
     """
     if n != 2:
         raise ValueError("desk scale covers n = 2 only")
@@ -297,7 +298,20 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
         return join(*(vt.T @ ((vt @ u @ vt.T) / den) @ vt for u, (vt, den)
                       in zip(split(r, (m - 2, m - 2), (m - 1, m - 1)), fd)))
 
-    x0 = np.random.default_rng(0).standard_normal((ev + 2, n0 + (m - 1) ** 2))
+    # start: the ev + 2 lowest eigenvectors vt[i] (x) vt[j] of prec (s falls,
+    # so den's lowest are in its last rows and columns), plus 1e-4 of a draw,
+    # as A^T A and prec never leave the parity sectors the start touches
+    k = ev + 2
+    low = sorted((den[i, j], b, i, j) for b, (_, den) in enumerate(fd)
+                 for i in range(max(len(den) - k, 0), len(den))
+                 for j in range(max(len(den) - k, 0), len(den)))[:k]
+    us = [np.zeros((k,) + den.shape) for _, den in fd]
+    for row, (_, b, i, j) in enumerate(low):
+        vt = fd[b][0]
+        us[b][row] = np.outer(vt[i], vt[j])
+    x0 = join(*us)
+    noise = np.random.default_rng(0).standard_normal(x0.shape)
+    x0 += 1e-4 * noise / np.linalg.norm(noise, axis=1, keepdims=True)
     x, ax = _lobpcg(op, adj, prec, x0, ev + 1, 10 * floor)
     # residuals, as sqrt(theta) stops at the rounding floor of A^T A
     svals = np.linalg.norm(ax[:ev + 1], axis=1)  # the rows of x are unit

@@ -295,7 +295,9 @@ def _sparse_reference(grid, svd_tol, f):
     (GridSpec(6.0, 0.1), 1e-5, 4.0),
     # at L = 4 the truncation error is 1.3e-3 at scale 1, so the band
     # [5e-3, 0.5] of svd_tol 0.05 sits between it and the gap at 1.41
-    (GridSpec(4.0, 0.1), 0.05, 1.0), (GridSpec(4.0, 0.1), 0.05, 2.0)])
+    (GridSpec(4.0, 0.1), 0.05, 1.0), (GridSpec(4.0, 0.1), 0.05, 2.0),
+    # the kernel sits at the rounding floor, where the clamp matters
+    (GridSpec(6.0, 0.2), 1e-5, 3.0)])
 def test_nd_matches_sparse_reference(grid, svd_tol, f):
     rep = oscillator_nd(2, grid, svd_tol, potential_scale=f)
     dim, svals, err = _sparse_reference(grid, svd_tol, f)
@@ -356,8 +358,71 @@ def test_nd_stencil_operator_matches_dense_kronecker(monkeypatch, grid):
 
 
 def test_nd_iteration_cap_is_inconclusive(monkeypatch):
+    # the default call needs 4 Rayleigh-Ritz rounds
     monkeypatch.setattr(oscillator, "MAX_LOBPCG_ITERATIONS", 1)
     with pytest.raises(InconclusiveKernelError):
+        oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
+
+
+@pytest.mark.parametrize("f", [1.0, 2.0, 4.0])
+def test_nd_lobpcg_iteration_budget(monkeypatch, f):
+    # a work budget: preconditioner applications of the `verify dirac` 2-D
+    # check, started in the preconditioner's eigenbasis
+    lobpcg, count = oscillator._lobpcg, []
+
+    def counting(op, adj, prec, *args):
+        def counted(r):
+            count.append(r)
+            return prec(r)
+        return lobpcg(op, adj, counted, *args)
+
+    monkeypatch.setattr(oscillator, "_lobpcg", counting)
+    oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5, potential_scale=f)
+    assert 1 <= len(count) <= 3
+
+
+def _parity_sectors(x, m):
+    """The components of the rows of x in the 8 sectors of the degree-0 and
+    degree-2 blocks under x -> -x and y -> -y (both blocks' grids are
+    symmetric through 0, so the reflections reverse an axis)."""
+    n0 = (m - 2) ** 2
+    for u in (x[:, :n0].reshape(-1, m - 2, m - 2),
+              x[:, n0:].reshape(-1, m - 1, m - 1)):
+        for sx in (1, -1):
+            for sy in (1, -1):
+                v = (u + sx * u[:, ::-1]) / 2
+                yield (v + sy * v[:, :, ::-1]) / 2
+
+
+def test_nd_start_block_is_in_generic_position(monkeypatch):
+    # A^T A and the preconditioner commute with both reflections, so LOBPCG
+    # never reaches a symmetry class its start misses; the tensor
+    # eigenvectors alone are zero in 5 of the 8 sectors
+    start = {}
+
+    def capture(op, adj, prec, x, *args):
+        start["x"] = x
+        raise _Captured
+
+    monkeypatch.setattr(oscillator, "_lobpcg", capture)
+    grid = GridSpec(6.0, 0.1)
+    with pytest.raises(_Captured):
+        oscillator_nd(2, grid, 1e-5)
+    x = start["x"]
+    sectors = list(_parity_sectors(x, grid.npoints))
+    assert len(sectors) == 8
+    assert sum(np.linalg.norm(v) ** 2 for v in sectors) == pytest.approx(
+        np.linalg.norm(x) ** 2)
+    for v in sectors:
+        assert np.linalg.norm(v) > 1e-8 * np.linalg.norm(x)
+
+
+def test_nd_finds_the_gaussian_the_tensor_rule_denies(monkeypatch):
+    # 1-D dims (0, 0) predict ev = 0; the 2-D solve still finds the Gaussian
+    monkeypatch.setattr(oscillator, "oscillator_1d",
+                        lambda *a: KernelReport(0, 0, 0.0))
+    with pytest.raises(ArithmeticError, match="dimension 1 contradicts "
+                                              "the tensor rule 0"):
         oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
 
 
