@@ -14,8 +14,10 @@ small singular values, auditable against an explicit inconclusive band;
 both stencils anticommute with x -> -x, so the values come from each
 matrix's two blocks of order n/2 on the parity halves (`_parity_halves`).
 Every matrix is read from the stencil diagonals, and the 1-D Gaussian comes
-from inverse iteration with the tridiagonal A^T A in O(n).  A cylinder table
-is read from one such 1-D report (`cylinder_table`).  The 2-D check is
+from inverse iteration with the tridiagonal A^T A in O(n), and both are
+kept per (grid, scale) in a memo of 8 entries (`_spectra`), so that a repeat
+only applies its own svd_tol to them and builds a new report.  A cylinder
+table is read from one such 1-D report (`cylinder_table`).  The 2-D check is
 matrix-free block LOBPCG.  numpy loads inside the functions that compute.
 """
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .branching import KTypeTable
@@ -165,6 +168,26 @@ def _gaussian(grid: GridSpec, scale: float):
     return np.array(v) / math.hypot(*v)
 
 
+@lru_cache(maxsize=8)
+def _spectra(grid: GridSpec, scale: float):
+    """The tolerance-free part of `oscillator_1d`: its even and odd spectra,
+    read-only, and its Gaussian error, solved once per (grid, scale)."""
+    import numpy as np
+    # each spectrum: its halves' union, ascending, floored at eps * s_max
+    spectra = tuple(np.maximum(s, np.finfo(float).eps * s[-1]) for s in (
+        np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False)
+                                for b in halves]))
+        for halves in _parity_halves(grid, scale)))
+    for s in spectra:
+        s.flags.writeable = False
+    v = _gaussian(grid, scale)
+    xi = grid.nodes()[1:-1]
+    gauss = np.exp(-scale * xi ** 2 / 2)
+    gauss /= np.linalg.norm(gauss)
+    err = min(np.linalg.norm(v - gauss), np.linalg.norm(v + gauss))
+    return *spectra, float(err)
+
+
 def oscillator_1d(grid: GridSpec, svd_tol: float,
                   potential_scale: float = 1.0) -> KernelReport:
     """Kernel dimensions of the two oscillator components on a grid.
@@ -172,31 +195,22 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
     The even component should report a one-dimensional kernel spanned by
     the grid Gaussian; the odd component's formal solution grows like
     exp(+x^2/2) and is rejected by the boundary, so its kernel is empty.
+    The spectra and the Gaussian error come from `_spectra`, a memo keyed
+    on (grid, potential_scale) that holds 8 entries; `svd_tol` is applied
+    on every call, and every call returns a new report with new lists.
     """
     if not (math.isfinite(svd_tol) and svd_tol > 0):
         raise ValueError("svd_tol must be positive and finite")
     if not math.isfinite(potential_scale):
         raise ValueError("potential_scale must be finite")
-    import numpy as np
-    # each spectrum: its halves' union, ascending, floored at eps * s_max
-    s_even, s_odd = (np.maximum(s, np.finfo(float).eps * s[-1]) for s in (
-        np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False)
-                                for b in halves]))
-        for halves in _parity_halves(grid, potential_scale)))
+    s_even, s_odd, err = _spectra(grid, potential_scale)
     dim_even, amb_even = _band_count(s_even, svd_tol)
     dim_odd, amb_odd = _band_count(s_odd, svd_tol)
-
-    v = _gaussian(grid, potential_scale)
-    xi = grid.nodes()[1:-1]
-    gauss = np.exp(-potential_scale * xi ** 2 / 2)
-    gauss /= np.linalg.norm(gauss)
-    err = min(np.linalg.norm(v - gauss), np.linalg.norm(v + gauss))
-
     ambiguous = amb_even or amb_odd
     return KernelReport(
         kernel_dim_even=None if ambiguous else dim_even,
         kernel_dim_odd=None if ambiguous else dim_odd,
-        gaussian_l2_error=float(err),
+        gaussian_l2_error=err,
         even_singular_values=s_even[:3].tolist(),
         odd_singular_values=s_odd[:3].tolist(),
         inconclusive=ambiguous,
@@ -220,22 +234,31 @@ def _lobpcg(op, adj, prec, x, nwant: int, tol: float):
     """Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the lowest
     eigenpairs of op^T op from the rows of x: the Ritz vectors, lowest first,
     and their images, once the first nwant residuals are <= tol + 1e-6 theta.
-    Rayleigh-Ritz runs on an orthonormal basis [x, p, w] and its images."""
+    Rayleigh-Ritz runs on an orthonormal basis [x, p, w] and its images,
+    written in place into two buffers of 3k rows that take turns."""
     import numpy as np
     k = len(x)
     q = _orth(x, x[:0])
     aq = op(q)
-    for _ in range(MAX_LOBPCG_ITERATIONS):
+    bufs = [[np.empty((3 * k, a.shape[1])) for a in (q, aq)]
+            for _ in range(2)]
+    for it in range(MAX_LOBPCG_ITERATIONS):
+        b, ab = bufs[it % 2]  # the next basis; q and aq are in the other
         theta, y = (a[..., :k] for a in np.linalg.eigh(aq @ aq.T))  # k lowest
-        x = y.T @ q
-        ax = op(x)  # fresh, so that the residual is the vectors' own
+        x = np.matmul(y.T, q, out=b[:k])
+        ax = ab[:k] = op(x)  # fresh, so that the residual is the vectors' own
         r = adj(ax) - theta[:, None] * x
         if (np.linalg.norm(r, axis=1) <= tol + 1e-6 * theta)[:nwant].all():
             return x, ax
         # p: the part of the new x outside the old one, the first k rows
         p = _orth(np.where(np.arange(len(y))[:, None] < k, 0, y).T, y.T)
-        w = _orth(prec(r), np.vstack([x, p @ q]))
-        q, aq = np.vstack([x, p @ q, w]), np.vstack([ax, p @ aq, op(w)])
+        j = k + len(p)
+        np.matmul(p, q, out=b[k:j])
+        np.matmul(p, aq, out=ab[k:j])
+        w = _orth(prec(r), b[:j])
+        n = j + len(w)  # the live rows, as _orth may drop directions
+        b[j:n], ab[j:n] = w, op(w)
+        q, aq = b[:n], ab[:n]
     raise InconclusiveKernelError("2-D LOBPCG hit MAX_LOBPCG_ITERATIONS")
 
 

@@ -1,5 +1,6 @@
 """Finite-difference oscillator kernels and the cylinder table."""
 
+import copy
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import kbranch
-from kbranch import oscillator
+from kbranch import oscillator, verify
 from kbranch.oscillator import (GridSpec, GridError, InconclusiveKernelError,
                                 KernelReport, _component_stencils, _dense,
                                 _parity_halves, cylinder_sl2,
@@ -162,6 +163,7 @@ def test_1d_makes_no_dense_solve_and_no_n_square_matrix(monkeypatch):
     grid = GridSpec(12.0, 0.025)  # 961 points
     n = grid.npoints - 2  # the order of the even normal matrix
     oscillator_1d(grid, TOL)  # warm: first-call allocations are not the solve
+    oscillator._spectra.cache_clear()  # so that the measured call solves
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "solve", refuse)
         m.setattr(oscillator, "_dense", dense)
@@ -530,6 +532,7 @@ def test_1d_gaussian_matches_full_svd(monkeypatch):
     for grid in (GridSpec(8.0, 0.05), GridSpec(6.0, 0.1)):
         xi = grid.nodes()[1:-1]
         for f in (1.0, 2.0, 4.0):
+            oscillator._spectra.cache_clear()  # each call solves
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "svd", svd_values_only)
                 rep = oscillator_1d(grid, TOL, potential_scale=f)
@@ -541,6 +544,83 @@ def test_1d_gaussian_matches_full_svd(monkeypatch):
             # 1e-12 of each other (triangle inequality)
             assert rep.gaussian_l2_error == pytest.approx(want, abs=1e-12)
     assert len(calls) == 24  # four parity halves, six grids and scales
+
+
+def test_1d_repeat_is_a_memo_hit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved again")
+
+    oscillator._spectra.cache_clear()
+    cold = oscillator_1d(GRID, TOL, 2.0)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", refuse)
+        m.setattr(oscillator, "_gaussian", refuse)
+        assert oscillator_1d(GRID, TOL, 2.0) == cold
+        assert (cylinder_sl2("odd", 20, GRID, TOL, 2.0)
+                == cylinder_table(cold, "odd", 20))
+
+
+def test_1d_memo_applies_each_calls_svd_tol():
+    # 1e-6 is conclusive, 0.5 lies at the spectral gap (inconclusive)
+    cold = {}
+    for tol in (TOL, 0.5):
+        oscillator._spectra.cache_clear()
+        cold[tol] = oscillator_1d(GRID, tol)
+    oscillator._spectra.cache_clear()
+    warm = [oscillator_1d(GRID, tol) for tol in (TOL, 0.5, TOL)]
+    assert oscillator._spectra.cache_info().hits == 2
+    assert warm == [cold[TOL], cold[0.5], cold[TOL]]
+    assert (warm[0].kernel_dim_even, warm[0].kernel_dim_odd) == (1, 0)
+    assert warm[1].inconclusive and warm[1].kernel_dim_even is None
+
+
+def test_1d_reports_are_fresh_and_the_memo_read_only():
+    oscillator._spectra.cache_clear()
+    first = oscillator_1d(GRID, TOL)
+    want = copy.deepcopy(first)
+    first.even_singular_values[0] = -1.0
+    first.odd_singular_values.clear()
+    first.kernel_dim_even = 7
+    assert oscillator_1d(GRID, TOL) == want
+    for s in oscillator._spectra(GRID, 1.0)[:2]:
+        assert not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0] = 0.0
+
+
+def test_1d_memo_holds_eight_keys():
+    oscillator._spectra.cache_clear()
+    grid = GridSpec(4.0, 0.1)
+    scales = [0.5 * i for i in range(1, 10)]
+    for f in scales:
+        oscillator_1d(grid, TOL, f)
+    info = oscillator._spectra.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (8, 8, 9)
+    oscillator_1d(grid, TOL, scales[0])  # evicted by the ninth key
+    assert oscillator._spectra.cache_info().misses == 10
+
+
+def test_1d_solve_budget(monkeypatch):
+    # a work budget: 1-D kernel solves (parity-half spectra) from a cold memo
+    real, solves = oscillator._parity_halves, []
+
+    def counted(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oscillator, "_parity_halves", counted)
+    oscillator._spectra.cache_clear()
+    assert all(c.passed for c in verify.suite_dirac())
+    assert len(solves) == 4  # scales 1, 2, 4 and one inside the 2-D check
+    oscillator._spectra.cache_clear()
+    solves.clear()
+    for i in range(16):  # the 1-D requests of one oracle-mix round
+        f = (1.0, 2.0, 4.0)[i % 3]
+        if i % 2:
+            cylinder_sl2("even", 20, GRID, TOL, f)
+        else:
+            oscillator_1d(GRID, TOL, f)
+    assert len(solves) == 3
 
 
 def test_1d_and_cylinder_leave_scipy_unloaded():
