@@ -50,6 +50,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -319,6 +320,15 @@ def _blattner_terms(g: RealGroupData, prep: _Prepared
                  for w, s in zip(g.k_weyl, g.k_rho_shifts)]
 
 
+@lru_cache(maxsize=16)
+def _term_maps(g: RealGroupData) -> tuple[tuple[tuple, tuple], ...]:
+    """Per element w of W_K, the integer map (A_w, dirs) through which the
+    fibres of R read w^T, as Fibres.affine gives it: the group alone
+    determines it, so it is derived once per group, not per table."""
+    return tuple((a, tuple(dirs)) for a, dirs in (
+        g.fibres.affine(tuple(zip(*w.matrix))) for w in g.k_weyl))
+
+
 def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
                     ) -> list[_Row]:
     """The K-types of the window that Blattner's formula can make nonzero,
@@ -368,8 +378,7 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
         return (*dmu, *matvec(probes, dmu), *residue)
 
     found: dict[tuple[int, ...], int] = {}
-    for w, shift in terms:
-        a, dirs = fibres.affine(tuple(zip(*w.matrix)))
+    for (w, shift), (a, dirs) in zip(terms, _term_maps(g)):
         # (column, lo, hi): no count exceeds the cut over its own height;
         # with no variable at all, a zero column reads the start alone
         variables = ([(lift(v, (0,) * len(consistency)), -window, window)

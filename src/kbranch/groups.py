@@ -9,7 +9,8 @@ one, and derives, once per group, the root data the engine reads: the
 lattices of T and T_M graded by the positive systems of K and of the Levi
 factor (with their rho), the Weyl group of K, the shift w rho_K - rho_K of
 each of its elements, the compactness of each Levi root, the fibres of the
-torus restriction and whether Blattner's formula applies.  Weight
+torus restriction and of the dot products with K's simple roots, and
+whether Blattner's formula applies.  Weight
 coordinates are, by convention, orthonormal for an invariant inner
 product; this is what makes coroot pairings exact integers and is enforced
 by the crystallographic checks below.  The Z' character of a T-weight is
@@ -246,6 +247,7 @@ class RealGroupData:
     k_weyl: tuple[WeylElement, ...]
     k_rho_shifts: tuple[tuple[int, ...], ...]  # w rho_K - rho_K, per k_weyl
     fibres: Fibres                           # R x = b, solved by integer maps
+    k_pairings: Fibres                       # S x = p, S the simple K roots
     blattner_applies: bool
 
     def __hash__(self) -> int:
@@ -588,7 +590,9 @@ def _build(doc: dict) -> RealGroupData:
         tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=tuple(zchar_rows), hm=hm,
         t_lattice=t_lattice, dim_s_m=dim_s_m, checklist=(), compact_of=flag_of,
         k_weyl=k_weyl, k_rho_shifts=tuple(k_rho_shifts),
-        fibres=Fibres.of(tm_in_t, k_rank), blattner_applies=False)
+        fibres=Fibres.of(tm_in_t, k_rank),
+        k_pairings=Fibres.of([a.coords for a in k_roots.simples], k_rank),
+        blattner_applies=False)
 
     # compact m-roots must come from roots of the compact subgroup
     k_restr = [g.restrict_weight(r).coords for r in k_roots.roots]

@@ -5,10 +5,13 @@ inside the dominant chamber, exact Weyl dimensions, weight multiplicities by
 Kostant's multiplicity formula (summed over the W_K derived at load) and
 restriction to the compact Cartan component group H = T_M x Z', as integer
 maps {coords: m} and {(coords on T_M, Z' index): m}, after one check of
-each tuple (integer entries, rank, dominance).  Restriction works in
-batches, one partition_counts table each: restrict_to_hm is the cached
-batch of one, and ktype_box the batch of a window, built once per (group,
-window) and kept as one inverted index from each H-key to its rows.
+each tuple (integer entries, rank, dominance).  Kostant's formula reads a
+highest weight only through its dot products with the simple K roots, so
+restriction runs it once per class of K-types modulo the centre of K,
+cached with the class's weights mapped to H, and a K-type's restriction is
+that class's translate by its own H-key.  restrict_to_hm restricts one
+K-type, cached per tuple; ktype_box restricts the window's, built once per
+(group, window) and kept as one inverted index from each H-key to its rows.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import lru_cache
 from math import prod
 from operator import add, mul, sub
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .characters import LatticeError, Weight, partition_counts
 from .groups import RealGroupData, matvec
@@ -39,13 +42,16 @@ def is_dominant(coords: tuple[int, ...],
 
 
 def _check(g: RealGroupData, hw: tuple[int, ...]) -> tuple[int, ...]:
-    """hw, if it is a dominant integer tuple of K's rank; else LatticeError."""
-    if (type(hw) is not tuple or len(hw) != g.k_roots.rank
-            or not {int}.issuperset(map(type, hw))
-            or not is_dominant(hw, [s.coords for s in g.k_roots.simples])):
-        raise LatticeError(f"{hw!r} is not a dominant integral weight of "
-                           f"rank {g.k_roots.rank}")
-    return hw
+    """hw's integer dot products with the simple K roots, if it is a dominant
+    integer tuple of K's rank; else LatticeError."""
+    if (type(hw) is tuple and len(hw) == g.k_roots.rank
+            and {int}.issuperset(map(type, hw))):
+        pairings = tuple([sum(map(mul, hw, s.coords))
+                          for s in g.k_roots.simples])
+        if min(pairings, default=0) >= 0:
+            return pairings
+    raise LatticeError(f"{hw!r} is not a dominant integral weight of "
+                       f"rank {g.k_roots.rank}")
 
 
 def enumerate_ktypes(g: RealGroupData, norm_cutoff: int
@@ -74,77 +80,96 @@ def weyl_dimension(g: RealGroupData, hw: tuple[int, ...]) -> int:
             // prod(sum(r * a for r, a in zip(rho2, alpha)) for alpha in pos))
 
 
-def _kostant(g: RealGroupData, hws: Sequence[tuple[int, ...]],
-             image: Callable = lambda t: t) -> Iterator[list[tuple]]:
-    """Kostant's multiplicity formula on a batch of highest weights: for
-    each, the pairs (image(t), m), m the multiplicity of the weight hw - t:
+def _kostant(g: RealGroupData, x: Sequence[int], d: int = 1
+             ) -> list[tuple]:
+    """Kostant's multiplicity formula for a highest weight hw: the pairs
+    (t, m), m the multiplicity of the weight hw - t,
 
-        m(hw - t) = sum_{w in W_K} det(w) * P_K(t + w hw + shift_w - hw),
+        m(hw - t) = sum_{w in W_K} det(w) * P_K(t + shift_w - (I - w) hw),
 
-    P_K the partition count over the positive K roots.  Every weight, and
-    every argument of P_K, lies below hw by a cone point no higher than
-    hw - w_0 hw: one partition_counts table cut at the batch's highest such
-    height serves it, each hw reading its points in order of height.  The
+    P_K the partition count over the positive K roots.  W_K fixes what is
+    orthogonal to the K roots, so (I - w) hw = (I - w) x / d for any integer
+    x with d times hw's dot products with the simple roots.  Every weight,
+    and every argument of P_K, lies below hw by a cone point no higher than
+    (I - w_0) hw: one partition_counts table cut there serves them all.  The
     identity's term is P_K(t); one whose argument has negative height is 0.
     """
     hv = g.t_lattice.height_vec
-    images = [[matvec(w.matrix, _check(g, hw)) for w in g.k_weyl]
-              for hw in hws]
-    tops = [max(sum(map(mul, map(sub, hw, im), hv)) for im in ims)
-            for hw, ims in zip(hws, images)]
+    drops = [tuple((a - b) // d for a, b in zip(x, matvec(w.matrix, x)))
+             for w in g.k_weyl]
     counts = partition_counts(g.k_roots.positives, g.t_lattice,
-                              max(tops, default=-1))
-    points = sorted((sum(map(mul, t, hv)), t, n, image(t))
-                    for t, n in counts.items())
-    for hw, ims, top in zip(hws, images, tops):
-        terms = [(w.det, off, sum(map(mul, off, hv)))
-                 for w, im, shift in zip(g.k_weyl, ims, g.k_rho_shifts)
-                 for off in [tuple(a + b - c for a, b, c in zip(im, shift, hw))]
-                 if any(off)]  # all but the identity
-        weights = []
-        for h, t, n, im in points:
-            if h > top:
-                break
-            m = n + sum(det * counts.get(tuple(map(add, t, off)), 0)
-                        for det, off, h_off in terms if h + h_off >= 0)
-            if m < 0:
-                raise ArithmeticError(
-                    f"Kostant's formula gave multiplicity {m} at {hw} - {t}")
-            if m:
-                weights.append((im, m))
-        yield weights
+                              max(sum(map(mul, dr, hv)) for dr in drops))
+    terms = [(w.det, off, sum(map(mul, off, hv)))
+             for w, dr, shift in zip(g.k_weyl, drops, g.k_rho_shifts)
+             for off in [tuple(map(sub, shift, dr))]
+             if any(off)]  # all but the identity
+    weights = []
+    for t, n in counts.items():
+        h = sum(map(mul, t, hv))
+        m = n + sum(det * counts.get(tuple(map(add, t, off)), 0)
+                    for det, off, h_off in terms if h + h_off >= 0)
+        if m < 0:
+            raise ArithmeticError(
+                f"Kostant's formula gave multiplicity {m} at {x}/{d} - {t}")
+        if m:
+            weights.append((t, m))
+    return weights
 
 
 def weight_multiplicities(g: RealGroupData, hw: tuple[int, ...]
                           ) -> dict[tuple[int, ...], int]:
     """Full weight character of the irreducible with this highest weight,
     as {weight coordinates: multiplicity}, by Kostant's formula."""
-    return {tuple(map(sub, hw, t)): m for t, m in next(_kostant(g, [hw]))}
+    _check(g, hw)
+    return {tuple(map(sub, hw, t)): m for t, m in _kostant(g, hw)}
 
 
-def _restrict(g: RealGroupData, hws: Sequence[tuple[int, ...]]
+@lru_cache(maxsize=1024)
+def _class_keys(g: RealGroupData, pairings: tuple[int, ...]) -> tuple:
+    """The restriction to H = T_M Z' of the class of K-types with these dot
+    products with the simple K roots, up to its translate: the triples (Z'
+    rows of t mod |Z'|, (R t, ...), (m, ...)) over the cone points t below
+    the highest weight, m summed over the t of equal (R t, Z' rows mod |Z'|).
+    Kostant's formula runs once, on d x, x the point with these pairings
+    whose free coordinates are 0 (g.k_pairings)."""
+    fibres = g.k_pairings
+    dx = [0] * g.k_roots.rank
+    for c, row in zip(fibres.pivots, fibres.transform):
+        dx[c] = sum(map(mul, row, pairings))
+    r, z, order = g.tm_in_t, g.zchar_rows, g.hm.ztable.order
+    groups: dict = {}
+    for t, m in _kostant(g, dx, fibres.d):
+        acc = groups.setdefault(tuple(e % order for e in matvec(z, t)), {})
+        r_t = matvec(r, t)
+        acc[r_t] = acc.get(r_t, 0) + m
+    return tuple((z_t, tuple(acc), tuple(acc.values()))
+                 for z_t, acc in groups.items())
+
+
+def _restrict(g: RealGroupData, hws: Iterable[tuple[int, ...]]
               ) -> Iterator[dict]:
-    """The restriction of each K-type of a batch to H = T_M Z'.  R and the
-    Z' rows are linear, so the key of the weight hw - t is (R;Z) hw -
-    (R;Z) t, and each cone point t is mapped once per batch."""
+    """The restriction of each K-type to H = T_M Z'.  R and the Z' rows are
+    linear, so the key of the weight hw - t is (R;Z) hw - (R;Z) t: the
+    translate of its class's keys by hw's own, distinct for distinct
+    (R t, Z' rows of t mod |Z'|)."""
     r, z = g.tm_in_t, g.zchar_rows
     order, index_of = g.hm.ztable.order, g.hm.ztable.index_of
-    for hw, weights in zip(hws, _kostant(
-            g, hws, lambda t: (matvec(r, t), matvec(z, t)))):
+    for hw in hws:
         r_hw, z_hw = matvec(r, hw), matvec(z, hw)
-        acc: dict = {}
-        for (r_t, z_t), m in weights:
-            key = (tuple(map(sub, r_hw, r_t)), index_of[
-                tuple((a - b) % order for a, b in zip(z_hw, z_t))])
-            acc[key] = acc.get(key, 0) + m
-        yield acc
+        res = {}
+        for z_t, r_ts, ms in _class_keys(g, _check(g, hw)):
+            i = index_of[tuple([(a - b) % order for a, b in zip(z_hw, z_t)])]
+            res.update(zip([(tuple(map(sub, r_hw, r_t)), i) for r_t in r_ts],
+                           ms))
+        yield res
 
 
 @lru_cache(maxsize=65536)
 def restrict_to_hm(g: RealGroupData, hw: tuple[int, ...]) -> Mapping:
     """The restriction of a K-type to H = T_M Z', as a read-only map
-    {(coordinates on T_M, Z' index): multiplicity}: the batch of one,
-    cached per (group, highest-weight tuple); a miss checks the tuple."""
+    {(coordinates on T_M, Z' index): multiplicity}, cached per (group,
+    highest-weight tuple), as a miss checks the tuple and translates its
+    class's keys, which costs about 30 hits."""
     return MappingProxyType(next(_restrict(g, [hw])))
 
 

@@ -515,11 +515,11 @@ def test_restrict_to_hm_does_no_weight_work(monkeypatch):
                          (groups.RealGroupData, "restrict_weight"))
     for restrict in (lambda: [restrict_to_hm(GU, kt) for kt in kts],
                      lambda: list(ktypes._restrict(GU, kts))):
-        restrict_to_hm.cache_clear()
-        restrict()
-        restrict_to_hm.cache_clear()
-        calls.clear()
-        restricted = restrict()
+        for _ in range(2):  # Kostant's formula runs on each pass
+            restrict_to_hm.cache_clear()
+            ktypes._class_keys.cache_clear()
+            calls.clear()
+            restricted = restrict()
         assert calls == {}
         assert sum(len(res) for res in restricted) > 1000
 

@@ -41,6 +41,21 @@ def _imported(node: ast.AST) -> list[str]:
     return [(a.asname or a.name).split(".")[0] for a in node.names]
 
 
+def _bound(code: list[ast.AST]) -> set[str]:
+    """The names a scope's code binds (by assignment, argument, import or
+    definition), less those it declares global or nonlocal."""
+    declared = {n for node in code
+                if isinstance(node, (ast.Global, ast.Nonlocal))
+                for n in node.names}
+    bound = {n.id for n in code if isinstance(n, ast.Name)
+             and not isinstance(n.ctx, ast.Load)}
+    bound |= {n.arg for n in code if isinstance(n, ast.arg)}
+    bound |= {n.name for n in code if isinstance(n, (
+        ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    bound |= {n for node in code for n in _imported(node)}
+    return bound - declared
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """The imported names that no load reads.  A load reads the binding of
     the innermost enclosing scope that binds its name (by assignment,
@@ -50,16 +65,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
     def visit(scope, outer):
         code = _scope_code(scope)
-        declared = {n for node in code
-                    if isinstance(node, (ast.Global, ast.Nonlocal))
-                    for n in node.names}
-        bound = {n.id for n in code if isinstance(n, ast.Name)
-                 and not isinstance(n.ctx, ast.Load)}
-        bound |= {n.arg for n in code if isinstance(n, ast.arg)}
-        bound |= {n.name for n in code if isinstance(n, (
-            ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
-        bound |= {n for node in code for n in _imported(node)}
-        chain = [(scope, bound - declared), *outer]
+        chain = [(scope, _bound(code)), *outer]
         for node in code:
             imports.extend((scope, n) for n in _imported(node))
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -155,3 +161,83 @@ def test_every_cache_is_bounded(path):
 ])
 def test_unbounded_caches_are_found(source, bad):
     assert _unbounded_caches(ast.parse(source)) == bad
+
+
+# the methods of list, dict and set that change their object in place
+_MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop",
+             "clear", "add"}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _root_name(node: ast.AST) -> str | None:
+    """The name an expression such as x[k].attr[j] reaches through its
+    subscripts and attributes, if it reaches one."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _global_mutations(tree: ast.Module) -> list[tuple[str, str]]:
+    """(function, name) for each module-level name that a function
+    mutates: a subscript store or del reaching it, a call of one of
+    _MUTATORS on it, or a global declaration of it.  Such state, a memo
+    say, is unbounded and unseen by the cache checks.  A name counts as
+    the module's where no enclosing function binds it; module-level code,
+    which runs once at import, is not checked."""
+    module, found = _bound(_scope_code(tree)), []
+
+    def visit(scope, hidden, func):
+        code = _scope_code(scope)
+        if isinstance(scope, _FUNCTIONS):
+            func = getattr(scope, "name", "<lambda>")
+        if func is not None and not isinstance(scope, ast.ClassDef):
+            hidden = hidden | _bound(code)
+        for node in code:
+            names = []
+            if func is not None:
+                if isinstance(node, ast.Subscript) and not isinstance(
+                        node.ctx, ast.Load):
+                    names = [_root_name(node)]
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in _MUTATORS):
+                    names = [_root_name(node.func.value)]
+                elif isinstance(node, ast.Global):
+                    names = node.names
+            found.extend((func, n) for n in names
+                         if n in module and n not in hidden)
+            if isinstance(node, _SCOPES):
+                visit(node, hidden, func)
+
+    visit(tree, set(), None)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_function_mutates_module_state(path):
+    assert _global_mutations(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("source, bad", [
+    ("X = {}\ndef f(k): X[k] = 1", [("f", "X")]),
+    ("X = {}\ndef f(k): X[k] += 1", [("f", "X")]),
+    ("X = {}\ndef f(k): del X[k]", [("f", "X")]),
+    ("X = {}\ndef f(k): X[k][0] = 1", [("f", "X")]),
+    *[(f"X = {{}}\ndef f(v): X.{m}(v)", [("f", "X")]) for m in sorted(
+        _MUTATORS)],
+    ("X = []\nf = lambda v: X.append(v)", [("<lambda>", "X")]),
+    ("X = []\ndef f(v): return [X.append(y) for y in v]", [("f", "X")]),
+    ("X = {}\ndef f():\n    def g(k): X[k] = 1", [("g", "X")]),
+    ("X = {}\ndef f():\n    global X\n    X = {}", [("f", "X")]),
+    ("import os\ndef f(): os.environ['A'] = '1'", [("f", "os")]),
+    ("X = {}\nclass C:\n    def m(self, k): X[k] = 1", [("m", "X")]),
+    ("X = {}\ndef f(X, k): X[k] = 1", []),
+    ("X = {}\ndef f(k):\n    X = {}\n    X[k] = 1", []),
+    ("X = {}\ndef f():\n    X = {}\n    def g(k): X[k] = 1", []),
+    ("X = {}\ndef f(k): return X.get(k), X[k]", []),
+    ("X = {}\nX[1] = 2\nX.update(a=1)", []),
+    ("def f(k):\n    y = {}\n    y[k] = 1\n    y.pop(k)", []),
+    ("X = {}\nclass C:\n    def m(self, k): self.X[k] = 1", []),
+])
+def test_module_state_mutations_are_found(source, bad):
+    assert _global_mutations(ast.parse(source)) == bad

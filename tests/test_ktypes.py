@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import random
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,13 @@ B2 = load_group_data(json.dumps(compact_group_doc(
     [[1, -1], [-1, 1], [1, 1], [-1, -1], [1, 0], [-1, 0], [0, 1], [0, -1]],
     [[1, -1], [1, 1], [1, 0], [0, 1]],
     [[1, -1], [0, 1]])))  # SO(5)
+# U(3) x U(1): a centre of dimension 2 and |W_K| = 6
+U3xU1 = load_group_data(json.dumps(compact_group_doc(
+    "u3xu1-test", 4,
+    [[1, -1, 0, 0], [-1, 1, 0, 0], [1, 0, -1, 0], [-1, 0, 1, 0],
+     [0, 1, -1, 0], [0, -1, 1, 0]],
+    [[1, -1, 0, 0], [1, 0, -1, 0], [0, 1, -1, 0]],
+    [[1, -1, 0, 0], [0, 1, -1, 0]])))
 COMPACT = {"u3-test": U3, "b2-test": B2}
 
 
@@ -193,11 +202,11 @@ U2_Z2 = load_group_data(json.dumps(U2_Z2_DOC))
 
 
 @pytest.mark.parametrize("g", [*map(builtin_group, builtin_group_names()),
-                               SP4R, U2, U2_Z2, *COMPACT.values()],
+                               SP4R, U2, U2_Z2, *COMPACT.values(), U3xU1],
                          ids=lambda g: g.name)
 def test_batch_restriction_is_the_per_weight_definition(g):
-    # one batch, with one partition table for every K-type of the window,
-    # gives each weight mu of each K-type the key (R mu, zchar(mu))
+    # the translates of the class restrictions give each weight mu of each
+    # K-type the key (R mu, zchar(mu))
     kts = enumerate_ktypes(g, 3)
     want = []
     for kt in kts:
@@ -211,3 +220,59 @@ def test_batch_restriction_is_the_per_weight_definition(g):
     box, index = ktypes.ktype_box(g, 3)
     assert box == tuple(kts)
     assert index == ktypes.key_index(want)
+
+
+def _central(g, bound):
+    """The integer vectors orthogonal to every K root, in a cube."""
+    simples = [s.coords for s in g.k_roots.simples]
+    return [c for c in itertools.product(range(-bound, bound + 1),
+                                         repeat=g.k_roots.rank)
+            if all(sum(map(mul, c, s)) == 0 for s in simples)]
+
+
+@pytest.mark.parametrize("g", [builtin_group("su21"), SP4R, U2_Z2, U3xU1],
+                         ids=lambda g: g.name)
+def test_central_translate_of_a_restriction(g):
+    # hw and hw + c, c central, share a class: the restriction of hw + c is
+    # that of hw moved by c's own H-key
+    rng = random.Random(20231)
+    central = [c for c in _central(g, 3) if any(c)]
+    assert central
+    ztable = g.hm.ztable
+    for hw in enumerate_ktypes(g, 3):
+        c = rng.choice(central)
+        rc, zc = matvec(g.tm_in_t, c), g.zchar(c)
+        moved = {(tuple(map(add, r, rc)), ztable.mul(z, zc)): m
+                 for (r, z), m in restrict_to_hm(g, hw).items()}
+        assert restrict_to_hm(g, tuple(map(add, hw, c))) == moved
+
+
+def test_restriction_runs_kostant_once_per_class(monkeypatch):
+    # Kostant's formula runs once per class of K-types modulo the centre,
+    # the dot products with the simple roots: on su21 once per a - b
+    g = builtin_group("su21")
+    kostant, restrict = ktypes._kostant, ktypes._restrict
+    calls, batches = [], []
+
+    def counted_kostant(g, *args):
+        calls.append(args)
+        return kostant(g, *args)
+
+    def counted_restrict(g, hws):
+        batches.append(len(hws))
+        return restrict(g, hws)
+
+    monkeypatch.setattr(ktypes, "_kostant", counted_kostant)
+    monkeypatch.setattr(ktypes, "_restrict", counted_restrict)
+    ktypes.ktype_box.cache_clear()
+    ktypes._class_keys.cache_clear()
+    restrict_to_hm.cache_clear()
+    box, _ = ktypes.ktype_box(g, 6)
+    assert len(box) == 1183 and batches == [1183]
+    assert len(calls) <= 13 == len({a - b for a, b, _ in box})
+    ktypes._class_keys.cache_clear()
+    calls.clear()
+    sample = enumerate_ktypes(g, 8)[::7]
+    for hw in sample:
+        restrict_to_hm(g, hw)
+    assert len(calls) == len({a - b for a, b, _ in sample})
