@@ -146,22 +146,19 @@ def _class_keys(g: RealGroupData, pairings: tuple[int, ...]) -> tuple:
                  for z_t, acc in groups.items())
 
 
-def _restrict(g: RealGroupData, hws: Iterable[tuple[int, ...]]
-              ) -> Iterator[dict]:
-    """The restriction of each K-type to H = T_M Z'.  R and the Z' rows are
+def _translate(g: RealGroupData, hw: tuple[int, ...],
+               pairings: tuple[int, ...]) -> Iterator[tuple]:
+    """The restriction of the K-type hw, with these dot products with the
+    simple K roots, to H = T_M Z', as a list of H-keys and one of their
+    multiplicities per Z' class of its class's keys.  R and the Z' rows are
     linear, so the key of the weight hw - t is (R;Z) hw - (R;Z) t: the
     translate of its class's keys by hw's own, distinct for distinct
     (R t, Z' rows of t mod |Z'|)."""
-    r, z = g.tm_in_t, g.zchar_rows
     order, index_of = g.hm.ztable.order, g.hm.ztable.index_of
-    for hw in hws:
-        r_hw, z_hw = matvec(r, hw), matvec(z, hw)
-        res = {}
-        for z_t, r_ts, ms in _class_keys(g, _check(g, hw)):
-            i = index_of[tuple([(a - b) % order for a, b in zip(z_hw, z_t)])]
-            res.update(zip([(tuple(map(sub, r_hw, r_t)), i) for r_t in r_ts],
-                           ms))
-        yield res
+    r_hw, z_hw = matvec(g.tm_in_t, hw), matvec(g.zchar_rows, hw)
+    for z_t, r_ts, ms in _class_keys(g, pairings):
+        i = index_of[tuple([(a - b) % order for a, b in zip(z_hw, z_t)])]
+        yield [(tuple(map(sub, r_hw, r_t)), i) for r_t in r_ts], ms
 
 
 @lru_cache(maxsize=65536)
@@ -170,7 +167,10 @@ def restrict_to_hm(g: RealGroupData, hw: tuple[int, ...]) -> Mapping:
     {(coordinates on T_M, Z' index): multiplicity}, cached per (group,
     highest-weight tuple), as a miss checks the tuple and translates its
     class's keys, which costs about 30 hits."""
-    return MappingProxyType(next(_restrict(g, [hw])))
+    res = {}
+    for keys, ms in _translate(g, hw, _check(g, hw)):
+        res.update(zip(keys, ms))
+    return MappingProxyType(res)
 
 
 def key_index(restricted: Iterable[Mapping]) -> dict[tuple, list]:
@@ -185,8 +185,17 @@ def key_index(restricted: Iterable[Mapping]) -> dict[tuple, list]:
 
 @lru_cache(maxsize=4)
 def ktype_box(g: RealGroupData, window: int) -> tuple[tuple, dict]:
-    """The box of a window, built once per (group, window) from one batch:
-    its dominant K-types in lexicographic order and the inverted index of
-    their restrictions (no restricted map is kept)."""
+    """The box of a window, built once per (group, window): its dominant
+    K-types in lexicographic order and the inverted index of their
+    restrictions, filled as each K-type's keys are translated (no restricted
+    map is made).  enumerate_ktypes gives dominant integer tuples, so their
+    dot products with the simple K roots are taken without _check."""
     ktypes = enumerate_ktypes(g, window)
-    return tuple(ktypes), key_index(_restrict(g, ktypes))
+    simples = [s.coords for s in g.k_roots.simples]
+    index: dict[tuple, list] = {}
+    for row, hw in enumerate(ktypes):
+        pairings = tuple([sum(map(mul, hw, s)) for s in simples])
+        for keys, ms in _translate(g, hw, pairings):
+            for key, m in zip(keys, ms):
+                index.setdefault(key, []).append((row, m))
+    return tuple(ktypes), index

@@ -18,7 +18,10 @@ from inverse iteration with the tridiagonal A^T A in O(n), and both are
 kept per (grid, scale) in a memo of 8 entries (`_spectra`), so that a repeat
 only applies its own svd_tol to them and builds a new report.  A cylinder
 table is read from one such 1-D report (`cylinder_table`).  The 2-D check is
-matrix-free block LOBPCG.  numpy loads inside the functions that compute.
+matrix-free block LOBPCG: A and A^T fill one output each from the stencil
+diagonals, and the preconditioner's vectors come from the SVDs of the
+parity halves (`_component_svds`).  numpy loads inside the functions that
+compute.
 """
 
 from __future__ import annotations
@@ -110,21 +113,6 @@ def _dense(d, l):
     return a
 
 
-def _bidiag(stencil, u, axis: int = -1, transpose: bool = False):
-    """A @ u (axis -2) or u @ A.T (axis -1) blockwise, A^T if transpose, for
-    A = (d, l) of `_component_stencils`: shifted multiplies, no matrix."""
-    import numpy as np
-    d, l = (c.reshape((-1,) + (1,) * (-1 - axis)) for c in stencil)
-    tail = (slice(None),) * (-1 - axis)
-    lo, hi = (..., slice(-1), *tail), (..., slice(1, None), *tail)
-    if transpose:
-        return d * u[lo] + l * u[hi]
-    y = np.zeros(u.shape[:axis] + (u.shape[axis] + 1,) + u.shape[axis:][1:])
-    np.multiply(d, u, out=y[lo])
-    y[hi] += l * u
-    return y
-
-
 def _parity_halves(grid: GridSpec, scale: float):
     """Each component matrix a, with a[::-1, ::-1] == -a, as its blocks from
     even columns to odd rows and from odd to even, in the bases e_0 and
@@ -136,6 +124,32 @@ def _parity_halves(grid: GridSpec, scale: float):
     even[:, -1] *= 2 ** 0.5
     odd[-1] *= 2 ** 0.5
     return (even[:-1], even[:-1, :-1]), (odd, odd[:-1])
+
+
+def _component_svds(grid: GridSpec, scale: float):
+    """(s, vt) of each component matrix, s falling, the rows of vt its right
+    singular vectors: the SVDs of its parity halves, each vt unfolded from
+    the half's basis, whose vectors are e_0 or (e_j + sign e_-j)/sqrt(2)
+    with sign + on even columns (P's first half, M's second), to grid
+    coordinates."""
+    import numpy as np
+    out = []
+    for halves, signs in zip(_parity_halves(grid, scale), ((1, -1), (-1, 1))):
+        n = sum(b.shape[1] for b in halves)  # the matrix's columns
+        ss, vts = [], []
+        for b, sign in zip(halves, signs):
+            s, vt = np.linalg.svd(b, full_matrices=False)[1:]
+            j = np.arange(b.shape[1])
+            basis = np.zeros((len(j), n))
+            basis[j, j] = 1.0
+            basis[j, n - 1 - j] += sign  # 2 on the centre, which is even
+            basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+            ss.append(s)
+            vts.append(vt @ basis)
+        s = np.concatenate(ss)
+        order = np.argsort(-s, kind="stable")
+        out.append((s[order], np.concatenate(vts)[order]))
+    return out
 
 
 def _band_count(svals, tol: float):
@@ -223,10 +237,12 @@ def _orth(w, b):
     import numpy as np
     for _ in range(2):
         w = w - (w @ b.T) @ b
-        w = w / np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-300)
-        g, z = np.linalg.eigh(w @ w.T)
+        g = w @ w.T
+        d = np.sqrt(g.diagonal())  # the row norms, taken out of the Gram
+        d[d == 0] = 1.0
+        g, z = np.linalg.eigh(g / np.outer(d, d))
         keep = g > 1e-10 * g.max(initial=0)
-        w = (z[:, keep] / np.sqrt(g[keep])).T @ w
+        w = (z[:, keep] / np.sqrt(g[keep])).T / d @ w
     return w
 
 
@@ -235,30 +251,40 @@ def _lobpcg(op, adj, prec, x, nwant: int, tol: float):
     eigenpairs of op^T op from the rows of x: the Ritz vectors, lowest first,
     and their images, once the first nwant residuals are <= tol + 1e-6 theta.
     Rayleigh-Ritz runs on an orthonormal basis [x, p, w] and its images,
-    written in place into two buffers of 3k rows that take turns."""
+    kept in one buffer of 3k rows each and overwritten in place.  The new x
+    and p and their images are combinations of the old basis and images, so
+    op runs on w alone; once the wanted residuals pass, op images x afresh
+    and they are checked again, so that the images returned, and the
+    residuals that passed, are the vectors' own."""
     import numpy as np
     k = len(x)
-    q = _orth(x, x[:0])
-    aq = op(q)
-    bufs = [[np.empty((3 * k, a.shape[1])) for a in (q, aq)]
-            for _ in range(2)]
-    for it in range(MAX_LOBPCG_ITERATIONS):
-        b, ab = bufs[it % 2]  # the next basis; q and aq are in the other
-        theta, y = (a[..., :k] for a in np.linalg.eigh(aq @ aq.T))  # k lowest
-        x = np.matmul(y.T, q, out=b[:k])
-        ax = ab[:k] = op(x)  # fresh, so that the residual is the vectors' own
-        r = adj(ax) - theta[:, None] * x
-        if (np.linalg.norm(r, axis=1) <= tol + 1e-6 * theta)[:nwant].all():
-            return x, ax
-        # p: the part of the new x outside the old one, the first k rows
-        p = _orth(np.where(np.arange(len(y))[:, None] < k, 0, y).T, y.T)
-        j = k + len(p)
-        np.matmul(p, q, out=b[k:j])
-        np.matmul(p, aq, out=ab[k:j])
-        w = _orth(prec(r), b[:j])
-        n = j + len(w)  # the live rows, as _orth may drop directions
-        b[j:n], ab[j:n] = w, op(w)
-        q, aq = b[:n], ab[:n]
+    x = _orth(x, x[:0])
+    ax = op(x)
+    q, aq = (np.empty((3 * k, a.shape[1])) for a in (x, ax))
+    q[:k], aq[:k] = x, ax
+    n = k  # the live rows, as _orth may drop directions
+    for _ in range(MAX_LOBPCG_ITERATIONS):
+        theta, y = (a[..., :k] for a in np.linalg.eigh(aq[:n] @ aq[:n].T))
+        bound = tol + 1e-6 * theta[:nwant]  # theta, y: the k lowest pairs
+        # the new x, then p: the part of the new x outside the old one
+        c = np.vstack([y.T, _orth(np.where(np.arange(n)[:, None] < k, 0, y).T,
+                                  y.T)])
+        j = len(c)
+        q[:j] = c @ q[:n]
+        aq[:j] = c @ aq[:n]
+        x, ax = q[:k], aq[:k]
+        r = adj(ax)
+        r -= theta[:, None] * x
+        if (np.linalg.norm(r[:nwant], axis=1) <= bound).all():
+            ax = op(x)
+            r = adj(ax)
+            r -= theta[:, None] * x
+            if (np.linalg.norm(r[:nwant], axis=1) <= bound).all():
+                return x, ax
+            aq[:k] = ax
+        w = _orth(prec(r), q[:j])
+        n = j + len(w)
+        q[j:n], aq[j:n] = w, op(w)
     raise InconclusiveKernelError("2-D LOBPCG hit MAX_LOBPCG_ITERATIONS")
 
 
@@ -291,35 +317,59 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     import numpy as np
 
     m = grid.npoints
-    P, M = _component_stencils(grid, potential_scale)
+    (dp, lp), (dm, lm) = _component_stencils(grid, potential_scale)
+    dpc, lpc, dmc, lmc = (c[:, None] for c in (dp, lp, dm, lm))  # on axis -2
     n0 = (m - 2) ** 2
     # columns: degree 0 on (interior x interior), degree 2 on (mid x mid);
     # rows: odd components v1 on (mid x node), v2 on (node x mid)
-    def split(x, s0, s1):
+    def split(x, s0, s1):  # views of the two blocks of the rows of x
         a = s0[0] * s0[1]
         return x[:, :a].reshape(-1, *s0), x[:, a:].reshape(-1, *s1)
-    def join(a, b):
-        return np.hstack([a.reshape(len(a), -1), b.reshape(len(b), -1)])
     def op(x):  # v1 = P u0 E^T - u2 M^T, v2 = E u0 P^T + M u2
         u0, u2 = split(x, (m - 2, m - 2), (m - 1, m - 1))
-        v1, v2 = -_bidiag(M, u2), _bidiag(M, u2, -2)
-        v1[:, :, 1:-1] += _bidiag(P, u0, -2)  # E: interior nodes into all
-        v2[:, 1:-1] += _bidiag(P, u0)
-        return join(v1, v2)
-    def adj(y):
+        y = np.empty((len(x), 2 * m * (m - 1)))
         v1, v2 = split(y, (m - 1, m), (m, m - 1))
-        return join(_bidiag(P, v1[:, :, 1:-1], -2, True)
-                    + _bidiag(P, v2[:, 1:-1], -1, True),
-                    _bidiag(M, v2, -2, True) - _bidiag(M, v1, -1, True))
+        # a bidiagonal (d, l) puts d[j] u[j] into j and l[j] u[j] into j + 1
+        np.multiply(u2, -dm, out=v1[:, :, :-1])
+        v1[:, :, -1] = 0
+        v1[:, :, 1:] -= u2 * lm
+        np.multiply(u2, dmc, out=v2[:, :-1])
+        v2[:, -1] = 0
+        v2[:, 1:] += u2 * lmc
+        v1[:, :-1, 1:-1] += u0 * dpc  # E: interior nodes into all
+        v1[:, 1:, 1:-1] += u0 * lpc
+        v2[:, 1:-1, :-1] += u0 * dp
+        v2[:, 1:-1, 1:] += u0 * lp
+        return y
+    def adj(y):  # u0 = P^T v1 E + E^T v2 P, u2 = M^T v2 - v1 M
+        v1, v2 = split(y, (m - 1, m), (m, m - 1))
+        x = np.empty((len(y), n0 + (m - 1) ** 2))
+        u0, u2 = split(x, (m - 2, m - 2), (m - 1, m - 1))
+        # its transpose puts d[j] u[j] + l[j] u[j + 1] into j
+        np.multiply(v1[:, :-1, 1:-1], dpc, out=u0)
+        u0 += v1[:, 1:, 1:-1] * lpc
+        u0 += v2[:, 1:-1, :-1] * dp
+        u0 += v2[:, 1:-1, 1:] * lp
+        np.multiply(v2[:, :-1], dmc, out=u2)
+        u2 += v2[:, 1:] * lmc
+        u2 -= v1[:, :, :-1] * dm
+        u2 -= v1[:, :, 1:] * lm
+        return x
     # precondition by the inverse of the diagonal blocks P^T P (+) P^T P and
     # M^T M (+) M^T M of A^T A by fast diagonalisation (Lynch, Rice, Thomas
     # 1964), clamped at the rounding floor lest rounding pose as a kernel
-    svds = [np.linalg.svd(_dense(*a), full_matrices=False)[1:] for a in (P, M)]
+    svds = _component_svds(grid, potential_scale)
     floor = 2 * np.finfo(float).eps * max(s[0] for s, _ in svds) ** 2
     fd = [(vt, np.maximum(s[:, None] ** 2 + s ** 2, floor)) for s, vt in svds]
     def prec(r):
-        return join(*(vt.T @ ((vt @ u @ vt.T) / den) @ vt for u, (vt, den)
-                      in zip(split(r, (m - 2, m - 2), (m - 1, m - 1)), fd)))
+        z = np.empty_like(r)
+        for u, out, (vt, den) in zip(
+                split(r, (m - 2, m - 2), (m - 1, m - 1)),
+                split(z, (m - 2, m - 2), (m - 1, m - 1)), fd):
+            t = vt @ u @ vt.T
+            t /= den
+            np.matmul(vt.T @ t, vt, out=out)
+        return z
 
     # start: the ev + 2 lowest eigenvectors vt[i] (x) vt[j] of prec (s falls,
     # so den's lowest are in its last rows and columns), plus 1e-4 of a draw,
@@ -328,13 +378,13 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     low = sorted((den[i, j], b, i, j) for b, (_, den) in enumerate(fd)
                  for i in range(max(len(den) - k, 0), len(den))
                  for j in range(max(len(den) - k, 0), len(den)))[:k]
-    us = [np.zeros((k,) + den.shape) for _, den in fd]
+    x0 = np.random.default_rng(0).random((k, n0 + (m - 1) ** 2))
+    x0 -= 0.5
+    x0 *= 1e-4 / np.linalg.norm(x0, axis=1, keepdims=True)
+    blocks = split(x0, (m - 2, m - 2), (m - 1, m - 1))
     for row, (_, b, i, j) in enumerate(low):
         vt = fd[b][0]
-        us[b][row] = np.outer(vt[i], vt[j])
-    x0 = join(*us)
-    noise = np.random.default_rng(0).standard_normal(x0.shape)
-    x0 += 1e-4 * noise / np.linalg.norm(noise, axis=1, keepdims=True)
+        blocks[b][row] += np.outer(vt[i], vt[j])
     x, ax = _lobpcg(op, adj, prec, x0, ev + 1, 10 * floor)
     # residuals, as sqrt(theta) stops at the rounding floor of A^T A
     svals = np.linalg.norm(ax[:ev + 1], axis=1)  # the rows of x are unit

@@ -318,18 +318,18 @@ def test_series_tables_share_the_restriction_cache(monkeypatch):
     # a second table at the same window, of either oracle, builds no box
     p = su21_from_lambda(GU, [4, 1, -2])
     ktypes.ktype_box.cache_clear()
-    restrict = ktypes._restrict
+    translate = ktypes._translate
     calls = []
 
-    def counted(g, kts):
-        calls.append(len(kts))
-        return restrict(g, kts)
+    def counted(g, hw, pairings):
+        calls.append(hw)
+        return translate(g, hw, pairings)
 
-    monkeypatch.setattr(ktypes, "_restrict", counted)
+    monkeypatch.setattr(ktypes, "_translate", counted)
     ktype_table_series(GU, p, 4)
     ktype_table_series(GU, su21_from_lambda(GU, [3, 1, -1]), 4)
     branching.box_table(GU, p, 4, "partition")
-    assert calls == [len(ktypes.enumerate_ktypes(GU, 4))]
+    assert calls == ktypes.enumerate_ktypes(GU, 4)
     assert ktypes.ktype_box.cache_info().misses == 1
 
 
@@ -498,7 +498,7 @@ def test_short_certificate_raises_cutoff_error(monkeypatch):
 
 def test_restrict_to_hm_does_no_weight_work(monkeypatch):
     # Kostant's formula reads its partition tables, built here beforehand;
-    # the restriction, of one K-type or of a batch, then works on
+    # the restriction, of one K-type or of the window's box, then works on
     # coordinate tuples alone
     kts = ktypes.enumerate_ktypes(GU, 4)
     tables = {}
@@ -513,8 +513,12 @@ def test_restrict_to_hm_does_no_weight_work(monkeypatch):
     calls = _count_calls(monkeypatch, (HMLattice, "char"),
                          (HMLattice, "height2"), (Weight, "__add__"),
                          (groups.RealGroupData, "restrict_weight"))
-    for restrict in (lambda: [restrict_to_hm(GU, kt) for kt in kts],
-                     lambda: list(ktypes._restrict(GU, kts))):
+
+    def box():  # each K-type's entries of the box's inverted index
+        ktypes.ktype_box.cache_clear()
+        return ktypes.ktype_box(GU, 4)[1].values()
+
+    for restrict in (lambda: [restrict_to_hm(GU, kt) for kt in kts], box):
         for _ in range(2):  # Kostant's formula runs on each pass
             restrict_to_hm.cache_clear()
             ktypes._class_keys.cache_clear()

@@ -215,7 +215,6 @@ def test_batch_restriction_is_the_per_weight_definition(g):
             key = matvec(g.tm_in_t, mu), g.zchar(mu)
             res[key] = res.get(key, 0) + m
         want.append(res)
-    assert list(ktypes._restrict(g, kts)) == want
     assert [restrict_to_hm(g, kt) for kt in kts] == want
     box, index = ktypes.ktype_box(g, 3)
     assert box == tuple(kts)
@@ -251,24 +250,25 @@ def test_restriction_runs_kostant_once_per_class(monkeypatch):
     # Kostant's formula runs once per class of K-types modulo the centre,
     # the dot products with the simple roots: on su21 once per a - b
     g = builtin_group("su21")
-    kostant, restrict = ktypes._kostant, ktypes._restrict
-    calls, batches = [], []
+    kostant, translate = ktypes._kostant, ktypes._translate
+    calls, translated = [], []
 
     def counted_kostant(g, *args):
         calls.append(args)
         return kostant(g, *args)
 
-    def counted_restrict(g, hws):
-        batches.append(len(hws))
-        return restrict(g, hws)
+    def counted_translate(g, hw, pairings):
+        translated.append(hw)
+        return translate(g, hw, pairings)
 
     monkeypatch.setattr(ktypes, "_kostant", counted_kostant)
-    monkeypatch.setattr(ktypes, "_restrict", counted_restrict)
+    monkeypatch.setattr(ktypes, "_translate", counted_translate)
     ktypes.ktype_box.cache_clear()
     ktypes._class_keys.cache_clear()
     restrict_to_hm.cache_clear()
     box, _ = ktypes.ktype_box(g, 6)
-    assert len(box) == 1183 and batches == [1183]
+    assert ktypes.ktype_box(g, 6)[0] is box  # one build per (group, window)
+    assert len(box) == 1183 and translated == list(box)  # each K-type once
     assert len(calls) <= 13 == len({a - b for a, b, _ in box})
     ktypes._class_keys.cache_clear()
     calls.clear()

@@ -14,9 +14,10 @@ import pytest
 import kbranch
 from kbranch import oscillator, verify
 from kbranch.oscillator import (GridSpec, GridError, InconclusiveKernelError,
-                                KernelReport, _component_stencils, _dense,
-                                _parity_halves, cylinder_sl2,
-                                cylinder_table, oscillator_1d, oscillator_nd)
+                                KernelReport, _component_stencils,
+                                _component_svds, _dense, _parity_halves,
+                                cylinder_sl2, cylinder_table, oscillator_1d,
+                                oscillator_nd)
 from kbranch.sl2_oracles import SL2Series, oracle_match
 
 GRID = GridSpec(8.0, 0.05)
@@ -115,6 +116,24 @@ def test_parity_halves_split_the_component_matrices(grid):
             assert np.abs(union - whole)[:3].max() <= tol
             assert (np.abs(union - whole).max()
                     <= tol * max(1.0, grid.npoints / 321))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1.0, 0.25), GridSpec(2.0, 0.2)])
+def test_component_svds_unfold_the_parity_halves(grid):
+    # the preconditioner's vectors, from the SVDs of the parity halves, are
+    # those of the whole component matrices; the dense SVD is the reference
+    for f in (0.37, 1.0, 2.0):
+        for a, (s, vt) in zip(_component_matrices(grid, f),
+                              _component_svds(grid, f)):
+            n = a.shape[1]
+            assert vt.shape == (n, n) and (np.diff(s) <= 0).all()
+            assert np.abs(vt @ vt.T - np.eye(n)).max() <= 1e-13
+            ata = a.T @ a
+            gram = vt @ ata @ vt.T
+            scale = np.abs(ata).max()
+            assert np.abs(gram - np.diag(s ** 2)).max() <= 1e-13 * scale
+            want = np.linalg.svd(a, compute_uv=False) ** 2
+            assert s ** 2 == pytest.approx(want, rel=1e-12)
 
 
 def test_1d_sweep_always_reports():
@@ -368,19 +387,45 @@ def test_nd_iteration_cap_is_inconclusive(monkeypatch):
 
 @pytest.mark.parametrize("f", [1.0, 2.0, 4.0])
 def test_nd_lobpcg_iteration_budget(monkeypatch, f):
-    # a work budget: preconditioner applications of the `verify dirac` 2-D
-    # check, started in the preconditioner's eigenbasis
-    lobpcg, count = oscillator._lobpcg, []
+    # a work budget: applications of A, A^T and the preconditioner in the
+    # `verify dirac` 2-D check, started in the preconditioner's eigenbasis;
+    # A images the start, each w block and the returned block once, and A^T
+    # takes one residual per round and the returned block's
+    lobpcg, count = oscillator._lobpcg, {"op": 0, "adj": 0, "prec": 0}
+
+    def counted(name, fn):
+        def apply(v):
+            count[name] += 1
+            return fn(v)
+        return apply
 
     def counting(op, adj, prec, *args):
-        def counted(r):
-            count.append(r)
-            return prec(r)
-        return lobpcg(op, adj, counted, *args)
+        return lobpcg(counted("op", op), counted("adj", adj),
+                      counted("prec", prec), *args)
 
     monkeypatch.setattr(oscillator, "_lobpcg", counting)
     oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5, potential_scale=f)
-    assert 1 <= len(count) <= 3
+    assert 1 <= count["prec"] <= 3
+    assert count["op"] <= 5 and count["adj"] <= 5
+
+
+@pytest.mark.parametrize("f", [1.0, 2.0, 4.0])
+def test_nd_reports_the_returned_blocks_own_images(monkeypatch, f):
+    # the images _lobpcg returns are A of the vectors it returns, not
+    # combinations of older images, and they give the reported values
+    lobpcg, seen = oscillator._lobpcg, {}
+
+    def capture(op, *args):
+        seen["op"] = op
+        seen["x"], seen["ax"] = lobpcg(op, *args)
+        return seen["x"], seen["ax"]
+
+    monkeypatch.setattr(oscillator, "_lobpcg", capture)
+    rep = oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5, potential_scale=f)
+    assert np.array_equal(seen["op"](seen["x"]), seen["ax"])
+    ev = rep.kernel_dim_even
+    assert rep.even_singular_values == sorted(
+        np.linalg.norm(seen["ax"][:ev + 1], axis=1).tolist())
 
 
 def _parity_sectors(x, m):
@@ -600,27 +645,21 @@ def test_1d_memo_holds_eight_keys():
     assert oscillator._spectra.cache_info().misses == 10
 
 
-def test_1d_solve_budget(monkeypatch):
-    # a work budget: 1-D kernel solves (parity-half spectra) from a cold memo
-    real, solves = oscillator._parity_halves, []
-
-    def counted(*args):
-        solves.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(oscillator, "_parity_halves", counted)
+def test_1d_solve_budget():
+    # a work budget: 1-D kernel solves (misses of the spectra memo) from a
+    # cold memo
     oscillator._spectra.cache_clear()
     assert all(c.passed for c in verify.suite_dirac())
-    assert len(solves) == 4  # scales 1, 2, 4 and one inside the 2-D check
+    # scales 1, 2, 4 and one inside the 2-D check
+    assert oscillator._spectra.cache_info().misses == 4
     oscillator._spectra.cache_clear()
-    solves.clear()
     for i in range(16):  # the 1-D requests of one oracle-mix round
         f = (1.0, 2.0, 4.0)[i % 3]
         if i % 2:
             cylinder_sl2("even", 20, GRID, TOL, f)
         else:
             oscillator_1d(GRID, TOL, f)
-    assert len(solves) == 3
+    assert oscillator._spectra.cache_info().misses == 3
 
 
 def test_1d_and_cylinder_leave_scipy_unloaded():
