@@ -149,11 +149,11 @@ def _class_keys(g: RealGroupData, pairings: tuple[int, ...]) -> tuple:
 def _translate(g: RealGroupData, hw: tuple[int, ...],
                pairings: tuple[int, ...]) -> Iterator[tuple]:
     """The restriction of the K-type hw, with these dot products with the
-    simple K roots, to H = T_M Z', as a list of H-keys and one of their
-    multiplicities per Z' class of its class's keys.  R and the Z' rows are
-    linear, so the key of the weight hw - t is (R;Z) hw - (R;Z) t: the
-    translate of its class's keys by hw's own, distinct for distinct
-    (R t, Z' rows of t mod |Z'|)."""
+    simple K roots, to H = T_M Z': for each Z' class of its class's keys,
+    the list of their translates and the tuple of their multiplicities.  R
+    and the Z' rows are linear, so the key of the weight hw - t is (R;Z) hw
+    - (R;Z) t: the translate of its class's keys by hw's own, distinct for
+    distinct (R t, Z' rows of t mod |Z'|)."""
     order, index_of = g.hm.ztable.order, g.hm.ztable.index_of
     r_hw, z_hw = matvec(g.tm_in_t, hw), matvec(g.zchar_rows, hw)
     for z_t, r_ts, ms in _class_keys(g, pairings):
