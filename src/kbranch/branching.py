@@ -12,9 +12,10 @@ in two steps.  Preparation validates the parameters once and derives
 what every K-type shares: the lattice graded by the parameters' positive
 system, whose rho gives the base character lambda - rho_c + rho_n as
 lambda - rho + (sum of the noncompact positives), the noncompact
-positives and the signed compact-subset offsets.  What the group alone
-determines (W_K, rho_K, compactness, the fibres of the torus restriction)
-is derived once when the group is loaded, and read here.
+positives, the signed compact-subset offsets and the keys' top covector.
+What the group alone determines (W_K, rho_K, compactness, the fibres of
+the torus restriction) is derived once when the group is loaded, and read
+here.
 
 ktype_table evaluates Blattner's formula (Hecht-Schmid)
 
@@ -37,10 +38,10 @@ Two oracles stay independent of it and of each other: signed sums of
 Kostant partition counts over the compact offsets, and the coefficients of
 one truncated series product.  Each gives one value per H-key and scatters
 it through an inverted index of restricted K-types into the rows the key
-touches.  Every table over the window's box, the series table, the
-partition table of verify and ktype_table on groups outside Blattner's
-formula, reads the index of ktypes.ktype_box, built once per window, and
-costs the oracle's values and the rows they touch.
+touches.  Every table over the window's box, box_table of either oracle
+and ktype_table on groups outside Blattner's formula, reads the index of
+ktypes.ktype_box, built once per window, and costs the oracle's values and
+the rows they touch.
 Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
 are the restricted representation and always nonnegative.
 """
@@ -54,9 +55,8 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .characters import (CutoffError, FormalCharacter, HMLattice, Weight,
-                         dot, geometric_series, graded_exterior,
-                         partition_counts)
+from .characters import (FormalCharacter, HMLattice, Weight, dot,
+                         geometric_series, graded_exterior, partition_counts)
 from .groups import (GroupDataError, RealGroupData, WeylElement, matvec,
                      simple_roots)
 from .ktypes import KType, key_index, ktype_box, restrict_to_hm
@@ -188,14 +188,16 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
 class _Prepared:
     """What every K-type shares for one validated parameter tuple: the
     lattice graded by the parameters' positive system, the base key
-    (lambda - rho_c + rho_n, chi), the positives split by type, and
-    ((-1)^|S|, base + sum of S as coordinates) for every compact subset S."""
+    (lambda - rho_c + rho_n, chi), the positives split by type,
+    ((-1)^|S|, base + sum of S as coordinates) for every compact subset S,
+    and the top covector v of the K-types' keys (_top_covector)."""
 
     hm: HMLattice
     base: tuple[tuple[int, ...], int]
     compact: tuple[Weight, ...]
     noncompact: tuple[Weight, ...]
     offsets: tuple[tuple[int, tuple[int, ...]], ...]
+    top: tuple[int, ...]
 
 
 def _prepare(g: RealGroupData, p: TemperedParams, zero_ok: bool = False,
@@ -221,7 +223,8 @@ def _prepare(g: RealGroupData, p: TemperedParams, zero_ok: bool = False,
     offsets = tuple(((-1) ** r, sum(sub, base).coords)
                     for r in range(len(compact) + 1)
                     for sub in itertools.combinations(compact, r))
-    return _Prepared(hm, hm.char(base, p.chi), compact, noncompact, offsets)
+    return _Prepared(hm, hm.char(base, p.chi), compact, noncompact, offsets,
+                     _top_covector(g, hm.height_vec))
 
 
 def _virtual_character(prep: _Prepared, cutoff: int) -> FormalCharacter:
@@ -289,9 +292,9 @@ def _evaluate(prep: _Prepared, mode: str, index: Mapping[tuple, list],
 def _evaluate_ktypes(g: RealGroupData, prep: _Prepared, mode: str,
                      hws: Sequence[tuple[int, ...]]) -> list[int]:
     """One oracle on a few K-types, restricted through restrict_to_hm."""
-    v = _top_covector(g, prep.hm.height_vec)
     acc = _evaluate(prep, mode, key_index(restrict_to_hm(g, hw) for hw in hws),
-                    max((sum(map(mul, hw, v)) for hw in hws), default=-1))
+                    max((sum(map(mul, hw, prep.top)) for hw in hws),
+                        default=-1))
     return [acc.get(row, 0) for row in range(len(hws))]
 
 
@@ -357,7 +360,7 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     rank = g.k_roots.rank
     # R w mu runs over the window's keys, as w permutes the window's weights
     hv = hm.height_vec
-    bound2 = window * sum(map(abs, _top_covector(g, hv))) + max(
+    bound2 = window * sum(map(abs, prep.top)) + max(
         sum(map(mul, hv, shift)) for _, shift in terms)
     betas = [b.coords for b in prep.noncompact]
     heights = [sum(map(mul, hv, b)) for b in betas]
@@ -452,21 +455,6 @@ def _walk(state: tuple[int, ...], levels: Sequence[tuple]
         state = tuple(map(add, state, col))
 
 
-def hm_virtual_character(g: RealGroupData, p: TemperedParams,
-                         cutoff: int) -> FormalCharacter:
-    """The virtual character paired against K-types, truncated at a height.
-
-    Product of: geometric series over the noncompact positive roots, the
-    graded exterior algebra over the compact positive roots, and the single
-    shifted-parameter term carrying the component character.  Heights are
-    measured against the parameters' positive system.
-    """
-    prep = _prepare(g, p)
-    if prep.hm.key_height2(prep.base) > 2 * cutoff:
-        raise CutoffError("cutoff too small to contain the base weight")
-    return _virtual_character(prep, cutoff)
-
-
 def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
                        mode: str = "partition") -> int:
     """Multiplicity of one K-type by one oracle, "series" or "partition";
@@ -493,15 +481,21 @@ def _box(g: RealGroupData, prep: _Prepared, window: int, mode: str
     """The one path of every table over the window's box: one oracle's
     values scattered through the box's index, the nonzero rows kept."""
     ktypes, index = ktype_box(g, window)
-    top2 = window * sum(map(abs, _top_covector(g, prep.hm.height_vec)))
+    top2 = window * sum(map(abs, prep.top))
     acc = _evaluate(prep, mode, index, top2)
     return _nonzero([(ktypes[row], acc[row]) for row in sorted(acc)])
+
+
+def _check_window(window: int) -> None:
+    if type(window) is not int or window < 0:
+        raise ValueError(f"window must be a nonnegative int, not {window!r}")
 
 
 def box_table(g: RealGroupData, p: TemperedParams, window: int,
               mode: str) -> KTypeTable:
     """One oracle, "series" or "partition", over the window's box; empty
     for zero verdicts."""
+    _check_window(window)
     prep = _prepare(g, p, zero_ok=True)
     rows = [] if prep is None else _box(g, prep, window, mode)
     return KTypeTable(dict(rows), window, sign_factor(g))
@@ -521,13 +515,14 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
     representation itself; the table's sign field records the index sign.
     A caller holding validate_params(g, p) passes it as verdict.
     """
+    _check_window(window)
     prep = _prepare(g, p, zero_ok=True, verdict=verdict)
     if prep is None:
         return KTypeTable({}, window, sign_factor(g))
     evaluator = "blattner" if g.blattner_applies else "partition"
     rows = (_nonzero(_blattner_table(g, prep, window)) if g.blattner_applies
             else _box(g, prep, window, "partition"))
-    v = _top_covector(g, prep.hm.height_vec)
+    v = prep.top
     spot = sorted(rows, key=lambda r: sum(map(mul, r[0], v)))[:_SPOT_CHECKS]
     series = _evaluate_ktypes(g, prep, "series", [mu for mu, _ in spot])
     for (mu, m), s in zip(spot, series):

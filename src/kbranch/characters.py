@@ -267,9 +267,6 @@ class FormalCharacter:
     def items(self) -> Iterator[tuple[_Key, int]]:
         return iter(sorted(self._terms.items()))
 
-    def support(self) -> list[_Key]:
-        return [c for c, _ in self.items()]
-
     def __len__(self) -> int:
         return len(self._terms)
 

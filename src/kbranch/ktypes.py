@@ -1,24 +1,23 @@
 """Irreducible representations of the maximal compact subgroup.
 
 K-types are the coordinate tuples of their highest weights: enumeration
-inside the dominant chamber, exact Weyl dimensions, weight multiplicities by
-Kostant's multiplicity formula (summed over the W_K derived at load) and
-restriction to the compact Cartan component group H = T_M x Z', as integer
-maps {coords: m} and {(coords on T_M, Z' index): m}, after one check of
-each tuple (integer entries, rank, dominance).  Kostant's formula reads a
-highest weight only through its dot products with the simple K roots, so
-restriction runs it once per class of K-types modulo the centre of K,
-cached with the class's weights mapped to H, and a K-type's restriction is
-that class's translate by its own H-key.  restrict_to_hm restricts one
-K-type, cached per tuple; ktype_box restricts the window's, built once per
-(group, window) and kept as one inverted index from each H-key to its rows.
+inside the dominant chamber and restriction to the compact Cartan component
+group H = T_M x Z', as integer maps {(coords on T_M, Z' index): m} of the
+weights that Kostant's multiplicity formula (summed over the W_K derived at
+load) gives, after one check of each tuple (integer entries, rank,
+dominance).  Kostant's formula reads a highest weight only through its dot
+products with the simple K roots, so restriction runs it once per class of
+K-types modulo the centre of K, cached with the class's weights mapped to
+H, and a K-type's restriction is that class's translate by its own H-key.
+restrict_to_hm restricts one K-type, cached per tuple; ktype_box restricts
+the window's, built once per (group, window) and kept as one inverted
+index from each H-key to its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -32,13 +31,6 @@ class KType:
     """Highest weight of an irreducible representation of the compact group."""
 
     highest: Weight
-
-
-def is_dominant(coords: tuple[int, ...],
-                simples: list[tuple[int, ...]]) -> bool:
-    """Dominance of an integral weight: its coroot pairings have the signs
-    of its integer dot products with the simple roots."""
-    return all(sum(x * y for x, y in zip(coords, s)) >= 0 for s in simples)
 
 
 def _check(g: RealGroupData, hw: tuple[int, ...]) -> tuple[int, ...]:
@@ -67,17 +59,6 @@ def enumerate_ktypes(g: RealGroupData, norm_cutoff: int
                if all(sum(map(mul, c + (x,), s)) + r >= 0
                       for s, r in zip(simples, room))]
     return out
-
-
-def weyl_dimension(g: RealGroupData, hw: tuple[int, ...]) -> int:
-    """Product over positive roots of <hw+rho, alpha>/<rho, alpha>, exact:
-    with 2 rho the height covector, of <2 hw + 2 rho, alpha>/<2 rho, alpha>."""
-    _check(g, hw)
-    rho2 = g.t_lattice.height_vec
-    pos = [alpha.coords for alpha in g.k_roots.positives]
-    return (prod(sum((2 * x + r) * a for x, r, a in zip(hw, rho2, alpha))
-                 for alpha in pos)
-            // prod(sum(r * a for r, a in zip(rho2, alpha)) for alpha in pos))
 
 
 def _kostant(g: RealGroupData, x: Sequence[int], d: int = 1
@@ -114,14 +95,6 @@ def _kostant(g: RealGroupData, x: Sequence[int], d: int = 1
         if m:
             weights.append((t, m))
     return weights
-
-
-def weight_multiplicities(g: RealGroupData, hw: tuple[int, ...]
-                          ) -> dict[tuple[int, ...], int]:
-    """Full weight character of the irreducible with this highest weight,
-    as {weight coordinates: multiplicity}, by Kostant's formula."""
-    _check(g, hw)
-    return {tuple(map(sub, hw, t)): m for t, m in _kostant(g, hw)}
 
 
 @lru_cache(maxsize=1024)

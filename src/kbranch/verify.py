@@ -16,9 +16,9 @@ Four suites, each a list of named checks with expected/actual values:
              partition-vs-series agreement, of counts and of tables.
 
 Each workload has one implementation, shared with the acceptance tests:
-the fourteen SL(2,R) families, the su21 query and table samplers,
-partition_table, the partition oracle over the window's box, and
-deformation_scales, one 1-D oscillator report per scale.
+the fourteen SL(2,R) families, the su21 query and table samplers, and
+deformation_scales, one 1-D oscillator report per scale.  The partition
+oracle over the window's box is box_table(g, p, window, "partition").
 """
 
 from __future__ import annotations
@@ -120,17 +120,11 @@ def _weyl_denominator_check(name, hm, compact_positives) -> Check:
                   "formal equality", "equal" if lhs == rhs else "unequal")
 
 
-def partition_table(g, p, window: int) -> dict:
-    """The partition evaluator over every K-type of the window, as table
-    entries."""
-    return box_table(g, p, window, "partition").entries
-
-
 def _tables_agree(g, p, window: int) -> bool:
     """ktype_table, the series table and the partition evaluator agree."""
     t = ktype_table(g, p, window)
     return (t == ktype_table_series(g, p, window)
-            and t.entries == partition_table(g, p, window))
+            and t.entries == box_table(g, p, window, "partition").entries)
 
 
 def random_su21_params(g, rng, scale: int = 4) -> TemperedParams:

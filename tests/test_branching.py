@@ -8,26 +8,25 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from operator import sub
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kbranch.branching import (InvalidParamsError, TemperedParams,
-                               hm_virtual_character, ktype_multiplicity,
-                               ktype_table, ktype_table_series,
-                               nu_independence_check, sign_factor,
-                               validate_params)
+                               box_table, ktype_multiplicity, ktype_table,
+                               ktype_table_series, nu_independence_check,
+                               sign_factor, validate_params)
 from kbranch import branching, groups, ktypes
 from kbranch.characters import (CutoffError, FormalCharacter, HMLattice,
                                 LatticeError, Weight, dot, pairing, weight)
 from kbranch.groups import (_BUILTIN_DIR, GroupDataError, builtin_group,
                             load_group_data, simple_roots)
-from kbranch.ktypes import KType, restrict_to_hm, weight_multiplicities
+from kbranch.ktypes import KType, restrict_to_hm
 from kbranch.presets import (sl2_discrete, sl2_limit, sl2_principal,
                              su21_from_lambda)
-from kbranch.verify import (_sl2_param_sets, partition_table,
-                            random_su21_params)
+from kbranch.verify import _sl2_param_sets, random_su21_params
 
 GC = builtin_group("sl2r-compact")
 GS = builtin_group("sl2r-split")
@@ -87,30 +86,28 @@ def test_validate_rejects_nonintegral_shift():
 
 # ------------------------------------------------------- virtual character
 
+def _virtual_character(g, p, cutoff):
+    return branching._virtual_character(branching._prepare(g, p), cutoff)
+
+
 def test_virtual_character_discrete():
-    W = hm_virtual_character(GC, sl2_discrete(GC, 3, "+"), 12)
+    W = _virtual_character(GC, sl2_discrete(GC, 3, "+"), 12)
     got = {c[0]: m for (c, _), m in W.items()}
     assert all(m == 1 for m in got.values())
     assert set(got) >= {4, 6, 8, 10}
     assert all(k >= 4 and k % 2 == 0 for k in got)
-    assert all(z == 0 for _, z in W.support())
+    assert all(z == 0 for (_, z), _ in W.items())
 
 
 def test_virtual_character_split_is_single_term():
-    W = hm_virtual_character(GS, sl2_principal(GS, "plus"), 5)
+    W = _virtual_character(GS, sl2_principal(GS, "plus"), 5)
     assert [(c, z, m) for (c, z), m in W.items()] == [((), 0, 1)]
 
 
 def test_virtual_character_limit():
-    W = hm_virtual_character(GC, sl2_limit(GC, "+"), 9)
-    got = sorted(c[0] for c, _ in W.support())
+    W = _virtual_character(GC, sl2_limit(GC, "+"), 9)
+    got = sorted(c[0] for (c, _), _ in W.items())
     assert got == [1, 3, 5, 7, 9]
-
-
-def test_virtual_character_cutoff_too_small():
-    from kbranch.characters import CutoffError
-    with pytest.raises(CutoffError):
-        hm_virtual_character(GC, sl2_discrete(GC, 5, "+"), 2)
 
 
 # ------------------------------------------------------------ multiplicity
@@ -309,7 +306,7 @@ def test_engine_reads_the_weyl_group_from_load(monkeypatch):
     ktype_table(g, p, 6)
     ktype_table_series(g, p, 4)
     ktype_multiplicity(g, p, KType(g.t_weight([4, 1, -2])))
-    weight_multiplicities(g, (5, 0, -3))
+    ktypes._kostant(g, (5, 0, -3))
     assert calls == []
     assert len(g.k_weyl) == 2
 
@@ -328,7 +325,7 @@ def test_series_tables_share_the_restriction_cache(monkeypatch):
     monkeypatch.setattr(ktypes, "_translate", counted)
     ktype_table_series(GU, p, 4)
     ktype_table_series(GU, su21_from_lambda(GU, [3, 1, -1]), 4)
-    branching.box_table(GU, p, 4, "partition")
+    box_table(GU, p, 4, "partition")
     assert calls == ktypes.enumerate_ktypes(GU, 4)
     assert ktypes.ktype_box.cache_info().misses == 1
 
@@ -360,7 +357,7 @@ def test_box_tables_agree_with_ktype_table():
         window = 3 + i % 6
         t = ktype_table(GU, p, window)
         assert t == ktype_table_series(GU, p, window)
-        assert t == branching.box_table(GU, p, window, "partition")
+        assert t == box_table(GU, p, window, "partition")
     # the highest heights of the box's keys, and of each K-type's, under a
     # covector are the closed forms'
     for g in (GC, GS, GU, SP4R, SL2XU1, SL2XT3, all_noncompact_su21()):
@@ -382,14 +379,14 @@ def test_blattner_su21_matches_series_and_partition(window):
         p = random_su21_params(GU, rng, scale=5)
         t = ktype_table(GU, p, window)
         assert t == ktype_table_series(GU, p, window)
-        assert t.entries == partition_table(GU, p, window)
+        assert t.entries == box_table(GU, p, window, "partition").entries
 
 
 def test_blattner_sl2_families_window_60():
     for _, g, p, _ in _sl2_param_sets():
         t = ktype_table(g, p, 60)
         assert t == ktype_table_series(g, p, 60)
-        assert t.entries == partition_table(g, p, 60)
+        assert t.entries == box_table(g, p, 60, "partition").entries
 
 
 def test_all_noncompact_su21_keeps_partition_table():
@@ -405,7 +402,8 @@ def test_partition_fallback_is_the_partition_table():
     g = all_noncompact_su21()
     for lam in ([3, 1, -1], [4, -2, 1], [-1, -3, 2]):
         p = su21_from_lambda(g, lam)
-        assert ktype_table(g, p, 4).entries == partition_table(g, p, 4)
+        assert (ktype_table(g, p, 4).entries
+                == box_table(g, p, 4, "partition").entries)
 
 
 # ------------------------------------------------------ oracle boundaries
@@ -426,7 +424,7 @@ def test_tables_build_no_weight_per_ktype(monkeypatch):
     p = su21_from_lambda(GU, [3, 1, -1])
     calls = _count_calls(monkeypatch, (Weight, "__post_init__"))
     for table in (lambda w: ktype_table_series(GU, p, w),
-                  lambda w: branching.box_table(GU, p, w, "partition"),
+                  lambda w: box_table(GU, p, w, "partition"),
                   lambda w: ktype_table(GU, p, w)):
         built = []
         for window in (4, 6):
@@ -542,8 +540,7 @@ def test_ktype_off_the_group_lattice_raises(kt):
     # the tuple is checked on a miss of the restriction cache; a hit
     # compares keys by equality, and (4, 1, True) == (4, 1, 1)
     restrict_to_hm.cache_clear()
-    for evaluate in (lambda: weight_multiplicities(GU, hw),
-                     lambda: restrict_to_hm(GU, hw),
+    for evaluate in (lambda: restrict_to_hm(GU, hw),
                      lambda: ktype_multiplicity(GU, p, kt, "partition"),
                      lambda: ktype_multiplicity(GU, p, kt, "series")):
         with pytest.raises(LatticeError):
@@ -594,7 +591,8 @@ def test_blattner_fibres_of_a_non_injective_restriction():
         p = TemperedParams(g.tm_weight([lam]), (g.tm_weight([root]),), chi,
                            g.a_weight([]))
         if validate_params(g, p).verdict == "nonzero":
-            assert ktype_table(g, p, 5).entries == partition_table(g, p, 5)
+            assert (ktype_table(g, p, 5).entries
+                    == box_table(g, p, 5, "partition").entries)
 
 
 # Blattner's formula against the partition oracle over the window's box
@@ -605,7 +603,8 @@ _WINDOWS = st.integers(0, 6)
 
 def _agree_with_partition_box(g, p, window):
     assume(validate_params(g, p).verdict == "nonzero")
-    assert ktype_table(g, p, window).entries == partition_table(g, p, window)
+    assert (ktype_table(g, p, window).entries
+            == box_table(g, p, window, "partition").entries)
 
 
 @_BLATTNER_PROPERTY
@@ -661,7 +660,7 @@ def test_blattner_walks_three_free_coordinates(window):
                            (SL2XT3.tm_weight([root]),), 0, SL2XT3.a_weight([]))
         if validate_params(SL2XT3, p).verdict == "nonzero":
             assert (ktype_table(SL2XT3, p, window).entries
-                    == partition_table(SL2XT3, p, window))
+                    == box_table(SL2XT3, p, window, "partition").entries)
 
 
 @pytest.mark.parametrize("window", range(7))
@@ -671,8 +670,8 @@ def test_blattner_walks_the_split_cartan(window):
     assert (len(GS.fibres.free), GS.hm.ztable.order) == (1, 2)
     for chi, nu in itertools.product(("plus", "minus"), (0, 3)):
         p = sl2_principal(GS, chi, nu)
-        assert ktype_table(GS, p, window).entries == partition_table(GS, p,
-                                                                     window)
+        assert (ktype_table(GS, p, window).entries
+                == box_table(GS, p, window, "partition").entries)
 
 
 def test_blattner_reads_the_consistency_rows():
@@ -692,7 +691,7 @@ def test_blattner_reads_the_consistency_rows():
         p = TemperedParams(g.tm_weight(list(lam)), (g.tm_weight([2, 0]),),
                            0, g.a_weight([]))
         t = ktype_table(g, p, 8).entries
-        assert t == partition_table(g, p, 8)
+        assert t == box_table(g, p, 8, "partition").entries
         assert bool(t) == (lam[1] == 0)
 
 
@@ -776,6 +775,71 @@ def test_blattner_partition_calls_track_rows(monkeypatch):
     assert len(returned[0]) <= 10 * len(t.entries)
 
 
+def _count_walk(monkeypatch):
+    """Counts of the lines and (n, w) points that the outermost _walk of
+    each term yields.  The walk recurses through the module's _walk, so the
+    wrapper passes a call straight through while an outermost walk runs."""
+    walk, funnel, running = branching._walk, Counter(), []
+
+    def outermost(state, levels):
+        running.append(True)
+        try:
+            for line in walk(state, levels):
+                funnel["lines"] += 1
+                funnel["points"] += line[2] - line[1] + 1
+                yield line
+        finally:
+            running.pop()
+
+    def counted(state, levels):
+        return (walk if running else outermost)(state, levels)
+
+    monkeypatch.setattr(branching, "_walk", counted)
+    return funnel
+
+
+@pytest.mark.parametrize("g, lam, window, lines, points", [
+    (GU, [3, 1, -1], 16, 20, 112),
+    (GU, [3, 1, -1], 64, 92, 1984),
+    (GU, [5, -2, 0], 16, 12, 180),
+    (GU, [5, -2, 0], 64, 60, 3780),
+    (SP4R, [2, -1], 32, 240, 5080),
+    (SP4R, [3, 1], 32, 421, 2255),
+], ids=lambda x: getattr(x, "name", None))
+def test_blattner_funnel_budget(monkeypatch, g, lam, window, lines, points):
+    # today's counts are the ceilings: a walk that loses its window or
+    # dominance cut reaches more lines and points
+    funnel = _count_walk(monkeypatch)
+    assert ktype_table(g, _chamber(g, lam), window).entries
+    assert funnel["lines"] <= lines and funnel["points"] <= points
+
+
+def test_top_covector_once_per_table(monkeypatch):
+    calls = _count_calls(monkeypatch, (branching, "_top_covector"))
+    p = su21_from_lambda(GU, [3, 1, -1])
+    for evaluate in (lambda: ktype_table(GU, p, 6),
+                     lambda: box_table(GU, p, 6, "series"),
+                     lambda: ktype_multiplicity(
+                         GU, p, KType(GU.t_weight([4, 1, -2])))):
+        calls.clear()
+        evaluate()
+        assert calls == {"_top_covector": 1}
+
+
+@pytest.mark.parametrize("window", [-1, 2.5, True, "3"])
+@pytest.mark.parametrize("table", [
+    ktype_table, lambda g, p, w: box_table(g, p, w, "partition")],
+    ids=["ktype_table", "box_table"])
+def test_window_must_be_a_nonnegative_int(monkeypatch, table, window):
+    def refuse(*args, **kwargs):
+        raise AssertionError("prepared before the window was checked")
+
+    p = su21_from_lambda(GU, [3, 1, -1])
+    monkeypatch.setattr(branching, "_prepare", refuse)
+    with pytest.raises(ValueError, match="window"):
+        table(GU, p, window)
+
+
 def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):
     def refuse(*args):
         raise AssertionError("ktype_table scanned the K-type box")
@@ -805,6 +869,11 @@ def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):
 
 # ------------------------------------------- independent SU(2,1) oracle
 
+def _weights(g, hw):
+    """The weights of the K-type hw as {coords: m}, by Kostant's formula."""
+    return {tuple(map(sub, hw, t)): m for t, m in ktypes._kostant(g, hw)}
+
+
 def su21_holomorphic_oracle(lam_coords, window, margin=14):
     """Brute-force K-type table of a holomorphic-type discrete series.
 
@@ -820,7 +889,7 @@ def su21_holomorphic_oracle(lam_coords, window, margin=14):
     rho_n = (1, 1, -2)
     base = tuple(lam_coords[i] + (-rho_c[i] + rho_n[i]) // 2 for i in range(3))
     total = Counter()
-    wm = weight_multiplicities(GU, base)
+    wm = _weights(GU, base)
     for w0, m in wm.items():
         for m1 in range(margin):
             for m2 in range(margin):
@@ -839,7 +908,7 @@ def su21_holomorphic_oracle(lam_coords, window, margin=14):
         top = max(live, key=lambda w: (height(w), w))
         m = total[top]
         assert m > 0, "strip algorithm went negative"
-        for w, mm in weight_multiplicities(GU, top).items():
+        for w, mm in _weights(GU, top).items():
             total[w] -= m * mm
         table[top] = m
         if all(v == 0 for v in total.values()):

@@ -83,7 +83,7 @@ def test_sl2_discrete_shift_series():
 
 def test_geometric_series_examples():
     s = geometric_series(SL2, ALPHA, 6)
-    assert [c for c, _ in s.support()] == [(0,), (2,), (4,), (6,)]
+    assert [c for (c, _), _ in s.items()] == [(0,), (2,), (4,), (6,)]
     assert geometric_series(SL2, ALPHA, 0) == FormalCharacter.one(SL2).truncate(0)
     # five terms at cutoff 4 * height(root), for either noncompact root
     for b in (B1, B2):

@@ -241,3 +241,85 @@ def test_no_function_mutates_module_state(path):
 ])
 def test_module_state_mutations_are_found(source, bad):
     assert _global_mutations(ast.parse(source)) == bad
+
+
+# what reads the package besides the package itself: the benchmark
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench")
+                   .glob("*.py"))
+# entry points that run from outside: pyproject's [project.scripts]
+ENTRY_POINTS = {"cli.main"}
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, node, is a method) for the module-level functions and classes
+    and the methods of its classes whose names are public."""
+    for node in tree.body:
+        if not isinstance(node, _DEFS):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f, True) for f in node.body
+                        if isinstance(f, _FUNCTIONS)
+                        and not f.name.startswith("_"))
+
+
+def _references(trees: list[ast.Module]) -> dict[str, list]:
+    """Each name a loaded Name, an attribute load or an imported name
+    reads, to (whether by attribute, the ids of the definitions around it)
+    per reference."""
+    refs: dict[str, list] = {}
+    todo = [(tree, frozenset()) for tree in trees]
+    while todo:
+        node, around = todo.pop()
+        if isinstance(node, _DEFS):
+            around = around | {id(node)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.setdefault(node.id, []).append((False, around))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            refs.setdefault(node.attr, []).append((True, around))
+        elif isinstance(node, ast.alias):
+            refs.setdefault(node.name.split(".")[-1], []).append(
+                (False, around))
+        todo.extend((child, around) for child in ast.iter_child_nodes(node))
+    return refs
+
+
+def _unreferenced(modules: dict[str, ast.Module],
+                  readers: list[ast.Module] = ()) -> list[str]:
+    """The public functions, classes and methods of the modules that no
+    code reads outside their own bodies, in the modules or the readers; a
+    method counts as read only through an attribute."""
+    refs = _references([*modules.values(), *readers])
+    return [f"{stem}.{name}" for stem, tree in modules.items()
+            for name, node, method in _public_definitions(tree)
+            if not any((attr or not method) and id(node) not in around
+                       for attr, around in refs.get(name.split(".")[-1],
+                                                    ()))]
+
+
+def test_every_public_name_is_referenced():
+    unread = _unreferenced({p.stem: ast.parse(p.read_text()) for p in MODULES},
+                           [ast.parse(p.read_text()) for p in PERFBENCH])
+    assert [n for n in unread if n not in ENTRY_POINTS] == []
+
+
+@pytest.mark.parametrize("source, unread", [
+    ("def f(): pass", ["m.f"]),
+    ("def f(): return f()", ["m.f"]),
+    ("def f(): pass\ndef g(): return f", ["m.g"]),
+    ("def f(): pass\nx = f()", []),
+    ("class C:\n    def run(self): return self.run()", ["m.C", "m.C.run"]),
+    ("class C:\n    def run(self): pass\nprint(C, run)", ["m.C.run"]),
+    ("class C:\n    def run(self): pass\nC().run()", []),
+    ("class C:\n    def _run(self): pass\nC", []),
+    ("def _f(): pass", []),
+    ("async def f(): pass\nfrom m import f", []),
+    ("def f(): pass\nclass C:\n    def g(self): return f\nC", ["m.C.g"]),
+    ("import m\nm.f\ndef f(): pass", []),
+    ("def f(): pass\n'f'", ["m.f"]),
+])
+def test_unreferenced_names_are_found(source, unread):
+    assert _unreferenced({"m": ast.parse(source)}) == unread

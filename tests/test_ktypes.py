@@ -1,9 +1,11 @@
-"""K-type enumeration, dimensions, weight multiplicities, restriction."""
+"""K-type enumeration, weight multiplicities by Kostant's formula and
+restriction, checked against Weyl's dimension formula."""
 
 import itertools
 import json
 import random
-from operator import add, mul
+from math import prod
+from operator import add, mul, sub
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,23 @@ from kbranch import ktypes
 from kbranch.characters import pairing
 from kbranch.groups import (builtin_group, builtin_group_names,
                             load_group_data, matvec, weyl_group)
-from kbranch.ktypes import (enumerate_ktypes, is_dominant, restrict_to_hm,
-                            weight_multiplicities, weyl_dimension)
+from kbranch.ktypes import enumerate_ktypes, restrict_to_hm
+
+
+def weight_multiplicities(g, hw):
+    """The weights of the K-type hw as {coords: m}, from the cone points t
+    below it that Kostant's formula gives."""
+    return {tuple(map(sub, hw, t)): m for t, m in ktypes._kostant(g, hw)}
+
+
+def weyl_dimension(g, hw):
+    """Weyl's dimension formula, exact: the product over the positive roots
+    of <2 hw + 2 rho, alpha> / <2 rho, alpha>, 2 rho the height covector."""
+    rho2 = g.t_lattice.height_vec
+    pos = [alpha.coords for alpha in g.k_roots.positives]
+    return (prod(sum((2 * x + r) * a for x, r, a in zip(hw, rho2, alpha))
+                 for alpha in pos)
+            // prod(sum(map(mul, rho2, alpha)) for alpha in pos))
 
 
 def compact_group_doc(name, rank, roots, positives, simples):
@@ -146,13 +163,6 @@ def test_weyl_invariance_of_weights():
             for w, m in table.items():
                 for e in els:
                     assert table.get(e.apply(g.t_weight(w)).coords) == m
-
-
-def test_is_dominant_examples():
-    assert is_dominant((0,), [(2,)])
-    assert is_dominant((3,), [(2,)])
-    assert not is_dominant((-3,), [(2,)])
-    assert not is_dominant((2, 5), [(1, -1)])
 
 
 def test_restrict_preserves_total_multiplicity():

@@ -8,10 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from kbranch.branching import (TemperedParams, ktype_table,
+from kbranch.branching import (TemperedParams, box_table, ktype_table,
                                ktype_table_series, validate_params)
 from kbranch.groups import load_group_data
-from kbranch.verify import partition_table
 
 G = load_group_data(Path(__file__).parent / "data" / "sp4r.json")
 HOLOMORPHIC = [(2, 1), (3, 1), (5, 2), (6, 1)]
@@ -60,7 +59,7 @@ def test_sp4r_evaluators_agree(lam):
         t = ktype_table(G, p, window)
         assert t.sign == -1
         assert t == ktype_table_series(G, p, window)
-        assert t.entries == partition_table(G, p, window)
+        assert t.entries == box_table(G, p, window, "partition").entries
         if lam in HOLOMORPHIC:
             assert t.entries == schmid(lam, window)
     assert t.entries  # window 10 reaches every chamber's K-types
