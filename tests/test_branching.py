@@ -595,16 +595,17 @@ def test_blattner_fibres_of_a_non_injective_restriction():
                     == box_table(g, p, 5, "partition").entries)
 
 
-# Blattner's formula against the partition oracle over the window's box
+# Blattner's formula against both oracles over the window's box
 _BLATTNER_PROPERTY = settings(max_examples=100, derandomize=True,
                               deadline=None)
 _WINDOWS = st.integers(0, 6)
 
 
-def _agree_with_partition_box(g, p, window):
+def _agree_with_both_boxes(g, p, window):
     assume(validate_params(g, p).verdict == "nonzero")
-    assert (ktype_table(g, p, window).entries
-            == box_table(g, p, window, "partition").entries)
+    blattner = ktype_table(g, p, window).entries
+    assert blattner == box_table(g, p, window, "partition").entries
+    assert blattner == box_table(g, p, window, "series").entries
 
 
 @_BLATTNER_PROPERTY
@@ -615,8 +616,8 @@ def test_blattner_is_the_partition_box_on_su21(lam, tie, window):
     w = GU.tm_weight(list(lam))
     pos = tuple(r if (dot(w, r), (-1) ** tie) > (0, 0) else -r
                 for r in GU.m_roots.positives)
-    _agree_with_partition_box(GU, TemperedParams(w, pos, 0, GU.a_weight([])),
-                              window)
+    _agree_with_both_boxes(GU, TemperedParams(w, pos, 0, GU.a_weight([])),
+                           window)
 
 
 @_BLATTNER_PROPERTY
@@ -625,7 +626,7 @@ def test_blattner_is_the_partition_box_on_su21(lam, tie, window):
 def test_blattner_is_the_partition_box_on_sp4r(lam, window):
     assume(all(dot(SP4R.tm_weight(list(lam)), r) for r in
                SP4R.m_roots.positives))
-    _agree_with_partition_box(SP4R, _chamber(SP4R, lam), window)
+    _agree_with_both_boxes(SP4R, _chamber(SP4R, lam), window)
 
 
 @_BLATTNER_PROPERTY
@@ -644,7 +645,7 @@ def test_blattner_is_the_partition_box_on_rank_2_tori(row, lam, chi, root,
         assume(False)
     p = TemperedParams(g.tm_weight([lam]), (g.tm_weight([root]),), chi,
                        g.a_weight([]))
-    _agree_with_partition_box(g, p, window)
+    _agree_with_both_boxes(g, p, window)
 
 
 SL2XT3 = load_group_data(Path(__file__).parent / "data" / "sl2xt3.json")

@@ -334,19 +334,40 @@ def test_validate_malformed_group_file_exits_4(tmp_path, capsys, mutate,
     assert f"error: {invariant}" in err
 
 
-def test_cli_and_table_leave_numpy_unloaded():
+def test_cli_table_and_validate_leave_numpy_and_verify_unloaded():
+    # the verification stack loads only when `kbranch verify` runs
     script = ("import sys\n"
+              "UNLOADED = ('kbranch.verify', 'kbranch.sl2_oracles', 'numpy')\n"
+              "def unloaded(when):\n"
+              "    for name in UNLOADED:\n"
+              "        assert name not in sys.modules, (when, name)\n"
               "from kbranch.cli import main\n"
-              "assert 'numpy' not in sys.modules\n"
+              "unloaded('import')\n"
               "assert main(['table', '--group', 'su21', '--params',"
               " '{\"lambda\": [3, 1, -1]}', '--window', '16']) == 0\n"
-              "assert 'numpy' not in sys.modules, 'table loaded numpy'\n")
+              "unloaded('table')\n"
+              f"assert main(['validate', {str(_BUILTIN_DIR / 'su21.json')!r}])"
+              " == 0\n"
+              "unloaded('validate')\n")
     src = str(Path(kbranch.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ktype_highest_weight,")
+    assert done.stdout.endswith("valid: su21\n")
+
+
+def test_suite_names_are_the_verify_suites(capsys):
+    from kbranch import verify
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nosuch"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert ("invalid choice: 'nosuch' (choose from 'dirac', 'ring', 'sl2', "
+            "'su21')") in out.err
 
 
 def test_validate_rank_above_cap_exits_4(tmp_path, capsys):
