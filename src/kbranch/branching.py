@@ -37,11 +37,11 @@ neither a box of K-types nor a table of partition counts is built.
 Two oracles stay independent of it and of each other: signed sums of
 Kostant partition counts over the compact offsets, and the coefficients of
 one truncated series product.  Each gives one value per H-key and scatters
-it through an inverted index of restricted K-types into the rows the key
-touches.  Every table over the window's box, box_table of either oracle
-and ktype_table on groups outside Blattner's formula, reads the index of
-ktypes.ktype_box, built once per window, and costs the oracle's values and
-the rows they touch.
+it through ktypes.key_index, an inverted index of restricted K-types, into
+the rows the key touches.  Every table over the window's box (box_table,
+and ktype_table outside Blattner's formula) reads the window's, kept by
+ktypes.ktype_box once per window, and costs the oracle's values and the
+rows they touch; the spot check and ktype_multiplicity index their own.
 Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
 are the restricted representation and always nonnegative.
 """
@@ -59,7 +59,7 @@ from .characters import (FormalCharacter, HMLattice, Weight, dot,
                          geometric_series, graded_exterior, partition_counts)
 from .groups import (GroupDataError, RealGroupData, WeylElement, matvec,
                      simple_roots)
-from .ktypes import KType, key_index, ktype_box, restrict_to_hm
+from .ktypes import KType, check_ktype, key_index, ktype_box
 
 
 class InvalidParamsError(ValueError):
@@ -291,8 +291,8 @@ def _evaluate(prep: _Prepared, mode: str, index: Mapping[tuple, list],
 
 def _evaluate_ktypes(g: RealGroupData, prep: _Prepared, mode: str,
                      hws: Sequence[tuple[int, ...]]) -> list[int]:
-    """One oracle on a few K-types, restricted through restrict_to_hm."""
-    acc = _evaluate(prep, mode, key_index(restrict_to_hm(g, hw) for hw in hws),
+    """One oracle on a few K-types, restricted through key_index."""
+    acc = _evaluate(prep, mode, key_index(g, hws),
                     max((sum(map(mul, hw, prep.top)) for hw in hws),
                         default=-1))
     return [acc.get(row, 0) for row in range(len(hws))]
@@ -459,11 +459,11 @@ def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
                        mode: str = "partition") -> int:
     """Multiplicity of one K-type by one oracle, "series" or "partition";
     the two must agree.  The one conversion of a KType: its highest weight
-    is checked on the lattice of T and passed on as coordinates."""
+    is checked (lattice of T, check_ktype) and passed on as coordinates."""
+    _check_mode(mode)
     prep = _prepare(g, p)
-    if mode not in _EVALUATORS:
-        raise ValueError(f"unknown mode {mode!r}")
     g.t_lattice.height2(kt.highest)
+    check_ktype(g, kt.highest.coords)
     return _evaluate_ktypes(g, prep, mode, [kt.highest.coords])[0]
 
 
@@ -491,11 +491,17 @@ def _check_window(window: int) -> None:
         raise ValueError(f"window must be a nonnegative int, not {window!r}")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in _EVALUATORS:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def box_table(g: RealGroupData, p: TemperedParams, window: int,
               mode: str) -> KTypeTable:
     """One oracle, "series" or "partition", over the window's box; empty
     for zero verdicts."""
     _check_window(window)
+    _check_mode(mode)
     prep = _prepare(g, p, zero_ok=True)
     rows = [] if prep is None else _box(g, prep, window, mode)
     return KTypeTable(dict(rows), window, sign_factor(g))

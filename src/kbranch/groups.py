@@ -177,14 +177,12 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
         if s.coords not in pos:
             bad("simple decomposition", f"simple {s.coords} is not positive")
     # independence makes simple-root coordinates unique
-    rows = [[Fraction(x) for x in s.coords] for s in rs.simples]
-    if len(row_reduce(rows, rs.rank)) != len(rs.simples):
+    fibres = Fibres.of([[s.coords[i] for s in rs.simples]
+                        for i in range(rs.rank)], len(rs.simples))
+    if len(fibres.pivots) != len(rs.simples):
         bad("simple decomposition", "simple roots are linearly dependent")
-    simples_as_columns = [[Fraction(s.coords[i]) for s in rs.simples]
-                          for i in range(rs.rank)]
     for p in rs.positives:
-        x = _solve_rational(simples_as_columns,
-                            [Fraction(c) for c in p.coords])
+        x = fibres.solve(p.coords)
         if x is None or any(c < 0 or c.denominator != 1 for c in x):
             bad("simple decomposition",
                 f"positive {p.coords} is not a nonnegative integer "
@@ -316,20 +314,6 @@ def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
     return pivots
 
 
-def _solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]
-                    ) -> Optional[tuple[Fraction, ...]]:
-    """Solve mat @ x = rhs exactly; None if inconsistent."""
-    ncols = len(mat[0]) if mat else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    pivots = row_reduce(aug, ncols)
-    if any(row[ncols] != 0 for row in aug[len(pivots):]):
-        return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    return tuple(x)
-
-
 @dataclass(frozen=True)
 class Fibres:
     """Integral solutions x of R x = b for an integer matrix R.
@@ -380,6 +364,15 @@ class Fibres:
                 z[c] = -self.reduced[i][f]
             dirs.append(matvec(u, z))
         return a, dirs
+
+    def solve(self, b: Sequence) -> Optional[tuple[Fraction, ...]]:
+        """The solution of R x = b, b rational, whose free coordinates are
+        0; None when a consistency row is nonzero on b."""
+        tb = [Fraction(sum(map(mul, row, b)), self.d) for row in self.transform]
+        if any(tb[len(self.pivots):]):
+            return None
+        x = dict(zip(self.pivots, tb))
+        return tuple(x.get(c, Fraction(0)) for c in range(self.ncols))
 
 
 def _blattner_applies(g: RealGroupData,
@@ -559,9 +552,9 @@ def _build(doc: dict) -> RealGroupData:
     checklist.append("zmprime integrality")
 
     # descent to the small torus where the generator lies in it
-    mat = [[Fraction(tm_in_t[i][r]) for i in range(m_rank)]
-           for r in range(k_rank)]
-    zgen_w = tuple(_solve_rational(mat, list(v)) for v in vs)
+    descent = Fibres.of([[row[r] for row in tm_in_t] for r in range(k_rank)],
+                        m_rank)
+    zgen_w = tuple(descent.solve(v) for v in vs)
 
     # ---- dims -----------------------------------------------------------------
     dims = doc["dims"]

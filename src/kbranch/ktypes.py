@@ -1,17 +1,16 @@
 """Irreducible representations of the maximal compact subgroup.
 
 K-types are the coordinate tuples of their highest weights: enumeration
-inside the dominant chamber and restriction to the compact Cartan component
-group H = T_M x Z', as integer maps {(coords on T_M, Z' index): m} of the
-weights that Kostant's multiplicity formula (summed over the W_K derived at
-load) gives, after one check of each tuple (integer entries, rank,
-dominance).  Kostant's formula reads a highest weight only through its dot
-products with the simple K roots, so restriction runs it once per class of
-K-types modulo the centre of K, cached with the class's weights mapped to
-H, and a K-type's restriction is that class's translate by its own H-key.
-restrict_to_hm restricts one K-type, cached per tuple; ktype_box restricts
-the window's, built once per (group, window) and kept as one inverted
-index from each H-key to its rows.
+inside the dominant chamber, the check of a tuple from outside (integer
+entries, rank, dominance), and restriction to the compact Cartan component
+group H = T_M x Z' of the weights that Kostant's multiplicity formula
+(summed over the W_K derived at load) gives.  Kostant's formula reads a
+highest weight only through its dot products with the simple K roots, so
+restriction runs it once per class of K-types modulo the centre of K,
+cached with the class's weights mapped to H, and a K-type's restriction is
+that class's translate by its own H-key.
+key_index restricts a batch of K-types into one inverted index from each
+H-key to its rows; ktype_box keeps the window's, once per (group, window).
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul, sub
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .characters import LatticeError, Weight, partition_counts
 from .groups import RealGroupData, matvec
@@ -33,17 +31,14 @@ class KType:
     highest: Weight
 
 
-def _check(g: RealGroupData, hw: tuple[int, ...]) -> tuple[int, ...]:
-    """hw's integer dot products with the simple K roots, if it is a dominant
-    integer tuple of K's rank; else LatticeError."""
-    if (type(hw) is tuple and len(hw) == g.k_roots.rank
-            and {int}.issuperset(map(type, hw))):
-        pairings = tuple([sum(map(mul, hw, s.coords))
-                          for s in g.k_roots.simples])
-        if min(pairings, default=0) >= 0:
-            return pairings
-    raise LatticeError(f"{hw!r} is not a dominant integral weight of "
-                       f"rank {g.k_roots.rank}")
+def check_ktype(g: RealGroupData, hw: tuple[int, ...]) -> None:
+    """LatticeError unless hw is a dominant integer tuple of K's rank."""
+    if not (type(hw) is tuple and len(hw) == g.k_roots.rank
+            and {int}.issuperset(map(type, hw))
+            and all(sum(map(mul, hw, s.coords)) >= 0
+                    for s in g.k_roots.simples)):
+        raise LatticeError(f"{hw!r} is not a dominant integral weight of "
+                           f"rank {g.k_roots.rank}")
 
 
 def enumerate_ktypes(g: RealGroupData, norm_cutoff: int
@@ -134,41 +129,26 @@ def _translate(g: RealGroupData, hw: tuple[int, ...],
         yield [(tuple(map(sub, r_hw, r_t)), i) for r_t in r_ts], ms
 
 
-@lru_cache(maxsize=65536)
-def restrict_to_hm(g: RealGroupData, hw: tuple[int, ...]) -> Mapping:
-    """The restriction of a K-type to H = T_M Z', as a read-only map
-    {(coordinates on T_M, Z' index): multiplicity}, cached per (group,
-    highest-weight tuple), as a miss checks the tuple and translates its
-    class's keys, which costs about 30 hits."""
-    res = {}
-    for keys, ms in _translate(g, hw, _check(g, hw)):
-        res.update(zip(keys, ms))
-    return MappingProxyType(res)
-
-
-def key_index(restricted: Iterable[Mapping]) -> dict[tuple, list]:
-    """The inverted index of a batch of restricted K-types: each H-key to
-    its (row, multiplicity) entries, rows numbered in batch order."""
+def key_index(g: RealGroupData, hws: Iterable[tuple[int, ...]]
+              ) -> dict[tuple, list]:
+    """The restriction of a batch of dominant integer tuples to H = T_M Z',
+    as one inverted index: each H-key to its (row, multiplicity) entries,
+    rows numbered in batch order, filled as each tuple's keys are
+    translated.  The tuples are not checked again: a K-type from outside the
+    engine passes check_ktype first."""
+    simples = [s.coords for s in g.k_roots.simples]
     index: dict[tuple, list] = {}
-    for row, res in enumerate(restricted):
-        for key, m in res.items():
-            index.setdefault(key, []).append((row, m))
+    for row, hw in enumerate(hws):
+        pairings = tuple([sum(map(mul, hw, s)) for s in simples])
+        for keys, ms in _translate(g, hw, pairings):
+            for key, m in zip(keys, ms):
+                index.setdefault(key, []).append((row, m))
     return index
 
 
 @lru_cache(maxsize=4)
 def ktype_box(g: RealGroupData, window: int) -> tuple[tuple, dict]:
     """The box of a window, built once per (group, window): its dominant
-    K-types in lexicographic order and the inverted index of their
-    restrictions, filled as each K-type's keys are translated (no restricted
-    map is made).  enumerate_ktypes gives dominant integer tuples, so their
-    dot products with the simple K roots are taken without _check."""
-    ktypes = enumerate_ktypes(g, window)
-    simples = [s.coords for s in g.k_roots.simples]
-    index: dict[tuple, list] = {}
-    for row, hw in enumerate(ktypes):
-        pairings = tuple([sum(map(mul, hw, s)) for s in simples])
-        for keys, ms in _translate(g, hw, pairings):
-            for key, m in zip(keys, ms):
-                index.setdefault(key, []).append((row, m))
-    return tuple(ktypes), index
+    K-types in lexicographic order and their key_index."""
+    ktypes = tuple(enumerate_ktypes(g, window))
+    return ktypes, key_index(g, ktypes)

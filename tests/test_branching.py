@@ -23,7 +23,7 @@ from kbranch.characters import (CutoffError, FormalCharacter, HMLattice,
                                 LatticeError, Weight, dot, pairing, weight)
 from kbranch.groups import (_BUILTIN_DIR, GroupDataError, builtin_group,
                             load_group_data, simple_roots)
-from kbranch.ktypes import KType, restrict_to_hm
+from kbranch.ktypes import KType, key_index
 from kbranch.presets import (sl2_discrete, sl2_limit, sl2_principal,
                              su21_from_lambda)
 from kbranch.verify import _sl2_param_sets, random_su21_params
@@ -31,6 +31,12 @@ from kbranch.verify import _sl2_param_sets, random_su21_params
 GC = builtin_group("sl2r-compact")
 GS = builtin_group("sl2r-split")
 GU = builtin_group("su21")
+
+
+def restrict_to_hm(g, hw):
+    """The restriction of one K-type as a map {H-key: m}, read off its index."""
+    return {k: m for k, [(_, m)] in key_index(g, [hw]).items()}
+
 
 STD_POS = tuple(GU.tm_weight(c) for c in ([1, -1, 0], [1, 0, -1], [0, 1, -1]))
 
@@ -447,7 +453,6 @@ def test_series_oracle_reads_no_coefficient(monkeypatch):
 @pytest.mark.parametrize("mode", ["partition", "series"])
 def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
     prep = branching._prepare(GU, su21_from_lambda(GU, [4, 1, -2]))
-    batch = [restrict_to_hm(GU, kt) for kt in ktypes.enumerate_ktypes(GU, 4)]
     built = {}
     virtual = branching._virtual_character
 
@@ -457,7 +462,7 @@ def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
         return built[cutoff]
 
     monkeypatch.setattr(branching, "_virtual_character", cached)
-    index = ktypes.key_index(batch)
+    index = key_index(GU, ktypes.enumerate_ktypes(GU, 4))
     top2 = _top2(index, prep.hm.height_vec)
     want = branching._evaluate(prep, mode, index, top2)
     calls = _count_calls(monkeypatch, (Weight, "__add__"), (Weight, "__sub__"),
@@ -466,7 +471,7 @@ def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
     assert branching._evaluate(prep, mode, index, top2) == want
     # the base height, and one height per root of the partition table
     assert sum(calls.values()) <= 1 + len(prep.noncompact)
-    assert sum(len(res) for res in batch) > 1000
+    assert sum(map(len, index.values())) > 1000
 
 
 def test_virtual_character_steps_coordinate_tuples(monkeypatch):
@@ -518,7 +523,6 @@ def test_restrict_to_hm_does_no_weight_work(monkeypatch):
 
     for restrict in (lambda: [restrict_to_hm(GU, kt) for kt in kts], box):
         for _ in range(2):  # Kostant's formula runs on each pass
-            restrict_to_hm.cache_clear()
             ktypes._class_keys.cache_clear()
             calls.clear()
             restricted = restrict()
@@ -537,10 +541,8 @@ def test_restrict_to_hm_does_no_weight_work(monkeypatch):
 def test_ktype_off_the_group_lattice_raises(kt):
     kt, hw = kt
     p = su21_from_lambda(GU, [3, 1, -1])
-    # the tuple is checked on a miss of the restriction cache; a hit
-    # compares keys by equality, and (4, 1, True) == (4, 1, 1)
-    restrict_to_hm.cache_clear()
-    for evaluate in (lambda: restrict_to_hm(GU, hw),
+    # a tuple from outside the engine is checked where it comes in
+    for evaluate in (lambda: ktypes.check_ktype(GU, hw),
                      lambda: ktype_multiplicity(GU, p, kt, "partition"),
                      lambda: ktype_multiplicity(GU, p, kt, "series")):
         with pytest.raises(LatticeError):
@@ -841,18 +843,72 @@ def test_window_must_be_a_nonnegative_int(monkeypatch, table, window):
         table(GU, p, window)
 
 
+@pytest.mark.parametrize("lam", [[3, 1, -1], [2, 2, -1]],
+                         ids=["nonzero", "zero"])
+@pytest.mark.parametrize("evaluate", [
+    lambda p, mode: box_table(GU, p, 4, mode),
+    lambda p, mode: ktype_multiplicity(GU, p, KType(GU.t_weight([4, 1, -2])),
+                                       mode)],
+    ids=["box_table", "ktype_multiplicity"])
+def test_mode_is_checked_before_any_work(monkeypatch, evaluate, lam):
+    def refuse(*args, **kwargs):
+        raise AssertionError("prepared before the mode was checked")
+
+    p = su21_from_lambda(GU, lam, rmplus=[[1, -1, 0], [1, 0, -1], [0, 1, -1]])
+    for _ in range(2):  # as it is, then with no parameters prepared
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            evaluate(p, "bogus")
+        monkeypatch.setattr(branching, "_prepare", refuse)
+
+
+def test_spot_check_series_budget(monkeypatch):
+    # the spot check builds one truncated series per table, and its cutoff
+    # does not grow with the window: over every su21 parameter in [-4, 4]^3
+    # off the compact wall, regular or singular, the ceilings per (window,
+    # singular) are pinned, and past window 8 the cutoff stays put
+    ceilings = {(2, False): 1, (2, True): 2, (3, False): 2}  # the rest 4
+    virtual = branching._virtual_character
+    cutoffs = []
+
+    def counted(prep, cutoff):
+        cutoffs.append(cutoff)
+        return virtual(prep, cutoff)
+
+    def cutoff(p, window):
+        cutoffs.clear()
+        ktype_table(GU, p, window)
+        assert len(cutoffs) == 1
+        return cutoffs[0]
+
+    monkeypatch.setattr(branching, "_virtual_character", counted)
+    tie = GU.tm_weight([1, 0, -1])
+    for a, b, c in itertools.product(range(-4, 5), repeat=3):
+        if a == b:  # on the compact wall: a zero verdict, no table
+            continue
+        lam = GU.tm_weight([a, b, c])
+        pos = tuple(r if (dot(lam, r), dot(tie, r)) > (0, 0) else -r
+                    for r in GU.m_roots.positives)
+        p = TemperedParams(lam, pos, 0, GU.a_weight([]))
+        cut = {window: cutoff(p, window) for window in (2, 3, 4, 6, 8, 16)}
+        singular = c in (a, b)
+        for window in (2, 3, 4, 6, 8):
+            assert cut[window] <= ceilings.get((window, singular), 4)
+        assert cut[16] == cut[8]
+    assert cutoff(su21_from_lambda(GU, [3, 1, -1]), 64) == 2
+
+
 def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):
     def refuse(*args):
         raise AssertionError("ktype_table scanned the K-type box")
 
     restricted = []
 
-    def counted(g, mu):
-        restricted.append(mu)
-        return restrict_to_hm(g, mu)
+    def counted(g, hws):
+        restricted.extend(hws)
+        return key_index(g, hws)
 
     monkeypatch.setattr(branching, "ktype_box", refuse)
-    monkeypatch.setattr(branching, "restrict_to_hm", counted)
+    monkeypatch.setattr(branching, "key_index", counted)
     for g, p in ((GU, su21_from_lambda(GU, [3, 1, -1])),
                  (GU, su21_from_lambda(GU, [-1, 3, 1])),  # the other chamber
                  (GC, sl2_discrete(GC, 2, "-")),
