@@ -27,12 +27,13 @@ positives, rho_Phi the compact half-sum of the parameters' positive system
 Phi and eps = det(w_Phi), where R w_Phi rho_K = rho_Phi.  It holds when R
 maps the K roots one-to-one onto the compact Levi roots, which gives eps
 and each term's shift in closed form, and every K root has a trivial Z'
-character.  Each W_K term reads its K-types through one integer map, affine
-in the partition counts over the noncompact positives and the free
-coordinates of the torus fibres.  A walk over those carries the map as
-running sums and takes, one line of the last variable at a time, the
-integer interval that keeps mu in the window and the dominant chamber, so
-neither a box of K-types nor a table of partition counts is built.
+character.  Each W_K term w reads its K-types through the fibres' one
+integer map carried by w^T, affine in the partition counts over the
+noncompact positives and the free coordinates of the torus fibres.  A walk
+over those carries the map as running sums and takes, one line of the last
+variable at a time, the integer interval that keeps mu in the window and
+the dominant chamber, so neither a box of K-types nor a table of partition
+counts is built.
 
 Two oracles stay independent of it and of each other: signed sums of
 Kostant partition counts over the compact offsets, and the coefficients of
@@ -51,7 +52,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -137,11 +137,11 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
     if not (0 <= p.chi < g.hm.ztable.order):
         return invalid(f"no component character with index {p.chi}")
 
-    m_roots = {r.coords for r in g.m_roots.roots}
-    rm = {r.coords for r in p.rmplus}
+    # whole Weights: a root's coordinates on another lattice are no root
+    m_roots, rm = set(g.m_roots.roots), set(p.rmplus)
     if len(rm) != len(p.rmplus) or not rm <= m_roots:
         return invalid("positive system contains non-roots or duplicates")
-    if 2 * len(rm) != len(m_roots) or rm & {tuple(-c for c in r) for r in rm}:
+    if 2 * len(rm) != len(m_roots) or rm & {-r for r in rm}:
         return invalid("positive system does not split the roots into halves")
 
     # a genuine positive system is separated by its own root sum
@@ -323,15 +323,6 @@ def _blattner_terms(g: RealGroupData, prep: _Prepared
                  for w, s in zip(g.k_weyl, g.k_rho_shifts)]
 
 
-@lru_cache(maxsize=16)
-def _term_maps(g: RealGroupData) -> tuple[tuple[tuple, tuple], ...]:
-    """Per element w of W_K, the integer map (A_w, dirs) through which the
-    fibres of R read w^T, as Fibres.affine gives it: the group alone
-    determines it, so it is derived once per group, not per table."""
-    return tuple((a, tuple(dirs)) for a, dirs in (
-        g.fibres.affine(tuple(zip(*w.matrix))) for w in g.k_weyl))
-
-
 def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
                     ) -> list[_Row]:
     """The K-types of the window that Blattner's formula can make nonzero,
@@ -340,12 +331,14 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     P_n(t) is the number of count vectors n in N^k with t = sum_j n_j beta_j
     over the k noncompact positives, so the formula sums det(w) over the
     pairs (n, w) for which R w mu + shift_w = t has a solution mu in the
-    window.  As w^-1 = w^T, one integer map of the fibres reads it: the
-    consistency rows vanish on t - shift_w, and d mu = A_w (t - shift_w) +
-    sum_f x_f dirs_f over the free coordinates x_f of w mu, which lie in
-    [-window, window] since w is a signed permutation.  So d mu is affine in
-    the walk variables, the free coordinates and then the counts, each count
-    at most the largest target height in the window over its own height.
+    window.  As w^-1 = w^T, the fibres' one integer map reads it, carried
+    by w^T: the consistency rows vanish on t - shift_w, and d mu = A_w (t -
+    shift_w) + sum_f x_f w^T dirs_f with A_w = w^T a, over the free
+    coordinates x_f of w mu, which lie in [-window, window] since w is a
+    signed permutation; a beta is taken once per table.  So d mu is affine
+    in the walk variables, the free coordinates and then the counts, each
+    count at most the largest target height in the window over its own
+    height.
     The walk carries d mu, its pairings with the simple K roots, its Z' rows
     and the consistency residues as running sums.  The window, dominance and
     consistency conditions are linear, so each variable runs over one
@@ -364,8 +357,9 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
         sum(map(mul, hv, shift)) for _, shift in terms)
     betas = [b.coords for b in prep.noncompact]
     heights = [sum(map(mul, hv, b)) for b in betas]
-    consistency = fibres.transform[len(fibres.pivots):]
+    consistency = fibres.consistency
     residues = [matvec(consistency, b) for b in betas]
+    a_betas = [matvec(fibres.a, b) for b in betas]
     # state: d mu, its pairings with the simple K roots and its Z' rows,
     # then the consistency residues
     simples = [s.coords for s in g.k_roots.simples]
@@ -381,18 +375,19 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
         return (*dmu, *matvec(probes, dmu), *residue)
 
     found: dict[tuple[int, ...], int] = {}
-    for (w, shift), (a, dirs) in zip(terms, _term_maps(g)):
+    for w, shift in terms:
+        wt = tuple(zip(*w.matrix))
         # (column, lo, hi): no count exceeds the cut over its own height;
         # with no variable at all, a zero column reads the start alone
-        variables = ([(lift(v, (0,) * len(consistency)), -window, window)
-                      for v in dirs]
-                     + [(lift(matvec(a, b), r), 0, bound2 // h)
-                        for b, h, r in zip(betas, heights, residues)]
+        variables = ([(lift(matvec(wt, v), (0,) * len(consistency)),
+                       -window, window) for v in fibres.dirs]
+                     + [(lift(matvec(wt, ab), r), 0, bound2 // h)
+                        for ab, h, r in zip(a_betas, heights, residues)]
                      or [((0,) * (zs.stop + len(consistency)), 0, 0)])
         col = variables[-1][0]
         dcol, zcol = col[:rank], col[zs]
         step, det = tuple(order * x for x in dcol), w.det
-        start = lift([-x for x in matvec(a, shift)],
+        start = lift([-x for x in matvec(wt, matvec(fibres.a, shift))],
                      [-x for x in matvec(consistency, shift)])
         for line, lo, hi in _walk(start, _levels(conditions, variables)):
             dmu0, z0 = line[:rank], line[zs]

@@ -88,9 +88,6 @@ def _write_out(text: str, out: str | None) -> None:
 def cmd_table(args) -> int:
     try:
         g = _load_group(args.group)
-    except (FileNotFoundError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
     except GroupDataError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -127,11 +124,7 @@ def cmd_table(args) -> int:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = _format_csv(payload)
-    try:
-        _write_out(text, args.out)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    _write_out(text, args.out)
     return EXIT_OK
 
 
@@ -153,25 +146,12 @@ def cmd_verify(args) -> int:
                 return EXIT_INVALID_PARAMS
     from .verify import run_suite
     report = run_suite(args.suite, **kwargs)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    try:
-        _write_out(text, args.out)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    _write_out(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAILED
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.path)
-    try:
-        g = load_group_data(path)
-    except (FileNotFoundError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except GroupDataError as e:
-        print(f"invalid: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
+    g = load_group_data(Path(args.path))
     for inv in g.checklist:
         print(f"ok: {inv}")
     print(f"valid: {g.name}")
@@ -244,6 +224,9 @@ def main(argv=None) -> int:
     except GroupDataError as e:
         print(f"invalid: {e}", file=sys.stderr)
         return EXIT_SCHEMA
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -179,7 +179,7 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
     # independence makes simple-root coordinates unique
     fibres = Fibres.of([[s.coords[i] for s in rs.simples]
                         for i in range(rs.rank)], len(rs.simples))
-    if len(fibres.pivots) != len(rs.simples):
+    if fibres.free:
         bad("simple decomposition", "simple roots are linearly dependent")
     for p in rs.positives:
         x = fibres.solve(p.coords)
@@ -244,7 +244,7 @@ class RealGroupData:
     compact_of: dict[tuple[int, ...], bool]  # Levi root -> compact flag
     k_weyl: tuple[WeylElement, ...]
     k_rho_shifts: tuple[tuple[int, ...], ...]  # w rho_K - rho_K, per k_weyl
-    fibres: Fibres                           # R x = b, solved by integer maps
+    fibres: Fibres                           # R x = b, read by one integer map
     k_pairings: Fibres                       # S x = p, S the simple K roots
     blattner_applies: bool
 
@@ -316,20 +316,19 @@ def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Fibres:
-    """Integral solutions x of R x = b for an integer matrix R.
+    """Integral solutions x of R x = b, R an integer matrix, as one integer
+    map built once.  Row reduction gives an integer T with T R = d * (the
+    reduced row echelon form of R).  R x = b exactly when the consistency
+    rows, T's past the rank, vanish on b; then d x = a b + sum over free f
+    of x_f dirs_f, a putting row i of T at the i-th pivot column and dirs_f
+    holding d at f and -(T R)_if at the i-th pivot column.  So R x = t - s
+    reads a t - a s, with no offset, and a matrix u carries the solutions
+    as u a b + sum_f x_f u dirs_f."""
 
-    transform is an integer matrix T with T R = d * (reduced row echelon
-    form of R): its first rows carry d at the pivot columns, and the rest,
-    the consistency rows, vanish.  So R x = b exactly when the consistency
-    rows vanish on b and d * x_pivot = (T b)_pivot - sum over free f of
-    (T R)_f x_f, the free coordinates x_f being arbitrary.
-    """
-
-    ncols: int
-    transform: tuple[tuple[int, ...], ...]
-    reduced: tuple[tuple[int, ...], ...]
+    a: tuple[tuple[int, ...], ...]
+    dirs: tuple[tuple[int, ...], ...]
+    consistency: tuple[tuple[int, ...], ...]
     d: int
-    pivots: tuple[int, ...]
     free: tuple[int, ...]
 
     @classmethod
@@ -341,38 +340,22 @@ class Fibres:
         pivots = row_reduce(rows, ncols)
         d = lcm(*(a.denominator for row in rows for a in row))
         scaled = [tuple(int(a * d) for a in row) for row in rows]
-        return cls(ncols, tuple(row[ncols:] for row in scaled),
-                   tuple(row[:ncols] for row in scaled), d, tuple(pivots),
-                   tuple(c for c in range(ncols) if c not in pivots))
-
-    def affine(self, u: Sequence[Sequence[int]]) -> tuple[tuple, list]:
-        """The solutions of R x = b, carried by the integer matrix u, as
-        (A, dirs).  The equation is solvable exactly when the consistency
-        rows vanish on b; its solutions are then the x with d * u x = A b +
-        sum over free f of x_f * dirs_f, one for each choice of the free
-        coordinates x_f.  So R x = t - s reads A t - A s, with no offset."""
-        # d x = E T b + sum_f x_f z_f: E puts row i of T at the i-th pivot
-        # column, and z_f holds d at f and -(T R)_if at the i-th pivot column
-        pivot_rows_t = tuple(zip(*self.transform[:len(self.pivots)]))
-        a = tuple(matvec(pivot_rows_t, [row[c] for c in self.pivots])
-                  for row in u)
-        dirs = []
-        for f in self.free:
-            z = [0] * self.ncols
-            z[f] = self.d
-            for i, c in enumerate(self.pivots):
-                z[c] = -self.reduced[i][f]
-            dirs.append(matvec(u, z))
-        return a, dirs
+        free = tuple(c for c in range(ncols) if c not in pivots)
+        a = [(0,) * m] * ncols
+        dirs = [[d * (c == f) for c in range(ncols)] for f in free]
+        for i, c in enumerate(pivots):
+            a[c] = scaled[i][ncols:]
+            for f, z in zip(free, dirs):
+                z[c] = -scaled[i][f]
+        return cls(tuple(a), tuple(map(tuple, dirs)),
+                   tuple(row[ncols:] for row in scaled[len(pivots):]), d, free)
 
     def solve(self, b: Sequence) -> Optional[tuple[Fraction, ...]]:
         """The solution of R x = b, b rational, whose free coordinates are
-        0; None when a consistency row is nonzero on b."""
-        tb = [Fraction(sum(map(mul, row, b)), self.d) for row in self.transform]
-        if any(tb[len(self.pivots):]):
+        0, a b / d; None when a consistency row is nonzero on b."""
+        if any(matvec(self.consistency, b)):
             return None
-        x = dict(zip(self.pivots, tb))
-        return tuple(x.get(c, Fraction(0)) for c in range(self.ncols))
+        return tuple(Fraction(x, self.d) for x in matvec(self.a, b))
 
 
 def _blattner_applies(g: RealGroupData,

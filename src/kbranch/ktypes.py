@@ -98,15 +98,13 @@ def _class_keys(g: RealGroupData, pairings: tuple[int, ...]) -> tuple:
     products with the simple K roots, up to its translate: the triples (Z'
     rows of t mod |Z'|, (R t, ...), (m, ...)) over the cone points t below
     the highest weight, m summed over the t of equal (R t, Z' rows mod |Z'|).
-    Kostant's formula runs once, on d x, x the point with these pairings
-    whose free coordinates are 0 (g.k_pairings)."""
-    fibres = g.k_pairings
-    dx = [0] * g.k_roots.rank
-    for c, row in zip(fibres.pivots, fibres.transform):
-        dx[c] = sum(map(mul, row, pairings))
+    Kostant's formula runs once, on d x = a p, x the point with these
+    pairings p whose free coordinates are 0, read through the fibres of the
+    simple K roots, g.k_pairings."""
+    dx = matvec(g.k_pairings.a, pairings)
     r, z, order = g.tm_in_t, g.zchar_rows, g.hm.ztable.order
     groups: dict = {}
-    for t, m in _kostant(g, dx, fibres.d):
+    for t, m in _kostant(g, dx, g.k_pairings.d):
         acc = groups.setdefault(tuple(e % order for e in matvec(z, t)), {})
         r_t = matvec(r, t)
         acc[r_t] = acc.get(r_t, 0) + m

@@ -59,6 +59,19 @@ def test_validate_su21_zero_on_compact_wall():
     assert "(1, -1, 0)" in v.reason
 
 
+@pytest.mark.parametrize("lattice, denom", [(GU.t_lattice.lattice, 1),
+                                            (GU.hm.lattice, 2)])
+def test_validate_refuses_root_coordinates_that_are_not_roots(lattice,
+                                                              denom):
+    # the coordinates of the su21 positives, on the lattice of T or halved:
+    # a verdict, not a LatticeError from grading the positive system
+    p = replace(su21_from_lambda(GU, [3, 1, -1]), rmplus=tuple(
+        Weight(r.coords, lattice, denom) for r in STD_POS))
+    v = validate_params(GU, p)
+    assert v.verdict == "invalid"
+    assert v.reason == "positive system contains non-roots or duplicates"
+
+
 def test_validate_rejects_nondominant():
     p = TemperedParams(GC.tm_weight([-3]), (GC.tm_weight([2]),), 0,
                        GC.a_weight([]))
@@ -650,6 +663,21 @@ def test_blattner_is_the_partition_box_on_rank_2_tori(row, lam, chi, root,
     _agree_with_both_boxes(g, p, window)
 
 
+@pytest.mark.parametrize("name, order", [("su22", 4), ("su31", 6)])
+def test_blattner_is_the_partition_box_on_every_chamber_of_a3(name, order):
+    # |W_K| = 4 and 6, each term reading the fibres through its own signed
+    # permutation; the four noncompact positives of su22 span only 3 dims
+    g = load_group_data(Path(__file__).parent / "data" / f"{name}.json")
+    assert (len(g.k_weyl), g.blattner_applies) == (order, True)
+    for lam in itertools.permutations((3, 1, -1, -3)):
+        w = g.tm_weight(lam, 2)  # lambda = w rho, for each w in W
+        p = TemperedParams(w, tuple(r if dot(w, r) > 0 else -r
+                                    for r in g.m_roots.positives),
+                           0, g.a_weight([]))
+        table = ktype_table(g, p, 5).entries
+        assert table and table == box_table(g, p, 5, "partition").entries
+
+
 SL2XT3 = load_group_data(Path(__file__).parent / "data" / "sl2xt3.json")
 
 
@@ -689,7 +717,7 @@ def test_blattner_reads_the_consistency_rows():
         "restricted": {"dim_a": 0, "roots": [], "positives": []},
         "tM_in_t": [[1], [0]], "zmprime": {"order": 1, "generators": []},
         "dims": {"s_M": 2, "a": 0}}))
-    assert g.fibres.transform[len(g.fibres.pivots):] == ((0, 1),)
+    assert g.fibres.consistency == ((0, 1),)
     for lam in itertools.product(range(4), range(-2, 3)):
         p = TemperedParams(g.tm_weight(list(lam)), (g.tm_weight([2, 0]),),
                            0, g.a_weight([]))

@@ -182,6 +182,14 @@ def test_window_32_sp4r_tables_match_their_digests(capsys):
                    "--group", str(DATA / "sp4r.json"))
 
 
+@pytest.mark.parametrize("name", ["su22", "su31"])
+def test_window_8_a3_tables_match_their_digests(capsys, name):
+    # the 24 chambers lambda = w rho of SU(2,2) and SU(3,1), whose 4 and 6
+    # W_K terms each read the fibres through their own signed permutation
+    _match_digests(capsys, f"table_{name}_w8.sha256.json",
+                   "--group", str(DATA / f"{name}.json"))
+
+
 def test_grid_above_cap_exits_2(capsys):
     # 2L/h + 1 = MAX_GRID_POINTS + 1 points: refused before any matrix
     step = 2 * 8.0 / MAX_GRID_POINTS
@@ -210,6 +218,18 @@ def test_missing_group_exits_3(capsys):
     code, _, err = run(capsys, "table", "--group", "/nonexistent/g.json",
                        "--params", "{}")
     assert code == 3
+
+
+def test_verify_with_no_group_files_exits_3_without_a_traceback(tmp_path):
+    # the suite's builtin groups are missing: an I/O failure, not a failed
+    # verification, so exit 3 and one error line
+    src = str(Path(kbranch.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "KTYPE_DATA_DIR": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-m", "kbranch.cli", "verify",
+                           "sl2"], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error: no builtin group ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 def test_schema_error_exits_4(tmp_path, capsys):

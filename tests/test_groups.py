@@ -366,18 +366,36 @@ def test_mutated_group_documents_load_or_raise_group_data_error(text):
 @given(data=st.data(), m=st.integers(1, 3), n=st.integers(1, 4))
 def test_fibre_map_solves_the_restriction(data, m, n):
     """For b = R x, the consistency rows vanish on b, and x is the solution
-    whose free coordinates are its own: d x = A b + sum_f x_f dirs_f, read
-    through the identity as u."""
+    whose free coordinates are its own: d x = a b + sum_f x_f dirs_f.  A
+    signed permutation u carries it, d u x = u a b + sum_f x_f u dirs_f, as
+    Blattner's formula reads it per W_K term.  Any c gives d solve(c) = a c
+    when the consistency rows vanish on c, and None otherwise."""
     ints = st.integers(-3, 3)
     mat = data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
                              min_size=m, max_size=m))
     x = data.draw(st.lists(ints, min_size=n, max_size=n))
     fibres = groups.Fibres.of(mat, n)
     b = groups.matvec(mat, x)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    a, dirs = fibres.affine(identity)
-    assert not any(groups.matvec(fibres.transform[len(fibres.pivots):], b))
-    want = list(groups.matvec(a, b))
-    for f, v in zip(fibres.free, dirs):
+    assert not any(groups.matvec(fibres.consistency, b))
+    want = list(groups.matvec(fibres.a, b))
+    for f, v in zip(fibres.free, fibres.dirs):
         want = [y + x[f] * z for y, z in zip(want, v)]
     assert want == [fibres.d * c for c in x]
+
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n,
+                               max_size=n))
+    u = [[s * int(j == p) for j in range(n)] for s, p in zip(signs, perm)]
+    got = list(groups.matvec(u, groups.matvec(fibres.a, b)))
+    for f, v in zip(fibres.free, fibres.dirs):
+        got = [y + x[f] * z for y, z in zip(got, groups.matvec(u, v))]
+    assert got == [fibres.d * c for c in groups.matvec(u, x)]
+
+    for c in (b, data.draw(st.lists(ints, min_size=m, max_size=m))):
+        sol = fibres.solve(c)
+        if any(groups.matvec(fibres.consistency, c)):
+            assert sol is None
+        else:
+            assert [fibres.d * y for y in sol] == list(
+                groups.matvec(fibres.a, c))
+            assert groups.matvec(mat, sol) == tuple(c)
