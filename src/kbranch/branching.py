@@ -50,10 +50,9 @@ are the restricted representation and always nonnegative.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .characters import (FormalCharacter, HMLattice, Weight, dot,
                          geometric_series, graded_exterior, partition_counts)
@@ -70,8 +69,7 @@ class InvalidParamsError(ValueError):
         super().__init__(str(verdict))
 
 
-@dataclass(frozen=True)
-class TemperedParams:
+class TemperedParams(NamedTuple):
     """Parameter tuple of a basic representation.
 
     lam: Harish-Chandra-style parameter on the compact Cartan of the Levi
@@ -88,19 +86,17 @@ class TemperedParams:
     nu: Weight
 
 
-@dataclass(frozen=True)
-class ParamVerdict:
+class ParamVerdict(NamedTuple):
     verdict: str                 # "nonzero" | "zero" | "invalid"
     reason: Optional[str] = None
     # nonzero verdicts: the lattice graded by p.rmplus, which tables reuse
-    hm: Optional[HMLattice] = field(default=None, repr=False, compare=False)
+    hm: Optional[HMLattice] = None
 
     def __str__(self):
         return self.verdict if not self.reason else f"{self.verdict}: {self.reason}"
 
 
-@dataclass
-class KTypeTable:
+class KTypeTable(NamedTuple):
     """Multiplicity table over a finite window of K-types.
 
     entries maps highest-weight coordinate tuples to positive multiplicities;
@@ -184,8 +180,7 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
 
 # ------------------------------------------------------------------ engine
 
-@dataclass(frozen=True)
-class _Prepared:
+class _Prepared(NamedTuple):
     """What every K-type shares for one validated parameter tuple: the
     lattice graded by the parameters' positive system, the base key
     (lambda - rho_c + rho_n, chi), the positives split by type,
@@ -537,8 +532,8 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
 def nu_independence_check(g: RealGroupData, p: TemperedParams,
                           nu1: Weight, nu2: Weight, window: int) -> bool:
     """True iff the table is unchanged when the continuous parameter moves."""
-    t1 = ktype_table(g, replace(p, nu=nu1), window)
-    t2 = ktype_table(g, replace(p, nu=nu2), window)
+    t1 = ktype_table(g, p._replace(nu=nu1), window)
+    t2 = ktype_table(g, p._replace(nu=nu2), window)
     return t1 == t2
 
 

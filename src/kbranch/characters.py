@@ -13,13 +13,13 @@ arbitrary-precision integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf
 from operator import add, mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
+                    Sequence)
 
 
 class LatticeError(ValueError):
@@ -37,17 +37,25 @@ class CutoffError(ValueError):
 _Key = tuple[tuple[int, ...], int]  # (torus coordinates, Z index)
 
 
-@dataclass(frozen=True)
-class Weight:
+class _WeightFields(NamedTuple):
+    coords: tuple[int, ...]
+    lattice: str = "t"
+    denom: int = 1
+
+
+class Weight(_WeightFields):
     """Integer vector in a lattice basis; value is coords/denom.
 
     denom is 1 or 2: half-integer weights (rho-shifts) live in the doubled
     lattice.  Construct via weight() to keep denom reduced.
     """
 
-    coords: tuple[int, ...]
-    lattice: str = "t"
-    denom: int = 1
+    __slots__ = ()
+
+    def __new__(cls, coords, lattice="t", denom=1):
+        self = tuple.__new__(cls, (coords, lattice, denom))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if type(self.denom) is not int or self.denom not in (1, 2):
@@ -116,18 +124,24 @@ def pairing(mu: Weight, alpha: Weight) -> Fraction:
     return 2 * dot(mu, alpha) / nn
 
 
-@dataclass(frozen=True)
-class ZCharTable:
+class _ZCharTableFields(NamedTuple):
+    order: int
+    rows: tuple[tuple[int, ...], ...]
+
+
+class ZCharTable(_ZCharTableFields):
     """Character table of a finite abelian group, one row per character.
 
     Row entries are exponents e_j with value exp(2*pi*i*e_j/order) at the
     j-th generator.  Rows form a group under componentwise addition mod
     order; row 0 need not be the trivial character, the identity index is
-    looked up.
+    looked up.  No __slots__: the cached properties live in __dict__.
     """
 
-    order: int
-    rows: tuple[tuple[int, ...], ...]
+    def __new__(cls, order, rows):
+        self = tuple.__new__(cls, (order, rows))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.order < 1:
@@ -165,8 +179,14 @@ class ZCharTable:
 TRIVIAL_Z = ZCharTable(order=1, rows=((),))
 
 
-@dataclass(frozen=True)
-class HMLattice:
+class _HMLatticeFields(NamedTuple):
+    rank: int
+    lattice: str
+    height_vec: tuple[int, ...]
+    ztable: ZCharTable = TRIVIAL_Z
+
+
+class HMLattice(_HMLatticeFields):
     """Shared structure behind a family of formal characters.
 
     height_vec is the sum of the declared positive roots (an integer
@@ -176,10 +196,12 @@ class HMLattice:
     what makes truncation certificates sound.
     """
 
-    rank: int
-    lattice: str
-    height_vec: tuple[int, ...]
-    ztable: ZCharTable = TRIVIAL_Z
+    __slots__ = ()
+
+    def __new__(cls, rank, lattice, height_vec, ztable=TRIVIAL_Z):
+        self = tuple.__new__(cls, (rank, lattice, height_vec, ztable))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if len(self.height_vec) != self.rank:

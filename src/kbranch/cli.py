@@ -159,9 +159,9 @@ def cmd_validate(args) -> int:
 
 
 def _window(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
+    try:  # ASCII digits only: int() also reads '1_0', ' 3 ', '+3' and '٣'
+        n = int(text) if text.isascii() and text.isdigit() else -1
+    except ValueError:  # more digits than int() converts
         n = -1
     if not 0 <= n <= MAX_WINDOW:
         raise argparse.ArgumentTypeError(
@@ -174,7 +174,9 @@ def _positive(text: str) -> float:
         x = float(text)
     except ValueError:
         x = math.nan
-    if not (math.isfinite(x) and x > 0):
+    # float() also reads '1_0', ' 1 ' and non-ASCII digits and spaces
+    if not (math.isfinite(x) and x > 0 and text.isascii()
+            and "_" not in text and text == text.strip()):
         raise argparse.ArgumentTypeError(
             f"expected a positive finite number, got {text!r}")
     return x

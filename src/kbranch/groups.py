@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .characters import (HMLattice, LatticeError, Weight,
                          ZCharTable, pairing, weight)
@@ -44,16 +43,14 @@ class GroupDataError(ValueError):
         super().__init__(f"{invariant}: {detail}")
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     rank: int
     roots: tuple[Weight, ...]
     positives: tuple[Weight, ...]
     simples: tuple[Weight, ...]
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """Orthogonal lattice map with its determinant sign."""
 
     matrix: tuple[tuple[int, ...], ...]
@@ -221,8 +218,7 @@ def _parse_fraction(v, inv):
                               f"a nonzero denominator, got {v!r}")
 
 
-@dataclass(frozen=True)
-class RealGroupData:
+class RealGroupData(NamedTuple):
     """Validated group data, with the root data derived from it once, at
     load.  Equality compares every field; the hash reads the name only, so
     the caches keyed on a group stay cheap to probe."""
@@ -314,8 +310,7 @@ def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
     return pivots
 
 
-@dataclass(frozen=True)
-class Fibres:
+class Fibres(NamedTuple):
     """Integral solutions x of R x = b, R an integer matrix, as one integer
     map built once.  Row reduction gives an integer T with T R = d * (the
     reduced row echelon form of R).  R x = b exactly when the consistency
@@ -602,8 +597,8 @@ def _build(doc: dict) -> RealGroupData:
                                  "has Z' values in no table row") from None
     checklist.append("zmprime compatibility")
 
-    return replace(g, checklist=tuple(checklist),
-                   blattner_applies=_blattner_applies(g, k_restr))
+    return g._replace(checklist=tuple(checklist),
+                      blattner_applies=_blattner_applies(g, k_restr))
 
 
 def data_dir() -> Path:

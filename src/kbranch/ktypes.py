@@ -15,17 +15,15 @@ H-key to its rows; ktype_box keeps the window's, once per (group, window).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .characters import LatticeError, Weight, partition_counts
 from .groups import RealGroupData, matvec
 
 
-@dataclass(frozen=True)
-class KType:
+class KType(NamedTuple):
     """Highest weight of an irreducible representation of the compact group."""
 
     highest: Weight

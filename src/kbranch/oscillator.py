@@ -27,9 +27,8 @@ compute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .branching import KTypeTable
 
@@ -47,12 +46,20 @@ class InconclusiveKernelError(RuntimeError):
     """A singular value fell inside the tolerance band; no dimension claimed."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Symmetric 1-D grid on [-L, L] with an odd point count."""
-
+class _GridSpecFields(NamedTuple):
     halfwidth: float
     step: float
+
+
+class GridSpec(_GridSpecFields):
+    """Symmetric 1-D grid on [-L, L] with an odd point count."""
+
+    __slots__ = ()
+
+    def __new__(cls, halfwidth, step):
+        self = tuple.__new__(cls, (halfwidth, step))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.halfwidth <= 0:
@@ -76,8 +83,7 @@ class GridSpec:
         return np.linspace(-self.halfwidth, self.halfwidth, self.npoints)
 
 
-@dataclass
-class KernelReport:
+class KernelReport(NamedTuple):
     """Kernel dimensions with the singular values that justify them.
 
     Dimensions are None when the singular values fall inside the
@@ -89,8 +95,8 @@ class KernelReport:
     kernel_dim_even: Optional[int]
     kernel_dim_odd: Optional[int]
     gaussian_l2_error: float
-    even_singular_values: list[float] = field(default_factory=list)
-    odd_singular_values: list[float] = field(default_factory=list)
+    even_singular_values: Sequence[float] = ()
+    odd_singular_values: Sequence[float] = ()
     inconclusive: bool = False
 
 

@@ -17,7 +17,7 @@ The sign field mirrors the index-theoretic sign: -1 on the compact Cartan
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .branching import KTypeTable
 
@@ -25,10 +25,18 @@ KINDS = ("discrete_plus", "discrete_minus", "limit_plus", "limit_minus",
          "principal_spherical", "principal_nonspherical")
 
 
-@dataclass(frozen=True)
-class SL2Series:
+class _SL2SeriesFields(NamedTuple):
     kind: str
     n: int = 0
+
+
+class SL2Series(_SL2SeriesFields):
+    __slots__ = ()
+
+    def __new__(cls, kind, n=0):
+        self = tuple.__new__(cls, (kind, n))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -64,8 +72,7 @@ def sl2_branching(s: SL2Series, window: int) -> KTypeTable:
     return KTypeTable({(k,): 1 for k in support}, window, sign)
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(NamedTuple):
     window: int
     diffs: tuple[tuple[tuple[int, ...], int, int], ...]  # (ktype, got, want)
 

@@ -24,7 +24,7 @@ oracle over the window's box is box_table(g, p, window, "partition").
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 from . import presets
 from .branching import (TemperedParams, box_table, ktype_multiplicity,
@@ -40,8 +40,7 @@ from .oscillator import (GridSpec, InconclusiveKernelError, cylinder_table,
 from .sl2_oracles import SL2Series, oracle_match, sl2_branching
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     expected: str
@@ -346,5 +345,5 @@ def run_suite(name: str, **kwargs) -> dict:
     return {
         "suite": name,
         "pass": all(c.passed for c in checks),
-        "checks": [asdict(c) for c in checks],
+        "checks": [c._asdict() for c in checks],
     }

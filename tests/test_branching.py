@@ -6,7 +6,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from operator import sub
 from pathlib import Path
@@ -65,7 +64,7 @@ def test_validate_refuses_root_coordinates_that_are_not_roots(lattice,
                                                               denom):
     # the coordinates of the su21 positives, on the lattice of T or halved:
     # a verdict, not a LatticeError from grading the positive system
-    p = replace(su21_from_lambda(GU, [3, 1, -1]), rmplus=tuple(
+    p = su21_from_lambda(GU, [3, 1, -1])._replace(rmplus=tuple(
         Weight(r.coords, lattice, denom) for r in STD_POS))
     v = validate_params(GU, p)
     assert v.verdict == "invalid"
@@ -666,7 +665,8 @@ def test_blattner_is_the_partition_box_on_rank_2_tori(row, lam, chi, root,
 @pytest.mark.parametrize("name, order", [("su22", 4), ("su31", 6)])
 def test_blattner_is_the_partition_box_on_every_chamber_of_a3(name, order):
     # |W_K| = 4 and 6, each term reading the fibres through its own signed
-    # permutation; the four noncompact positives of su22 span only 3 dims
+    # permutation; the four noncompact positives of su22 span only 3 dims.
+    # Both box oracles, the partition counts and the series, agree with it
     g = load_group_data(Path(__file__).parent / "data" / f"{name}.json")
     assert (len(g.k_weyl), g.blattner_applies) == (order, True)
     for lam in itertools.permutations((3, 1, -1, -3)):
@@ -676,6 +676,7 @@ def test_blattner_is_the_partition_box_on_every_chamber_of_a3(name, order):
                            0, g.a_weight([]))
         table = ktype_table(g, p, 5).entries
         assert table and table == box_table(g, p, 5, "partition").entries
+        assert table == box_table(g, p, 5, "series").entries
 
 
 SL2XT3 = load_group_data(Path(__file__).parent / "data" / "sl2xt3.json")
@@ -782,7 +783,7 @@ def test_blattner_terms_refuse_a_half_integral_constant():
     # without its compact positive, rho_c moves by half the root (1, -1, 0)
     prep = branching._prepare(GU, su21_from_lambda(GU, [3, 1, -1]))
     with pytest.raises(ArithmeticError, match="is odd"):
-        branching._blattner_terms(GU, replace(prep, compact=()))
+        branching._blattner_terms(GU, prep._replace(compact=()))
 
 
 def test_blattner_partition_calls_track_rows(monkeypatch):

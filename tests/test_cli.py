@@ -204,6 +204,48 @@ def test_bad_grid_exits_2(capsys, flag, value):
     exits_2_with_empty_stdout(capsys, "verify", "dirac", flag, value)
 
 
+def usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.startswith("usage: kbranch ")
+    assert f"error: argument {flag}: expected " in out.err
+
+
+@pytest.mark.parametrize("value", [
+    "1_0", " ٣ ", "٣", "３", " 3", "3 ", "3\n", "+3", "-0", "3.0", ""])
+def test_window_takes_ascii_digits_only(capsys, value):
+    usage_error(capsys, ["table", "--group", "sl2r-compact", "--params",
+                         '{"series":"discrete","n":1,"sign":"+"}',
+                         "--window", value], "--window")
+
+
+def test_window_longer_than_int_reads_is_a_usage_error(capsys):
+    usage_error(capsys, ["table", "--group", "sl2r-compact", "--params",
+                         '{"series":"discrete","n":1,"sign":"+"}',
+                         "--window", "9" * 5000], "--window")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--grid-h", "0_0.1"), ("--grid-L", "1_0"), ("--grid-h", " 0.1"),
+    ("--grid-h", "0.1 "), ("--svd-tol", "1e-6\t"), ("--grid-L", "٨"),
+    ("--grid-h", "٠.١"), ("--grid-L", "8　")])
+def test_positive_refuses_underscores_spaces_and_non_ascii(capsys, flag,
+                                                           value):
+    usage_error(capsys, ["verify", "dirac", flag, value], flag)
+
+
+def test_valid_numeric_spellings_keep_their_bytes(capsys):
+    argv = ["table", "--group", "su21", "--params", '{"lambda":[3,1,-1]}']
+    tables = {run(capsys, *argv, "--window", w) for w in ("4", "04", "004")}
+    assert len(tables) == 1 and tables.pop()[0] == 0
+    parse = cli.build_parser().parse_args
+    for value in ("0.05", "5e-2", "5E-2", ".05", "+0.05", "0.050"):
+        args = parse(["verify", "dirac", "--grid-h", value])
+        assert args.grid_h == 0.05
+
+
 @pytest.mark.parametrize("suite", ["sl2", "su21", "ring"])
 @pytest.mark.parametrize("flag, value", [
     ("--grid-L", "8"), ("--grid-h", "0.03"), ("--svd-tol", "1e-6")])
@@ -355,9 +397,11 @@ def test_validate_malformed_group_file_exits_4(tmp_path, capsys, mutate,
 
 
 def test_cli_table_and_validate_leave_numpy_and_verify_unloaded():
-    # the verification stack loads only when `kbranch verify` runs
+    # the verification stack loads only when `kbranch verify` runs, and
+    # nothing loads dataclasses or the inspect module it imports
     script = ("import sys\n"
-              "UNLOADED = ('kbranch.verify', 'kbranch.sl2_oracles', 'numpy')\n"
+              "UNLOADED = ('kbranch.verify', 'kbranch.sl2_oracles', 'numpy',"
+              " 'dataclasses', 'inspect')\n"
               "def unloaded(when):\n"
               "    for name in UNLOADED:\n"
               "        assert name not in sys.modules, (when, name)\n"

@@ -83,6 +83,17 @@ def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    # importing dataclasses loads inspect, ast, dis and tokenize, and each
+    # decorated class execs new source: start-up cost for every CLI run
+    modules = {(a.name if isinstance(node, ast.Import) else node.module or "")
+               .split(".")[0] for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for a in node.names}
+    assert "dataclasses" not in modules
+
+
 @pytest.mark.parametrize("source, unused", [
     ("from operator import sub\nx = [sub for sub in y]", ["sub"]),
     ("from operator import sub\nx = [sub(a, 1) for a in y]", []),

@@ -625,7 +625,8 @@ def test_1d_reports_are_fresh_and_the_memo_read_only():
     want = copy.deepcopy(first)
     first.even_singular_values[0] = -1.0
     first.odd_singular_values.clear()
-    first.kernel_dim_even = 7
+    with pytest.raises(AttributeError):  # a report's fields are read-only
+        first.kernel_dim_even = 7
     assert oscillator_1d(GRID, TOL) == want
     for s in oscillator._spectra(GRID, 1.0)[:2]:
         assert not s.flags.writeable
