@@ -9,13 +9,21 @@ The engine realises the branching rule
     component character)
 
 in two steps.  Preparation validates the parameters once and derives
-what every K-type shares: the lattice graded by the parameters' positive
-system, whose rho gives the base character lambda - rho_c + rho_n as
-lambda - rho + (sum of the noncompact positives), the noncompact
-positives, the signed compact-subset offsets and the keys' top covector.
-What the group alone determines (W_K, rho_K, compactness, the fibres of
-the torus restriction) is derived once when the group is loaded, and read
-here.
+what every K-type shares.  That work comes in three tiers:
+
+  - load: what the group alone determines (W_K, rho_K, compactness, the
+    fibres of the torus restriction), derived in groups and read here;
+  - chamber: what the parameters' positive system Phi alone determines, a
+    Chamber record built once per (group, Phi) and kept in a cache of 64:
+    whether Phi is a positive system at all (no duplicates or non-roots,
+    a half of the roots, pointed), the lattice graded by Phi, its positives
+    split by type, its compact simple roots, rho_n - rho_c, the signed
+    compact-subset sums, the keys' top covector, and Blattner's eps, term
+    shifts and walk columns.  A nonzero verdict carries the record, and
+    every table of the same Phi reads it;
+  - call: what lambda and chi fix, the dominance, lifting and component
+    checks, the base key lambda - rho_c + rho_n and the compact offsets,
+    and the window's own bounds.
 
 ktype_table evaluates Blattner's formula (Hecht-Schmid)
 
@@ -51,10 +59,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import add, mul
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from functools import lru_cache
+from operator import add, mul, sub
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .characters import (FormalCharacter, HMLattice, Weight, dot,
+from .characters import (FormalCharacter, HMLattice, Weight,
                          geometric_series, graded_exterior, partition_counts)
 from .groups import (GroupDataError, RealGroupData, WeylElement, matvec,
                      simple_roots)
@@ -86,11 +95,32 @@ class TemperedParams(NamedTuple):
     nu: Weight
 
 
+class Chamber(NamedTuple):
+    """What a positive system Phi of the Levi roots fixes for every
+    parameter tuple that names it (the chamber tier above), built once per
+    (group, Phi) by _chamber.  The last four fields are Blattner's
+    (_blattner_shifts, _blattner_columns); where the formula does not apply
+    eps is 1 and the rest are empty."""
+
+    hm: HMLattice                        # the Levi lattice graded by Phi
+    compact: tuple[Weight, ...]
+    noncompact: tuple[Weight, ...]
+    compact_simples: tuple[Weight, ...]
+    rho_n_less_c: Weight
+    # ((-1)^|S|, sum of S as coordinates) for every compact subset S
+    subsets: tuple[tuple[int, tuple[int, ...]], ...]
+    top: tuple[int, ...]                 # _top_covector
+    eps: int
+    shifts: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[tuple[int, ...], ...], ...]
+    heights: tuple[int, ...]
+
+
 class ParamVerdict(NamedTuple):
     verdict: str                 # "nonzero" | "zero" | "invalid"
     reason: Optional[str] = None
-    # nonzero verdicts: the lattice graded by p.rmplus, which tables reuse
-    hm: Optional[HMLattice] = None
+    # nonzero verdicts: the record of p.rmplus, which tables reuse
+    chamber: Optional[Chamber] = None
 
     def __str__(self):
         return self.verdict if not self.reason else f"{self.verdict}: {self.reason}"
@@ -133,26 +163,18 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
     if not (0 <= p.chi < g.hm.ztable.order):
         return invalid(f"no component character with index {p.chi}")
 
-    # whole Weights: a root's coordinates on another lattice are no root
-    m_roots, rm = set(g.m_roots.roots), set(p.rmplus)
-    if len(rm) != len(p.rmplus) or not rm <= m_roots:
-        return invalid("positive system contains non-roots or duplicates")
-    if 2 * len(rm) != len(m_roots) or rm & {-r for r in rm}:
-        return invalid("positive system does not split the roots into halves")
+    chamber = _chamber(g, tuple(p.rmplus))
+    if isinstance(chamber, str):
+        return invalid(chamber)
 
-    # a genuine positive system is separated by its own root sum
-    hm = HMLattice.graded(g.hm.rank, g.hm.lattice, p.rmplus, g.hm.ztable)
+    # dot signs: both sides lie on the Levi lattice, so no Fraction is needed
+    lam = p.lam.coords
     for a in p.rmplus:
-        if hm.height2(a) <= 0:
-            return invalid(
-                f"chosen positive system is not pointed at {a.coords}")
-
-    for a in p.rmplus:
-        if dot(p.lam, a) < 0:
+        if sum(map(mul, lam, a.coords)) < 0:
             return invalid(
                 f"parameter is not dominant for the root {a.coords}")
 
-    shifted = p.lam - hm.rho
+    shifted = p.lam - chamber.hm.rho
     if not shifted.is_integral():
         return invalid("parameter minus rho does not lift to the torus")
 
@@ -170,29 +192,65 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
             return invalid("component character disagrees with the shifted "
                            "parameter on the torus overlap")
 
-    for a in simple_roots(p.rmplus):
-        if g.is_compact(a) and dot(p.lam, a) == 0:
+    for a in chamber.compact_simples:
+        if not sum(map(mul, lam, a.coords)):
             return ParamVerdict(
                 "zero", f"parameter orthogonal to simple compact root {a.coords}")
-    return ParamVerdict("nonzero", hm=hm)
+    return ParamVerdict("nonzero", chamber=chamber)
 
+
+@lru_cache(maxsize=64)
+def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
+    """The record of the positive system rmplus of g's Levi roots, or the
+    reason it is none.  Built once per (group, rmplus): the group compares
+    by every field, so two groups of one name keep records of their own."""
+    # whole Weights: a root's coordinates on another lattice are no root
+    m_roots, rm = set(g.m_roots.roots), set(rmplus)
+    if len(rm) != len(rmplus) or not rm <= m_roots:
+        return "positive system contains non-roots or duplicates"
+    if 2 * len(rm) != len(m_roots) or rm & {-r for r in rm}:
+        return "positive system does not split the roots into halves"
+
+    # a genuine positive system is separated by its own root sum
+    hm = HMLattice.graded(g.hm.rank, g.hm.lattice, rmplus, g.hm.ztable)
+    for a in rmplus:
+        if hm.height2(a) <= 0:
+            return f"chosen positive system is not pointed at {a.coords}"
+
+    compact = tuple(g.compact_positives(rmplus))
+    noncompact = tuple(g.noncompact_positives(rmplus))
+    subsets = tuple(((-1) ** r, tuple(sum(c.coords[i] for c in s)
+                                      for i in range(hm.rank)))
+                    for r in range(len(compact) + 1)
+                    for s in itertools.combinations(compact, r))
+    eps, shifts, columns, heights = 1, (), (), ()
+    if g.blattner_applies:
+        eps, shifts = _blattner_shifts(g, compact)
+        columns, heights = _blattner_columns(g, hm, noncompact)
+    return Chamber(hm, compact, noncompact,
+                   tuple(a for a in simple_roots(rmplus) if g.is_compact(a)),
+                   sum(noncompact, -hm.rho), subsets,
+                   _top_covector(g, hm.height_vec), eps, shifts, columns,
+                   heights)
 
 
 # ------------------------------------------------------------------ engine
 
 class _Prepared(NamedTuple):
     """What every K-type shares for one validated parameter tuple: the
-    lattice graded by the parameters' positive system, the base key
-    (lambda - rho_c + rho_n, chi), the positives split by type,
-    ((-1)^|S|, base + sum of S as coordinates) for every compact subset S,
-    and the top covector v of the K-types' keys (_top_covector)."""
+    record of its positive system, the base key (lambda - rho_c + rho_n,
+    chi), and ((-1)^|S|, base + sum of S as coordinates) for every compact
+    subset S.  The record's lattice, positives and top covector read
+    through."""
 
-    hm: HMLattice
+    chamber: Chamber
     base: tuple[tuple[int, ...], int]
-    compact: tuple[Weight, ...]
-    noncompact: tuple[Weight, ...]
     offsets: tuple[tuple[int, tuple[int, ...]], ...]
-    top: tuple[int, ...]
+
+    hm = property(lambda self: self.chamber.hm)
+    compact = property(lambda self: self.chamber.compact)
+    noncompact = property(lambda self: self.chamber.noncompact)
+    top = property(lambda self: self.chamber.top)
 
 
 def _prepare(g: RealGroupData, p: TemperedParams, zero_ok: bool = False,
@@ -209,17 +267,11 @@ def _prepare(g: RealGroupData, p: TemperedParams, zero_ok: bool = False,
         return None
     if verdict.verdict != "nonzero":
         raise InvalidParamsError(verdict)
-    hm = verdict.hm
-    compact = tuple(g.compact_positives(p.rmplus))
-    noncompact = tuple(g.noncompact_positives(p.rmplus))
-    # lambda - rho + (sum of noncompact positives) = lambda - rho_c + rho_n,
+    chamber = verdict.chamber
     # integral since validation checked lambda - rho
-    base = sum(noncompact, p.lam - hm.rho)
-    offsets = tuple(((-1) ** r, sum(sub, base).coords)
-                    for r in range(len(compact) + 1)
-                    for sub in itertools.combinations(compact, r))
-    return _Prepared(hm, hm.char(base, p.chi), compact, noncompact, offsets,
-                     _top_covector(g, hm.height_vec))
+    base = chamber.hm.char(p.lam + chamber.rho_n_less_c, p.chi)
+    return _Prepared(chamber, base, tuple(
+        (sign, tuple(map(add, base[0], s))) for sign, s in chamber.subsets))
 
 
 def _virtual_character(prep: _Prepared, cutoff: int) -> FormalCharacter:
@@ -293,29 +345,72 @@ def _evaluate_ktypes(g: RealGroupData, prep: _Prepared, mode: str,
     return [acc.get(row, 0) for row in range(len(hws))]
 
 
+def _blattner_shifts(g: RealGroupData, compact: Sequence[Weight]
+                     ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Blattner's eps = det(w_Phi) and, per W_K term w, R(w rho_K) - rho_c,
+    for the compact positives Phi_c of a positive system Phi.
+
+    w_Phi takes the positive K roots to those R maps onto Phi_c, and R maps
+    the K roots one-to-one onto the compact roots: so R w_Phi rho_K = rho_c,
+    Phi_c's half-sum, det(w_Phi) = (-1)^(the number of Phi_c outside R K^+),
+    and R(w rho_K) - rho_c = R(w rho_K - rho_K) + R rho_K - rho_c
+    (ArithmeticError if twice the last is odd).
+    """
+    r = g.tm_in_t
+    positives = {matvec(r, a.coords) for a in g.k_roots.positives}
+    eps = (-1) ** sum(c.coords not in positives for c in compact)
+    # twice R rho_K - rho_c, with 2 rho_K the height covector of T
+    c2 = [x - sum(c.coords[i] for c in compact)
+          for i, x in enumerate(matvec(r, g.t_lattice.height_vec))]
+    if any(x % 2 for x in c2):
+        raise ArithmeticError(f"2 (R rho_K - rho_c) = {c2} is odd")
+    return eps, tuple(tuple(x + y // 2 for x, y in zip(matvec(r, s), c2))
+                      for s in g.k_rho_shifts)
+
+
+def _probes(g: RealGroupData) -> list[tuple[int, ...]]:
+    """What the walk pairs d mu with: the simple K roots, then the Z' rows."""
+    return ([s.coords for s in g.k_roots.simples]
+            + (list(g.zchar_rows) if g.hm.ztable.order > 1 else []))
+
+
+def _lift(probes: Sequence[tuple[int, ...]], dmu: Sequence[int],
+          residue: Sequence[int]) -> tuple[int, ...]:
+    """The walk's state: d mu, its pairings with the probes, and the
+    consistency residue."""
+    return (*dmu, *matvec(probes, dmu), *residue)
+
+
+def _blattner_columns(g: RealGroupData, hm: HMLattice,
+                      noncompact: Sequence[Weight]) -> tuple[tuple, tuple]:
+    """Per W_K term w, the walk's columns carried by w^T (_lift): the free
+    coordinates' directions w^T dirs_f, then w^T a beta with beta's
+    consistency residue for each noncompact positive beta; and the
+    positives' doubled heights under hm."""
+    fibres, probes = g.fibres, _probes(g)
+    betas = [b.coords for b in noncompact]
+    # (column before w^T, residue) per walk variable
+    unmoved = ([(v, (0,) * len(fibres.consistency)) for v in fibres.dirs]
+               + [(matvec(fibres.a, b), matvec(fibres.consistency, b))
+                  for b in betas])
+    columns = tuple(tuple(_lift(probes, matvec(wt, v), residue)
+                          for v, residue in unmoved)
+                    for wt in (tuple(zip(*w.matrix)) for w in g.k_weyl))
+    return columns, tuple(sum(map(mul, hm.height_vec, b)) for b in betas)
+
+
 def _blattner_terms(g: RealGroupData, prep: _Prepared
                     ) -> tuple[int, list[tuple[WeylElement, tuple[int, ...]]]]:
     """Blattner's formula for one parameter tuple, as eps = det(w_Phi) and
     terms (w, shift_w) with shift_w = R(w rho_K - w_Phi rho_K) - base:
 
-        mult(mu) = eps * sum_w det(w) * P_n(R w mu + shift_w).
+        mult(mu) = eps * sum_w det(w) * P_n(R w mu + shift_w),
 
-    w_Phi takes the positive K roots to those R maps onto Phi's compact
-    positives Phi_c, and R maps the K roots one-to-one onto the compact
-    roots: so R w_Phi rho_K = rho_c, Phi_c's half-sum, det(w_Phi) = (-1)^(the
-    number of Phi_c outside R K^+), and shift_w = R(w rho_K - rho_K) + C
-    with C = R rho_K - rho_c - base (ArithmeticError if 2C is odd).
+    the record's eps and shifts (_blattner_shifts) less the base.
     """
-    r = g.tm_in_t
-    positives = {matvec(r, a.coords) for a in g.k_roots.positives}
-    eps = (-1) ** sum(c.coords not in positives for c in prep.compact)
-    # twice C, with 2 rho_K the height covector of T
-    c2 = [x - 2 * b - sum(c.coords[i] for c in prep.compact) for i, (x, b)
-          in enumerate(zip(matvec(r, g.t_lattice.height_vec), prep.base[0]))]
-    if any(x % 2 for x in c2):
-        raise ArithmeticError(f"2 (R rho_K - rho_c - base) = {c2} is odd")
-    return eps, [(w, tuple(x + y // 2 for x, y in zip(matvec(r, s), c2)))
-                 for w, s in zip(g.k_weyl, g.k_rho_shifts)]
+    base = prep.base[0]
+    return prep.chamber.eps, [(w, tuple(map(sub, s, base)))
+                              for w, s in zip(g.k_weyl, prep.chamber.shifts)]
 
 
 def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
@@ -330,10 +425,10 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     by w^T: the consistency rows vanish on t - shift_w, and d mu = A_w (t -
     shift_w) + sum_f x_f w^T dirs_f with A_w = w^T a, over the free
     coordinates x_f of w mu, which lie in [-window, window] since w is a
-    signed permutation; a beta is taken once per table.  So d mu is affine
-    in the walk variables, the free coordinates and then the counts, each
-    count at most the largest target height in the window over its own
-    height.
+    signed permutation; the record holds each term's columns
+    (_blattner_columns).  So d mu is affine in the walk variables, the free
+    coordinates and then the counts, each count at most the largest target
+    height in the window over its own height.
     The walk carries d mu, its pairings with the simple K roots, its Z' rows
     and the consistency residues as running sums.  The window, dominance and
     consistency conditions are linear, so each variable runs over one
@@ -343,47 +438,36 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     (n, w) the walk reaches adds det(w) at its mu.
     """
     eps, terms = _blattner_terms(g, prep)
-    hm, fibres, d = prep.hm, g.fibres, g.fibres.d
-    ztable, zbase, order = hm.ztable, prep.base[1], hm.ztable.order
-    rank = g.k_roots.rank
+    chamber, fibres, d = prep.chamber, g.fibres, g.fibres.d
+    ztable, zbase = chamber.hm.ztable, prep.base[1]
+    order, rank = ztable.order, g.k_roots.rank
     # R w mu runs over the window's keys, as w permutes the window's weights
-    hv = hm.height_vec
-    bound2 = window * sum(map(abs, prep.top)) + max(
-        sum(map(mul, hv, shift)) for _, shift in terms)
-    betas = [b.coords for b in prep.noncompact]
-    heights = [sum(map(mul, hv, b)) for b in betas]
-    consistency = fibres.consistency
-    residues = [matvec(consistency, b) for b in betas]
-    a_betas = [matvec(fibres.a, b) for b in betas]
-    # state: d mu, its pairings with the simple K roots and its Z' rows,
-    # then the consistency residues
-    simples = [s.coords for s in g.k_roots.simples]
-    probes = simples + (list(g.zchar_rows) if order > 1 else [])
-    zs = slice(rank + len(simples), rank + len(probes))
+    bound2 = window * sum(map(abs, chamber.top)) + max(
+        sum(map(mul, chamber.hm.height_vec, shift)) for _, shift in terms)
+    ranges = ([(-window, window)] * len(fibres.dirs)
+              + [(0, bound2 // h) for h in chamber.heights])
+    consistency, probes = fibres.consistency, _probes(g)
+    nsimple = len(g.k_roots.simples)
+    zs = slice(rank + nsimple, rank + len(probes))
     # each condition is sign * state[i] >= bound
     conditions = ([(i, s, -d * window) for i in range(rank) for s in (1, -1)]
-                  + [(rank + j, 1, 0) for j in range(len(simples))]
+                  + [(rank + j, 1, 0) for j in range(nsimple)]
                   + [(zs.stop + j, s, 0)
                      for j in range(len(consistency)) for s in (1, -1)])
 
-    def lift(dmu, residue):
-        return (*dmu, *matvec(probes, dmu), *residue)
-
     found: dict[tuple[int, ...], int] = {}
-    for w, shift in terms:
+    for (w, shift), columns in zip(terms, chamber.columns):
         wt = tuple(zip(*w.matrix))
         # (column, lo, hi): no count exceeds the cut over its own height;
         # with no variable at all, a zero column reads the start alone
-        variables = ([(lift(matvec(wt, v), (0,) * len(consistency)),
-                       -window, window) for v in fibres.dirs]
-                     + [(lift(matvec(wt, ab), r), 0, bound2 // h)
-                        for ab, h, r in zip(a_betas, heights, residues)]
+        variables = ([(c, lo, hi) for c, (lo, hi) in zip(columns, ranges)]
                      or [((0,) * (zs.stop + len(consistency)), 0, 0)])
         col = variables[-1][0]
         dcol, zcol = col[:rank], col[zs]
         step, det = tuple(order * x for x in dcol), w.det
-        start = lift([-x for x in matvec(wt, matvec(fibres.a, shift))],
-                     [-x for x in matvec(consistency, shift)])
+        start = _lift(probes,
+                      [-x for x in matvec(wt, matvec(fibres.a, shift))],
+                      [-x for x in matvec(consistency, shift)])
         for line, lo, hi in _walk(start, _levels(conditions, variables)):
             dmu0, z0 = line[:rank], line[zs]
             for n in range(lo, min(hi, lo + d * order - 1) + 1):

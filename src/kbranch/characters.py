@@ -286,6 +286,15 @@ class FormalCharacter:
     def one(cls, hm: HMLattice) -> "FormalCharacter":
         return cls(hm, {((0,) * hm.rank, hm.ztable.identity): 1})
 
+    @classmethod
+    def _trusted(cls, hm: HMLattice, terms: dict[_Key, int],
+                 cutoff: Optional[int]) -> "FormalCharacter":
+        """A character from terms that are already characters of H, nonzero
+        and within the cutoff: built without the constructor's checks."""
+        out = cls.__new__(cls)
+        out.hm, out._terms, out.cutoff = hm, terms, cutoff
+        return out
+
     def items(self) -> Iterator[tuple[_Key, int]]:
         return iter(sorted(self._terms.items()))
 
@@ -363,42 +372,48 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
                 break
             key = tuple(map(add, ca, cb)), zmul(za, zb)
             acc[key] = acc.get(key, 0) + ma * mb
-    # sums of checked keys, within the certificate: no constructor checks
-    out = FormalCharacter.__new__(FormalCharacter)
-    out.hm, out.cutoff = hm, cutoff
-    out._terms = {k: m for k, m in acc.items() if m}
-    return out
+    # sums of checked keys, within the certificate
+    return FormalCharacter._trusted(
+        hm, {k: m for k, m in acc.items() if m}, cutoff)
+
+
+def _step(hm: HMLattice, root: Weight) -> tuple[tuple[int, ...], int]:
+    """The coordinates and doubled height of a series factor's root:
+    LatticeError unless it is an integral weight of hm, ConeError unless its
+    height is positive (a zero root's is not)."""
+    h2 = hm.height2(root)
+    if h2 <= 0:
+        raise ConeError(f"root {root.coords} has nonpositive height; the "
+                        "factor is not graded")
+    return root.coords, h2
 
 
 def geometric_series(hm: HMLattice, root: Weight, cutoff: int) -> FormalCharacter:
-    """Sum of e^{n*root} over n >= 0 with height(n*root) <= cutoff."""
-    if root.is_zero():
-        raise ConeError("geometric series of the zero root")
+    """Sum of e^{n*root} over n >= 0 with height(n*root) <= cutoff.  The
+    root is checked once (_step); its multiples are keys by construction."""
     if type(cutoff) is not int or cutoff < 0:
         raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
-    step, z = hm.char(root)
-    h2 = hm.key_height2((step, z))
-    if h2 <= 0:
-        raise ConeError("root has nonpositive height; series is not graded")
-    terms, point = {}, (0,) * hm.rank
+    step, h2 = _step(hm, root)
+    z, terms, point = hm.ztable.identity, {}, (0,) * hm.rank
     for _ in range(2 * cutoff // h2 + 1):
         terms[point, z] = 1
-        point = tuple(x + y for x, y in zip(point, step))
-    return FormalCharacter(hm, terms, cutoff)
+        point = tuple(map(add, point, step))
+    return FormalCharacter._trusted(hm, terms, cutoff)
 
 
 def graded_exterior(hm: HMLattice, weights: Sequence[Weight]) -> FormalCharacter:
-    """Signed exterior-algebra character: product of (1 - e^{w})."""
-    acc = dict(FormalCharacter.one(hm).items())
+    """Signed exterior-algebra character of positive roots: the product of
+    (1 - e^{w}), each root checked once (_step)."""
+    acc = {((0,) * hm.rank, hm.ztable.identity): 1}
     for w in weights:
-        step, _ = hm.char(w)
+        step, _ = _step(hm, w)
         nxt: dict[_Key, int] = {}
         for (c, z), m in acc.items():
             nxt[c, z] = nxt.get((c, z), 0) + m
-            shifted = tuple(x + y for x, y in zip(c, step)), z
+            shifted = tuple(map(add, c, step)), z
             nxt[shifted] = nxt.get(shifted, 0) - m
         acc = {k: m for k, m in nxt.items() if m != 0}
-    return FormalCharacter(hm, acc)
+    return FormalCharacter._trusted(hm, acc, None)
 
 
 def partition_counts(roots: Sequence[Weight], hm: HMLattice,

@@ -780,10 +780,10 @@ def test_blattner_terms_are_the_searched_terms():
 
 
 def test_blattner_terms_refuse_a_half_integral_constant():
-    # without its compact positive, rho_c moves by half the root (1, -1, 0)
-    prep = branching._prepare(GU, su21_from_lambda(GU, [3, 1, -1]))
+    # without its compact positive, rho_c moves by half the root (1, -1, 0);
+    # the constant is the positive system's, checked as its record is built
     with pytest.raises(ArithmeticError, match="is odd"):
-        branching._blattner_terms(GU, prep._replace(compact=()))
+        branching._blattner_shifts(GU, ())
 
 
 def test_blattner_partition_calls_track_rows(monkeypatch):
@@ -846,16 +846,67 @@ def test_blattner_funnel_budget(monkeypatch, g, lam, window, lines, points):
     assert funnel["lines"] <= lines and funnel["points"] <= points
 
 
-def test_top_covector_once_per_table(monkeypatch):
+def test_top_covector_once_per_chamber(monkeypatch):
+    # v is the positive system's: the first evaluation derives it, with the
+    # chamber's record, and the next two read that record
     calls = _count_calls(monkeypatch, (branching, "_top_covector"))
     p = su21_from_lambda(GU, [3, 1, -1])
-    for evaluate in (lambda: ktype_table(GU, p, 6),
-                     lambda: box_table(GU, p, 6, "series"),
-                     lambda: ktype_multiplicity(
-                         GU, p, KType(GU.t_weight([4, 1, -2])))):
+    branching._chamber.cache_clear()
+    for evaluate, derived in ((lambda: ktype_table(GU, p, 6), 1),
+                              (lambda: box_table(GU, p, 6, "series"), 0),
+                              (lambda: ktype_multiplicity(
+                                  GU, p, KType(GU.t_weight([4, 1, -2]))), 0)):
         calls.clear()
         evaluate()
-        assert calls == {"_top_covector": 1}
+        assert calls["_top_covector"] == derived
+
+
+def test_chamber_derived_once_per_positive_system(monkeypatch):
+    # every su21 lambda in [-4, 4]^3 off the compact wall, a singular one on
+    # the positive system that this module's _chamber helper picks: 648
+    # tables over the 6 positive systems of A_2, each graded once
+    calls = _count_calls(monkeypatch, (HMLattice, "graded"))
+    lams = [lam for lam in itertools.product(range(-4, 5), repeat=3)
+            if lam[0] != lam[1]]
+    branching._chamber.cache_clear()
+    for lam in lams:
+        ktype_table(GU, _chamber(GU, lam), 6)
+    assert len(lams) == 648
+    assert calls["graded"] == 6
+
+
+def test_chamber_records_keep_groups_of_one_name_apart():
+    # the builtin su21 and its all-noncompact copy share the name "su21",
+    # all that a group's hash reads: interleaved, each table is still the
+    # one its group gives from a cold record cache
+    noncompact = all_noncompact_su21()
+    assert hash(noncompact) == hash(GU) and noncompact != GU
+    cases = [(g, lam) for lam in ([3, 1, -1], [5, -2, 0], [-1, 2, 4])
+             for g in (GU, noncompact)]
+    cold = []
+    for g, lam in cases:
+        branching._chamber.cache_clear()
+        cold.append(ktype_table(g, _chamber(g, lam), 4))
+    assert cold[0] != cold[1]
+    branching._chamber.cache_clear()
+    for _ in range(2):
+        assert [ktype_table(g, _chamber(g, lam), 4)
+                for g, lam in cases] == cold
+    assert branching._chamber.cache_info().currsize == len(cases)
+
+
+def test_a_singular_parameter_gets_a_record_per_positive_system():
+    # lambda = (2, 1, 1) lies on the wall of the noncompact root (0, 1, -1)
+    # and is dominant for both positive systems on either side of it
+    params = [su21_from_lambda(GU, [2, 1, 1], rmplus=[[1, -1, 0], [1, 0, -1],
+                                                      r]) for r in
+              ([0, 1, -1], [0, -1, 1])]
+    verdicts = [validate_params(GU, p) for p in params]
+    assert [v.verdict for v in verdicts] == ["nonzero", "nonzero"]
+    a, b = (v.chamber for v in verdicts)
+    assert a.hm != b.hm and a.noncompact != b.noncompact
+    assert all(validate_params(GU, p).chamber is c
+               for p, c in zip(params, (a, b)))
 
 
 @pytest.mark.parametrize("window", [-1, 2.5, True, "3"])

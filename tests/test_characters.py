@@ -99,6 +99,35 @@ def test_geometric_series_rejects_bad_roots():
         geometric_series(SL2, Weight((-2,), SL2.lattice), 5)
 
 
+@pytest.mark.parametrize("factor", [
+    lambda hm, root: geometric_series(hm, root, 6),
+    lambda hm, root: graded_exterior(hm, [ALPHA, root])],
+    ids=["geometric_series", "graded_exterior"])
+@pytest.mark.parametrize("root, exc", [
+    (Weight((0,), SL2.lattice), ConeError),
+    (Weight((-2,), SL2.lattice), ConeError),
+    (Weight((2,), "other:tM"), LatticeError),
+    (Weight((2, 0), SL2.lattice), LatticeError),
+    (Weight((1,), SL2.lattice, 2), LatticeError)],
+    ids=["zero", "negative", "foreign", "rank", "half-integral"])
+def test_series_factors_check_their_roots(factor, root, exc):
+    # each root is checked once, before its terms are built unchecked
+    with pytest.raises(exc):
+        factor(SL2, root)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: geometric_series(SL2, ALPHA, 7),
+    lambda: geometric_series(U21, B1, 9),
+    lambda: geometric_series(U21, B2, 0),
+    lambda: graded_exterior(SL2, []),
+    lambda: graded_exterior(U21, [Weight((1, -1, 0), U21.lattice), B1, B2])])
+def test_series_factors_equal_their_checked_build(build):
+    got = build()
+    assert len(got) and got == FormalCharacter(got.hm, dict(got.items()),
+                                               got.cutoff)
+
+
 def test_graded_exterior_examples():
     assert graded_exterior(SL2, []) == FormalCharacter.one(SL2)
     ext = graded_exterior(SL2, [ALPHA])

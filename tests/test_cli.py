@@ -534,8 +534,10 @@ def test_table_validates_and_grades_once(capsys, monkeypatch):
     monkeypatch.setattr(branching, "validate_params", counted)
     monkeypatch.setattr("kbranch.cli.validate_params", counted)
     monkeypatch.setattr(branching, "HMLattice", Counted)
+    branching._chamber.cache_clear()  # the lattice is the chamber record's
     code, out, _ = run(capsys, "table", "--group", "su21", "--params",
                        '{"lambda":[3,1,-1]}', "--window", "16")
+    branching._chamber.cache_clear()  # no Counted lattice outlives the test
     assert code == 0 and out
     assert (len(validations), len(lattices)) == (1, 1)
 

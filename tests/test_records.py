@@ -44,9 +44,14 @@ FROZEN = {
                ("a", "dirs", "consistency", "d", "free")),
     "TemperedParams": (lambda: _params(GU), ("lam", "rmplus", "chi", "nu")),
     "ParamVerdict": (lambda: validate_params(GU, _params(GU)),
-                     ("verdict", "reason", "hm")),
+                     ("verdict", "reason", "chamber")),
+    "Chamber": (lambda: branching._chamber.__wrapped__(
+                    GU, _params(GU).rmplus),
+                ("hm", "compact", "noncompact", "compact_simples",
+                 "rho_n_less_c", "subsets", "top", "eps", "shifts", "columns",
+                 "heights")),
     "_Prepared": (lambda: branching._prepare(GU, _params(GU)),
-                  ("hm", "base", "compact", "noncompact", "offsets", "top")),
+                  ("chamber", "base", "offsets")),
     "KType": (lambda: KType(weight((2, 0, -1), "t")), ("highest",)),
     "GridSpec": (lambda: GridSpec(6.0, 0.1), ("halfwidth", "step")),
     "SL2Series": (lambda: SL2Series("discrete_plus", 3), ("kind", "n")),
