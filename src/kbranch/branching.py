@@ -12,15 +12,16 @@ in two steps.  Preparation validates the parameters once and derives
 what every K-type shares.  That work comes in three tiers:
 
   - load: what the group alone determines (W_K, rho_K, compactness, the
-    fibres of the torus restriction), derived in groups and read here;
+    fibres of the torus restriction, Blattner's walk data), derived in
+    groups and read here;
   - chamber: what the parameters' positive system Phi alone determines, a
     Chamber record built once per (group, Phi) and kept in a cache of 64:
     whether Phi is a positive system at all (no duplicates or non-roots,
     a half of the roots, pointed), the lattice graded by Phi, its positives
     split by type, its compact simple roots, rho_n - rho_c, the signed
     compact-subset sums, the keys' top covector, and Blattner's eps, term
-    shifts and walk columns.  A nonzero verdict carries the record, and
-    every table of the same Phi reads it;
+    shifts and walk columns, the last looked up in the load's.  A nonzero
+    verdict carries the record, and every table of the same Phi reads it;
   - call: what lambda and chi fix, the dominance, lifting and component
     checks, the base key lambda - rho_c + rho_n and the compact offsets,
     and the window's own bounds.
@@ -51,6 +52,8 @@ the rows the key touches.  Every table over the window's box (box_table,
 and ktype_table outside Blattner's formula) reads the window's, kept by
 ktypes.ktype_box once per window, and costs the oracle's values and the
 rows they touch; the spot check and ktype_multiplicity index their own.
+ktype_table spot-checks its lowest rows with an oracle its table did not
+come from: the partition counts a Blattner table, the series a box one.
 Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
 are the restricted representation and always nonnegative.
 """
@@ -99,7 +102,7 @@ class Chamber(NamedTuple):
     """What a positive system Phi of the Levi roots fixes for every
     parameter tuple that names it (the chamber tier above), built once per
     (group, Phi) by _chamber.  The last four fields are Blattner's
-    (_blattner_shifts, _blattner_columns); where the formula does not apply
+    (_blattner_shifts, and the group's WalkTerms); where it does not apply
     eps is 1 and the rest are empty."""
 
     hm: HMLattice                        # the Levi lattice graded by Phi
@@ -208,13 +211,15 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
     m_roots, rm = set(g.m_roots.roots), set(rmplus)
     if len(rm) != len(rmplus) or not rm <= m_roots:
         return "positive system contains non-roots or duplicates"
-    if 2 * len(rm) != len(m_roots) or rm & {-r for r in rm}:
+    coords = {r.coords for r in rm}  # roots now: coordinates tell them apart
+    if 2 * len(rm) != len(m_roots) or any(
+            tuple(-x for x in c) in coords for c in coords):
         return "positive system does not split the roots into halves"
 
     # a genuine positive system is separated by its own root sum
     hm = HMLattice.graded(g.hm.rank, g.hm.lattice, rmplus, g.hm.ztable)
     for a in rmplus:
-        if hm.height2(a) <= 0:
+        if sum(map(mul, hm.height_vec, a.coords)) <= 0:
             return f"chosen positive system is not pointed at {a.coords}"
 
     compact = tuple(g.compact_positives(rmplus))
@@ -226,7 +231,10 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
     eps, shifts, columns, heights = 1, (), (), ()
     if g.blattner_applies:
         eps, shifts = _blattner_shifts(g, compact)
-        columns, heights = _blattner_columns(g, hm, noncompact)
+        betas = [b.coords for b in noncompact]
+        columns = tuple(t.dirs + tuple(t.roots[b] for b in betas)
+                        for t in g.walk)
+        heights = tuple(sum(map(mul, hm.height_vec, b)) for b in betas)
     return Chamber(hm, compact, noncompact,
                    tuple(a for a in simple_roots(rmplus) if g.is_compact(a)),
                    sum(noncompact, -hm.rho), subsets,
@@ -354,49 +362,16 @@ def _blattner_shifts(g: RealGroupData, compact: Sequence[Weight]
     the K roots one-to-one onto the compact roots: so R w_Phi rho_K = rho_c,
     Phi_c's half-sum, det(w_Phi) = (-1)^(the number of Phi_c outside R K^+),
     and R(w rho_K) - rho_c = R(w rho_K - rho_K) + R rho_K - rho_c
-    (ArithmeticError if twice the last is odd).
+    (ArithmeticError if twice the last is odd).  R K^+, R 2rho_K and each
+    R(w rho_K - rho_K) are the group's, derived at load.
     """
-    r = g.tm_in_t
-    positives = {matvec(r, a.coords) for a in g.k_roots.positives}
-    eps = (-1) ** sum(c.coords not in positives for c in compact)
-    # twice R rho_K - rho_c, with 2 rho_K the height covector of T
+    eps = (-1) ** sum(c.coords not in g.r_k_positives for c in compact)
     c2 = [x - sum(c.coords[i] for c in compact)
-          for i, x in enumerate(matvec(r, g.t_lattice.height_vec))]
+          for i, x in enumerate(g.r_rho2)]
     if any(x % 2 for x in c2):
         raise ArithmeticError(f"2 (R rho_K - rho_c) = {c2} is odd")
-    return eps, tuple(tuple(x + y // 2 for x, y in zip(matvec(r, s), c2))
-                      for s in g.k_rho_shifts)
-
-
-def _probes(g: RealGroupData) -> list[tuple[int, ...]]:
-    """What the walk pairs d mu with: the simple K roots, then the Z' rows."""
-    return ([s.coords for s in g.k_roots.simples]
-            + (list(g.zchar_rows) if g.hm.ztable.order > 1 else []))
-
-
-def _lift(probes: Sequence[tuple[int, ...]], dmu: Sequence[int],
-          residue: Sequence[int]) -> tuple[int, ...]:
-    """The walk's state: d mu, its pairings with the probes, and the
-    consistency residue."""
-    return (*dmu, *matvec(probes, dmu), *residue)
-
-
-def _blattner_columns(g: RealGroupData, hm: HMLattice,
-                      noncompact: Sequence[Weight]) -> tuple[tuple, tuple]:
-    """Per W_K term w, the walk's columns carried by w^T (_lift): the free
-    coordinates' directions w^T dirs_f, then w^T a beta with beta's
-    consistency residue for each noncompact positive beta; and the
-    positives' doubled heights under hm."""
-    fibres, probes = g.fibres, _probes(g)
-    betas = [b.coords for b in noncompact]
-    # (column before w^T, residue) per walk variable
-    unmoved = ([(v, (0,) * len(fibres.consistency)) for v in fibres.dirs]
-               + [(matvec(fibres.a, b), matvec(fibres.consistency, b))
-                  for b in betas])
-    columns = tuple(tuple(_lift(probes, matvec(wt, v), residue)
-                          for v, residue in unmoved)
-                    for wt in (tuple(zip(*w.matrix)) for w in g.k_weyl))
-    return columns, tuple(sum(map(mul, hm.height_vec, b)) for b in betas)
+    return eps, tuple(tuple(x + y // 2 for x, y in zip(t.shift, c2))
+                      for t in g.walk)
 
 
 def _blattner_terms(g: RealGroupData, prep: _Prepared
@@ -425,8 +400,8 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     by w^T: the consistency rows vanish on t - shift_w, and d mu = A_w (t -
     shift_w) + sum_f x_f w^T dirs_f with A_w = w^T a, over the free
     coordinates x_f of w mu, which lie in [-window, window] since w is a
-    signed permutation; the record holds each term's columns
-    (_blattner_columns).  So d mu is affine in the walk variables, the free
+    signed permutation; the record holds each term's columns, read off the
+    group's WalkTerm of w.  So d mu is affine in the walk variables, the free
     coordinates and then the counts, each count at most the largest target
     height in the window over its own height.
     The walk carries d mu, its pairings with the simple K roots, its Z' rows
@@ -446,9 +421,9 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
         sum(map(mul, chamber.hm.height_vec, shift)) for _, shift in terms)
     ranges = ([(-window, window)] * len(fibres.dirs)
               + [(0, bound2 // h) for h in chamber.heights])
-    consistency, probes = fibres.consistency, _probes(g)
-    nsimple = len(g.k_roots.simples)
-    zs = slice(rank + nsimple, rank + len(probes))
+    consistency, nsimple = fibres.consistency, len(g.k_roots.simples)
+    width = len(g.walk[0].matrix)  # of the walk's state
+    zs = slice(rank + nsimple, width - len(consistency))
     # each condition is sign * state[i] >= bound
     conditions = ([(i, s, -d * window) for i in range(rank) for s in (1, -1)]
                   + [(rank + j, 1, 0) for j in range(nsimple)]
@@ -456,18 +431,15 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
                      for j in range(len(consistency)) for s in (1, -1)])
 
     found: dict[tuple[int, ...], int] = {}
-    for (w, shift), columns in zip(terms, chamber.columns):
-        wt = tuple(zip(*w.matrix))
+    for (w, shift), columns, term in zip(terms, chamber.columns, g.walk):
         # (column, lo, hi): no count exceeds the cut over its own height;
         # with no variable at all, a zero column reads the start alone
         variables = ([(c, lo, hi) for c, (lo, hi) in zip(columns, ranges)]
-                     or [((0,) * (zs.stop + len(consistency)), 0, 0)])
+                     or [((0,) * width, 0, 0)])
         col = variables[-1][0]
         dcol, zcol = col[:rank], col[zs]
         step, det = tuple(order * x for x in dcol), w.det
-        start = _lift(probes,
-                      [-x for x in matvec(wt, matvec(fibres.a, shift))],
-                      [-x for x in matvec(consistency, shift)])
+        start = tuple(-x for x in matvec(term.matrix, shift))
         for line, lo, hi in _walk(start, _levels(conditions, variables)):
             dmu0, z0 = line[:rank], line[zs]
             for n in range(lo, min(hi, lo + d * order - 1) + 1):
@@ -589,27 +561,28 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
     """Multiplicities of every K-type in the window; empty for zero verdicts.
 
     Blattner's formula over the K-types the noncompact cone reaches where
-    the group data allow it, else partition counts over the box; the series
-    oracle checks the few nonzero entries whose keys reach the least height,
-    where it is cheapest (ties in lexical order).  Entries are the restricted
-    representation itself; the table's sign field records the index sign.
-    A caller holding validate_params(g, p) passes it as verdict.
+    the group data allow it, else partition counts over the box; the
+    partition oracle, or the series for a box table, checks the few nonzero
+    entries whose keys reach the least height, where it is cheapest (ties in
+    lexical order).  Entries are the restricted representation itself; the
+    table's sign field records the index sign.  A caller holding
+    validate_params(g, p) passes it as verdict.
     """
     _check_window(window)
     prep = _prepare(g, p, zero_ok=True, verdict=verdict)
     if prep is None:
         return KTypeTable({}, window, sign_factor(g))
-    evaluator = "blattner" if g.blattner_applies else "partition"
+    evaluator, oracle = (("blattner", "partition") if g.blattner_applies
+                         else ("partition", "series"))
     rows = (_nonzero(_blattner_table(g, prep, window)) if g.blattner_applies
             else _box(g, prep, window, "partition"))
     v = prep.top
     spot = sorted(rows, key=lambda r: sum(map(mul, r[0], v)))[:_SPOT_CHECKS]
-    series = _evaluate_ktypes(g, prep, "series", [mu for mu, _ in spot])
-    for (mu, m), s in zip(spot, series):
-        if s != m:
-            raise ArithmeticError(
-                f"evaluator disagreement at {mu}: "
-                f"series {s} vs {evaluator} {m}")
+    checked = _evaluate_ktypes(g, prep, oracle, [mu for mu, _ in spot])
+    for (mu, m), c in zip(spot, checked):
+        if c != m:
+            raise ArithmeticError(f"evaluator disagreement at {mu}: "
+                                  f"{oracle} {c} vs {evaluator} {m}")
     return KTypeTable(dict(rows), window, sign_factor(g))
 
 

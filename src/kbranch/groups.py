@@ -9,8 +9,9 @@ one, and derives, once per group, the root data the engine reads: the
 lattices of T and T_M graded by the positive systems of K and of the Levi
 factor (with their rho), the Weyl group of K, the shift w rho_K - rho_K of
 each of its elements, the compactness of each Levi root, the fibres of the
-torus restriction and of the dot products with K's simple roots, and
-whether Blattner's formula applies.  Weight
+torus restriction and of the dot products with K's simple roots, whether
+Blattner's formula applies and, where it does, what its walk reads of the
+group alone.  Weight
 coordinates are, by convention, orthonormal for an invariant inner
 product; this is what makes coroot pairings exact integers and is enforced
 by the crystallographic checks below.  The Z' character of a T-weight is
@@ -24,7 +25,7 @@ import json
 import os
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import mul, sub
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -73,10 +74,11 @@ def matvec(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
 
 
 def simple_roots(positives: Sequence[Weight]) -> tuple[Weight, ...]:
-    """The indecomposable positives: those not the sum of two positives."""
-    pos = [p.coords for p in positives]
-    sums = {tuple(a + b for a, b in zip(q, r)) for q in pos for r in pos}
-    return tuple(p for p in positives if p.coords not in sums)
+    """The indecomposable positives: those not the sum of two positives,
+    so that taking any positive from one leaves no positive."""
+    pos = {p.coords for p in positives}
+    return tuple(p for p in positives if not any(
+        tuple(map(sub, p.coords, q)) in pos for q in pos))
 
 
 def _reflection_matrix(alpha: Weight, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -218,6 +220,17 @@ def _parse_fraction(v, inv):
                               f"a nonzero denominator, got {v!r}")
 
 
+class WalkTerm(NamedTuple):
+    """What Blattner's walk reads of one W_K element w, derived at load.  Its
+    state at a Levi weight b is w^T a b (the fibres' map carried by w^T), its
+    pairings with the simple K roots and Z' rows, and b's consistency rows."""
+
+    matrix: tuple[tuple[int, ...], ...]    # b -> its state, as rows
+    dirs: tuple[tuple[int, ...], ...]      # the states of w^T dirs_f
+    roots: dict[tuple[int, ...], tuple[int, ...]]  # noncompact root -> state
+    shift: tuple[int, ...]                 # R(w rho_K - rho_K)
+
+
 class RealGroupData(NamedTuple):
     """Validated group data, with the root data derived from it once, at
     load.  Equality compares every field; the hash reads the name only, so
@@ -243,6 +256,10 @@ class RealGroupData(NamedTuple):
     fibres: Fibres                           # R x = b, read by one integer map
     k_pairings: Fibres                       # S x = p, S the simple K roots
     blattner_applies: bool
+    # where it applies: R K^+, R 2rho_K and a WalkTerm per k_weyl element
+    r_k_positives: frozenset = frozenset()
+    r_rho2: tuple[int, ...] = ()
+    walk: tuple[WalkTerm, ...] = ()
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -365,6 +382,30 @@ def _blattner_applies(g: RealGroupData,
             and set(k_restricted) == compact
             and all(g.zchar(a.coords) == g.hm.ztable.identity
                     for a in g.k_roots.roots))
+
+
+def _with_walk(g: RealGroupData) -> RealGroupData:
+    """g with the group-only data of Blattner's walk (WalkTerm)."""
+    fibres, r, rank = g.fibres, g.tm_in_t, g.hm.rank
+    probes = ([s.coords for s in g.k_roots.simples]
+              + (list(g.zchar_rows) if g.hm.ztable.order > 1 else []))
+    width = g.k_roots.rank + len(probes) + len(fibres.consistency)
+    # (vector before w^T, residue): a e_i per Levi coordinate, then dirs_f
+    unmoved = [(matvec(fibres.a, e), matvec(fibres.consistency, e)) for e in (
+        tuple(int(i == j) for j in range(rank)) for i in range(rank))]
+    unmoved += [(v, (0,) * len(fibres.consistency)) for v in fibres.dirs]
+    walk = []
+    for w, shift in zip(g.k_weyl, g.k_rho_shifts):
+        wt = tuple(zip(*w.matrix))
+        states = [(*dmu, *matvec(probes, dmu), *res) for dmu, res in (
+            (matvec(wt, v), res) for v, res in unmoved)]
+        matrix = tuple(tuple(s[j] for s in states[:rank]) for j in range(width))
+        walk.append(WalkTerm(matrix, tuple(states[rank:]), {
+            b: matvec(matrix, b) for b, compact in g.compact_of.items()
+            if not compact}, matvec(r, shift)))
+    return g._replace(r_k_positives=frozenset(
+        matvec(r, a.coords) for a in g.k_roots.positives),
+        r_rho2=matvec(r, g.t_lattice.height_vec), walk=tuple(walk))
 
 
 _SCHEMA_FIELDS = {
@@ -597,8 +638,9 @@ def _build(doc: dict) -> RealGroupData:
                                  "has Z' values in no table row") from None
     checklist.append("zmprime compatibility")
 
-    return g._replace(checklist=tuple(checklist),
-                      blattner_applies=_blattner_applies(g, k_restr))
+    g = g._replace(checklist=tuple(checklist),
+                   blattner_applies=_blattner_applies(g, k_restr))
+    return _with_walk(g) if g.blattner_applies else g
 
 
 def data_dir() -> Path:

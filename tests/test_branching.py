@@ -5,6 +5,7 @@ oracle."""
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from operator import sub
@@ -222,9 +223,9 @@ def test_w_equivariance_of_parameters():
 SP4R = load_group_data(Path(__file__).parent / "data" / "sp4r.json")
 
 
-def _chamber(g, lam):
+def _chamber(g, lam, denom=1):
     """A regular parameter on the Levi positive system it picks."""
-    w = g.tm_weight(lam)
+    w = g.tm_weight(lam, denom)
     return TemperedParams(w, tuple(r if dot(w, r) > 0 else -r
                                    for r in g.m_roots.positives),
                           0, g.a_weight([]))
@@ -498,13 +499,18 @@ def test_virtual_character_steps_coordinate_tuples(monkeypatch):
 
 
 def test_short_certificate_raises_cutoff_error(monkeypatch):
+    # ktype_table reaches the series in its spot check only where the table
+    # is not Blattner's, as on the all-noncompact su21
     p = su21_from_lambda(GU, [4, 1, -2])
+    noncompact = all_noncompact_su21()
+    q = _chamber(noncompact, [3, 1, -1])
     top = max(ktype_table(GU, p, 4).entries)
+    assert ktype_table(noncompact, q, 4).entries
     virtual = branching._virtual_character
     monkeypatch.setattr(branching, "_virtual_character",
                         lambda prep, cutoff: virtual(prep, cutoff - 1))
     for evaluate in (lambda: ktype_table_series(GU, p, 4),
-                     lambda: ktype_table(GU, p, 4),
+                     lambda: ktype_table(noncompact, q, 4),
                      lambda: ktype_multiplicity(GU, p, KType(GU.t_weight(top)),
                                                 "series")):
         with pytest.raises(CutoffError):
@@ -787,8 +793,22 @@ def test_blattner_terms_refuse_a_half_integral_constant():
 
 
 def test_blattner_partition_calls_track_rows(monkeypatch):
+    # the one partition table is the spot check's, over its three rows
+    partition_counts, evaluate = branching.partition_counts, branching._evaluate
+    checking, built = [], []
+
     def refuse(*args):
-        raise AssertionError("the Blattner path built a partition table")
+        if checking != ["partition"]:
+            raise AssertionError("the Blattner path built a partition table")
+        built.append(args)
+        return partition_counts(*args)
+
+    def spot_check(prep, mode, index, top2):
+        checking.append(mode)
+        try:
+            return evaluate(prep, mode, index, top2)
+        finally:
+            checking.pop()
 
     blattner = branching._blattner_table
     returned = []
@@ -798,12 +818,13 @@ def test_blattner_partition_calls_track_rows(monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(branching, "partition_counts", refuse)
+    monkeypatch.setattr(branching, "_evaluate", spot_check)
     monkeypatch.setattr(branching, "_blattner_table", counted)
     t = ktype_table(GU, su21_from_lambda(GU, [3, 1, -1]), 16)
     # the box holds 18,513 K-types, each needing |W_K| = 2 counts; the walk
     # returns the K-types some term reaches, before the terms cancel
     assert len(t.entries) == 28
-    assert len(returned) == 1
+    assert len(returned) == 1 and len(built) == 1
     assert len(returned[0]) <= 10 * len(t.entries)
 
 
@@ -864,15 +885,28 @@ def test_top_covector_once_per_chamber(monkeypatch):
 def test_chamber_derived_once_per_positive_system(monkeypatch):
     # every su21 lambda in [-4, 4]^3 off the compact wall, a singular one on
     # the positive system that this module's _chamber helper picks: 648
-    # tables over the 6 positive systems of A_2, each graded once
-    calls = _count_calls(monkeypatch, (HMLattice, "graded"))
+    # tables over the 6 positive systems of A_2, each graded once.  The
+    # records read what the group alone fixes from its load (WalkTerm, R K^+
+    # and R 2rho_K): no product with the fibres' map, their consistency
+    # rows or R, and no derivation of the walk data
+    calls = _count_calls(monkeypatch, (HMLattice, "graded"),
+                         (groups, "_with_walk"))
+    group_only = {id(GU.fibres.a), id(GU.fibres.consistency), id(GU.tm_in_t)}
+    matvec, products = branching.matvec, Counter()
+
+    def counted(mat, v):
+        products[id(mat) in group_only] += 1
+        return matvec(mat, v)
+
+    monkeypatch.setattr(branching, "matvec", counted)
     lams = [lam for lam in itertools.product(range(-4, 5), repeat=3)
             if lam[0] != lam[1]]
     branching._chamber.cache_clear()
     for lam in lams:
         ktype_table(GU, _chamber(GU, lam), 6)
     assert len(lams) == 648
-    assert calls["graded"] == 6
+    assert calls["graded"] == 6 and calls["_with_walk"] == 0
+    assert products[False] and not products[True]
 
 
 def test_chamber_records_keep_groups_of_one_name_apart():
@@ -941,40 +975,146 @@ def test_mode_is_checked_before_any_work(monkeypatch, evaluate, lam):
         monkeypatch.setattr(branching, "_prepare", refuse)
 
 
-def test_spot_check_series_budget(monkeypatch):
-    # the spot check builds one truncated series per table, and its cutoff
-    # does not grow with the window: over every su21 parameter in [-4, 4]^3
-    # off the compact wall, regular or singular, the ceilings per (window,
-    # singular) are pinned, and past window 8 the cutoff stays put
-    ceilings = {(2, False): 1, (2, True): 2, (3, False): 2}  # the rest 4
-    virtual = branching._virtual_character
-    cutoffs = []
+def _spot_check_bound(monkeypatch, g, name):
+    """(p, window) -> the bound of the one table that ktype_table(g, p,
+    window) builds by name, the check's partition_counts or
+    _virtual_character: a doubled height bound or a cutoff."""
+    build, bounds = getattr(branching, name), []
 
-    def counted(prep, cutoff):
-        cutoffs.append(cutoff)
-        return virtual(prep, cutoff)
+    def counted(*args):
+        bounds.append(args[-1])
+        return build(*args)
 
-    def cutoff(p, window):
-        cutoffs.clear()
-        ktype_table(GU, p, window)
-        assert len(cutoffs) == 1
-        return cutoffs[0]
+    def bound(p, window):
+        bounds.clear()
+        ktype_table(g, p, window)
+        assert len(bounds) == 1
+        return bounds[0]
 
-    monkeypatch.setattr(branching, "_virtual_character", counted)
-    tie = GU.tm_weight([1, 0, -1])
-    for a, b, c in itertools.product(range(-4, 5), repeat=3):
-        if a == b:  # on the compact wall: a zero verdict, no table
-            continue
-        lam = GU.tm_weight([a, b, c])
-        pos = tuple(r if (dot(lam, r), dot(tie, r)) > (0, 0) else -r
-                    for r in GU.m_roots.positives)
-        p = TemperedParams(lam, pos, 0, GU.a_weight([]))
-        cut = {window: cutoff(p, window) for window in (2, 3, 4, 6, 8, 16)}
-        singular = c in (a, b)
+    monkeypatch.setattr(branching, name, counted)
+    return bound
+
+
+def _nonzero_tie_broken(g, span):
+    """(singular, p) per (a, b, c) in [-span, span]^3 that is nonzero on the
+    positive system it picks, ties broken by (1, 0, -1)."""
+    tie = g.tm_weight([1, 0, -1])
+    for a, b, c in itertools.product(range(-span, span + 1), repeat=3):
+        lam = g.tm_weight([a, b, c])
+        p = TemperedParams(lam, tuple(
+            r if (dot(lam, r), dot(tie, r)) > (0, 0) else -r
+            for r in g.m_roots.positives), 0, g.a_weight([]))
+        if validate_params(g, p).verdict == "nonzero":
+            yield len({a, b, c}) < 3, p
+
+
+def test_spot_check_partition_budget(monkeypatch):
+    # the spot check of a Blattner table builds one partition table, whose
+    # doubled height bound does not grow with the window: over every su21
+    # parameter in [-4, 4]^3 off the compact wall, regular or singular, the
+    # ceilings per (window, singular) are pinned, and past window 8 the
+    # bound stays put.  They are twice the series cutoffs this check had,
+    # the doubled height those cover above the base
+    ceilings = {(2, False): 2, (2, True): 4, (3, False): 4}  # the rest 8
+    bound = _spot_check_bound(monkeypatch, GU, "partition_counts")
+    params = list(_nonzero_tie_broken(GU, 4))
+    for singular, p in params:
+        b = {window: bound(p, window) for window in (2, 3, 4, 6, 8, 16)}
         for window in (2, 3, 4, 6, 8):
-            assert cut[window] <= ceilings.get((window, singular), 4)
-        assert cut[16] == cut[8]
-    assert cutoff(su21_from_lambda(GU, [3, 1, -1]), 64) == 2
+            assert b[window] <= ceilings.get((window, singular), 8)
+        assert b[16] == b[8]
+    assert len(params) == 648
+    assert bound(su21_from_lambda(GU, [3, 1, -1]), 64) == 4
+
+
+def test_spot_check_series_budget(monkeypatch):
+    # where the table is partition counts over the box, as on the
+    # all-noncompact su21, the spot check builds one truncated series per
+    # table, and its cutoff does not grow with the window: over every
+    # parameter in [-2, 2]^3, the ceilings per (window, singular) are pinned
+    ceilings = {(2, False): 0, (3, False): 2, (3, True): 2}  # the rest 1
+    g = all_noncompact_su21()
+    cutoff = _spot_check_bound(monkeypatch, g, "_virtual_character")
+    params = list(_nonzero_tie_broken(g, 2))
+    for singular, p in params:
+        for window in (2, 3, 4, 6):
+            assert cutoff(p, window) <= ceilings.get((window, singular), 1)
+    assert len(params) == 125
+
+
+SU31 = load_group_data(Path(__file__).parent / "data" / "su31.json")
+_PLANTED = ([(GU, lam, 1) for lam in ((3, 1, -1), (5, -2, 0), (-1, 2, 4))]
+            + [(SP4R, lam, 1) for lam in ((2, 1), (3, 1), (5, 2), (6, 1),
+                                          (2, -1), (3, -1), (4, -3), (1, -2))]
+            + [(SU31, (3, 1, -1, -3), 2)])  # lambda = rho
+
+
+def _plant(monkeypatch, defect, g):
+    """g, or its copy, with a Blattner defect planted: a flipped det(w) on
+    the last term, the later terms' shifts moved by a noncompact root, or
+    the walk reading mu through w in place of w^T."""
+    terms = branching._blattner_terms
+
+    def flipped(g, prep):
+        eps, ts = terms(g, prep)
+        w, shift = ts[-1]
+        return eps, ts[:-1] + [(w._replace(det=-w.det), shift)]
+
+    def moved(g, prep):
+        eps, ts = terms(g, prep)
+        beta = prep.noncompact[0].coords
+        return eps, ts[:1] + [(w, tuple(map(sum, zip(shift, beta))))
+                              for w, shift in ts[1:]]
+
+    if defect == "w":
+        wt = tuple(groups.WeylElement(tuple(zip(*w.matrix)), w.det)
+                   for w in g.k_weyl)
+        return g._replace(walk=groups._with_walk(g._replace(k_weyl=wt)).walk)
+    monkeypatch.setattr(branching, "_blattner_terms",
+                        {"det": flipped, "shift": moved}[defect])
+    return g
+
+
+# where the series spot check, which checked Blattner's tables before the
+# partition oracle did, raised ArithmeticError on the planted defects: first
+# the nonnegativity of the rows, then the check's disagreement
+_CAUGHT = {
+    "det": {("su21", (3, 1, -1)), ("su21", (5, -2, 0)), ("sp4r", (2, 1)),
+            ("sp4r", (3, 1)), ("sp4r", (5, 2)), ("sp4r", (2, -1)),
+            ("sp4r", (3, -1)), ("sp4r", (4, -3)), ("sp4r", (1, -2)),
+            ("su31", (3, 1, -1, -3))},
+    "shift": {("su21", (3, 1, -1)), ("su21", (5, -2, 0)), ("sp4r", (5, 2)),
+              ("sp4r", (6, 1)), ("sp4r", (2, -1)), ("sp4r", (3, -1)),
+              ("sp4r", (4, -3)), ("sp4r", (1, -2)), ("su31", (3, 1, -1, -3))},
+    "w": set(),
+}
+
+
+@pytest.mark.parametrize("defect", _CAUGHT)
+def test_partition_spot_check_catches_planted_blattner_defects(monkeypatch,
+                                                                defect):
+    # the partition check raises on exactly the cases the series check
+    # raised on; the rest keep their table, but for w on su31 at lambda =
+    # rho, which the window-8 digests of su31 catch
+    clean = {}
+    for g, lam, denom in _PLANTED:
+        clean[g.name, lam] = ktype_table(g, _chamber(g, lam, denom), 6)
+    caught = set()
+    for g, lam, denom in _PLANTED:
+        with monkeypatch.context() as m:
+            bad = _plant(m, defect, g)
+            try:
+                table = ktype_table(bad, _chamber(bad, lam, denom), 6)
+            except ArithmeticError as e:
+                caught.add((g.name, lam))
+                assert re.fullmatch({
+                    "det": r"negative multiplicity -1 at .*",
+                    "shift": r"evaluator disagreement at .*: "
+                             r"partition 0 vs blattner 1"}[defect], str(e))
+                continue
+        changed = (g.name, lam) == ("su31", (3, 1, -1, -3)) and defect == "w"
+        assert (table != clean[g.name, lam]) == changed
+    assert caught == _CAUGHT[defect]
 
 
 def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):

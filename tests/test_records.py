@@ -39,7 +39,8 @@ FROZEN = {
                       ("name", "k_roots", "m_roots", "dim_a", "tm_in_t",
                        "zgen_w", "zchar_rows", "hm", "t_lattice", "dim_s_m",
                        "checklist", "compact_of", "k_weyl", "k_rho_shifts",
-                       "fibres", "k_pairings", "blattner_applies")),
+                       "fibres", "k_pairings", "blattner_applies",
+                       "r_k_positives", "r_rho2", "walk")),
     "Fibres": (lambda: builtin_group("su21").fibres,
                ("a", "dirs", "consistency", "d", "free")),
     "TemperedParams": (lambda: _params(GU), ("lam", "rmplus", "chi", "nu")),
@@ -64,6 +65,7 @@ UNHASHED = {
     "KTypeTable": lambda: KTypeTable({(1,): 1, (3,): 2}, 3, -1),
     "KernelReport": lambda: KernelReport(1, 0, 1e-3, [1e-9, 0.5], [0.2]),
     "Check": lambda: Check("name", True, "1", "1"),
+    "WalkTerm": lambda: builtin_group("su21").walk[-1],
 }
 
 
