@@ -19,9 +19,10 @@ what every K-type shares.  That work comes in three tiers:
     whether Phi is a positive system at all (no duplicates or non-roots,
     a half of the roots, pointed), the lattice graded by Phi, its positives
     split by type, its compact simple roots, rho_n - rho_c, the signed
-    compact-subset sums, the keys' top covector, and Blattner's eps, term
-    shifts and walk columns, the last looked up in the load's.  A nonzero
-    verdict carries the record, and every table of the same Phi reads it;
+    compact-subset sums, the keys' top covector, Blattner's eps, term
+    shifts and walk columns, the last looked up in the load's, and the
+    oracles' tables, each rebuilt only at the higher bound a call needs.
+    A nonzero verdict carries the record, and every table of Phi reads it;
   - call: what lambda and chi fix, the dominance, lifting and component
     checks, the base key lambda - rho_c + rho_n and the compact offsets,
     and the window's own bounds.
@@ -44,10 +45,12 @@ variable at a time, the integer interval that keeps mu in the window and
 the dominant chamber, so neither a box of K-types nor a table of partition
 counts is built.
 
-Two oracles stay independent of it and of each other: signed sums of
-Kostant partition counts over the compact offsets, and the coefficients of
-one truncated series product.  Each gives one value per H-key and scatters
-it through ktypes.key_index, an inverted index of restricted K-types, into
+Two oracles stay independent of it and of each other: signed sums over the
+compact offsets of the chamber's Kostant partition counts, and the
+chamber's truncated series product, each read at key - base in height
+order up to the call's own bound, every series read checked against the
+product's certificate.  Each gives one value per H-key and scatters it
+through ktypes.key_index, an inverted index of restricted K-types, into
 the rows the key touches.  Every table over the window's box (box_table,
 and ktype_table outside Blattner's formula) reads the window's, kept by
 ktypes.ktype_box once per window, and costs the oracle's values and the
@@ -66,8 +69,8 @@ from functools import lru_cache
 from operator import add, mul, sub
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .characters import (FormalCharacter, HMLattice, Weight,
-                         geometric_series, graded_exterior, partition_counts)
+from .characters import (CutoffError, HMLattice, Weight, geometric_series,
+                         graded_exterior, partition_counts, weight)
 from .groups import (GroupDataError, RealGroupData, WeylElement, matvec,
                      simple_roots)
 from .ktypes import KType, check_ktype, key_index, ktype_box
@@ -98,13 +101,7 @@ class TemperedParams(NamedTuple):
     nu: Weight
 
 
-class Chamber(NamedTuple):
-    """What a positive system Phi of the Levi roots fixes for every
-    parameter tuple that names it (the chamber tier above), built once per
-    (group, Phi) by _chamber.  The last four fields are Blattner's
-    (_blattner_shifts, and the group's WalkTerms); where it does not apply
-    eps is 1 and the rest are empty."""
-
+class _ChamberFields(NamedTuple):
     hm: HMLattice                        # the Levi lattice graded by Phi
     compact: tuple[Weight, ...]
     noncompact: tuple[Weight, ...]
@@ -117,6 +114,15 @@ class Chamber(NamedTuple):
     shifts: tuple[tuple[int, ...], ...]
     columns: tuple[tuple[tuple[int, ...], ...], ...]
     heights: tuple[int, ...]
+
+
+class Chamber(_ChamberFields):
+    """What a positive system Phi of the Levi roots fixes for every
+    parameter tuple that names it (the chamber tier above), built once per
+    (group, Phi) by _chamber.  The last four fields are Blattner's
+    (_blattner_shifts, and the group's WalkTerms); where it does not apply
+    eps is 1 and the rest are empty.  No __slots__: the oracles' tables
+    (_table) live in __dict__, outside the fields that compare and hash."""
 
 
 class ParamVerdict(NamedTuple):
@@ -228,6 +234,8 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
                                       for i in range(hm.rank)))
                     for r in range(len(compact) + 1)
                     for s in itertools.combinations(compact, r))
+    rho2 = [2 * sum(b.coords[i] for b in noncompact) - h  # 2(rho_n - rho_c)
+            for i, h in enumerate(hm.height_vec)]
     eps, shifts, columns, heights = 1, (), (), ()
     if g.blattner_applies:
         eps, shifts = _blattner_shifts(g, compact)
@@ -237,7 +245,7 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
         heights = tuple(sum(map(mul, hm.height_vec, b)) for b in betas)
     return Chamber(hm, compact, noncompact,
                    tuple(a for a in simple_roots(rmplus) if g.is_compact(a)),
-                   sum(noncompact, -hm.rho), subsets,
+                   weight(rho2, hm.lattice, 2), subsets,
                    _top_covector(g, hm.height_vec), eps, shifts, columns,
                    heights)
 
@@ -248,16 +256,13 @@ class _Prepared(NamedTuple):
     """What every K-type shares for one validated parameter tuple: the
     record of its positive system, the base key (lambda - rho_c + rho_n,
     chi), and ((-1)^|S|, base + sum of S as coordinates) for every compact
-    subset S.  The record's lattice, positives and top covector read
-    through."""
+    subset S.  The record's lattice and top covector read through."""
 
     chamber: Chamber
     base: tuple[tuple[int, ...], int]
     offsets: tuple[tuple[int, tuple[int, ...]], ...]
 
     hm = property(lambda self: self.chamber.hm)
-    compact = property(lambda self: self.chamber.compact)
-    noncompact = property(lambda self: self.chamber.noncompact)
     top = property(lambda self: self.chamber.top)
 
 
@@ -282,41 +287,61 @@ def _prepare(g: RealGroupData, p: TemperedParams, zero_ok: bool = False,
         (sign, tuple(map(add, base[0], s))) for sign, s in chamber.subsets))
 
 
-def _virtual_character(prep: _Prepared, cutoff: int) -> FormalCharacter:
-    acc = FormalCharacter(prep.hm, {prep.base: 1})
-    acc = acc * graded_exterior(prep.hm, prep.compact)
-    for beta in prep.noncompact:
-        acc = acc * geometric_series(prep.hm, beta, cutoff)
-    return acc
-
-
 _Row = tuple[tuple[int, ...], int]  # (highest-weight coordinates, m)
+
+
+def _table(chamber: Chamber, name: str, build, bound: int):
+    """The chamber's table name, build(chamber, bound), rebuilt at exactly
+    its own bound by a call that needs more."""
+    kept = vars(chamber).get(name)
+    if kept is None or kept[0] < bound:
+        kept = vars(chamber)[name] = bound, build(chamber, bound)
+    return kept[1]
+
+
+def _series(chamber: Chamber, cutoff: int) -> tuple[Optional[int], list]:
+    """graded_exterior(compact) x prod_beta geometric_series(beta, cutoff):
+    its certificate, and its terms (doubled height, key, m) lowest first."""
+    acc = graded_exterior(chamber.hm, chamber.compact)
+    for beta in chamber.noncompact:
+        acc = acc * geometric_series(chamber.hm, beta, cutoff)
+    return acc.cutoff, acc.by_height()
 
 
 def _partition_values(prep: _Prepared, top2: int) -> Iterable[tuple]:
     """Signed Kostant partition counts: at each H-key with the base's Z'
     character, the sum over the compact offsets of sign * P_n(coordinates -
-    offset), from one partition_counts table reaching doubled height top2."""
-    hv = prep.hm.height_vec
-    counts = partition_counts(prep.noncompact, prep.hm, top2 - min(
-        sum(map(mul, offset, hv)) for _, offset in prep.offsets))
-    return (((tuple(map(add, t, offset)), prep.base[1]), sign * n)
-            for sign, offset in prep.offsets for t, n in counts.items())
+    offset), read in height order off the chamber's partition_counts table."""
+    hv, z = prep.hm.height_vec, prep.base[1]
+    heights = [sum(map(mul, offset, hv)) for _, offset in prep.offsets]
+    counts = _table(prep.chamber, "partition", lambda chamber, bound2: sorted(
+        (sum(map(mul, t, hv)), t, n) for t, n in partition_counts(
+            chamber.noncompact, chamber.hm, bound2).items()), top2 - min(heights))
+    for (sign, offset), h2 in zip(prep.offsets, heights):
+        for h, t, n in counts:
+            if h > top2 - h2:
+                break
+            yield (tuple(map(add, t, offset)), z), sign * n
 
 
 def _series_values(prep: _Prepared, top2: int) -> Iterable[tuple]:
-    """The terms of one truncated virtual character, exact up to the
-    doubled height top2.
-
-    No term of it lies below the base height h_b, so its char_mul
-    certificate is at least cutoff + floor(h_b / 2).  The least cutoff that
-    covers top2 is checked once against the certificate (CutoffError should
-    it fall short).
-    """
+    """The terms of e^base times the chamber's series up to the doubled
+    height top2, the Z' index combined with chi.  No term lies below the
+    base height h_b, so they are exact up to the series' cutoff plus
+    floor(h_b / 2): the least cutoff covering top2 builds or grows the
+    chamber's series, and each read is checked against its certificate."""
+    (coords, z), ztable = prep.base, prep.hm.ztable
     h2_base = prep.hm.key_height2(prep.base)
-    top2 = max(top2, h2_base)
-    virt = _virtual_character(prep, -(-top2 // 2) - h2_base // 2)
-    return virt.coefficients(top2).items()
+    need = -(-max(top2, h2_base) // 2) - h2_base // 2
+    cutoff, terms = _table(prep.chamber, "series", _series, need)
+    if cutoff is not None and cutoff < need:
+        raise CutoffError(f"doubled height {top2} beyond certified cutoff "
+                          f"{cutoff + h2_base // 2}")
+    zs = [ztable.mul(z, i) for i in range(ztable.order)]
+    for h, (c, zc), m in terms:
+        if h > top2 - h2_base:
+            break
+        yield (tuple(map(add, coords, c)), zs[zc]), m
 
 
 _EVALUATORS = {"partition": _partition_values, "series": _series_values}
@@ -327,10 +352,9 @@ def _top_covector(g: RealGroupData, hv: tuple[int, ...]) -> tuple[int, ...]:
     mu reach (mu, v), its weights lying in the hull of W_K mu, and those of
     the window window * |v|_1, as W_K acts by signed permutations and every
     point of the window's cube is a weight of a K-type in the window."""
-    v = matvec(tuple(zip(*g.tm_in_t)), hv)
-    # of the conjugates, the dominant one is the highest under rho_K
-    return max((matvec(w.matrix, v) for w in g.k_weyl),
-               key=lambda u: sum(map(mul, u, g.t_lattice.height_vec)))
+    # the dominant one is highest: (w R^T hv, 2rho_K) = (hv, R w^T 2rho_K)
+    _, wrt = max(g.k_tops, key=lambda top: sum(map(mul, top[0], hv)))
+    return matvec(wrt, hv)
 
 
 def _evaluate(prep: _Prepared, mode: str, index: Mapping[tuple, list],

@@ -4,8 +4,7 @@ Weights are integer (or half-integer) vectors in a fixed lattice basis.
 Formal characters are finitely supported integer combinations of characters
 of a compact abelian group H = (torus T) x (finite abelian Z), keyed by
 (torus coordinates, Z index), possibly truncated to a height window with an
-exactness certificate, which a batch of queries checks once (coefficients)
-before reading coefficients by key.
+exactness certificate, and read by key or in height order (by_height).
 Every Kostant partition count is read from one partition_counts table; no
 state outlives a call.  All arithmetic is exact; coefficients are
 arbitrary-precision integers.
@@ -17,7 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf
 from operator import add, mul
-from types import MappingProxyType
 from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence)
 
@@ -298,6 +296,12 @@ class FormalCharacter:
     def items(self) -> Iterator[tuple[_Key, int]]:
         return iter(sorted(self._terms.items()))
 
+    def by_height(self) -> list[tuple[int, _Key, int]]:
+        """(doubled height, key, coefficient) of each term, lowest first."""
+        hv = self.hm.height_vec
+        return sorted((sum(map(mul, c, hv)), (c, z), m)
+                      for (c, z), m in self._terms.items())
+
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -312,17 +316,13 @@ class FormalCharacter:
         tail = "" if self.cutoff is None else f" (cutoff {self.cutoff})"
         return "FormalCharacter(" + " + ".join(parts or ["0"]) + tail + ")"
 
-    def coefficients(self, top2: int) -> Mapping[_Key, int]:
-        """Read-only coefficients by key, exact up to the doubled height
-        top2; raises CutoffError beyond the certificate."""
+    def coefficient(self, at: _Key) -> int:
+        """Coefficient at a character; raises CutoffError beyond certificate."""
+        top2 = self.hm.key_height2(at)
         if self.cutoff is not None and top2 > 2 * self.cutoff:
             raise CutoffError(f"doubled height {top2} beyond certified cutoff "
                               f"{self.cutoff}")
-        return MappingProxyType(self._terms)
-
-    def coefficient(self, at: _Key) -> int:
-        """Coefficient at a character; raises CutoffError beyond certificate."""
-        return self.coefficients(self.hm.key_height2(at)).get(at, 0)
+        return self._terms.get(at, 0)
 
     def truncate(self, cutoff: int) -> "FormalCharacter":
         """Restrict to height <= cutoff; requires exactness there."""
@@ -351,11 +351,9 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     if (not a._terms and a.cutoff is None) or (not b._terms and b.cutoff is None):
         return FormalCharacter(hm)
 
-    # (doubled height, key, coefficient) of each term, lowest first; the
-    # least height of a truncated zero lies above its cutoff
-    hv = hm.height_vec
-    ga, gb = (sorted((sum(map(mul, c, hv)), (c, z), m)
-                     for (c, z), m in x._terms.items()) for x in (a, b))
+    # each factor's terms, lowest first; the least height of a truncated
+    # zero lies above its cutoff
+    ga, gb = a.by_height(), b.by_height()
     bounds2 = []
     if a.cutoff is not None:
         bounds2.append(2 * a.cutoff + (gb[0][0] if gb else 2 * b.cutoff + 1))

@@ -17,8 +17,6 @@ from pathlib import Path
 from .branching import (InvalidParamsError, KTypeTable, ktype_table,
                         validate_params)
 from .groups import GroupDataError, builtin_group_names, data_dir, load_group_data
-# loaded here on purpose: perfbench/tracing.py wraps only what this loads
-from .oscillator import GridError, GridSpec
 from .presets import ParamSchemaError, resolve_params
 
 EXIT_OK = 0
@@ -129,6 +127,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the oscillator, like verify, loads only when `kbranch verify` runs
+    from .oscillator import GridError, GridSpec
     kwargs = {}
     if args.suite == "dirac":
         try:

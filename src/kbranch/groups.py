@@ -253,6 +253,7 @@ class RealGroupData(NamedTuple):
     compact_of: dict[tuple[int, ...], bool]  # Levi root -> compact flag
     k_weyl: tuple[WeylElement, ...]
     k_rho_shifts: tuple[tuple[int, ...], ...]  # w rho_K - rho_K, per k_weyl
+    k_tops: tuple[tuple[tuple, tuple], ...]  # (R w^T 2rho_K, w R^T), per k_weyl
     fibres: Fibres                           # R x = b, read by one integer map
     k_pairings: Fibres                       # S x = p, S the simple K roots
     blattner_applies: bool
@@ -601,7 +602,9 @@ def _build(doc: dict) -> RealGroupData:
         name=name, k_roots=k_roots, m_roots=m_roots, dim_a=dim_a,
         tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=tuple(zchar_rows), hm=hm,
         t_lattice=t_lattice, dim_s_m=dim_s_m, checklist=(), compact_of=flag_of,
-        k_weyl=k_weyl, k_rho_shifts=tuple(k_rho_shifts),
+        k_weyl=k_weyl, k_rho_shifts=tuple(k_rho_shifts), k_tops=tuple((
+            matvec(tm_in_t, matvec(tuple(zip(*w.matrix)), t_lattice.height_vec)),
+            tuple(matvec(tm_in_t, row) for row in w.matrix)) for w in k_weyl),
         fibres=Fibres.of(tm_in_t, k_rank),
         k_pairings=Fibres.of([a.coords for a in k_roots.simples], k_rank),
         blattner_applies=False)

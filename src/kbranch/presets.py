@@ -8,10 +8,10 @@ not read, rather than leaving it at a default.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Optional
 
 from .branching import TemperedParams
-from .characters import dot
 from .groups import RealGroupData
 
 
@@ -93,7 +93,7 @@ def su21_from_lambda(g: RealGroupData, coords,
     else:
         pos = []
         for r in g.m_roots.positives:
-            d = dot(lam, r)
+            d = sum(map(mul, lam.coords, r.coords))  # its sign, no Fraction
             if d == 0:
                 raise ParamSchemaError(
                     f"parameter is orthogonal to root {r.coords}; supply "

@@ -106,7 +106,11 @@ def test_validate_rejects_nonintegral_shift():
 # ------------------------------------------------------- virtual character
 
 def _virtual_character(g, p, cutoff):
-    return branching._virtual_character(branching._prepare(g, p), cutoff)
+    """e^base times the chamber's series, as the series oracle reads it."""
+    prep = branching._prepare(g, p)
+    series, terms = branching._series(prep.chamber, cutoff)
+    return FormalCharacter(prep.hm, {prep.base: 1}) * FormalCharacter(
+        prep.hm, {key: m for _, key, m in terms}, series)
 
 
 def test_virtual_character_discrete():
@@ -465,16 +469,8 @@ def test_series_oracle_reads_no_coefficient(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["partition", "series"])
 def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
+    # the chamber's table is built by the first evaluation, read by the next
     prep = branching._prepare(GU, su21_from_lambda(GU, [4, 1, -2]))
-    built = {}
-    virtual = branching._virtual_character
-
-    def cached(prep, cutoff):  # the character's own build is not the batch's
-        if cutoff not in built:
-            built[cutoff] = virtual(prep, cutoff)
-        return built[cutoff]
-
-    monkeypatch.setattr(branching, "_virtual_character", cached)
     index = key_index(GU, ktypes.enumerate_ktypes(GU, 4))
     top2 = _top2(index, prep.hm.height_vec)
     want = branching._evaluate(prep, mode, index, top2)
@@ -482,8 +478,8 @@ def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
                          (HMLattice, "height2"),
                          (FormalCharacter, "coefficient"))
     assert branching._evaluate(prep, mode, index, top2) == want
-    # the base height, and one height per root of the partition table
-    assert sum(calls.values()) <= 1 + len(prep.noncompact)
+    # neither reads a Weight: the table is the chamber's, keyed by tuples
+    assert calls == {}
     assert sum(map(len, index.values())) > 1000
 
 
@@ -494,11 +490,20 @@ def test_virtual_character_steps_coordinate_tuples(monkeypatch):
     calls = _count_calls(monkeypatch, (Weight, "__add__"), (Weight, "__sub__"),
                          (Weight, "__mul__"), (Weight, "__rmul__"),
                          (HMLattice, "char"), (HMLattice, "height2"))
-    assert len(branching._virtual_character(prep, 40)) == 61
+    assert len(branching._series(prep.chamber, 40)[1]) == 61
     assert sum(calls.values()) <= 10
 
 
-def test_short_certificate_raises_cutoff_error(monkeypatch):
+@pytest.fixture
+def cold_records():
+    """A cold record cache, cleared again after the test, so that no table
+    a planted builder left in a record outlives it."""
+    branching._chamber.cache_clear()
+    yield
+    branching._chamber.cache_clear()
+
+
+def test_short_certificate_raises_cutoff_error(monkeypatch, cold_records):
     # ktype_table reaches the series in its spot check only where the table
     # is not Blattner's, as on the all-noncompact su21
     p = su21_from_lambda(GU, [4, 1, -2])
@@ -506,13 +511,16 @@ def test_short_certificate_raises_cutoff_error(monkeypatch):
     q = _chamber(noncompact, [3, 1, -1])
     top = max(ktype_table(GU, p, 4).entries)
     assert ktype_table(noncompact, q, 4).entries
-    virtual = branching._virtual_character
-    monkeypatch.setattr(branching, "_virtual_character",
-                        lambda prep, cutoff: virtual(prep, cutoff - 1))
+    # the chamber's series is built one short; each path builds its own,
+    # from a cold record
+    series = branching._series
+    monkeypatch.setattr(branching, "_series",
+                        lambda chamber, cutoff: series(chamber, cutoff - 1))
     for evaluate in (lambda: ktype_table_series(GU, p, 4),
                      lambda: ktype_table(noncompact, q, 4),
                      lambda: ktype_multiplicity(GU, p, KType(GU.t_weight(top)),
                                                 "series")):
+        branching._chamber.cache_clear()
         with pytest.raises(CutoffError):
             evaluate()
 
@@ -737,7 +745,7 @@ def _searched_terms(g, prep):
     """Blattner's terms by the W_K search that the closed forms replace:
     w_Phi is the one w whose positive K roots R maps onto the compact
     positives, and shift_w = R(w rho_K - w_Phi rho_K) - base."""
-    matvec, target = groups.matvec, {c.coords for c in prep.compact}
+    matvec, target = groups.matvec, {c.coords for c in prep.chamber.compact}
     (w_phi, phi_shift), = [
         (w, s) for w, s in zip(g.k_weyl, g.k_rho_shifts)
         if {matvec(g.tm_in_t, matvec(w.matrix, a.coords))
@@ -820,6 +828,7 @@ def test_blattner_partition_calls_track_rows(monkeypatch):
     monkeypatch.setattr(branching, "partition_counts", refuse)
     monkeypatch.setattr(branching, "_evaluate", spot_check)
     monkeypatch.setattr(branching, "_blattner_table", counted)
+    branching._chamber.cache_clear()  # the check builds its chamber's table
     t = ktype_table(GU, su21_from_lambda(GU, [3, 1, -1]), 16)
     # the box holds 18,513 K-types, each needing |W_K| = 2 counts; the walk
     # returns the K-types some term reaches, before the terms cancel
@@ -977,8 +986,10 @@ def test_mode_is_checked_before_any_work(monkeypatch, evaluate, lam):
 
 def _spot_check_bound(monkeypatch, g, name):
     """(p, window) -> the bound of the one table that ktype_table(g, p,
-    window) builds by name, the check's partition_counts or
-    _virtual_character: a doubled height bound or a cutoff."""
+    window) builds by name, the check's partition_counts or the chamber's
+    _series: a doubled height bound or a cutoff.  Each table starts from a
+    cold record cache, so that it builds its chamber's table at its own
+    bound."""
     build, bounds = getattr(branching, name), []
 
     def counted(*args):
@@ -987,6 +998,7 @@ def _spot_check_bound(monkeypatch, g, name):
 
     def bound(p, window):
         bounds.clear()
+        branching._chamber.cache_clear()
         ktype_table(g, p, window)
         assert len(bounds) == 1
         return bounds[0]
@@ -1034,7 +1046,7 @@ def test_spot_check_series_budget(monkeypatch):
     # parameter in [-2, 2]^3, the ceilings per (window, singular) are pinned
     ceilings = {(2, False): 0, (3, False): 2, (3, True): 2}  # the rest 1
     g = all_noncompact_su21()
-    cutoff = _spot_check_bound(monkeypatch, g, "_virtual_character")
+    cutoff = _spot_check_bound(monkeypatch, g, "_series")
     params = list(_nonzero_tie_broken(g, 2))
     for singular, p in params:
         for window in (2, 3, 4, 6):
@@ -1062,7 +1074,7 @@ def _plant(monkeypatch, defect, g):
 
     def moved(g, prep):
         eps, ts = terms(g, prep)
-        beta = prep.noncompact[0].coords
+        beta = prep.chamber.noncompact[0].coords
         return eps, ts[:1] + [(w, tuple(map(sum, zip(shift, beta))))
                               for w, shift in ts[1:]]
 
@@ -1115,6 +1127,108 @@ def test_partition_spot_check_catches_planted_blattner_defects(monkeypatch,
         changed = (g.name, lam) == ("su31", (3, 1, -1, -3)) and defect == "w"
         assert (table != clean[g.name, lam]) == changed
     assert caught == _CAUGHT[defect]
+
+
+def _record_builds(monkeypatch):
+    """{oracle: [(chamber, bound), ...]}, one pair per build of a chamber
+    table, in order: partition_counts for the partition oracle, keyed by
+    its roots and graded lattice, and _series for the series."""
+    builds = {"partition": [], "series": []}
+    for oracle, name in (("partition", "partition_counts"),
+                         ("series", "_series")):
+        def counted(*args, _build=getattr(branching, name),
+                    _builds=builds[oracle]):
+            _builds.append((args[:-1], args[-1]))
+            return _build(*args)
+        monkeypatch.setattr(branching, name, counted)
+    return builds
+
+
+def _grown(builds):
+    """The bounds of each chamber's builds, each list rising strictly."""
+    bounds = {}
+    for chamber, bound in builds:
+        bounds.setdefault(chamber, []).append(bound)
+    assert all(b == sorted(set(b)) for b in bounds.values())
+    return list(bounds.values())
+
+
+@pytest.mark.parametrize("g, lam, denom", [
+    (GU, (3, 1, -1), 1), (SP4R, (3, 1), 1), (SU31, (3, 1, -1, -3), 2),
+    (all_noncompact_su21(), (3, 1, -1), 1)])
+def test_chamber_tables_agree_with_a_cold_record(monkeypatch, g, lam, denom):
+    # tables and queries of one chamber, interleaved, windows growing and
+    # then shrinking: each reads the chamber's tables as earlier calls left
+    # them, and equals its value from a cold record cache
+    p = _chamber(g, lam, denom)
+    hws = sorted(box_table(g, p, 6, "partition").entries)
+    assert len(hws) >= 4
+    calls = [("table", 3), ("series", 4), ("query", hws[-1]),
+             ("partition", 6), ("query", hws[0]), ("series", 3),
+             ("table", 6), ("query", hws[len(hws) // 2]), ("partition", 4),
+             ("series", 6)]
+
+    def run(kind, arg):
+        if kind == "table":
+            return ktype_table(g, p, arg)
+        if kind == "query":
+            kt = KType(g.t_weight(arg))
+            return [ktype_multiplicity(g, p, kt, mode)
+                    for mode in ("series", "partition")]
+        return box_table(g, p, arg, kind)
+
+    cold = []
+    for call in calls:
+        branching._chamber.cache_clear()
+        cold.append(run(*call))
+    builds = _record_builds(monkeypatch)
+    branching._chamber.cache_clear()
+    for call, want in zip(calls, cold):
+        assert run(*call) == want, call
+    # each oracle's table grew: rebuilt at a higher bound only, never read
+    # past what the earlier build reached
+    for oracle in builds:
+        [bounds] = _grown(builds[oracle])
+        assert len(bounds) >= 2, oracle
+
+
+def test_chamber_series_is_rebuilt_past_its_certificate(monkeypatch,
+                                                        cold_records):
+    # a table that needs a higher cutoff than the chamber's series holds
+    # rebuilds it at that cutoff, a query within it reads it as it is, and
+    # a read past the certificate of the series held raises CutoffError
+    p = su21_from_lambda(GU, [4, 1, -2])
+    builds = _record_builds(monkeypatch)["series"]
+    small = ktype_table_series(GU, p, 2)
+    record = validate_params(GU, p).chamber
+    cert, _ = vars(record)["series"][1]
+    assert builds == [((record,), cert)]
+    assert ktype_table_series(GU, p, 6).entries.items() > small.entries.items()
+    [bounds] = _grown(builds)
+    assert len(bounds) == 2
+    q = ktype_multiplicity(GU, p, KType(GU.t_weight([4, 2, -3])), "series")
+    assert len(builds) == 2 and q == 1
+    # a series one short of the cutoff it was built for
+    bound, (cutoff, terms) = vars(record)["series"]
+    vars(record)["series"] = bound, (cutoff - 1, terms)
+    with pytest.raises(CutoffError):
+        ktype_table_series(GU, p, 6)
+
+
+def test_oracle_table_built_once_per_chamber(monkeypatch):
+    # the spot checks of the 648 su21 tables at window 6 read the partition
+    # table of their chamber: one build per chamber per growth, 8 builds
+    # over the 6 chambers (one per table before the tables were the
+    # chamber's)
+    builds = _record_builds(monkeypatch)
+    params = list(_nonzero_tie_broken(GU, 4))
+    branching._chamber.cache_clear()
+    for _, p in params:
+        ktype_table(GU, p, 6)
+    assert len(params) == 648
+    assert len(_grown(builds["partition"])) == 6
+    assert len(builds["partition"]) == 8
+    assert builds["series"] == []
 
 
 def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):

@@ -397,11 +397,12 @@ def test_validate_malformed_group_file_exits_4(tmp_path, capsys, mutate,
 
 
 def test_cli_table_and_validate_leave_numpy_and_verify_unloaded():
-    # the verification stack loads only when `kbranch verify` runs, and
-    # nothing loads dataclasses or the inspect module it imports
+    # the verification stack and the oscillator load only when `kbranch
+    # verify` runs, and nothing loads dataclasses or the inspect module it
+    # imports
     script = ("import sys\n"
-              "UNLOADED = ('kbranch.verify', 'kbranch.sl2_oracles', 'numpy',"
-              " 'dataclasses', 'inspect')\n"
+              "UNLOADED = ('kbranch.verify', 'kbranch.sl2_oracles',"
+              " 'kbranch.oscillator', 'numpy', 'dataclasses', 'inspect')\n"
               "def unloaded(when):\n"
               "    for name in UNLOADED:\n"
               "        assert name not in sys.modules, (when, name)\n"

@@ -39,7 +39,7 @@ FROZEN = {
                       ("name", "k_roots", "m_roots", "dim_a", "tm_in_t",
                        "zgen_w", "zchar_rows", "hm", "t_lattice", "dim_s_m",
                        "checklist", "compact_of", "k_weyl", "k_rho_shifts",
-                       "fibres", "k_pairings", "blattner_applies",
+                       "k_tops", "fibres", "k_pairings", "blattner_applies",
                        "r_k_positives", "r_rho2", "walk")),
     "Fibres": (lambda: builtin_group("su21").fibres,
                ("a", "dirs", "consistency", "d", "free")),
