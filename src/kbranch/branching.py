@@ -11,16 +11,16 @@ The engine realises the branching rule
 in two steps.  Preparation validates the parameters once and derives
 what every K-type shares.  That work comes in three tiers:
 
-  - load: what the group alone determines (W_K, rho_K, compactness, the
-    fibres of the torus restriction, Blattner's walk data), derived in
-    groups and read here;
+  - load: what the group alone determines (rho_K, compactness, the fibres
+    of the torus restriction, one record per W_K element with its
+    Blattner walk data), derived in groups and read here;
   - chamber: what the parameters' positive system Phi alone determines, a
     Chamber record built once per (group, Phi) and kept in a cache of 64:
     whether Phi is a positive system at all (no duplicates or non-roots,
     a half of the roots, pointed), the lattice graded by Phi, its positives
     split by type, its compact simple roots, rho_n - rho_c, the signed
-    compact-subset sums, the keys' top covector, Blattner's eps, term
-    shifts and walk columns, the last looked up in the load's, and the
+    compact-subset sums, the keys' top covector, Blattner's eps and terms,
+    one per W_K record (det, shift, walk columns, state map), and the
     oracles' tables, each rebuilt only at the higher bound a call needs.
     A nonzero verdict carries the record, and every table of Phi reads it;
   - call: what lambda and chi fix, the dominance, lifting and component
@@ -71,7 +71,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .characters import (CutoffError, HMLattice, Weight, geometric_series,
                          graded_exterior, partition_counts, weight)
-from .groups import (GroupDataError, RealGroupData, WeylElement, matvec,
+from .groups import (GroupDataError, RealGroupData, WeylTerm, matvec,
                      simple_roots)
 from .ktypes import KType, check_ktype, key_index, ktype_box
 
@@ -111,17 +111,17 @@ class _ChamberFields(NamedTuple):
     subsets: tuple[tuple[int, tuple[int, ...]], ...]
     top: tuple[int, ...]                 # _top_covector
     eps: int
-    shifts: tuple[tuple[int, ...], ...]
-    columns: tuple[tuple[tuple[int, ...], ...], ...]
+    # (det w, R(w rho_K) - rho_c, walk columns, walk state map) per W_K term
+    terms: tuple[tuple[int, tuple, tuple, tuple], ...]
     heights: tuple[int, ...]
 
 
 class Chamber(_ChamberFields):
     """What a positive system Phi of the Levi roots fixes for every
     parameter tuple that names it (the chamber tier above), built once per
-    (group, Phi) by _chamber.  The last four fields are Blattner's
-    (_blattner_shifts, and the group's WalkTerms); where it does not apply
-    eps is 1 and the rest are empty.  No __slots__: the oracles' tables
+    (group, Phi) by _chamber.  The last three fields are Blattner's, its
+    terms read off the group's W_K records; where it does not apply eps is
+    1 and the rest are empty.  No __slots__: the oracles' tables
     (_table) live in __dict__, outside the fields that compare and hash."""
 
 
@@ -169,7 +169,7 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
         return invalid("parameter is not a weight of the Levi Cartan")
     if p.nu.lattice != f"{g.name}:a" or p.nu.rank != g.dim_a:
         return invalid("continuous parameter is not a weight of the split part")
-    if not (0 <= p.chi < g.hm.ztable.order):
+    if type(p.chi) is not int or not 0 <= p.chi < g.hm.ztable.order:
         return invalid(f"no component character with index {p.chi}")
 
     chamber = _chamber(g, tuple(p.rmplus))
@@ -236,18 +236,17 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
                     for s in itertools.combinations(compact, r))
     rho2 = [2 * sum(b.coords[i] for b in noncompact) - h  # 2(rho_n - rho_c)
             for i, h in enumerate(hm.height_vec)]
-    eps, shifts, columns, heights = 1, (), (), ()
+    eps, terms, heights = 1, (), ()
     if g.blattner_applies:
         eps, shifts = _blattner_shifts(g, compact)
         betas = [b.coords for b in noncompact]
-        columns = tuple(t.dirs + tuple(t.roots[b] for b in betas)
-                        for t in g.walk)
+        terms = tuple((w.det, shift, w.dirs + tuple(w.roots[b] for b in betas),
+                       w.walk) for w, shift in shifts)
         heights = tuple(sum(map(mul, hm.height_vec, b)) for b in betas)
     return Chamber(hm, compact, noncompact,
                    tuple(a for a in simple_roots(rmplus) if g.is_compact(a)),
                    weight(rho2, hm.lattice, 2), subsets,
-                   _top_covector(g, hm.height_vec), eps, shifts, columns,
-                   heights)
+                   _top_covector(g, hm.height_vec), eps, terms, heights)
 
 
 # ------------------------------------------------------------------ engine
@@ -352,9 +351,9 @@ def _top_covector(g: RealGroupData, hv: tuple[int, ...]) -> tuple[int, ...]:
     mu reach (mu, v), its weights lying in the hull of W_K mu, and those of
     the window window * |v|_1, as W_K acts by signed permutations and every
     point of the window's cube is a weight of a K-type in the window."""
-    # the dominant one is highest: (w R^T hv, 2rho_K) = (hv, R w^T 2rho_K)
-    _, wrt = max(g.k_tops, key=lambda top: sum(map(mul, top[0], hv)))
-    return matvec(wrt, hv)
+    # the dominant one is highest: (u^T R^T hv, 2rho_K) = (hv, R u 2rho_K)
+    u = max(g.k_weyl, key=lambda u: sum(map(mul, u.top, hv)))
+    return matvec(u.rw_t, hv)
 
 
 def _evaluate(prep: _Prepared, mode: str, index: Mapping[tuple, list],
@@ -378,38 +377,26 @@ def _evaluate_ktypes(g: RealGroupData, prep: _Prepared, mode: str,
 
 
 def _blattner_shifts(g: RealGroupData, compact: Sequence[Weight]
-                     ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Blattner's eps = det(w_Phi) and, per W_K term w, R(w rho_K) - rho_c,
-    for the compact positives Phi_c of a positive system Phi.
+                     ) -> tuple[int, tuple[tuple[WeylTerm, tuple], ...]]:
+    """Blattner's eps = det(w_Phi) and, per W_K record w, the pair (w,
+    R(w rho_K) - rho_c), for the compact positives Phi_c of a positive
+    system Phi.
 
     w_Phi takes the positive K roots to those R maps onto Phi_c, and R maps
     the K roots one-to-one onto the compact roots: so R w_Phi rho_K = rho_c,
     Phi_c's half-sum, det(w_Phi) = (-1)^(the number of Phi_c outside R K^+),
-    and R(w rho_K) - rho_c = R(w rho_K - rho_K) + R rho_K - rho_c
-    (ArithmeticError if twice the last is odd).  R K^+, R 2rho_K and each
-    R(w rho_K - rho_K) are the group's, derived at load.
+    and R(w rho_K) - rho_c = (R w 2rho_K - 2rho_c) / 2 (ArithmeticError if
+    the numerator is odd).  R K^+ and each R w 2rho_K are the group's,
+    derived at load.
     """
     eps = (-1) ** sum(c.coords not in g.r_k_positives for c in compact)
-    c2 = [x - sum(c.coords[i] for c in compact)
-          for i, x in enumerate(g.r_rho2)]
+    rho2_c = [sum(c.coords[i] for c in compact) for i in range(g.hm.rank)]
+    # one parity for every w: R w 2rho_K - R 2rho_K = 2 R(w rho_K - rho_K)
+    c2 = list(map(sub, g.k_weyl[0].top, rho2_c))
     if any(x % 2 for x in c2):
-        raise ArithmeticError(f"2 (R rho_K - rho_c) = {c2} is odd")
-    return eps, tuple(tuple(x + y // 2 for x, y in zip(t.shift, c2))
-                      for t in g.walk)
-
-
-def _blattner_terms(g: RealGroupData, prep: _Prepared
-                    ) -> tuple[int, list[tuple[WeylElement, tuple[int, ...]]]]:
-    """Blattner's formula for one parameter tuple, as eps = det(w_Phi) and
-    terms (w, shift_w) with shift_w = R(w rho_K - w_Phi rho_K) - base:
-
-        mult(mu) = eps * sum_w det(w) * P_n(R w mu + shift_w),
-
-    the record's eps and shifts (_blattner_shifts) less the base.
-    """
-    base = prep.base[0]
-    return prep.chamber.eps, [(w, tuple(map(sub, s, base)))
-                              for w, s in zip(g.k_weyl, prep.chamber.shifts)]
+        raise ArithmeticError(f"2 (R w rho_K - rho_c) = {c2} is odd")
+    return eps, tuple((w, tuple((x - y) // 2 for x, y in zip(w.top, rho2_c)))
+                      for w in g.k_weyl)
 
 
 def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
@@ -418,16 +405,17 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     as (highest-weight coordinates, multiplicity) in lexical order.
 
     P_n(t) is the number of count vectors n in N^k with t = sum_j n_j beta_j
-    over the k noncompact positives, so the formula sums det(w) over the
-    pairs (n, w) for which R w mu + shift_w = t has a solution mu in the
-    window.  As w^-1 = w^T, the fibres' one integer map reads it, carried
-    by w^T: the consistency rows vanish on t - shift_w, and d mu = A_w (t -
-    shift_w) + sum_f x_f w^T dirs_f with A_w = w^T a, over the free
-    coordinates x_f of w mu, which lie in [-window, window] since w is a
-    signed permutation; the record holds each term's columns, read off the
-    group's WalkTerm of w.  So d mu is affine in the walk variables, the free
-    coordinates and then the counts, each count at most the largest target
-    height in the window over its own height.
+    over the k noncompact positives, so the formula is eps times the sum of
+    det(w) over the pairs (n, w) for which R w mu + shift_w = t has a
+    solution mu in the window, shift_w the chamber's R(w rho_K) - rho_c
+    less the base.  As w^-1 = w^T, the fibres' one integer map reads it,
+    carried by w^T: the consistency rows vanish on t - shift_w, and d mu =
+    A_w (t - shift_w) + sum_f x_f w^T dirs_f with A_w = w^T a, over the
+    free coordinates x_f of w mu, which lie in [-window, window] since w is
+    a signed permutation; the chamber holds each term's columns, read off
+    the group's W_K record of w.  So d mu is affine in the walk variables,
+    the free coordinates and then the counts, each count at most the
+    largest target height in the window over its own height.
     The walk carries d mu, its pairings with the simple K roots, its Z' rows
     and the consistency residues as running sums.  The window, dominance and
     consistency conditions are linear, so each variable runs over one
@@ -436,17 +424,18 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
     have period d * |Z'| along it and are tested once per residue, so every
     (n, w) the walk reaches adds det(w) at its mu.
     """
-    eps, terms = _blattner_terms(g, prep)
     chamber, fibres, d = prep.chamber, g.fibres, g.fibres.d
-    ztable, zbase = chamber.hm.ztable, prep.base[1]
+    (base, zbase), ztable = prep.base, chamber.hm.ztable
     order, rank = ztable.order, g.k_roots.rank
+    terms = [(det, tuple(map(sub, shift, base)), columns, walk)
+             for det, shift, columns, walk in chamber.terms]
     # R w mu runs over the window's keys, as w permutes the window's weights
     bound2 = window * sum(map(abs, chamber.top)) + max(
-        sum(map(mul, chamber.hm.height_vec, shift)) for _, shift in terms)
+        sum(map(mul, chamber.hm.height_vec, shift)) for _, shift, *_ in terms)
     ranges = ([(-window, window)] * len(fibres.dirs)
               + [(0, bound2 // h) for h in chamber.heights])
     consistency, nsimple = fibres.consistency, len(g.k_roots.simples)
-    width = len(g.walk[0].matrix)  # of the walk's state
+    width = len(terms[0][3])  # of the walk's state
     zs = slice(rank + nsimple, width - len(consistency))
     # each condition is sign * state[i] >= bound
     conditions = ([(i, s, -d * window) for i in range(rank) for s in (1, -1)]
@@ -455,15 +444,15 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
                      for j in range(len(consistency)) for s in (1, -1)])
 
     found: dict[tuple[int, ...], int] = {}
-    for (w, shift), columns, term in zip(terms, chamber.columns, g.walk):
+    for det, shift, columns, walk in terms:
         # (column, lo, hi): no count exceeds the cut over its own height;
         # with no variable at all, a zero column reads the start alone
         variables = ([(c, lo, hi) for c, (lo, hi) in zip(columns, ranges)]
                      or [((0,) * width, 0, 0)])
         col = variables[-1][0]
         dcol, zcol = col[:rank], col[zs]
-        step, det = tuple(order * x for x in dcol), w.det
-        start = tuple(-x for x in matvec(term.matrix, shift))
+        step = tuple(order * x for x in dcol)
+        start = tuple(-x for x in matvec(walk, shift))
         for line, lo, hi in _walk(start, _levels(conditions, variables)):
             dmu0, z0 = line[:rank], line[zs]
             for n in range(lo, min(hi, lo + d * order - 1) + 1):
@@ -478,7 +467,7 @@ def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
                 for _ in range((hi - n) // (d * order) + 1):
                     found[mu] = found.get(mu, 0) + det
                     mu = tuple(map(add, mu, step))
-    return [(mu, eps * m) for mu, m in sorted(found.items())]
+    return [(mu, chamber.eps * m) for mu, m in sorted(found.items())]
 
 
 def _levels(conditions: Sequence[tuple[int, int, int]],
@@ -621,5 +610,6 @@ def nu_independence_check(g: RealGroupData, p: TemperedParams,
 def ktype_table_series(g: RealGroupData, p: TemperedParams, window: int,
                        restrictions: Optional[dict] = None) -> KTypeTable:
     """The series oracle's box table; restrictions is not used, as
-    ktype_box keeps every window's restricted K-types."""
+    ktype_box keeps every window's restricted K-types.  Its one caller is
+    perfbench/workloads.py."""
     return box_table(g, p, window, "series")

@@ -51,15 +51,11 @@ class Weight(_WeightFields):
     __slots__ = ()
 
     def __new__(cls, coords, lattice="t", denom=1):
-        self = tuple.__new__(cls, (coords, lattice, denom))
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
-        if type(self.denom) is not int or self.denom not in (1, 2):
-            raise LatticeError(f"denom must be 1 or 2, got {self.denom!r}")
-        if not {int}.issuperset(map(type, self.coords)):  # no bools
-            raise LatticeError(f"coordinates {self.coords!r} are not integers")
+        if type(denom) is not int or denom not in (1, 2):
+            raise LatticeError(f"denom must be 1 or 2, got {denom!r}")
+        if not {int}.issuperset(map(type, coords)):  # no bools
+            raise LatticeError(f"coordinates {coords!r} are not integers")
+        return tuple.__new__(cls, (coords, lattice, denom))
 
     @property
     def rank(self) -> int:
@@ -137,24 +133,19 @@ class ZCharTable(_ZCharTableFields):
     """
 
     def __new__(cls, order, rows):
-        self = tuple.__new__(cls, (order, rows))
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
-        if self.order < 1:
+        if order < 1:
             raise LatticeError("group order must be >= 1")
-        if len(self.rows) != self.order:
-            raise LatticeError(
-                f"expected {self.order} characters, got {len(self.rows)}")
-        if len(set(self.rows)) != len(self.rows):
+        if len(rows) != order:
+            raise LatticeError(f"expected {order} characters, got {len(rows)}")
+        if len(set(rows)) != len(rows):
             raise LatticeError("duplicate character rows")
-        ngen = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
+        ngen = len(rows[0]) if rows else 0
+        for r in rows:
             if len(r) != ngen:
                 raise LatticeError("ragged character table")
-            if any(not (0 <= e < self.order) for e in r):
+            if any(not (0 <= e < order) for e in r):
                 raise LatticeError("character exponent out of range")
+        return tuple.__new__(cls, (order, rows))
 
     @cached_property
     def index_of(self) -> dict[tuple[int, ...], int]:
@@ -197,13 +188,9 @@ class HMLattice(_HMLatticeFields):
     __slots__ = ()
 
     def __new__(cls, rank, lattice, height_vec, ztable=TRIVIAL_Z):
-        self = tuple.__new__(cls, (rank, lattice, height_vec, ztable))
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
-        if len(self.height_vec) != self.rank:
+        if len(height_vec) != rank:
             raise LatticeError("height covector has wrong rank")
+        return tuple.__new__(cls, (rank, lattice, height_vec, ztable))
 
     @classmethod
     def graded(cls, rank: int, lattice: str, positives: Iterable[Weight],

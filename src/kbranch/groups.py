@@ -7,11 +7,11 @@ restriction matrix and the finite component group of the compact Cartan.
 Loading validates every structural invariant and names the first violated
 one, and derives, once per group, the root data the engine reads: the
 lattices of T and T_M graded by the positive systems of K and of the Levi
-factor (with their rho), the Weyl group of K, the shift w rho_K - rho_K of
-each of its elements, the compactness of each Levi root, the fibres of the
-torus restriction and of the dot products with K's simple roots, whether
-Blattner's formula applies and, where it does, what its walk reads of the
-group alone.  Weight
+factor (with their rho), the compactness of each Levi root, the fibres of
+the torus restriction and of the dot products with K's simple roots,
+whether Blattner's formula applies, and one record per element w of the
+Weyl group of K (WeylTerm): w, w rho_K - rho_K, R w 2rho_K, (R w)^T and,
+where Blattner's formula applies, what its walk reads of w.  Weight
 coordinates are, by convention, orthonormal for an invariant inner
 product; this is what makes coroot pairings exact integers and is enforced
 by the crystallographic checks below.  The Z' character of a T-weight is
@@ -220,15 +220,21 @@ def _parse_fraction(v, inv):
                               f"a nonzero denominator, got {v!r}")
 
 
-class WalkTerm(NamedTuple):
-    """What Blattner's walk reads of one W_K element w, derived at load.  Its
-    state at a Levi weight b is w^T a b (the fibres' map carried by w^T), its
-    pairings with the simple K roots and Z' rows, and b's consistency rows."""
+class WeylTerm(NamedTuple):
+    """One element w of K's Weyl group and what the sums over W_K read of
+    it, derived at load.  Where Blattner's formula applies, _with_walk adds
+    the walk's: its state at a Levi weight b is w^T a b (the fibres' map
+    carried by w^T), its pairings with the simple K roots and Z' rows, and
+    b's consistency rows."""
 
-    matrix: tuple[tuple[int, ...], ...]    # b -> its state, as rows
-    dirs: tuple[tuple[int, ...], ...]      # the states of w^T dirs_f
-    roots: dict[tuple[int, ...], tuple[int, ...]]  # noncompact root -> state
-    shift: tuple[int, ...]                 # R(w rho_K - rho_K)
+    matrix: tuple[tuple[int, ...], ...]
+    det: int
+    rho_shift: tuple[int, ...]               # w rho_K - rho_K
+    top: tuple[int, ...]                     # R w 2rho_K
+    rw_t: tuple[tuple[int, ...], ...]        # (R w)^T, as rows
+    walk: tuple[tuple[int, ...], ...] = ()   # b -> its state, as rows
+    dirs: tuple[tuple[int, ...], ...] = ()   # the states of w^T dirs_f
+    roots: Optional[dict] = None             # noncompact root -> state
 
 
 class RealGroupData(NamedTuple):
@@ -251,16 +257,11 @@ class RealGroupData(NamedTuple):
     checklist: tuple[str, ...]
     # derived at load; rho_K is t_lattice.rho
     compact_of: dict[tuple[int, ...], bool]  # Levi root -> compact flag
-    k_weyl: tuple[WeylElement, ...]
-    k_rho_shifts: tuple[tuple[int, ...], ...]  # w rho_K - rho_K, per k_weyl
-    k_tops: tuple[tuple[tuple, tuple], ...]  # (R w^T 2rho_K, w R^T), per k_weyl
+    k_weyl: tuple[WeylTerm, ...]
     fibres: Fibres                           # R x = b, read by one integer map
     k_pairings: Fibres                       # S x = p, S the simple K roots
     blattner_applies: bool
-    # where it applies: R K^+, R 2rho_K and a WalkTerm per k_weyl element
-    r_k_positives: frozenset = frozenset()
-    r_rho2: tuple[int, ...] = ()
-    walk: tuple[WalkTerm, ...] = ()
+    r_k_positives: frozenset = frozenset()   # R K^+, where it applies
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -386,8 +387,8 @@ def _blattner_applies(g: RealGroupData,
 
 
 def _with_walk(g: RealGroupData) -> RealGroupData:
-    """g with the group-only data of Blattner's walk (WalkTerm)."""
-    fibres, r, rank = g.fibres, g.tm_in_t, g.hm.rank
+    """g with R K^+ and each W_K record's data of Blattner's walk."""
+    fibres, rank = g.fibres, g.hm.rank
     probes = ([s.coords for s in g.k_roots.simples]
               + (list(g.zchar_rows) if g.hm.ztable.order > 1 else []))
     width = g.k_roots.rank + len(probes) + len(fibres.consistency)
@@ -395,18 +396,18 @@ def _with_walk(g: RealGroupData) -> RealGroupData:
     unmoved = [(matvec(fibres.a, e), matvec(fibres.consistency, e)) for e in (
         tuple(int(i == j) for j in range(rank)) for i in range(rank))]
     unmoved += [(v, (0,) * len(fibres.consistency)) for v in fibres.dirs]
-    walk = []
-    for w, shift in zip(g.k_weyl, g.k_rho_shifts):
+    k_weyl = []
+    for w in g.k_weyl:
         wt = tuple(zip(*w.matrix))
         states = [(*dmu, *matvec(probes, dmu), *res) for dmu, res in (
             (matvec(wt, v), res) for v, res in unmoved)]
-        matrix = tuple(tuple(s[j] for s in states[:rank]) for j in range(width))
-        walk.append(WalkTerm(matrix, tuple(states[rank:]), {
-            b: matvec(matrix, b) for b, compact in g.compact_of.items()
-            if not compact}, matvec(r, shift)))
+        walk = tuple(tuple(s[j] for s in states[:rank]) for j in range(width))
+        k_weyl.append(w._replace(walk=walk, dirs=tuple(states[rank:]), roots={
+            b: matvec(walk, b) for b, compact in g.compact_of.items()
+            if not compact}))
     return g._replace(r_k_positives=frozenset(
-        matvec(r, a.coords) for a in g.k_roots.positives),
-        r_rho2=matvec(r, g.t_lattice.height_vec), walk=tuple(walk))
+        matvec(g.tm_in_t, a.coords) for a in g.k_roots.positives),
+        k_weyl=tuple(k_weyl))
 
 
 _SCHEMA_FIELDS = {
@@ -469,16 +470,15 @@ def _build(doc: dict) -> RealGroupData:
         _parse_weight_list(_require(k, "positives", list), k_rank, t_lab, "schema"),
         _parse_weight_list(_require(k, "simples", list), k_rank, t_lab, "schema"))
     _validate_root_system(k_roots, "k", checklist)
-    k_weyl = tuple(weyl_group(k_roots))  # the one closure built at load
     t_lattice = HMLattice.graded(k_rank, t_lab, k_roots.positives)
     rho_k = t_lattice.rho
-    k_rho_shifts = []
-    for w in k_weyl:
+    k_weyl = []  # (w, w rho_K - rho_K), of the one closure built at load
+    for w in weyl_group(k_roots):
         shift = w.apply(rho_k) - rho_k
         if not shift.is_integral():
             raise GroupDataError("Weyl closure", f"k: w rho - rho is not "
                                                  f"integral for {w.matrix}")
-        k_rho_shifts.append(shift.coords)
+        k_weyl.append((w, shift.coords))
 
     # ---- m root system with compact flags ----------------------------------
     m = doc["m"]
@@ -602,9 +602,11 @@ def _build(doc: dict) -> RealGroupData:
         name=name, k_roots=k_roots, m_roots=m_roots, dim_a=dim_a,
         tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=tuple(zchar_rows), hm=hm,
         t_lattice=t_lattice, dim_s_m=dim_s_m, checklist=(), compact_of=flag_of,
-        k_weyl=k_weyl, k_rho_shifts=tuple(k_rho_shifts), k_tops=tuple((
-            matvec(tm_in_t, matvec(tuple(zip(*w.matrix)), t_lattice.height_vec)),
-            tuple(matvec(tm_in_t, row) for row in w.matrix)) for w in k_weyl),
+        k_weyl=tuple(WeylTerm(
+            w.matrix, w.det, shift,
+            matvec(tm_in_t, matvec(w.matrix, t_lattice.height_vec)),
+            tuple(matvec(tm_in_t, col) for col in zip(*w.matrix)))
+            for w, shift in k_weyl),
         fibres=Fibres.of(tm_in_t, k_rank),
         k_pairings=Fibres.of([a.coords for a in k_roots.simples], k_rank),
         blattner_applies=False)

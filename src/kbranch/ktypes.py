@@ -69,13 +69,12 @@ def _kostant(g: RealGroupData, x: Sequence[int], d: int = 1
     identity's term is P_K(t); one whose argument has negative height is 0.
     """
     hv = g.t_lattice.height_vec
-    drops = [tuple((a - b) // d for a, b in zip(x, matvec(w.matrix, x)))
+    drops = [(w, tuple((a - b) // d for a, b in zip(x, matvec(w.matrix, x))))
              for w in g.k_weyl]
     counts = partition_counts(g.k_roots.positives, g.t_lattice,
-                              max(sum(map(mul, dr, hv)) for dr in drops))
+                              max(sum(map(mul, dr, hv)) for _, dr in drops))
     terms = [(w.det, off, sum(map(mul, off, hv)))
-             for w, dr, shift in zip(g.k_weyl, drops, g.k_rho_shifts)
-             for off in [tuple(map(sub, shift, dr))]
+             for w, dr in drops for off in [tuple(map(sub, w.rho_shift, dr))]
              if any(off)]  # all but the identity
     weights = []
     for t, n in counts.items():

@@ -34,17 +34,13 @@ class SL2Series(_SL2SeriesFields):
     __slots__ = ()
 
     def __new__(cls, kind, n=0):
-        self = tuple.__new__(cls, (kind, n))
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown series kind {self.kind!r}")
-        if self.kind.startswith("discrete") and self.n < 1:
+        if kind not in KINDS:
+            raise ValueError(f"unknown series kind {kind!r}")
+        if kind.startswith("discrete") and n < 1:
             raise ValueError("discrete series need n >= 1")
-        if not self.kind.startswith("discrete") and self.n != 0:
-            raise ValueError(f"{self.kind} takes no integer parameter")
+        if not kind.startswith("discrete") and n != 0:
+            raise ValueError(f"{kind} takes no integer parameter")
+        return tuple.__new__(cls, (kind, n))
 
 
 def sl2_branching(s: SL2Series, window: int) -> KTypeTable:

@@ -28,8 +28,7 @@ from typing import NamedTuple
 
 from . import presets
 from .branching import (TemperedParams, box_table, ktype_multiplicity,
-                        ktype_table, ktype_table_series,
-                        nu_independence_check, validate_params)
+                        ktype_table, nu_independence_check, validate_params)
 from .characters import (FormalCharacter, HMLattice, ZCharTable, Weight,
                          char_mul, dot, geometric_series, graded_exterior,
                          kostant_partition)
@@ -122,7 +121,7 @@ def _weyl_denominator_check(name, hm, compact_positives) -> Check:
 def _tables_agree(g, p, window: int) -> bool:
     """ktype_table, the series table and the partition evaluator agree."""
     t = ktype_table(g, p, window)
-    return (t == ktype_table_series(g, p, window)
+    return (t == box_table(g, p, window, "series")
             and t.entries == box_table(g, p, window, "partition").entries)
 
 
@@ -159,7 +158,7 @@ def su21_table_offender(gu, rng, samples: int):
     for _ in range(samples):
         p = random_su21_params(gu, rng)
         t = ktype_table(gu, p, 6)
-        if t != ktype_table_series(gu, p, 6):
+        if t != box_table(gu, p, 6, "series"):
             return p, "mode disagreement"
         bad = [k for k, m in t.entries.items() if m > 1]
         if bad:

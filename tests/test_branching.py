@@ -86,6 +86,22 @@ def test_validate_rejects_wrong_component_character():
     assert "component character" in v.reason
 
 
+@pytest.mark.parametrize("chi", [0.0, False, True, 0.5])
+@pytest.mark.parametrize("g, p, hw", [
+    (GU, su21_from_lambda(GU, [3, 1, -1]), [4, 1, -2]),
+    (GC, sl2_discrete(GC, 3, "+"), [4])], ids=["su21", "sl2r-compact"])
+def test_validate_refuses_a_chi_that_is_not_an_int(g, p, hw, chi):
+    # an index equal to a valid one, or between two, is still no index
+    p = p._replace(chi=chi)
+    v = validate_params(g, p)
+    assert v == ("invalid", f"no component character with index {chi}", None)
+    for evaluate in (lambda: ktype_table(g, p, 4),
+                     lambda: box_table(g, p, 4, "partition"),
+                     lambda: ktype_multiplicity(g, p, KType(g.t_weight(hw)))):
+        with pytest.raises(InvalidParamsError):
+            evaluate()
+
+
 def test_validate_rejects_non_positive_system():
     # closed-but-unpointed sign choice of the rank-two system
     bad = tuple(GU.tm_weight(c) for c in ([1, -1, 0], [-1, 0, 1], [0, 1, -1]))
@@ -382,9 +398,14 @@ def test_box_tables_agree_with_ktype_table():
         assert t == ktype_table_series(GU, p, window)
         assert t == box_table(GU, p, window, "partition")
     # the highest heights of the box's keys, and of each K-type's, under a
-    # covector are the closed forms'
-    for g in (GC, GS, GU, SP4R, SL2XU1, SL2XT3, all_noncompact_su21()):
-        for window in range(7):
+    # covector are the closed forms'; su31's 3-cycles are the first W_K
+    # elements with w^T != w, which the per-K-type heights tell apart
+    a3 = [load_group_data(Path(__file__).parent / "data" / f"{name}.json")
+          for name in ("su22", "su31")]
+    for g, windows in ([(g, 7) for g in (GC, GS, GU, SP4R, SL2XU1, SL2XT3,
+                                         all_noncompact_su21())]
+                       + [(g, 3) for g in a3]):
+        for window in range(windows):
             box, index = ktypes.ktype_box(g, window)
             for hv in {g.hm.height_vec, *itertools.product(
                     range(-1, 2), repeat=g.hm.rank)}:
@@ -445,7 +466,7 @@ def test_tables_build_no_weight_per_ktype(monkeypatch):
     # K-types travel as highest-weight tuples, so a warm table builds the
     # same Weights, those of its parameters, at every window
     p = su21_from_lambda(GU, [3, 1, -1])
-    calls = _count_calls(monkeypatch, (Weight, "__post_init__"))
+    calls = _count_calls(monkeypatch, (Weight, "__new__"))
     for table in (lambda w: ktype_table_series(GU, p, w),
                   lambda w: box_table(GU, p, w, "partition"),
                   lambda w: ktype_table(GU, p, w)):
@@ -454,7 +475,7 @@ def test_tables_build_no_weight_per_ktype(monkeypatch):
             table(window)  # fills the restriction cache
             calls.clear()
             table(window)
-            built.append(calls["__post_init__"])
+            built.append(calls["__new__"])
         assert built[0] == built[1] < 20
 
 
@@ -744,16 +765,17 @@ def test_blattner_reads_the_consistency_rows():
 def _searched_terms(g, prep):
     """Blattner's terms by the W_K search that the closed forms replace:
     w_Phi is the one w whose positive K roots R maps onto the compact
-    positives, and shift_w = R(w rho_K - w_Phi rho_K) - base."""
+    positives, and shift_w = R(w rho_K - w_Phi rho_K) - base, each term as
+    (det w, shift_w, the walk's state map of w)."""
     matvec, target = groups.matvec, {c.coords for c in prep.chamber.compact}
-    (w_phi, phi_shift), = [
-        (w, s) for w, s in zip(g.k_weyl, g.k_rho_shifts)
-        if {matvec(g.tm_in_t, matvec(w.matrix, a.coords))
-            for a in g.k_roots.positives} == target]
+    w_phi, = [w for w in g.k_weyl
+              if {matvec(g.tm_in_t, matvec(w.matrix, a.coords))
+                  for a in g.k_roots.positives} == target]
     return w_phi.det, [
-        (w, tuple(a - b for a, b in zip(matvec(
-            g.tm_in_t, [x - y for x, y in zip(s, phi_shift)]), prep.base[0])))
-        for w, s in zip(g.k_weyl, g.k_rho_shifts)]
+        (w.det, tuple(a - b for a, b in zip(matvec(g.tm_in_t, [
+            x - y for x, y in zip(w.rho_shift, w_phi.rho_shift)]),
+            prep.base[0])), w.walk)
+        for w in g.k_weyl]
 
 
 def _term_cases():
@@ -784,7 +806,9 @@ def test_blattner_terms_are_the_searched_terms():
     signs = Counter()
     for g, p in _term_cases():
         prep = branching._prepare(g, p)
-        eps, terms = branching._blattner_terms(g, prep)
+        eps, terms = prep.chamber.eps, [
+            (det, tuple(map(sub, shift, prep.base[0])), walk)
+            for det, shift, _, walk in prep.chamber.terms]
         assert (eps, terms) == _searched_terms(g, prep)
         signs[g.name, eps] += 1
     # both compact chambers of su21 and of Sp(4,R)
@@ -895,8 +919,8 @@ def test_chamber_derived_once_per_positive_system(monkeypatch):
     # every su21 lambda in [-4, 4]^3 off the compact wall, a singular one on
     # the positive system that this module's _chamber helper picks: 648
     # tables over the 6 positive systems of A_2, each graded once.  The
-    # records read what the group alone fixes from its load (WalkTerm, R K^+
-    # and R 2rho_K): no product with the fibres' map, their consistency
+    # records read what the group alone fixes from its load (the W_K
+    # records and R K^+): no product with the fibres' map, their consistency
     # rows or R, and no derivation of the walk data
     calls = _count_calls(monkeypatch, (HMLattice, "graded"),
                          (groups, "_with_walk"))
@@ -1065,25 +1089,28 @@ def _plant(monkeypatch, defect, g):
     """g, or its copy, with a Blattner defect planted: a flipped det(w) on
     the last term, the later terms' shifts moved by a noncompact root, or
     the walk reading mu through w in place of w^T."""
-    terms = branching._blattner_terms
-
-    def flipped(g, prep):
-        eps, ts = terms(g, prep)
-        w, shift = ts[-1]
-        return eps, ts[:-1] + [(w._replace(det=-w.det), shift)]
-
-    def moved(g, prep):
-        eps, ts = terms(g, prep)
-        beta = prep.chamber.noncompact[0].coords
-        return eps, ts[:1] + [(w, tuple(map(sum, zip(shift, beta))))
-                              for w, shift in ts[1:]]
-
     if defect == "w":
-        wt = tuple(groups.WeylElement(tuple(zip(*w.matrix)), w.det)
-                   for w in g.k_weyl)
-        return g._replace(walk=groups._with_walk(g._replace(k_weyl=wt)).walk)
-    monkeypatch.setattr(branching, "_blattner_terms",
-                        {"det": flipped, "shift": moved}[defect])
+        wt = groups._with_walk(g._replace(k_weyl=tuple(
+            w._replace(matrix=tuple(zip(*w.matrix))) for w in g.k_weyl)))
+        return g._replace(k_weyl=tuple(
+            w._replace(walk=t.walk, dirs=t.dirs, roots=t.roots)
+            for w, t in zip(g.k_weyl, wt.k_weyl)))
+    chamber = branching._chamber
+
+    def flipped(c):
+        det, *rest = c.terms[-1]
+        return c.terms[:-1] + ((-det, *rest),)
+
+    def moved(c):
+        beta = c.noncompact[0].coords
+        return c.terms[:1] + tuple(
+            (det, tuple(map(sum, zip(shift, beta))), columns, walk)
+            for det, shift, columns, walk in c.terms[1:])
+
+    def planted(g, rmplus):
+        c = chamber(g, rmplus)
+        return c._replace(terms={"det": flipped, "shift": moved}[defect](c))
+    monkeypatch.setattr(branching, "_chamber", planted)
     return g
 
 

@@ -10,7 +10,7 @@ from kbranch import branching
 from kbranch.branching import KTypeTable, validate_params
 from kbranch.characters import (HMLattice, LatticeError, Weight, ZCharTable,
                                 weight)
-from kbranch.groups import builtin_group, load_group_data
+from kbranch.groups import builtin_group, load_group_data, weyl_group
 from kbranch.ktypes import KType
 from kbranch.oscillator import GridError, GridSpec, KernelReport
 from kbranch.presets import su21_from_lambda
@@ -33,14 +33,13 @@ FROZEN = {
                   ("rank", "lattice", "height_vec", "ztable")),
     "RootSystem": (lambda: builtin_group("su21").k_roots,
                    ("rank", "roots", "positives", "simples")),
-    "WeylElement": (lambda: builtin_group("su21").k_weyl[-1],
+    "WeylElement": (lambda: weyl_group(builtin_group("su21").k_roots)[-1],
                     ("matrix", "det")),
     "RealGroupData": (lambda: builtin_group("su21"),
                       ("name", "k_roots", "m_roots", "dim_a", "tm_in_t",
                        "zgen_w", "zchar_rows", "hm", "t_lattice", "dim_s_m",
-                       "checklist", "compact_of", "k_weyl", "k_rho_shifts",
-                       "k_tops", "fibres", "k_pairings", "blattner_applies",
-                       "r_k_positives", "r_rho2", "walk")),
+                       "checklist", "compact_of", "k_weyl", "fibres",
+                       "k_pairings", "blattner_applies", "r_k_positives")),
     "Fibres": (lambda: builtin_group("su21").fibres,
                ("a", "dirs", "consistency", "d", "free")),
     "TemperedParams": (lambda: _params(GU), ("lam", "rmplus", "chi", "nu")),
@@ -49,8 +48,7 @@ FROZEN = {
     "Chamber": (lambda: branching._chamber.__wrapped__(
                     GU, _params(GU).rmplus),
                 ("hm", "compact", "noncompact", "compact_simples",
-                 "rho_n_less_c", "subsets", "top", "eps", "shifts", "columns",
-                 "heights")),
+                 "rho_n_less_c", "subsets", "top", "eps", "terms", "heights")),
     "_Prepared": (lambda: branching._prepare(GU, _params(GU)),
                   ("chamber", "base", "offsets")),
     "KType": (lambda: KType(weight((2, 0, -1), "t")), ("highest",)),
@@ -65,7 +63,7 @@ UNHASHED = {
     "KTypeTable": lambda: KTypeTable({(1,): 1, (3,): 2}, 3, -1),
     "KernelReport": lambda: KernelReport(1, 0, 1e-3, [1e-9, 0.5], [0.2]),
     "Check": lambda: Check("name", True, "1", "1"),
-    "WalkTerm": lambda: builtin_group("su21").walk[-1],
+    "WeylTerm": lambda: builtin_group("su21").k_weyl[-1],
 }
 
 
