@@ -64,9 +64,6 @@ class Weight(_WeightFields):
     def is_integral(self) -> bool:
         return self.denom == 1
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def _check(self, other: "Weight") -> None:
         if self.lattice != other.lattice:
             raise LatticeError(
@@ -108,14 +105,6 @@ def dot(a: Weight, b: Weight) -> Fraction:
     a._check(b)
     return Fraction(sum(x * y for x, y in zip(a.coords, b.coords)),
                     a.denom * b.denom)
-
-
-def pairing(mu: Weight, alpha: Weight) -> Fraction:
-    """Coroot pairing <mu, alpha^vee> = 2(mu, alpha)/(alpha, alpha)."""
-    nn = dot(alpha, alpha)
-    if nn == 0:
-        raise ConeError("zero root has no coroot")
-    return 2 * dot(mu, alpha) / nn
 
 
 class _ZCharTableFields(NamedTuple):

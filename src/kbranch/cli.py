@@ -92,7 +92,7 @@ def cmd_table(args) -> int:
 
     try:
         doc = json.loads(args.params)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # nesting, integer digits
         print(f"error: params document is not JSON: {e}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
     try:

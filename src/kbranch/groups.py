@@ -29,8 +29,7 @@ from operator import mul, sub
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .characters import (HMLattice, LatticeError, Weight,
-                         ZCharTable, pairing, weight)
+from .characters import HMLattice, LatticeError, Weight, ZCharTable, weight
 
 DATA_ENV_VAR = "KTYPE_DATA_DIR"
 _BUILTIN_DIR = Path(__file__).parent / "data"
@@ -51,23 +50,6 @@ class RootSystem(NamedTuple):
     simples: tuple[Weight, ...]
 
 
-class WeylElement(NamedTuple):
-    """Orthogonal lattice map with its determinant sign."""
-
-    matrix: tuple[tuple[int, ...], ...]
-    det: int
-
-    def apply(self, w: Weight) -> Weight:
-        return Weight(matvec(self.matrix, w.coords), w.lattice, w.denom)
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        n = len(self.matrix)
-        m = tuple(tuple(sum(self.matrix[i][k] * other.matrix[k][j]
-                            for k in range(n)) for j in range(n))
-                  for i in range(n))
-        return WeylElement(m, self.det * other.det)
-
-
 def matvec(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     """The integer matrix-vector product mat v."""
     return tuple(sum(map(mul, row, v)) for row in mat)
@@ -81,70 +63,76 @@ def simple_roots(positives: Sequence[Weight]) -> tuple[Weight, ...]:
         tuple(map(sub, p.coords, q)) in pos for q in pos))
 
 
-def _reflection_matrix(alpha: Weight, rank: int) -> tuple[tuple[int, ...], ...]:
-    cols = []
-    for j in range(rank):
-        e = Weight(tuple(1 if i == j else 0 for i in range(rank)),
-                   alpha.lattice)
-        p = pairing(e, alpha)
-        if p.denominator != 1:
-            raise GroupDataError(
-                "Weyl closure",
-                f"reflection in {alpha.coords} does not preserve the lattice")
-        cols.append(tuple(e.coords[i] - int(p) * alpha.coords[i]
-                          for i in range(rank)))
-    return tuple(tuple(cols[j][i] for j in range(rank)) for i in range(rank))
+def _integral_pairing(b: Sequence[int], a: Sequence[int]) -> bool:
+    """Whether the coroot pairing 2(b, a)/(a, a) is an integer."""
+    return 2 * sum(map(mul, b, a)) % sum(map(mul, a, a)) == 0
+
+
+def _reflect(gen: tuple, vectors: Sequence[Sequence[int]]) -> tuple:
+    """s_a(v) = v - (v, a_vee) a for each v, gen the pair (a, a_vee) of a
+    root and its coroot 2a/(a, a), an integer vector by the lattice check."""
+    a, a_vee = gen
+    return tuple(tuple(x - c * y for x, y in zip(v, a))
+                 for v in vectors for c in [sum(map(mul, v, a_vee))])
 
 
 # the largest Weyl group loaded, |W(A_6)|: on a 2-CPU x86 host U(7) loads
-# in 2.9 s and SO(11) (|W(B_5)| = 3,840) in 1.0 s, building K's group alone
+# in 1.4 s and SO(11) (|W(B_5)| = 3,840) in 0.6 s, building K's group alone
 _WEYL_CAP = 5_040
 # loading costs O(rank^2) and O(order^2) before any shape check can fail;
 # the shipped groups use ranks 1-3 and order 2
 _RANK_CAP, _ORDER_CAP = 8, 64
 
 
-def _simple_reflections(rs: RootSystem) -> list[WeylElement]:
-    """The simple reflections, which generate the Weyl group, each checked
-    to permute the roots; GroupDataError("Weyl closure") otherwise."""
-    root_set = {r.coords for r in rs.roots}
-    gens = [WeylElement(_reflection_matrix(a, rs.rank), -1) for a in rs.simples]
-    for a, el in zip(rs.simples, gens):
-        if {el.apply(r).coords for r in rs.roots} != root_set:
+def _simple_reflections(rs: RootSystem) -> list[tuple]:
+    """The simple reflections, which generate the Weyl group, as _reflect's
+    (a, a_vee) pairs, each checked to preserve the lattice and then to
+    permute the roots; GroupDataError("Weyl closure") otherwise."""
+    gens = []
+    for a in rs.simples:  # e_j reflects to e_j - (2a_j/(a, a)) a
+        aa = sum(map(mul, a.coords, a.coords))
+        if any(2 * x % aa for x in a.coords):
             raise GroupDataError(
                 "Weyl closure",
-                f"reflection in {a.coords} does not permute the roots")
+                f"reflection in {a.coords} does not preserve the lattice")
+        gens.append((a.coords, tuple(2 * x // aa for x in a.coords)))
+    roots = tuple(r.coords for r in rs.roots)
+    root_set = set(roots)
+    for gen in gens:
+        if set(_reflect(gen, roots)) != root_set:
+            raise GroupDataError(
+                "Weyl closure",
+                f"reflection in {gen[0]} does not permute the roots")
     return gens
 
 
-def weyl_group(rs: RootSystem) -> list[WeylElement]:
-    """All elements generated by the simple reflections, with det signs.
+def weyl_group(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """All elements generated by the simple reflections, as (matrix, det)
+    pairs sorted by matrix.
 
     Raises GroupDataError("Weyl closure") on non-crystallographic input
     (a generated reflection fails to permute the root set); else the group
     is finite, and GroupDataError("size cap") once it passes _WEYL_CAP.
     """
-    rank = rs.rank
     gens = _simple_reflections(rs)
-    identity = WeylElement(
-        tuple(tuple(1 if i == j else 0 for j in range(rank))
-              for i in range(rank)), 1)
-    seen = {identity.matrix: identity}
+    identity = tuple(tuple(int(i == j) for j in range(rs.rank))
+                     for i in range(rs.rank))
+    seen = {identity: 1}  # an element's columns -> its det
     frontier = [identity]
     while frontier:
         nxt = []
-        for el in frontier:
-            for g in gens:
-                cand = g.compose(el)
-                if cand.matrix not in seen:
-                    seen[cand.matrix] = cand
+        for cols in frontier:
+            for gen in gens:
+                cand = _reflect(gen, cols)
+                if cand not in seen:
+                    seen[cand] = -seen[cols]
                     nxt.append(cand)
                     if len(seen) > _WEYL_CAP:
                         raise GroupDataError("size cap", (
                             f"Weyl group of {len(seen)} or more elements, "
                             f"above {_WEYL_CAP}"))
         frontier = nxt
-    return sorted(seen.values(), key=lambda e: e.matrix)
+    return sorted((tuple(zip(*cols)), det) for cols, det in seen.items())
 
 
 def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
@@ -154,12 +142,13 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
         raise GroupDataError(inv, f"{label}: {msg}")
 
     coords = [r.coords for r in rs.roots]
-    if len(set(coords)) != len(coords):
+    root_set = set(coords)
+    if len(root_set) != len(coords):
         bad("negation closure", "duplicate roots")
     for r in rs.roots:
-        if r.is_zero():
+        if not any(r.coords):
             bad("negation closure", "zero vector listed as a root")
-        if (-r).coords not in set(coords):
+        if (-r).coords not in root_set:
             bad("negation closure", f"root {r.coords} has no negative")
     checklist.append(f"{label} negation closure")
 
@@ -167,7 +156,7 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
     neg = {(-p).coords for p in rs.positives}
     if pos & neg:
         bad("positive partition", "a root and its negative both positive")
-    if pos | neg != set(coords):
+    if pos | neg != root_set:
         bad("positive partition",
             "positives and their negatives do not exhaust the roots")
     checklist.append(f"{label} positive partition")
@@ -188,11 +177,11 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
                 "combination of the simples")
     checklist.append(f"{label} simple decomposition")
 
-    for a in rs.roots:
-        for b in rs.roots:
-            if pairing(b, a).denominator != 1:
+    for a in coords:
+        for b in coords:
+            if not _integral_pairing(b, a):
                 bad("Weyl closure",
-                    f"pairing of {b.coords} with {a.coords} is not integral")
+                    f"pairing of {b} with {a} is not integral")
     _simple_reflections(rs)  # raises on reflection-closure failure
     checklist.append(f"{label} Weyl closure")
 
@@ -432,7 +421,7 @@ def load_group_data(source: Union[str, bytes, os.PathLike]) -> RealGroupData:
             raise GroupDataError("schema", f"not UTF-8 text: {e}") from e
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # nesting, integer digits
         raise GroupDataError("schema", f"not valid JSON: {e}") from e
     return _build(doc)
 
@@ -471,14 +460,14 @@ def _build(doc: dict) -> RealGroupData:
         _parse_weight_list(_require(k, "simples", list), k_rank, t_lab, "schema"))
     _validate_root_system(k_roots, "k", checklist)
     t_lattice = HMLattice.graded(k_rank, t_lab, k_roots.positives)
-    rho_k = t_lattice.rho
-    k_weyl = []  # (w, w rho_K - rho_K), of the one closure built at load
-    for w in weyl_group(k_roots):
-        shift = w.apply(rho_k) - rho_k
-        if not shift.is_integral():
+    rho2 = t_lattice.height_vec
+    k_weyl = []  # (w, det, w 2rho_K), of the one closure built at load
+    for w, det in weyl_group(k_roots):
+        w_rho2 = matvec(w, rho2)
+        if any((x - y) % 2 for x, y in zip(w_rho2, rho2)):
             raise GroupDataError("Weyl closure", f"k: w rho - rho is not "
-                                                 f"integral for {w.matrix}")
-        k_weyl.append((w, shift.coords))
+                                                 f"integral for {w}")
+        k_weyl.append((w, det, w_rho2))
 
     # ---- m root system with compact flags ----------------------------------
     m = doc["m"]
@@ -603,10 +592,10 @@ def _build(doc: dict) -> RealGroupData:
         tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=tuple(zchar_rows), hm=hm,
         t_lattice=t_lattice, dim_s_m=dim_s_m, checklist=(), compact_of=flag_of,
         k_weyl=tuple(WeylTerm(
-            w.matrix, w.det, shift,
-            matvec(tm_in_t, matvec(w.matrix, t_lattice.height_vec)),
-            tuple(matvec(tm_in_t, col) for col in zip(*w.matrix)))
-            for w, shift in k_weyl),
+            w, det, tuple((x - y) // 2 for x, y in zip(w_rho2, rho2)),
+            matvec(tm_in_t, w_rho2),
+            tuple(matvec(tm_in_t, col) for col in zip(*w)))
+            for w, det, w_rho2 in k_weyl),
         fibres=Fibres.of(tm_in_t, k_rank),
         k_pairings=Fibres.of([a.coords for a in k_roots.simples], k_rank),
         blattner_applies=False)
@@ -623,14 +612,12 @@ def _build(doc: dict) -> RealGroupData:
 
     # restriction sends lattice weights to weights pairing integrally with
     # the compact Levi roots
-    for i in range(k_rank):
-        e = Weight(tuple(1 if j == i else 0 for j in range(k_rank)), t_lab)
-        re = g.restrict_weight(e)
+    for i, re in enumerate(zip(*tm_in_t)):  # R e_i, the i-th column
         for r, f in zip(m_all, flags):
-            if f and pairing(re, r).denominator != 1:
+            if f and not _integral_pairing(re, r.coords):
                 raise GroupDataError(
                     "restriction integrality",
-                    f"basis weight {i} restricts to {re.coords}, pairing "
+                    f"basis weight {i} restricts to {re}, pairing "
                     f"non-integrally with compact root {r.coords}")
     checklist.append("restriction integrality")
 

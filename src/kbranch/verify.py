@@ -32,7 +32,8 @@ from .branching import (TemperedParams, box_table, ktype_multiplicity,
 from .characters import (FormalCharacter, HMLattice, ZCharTable, Weight,
                          char_mul, dot, geometric_series, graded_exterior,
                          kostant_partition)
-from .groups import RootSystem, builtin_group, simple_roots, weyl_group
+from .groups import (RootSystem, builtin_group, matvec, simple_roots,
+                     weyl_group)
 from .ktypes import KType, ktype_box
 from .oscillator import (GridSpec, InconclusiveKernelError, cylinder_table,
                          oscillator_1d, oscillator_nd)
@@ -108,11 +109,12 @@ def _weyl_denominator_check(name, hm, compact_positives) -> Check:
     roots = tuple(compact_positives) + tuple(-r for r in compact_positives)
     rs = RootSystem(hm.rank, roots, tuple(compact_positives),
                     simple_roots(compact_positives))
-    rho_c = HMLattice.graded(hm.rank, hm.lattice, compact_positives).rho
+    rho2 = HMLattice.graded(hm.rank, hm.lattice, compact_positives).height_vec
     terms = {}
-    for w in weyl_group(rs):
-        key = hm.char(rho_c - w.apply(rho_c))
-        terms[key] = terms.get(key, 0) + w.det
+    for w, det in weyl_group(rs):  # rho_c - w rho_c sums compact positives
+        key = (tuple((x - y) // 2 for x, y in zip(rho2, matvec(w, rho2))),
+               hm.ztable.identity)
+        terms[key] = terms.get(key, 0) + det
     rhs = FormalCharacter(hm, terms)
     return _check(f"weyl denominator identity ({name})", lhs == rhs,
                   "formal equality", "equal" if lhs == rhs else "unequal")

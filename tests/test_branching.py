@@ -20,7 +20,7 @@ from kbranch.branching import (InvalidParamsError, TemperedParams,
                                sign_factor, validate_params)
 from kbranch import branching, groups, ktypes
 from kbranch.characters import (CutoffError, FormalCharacter, HMLattice,
-                                LatticeError, Weight, dot, pairing, weight)
+                                LatticeError, Weight, dot, weight)
 from kbranch.groups import (_BUILTIN_DIR, GroupDataError, builtin_group,
                             load_group_data, simple_roots)
 from kbranch.ktypes import KType, key_index
@@ -273,7 +273,7 @@ def test_prepared_lattice_holds_rho_and_base(g, p):
     from explicit coordinate half-sums."""
     prep = branching._prepare(g, p)
     for a in simple_roots(p.rmplus):
-        assert pairing(prep.hm.rho, a) == 1
+        assert 2 * dot(prep.hm.rho, a) == dot(a, a)
     compact = [r.coords for r in p.rmplus if g.is_compact(r)]
     noncompact = [r.coords for r in p.rmplus if not g.is_compact(r)]
     two_rho_n_less_two_rho_c = [sum(c[i] for c in noncompact)

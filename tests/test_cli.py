@@ -284,6 +284,36 @@ def test_schema_error_exits_4(tmp_path, capsys):
     assert "sign factor parity" in err
 
 
+# json.loads raises RecursionError on deep nesting and a bare ValueError on
+# an integer literal past the 4,300-digit conversion limit
+UNREADABLE_JSON = {"nested": "[" * 1000 + "]" * 1000,
+                   "long integer": '{"lambda":[' + "9" * 5000 + ",1,-1]}"}
+
+
+@pytest.mark.parametrize("text", UNREADABLE_JSON.values(),
+                         ids=UNREADABLE_JSON.keys())
+def test_unreadable_params_exit_2(capsys, text):
+    code, out, err = run(capsys, "table", "--group", "su21", "--params", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: params document is not JSON: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (("validate",), "invalid: "),
+    (("table", "--params", "{}", "--group"), "error: ")],
+    ids=["validate", "table"])
+@pytest.mark.parametrize("text", UNREADABLE_JSON.values(),
+                         ids=UNREADABLE_JSON.keys())
+def test_unreadable_group_file_exits_4(tmp_path, capsys, argv, prefix, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, *argv, str(bad))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"{prefix}schema: not valid JSON: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_validate_shipped_files(capsys):
     for name in ("sl2r-compact", "sl2r-split", "su21"):
         code, out, _ = run(capsys, "validate",

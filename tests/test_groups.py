@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbranch import groups
-from kbranch.characters import HMLattice, LatticeError, Weight, pairing
+from kbranch.characters import HMLattice, LatticeError, Weight, dot
 from kbranch.groups import (GroupDataError, RootSystem, builtin_group,
-                            data_dir, load_group_data, weyl_group)
+                            data_dir, load_group_data, matvec, weyl_group)
 
 SP4R = Path(__file__).parent / "data" / "sp4r.json"
 
@@ -85,6 +85,51 @@ def test_reflection_closure_violation():
     with pytest.raises(GroupDataError) as e:
         load_group_data(json.dumps(doc))
     assert e.value.invariant == "Weyl closure"
+    assert str(e.value) == ("Weyl closure: reflection in (1, -1) does not "
+                            "permute the roots")
+
+
+def _pair_doc(k, m, tm_in_t, s_m):
+    """A rank-0 split group from K's roots, the Levi factor's roots with
+    their compact flags, and the torus restriction; positives are the
+    first of each +- pair."""
+    def system(rank, roots):
+        pos = [r for r in roots if r > [-c for c in r]]
+        return {"rank": rank, "roots": roots, "positives": pos}
+
+    k_doc = system(*k)
+    k_doc["simples"] = k_doc["positives"]
+    m_roots = [r for r, _ in m[1]]
+    return {
+        "name": "pairing-test", "k": k_doc,
+        "m": {**system(m[0], m_roots),
+              "compact_flags": [f for _, f in m[1]]},
+        "restricted": {"dim_a": 0, "roots": [], "positives": []},
+        "tM_in_t": tm_in_t,
+        "zmprime": {"order": 1, "generators": []},
+        "dims": {"s_M": s_m, "a": 0},
+    }
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_pair_doc((1, [[2], [-2]]),
+               (2, [([3, 0], False), ([-3, 0], False), ([1, 1], False),
+                    ([-1, -1], False)]), [[1], [0]], 4),
+     "Weyl closure: m: pairing of (1, 1) with (3, 0) is not integral"),
+    (_pair_doc((2, [[2, 2], [-2, -2]]), (1, [([2], False), ([-2], False)]),
+               [[1, 0]], 2),
+     "Weyl closure: reflection in (2, 2) does not preserve the lattice"),
+    # a non-reduced Levi factor: 2 noncompact, 4 = R(1, 1) compact
+    (_pair_doc((2, [[1, 1], [-1, -1]]),
+               (1, [([2], False), ([-2], False), ([4], True), ([-4], True)]),
+               [[1, 3]], 2),
+     "restriction integrality: basis weight 0 restricts to (1,), pairing "
+     "non-integrally with compact root (4,)"),
+], ids=["root pair", "lattice", "restriction"])
+def test_integrality_failures_name_the_pair(doc, message):
+    with pytest.raises(GroupDataError) as e:
+        load_group_data(json.dumps(doc))
+    assert str(e.value) == message
 
 
 def test_odd_s_m_names_sign_factor_parity():
@@ -172,14 +217,16 @@ def test_weyl_group_above_the_cap_is_refused_as_it_grows(monkeypatch):
     # the element past the cap is added and not after a whole layer
     b5 = load_group_data(json.dumps(compact_b_doc(5)))
     assert len(b5.k_weyl) == 3840
-    compose = groups.WeylElement.compose
+    # one _reflect call per candidate element, one per generator per
+    # frontier element, and one per simple root in each permutation check
+    reflect = groups._reflect
     calls = []
 
-    def counted(self, other):
+    def counted(gen, vectors):
         calls.append(1)
-        return compose(self, other)
+        return reflect(gen, vectors)
 
-    monkeypatch.setattr(groups.WeylElement, "compose", counted)
+    monkeypatch.setattr(groups, "_reflect", counted)
     with pytest.raises(GroupDataError) as e:
         load_group_data(json.dumps(compact_b_doc(6)))
     assert e.value.invariant == "size cap"
@@ -228,7 +275,7 @@ def test_weyl_group_rank1():
                     (Weight((2,), "t"),), (Weight((2,), "t"),))
     els = weyl_group(rs)
     assert len(els) == 2
-    assert sorted(e.det for e in els) == [-1, 1]
+    assert sorted(det for _, det in els) == [-1, 1]
 
 
 def test_weyl_group_u2():
@@ -249,19 +296,50 @@ def a2_system():
 def test_weyl_group_su3_order_and_dets():
     els = weyl_group(a2_system())
     assert len(els) == 6
-    assert sorted(e.det for e in els) == [-1, -1, -1, 1, 1, 1]
+    assert sorted(det for _, det in els) == [-1, -1, -1, 1, 1, 1]
     # closure: every element permutes the roots
     rs = a2_system()
     root_set = {r.coords for r in rs.roots}
-    for e in els:
-        assert {e.apply(r).coords for r in rs.roots} == root_set
+    for m, _ in els:
+        assert {matvec(m, r.coords) for r in rs.roots} == root_set
+
+
+def classical_system(n, short):
+    """The roots +-e_i +-e_j (i < j), with +-short e_i unless short is 0:
+    B_n for short 1, C_n for 2 (its long roots +-2e_i), D_n for 0.  The
+    simples are e_i - e_(i+1), then short e_n, or e_(n-1) + e_n for D_n."""
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    pos = [tuple(a + s * b for a, b in zip(e[i], e[j]))
+           for s in (-1, 1) for i in range(n) for j in range(i + 1, n)]
+    pos += [tuple(short * c for c in v) for v in e] if short else []
+    simples = [tuple(a - b for a, b in zip(e[i], e[i + 1]))
+               for i in range(n - 1)]
+    simples.append(tuple(short * c for c in e[-1]) if short else
+                   tuple(a + b for a, b in zip(e[-2], e[-1])))
+    W = lambda c: Weight(c, "t")
+    return RootSystem(n, tuple(W(r) for r in pos)
+                      + tuple(W(tuple(-c for c in r)) for r in pos),
+                      tuple(map(W, pos)), tuple(map(W, simples)))
+
+
+@pytest.mark.parametrize("n, short, order", [(3, 1, 48), (3, 2, 48),
+                                             (4, 0, 192)],
+                         ids=["B3", "C3", "D4"])
+def test_weyl_group_of_long_roots(n, short, order):
+    rs = classical_system(n, short)
+    els = weyl_group(rs)
+    assert len(els) == order
+    assert sum(det for _, det in els) == 0
+    root_set = {r.coords for r in rs.roots}
+    for m, _ in els:
+        assert {matvec(m, r.coords) for r in rs.roots} == root_set
 
 
 def test_rho_characterization():
     rs = a2_system()
     rho = HMLattice.graded(rs.rank, "t", rs.positives).rho
     for a in rs.simples:
-        assert pairing(rho, a) == 1
+        assert 2 * dot(rho, a) == dot(a, a)
 
 
 @pytest.mark.parametrize("g", [builtin_group(n) for n in ("sl2r-compact",
@@ -269,7 +347,7 @@ def test_rho_characterization():
                          + [load_group_data(SP4R)], ids=lambda g: g.name)
 def test_k_rho_is_the_lattice_rho(g):
     for a in g.k_roots.simples:
-        assert pairing(g.t_lattice.rho, a) == 1
+        assert 2 * dot(g.t_lattice.rho, a) == dot(a, a)
 
 
 def test_zchar_evaluation_on_shipped_groups():

@@ -10,7 +10,7 @@ from kbranch import branching
 from kbranch.branching import KTypeTable, validate_params
 from kbranch.characters import (HMLattice, LatticeError, Weight, ZCharTable,
                                 weight)
-from kbranch.groups import builtin_group, load_group_data, weyl_group
+from kbranch.groups import builtin_group, load_group_data
 from kbranch.ktypes import KType
 from kbranch.oscillator import GridError, GridSpec, KernelReport
 from kbranch.presets import su21_from_lambda
@@ -33,8 +33,6 @@ FROZEN = {
                   ("rank", "lattice", "height_vec", "ztable")),
     "RootSystem": (lambda: builtin_group("su21").k_roots,
                    ("rank", "roots", "positives", "simples")),
-    "WeylElement": (lambda: weyl_group(builtin_group("su21").k_roots)[-1],
-                    ("matrix", "det")),
     "RealGroupData": (lambda: builtin_group("su21"),
                       ("name", "k_roots", "m_roots", "dim_a", "tm_in_t",
                        "zgen_w", "zchar_rows", "hm", "t_lattice", "dim_s_m",
