@@ -18,14 +18,14 @@ what every K-type shares.  That work comes in three tiers:
     Chamber record built once per (group, Phi) and kept in a cache of 64:
     whether Phi is a positive system at all (no duplicates or non-roots,
     a half of the roots, pointed), the lattice graded by Phi, its positives
-    split by type, its compact simple roots, rho_n - rho_c, the signed
+    split by type, its compact simple roots, 2rho_n, the signed
     compact-subset sums, the keys' top covector, Blattner's eps and terms,
     one per W_K record (det, shift, walk columns, state map), and the
     oracles' tables, each rebuilt only at the higher bound a call needs.
     A nonzero verdict carries the record, and every table of Phi reads it;
-  - call: what lambda and chi fix, the dominance, lifting and component
-    checks, the base key lambda - rho_c + rho_n and the compact offsets,
-    and the window's own bounds.
+  - call: what lambda and chi fix, checked in integers (dominance, the lift
+    of lambda - rho, the component values) into one record, the nonzero
+    verdict with the base key lambda - rho + 2rho_n; and the window's bounds.
 
 ktype_table evaluates Blattner's formula (Hecht-Schmid)
 
@@ -64,13 +64,12 @@ are the restricted representation and always nonnegative.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .characters import (CutoffError, HMLattice, Weight, geometric_series,
-                         graded_exterior, partition_counts, weight)
+                         graded_exterior, partition_counts)
 from .groups import (GroupDataError, RealGroupData, WeylTerm, matvec,
                      simple_roots)
 from .ktypes import KType, check_ktype, key_index, ktype_box
@@ -106,7 +105,7 @@ class _ChamberFields(NamedTuple):
     compact: tuple[Weight, ...]
     noncompact: tuple[Weight, ...]
     compact_simples: tuple[Weight, ...]
-    rho_n_less_c: Weight
+    rho2_n: tuple[int, ...]              # 2rho_n, the noncompact sum
     # ((-1)^|S|, sum of S as coordinates) for every compact subset S
     subsets: tuple[tuple[int, tuple[int, ...]], ...]
     top: tuple[int, ...]                 # _top_covector
@@ -130,6 +129,7 @@ class ParamVerdict(NamedTuple):
     reason: Optional[str] = None
     # nonzero verdicts: the record of p.rmplus, which tables reuse
     chamber: Optional[Chamber] = None
+    base: Optional[tuple] = None  # the key (lambda - rho + 2rho_n, chi)
 
     def __str__(self):
         return self.verdict if not self.reason else f"{self.verdict}: {self.reason}"
@@ -176,28 +176,32 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
     if isinstance(chamber, str):
         return invalid(chamber)
 
-    # dot signs: both sides lie on the Levi lattice, so no Fraction is needed
+    # dot signs: both sides lie on the Levi lattice
     lam = p.lam.coords
     for a in p.rmplus:
         if sum(map(mul, lam, a.coords)) < 0:
             return invalid(
                 f"parameter is not dominant for the root {a.coords}")
 
-    shifted = p.lam - chamber.hm.rho
-    if not shifted.is_integral():
+    # 2 lambda - 2 rho, with 2 rho the positive system's height covector
+    shifted = [2 // p.lam.denom * x - h
+               for x, h in zip(lam, chamber.hm.height_vec)]
+    if any(x % 2 for x in shifted):
         return invalid("parameter minus rho does not lift to the torus")
+    shifted = [x // 2 for x in shifted]
 
     # component character must agree with the shifted parameter on the
     # overlap of the torus with the finite group
-    order = g.hm.ztable.order
+    ztable = g.hm.ztable
     for j, w in enumerate(g.zgen_w):
         if w is None:
             continue  # generator lies outside the small torus
-        val = order * sum(Fraction(c) * x for c, x in zip(shifted.coords, w))
-        if val.denominator != 1:
+        d, row = w
+        val = sum(map(mul, shifted, row))
+        if val % d:
             return invalid("shifted parameter has no exact value at a "
                            "component generator")
-        if int(val) % order != g.hm.ztable.rows[p.chi][j]:
+        if val // d % ztable.order != ztable.rows[p.chi][j]:
             return invalid("component character disagrees with the shifted "
                            "parameter on the torus overlap")
 
@@ -205,7 +209,8 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
         if not sum(map(mul, lam, a.coords)):
             return ParamVerdict(
                 "zero", f"parameter orthogonal to simple compact root {a.coords}")
-    return ParamVerdict("nonzero", chamber=chamber)
+    return ParamVerdict("nonzero", chamber=chamber, base=(
+        tuple(map(add, shifted, chamber.rho2_n)), p.chi))
 
 
 @lru_cache(maxsize=64)
@@ -234,8 +239,6 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
                                       for i in range(hm.rank)))
                     for r in range(len(compact) + 1)
                     for s in itertools.combinations(compact, r))
-    rho2 = [2 * sum(b.coords[i] for b in noncompact) - h  # 2(rho_n - rho_c)
-            for i, h in enumerate(hm.height_vec)]
     eps, terms, heights = 1, (), ()
     if g.blattner_applies:
         eps, shifts = _blattner_shifts(g, compact)
@@ -245,30 +248,18 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
         heights = tuple(sum(map(mul, hm.height_vec, b)) for b in betas)
     return Chamber(hm, compact, noncompact,
                    tuple(a for a in simple_roots(rmplus) if g.is_compact(a)),
-                   weight(rho2, hm.lattice, 2), subsets,
+                   tuple(sum(b.coords[i] for b in noncompact)
+                         for i in range(hm.rank)), subsets,
                    _top_covector(g, hm.height_vec), eps, terms, heights)
 
 
 # ------------------------------------------------------------------ engine
 
-class _Prepared(NamedTuple):
-    """What every K-type shares for one validated parameter tuple: the
-    record of its positive system, the base key (lambda - rho_c + rho_n,
-    chi), and ((-1)^|S|, base + sum of S as coordinates) for every compact
-    subset S.  The record's lattice and top covector read through."""
-
-    chamber: Chamber
-    base: tuple[tuple[int, ...], int]
-    offsets: tuple[tuple[int, tuple[int, ...]], ...]
-
-    hm = property(lambda self: self.chamber.hm)
-    top = property(lambda self: self.chamber.top)
-
-
 def _prepare(g: RealGroupData, p: TemperedParams, zero_ok: bool = False,
-             verdict: Optional[ParamVerdict] = None) -> Optional[_Prepared]:
-    """Derive the shared data from verdict, else from validate_params(g, p).
-    Raises InvalidParamsError unless nonzero; with zero_ok, zero gives None.
+             verdict: Optional[ParamVerdict] = None) -> Optional[ParamVerdict]:
+    """verdict, by default validate_params(g, p), if nonzero: it carries
+    what every K-type shares.  Raises InvalidParamsError otherwise; with
+    zero_ok, zero gives None.
 
     Heights are measured against the parameters' own positive system, which
     need not be the one declared in the group file: the infinite series
@@ -279,11 +270,7 @@ def _prepare(g: RealGroupData, p: TemperedParams, zero_ok: bool = False,
         return None
     if verdict.verdict != "nonzero":
         raise InvalidParamsError(verdict)
-    chamber = verdict.chamber
-    # integral since validation checked lambda - rho
-    base = chamber.hm.char(p.lam + chamber.rho_n_less_c, p.chi)
-    return _Prepared(chamber, base, tuple(
-        (sign, tuple(map(add, base[0], s))) for sign, s in chamber.subsets))
+    return verdict
 
 
 _Row = tuple[tuple[int, ...], int]  # (highest-weight coordinates, m)
@@ -307,36 +294,39 @@ def _series(chamber: Chamber, cutoff: int) -> tuple[Optional[int], list]:
     return acc.cutoff, acc.by_height()
 
 
-def _partition_values(prep: _Prepared, top2: int) -> Iterable[tuple]:
+def _partition_values(prep: ParamVerdict, top2: int) -> Iterable[tuple]:
     """Signed Kostant partition counts: at each H-key with the base's Z'
-    character, the sum over the compact offsets of sign * P_n(coordinates -
-    offset), read in height order off the chamber's partition_counts table."""
-    hv, z = prep.hm.height_vec, prep.base[1]
-    heights = [sum(map(mul, offset, hv)) for _, offset in prep.offsets]
-    counts = _table(prep.chamber, "partition", lambda chamber, bound2: sorted(
+    character, the sum over the compact subsets S of (-1)^|S| P_n(coordinates
+    - base - S), read in height order off the chamber's partition_counts."""
+    chamber, (coords, z) = prep.chamber, prep.base
+    hv = chamber.hm.height_vec
+    offsets = [(sign, tuple(map(add, coords, s)))
+               for sign, s in chamber.subsets]
+    heights = [sum(map(mul, offset, hv)) for _, offset in offsets]
+    counts = _table(chamber, "partition", lambda chamber, bound2: sorted(
         (sum(map(mul, t, hv)), t, n) for t, n in partition_counts(
             chamber.noncompact, chamber.hm, bound2).items()), top2 - min(heights))
-    for (sign, offset), h2 in zip(prep.offsets, heights):
+    for (sign, offset), h2 in zip(offsets, heights):
         for h, t, n in counts:
             if h > top2 - h2:
                 break
             yield (tuple(map(add, t, offset)), z), sign * n
 
 
-def _series_values(prep: _Prepared, top2: int) -> Iterable[tuple]:
+def _series_values(prep: ParamVerdict, top2: int) -> Iterable[tuple]:
     """The terms of e^base times the chamber's series up to the doubled
     height top2, the Z' index combined with chi.  No term lies below the
     base height h_b, so they are exact up to the series' cutoff plus
     floor(h_b / 2): the least cutoff covering top2 builds or grows the
     chamber's series, and each read is checked against its certificate."""
-    (coords, z), ztable = prep.base, prep.hm.ztable
-    h2_base = prep.hm.key_height2(prep.base)
+    (coords, z), hm = prep.base, prep.chamber.hm
+    h2_base = hm.key_height2(prep.base)
     need = -(-max(top2, h2_base) // 2) - h2_base // 2
     cutoff, terms = _table(prep.chamber, "series", _series, need)
     if cutoff is not None and cutoff < need:
         raise CutoffError(f"doubled height {top2} beyond certified cutoff "
                           f"{cutoff + h2_base // 2}")
-    zs = [ztable.mul(z, i) for i in range(ztable.order)]
+    zs = [hm.ztable.mul(z, i) for i in range(hm.ztable.order)]
     for h, (c, zc), m in terms:
         if h > top2 - h2_base:
             break
@@ -356,7 +346,7 @@ def _top_covector(g: RealGroupData, hv: tuple[int, ...]) -> tuple[int, ...]:
     return matvec(u.rw_t, hv)
 
 
-def _evaluate(prep: _Prepared, mode: str, index: Mapping[tuple, list],
+def _evaluate(prep: ParamVerdict, mode: str, index: Mapping[tuple, list],
               top2: int) -> dict[int, int]:
     """One oracle's value at each H-key up to the doubled height top2,
     scattered through an index of restricted K-types into {row: m}."""
@@ -367,11 +357,11 @@ def _evaluate(prep: _Prepared, mode: str, index: Mapping[tuple, list],
     return acc
 
 
-def _evaluate_ktypes(g: RealGroupData, prep: _Prepared, mode: str,
+def _evaluate_ktypes(g: RealGroupData, prep: ParamVerdict, mode: str,
                      hws: Sequence[tuple[int, ...]]) -> list[int]:
     """One oracle on a few K-types, restricted through key_index."""
     acc = _evaluate(prep, mode, key_index(g, hws),
-                    max((sum(map(mul, hw, prep.top)) for hw in hws),
+                    max((sum(map(mul, hw, prep.chamber.top)) for hw in hws),
                         default=-1))
     return [acc.get(row, 0) for row in range(len(hws))]
 
@@ -399,7 +389,7 @@ def _blattner_shifts(g: RealGroupData, compact: Sequence[Weight]
                       for w in g.k_weyl)
 
 
-def _blattner_table(g: RealGroupData, prep: _Prepared, window: int
+def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
                     ) -> list[_Row]:
     """The K-types of the window that Blattner's formula can make nonzero,
     as (highest-weight coordinates, multiplicity) in lexical order.
@@ -535,12 +525,12 @@ def _nonzero(rows: Sequence[_Row]) -> list[_Row]:
     return [(mu, m) for mu, m in rows if m]
 
 
-def _box(g: RealGroupData, prep: _Prepared, window: int, mode: str
+def _box(g: RealGroupData, prep: ParamVerdict, window: int, mode: str
          ) -> list[_Row]:
     """The one path of every table over the window's box: one oracle's
     values scattered through the box's index, the nonzero rows kept."""
     ktypes, index = ktype_box(g, window)
-    top2 = window * sum(map(abs, prep.top))
+    top2 = window * sum(map(abs, prep.chamber.top))
     acc = _evaluate(prep, mode, index, top2)
     return _nonzero([(ktypes[row], acc[row]) for row in sorted(acc)])
 
@@ -589,7 +579,7 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
                          else ("partition", "series"))
     rows = (_nonzero(_blattner_table(g, prep, window)) if g.blattner_applies
             else _box(g, prep, window, "partition"))
-    v = prep.top
+    v = prep.chamber.top
     spot = sorted(rows, key=lambda r: sum(map(mul, r[0], v)))[:_SPOT_CHECKS]
     checked = _evaluate_ktypes(g, prep, oracle, [mu for mu, _ in spot])
     for (mu, m), c in zip(spot, checked):

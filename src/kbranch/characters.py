@@ -194,12 +194,6 @@ class HMLattice(_HMLatticeFields):
         return cls(rank, lattice, tuple(sum(r.coords[i] for r in positives)
                                         for i in range(rank)), ztable)
 
-    @property
-    def rho(self) -> Weight:
-        """Half the height covector: the rho of the grading positive system,
-        exact in the doubled lattice."""
-        return weight(self.height_vec, self.lattice, denom=2)
-
     def height2(self, w: Weight) -> int:
         """Doubled height (mu, height_vec); integer for integral weights."""
         if w.lattice != self.lattice or w.rank != self.rank:

@@ -7,7 +7,7 @@ restriction matrix and the finite component group of the compact Cartan.
 Loading validates every structural invariant and names the first violated
 one, and derives, once per group, the root data the engine reads: the
 lattices of T and T_M graded by the positive systems of K and of the Levi
-factor (with their rho), the compactness of each Levi root, the fibres of
+factor (with their 2rho), the compactness of each Levi root, the fibres of
 the torus restriction and of the dot products with K's simple roots,
 whether Blattner's formula applies, and one record per element w of the
 Weyl group of K (WeylTerm): w, w rho_K - rho_K, R w 2rho_K, (R w)^T and,
@@ -135,9 +135,10 @@ def weyl_group(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
     return sorted((tuple(zip(*cols)), det) for cols, det in seen.items())
 
 
-def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
-                          ) -> None:
-    """Raise on the first violated invariant."""
+def _validate_root_system(rs: RootSystem, label: str, checklist: list[str],
+                          close):
+    """Raise on the first violated invariant; return close(rs), the last
+    check: _simple_reflections, or weyl_group, which runs it first."""
     def bad(inv, msg):
         raise GroupDataError(inv, f"{label}: {msg}")
 
@@ -169,9 +170,9 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
                         for i in range(rs.rank)], len(rs.simples))
     if fibres.free:
         bad("simple decomposition", "simple roots are linearly dependent")
-    for p in rs.positives:
-        x = fibres.solve(p.coords)
-        if x is None or any(c < 0 or c.denominator != 1 for c in x):
+    for p in rs.positives:  # d times its simple coordinates, if any
+        if any(matvec(fibres.consistency, p.coords)) or any(
+                c < 0 or c % fibres.d for c in matvec(fibres.a, p.coords)):
             bad("simple decomposition",
                 f"positive {p.coords} is not a nonnegative integer "
                 "combination of the simples")
@@ -182,8 +183,9 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str]
             if not _integral_pairing(b, a):
                 bad("Weyl closure",
                     f"pairing of {b} with {a} is not integral")
-    _simple_reflections(rs)  # raises on reflection-closure failure
+    closed = close(rs)  # raises on reflection-closure failure
     checklist.append(f"{label} Weyl closure")
+    return closed
 
 
 def _parse_weight_list(raw, rank, lattice, inv):
@@ -236,15 +238,15 @@ class RealGroupData(NamedTuple):
     m_roots: RootSystem
     dim_a: int
     tm_in_t: tuple[tuple[int, ...], ...]     # (rank tM) x (rank t)
-    # per Z' generator, w with value exp(2*pi*i*<mu, w>) at a weight mu of
-    # T_M, or None where the generator lies outside T_M
-    zgen_w: tuple[Optional[tuple[Fraction, ...]], ...]
+    # per Z' generator, (d, c) with value exp(2*pi*i*<mu, c>/(d*order)) at
+    # a weight mu of T_M, or None where the generator lies outside T_M
+    zgen_w: tuple[Optional[tuple[int, tuple[int, ...]]], ...]
     zchar_rows: tuple[tuple[int, ...], ...]  # order * v, per Z' generator
     hm: HMLattice                            # characters of H_M live here
     t_lattice: HMLattice                     # characters of T, graded by K
     dim_s_m: int
     checklist: tuple[str, ...]
-    # derived at load; rho_K is t_lattice.rho
+    # derived at load; 2rho_K is t_lattice.height_vec
     compact_of: dict[tuple[int, ...], bool]  # Levi root -> compact flag
     k_weyl: tuple[WeylTerm, ...]
     fibres: Fibres                           # R x = b, read by one integer map
@@ -353,13 +355,6 @@ class Fibres(NamedTuple):
         return cls(tuple(a), tuple(map(tuple, dirs)),
                    tuple(row[ncols:] for row in scaled[len(pivots):]), d, free)
 
-    def solve(self, b: Sequence) -> Optional[tuple[Fraction, ...]]:
-        """The solution of R x = b, b rational, whose free coordinates are
-        0, a b / d; None when a consistency row is nonzero on b."""
-        if any(matvec(self.consistency, b)):
-            return None
-        return tuple(Fraction(x, self.d) for x in matvec(self.a, b))
-
 
 def _blattner_applies(g: RealGroupData,
                       k_restricted: Sequence[tuple[int, ...]]) -> bool:
@@ -458,11 +453,10 @@ def _build(doc: dict) -> RealGroupData:
         _parse_weight_list(_require(k, "roots", list), k_rank, t_lab, "schema"),
         _parse_weight_list(_require(k, "positives", list), k_rank, t_lab, "schema"),
         _parse_weight_list(_require(k, "simples", list), k_rank, t_lab, "schema"))
-    _validate_root_system(k_roots, "k", checklist)
     t_lattice = HMLattice.graded(k_rank, t_lab, k_roots.positives)
     rho2 = t_lattice.height_vec
     k_weyl = []  # (w, det, w 2rho_K), of the one closure built at load
-    for w, det in weyl_group(k_roots):
+    for w, det in _validate_root_system(k_roots, "k", checklist, weyl_group):
         w_rho2 = matvec(w, rho2)
         if any((x - y) % 2 for x, y in zip(w_rho2, rho2)):
             raise GroupDataError("Weyl closure", f"k: w rho - rho is not "
@@ -479,7 +473,7 @@ def _build(doc: dict) -> RealGroupData:
         raise GroupDataError("schema",
                              "compact_flags must be booleans aligned with m.roots")
     m_roots = RootSystem(m_rank, m_all, m_pos, simple_roots(m_pos))
-    _validate_root_system(m_roots, "m", checklist)
+    _validate_root_system(m_roots, "m", checklist, _simple_reflections)
 
     flag_of = {r.coords: f for r, f in zip(m_all, flags)}
     for r, f in zip(m_all, flags):
@@ -560,10 +554,12 @@ def _build(doc: dict) -> RealGroupData:
         zchar_rows.append(tuple(map(int, row)))
     checklist.append("zmprime integrality")
 
-    # descent to the small torus where the generator lies in it
+    # descent to the small torus where the generator lies in it: w = a v / d
     descent = Fibres.of([[row[r] for row in tm_in_t] for r in range(k_rank)],
                         m_rank)
-    zgen_w = tuple(descent.solve(v) for v in vs)
+    zgen_w = tuple(None if any(matvec(descent.consistency, row))
+                   else (descent.d, matvec(descent.a, row))
+                   for row in zchar_rows)
 
     # ---- dims -----------------------------------------------------------------
     dims = doc["dims"]

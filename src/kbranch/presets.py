@@ -1,9 +1,9 @@
 """Friendly parameter documents for the shipped groups.
 
 Each builtin group accepts a small JSON vocabulary that maps onto raw
-parameter tuples; raw input (lambda, lambda_denom, rmplus, chi, nu) is
-always accepted as an escape hatch.  Every form refuses a field it does
-not read, rather than leaving it at a default.
+parameter tuples; raw input (lambda, lambda_denom, rmplus, chi, nu) is an
+escape hatch on every group but su21, whose lambda documents take its own
+form.  Every form refuses a field it does not read, never defaulting it.
 """
 
 from __future__ import annotations

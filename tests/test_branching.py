@@ -94,7 +94,8 @@ def test_validate_refuses_a_chi_that_is_not_an_int(g, p, hw, chi):
     # an index equal to a valid one, or between two, is still no index
     p = p._replace(chi=chi)
     v = validate_params(g, p)
-    assert v == ("invalid", f"no component character with index {chi}", None)
+    assert v == ("invalid", f"no component character with index {chi}",
+                 None, None)
     for evaluate in (lambda: ktype_table(g, p, 4),
                      lambda: box_table(g, p, 4, "partition"),
                      lambda: ktype_multiplicity(g, p, KType(g.t_weight(hw)))):
@@ -119,14 +120,82 @@ def test_validate_rejects_nonintegral_shift():
     assert "lift" in v.reason
 
 
+# sl2r-compact's document with R = (2): the torus restriction descends the
+# Z' generator with d = 2 (zgen_w is ((2, (1,)),)), so its value at a lifted
+# parameter can be inexact
+CIRCLE2 = load_group_data(json.dumps({
+    "name": "circle-r2",
+    "k": {"rank": 1, "roots": [], "positives": [], "simples": []},
+    "m": {"rank": 1, "roots": [[2], [-2]], "positives": [[2]],
+          "compact_flags": [False, False]},
+    "restricted": {"dim_a": 0, "roots": [], "positives": []},
+    "tM_in_t": [[2]],
+    "zmprime": {"order": 2,
+                "generators": [{"v": ["1/2"], "char_table_row": [0, 1]}]},
+    "dims": {"s_M": 2, "a": 0}}))
+_U = su21_from_lambda(GU, [3, 1, -1])
+
+
+@pytest.mark.parametrize("g, p, want", [
+    (GU, _U._replace(lam=GU.t_weight([3, 1, -1])),
+     "invalid: parameter is not a weight of the Levi Cartan"),
+    (GU, _U._replace(lam=GC.tm_weight([3])),
+     "invalid: parameter is not a weight of the Levi Cartan"),
+    (GU, _U._replace(nu=GU.tm_weight([])),
+     "invalid: continuous parameter is not a weight of the split part"),
+    (GU, _U._replace(nu=GC.a_weight([])),
+     "invalid: continuous parameter is not a weight of the split part"),
+    (GU, _U._replace(rmplus=STD_POS[:2] + STD_POS[:1]),
+     "invalid: positive system contains non-roots or duplicates"),
+    (GU, _U._replace(rmplus=STD_POS[:2]),
+     "invalid: positive system does not split the roots into halves"),
+    (GU, _U._replace(rmplus=(STD_POS[0], -STD_POS[0], STD_POS[2])),
+     "invalid: positive system does not split the roots into halves"),
+    (GU, _U._replace(rmplus=tuple(GU.tm_weight(c) for c in (
+        [1, -1, 0], [-1, 0, 1], [0, 1, -1]))),
+     "invalid: chosen positive system is not pointed at (1, -1, 0)"),
+    (GU, _U._replace(lam=GU.tm_weight([1, 3, -1])),
+     "invalid: parameter is not dominant for the root (1, -1, 0)"),
+    (GC, TemperedParams(GC.tm_weight([3], denom=2), (GC.tm_weight([2]),), 0,
+                        GC.a_weight([])),
+     "invalid: parameter minus rho does not lift to the torus"),
+    (GC, sl2_discrete(GC, 2, "+")._replace(chi=0),
+     "invalid: component character disagrees with the shifted parameter on "
+     "the torus overlap"),
+    (CIRCLE2, TemperedParams(CIRCLE2.tm_weight([0]),
+                             (CIRCLE2.tm_weight([2]),), 0,
+                             CIRCLE2.a_weight([])),
+     "invalid: shifted parameter has no exact value at a component "
+     "generator"),
+    # lambda = 3: the shifted parameter 2 takes the value 2 / d = 1 there
+    (CIRCLE2, TemperedParams(CIRCLE2.tm_weight([3]),
+                             (CIRCLE2.tm_weight([2]),), 1,
+                             CIRCLE2.a_weight([])), "nonzero"),
+    (CIRCLE2, TemperedParams(CIRCLE2.tm_weight([3]),
+                             (CIRCLE2.tm_weight([2]),), 0,
+                             CIRCLE2.a_weight([])),
+     "invalid: component character disagrees with the shifted parameter on "
+     "the torus overlap"),
+    (GU, _U._replace(lam=GU.tm_weight([2, 2, -1]), rmplus=tuple(
+        GU.tm_weight(c) for c in ([1, -1, 0], [0, 1, -1], [1, 0, -1]))),
+     "zero: parameter orthogonal to simple compact root (1, -1, 0)"),
+], ids=["lam-lattice", "lam-rank", "nu-lattice", "nu-rank", "duplicates",
+        "too-few", "not-halves", "not-pointed", "not-dominant", "no-lift",
+        "component", "inexact", "d2-nonzero", "d2-component", "zero"])
+def test_every_verdict_reason_byte_for_byte(g, p, want):
+    v = validate_params(g, p)
+    assert str(v) == want
+    assert (v.chamber is None) == (want != "nonzero")
+
+
 # ------------------------------------------------------- virtual character
 
 def _virtual_character(g, p, cutoff):
     """e^base times the chamber's series, as the series oracle reads it."""
     prep = branching._prepare(g, p)
     series, terms = branching._series(prep.chamber, cutoff)
-    return FormalCharacter(prep.hm, {prep.base: 1}) * FormalCharacter(
-        prep.hm, {key: m for _, key, m in terms}, series)
+    return FormalCharacter(prep.chamber.hm, {prep.base: 1}) * FormalCharacter(
+        prep.chamber.hm, {key: m for _, key, m in terms}, series)
 
 
 def test_virtual_character_discrete():
@@ -268,12 +337,13 @@ def test_prepared_samples_include_singular_parameters():
                          ids=[f"{g.name}-{i}" for i, (g, _) in
                               enumerate(PREPARED)])
 def test_prepared_lattice_holds_rho_and_base(g, p):
-    """The prepared lattice's rho pairs to 1 with every simple root of the
-    parameters' positive system, and the base is lambda - rho_c + rho_n
-    from explicit coordinate half-sums."""
+    """The prepared lattice's height covector, 2 rho, pairs to (a, a) with
+    every simple root a of the parameters' positive system, and the base is
+    lambda - rho_c + rho_n from explicit coordinate half-sums."""
     prep = branching._prepare(g, p)
+    hv = prep.chamber.hm.height_vec
     for a in simple_roots(p.rmplus):
-        assert 2 * dot(prep.hm.rho, a) == dot(a, a)
+        assert sum(x * y for x, y in zip(hv, a.coords)) == dot(a, a)
     compact = [r.coords for r in p.rmplus if g.is_compact(r)]
     noncompact = [r.coords for r in p.rmplus if not g.is_compact(r)]
     two_rho_n_less_two_rho_c = [sum(c[i] for c in noncompact)
@@ -479,6 +549,17 @@ def test_tables_build_no_weight_per_ktype(monkeypatch):
         assert built[0] == built[1] < 20
 
 
+
+def test_call_tier_does_no_weight_arithmetic(monkeypatch):
+    # the chamber and its tables are warm: lambda - rho, its Z' values and
+    # the base key are integer tuples, and no key is checked as a Weight
+    p = su21_from_lambda(GU, [4, 1, -2])
+    want = ktype_table(GU, p, 6)
+    calls = _count_calls(monkeypatch, (Weight, "__add__"), (Weight, "__sub__"),
+                         (HMLattice, "char"), (HMLattice, "height2"))
+    assert ktype_table(GU, p, 6, validate_params(GU, p)) == want
+    assert want.entries and calls == {}
+
 def test_series_oracle_reads_no_coefficient(monkeypatch):
     calls = _count_calls(monkeypatch, (FormalCharacter, "coefficient"))
     p = su21_from_lambda(GU, [4, 1, -2])
@@ -493,7 +574,7 @@ def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
     # the chamber's table is built by the first evaluation, read by the next
     prep = branching._prepare(GU, su21_from_lambda(GU, [4, 1, -2]))
     index = key_index(GU, ktypes.enumerate_ktypes(GU, 4))
-    top2 = _top2(index, prep.hm.height_vec)
+    top2 = _top2(index, prep.chamber.hm.height_vec)
     want = branching._evaluate(prep, mode, index, top2)
     calls = _count_calls(monkeypatch, (Weight, "__add__"), (Weight, "__sub__"),
                          (HMLattice, "height2"),
@@ -1279,7 +1360,7 @@ def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):
         assert len(t.entries) > 3
         # the rows whose keys reach the least height under the parameters'
         # positive system, where the series is cheapest; ties lexical
-        hv = branching._prepare(g, p).hm.height_vec
+        hv = branching._prepare(g, p).chamber.hm.height_vec
         lowest = sorted(t.entries, key=lambda mu: _top2(restrict_to_hm(g, mu),
                                                         hv))
         assert restricted == lowest[:3]

@@ -35,8 +35,9 @@ def assert_certificates(g, p, window, injective=True):
         return
     offsets = [(tuple(a - b for a, b in zip(matvec(g.tm_in_t, mu), base)), m)
                for mu, m in rows]
-    cone = partition_counts(prep.chamber.noncompact, prep.hm, max(
-        sum(x * y for x, y in zip(d, prep.hm.height_vec)) for d, _ in offsets))
+    hm = prep.chamber.hm
+    cone = partition_counts(prep.chamber.noncompact, hm, max(
+        sum(x * y for x, y in zip(d, hm.height_vec)) for d, _ in offsets))
     assert [d for d, _ in offsets if d not in cone] == []
     assert [m for d, m in offsets if not any(d)] == [1]
 

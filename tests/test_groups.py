@@ -1,7 +1,6 @@
 """Group-data loading, validation, Weyl groups, rho shifts."""
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,7 +33,7 @@ def test_shipped_groups_load():
     assert [r.coords for r in gc.m_roots.roots] == [(2,), (-2,)]
     assert gc.compact_of == {(2,): False, (-2,): False}
     assert gc.hm.ztable.order == 2
-    assert gc.zgen_w == ((Fraction(1, 2),),)  # -I lies in T_M: w = v
+    assert gc.zgen_w == ((1, (1,)),)  # -I lies in T_M: w = v = 1 / 2
 
     gs = builtin_group("sl2r-split")
     assert gs.m_roots.rank == 0
@@ -254,12 +253,27 @@ def test_load_builds_one_weyl_group(monkeypatch):
         assert len(g.k_weyl) == len(weyl_group(g.k_roots))
 
 
+def test_load_checks_each_simple_reflection_once(monkeypatch):
+    # K's simple reflections are checked inside weyl_group, the Levi
+    # factor's by _validate_root_system: one check per root system
+    simple_reflections = groups._simple_reflections
+    calls = []
+
+    def counted(rs):
+        calls.append(rs)
+        return simple_reflections(rs)
+
+    monkeypatch.setattr(groups, "_simple_reflections", counted)
+    g = load_group_data(json.dumps(compact_b_doc(3)))
+    assert calls == [g.k_roots, g.m_roots]
+
+
 def test_rho_half_sum_examples():
-    assert HMLattice.graded(2, "x", []).rho == Weight((0, 0), "x")
-    r = HMLattice.graded(1, "t", [Weight((2,), "t")]).rho
-    assert r.coords == (1,) and r.denom == 1
-    r2 = HMLattice.graded(2, "t", [Weight((1, -1), "t")]).rho
-    assert r2.coords == (1, -1) and r2.denom == 2
+    # the height covector is 2 rho
+    assert HMLattice.graded(2, "x", []).height_vec == (0, 0)
+    assert HMLattice.graded(1, "t", [Weight((2,), "t")]).height_vec == (2,)
+    assert HMLattice.graded(2, "t", [Weight((1, -1), "t")]).height_vec == (
+        1, -1)
 
 
 @pytest.mark.parametrize("bad", [Weight((2,), "other"), Weight((2, 0), "t"),
@@ -337,9 +351,9 @@ def test_weyl_group_of_long_roots(n, short, order):
 
 def test_rho_characterization():
     rs = a2_system()
-    rho = HMLattice.graded(rs.rank, "t", rs.positives).rho
+    rho2 = HMLattice.graded(rs.rank, "t", rs.positives).height_vec
     for a in rs.simples:
-        assert 2 * dot(rho, a) == dot(a, a)
+        assert sum(x * y for x, y in zip(rho2, a.coords)) == dot(a, a)
 
 
 @pytest.mark.parametrize("g", [builtin_group(n) for n in ("sl2r-compact",
@@ -347,7 +361,8 @@ def test_rho_characterization():
                          + [load_group_data(SP4R)], ids=lambda g: g.name)
 def test_k_rho_is_the_lattice_rho(g):
     for a in g.k_roots.simples:
-        assert 2 * dot(g.t_lattice.rho, a) == dot(a, a)
+        assert sum(x * y for x, y in zip(g.t_lattice.height_vec,
+                                         a.coords)) == dot(a, a)
 
 
 def test_zchar_evaluation_on_shipped_groups():
@@ -446,8 +461,8 @@ def test_fibre_map_solves_the_restriction(data, m, n):
     """For b = R x, the consistency rows vanish on b, and x is the solution
     whose free coordinates are its own: d x = a b + sum_f x_f dirs_f.  A
     signed permutation u carries it, d u x = u a b + sum_f x_f u dirs_f, as
-    Blattner's formula reads it per W_K term.  Any c gives d solve(c) = a c
-    when the consistency rows vanish on c, and None otherwise."""
+    Blattner's formula reads it per W_K term.  Any c on which the
+    consistency rows vanish has the solution a c / d: R a c = d c."""
     ints = st.integers(-3, 3)
     mat = data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
                              min_size=m, max_size=m))
@@ -470,10 +485,6 @@ def test_fibre_map_solves_the_restriction(data, m, n):
     assert got == [fibres.d * c for c in groups.matvec(u, x)]
 
     for c in (b, data.draw(st.lists(ints, min_size=m, max_size=m))):
-        sol = fibres.solve(c)
-        if any(groups.matvec(fibres.consistency, c)):
-            assert sol is None
-        else:
-            assert [fibres.d * y for y in sol] == list(
-                groups.matvec(fibres.a, c))
-            assert groups.matvec(mat, sol) == tuple(c)
+        if not any(groups.matvec(fibres.consistency, c)):
+            assert groups.matvec(mat, groups.matvec(fibres.a, c)) == tuple(
+                fibres.d * y for y in c)

@@ -42,13 +42,11 @@ FROZEN = {
                ("a", "dirs", "consistency", "d", "free")),
     "TemperedParams": (lambda: _params(GU), ("lam", "rmplus", "chi", "nu")),
     "ParamVerdict": (lambda: validate_params(GU, _params(GU)),
-                     ("verdict", "reason", "chamber")),
+                     ("verdict", "reason", "chamber", "base")),
     "Chamber": (lambda: branching._chamber.__wrapped__(
                     GU, _params(GU).rmplus),
                 ("hm", "compact", "noncompact", "compact_simples",
-                 "rho_n_less_c", "subsets", "top", "eps", "terms", "heights")),
-    "_Prepared": (lambda: branching._prepare(GU, _params(GU)),
-                  ("chamber", "base", "offsets")),
+                 "rho2_n", "subsets", "top", "eps", "terms", "heights")),
     "KType": (lambda: KType(weight((2, 0, -1), "t")), ("highest",)),
     "GridSpec": (lambda: GridSpec(6.0, 0.1), ("halfwidth", "step")),
     "SL2Series": (lambda: SL2Series("discrete_plus", 3), ("kind", "n")),
