@@ -26,6 +26,8 @@ what every K-type shares.  That work comes in three tiers:
   - call: what lambda and chi fix, checked in integers (dominance, the lift
     of lambda - rho, the component values) into one record, the nonzero
     verdict with the base key lambda - rho + 2rho_n; and the window's bounds.
+    A verdict records the group and parameters it judged, and a table
+    refuses it with any others.
 
 ktype_table evaluates Blattner's formula (Hecht-Schmid)
 
@@ -83,6 +85,10 @@ class InvalidParamsError(ValueError):
         super().__init__(str(verdict))
 
 
+class ForeignVerdictError(ValueError):
+    """A verdict passed along with a group and parameters it did not judge."""
+
+
 class TemperedParams(NamedTuple):
     """Parameter tuple of a basic representation.
 
@@ -102,9 +108,9 @@ class TemperedParams(NamedTuple):
 
 class _ChamberFields(NamedTuple):
     hm: HMLattice                        # the Levi lattice graded by Phi
-    compact: tuple[Weight, ...]
-    noncompact: tuple[Weight, ...]
-    compact_simples: tuple[Weight, ...]
+    compact: tuple[tuple[int, ...], ...]
+    noncompact: tuple[tuple[int, ...], ...]
+    compact_simples: tuple[tuple[int, ...], ...]
     rho2_n: tuple[int, ...]              # 2rho_n, the noncompact sum
     # ((-1)^|S|, sum of S as coordinates) for every compact subset S
     subsets: tuple[tuple[int, tuple[int, ...]], ...]
@@ -130,6 +136,7 @@ class ParamVerdict(NamedTuple):
     # nonzero verdicts: the record of p.rmplus, which tables reuse
     chamber: Optional[Chamber] = None
     base: Optional[tuple] = None  # the key (lambda - rho + 2rho_n, chi)
+    judged: Optional[tuple] = None  # (g, p), what validate_params judged
 
     def __str__(self):
         return self.verdict if not self.reason else f"{self.verdict}: {self.reason}"
@@ -161,27 +168,30 @@ def sign_factor(g: RealGroupData) -> int:
 
 def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
     """Classify parameters: invalid, zero (the induced representation
-    vanishes), or nonzero."""
+    vanishes), or nonzero; their Weights are checked here, once."""
     def invalid(reason):
-        return ParamVerdict("invalid", reason)
+        return ParamVerdict("invalid", reason, judged=(g, p))
 
-    if p.lam.lattice != g.hm.lattice or p.lam.rank != g.hm.rank:
+    lattice = g.hm.lattice
+    if p.lam.lattice != lattice or p.lam.rank != g.hm.rank:
         return invalid("parameter is not a weight of the Levi Cartan")
     if p.nu.lattice != f"{g.name}:a" or p.nu.rank != g.dim_a:
         return invalid("continuous parameter is not a weight of the split part")
     if type(p.chi) is not int or not 0 <= p.chi < g.hm.ztable.order:
         return invalid(f"no component character with index {p.chi}")
 
-    chamber = _chamber(g, tuple(p.rmplus))
+    # a root's coordinates on another lattice, or halved, are no root (None)
+    rmplus = tuple(a.coords if isinstance(a, Weight) and a.denom == 1
+                   and a.lattice == lattice else None for a in p.rmplus)
+    chamber = _chamber(g, rmplus)
     if isinstance(chamber, str):
         return invalid(chamber)
 
     # dot signs: both sides lie on the Levi lattice
     lam = p.lam.coords
-    for a in p.rmplus:
-        if sum(map(mul, lam, a.coords)) < 0:
-            return invalid(
-                f"parameter is not dominant for the root {a.coords}")
+    for a in rmplus:
+        if sum(map(mul, lam, a)) < 0:
+            return invalid(f"parameter is not dominant for the root {a}")
 
     # 2 lambda - 2 rho, with 2 rho the positive system's height covector
     shifted = [2 // p.lam.denom * x - h
@@ -206,49 +216,49 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
                            "parameter on the torus overlap")
 
     for a in chamber.compact_simples:
-        if not sum(map(mul, lam, a.coords)):
+        if not sum(map(mul, lam, a)):
             return ParamVerdict(
-                "zero", f"parameter orthogonal to simple compact root {a.coords}")
+                "zero", f"parameter orthogonal to simple compact root {a}",
+                judged=(g, p))
     return ParamVerdict("nonzero", chamber=chamber, base=(
-        tuple(map(add, shifted, chamber.rho2_n)), p.chi))
+        tuple(map(add, shifted, chamber.rho2_n)), p.chi), judged=(g, p))
 
 
 @lru_cache(maxsize=64)
 def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
-    """The record of the positive system rmplus of g's Levi roots, or the
-    reason it is none.  Built once per (group, rmplus): the group compares
-    by every field, so two groups of one name keep records of their own."""
-    # whole Weights: a root's coordinates on another lattice are no root
+    """The record of the positive system rmplus, coordinate tuples of the
+    Levi lattice, or the reason it is none.  Built once per (group,
+    rmplus): the group compares by every field, so two groups of one name
+    keep records of their own."""
     m_roots, rm = set(g.m_roots.roots), set(rmplus)
     if len(rm) != len(rmplus) or not rm <= m_roots:
         return "positive system contains non-roots or duplicates"
-    coords = {r.coords for r in rm}  # roots now: coordinates tell them apart
     if 2 * len(rm) != len(m_roots) or any(
-            tuple(-x for x in c) in coords for c in coords):
+            tuple(-x for x in c) in rm for c in rm):
         return "positive system does not split the roots into halves"
 
     # a genuine positive system is separated by its own root sum
     hm = HMLattice.graded(g.hm.rank, g.hm.lattice, rmplus, g.hm.ztable)
     for a in rmplus:
-        if sum(map(mul, hm.height_vec, a.coords)) <= 0:
-            return f"chosen positive system is not pointed at {a.coords}"
+        if sum(map(mul, hm.height_vec, a)) <= 0:
+            return f"chosen positive system is not pointed at {a}"
 
     compact = tuple(g.compact_positives(rmplus))
     noncompact = tuple(g.noncompact_positives(rmplus))
-    subsets = tuple(((-1) ** r, tuple(sum(c.coords[i] for c in s)
+    subsets = tuple(((-1) ** r, tuple(sum(c[i] for c in s)
                                       for i in range(hm.rank)))
                     for r in range(len(compact) + 1)
                     for s in itertools.combinations(compact, r))
     eps, terms, heights = 1, (), ()
     if g.blattner_applies:
         eps, shifts = _blattner_shifts(g, compact)
-        betas = [b.coords for b in noncompact]
-        terms = tuple((w.det, shift, w.dirs + tuple(w.roots[b] for b in betas),
-                       w.walk) for w, shift in shifts)
-        heights = tuple(sum(map(mul, hm.height_vec, b)) for b in betas)
+        terms = tuple((w.det, shift, w.dirs + tuple(w.roots[b] for b in
+                                                    noncompact), w.walk)
+                      for w, shift in shifts)
+        heights = tuple(sum(map(mul, hm.height_vec, b)) for b in noncompact)
     return Chamber(hm, compact, noncompact,
                    tuple(a for a in simple_roots(rmplus) if g.is_compact(a)),
-                   tuple(sum(b.coords[i] for b in noncompact)
+                   tuple(sum(b[i] for b in noncompact)
                          for i in range(hm.rank)), subsets,
                    _top_covector(g, hm.height_vec), eps, terms, heights)
 
@@ -258,14 +268,20 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
 def _prepare(g: RealGroupData, p: TemperedParams, zero_ok: bool = False,
              verdict: Optional[ParamVerdict] = None) -> Optional[ParamVerdict]:
     """verdict, by default validate_params(g, p), if nonzero: it carries
-    what every K-type shares.  Raises InvalidParamsError otherwise; with
-    zero_ok, zero gives None.
+    what every K-type shares.  Raises ForeignVerdictError, before any work,
+    if verdict judged another group or other parameters, and
+    InvalidParamsError unless it is nonzero; with zero_ok, zero gives None.
 
     Heights are measured against the parameters' own positive system, which
     need not be the one declared in the group file: the infinite series
     live in the cone it spans.
     """
-    verdict = verdict or validate_params(g, p)
+    if verdict is None:
+        verdict = validate_params(g, p)
+    elif verdict.judged != (g, p):
+        raise ForeignVerdictError(
+            f"the verdict was not validate_params' for {g.name!r} and these "
+            "parameters")
     if verdict.verdict == "zero" and zero_ok:
         return None
     if verdict.verdict != "nonzero":
@@ -366,7 +382,7 @@ def _evaluate_ktypes(g: RealGroupData, prep: ParamVerdict, mode: str,
     return [acc.get(row, 0) for row in range(len(hws))]
 
 
-def _blattner_shifts(g: RealGroupData, compact: Sequence[Weight]
+def _blattner_shifts(g: RealGroupData, compact: Sequence[tuple]
                      ) -> tuple[int, tuple[tuple[WeylTerm, tuple], ...]]:
     """Blattner's eps = det(w_Phi) and, per W_K record w, the pair (w,
     R(w rho_K) - rho_c), for the compact positives Phi_c of a positive
@@ -379,8 +395,8 @@ def _blattner_shifts(g: RealGroupData, compact: Sequence[Weight]
     the numerator is odd).  R K^+ and each R w 2rho_K are the group's,
     derived at load.
     """
-    eps = (-1) ** sum(c.coords not in g.r_k_positives for c in compact)
-    rho2_c = [sum(c.coords[i] for c in compact) for i in range(g.hm.rank)]
+    eps = (-1) ** sum(c not in g.r_k_positives for c in compact)
+    rho2_c = [sum(c[i] for c in compact) for i in range(g.hm.rank)]
     # one parity for every w: R w 2rho_K - R 2rho_K = 2 R(w rho_K - rho_K)
     c2 = list(map(sub, g.k_weyl[0].top, rho2_c))
     if any(x % 2 for x in c2):
@@ -508,12 +524,13 @@ def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
                        mode: str = "partition") -> int:
     """Multiplicity of one K-type by one oracle, "series" or "partition";
     the two must agree.  The one conversion of a KType: its highest weight
-    is checked (lattice of T, check_ktype) and passed on as coordinates."""
+    is checked (an integral weight of T by HMLattice.char, dominant by
+    check_ktype) and passed on as coordinates."""
     _check_mode(mode)
     prep = _prepare(g, p)
-    g.t_lattice.height2(kt.highest)
-    check_ktype(g, kt.highest.coords)
-    return _evaluate_ktypes(g, prep, mode, [kt.highest.coords])[0]
+    hw, _ = g.t_lattice.char(kt.highest)
+    check_ktype(g, hw)
+    return _evaluate_ktypes(g, prep, mode, [hw])[0]
 
 
 def _nonzero(rows: Sequence[_Row]) -> list[_Row]:
@@ -569,7 +586,8 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
     entries whose keys reach the least height, where it is cheapest (ties in
     lexical order).  Entries are the restricted representation itself; the
     table's sign field records the index sign.  A caller holding
-    validate_params(g, p) passes it as verdict.
+    validate_params(g, p) passes it as verdict; any other verdict raises
+    ForeignVerdictError.
     """
     _check_window(window)
     prep = _prepare(g, p, zero_ok=True, verdict=verdict)

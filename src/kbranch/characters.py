@@ -1,7 +1,10 @@
 """Exact arithmetic on lattice weights and formal characters of H = T x Z.
 
-Weights are integer (or half-integer) vectors in a fixed lattice basis.
-Formal characters are finitely supported integer combinations of characters
+Roots and weights are integer coordinate tuples in a fixed lattice basis.
+Weight, the public type of parameters and K-types, labels a tuple with its
+lattice and a denominator (1, or 2 for half-integer parameters); its
+lattice, rank and denominator are checked once, where it comes in.  Formal
+characters are finitely supported integer combinations of characters
 of a compact abelian group H = (torus T) x (finite abelian Z), keyed by
 (torus coordinates, Z index), possibly truncated to a height window with an
 exactness certificate, and read by key or in height order (by_height).
@@ -12,7 +15,6 @@ arbitrary-precision integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf
 from operator import add, mul
@@ -61,9 +63,6 @@ class Weight(_WeightFields):
     def rank(self) -> int:
         return len(self.coords)
 
-    def is_integral(self) -> bool:
-        return self.denom == 1
-
     def _check(self, other: "Weight") -> None:
         if self.lattice != other.lattice:
             raise LatticeError(
@@ -78,9 +77,6 @@ class Weight(_WeightFields):
         return weight(
             tuple(a * x + b * y for x, y in zip(self.coords, other.coords)),
             self.lattice, d)
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return self + (-other)
 
     def __neg__(self) -> "Weight":
         return Weight(tuple(-c for c in self.coords), self.lattice, self.denom)
@@ -98,13 +94,6 @@ def weight(coords: Iterable[int], lattice: str = "t", denom: int = 1) -> Weight:
         coords = tuple(c // 2 for c in coords)
         denom = 1
     return Weight(coords, lattice, denom)
-
-
-def dot(a: Weight, b: Weight) -> Fraction:
-    """Exact inner product; coordinates are orthonormal by convention."""
-    a._check(b)
-    return Fraction(sum(x * y for x, y in zip(a.coords, b.coords)),
-                    a.denom * b.denom)
 
 
 class _ZCharTableFields(NamedTuple):
@@ -182,30 +171,23 @@ class HMLattice(_HMLatticeFields):
         return tuple.__new__(cls, (rank, lattice, height_vec, ztable))
 
     @classmethod
-    def graded(cls, rank: int, lattice: str, positives: Iterable[Weight],
+    def graded(cls, rank: int, lattice: str,
+               positives: Iterable[tuple[int, ...]],
                ztable: ZCharTable = TRIVIAL_Z) -> "HMLattice":
-        """The lattice graded by a positive system: height_vec is the sum of
-        its roots, twice its rho."""
+        """The lattice graded by a positive system, integer tuples of its
+        rank: height_vec is the sum of its roots, twice its rho."""
         positives = tuple(positives)
-        for r in positives:
-            if r.lattice != lattice or r.rank != rank or not r.is_integral():
-                raise LatticeError(f"{r.coords} is not an integral weight of "
-                                   f"lattice {lattice!r} of rank {rank}")
-        return cls(rank, lattice, tuple(sum(r.coords[i] for r in positives)
+        return cls(rank, lattice, tuple(sum(r[i] for r in positives)
                                         for i in range(rank)), ztable)
-
-    def height2(self, w: Weight) -> int:
-        """Doubled height (mu, height_vec); integer for integral weights."""
-        if w.lattice != self.lattice or w.rank != self.rank:
-            raise LatticeError(f"weight not on lattice {self.lattice!r}")
-        if not w.is_integral():
-            raise LatticeError("characters require integral weights")
-        return sum(x * y for x, y in zip(w.coords, self.height_vec))
 
     def char(self, w: Weight, z: Optional[int] = None) -> _Key:
         """The key of the character e^w of T times the Z character z, by
-        default the identity."""
-        self.height2(w)  # validates lattice/rank/integrality
+        default the identity; LatticeError unless w is an integral weight
+        of this lattice."""
+        if w.lattice != self.lattice or w.rank != self.rank:
+            raise LatticeError(f"weight not on lattice {self.lattice!r}")
+        if w.denom != 1:
+            raise LatticeError("characters require integral weights")
         key = w.coords, self.ztable.identity if z is None else z
         self.key_height2(key)
         return key
@@ -345,46 +327,48 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
         hm, {k: m for k, m in acc.items() if m}, cutoff)
 
 
-def _step(hm: HMLattice, root: Weight) -> tuple[tuple[int, ...], int]:
-    """The coordinates and doubled height of a series factor's root:
-    LatticeError unless it is an integral weight of hm, ConeError unless its
-    height is positive (a zero root's is not)."""
-    h2 = hm.height2(root)
+def _step(hm: HMLattice, root: tuple[int, ...]) -> int:
+    """The doubled height of a series factor's root: LatticeError unless it
+    is an integer tuple of hm's rank, ConeError unless its height is
+    positive (a zero root's is not)."""
+    h2 = hm.key_height2((root, hm.ztable.identity))
     if h2 <= 0:
-        raise ConeError(f"root {root.coords} has nonpositive height; the "
+        raise ConeError(f"root {root} has nonpositive height; the "
                         "factor is not graded")
-    return root.coords, h2
+    return h2
 
 
-def geometric_series(hm: HMLattice, root: Weight, cutoff: int) -> FormalCharacter:
+def geometric_series(hm: HMLattice, root: tuple[int, ...],
+                     cutoff: int) -> FormalCharacter:
     """Sum of e^{n*root} over n >= 0 with height(n*root) <= cutoff.  The
     root is checked once (_step); its multiples are keys by construction."""
     if type(cutoff) is not int or cutoff < 0:
         raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
-    step, h2 = _step(hm, root)
+    h2 = _step(hm, root)
     z, terms, point = hm.ztable.identity, {}, (0,) * hm.rank
     for _ in range(2 * cutoff // h2 + 1):
         terms[point, z] = 1
-        point = tuple(map(add, point, step))
+        point = tuple(map(add, point, root))
     return FormalCharacter._trusted(hm, terms, cutoff)
 
 
-def graded_exterior(hm: HMLattice, weights: Sequence[Weight]) -> FormalCharacter:
+def graded_exterior(hm: HMLattice, roots: Sequence[tuple[int, ...]]
+                    ) -> FormalCharacter:
     """Signed exterior-algebra character of positive roots: the product of
-    (1 - e^{w}), each root checked once (_step)."""
+    (1 - e^{root}), each root checked once (_step)."""
     acc = {((0,) * hm.rank, hm.ztable.identity): 1}
-    for w in weights:
-        step, _ = _step(hm, w)
+    for root in roots:
+        _step(hm, root)
         nxt: dict[_Key, int] = {}
         for (c, z), m in acc.items():
             nxt[c, z] = nxt.get((c, z), 0) + m
-            shifted = tuple(map(add, c, step)), z
+            shifted = tuple(map(add, c, root)), z
             nxt[shifted] = nxt.get(shifted, 0) - m
         acc = {k: m for k, m in nxt.items() if m != 0}
     return FormalCharacter._trusted(hm, acc, None)
 
 
-def partition_counts(roots: Sequence[Weight], hm: HMLattice,
+def partition_counts(roots: Sequence[tuple[int, ...]], hm: HMLattice,
                      bound2: int) -> dict[tuple[int, ...], int]:
     """Kostant partition counts of the cone the roots span, cut at a doubled
     height: each point maps to the number of ways it is a nonnegative
@@ -395,27 +379,24 @@ def partition_counts(roots: Sequence[Weight], hm: HMLattice,
     too and the cut loses no partition.  The counts are the coefficients
     of the product of the roots' geometric series up to that height.
     """
+    hv = hm.height_vec
     counts = {(0,) * hm.rank: 1} if bound2 >= 0 else {}
     for beta in roots:
-        h2 = hm.height2(beta)
+        h2 = sum(map(mul, beta, hv))
         if h2 <= 0:
-            raise ConeError(
-                f"root {beta.coords} not in the declared positive cone")
+            raise ConeError(f"root {beta} not in the declared positive cone")
         grown: dict[tuple[int, ...], int] = {}
         for pt, n in counts.items():
-            pt_h2 = sum(x * y for x, y in zip(pt, hm.height_vec))
-            for _ in range((bound2 - pt_h2) // h2 + 1):
+            for _ in range((bound2 - sum(map(mul, pt, hv))) // h2 + 1):
                 grown[pt] = grown.get(pt, 0) + n
-                pt = tuple(x + b for x, b in zip(pt, beta.coords))
+                pt = tuple(map(add, pt, beta))
         counts = grown
     return counts
 
 
-def kostant_partition(target: Weight, roots: Sequence[Weight],
-                      hm: HMLattice) -> int:
+def kostant_partition(target: tuple[int, ...],
+                      roots: Sequence[tuple[int, ...]], hm: HMLattice) -> int:
     """Number of ways to write target as a nonnegative sum of the roots:
     its entry in the partition_counts table cut at its own height."""
-    if not target.is_integral():
-        return 0
-    return partition_counts(roots, hm, hm.height2(target)).get(
-        target.coords, 0)
+    return partition_counts(roots, hm, sum(map(mul, target, hm.height_vec))
+                            ).get(target, 0)

@@ -11,8 +11,10 @@ factor (with their 2rho), the compactness of each Levi root, the fibres of
 the torus restriction and of the dot products with K's simple roots,
 whether Blattner's formula applies, and one record per element w of the
 Weyl group of K (WeylTerm): w, w rho_K - rho_K, R w 2rho_K, (R w)^T and,
-where Blattner's formula applies, what its walk reads of w.  Weight
-coordinates are, by convention, orthonormal for an invariant inner
+where Blattner's formula applies, what its walk reads of w.  Roots are
+integer coordinate tuples from the parse on, and every derivation is in
+integers: fibres by fraction-free elimination, v as integer fractions.
+Coordinates are, by convention, orthonormal for an invariant inner
 product; this is what makes coroot pairings exact integers and is enforced
 by the crystallographic checks below.  The Z' character of a T-weight is
 one integer product with the rows order * v of the generators, looked up
@@ -23,8 +25,8 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
-from math import lcm
+import re
+from math import gcd, lcm
 from operator import mul, sub
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
@@ -45,9 +47,9 @@ class GroupDataError(ValueError):
 
 class RootSystem(NamedTuple):
     rank: int
-    roots: tuple[Weight, ...]
-    positives: tuple[Weight, ...]
-    simples: tuple[Weight, ...]
+    roots: tuple[tuple[int, ...], ...]
+    positives: tuple[tuple[int, ...], ...]
+    simples: tuple[tuple[int, ...], ...]
 
 
 def matvec(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
@@ -55,12 +57,12 @@ def matvec(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in mat)
 
 
-def simple_roots(positives: Sequence[Weight]) -> tuple[Weight, ...]:
+def simple_roots(positives: Sequence[tuple]) -> tuple[tuple, ...]:
     """The indecomposable positives: those not the sum of two positives,
     so that taking any positive from one leaves no positive."""
-    pos = {p.coords for p in positives}
+    pos = set(positives)
     return tuple(p for p in positives if not any(
-        tuple(map(sub, p.coords, q)) in pos for q in pos))
+        tuple(map(sub, p, q)) in pos for q in pos))
 
 
 def _integral_pairing(b: Sequence[int], a: Sequence[int]) -> bool:
@@ -90,16 +92,15 @@ def _simple_reflections(rs: RootSystem) -> list[tuple]:
     permute the roots; GroupDataError("Weyl closure") otherwise."""
     gens = []
     for a in rs.simples:  # e_j reflects to e_j - (2a_j/(a, a)) a
-        aa = sum(map(mul, a.coords, a.coords))
-        if any(2 * x % aa for x in a.coords):
+        aa = sum(map(mul, a, a))
+        if any(2 * x % aa for x in a):
             raise GroupDataError(
                 "Weyl closure",
-                f"reflection in {a.coords} does not preserve the lattice")
-        gens.append((a.coords, tuple(2 * x // aa for x in a.coords)))
-    roots = tuple(r.coords for r in rs.roots)
-    root_set = set(roots)
+                f"reflection in {a} does not preserve the lattice")
+        gens.append((a, tuple(2 * x // aa for x in a)))
+    root_set = set(rs.roots)
     for gen in gens:
-        if set(_reflect(gen, roots)) != root_set:
+        if set(_reflect(gen, rs.roots)) != root_set:
             raise GroupDataError(
                 "Weyl closure",
                 f"reflection in {gen[0]} does not permute the roots")
@@ -142,19 +143,18 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str],
     def bad(inv, msg):
         raise GroupDataError(inv, f"{label}: {msg}")
 
-    coords = [r.coords for r in rs.roots]
-    root_set = set(coords)
-    if len(root_set) != len(coords):
+    root_set = set(rs.roots)
+    if len(root_set) != len(rs.roots):
         bad("negation closure", "duplicate roots")
     for r in rs.roots:
-        if not any(r.coords):
+        if not any(r):
             bad("negation closure", "zero vector listed as a root")
-        if (-r).coords not in root_set:
-            bad("negation closure", f"root {r.coords} has no negative")
+        if tuple(-x for x in r) not in root_set:
+            bad("negation closure", f"root {r} has no negative")
     checklist.append(f"{label} negation closure")
 
-    pos = {p.coords for p in rs.positives}
-    neg = {(-p).coords for p in rs.positives}
+    pos = set(rs.positives)
+    neg = {tuple(-x for x in p) for p in rs.positives}
     if pos & neg:
         bad("positive partition", "a root and its negative both positive")
     if pos | neg != root_set:
@@ -163,23 +163,23 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str],
     checklist.append(f"{label} positive partition")
 
     for s in rs.simples:
-        if s.coords not in pos:
-            bad("simple decomposition", f"simple {s.coords} is not positive")
+        if s not in pos:
+            bad("simple decomposition", f"simple {s} is not positive")
     # independence makes simple-root coordinates unique
-    fibres = Fibres.of([[s.coords[i] for s in rs.simples]
-                        for i in range(rs.rank)], len(rs.simples))
+    fibres = Fibres.of([[s[i] for s in rs.simples] for i in range(rs.rank)],
+                       len(rs.simples))
     if fibres.free:
         bad("simple decomposition", "simple roots are linearly dependent")
     for p in rs.positives:  # d times its simple coordinates, if any
-        if any(matvec(fibres.consistency, p.coords)) or any(
-                c < 0 or c % fibres.d for c in matvec(fibres.a, p.coords)):
+        if any(matvec(fibres.consistency, p)) or any(
+                c < 0 or c % fibres.d for c in matvec(fibres.a, p)):
             bad("simple decomposition",
-                f"positive {p.coords} is not a nonnegative integer "
+                f"positive {p} is not a nonnegative integer "
                 "combination of the simples")
     checklist.append(f"{label} simple decomposition")
 
-    for a in coords:
-        for b in coords:
+    for a in rs.roots:
+        for b in rs.roots:
             if not _integral_pairing(b, a):
                 bad("Weyl closure",
                     f"pairing of {b} with {a} is not integral")
@@ -188,25 +188,33 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str],
     return closed
 
 
-def _parse_weight_list(raw, rank, lattice, inv):
+def _parse_weight_list(raw, rank):
     out = []
     for entry in raw:
         if (not isinstance(entry, list) or len(entry) != rank
                 or not all(type(c) is int for c in entry)):  # no bools
-            raise GroupDataError(
-                inv, f"expected integer arrays of length {rank}, got {entry!r}")
-        out.append(Weight(tuple(entry), lattice))
+            raise GroupDataError("schema", f"expected integer arrays of "
+                                           f"length {rank}, got {entry!r}")
+        out.append(tuple(entry))
     return tuple(out)
 
 
-def _parse_fraction(v, inv):
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(v, inv) -> tuple[int, int]:
+    """(numerator, denominator) of an int, or of an ASCII string
+    [+-]digits or [+-]digits/digits with a nonzero denominator."""
     if type(v) is int:
-        return Fraction(v)
-    if isinstance(v, str):
+        return v, 1
+    match = _RATIONAL.fullmatch(v) if isinstance(v, str) else None
+    if match:
         try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            pass
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError:  # more digits than int() reads
+            den = 0
+        if den:
+            return num, den
     raise GroupDataError(inv, "expected an integer or a fraction string with "
                               f"a nonzero denominator, got {v!r}")
 
@@ -268,26 +276,20 @@ class RealGroupData(NamedTuple):
         return weight(coords, f"{self.name}:a")
 
     # -- structure queries --------------------------------------------------
-    def is_compact(self, root: Weight) -> bool:
+    def is_compact(self, root: tuple[int, ...]) -> bool:
         try:
-            return self.compact_of[root.coords]
+            return self.compact_of[root]
         except KeyError:
             raise LatticeError(
-                f"{root.coords} is not a root of the Levi factor") from None
+                f"{root} is not a root of the Levi factor") from None
 
-    def compact_positives(self, positives=None) -> list[Weight]:
+    def compact_positives(self, positives=None) -> list[tuple[int, ...]]:
         pos = self.m_roots.positives if positives is None else positives
         return [r for r in pos if self.is_compact(r)]
 
-    def noncompact_positives(self, positives=None) -> list[Weight]:
+    def noncompact_positives(self, positives=None) -> list[tuple[int, ...]]:
         pos = self.m_roots.positives if positives is None else positives
         return [r for r in pos if not self.is_compact(r)]
-
-    def restrict_weight(self, w: Weight) -> Weight:
-        """Push a weight of the big torus to the small torus."""
-        if w.lattice != self.t_lattice.lattice:
-            raise LatticeError("can only restrict weights of the big torus")
-        return weight(matvec(self.tm_in_t, w.coords), self.hm.lattice, w.denom)
 
     def zchar(self, coords: Sequence[int]) -> int:
         """Z' character index of the integral T-weight with these coordinates.
@@ -298,37 +300,16 @@ class RealGroupData(NamedTuple):
             tuple(e % order for e in matvec(self.zchar_rows, coords))]
 
 
-def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination in place on the first ncols columns; any
-    further columns ride along.  Returns the pivot columns: row i then holds
-    1 at pivot i and 0 at every other pivot, and the rows past the rank
-    vanish on the first ncols columns."""
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        scale = rows[r][c]
-        rows[r] = [a / scale for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return pivots
-
-
 class Fibres(NamedTuple):
     """Integral solutions x of R x = b, R an integer matrix, as one integer
-    map built once.  Row reduction gives an integer T with T R = d * (the
-    reduced row echelon form of R).  R x = b exactly when the consistency
-    rows, T's past the rank, vanish on b; then d x = a b + sum over free f
-    of x_f dirs_f, a putting row i of T at the i-th pivot column and dirs_f
-    holding d at f and -(T R)_if at the i-th pivot column.  So R x = t - s
-    reads a t - a s, with no offset, and a matrix u carries the solutions
-    as u a b + sum_f x_f u dirs_f."""
+    map built once.  Gauss-Jordan elimination of [R | I], each row an
+    integer vector over one positive denominator reduced by their gcd,
+    gives an integer T with T R = d * (the reduced row echelon form of R).
+    R x = b exactly when the consistency rows, T's past the rank, vanish on
+    b; then d x = a b + sum over free f of x_f dirs_f, a putting row i of T
+    at the i-th pivot column and dirs_f holding d at f and -(T R)_if at the
+    i-th pivot column.  So R x = t - s reads a t - a s, with no offset, and
+    a matrix u carries the solutions as u a b + sum_f x_f u dirs_f."""
 
     a: tuple[tuple[int, ...], ...]
     dirs: tuple[tuple[int, ...], ...]
@@ -339,12 +320,23 @@ class Fibres(NamedTuple):
     @classmethod
     def of(cls, mat: Sequence[Sequence[int]], ncols: int) -> "Fibres":
         m = len(mat)
-        rows = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                               for j in range(m)]
+        rows = [([*row, *(int(i == j) for j in range(m))], 1)
                 for i, row in enumerate(mat)]
-        pivots = row_reduce(rows, ncols)
-        d = lcm(*(a.denominator for row in rows for a in row))
-        scaled = [tuple(int(a * d) for a in row) for row in rows]
+        pivots: list[int] = []
+        for c in range(ncols):
+            r = len(pivots)
+            piv = next((i for i in range(r, m) if rows[i][0][c]), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            pv, pd = rows[r] = _reduced(rows[r][0], rows[r][0][c])
+            for i, (v, e) in enumerate(rows):
+                if i != r and v[c]:  # v/e - (v_c/e) pv/pd
+                    rows[i] = _reduced([x * pd - v[c] * y
+                                        for x, y in zip(v, pv)], e * pd)
+            pivots.append(c)
+        d = lcm(*(e for _, e in rows))
+        scaled = [tuple(x * (d // e) for x in v) for v, e in rows]
         free = tuple(c for c in range(ncols) if c not in pivots)
         a = [(0,) * m] * ncols
         dirs = [[d * (c == f) for c in range(ncols)] for f in free]
@@ -354,6 +346,13 @@ class Fibres(NamedTuple):
                 z[c] = -scaled[i][f]
         return cls(tuple(a), tuple(map(tuple, dirs)),
                    tuple(row[ncols:] for row in scaled[len(pivots):]), d, free)
+
+
+def _reduced(v: list[int], e: int) -> tuple[list[int], int]:
+    """The row v / e as an integer vector over a positive denominator, both
+    divided by their gcd; a zero row has denominator 1."""
+    g = gcd(*v, e) * (-1 if e < 0 else 1)
+    return [x // g for x in v], e // g
 
 
 def _blattner_applies(g: RealGroupData,
@@ -366,14 +365,14 @@ def _blattner_applies(g: RealGroupData,
     compact = {r for r, f in g.compact_of.items() if f}
     return (len(set(k_restricted)) == len(k_restricted)
             and set(k_restricted) == compact
-            and all(g.zchar(a.coords) == g.hm.ztable.identity
+            and all(g.zchar(a) == g.hm.ztable.identity
                     for a in g.k_roots.roots))
 
 
 def _with_walk(g: RealGroupData) -> RealGroupData:
     """g with R K^+ and each W_K record's data of Blattner's walk."""
     fibres, rank = g.fibres, g.hm.rank
-    probes = ([s.coords for s in g.k_roots.simples]
+    probes = (list(g.k_roots.simples)
               + (list(g.zchar_rows) if g.hm.ztable.order > 1 else []))
     width = g.k_roots.rank + len(probes) + len(fibres.consistency)
     # (vector before w^T, residue): a e_i per Levi coordinate, then dirs_f
@@ -390,7 +389,7 @@ def _with_walk(g: RealGroupData) -> RealGroupData:
             b: matvec(walk, b) for b, compact in g.compact_of.items()
             if not compact}))
     return g._replace(r_k_positives=frozenset(
-        matvec(g.tm_in_t, a.coords) for a in g.k_roots.positives),
+        matvec(g.tm_in_t, a) for a in g.k_roots.positives),
         k_weyl=tuple(k_weyl))
 
 
@@ -442,7 +441,6 @@ def _build(doc: dict) -> RealGroupData:
     for f, t in _SCHEMA_FIELDS.items():
         _require(doc, f, t)
     name = doc["name"]
-    t_lab, tm_lab = f"{name}:t", f"{name}:tM"
     checklist.append("schema")
 
     # ---- k root system -----------------------------------------------------
@@ -450,10 +448,10 @@ def _build(doc: dict) -> RealGroupData:
     k_rank = _require(k, "rank", int, cap=_RANK_CAP)
     k_roots = RootSystem(
         k_rank,
-        _parse_weight_list(_require(k, "roots", list), k_rank, t_lab, "schema"),
-        _parse_weight_list(_require(k, "positives", list), k_rank, t_lab, "schema"),
-        _parse_weight_list(_require(k, "simples", list), k_rank, t_lab, "schema"))
-    t_lattice = HMLattice.graded(k_rank, t_lab, k_roots.positives)
+        _parse_weight_list(_require(k, "roots", list), k_rank),
+        _parse_weight_list(_require(k, "positives", list), k_rank),
+        _parse_weight_list(_require(k, "simples", list), k_rank))
+    t_lattice = HMLattice.graded(k_rank, f"{name}:t", k_roots.positives)
     rho2 = t_lattice.height_vec
     k_weyl = []  # (w, det, w 2rho_K), of the one closure built at load
     for w, det in _validate_root_system(k_roots, "k", checklist, weyl_group):
@@ -466,8 +464,8 @@ def _build(doc: dict) -> RealGroupData:
     # ---- m root system with compact flags ----------------------------------
     m = doc["m"]
     m_rank = _require(m, "rank", int, cap=_RANK_CAP)
-    m_all = _parse_weight_list(_require(m, "roots", list), m_rank, tm_lab, "schema")
-    m_pos = _parse_weight_list(_require(m, "positives", list), m_rank, tm_lab, "schema")
+    m_all = _parse_weight_list(_require(m, "roots", list), m_rank)
+    m_pos = _parse_weight_list(_require(m, "positives", list), m_rank)
     flags = _require(m, "compact_flags", list)
     if len(flags) != len(m_all) or not all(isinstance(f, bool) for f in flags):
         raise GroupDataError("schema",
@@ -475,26 +473,25 @@ def _build(doc: dict) -> RealGroupData:
     m_roots = RootSystem(m_rank, m_all, m_pos, simple_roots(m_pos))
     _validate_root_system(m_roots, "m", checklist, _simple_reflections)
 
-    flag_of = {r.coords: f for r, f in zip(m_all, flags)}
+    flag_of = dict(zip(m_all, flags))
     for r, f in zip(m_all, flags):
-        if flag_of[(-r).coords] != f:
+        if flag_of[tuple(-x for x in r)] != f:
             raise GroupDataError("compact partition",
-                                 f"root {r.coords} and its negative disagree "
+                                 f"root {r} and its negative disagree "
                                  "on compactness")
     checklist.append("compact partition parity")
 
     # ---- restricted roots ---------------------------------------------------
     restr = doc["restricted"]
     dim_a = _require(restr, "dim_a", int, cap=_RANK_CAP)
-    a_lab = f"{name}:a"
-    _parse_weight_list(_require(restr, "roots", list), dim_a, a_lab, "schema")
-    r_pos = _parse_weight_list(_require(restr, "positives", list), dim_a, a_lab, "schema")
-    cone = HMLattice.graded(dim_a, a_lab, r_pos)
+    _parse_weight_list(_require(restr, "roots", list), dim_a)
+    r_pos = _parse_weight_list(_require(restr, "positives", list), dim_a)
+    cone = HMLattice.graded(dim_a, f"{name}:a", r_pos)
     for b in r_pos:
-        if cone.height2(b) <= 0:
+        if sum(map(mul, b, cone.height_vec)) <= 0:
             raise GroupDataError(
                 "restricted pointed cone",
-                f"no linear functional separates {b.coords}")
+                f"no linear functional separates {b}")
     checklist.append("restricted pointed cone")
 
     # ---- restriction matrix -------------------------------------------------
@@ -530,7 +527,7 @@ def _build(doc: dict) -> RealGroupData:
         if not isinstance(v, list) or len(v) != k_rank:
             raise GroupDataError("zmprime table",
                                  f"v must have {k_rank} rational entries")
-        vs.append(tuple(_parse_fraction(x, "zmprime table") for x in v))
+        vs.append(tuple(_parse_rational(x, "zmprime table") for x in v))
     rows = tuple(tuple(per_gen_rows[j][i] for j in range(len(gens_raw)))
                  for i in range(order))
     try:
@@ -546,12 +543,11 @@ def _build(doc: dict) -> RealGroupData:
     # generator values must be exact on the weight lattice
     zchar_rows = []
     for j, v in enumerate(vs):
-        row = [order * x for x in v]
-        if any(x.denominator != 1 for x in row):
+        if any(order * n % d for n, d in v):
             raise GroupDataError(
                 "zmprime compatibility",
                 f"generator {j} gives lattice weights inexact values")
-        zchar_rows.append(tuple(map(int, row)))
+        zchar_rows.append(tuple(order * n // d for n, d in v))
     checklist.append("zmprime integrality")
 
     # descent to the small torus where the generator lies in it: w = a v / d
@@ -580,7 +576,7 @@ def _build(doc: dict) -> RealGroupData:
     checklist.append("dims consistency")
 
     # ---- the Levi lattice, graded by the declared positives -------------------
-    hm = HMLattice.graded(m_rank, tm_lab, m_pos, ztable)
+    hm = HMLattice.graded(m_rank, f"{name}:tM", m_pos, ztable)
 
     # checklist and blattner_applies are final once the checks below pass
     g = RealGroupData(
@@ -593,16 +589,16 @@ def _build(doc: dict) -> RealGroupData:
             tuple(matvec(tm_in_t, col) for col in zip(*w)))
             for w, det, w_rho2 in k_weyl),
         fibres=Fibres.of(tm_in_t, k_rank),
-        k_pairings=Fibres.of([a.coords for a in k_roots.simples], k_rank),
+        k_pairings=Fibres.of(k_roots.simples, k_rank),
         blattner_applies=False)
 
     # compact m-roots must come from roots of the compact subgroup
-    k_restr = [g.restrict_weight(r).coords for r in k_roots.roots]
+    k_restr = [matvec(tm_in_t, r) for r in k_roots.roots]
     for r, f in zip(m_all, flags):
-        if f and r.coords not in k_restr:
+        if f and r not in k_restr:
             raise GroupDataError(
                 "compact partition",
-                f"compact-flagged root {r.coords} is not the restriction of "
+                f"compact-flagged root {r} is not the restriction of "
                 "any compact-group root")
     checklist.append("compact partition")
 
@@ -610,11 +606,11 @@ def _build(doc: dict) -> RealGroupData:
     # the compact Levi roots
     for i, re in enumerate(zip(*tm_in_t)):  # R e_i, the i-th column
         for r, f in zip(m_all, flags):
-            if f and not _integral_pairing(re, r.coords):
+            if f and not _integral_pairing(re, r):
                 raise GroupDataError(
                     "restriction integrality",
                     f"basis weight {i} restricts to {re}, pairing "
-                    f"non-integrally with compact root {r.coords}")
+                    f"non-integrally with compact root {r}")
     checklist.append("restriction integrality")
 
     # character table consistent with the v-vectors on a spanning set

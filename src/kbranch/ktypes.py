@@ -33,8 +33,7 @@ def check_ktype(g: RealGroupData, hw: tuple[int, ...]) -> None:
     """LatticeError unless hw is a dominant integer tuple of K's rank."""
     if not (type(hw) is tuple and len(hw) == g.k_roots.rank
             and {int}.issuperset(map(type, hw))
-            and all(sum(map(mul, hw, s.coords)) >= 0
-                    for s in g.k_roots.simples)):
+            and all(sum(map(mul, hw, s)) >= 0 for s in g.k_roots.simples)):
         raise LatticeError(f"{hw!r} is not a dominant integral weight of "
                            f"rank {g.k_roots.rank}")
 
@@ -44,7 +43,7 @@ def enumerate_ktypes(g: RealGroupData, norm_cutoff: int
     """The highest weights with max-coordinate norm <= norm_cutoff, in
     lexicographic order, walked inside the dominant chamber: a prefix grows
     only where the later coordinates can still make it dominant."""
-    simples, out = [s.coords for s in g.k_roots.simples], [()]
+    simples, out = g.k_roots.simples, [()]
     for j in range(g.k_roots.rank):
         # the most the coordinates after j can add to each pairing
         room = [norm_cutoff * sum(map(abs, s[j + 1:])) for s in simples]
@@ -131,7 +130,7 @@ def key_index(g: RealGroupData, hws: Iterable[tuple[int, ...]]
     rows numbered in batch order, filled as each tuple's keys are
     translated.  The tuples are not checked again: a K-type from outside the
     engine passes check_ktype first."""
-    simples = [s.coords for s in g.k_roots.simples]
+    simples = g.k_roots.simples
     index: dict[tuple, list] = {}
     for row, hw in enumerate(hws):
         pairings = tuple([sum(map(mul, hw, s)) for s in simples])

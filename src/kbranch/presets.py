@@ -93,12 +93,12 @@ def su21_from_lambda(g: RealGroupData, coords,
     else:
         pos = []
         for r in g.m_roots.positives:
-            d = sum(map(mul, lam.coords, r.coords))  # its sign, no Fraction
+            d = sum(map(mul, lam.coords, r))
             if d == 0:
                 raise ParamSchemaError(
-                    f"parameter is orthogonal to root {r.coords}; supply "
+                    f"parameter is orthogonal to root {r}; supply "
                     "rmplus explicitly for limits")
-            pos.append(r if d > 0 else -r)
+            pos.append(g.tm_weight(r if d > 0 else [-x for x in r]))
         pos = tuple(pos)
     return TemperedParams(lam=lam, rmplus=pos, chi=chi, nu=g.a_weight([]))
 

@@ -24,13 +24,14 @@ oracle over the window's box is box_table(g, p, window, "partition").
 from __future__ import annotations
 
 import random
+from operator import mul
 from typing import NamedTuple
 
 from . import presets
 from .branching import (TemperedParams, box_table, ktype_multiplicity,
                         ktype_table, nu_independence_check, validate_params)
 from .characters import (FormalCharacter, HMLattice, ZCharTable, Weight,
-                         char_mul, dot, geometric_series, graded_exterior,
+                         char_mul, geometric_series, graded_exterior,
                          kostant_partition)
 from .groups import (RootSystem, builtin_group, matvec, simple_roots,
                      weyl_group)
@@ -106,7 +107,8 @@ def _weyl_denominator_check(name, hm, compact_positives) -> Check:
     """Graded exterior over compact positives equals the alternating sum of
     e^(rho_c - w rho_c) over the compact Weyl group."""
     lhs = graded_exterior(hm, compact_positives)
-    roots = tuple(compact_positives) + tuple(-r for r in compact_positives)
+    roots = tuple(compact_positives) + tuple(
+        tuple(-x for x in r) for r in compact_positives)
     rs = RootSystem(hm.rank, roots, tuple(compact_positives),
                     simple_roots(compact_positives))
     rho2 = HMLattice.graded(hm.rank, hm.lattice, compact_positives).height_vec
@@ -129,16 +131,15 @@ def _tables_agree(g, p, window: int) -> bool:
 
 def random_su21_params(g, rng, scale: int = 4) -> TemperedParams:
     """Sample valid (nonzero) discrete-series or limit parameters."""
-    tie = g.tm_weight([1, 0, -1])
+    tie = (1, 0, -1)
     while True:
         a = rng.randint(-scale, scale)
         b = rng.randint(-scale, a)
         c = rng.randint(-scale, scale)
-        lam = g.tm_weight([a, b, c])
         # r or -r, whichever lam pairs positively with; tie breaks ties
-        pos = tuple(r if (dot(lam, r), dot(tie, r)) > (0, 0) else -r
-                    for r in g.m_roots.positives)
-        p = TemperedParams(lam=lam, rmplus=pos, chi=0, nu=g.a_weight([]))
+        p = presets.su21_from_lambda(g, [a, b, c], [
+            r if (sum(map(mul, (a, b, c), r)), sum(map(mul, tie, r))) > (0, 0)
+            else [-x for x in r] for r in g.m_roots.positives])
         if validate_params(g, p).verdict == "nonzero":
             return p
 
@@ -295,11 +296,12 @@ def suite_ring(seed: int = 20260811) -> list[Check]:
     series = char_mul(series, geometric_series(gu.hm, betas[1], H))
     for _ in range(200):
         n1, n2 = rng.randint(0, 4), rng.randint(0, 4)
-        target = n1 * betas[0] + n2 * betas[1]
-        if gu.hm.height2(target) > 2 * series.cutoff:
+        key = (tuple(n1 * x + n2 * y for x, y in zip(betas[0], betas[1])),
+               gu.hm.ztable.identity)
+        if gu.hm.key_height2(key) > 2 * series.cutoff:
             continue
-        got = kostant_partition(target, betas, gu.hm)
-        want = series.coefficient(gu.hm.char(target))
+        got = kostant_partition(key[0], betas, gu.hm)
+        want = series.coefficient(key)
         if got != want:
             ok = False
     checks.append(_check("kostant partition equals series coefficient", ok,

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,26 @@ def test_unreadable_group_file_exits_4(tmp_path, capsys, argv, prefix, text):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# 11 characters that Fraction takes about 11 s to read, refused at once;
+# tests/test_groups.py refuses each other form outside the grammar
+@pytest.mark.parametrize("argv, prefix", [
+    (("validate",), "invalid: "),
+    (("table", "--params", "{}", "--group"), "error: ")],
+    ids=["validate", "table"])
+def test_v_exponent_exits_4_at_once(tmp_path, capsys, argv, prefix):
+    v = "1e10000000"
+    doc = json.loads((_BUILTIN_DIR / "sl2r-compact.json").read_text())
+    doc["zmprime"]["generators"][0]["v"] = [v]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, str(bad))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err == (f"{prefix}zmprime table: expected an integer or a fraction "
+                   f"string with a nonzero denominator, got {v!r}\n")
+
+
 def test_validate_shipped_files(capsys):
     for name in ("sl2r-compact", "sl2r-split", "su21"):
         code, out, _ = run(capsys, "validate",
@@ -428,11 +449,13 @@ def test_validate_malformed_group_file_exits_4(tmp_path, capsys, mutate,
 
 def test_cli_table_and_validate_leave_numpy_and_verify_unloaded():
     # the verification stack and the oscillator load only when `kbranch
-    # verify` runs, and nothing loads dataclasses or the inspect module it
-    # imports
+    # verify` runs, nothing loads dataclasses or the inspect module it
+    # imports, and the table path's arithmetic is integer: no fractions, nor
+    # the decimal module that fractions imports
     script = ("import sys\n"
               "UNLOADED = ('kbranch.verify', 'kbranch.sl2_oracles',"
-              " 'kbranch.oscillator', 'numpy', 'dataclasses', 'inspect')\n"
+              " 'kbranch.oscillator', 'numpy', 'dataclasses', 'inspect',"
+              " 'fractions', 'decimal')\n"
               "def unloaded(when):\n"
               "    for name in UNLOADED:\n"
               "        assert name not in sys.modules, (when, name)\n"

@@ -1,17 +1,31 @@
 """Group-data loading, validation, Weyl groups, rho shifts."""
 
 import json
+from fractions import Fraction
+from math import lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kbranch import groups
-from kbranch.characters import HMLattice, LatticeError, Weight, dot
+from kbranch import branching, groups
+from kbranch.branching import TemperedParams, validate_params
+from kbranch.characters import HMLattice, Weight
 from kbranch.groups import (GroupDataError, RootSystem, builtin_group,
                             data_dir, load_group_data, matvec, weyl_group)
 
 SP4R = Path(__file__).parent / "data" / "sp4r.json"
+# every builtin and tests/data/ group document
+GROUP_FILES = ([data_dir() / f"{name}.json"
+                for name in ("sl2r-compact", "sl2r-split", "su21")]
+               + [SP4R.parent / f"{name}.json" for name in (
+                   "sl2xt3", "sp4r", "su21-noncompact", "su22", "su31")])
+
+
+def dot(a, b):
+    """The inner product of two coordinate tuples."""
+    return sum(map(mul, a, b))
 
 
 def doc_sl2_compact():
@@ -30,7 +44,7 @@ def doc_sl2_compact():
 
 def test_shipped_groups_load():
     gc = builtin_group("sl2r-compact")
-    assert [r.coords for r in gc.m_roots.roots] == [(2,), (-2,)]
+    assert gc.m_roots.roots == ((2,), (-2,))
     assert gc.compact_of == {(2,): False, (-2,): False}
     assert gc.hm.ztable.order == 2
     assert gc.zgen_w == ((1, (1,)),)  # -I lies in T_M: w = v = 1 / 2
@@ -271,39 +285,47 @@ def test_load_checks_each_simple_reflection_once(monkeypatch):
 def test_rho_half_sum_examples():
     # the height covector is 2 rho
     assert HMLattice.graded(2, "x", []).height_vec == (0, 0)
-    assert HMLattice.graded(1, "t", [Weight((2,), "t")]).height_vec == (2,)
-    assert HMLattice.graded(2, "t", [Weight((1, -1), "t")]).height_vec == (
-        1, -1)
+    assert HMLattice.graded(1, "t", [(2,)]).height_vec == (2,)
+    assert HMLattice.graded(2, "t", [(1, -1)]).height_vec == (1, -1)
 
 
-@pytest.mark.parametrize("bad", [Weight((2,), "other"), Weight((2, 0), "t"),
-                                 Weight((1,), "t", 2)],
-                         ids=["lattice", "rank", "non-integral"])
-def test_graded_rejects_a_foreign_positive(bad):
-    with pytest.raises(LatticeError):
-        HMLattice.graded(1, "t", [Weight((2,), "t"), bad])
+@pytest.mark.parametrize("bad", [
+    Weight((2,), "other"), Weight((2, 0), "sl2r-compact:tM"),
+    Weight((1,), "sl2r-compact:tM", 2)],
+    ids=["lattice", "rank", "non-integral"])
+def test_graded_rejects_a_foreign_positive(monkeypatch, bad):
+    # HMLattice.graded reads integer tuples; the one place a positive system
+    # comes in as Weights is validate_params, which refuses a positive of
+    # another lattice, another rank, or halved before anything is graded
+    g = builtin_group("sl2r-compact")
+    rmplus = (g.tm_weight([2]), bad)
+    graded = []
+    monkeypatch.setattr(HMLattice, "graded", classmethod(
+        lambda cls, *args: graded.append(args)))
+    branching._chamber.cache_clear()
+    v = validate_params(g, TemperedParams(g.tm_weight([3]), rmplus, 1,
+                                          g.a_weight([])))
+    assert str(v) == "invalid: positive system contains non-roots or duplicates"
+    assert graded == []
 
 
 def test_weyl_group_rank1():
-    rs = RootSystem(1, (Weight((2,), "t"), Weight((-2,), "t")),
-                    (Weight((2,), "t"),), (Weight((2,), "t"),))
+    rs = RootSystem(1, ((2,), (-2,)), ((2,),), ((2,),))
     els = weyl_group(rs)
     assert len(els) == 2
     assert sorted(det for _, det in els) == [-1, 1]
 
 
 def test_weyl_group_u2():
-    rs = RootSystem(2, (Weight((1, -1), "t"), Weight((-1, 1), "t")),
-                    (Weight((1, -1), "t"),), (Weight((1, -1), "t"),))
+    rs = RootSystem(2, ((1, -1), (-1, 1)), ((1, -1),), ((1, -1),))
     assert len(weyl_group(rs)) == 2
 
 
 def a2_system():
-    W = lambda c: Weight(c, "t")
-    roots = tuple(W(c) for c in [(1, -1, 0), (-1, 1, 0), (1, 0, -1),
-                                 (-1, 0, 1), (0, 1, -1), (0, -1, 1)])
-    pos = tuple(W(c) for c in [(1, -1, 0), (1, 0, -1), (0, 1, -1)])
-    simp = tuple(W(c) for c in [(1, -1, 0), (0, 1, -1)])
+    roots = ((1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1), (0, 1, -1),
+             (0, -1, 1))
+    pos = ((1, -1, 0), (1, 0, -1), (0, 1, -1))
+    simp = ((1, -1, 0), (0, 1, -1))
     return RootSystem(3, roots, pos, simp)
 
 
@@ -313,9 +335,9 @@ def test_weyl_group_su3_order_and_dets():
     assert sorted(det for _, det in els) == [-1, -1, -1, 1, 1, 1]
     # closure: every element permutes the roots
     rs = a2_system()
-    root_set = {r.coords for r in rs.roots}
+    root_set = set(rs.roots)
     for m, _ in els:
-        assert {matvec(m, r.coords) for r in rs.roots} == root_set
+        assert {matvec(m, r) for r in rs.roots} == root_set
 
 
 def classical_system(n, short):
@@ -330,10 +352,8 @@ def classical_system(n, short):
                for i in range(n - 1)]
     simples.append(tuple(short * c for c in e[-1]) if short else
                    tuple(a + b for a, b in zip(e[-2], e[-1])))
-    W = lambda c: Weight(c, "t")
-    return RootSystem(n, tuple(W(r) for r in pos)
-                      + tuple(W(tuple(-c for c in r)) for r in pos),
-                      tuple(map(W, pos)), tuple(map(W, simples)))
+    return RootSystem(n, tuple(pos) + tuple(tuple(-c for c in r) for r in pos),
+                      tuple(pos), tuple(simples))
 
 
 @pytest.mark.parametrize("n, short, order", [(3, 1, 48), (3, 2, 48),
@@ -344,16 +364,16 @@ def test_weyl_group_of_long_roots(n, short, order):
     els = weyl_group(rs)
     assert len(els) == order
     assert sum(det for _, det in els) == 0
-    root_set = {r.coords for r in rs.roots}
+    root_set = set(rs.roots)
     for m, _ in els:
-        assert {matvec(m, r.coords) for r in rs.roots} == root_set
+        assert {matvec(m, r) for r in rs.roots} == root_set
 
 
 def test_rho_characterization():
     rs = a2_system()
     rho2 = HMLattice.graded(rs.rank, "t", rs.positives).height_vec
     for a in rs.simples:
-        assert sum(x * y for x, y in zip(rho2, a.coords)) == dot(a, a)
+        assert dot(rho2, a) == dot(a, a)
 
 
 @pytest.mark.parametrize("g", [builtin_group(n) for n in ("sl2r-compact",
@@ -361,8 +381,7 @@ def test_rho_characterization():
                          + [load_group_data(SP4R)], ids=lambda g: g.name)
 def test_k_rho_is_the_lattice_rho(g):
     for a in g.k_roots.simples:
-        assert sum(x * y for x, y in zip(g.t_lattice.height_vec,
-                                         a.coords)) == dot(a, a)
+        assert dot(g.t_lattice.height_vec, a) == dot(a, a)
 
 
 def test_zchar_evaluation_on_shipped_groups():
@@ -375,11 +394,46 @@ def test_zchar_evaluation_on_shipped_groups():
 
 
 def test_restriction_map():
+    # a weight of T restricts to T_M through the rows of tM_in_t
     gs = builtin_group("sl2r-split")
-    r = gs.restrict_weight(gs.t_weight([5]))
-    assert r.coords == ()
+    assert matvec(gs.tm_in_t, (5,)) == ()
     gu = builtin_group("su21")
-    assert gu.restrict_weight(gu.t_weight([1, 2, 3])).coords == (1, 2, 3)
+    assert matvec(gu.tm_in_t, (1, 2, 3)) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("v", [3, -2, "3", "+1/2", "-1/2", "2/4", "007/14",
+                               "0/5"])
+def test_v_is_read_in_integers(v):
+    num, den = groups._parse_rational(v, "zmprime table")
+    assert type(num) is type(den) is int and den > 0
+    assert Fraction(num, den) == Fraction(v)
+
+
+# among them forms that Fraction reads: decimals, exponents, underscores,
+# surrounding spaces and non-ASCII digits; int() refuses over 4,300 digits
+@pytest.mark.parametrize("v", ["1/0", "-3/00", "1/", "/2", "1/-2", "1.5",
+                               "1e3", "1_0", " 1", "1/2\n", "\u0661/2", "++1",
+                               "", "9" * 5000, 1.0, True, None, ["1"]])
+def test_v_outside_the_grammar_is_refused(v):
+    with pytest.raises(GroupDataError) as e:
+        groups._parse_rational(v, "zmprime table")
+    assert str(e.value) == ("zmprime table: expected an integer or a fraction "
+                            "string with a nonzero denominator, got "
+                            f"{v!r}")
+
+
+@pytest.mark.parametrize("path", GROUP_FILES, ids=lambda path: path.stem)
+def test_load_and_a_cold_chamber_build_no_weight(monkeypatch, path):
+    # roots are coordinate tuples from the parse on, and so is the chamber
+    # record of the declared positives; a Weight is only ever built from
+    # outside (t_weight, tm_weight, a_weight)
+    built = []
+    new = Weight.__new__
+    monkeypatch.setattr(Weight, "__new__",
+                        lambda cls, *args: built.append(args) or new(cls, *args))
+    g = load_group_data(path)
+    chamber = branching._chamber.__wrapped__(g, g.m_roots.positives)
+    assert isinstance(chamber, branching.Chamber) and built == []
 
 
 def test_unknown_schema_fields_rejected():
@@ -455,6 +509,55 @@ def test_mutated_group_documents_load_or_raise_group_data_error(text):
         pass
 
 
+def row_reduce(rows, ncols):
+    """Gauss-Jordan elimination in place, in Fractions, on the first ncols
+    columns; any further columns ride along.  Returns the pivot columns."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        scale = rows[r][c]
+        rows[r] = [a / scale for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+def fraction_fibres(mat, ncols):
+    """The reference Fibres record: [R | I] reduced in Fractions, then
+    scaled by the least common denominator of every entry."""
+    m = len(mat)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                           for j in range(m)]
+            for i, row in enumerate(mat)]
+    pivots = row_reduce(rows, ncols)
+    d = lcm(*(a.denominator for row in rows for a in row))
+    scaled = [tuple(int(a * d) for a in row) for row in rows]
+    free = tuple(c for c in range(ncols) if c not in pivots)
+    a = [(0,) * m] * ncols
+    dirs = [[d * (c == f) for c in range(ncols)] for f in free]
+    for i, c in enumerate(pivots):
+        a[c] = scaled[i][ncols:]
+        for f, z in zip(free, dirs):
+            z[c] = -scaled[i][f]
+    return groups.Fibres(tuple(a), tuple(map(tuple, dirs)),
+                         tuple(row[ncols:] for row in scaled[len(pivots):]),
+                         d, free)
+
+
+@pytest.mark.parametrize("path", GROUP_FILES, ids=lambda path: path.stem)
+def test_loaded_fibres_are_the_fraction_elimination(path):
+    g = load_group_data(path)
+    assert g.fibres == fraction_fibres(g.tm_in_t, g.k_roots.rank)
+    assert g.k_pairings == fraction_fibres(g.k_roots.simples, g.k_roots.rank)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(data=st.data(), m=st.integers(1, 3), n=st.integers(1, 4))
 def test_fibre_map_solves_the_restriction(data, m, n):
@@ -462,12 +565,14 @@ def test_fibre_map_solves_the_restriction(data, m, n):
     whose free coordinates are its own: d x = a b + sum_f x_f dirs_f.  A
     signed permutation u carries it, d u x = u a b + sum_f x_f u dirs_f, as
     Blattner's formula reads it per W_K term.  Any c on which the
-    consistency rows vanish has the solution a c / d: R a c = d c."""
+    consistency rows vanish has the solution a c / d: R a c = d c.  The
+    record is the one that Gauss-Jordan elimination in Fractions gives."""
     ints = st.integers(-3, 3)
     mat = data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
                              min_size=m, max_size=m))
     x = data.draw(st.lists(ints, min_size=n, max_size=n))
     fibres = groups.Fibres.of(mat, n)
+    assert fibres == fraction_fibres(mat, n)
     b = groups.matvec(mat, x)
     assert not any(groups.matvec(fibres.consistency, b))
     want = list(groups.matvec(fibres.a, b))

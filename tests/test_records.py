@@ -42,9 +42,9 @@ FROZEN = {
                ("a", "dirs", "consistency", "d", "free")),
     "TemperedParams": (lambda: _params(GU), ("lam", "rmplus", "chi", "nu")),
     "ParamVerdict": (lambda: validate_params(GU, _params(GU)),
-                     ("verdict", "reason", "chamber", "base")),
+                     ("verdict", "reason", "chamber", "base", "judged")),
     "Chamber": (lambda: branching._chamber.__wrapped__(
-                    GU, _params(GU).rmplus),
+                    GU, tuple(r.coords for r in _params(GU).rmplus)),
                 ("hm", "compact", "noncompact", "compact_simples",
                  "rho2_n", "subsets", "top", "eps", "terms", "heights")),
     "KType": (lambda: KType(weight((2, 0, -1), "t")), ("highest",)),
