@@ -119,12 +119,15 @@ def test_geometric_series_rejects_bad_roots():
 @pytest.mark.parametrize("root, exc", [
     ((0,), ConeError),
     ((-2,), ConeError),
-    ((2, 0), LatticeError)],
-    ids=["zero", "negative", "rank"])
+    (Weight((2,), "other:tM"), LatticeError),
+    ((2, 0), LatticeError),
+    (Weight((1,), SL2.lattice, 2), LatticeError)],
+    ids=["zero", "negative", "foreign", "rank", "half-integral"])
 def test_series_factors_check_their_roots(factor, root, exc):
     # each root is checked once, before its terms are built unchecked; a
-    # root's lattice and denominator are checked where it comes in as a
-    # Weight (tests/test_groups.py::test_graded_rejects_a_foreign_positive)
+    # Weight, of another lattice or halved, is no integer coordinate tuple
+    # (validate_params turns a positive system's Weights into coordinates:
+    # tests/test_groups.py::test_graded_rejects_a_foreign_positive)
     with pytest.raises(exc):
         factor(SL2, root)
 
