@@ -19,15 +19,17 @@ what every K-type shares.  That work comes in three tiers:
     whether Phi is a positive system at all (no duplicates or non-roots,
     a half of the roots, pointed), the lattice graded by Phi, its positives
     split by type, its compact simple roots, 2rho_n, the signed
-    compact-subset sums, the keys' top covector, Blattner's eps and terms,
-    one per W_K record (det, shift, walk columns, state map), and the
-    oracles' tables, each rebuilt only at the higher bound a call needs.
-    A nonzero verdict carries the record, and every table of Phi reads it;
+    compact-subset sums, the keys' top covector, the plan of Blattner's
+    walk (eps, and per W_K record its shift's state and height and its
+    levels' columns, condition rows and reach), and the oracles' tables,
+    each rebuilt only at the higher bound a call needs.  A nonzero verdict
+    carries the record, and every table of Phi reads it;
   - call: what lambda and chi fix, checked in integers (dominance, the lift
     of lambda - rho, the component values) into one record, the nonzero
-    verdict with the base key lambda - rho + 2rho_n; and the window's bounds.
-    A verdict records the group and parameters it judged, and a table
-    refuses it with any others.
+    verdict with the base key lambda - rho + 2rho_n; and what the base and
+    window move: each walk's start and the levels' bounds.  A verdict
+    records the group and parameters it judged, and a table refuses it
+    with any others.
 
 ktype_table evaluates Blattner's formula (Hecht-Schmid)
 
@@ -42,21 +44,19 @@ and each term's shift in closed form, and every K root has a trivial Z'
 character.  Each W_K term w reads its K-types through the fibres' one
 integer map carried by w^T, affine in the partition counts over the
 noncompact positives and the free coordinates of the torus fibres.  A walk
-over those carries the map as running sums and takes, one line of the last
-variable at a time, the integer interval that keeps mu in the window and
-the dominant chamber, so neither a box of K-types nor a table of partition
-counts is built.
+over those takes, one line of the last variable at a time, the integer
+interval that keeps mu in the window and the dominant chamber, so neither
+a box of K-types nor a table of partition counts is built.
 
 Two oracles stay independent of it and of each other: signed sums over the
 compact offsets of the chamber's Kostant partition counts, and the
 chamber's truncated series product, each read at key - base in height
-order up to the call's own bound, every series read checked against the
-product's certificate.  Each gives one value per H-key and scatters it
-through ktypes.key_index, an inverted index of restricted K-types, into
-the rows the key touches.  Every table over the window's box (box_table,
-and ktype_table outside Blattner's formula) reads the window's, kept by
-ktypes.ktype_box once per window, and costs the oracle's values and the
-rows they touch; the spot check and ktype_multiplicity index their own.
+order up to the call's own bound (a series read checked against its
+certificate) and scattered through ktypes.key_index, an inverted index of
+restricted K-types, into the rows the key touches.  Every table over the
+window's box (box_table, and ktype_table outside Blattner's formula) reads
+the window's, kept by ktypes.ktype_box once per window; the spot check
+and ktype_multiplicity index their own.
 ktype_table spot-checks its lowest rows with an oracle its table did not
 come from: the partition counts a Blattner table, the series a box one.
 Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
@@ -65,15 +65,14 @@ are the restricted representation and always nonnegative.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from operator import add, mul, sub
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from itertools import repeat
+from operator import add, mul, neg, sub
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .characters import (CutoffError, HMLattice, Weight, geometric_series,
                          graded_exterior, partition_counts)
-from .groups import (GroupDataError, RealGroupData, WeylTerm, matvec,
-                     simple_roots)
+from .groups import GroupDataError, RealGroupData, matvec, simple_roots
 from .ktypes import KType, check_ktype, key_index, ktype_box
 
 
@@ -106,6 +105,17 @@ class TemperedParams(NamedTuple):
     nu: Weight
 
 
+class _Term(NamedTuple):
+    """One element w of W_K in Blattner's walk, as the chamber fixes it."""
+
+    det: int
+    walk: tuple[tuple[int, ...], ...]   # the group's state map b -> state
+    state: tuple[int, ...]              # walk . shift_w
+    height: int                         # hv . shift_w
+    # per walk variable: (column, rows (i, s, s * col[i]), reach per unit hi)
+    levels: tuple[tuple[tuple, tuple, tuple], ...]
+
+
 class _ChamberFields(NamedTuple):
     hm: HMLattice                        # the Levi lattice graded by Phi
     compact: tuple[tuple[int, ...], ...]
@@ -114,20 +124,24 @@ class _ChamberFields(NamedTuple):
     rho2_n: tuple[int, ...]              # 2rho_n, the noncompact sum
     # ((-1)^|S|, sum of S as coordinates) for every compact subset S
     subsets: tuple[tuple[int, tuple[int, ...]], ...]
-    top: tuple[int, ...]                 # _top_covector
+    top: tuple[int, ...]                 # v, the _top_covector
+    top_l1: int                          # |v|_1
+    # Blattner's walk plan: eps = det(w_Phi), one _Term per W_K element,
+    # the noncompact positives' doubled heights and max_w hv . shift_w
     eps: int
-    # (det w, R(w rho_K) - rho_c, walk columns, walk state map) per W_K term
-    terms: tuple[tuple[int, tuple, tuple, tuple], ...]
+    terms: tuple[_Term, ...]
     heights: tuple[int, ...]
+    shift_top: int
 
 
 class Chamber(_ChamberFields):
     """What a positive system Phi of the Levi roots fixes for every
     parameter tuple that names it (the chamber tier above), built once per
-    (group, Phi) by _chamber.  The last three fields are Blattner's, its
-    terms read off the group's W_K records; where it does not apply eps is
-    1 and the rest are empty.  No __slots__: the oracles' tables
-    (_table) live in __dict__, outside the fields that compare and hash."""
+    (group, Phi) by _chamber.  The last four fields plan Blattner's walk,
+    read off the group's W_K records, so that a call forms only what its
+    base moves; where the formula does not apply eps is 1, shift_top 0 and
+    terms empty.  No __slots__: the oracles' tables (_table) live in
+    __dict__, outside the fields that compare and hash."""
 
 
 class ParamVerdict(NamedTuple):
@@ -230,37 +244,37 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
     Levi lattice, or the reason it is none.  Built once per (group,
     rmplus): the group compares by every field, so two groups of one name
     keep records of their own."""
-    m_roots, rm = set(g.m_roots.roots), set(rmplus)
-    if len(rm) != len(rmplus) or not rm <= m_roots:
+    compact_of, rm = g.compact_of, set(rmplus)  # compact_of: every root
+    if len(rm) != len(rmplus) or not rm <= compact_of.keys():
         return "positive system contains non-roots or duplicates"
-    if 2 * len(rm) != len(m_roots) or any(
-            tuple(-x for x in c) in rm for c in rm):
+    if 2 * len(rm) != len(compact_of) or not rm.isdisjoint(
+            [tuple(map(neg, c)) for c in rm]):
         return "positive system does not split the roots into halves"
 
     # a genuine positive system is separated by its own root sum
     hm = HMLattice.graded(g.hm.rank, g.hm.lattice, rmplus, g.hm.ztable)
+    hv, compact, noncompact, heights = hm.height_vec, [], [], []
     for a in rmplus:
-        if sum(map(mul, hm.height_vec, a)) <= 0:
+        h = sum(map(mul, hv, a))
+        if h <= 0:
             return f"chosen positive system is not pointed at {a}"
-
-    compact = tuple(g.compact_positives(rmplus))
-    noncompact = tuple(g.noncompact_positives(rmplus))
-    subsets = tuple(((-1) ** r, tuple(sum(c[i] for c in s)
-                                      for i in range(hm.rank)))
-                    for r in range(len(compact) + 1)
-                    for s in itertools.combinations(compact, r))
-    eps, terms, heights = 1, (), ()
-    if g.blattner_applies:
-        eps, shifts = _blattner_shifts(g, compact)
-        terms = tuple((w.det, shift, w.dirs + tuple(w.roots[b] for b in
-                                                    noncompact), w.walk)
-                      for w, shift in shifts)
-        heights = tuple(sum(map(mul, hm.height_vec, b)) for b in noncompact)
-    return Chamber(hm, compact, noncompact,
-                   tuple(a for a in simple_roots(rmplus) if g.is_compact(a)),
-                   tuple(sum(b[i] for b in noncompact)
-                         for i in range(hm.rank)), subsets,
-                   _top_covector(g, hm.height_vec), eps, terms, heights)
+        if compact_of[a]:
+            compact.append(a)
+        else:
+            noncompact.append(a)
+            heights.append(h)
+    # each subset with c, after those without it; the last is all of them
+    subsets = [(1, (0,) * hm.rank)]
+    for c in compact:
+        subsets += [(-sign, tuple(map(add, s, c))) for sign, s in subsets]
+    rho2_c, top = subsets[-1][1], _top_covector(g, hv)
+    eps, terms = (_walk_plan(g, hv, compact, noncompact, rho2_c)
+                  if g.blattner_applies else (1, ()))
+    return Chamber(hm, tuple(compact), tuple(noncompact),
+                   tuple(a for a in simple_roots(rmplus) if compact_of[a]),
+                   tuple(map(sub, hv, rho2_c)), tuple(subsets), top,
+                   sum(map(abs, top)), eps, terms, tuple(heights),
+                   max((t.height for t in terms), default=0))
 
 
 # ------------------------------------------------------------------ engine
@@ -310,29 +324,31 @@ def _series(chamber: Chamber, cutoff: int) -> tuple[Optional[int], list]:
     return acc.cutoff, acc.by_height()
 
 
-def _partition_values(prep: ParamVerdict, top2: int) -> Iterable[tuple]:
-    """Signed Kostant partition counts: at each H-key with the base's Z'
-    character, the sum over the compact subsets S of (-1)^|S| P_n(coordinates
-    - base - S), read in height order off the chamber's partition_counts."""
+def _partition_table(chamber: Chamber, bound2: int) -> list[tuple]:
+    """The partition counts of the noncompact positives up to a doubled
+    height, as (doubled height, key, count) lowest first."""
+    hv, z = chamber.hm.height_vec, chamber.hm.ztable.identity
+    return sorted([(sum(map(mul, t, hv)), (t, z), n) for t, n in
+                   partition_counts(chamber.noncompact, chamber.hm,
+                                    bound2).items()])
+
+
+def _partition_values(prep: ParamVerdict, top2: int) -> list[tuple]:
+    """Signed Kostant partition counts, sum over the compact subsets S of
+    (-1)^|S| P_n(key - base - S): per S, a read of the partition table."""
     chamber, (coords, z) = prep.chamber, prep.base
-    hv = chamber.hm.height_vec
-    offsets = [(sign, tuple(map(add, coords, s)))
-               for sign, s in chamber.subsets]
-    heights = [sum(map(mul, offset, hv)) for _, offset in offsets]
-    counts = _table(chamber, "partition", lambda chamber, bound2: sorted(
-        (sum(map(mul, t, hv)), t, n) for t, n in partition_counts(
-            chamber.noncompact, chamber.hm, bound2).items()), top2 - min(heights))
-    for (sign, offset), h2 in zip(offsets, heights):
-        for h, t, n in counts:
-            if h > top2 - h2:
-                break
-            yield (tuple(map(add, t, offset)), z), sign * n
+    offsets = [tuple(map(add, coords, s)) for _, s in chamber.subsets]
+    rooms = [top2 - sum(map(mul, offset, chamber.hm.height_vec))
+             for offset in offsets]
+    counts = _table(chamber, "partition", _partition_table, max(rooms))
+    zs = [z] * chamber.hm.ztable.order  # the table's keys carry the identity
+    return [(sign, offset, zs, room, counts) for (sign, _), offset, room
+            in zip(chamber.subsets, offsets, rooms)]
 
 
-def _series_values(prep: ParamVerdict, top2: int) -> Iterable[tuple]:
-    """The terms of e^base times the chamber's series up to the doubled
-    height top2, the Z' index combined with chi.  No term lies below the
-    base height h_b, so they are exact up to the series' cutoff plus
+def _series_values(prep: ParamVerdict, top2: int) -> list[tuple]:
+    """The read of e^base times the chamber's series.  No term lies below
+    the base height h_b, so they are exact up to the series' cutoff plus
     floor(h_b / 2): the least cutoff covering top2 builds or grows the
     chamber's series, and each read is checked against its certificate."""
     (coords, z), hm = prep.base, prep.chamber.hm
@@ -343,10 +359,7 @@ def _series_values(prep: ParamVerdict, top2: int) -> Iterable[tuple]:
         raise CutoffError(f"doubled height {top2} beyond certified cutoff "
                           f"{cutoff + h2_base // 2}")
     zs = [hm.ztable.mul(z, i) for i in range(hm.ztable.order)]
-    for h, (c, zc), m in terms:
-        if h > top2 - h2_base:
-            break
-        yield (tuple(map(add, coords, c)), zs[zc]), m
+    return [(1, coords, zs, top2 - h2_base, terms)]
 
 
 _EVALUATORS = {"partition": _partition_values, "series": _series_values}
@@ -365,44 +378,56 @@ def _top_covector(g: RealGroupData, hv: tuple[int, ...]) -> tuple[int, ...]:
 def _evaluate(prep: ParamVerdict, mode: str, index: Mapping[tuple, list],
               top2: int) -> dict[int, int]:
     """One oracle's value at each H-key up to the doubled height top2,
-    scattered through an index of restricted K-types into {row: m}."""
+    scattered through an index of restricted K-types into {row: m}: each
+    read (sign, offset, zs, room, terms) of a chamber table's terms (doubled
+    height, key, m) moves a key (c, i) to (c + offset, zs[i]), up to room."""
     acc: dict[int, int] = {}
-    for key, v in _EVALUATORS[mode](prep, top2):
-        for row, m in index.get(key, ()):
-            acc[row] = acc.get(row, 0) + v * m
+    for sign, offset, zs, room, terms in _EVALUATORS[mode](prep, top2):
+        for h, (c, zc), m in terms:
+            if h > room:
+                break
+            key = tuple(map(add, offset, c)), zs[zc]
+            for row, mi in index.get(key, ()):
+                acc[row] = acc.get(row, 0) + sign * m * mi
     return acc
 
 
-def _evaluate_ktypes(g: RealGroupData, prep: ParamVerdict, mode: str,
-                     hws: Sequence[tuple[int, ...]]) -> list[int]:
-    """One oracle on a few K-types, restricted through key_index."""
-    acc = _evaluate(prep, mode, key_index(g, hws),
-                    max((sum(map(mul, hw, prep.chamber.top)) for hw in hws),
-                        default=-1))
-    return [acc.get(row, 0) for row in range(len(hws))]
-
-
-def _blattner_shifts(g: RealGroupData, compact: Sequence[tuple]
-                     ) -> tuple[int, tuple[tuple[WeylTerm, tuple], ...]]:
-    """Blattner's eps = det(w_Phi) and, per W_K record w, the pair (w,
-    R(w rho_K) - rho_c), for the compact positives Phi_c of a positive
-    system Phi.
-
-    w_Phi takes the positive K roots to those R maps onto Phi_c, and R maps
-    the K roots one-to-one onto the compact roots: so R w_Phi rho_K = rho_c,
-    Phi_c's half-sum, det(w_Phi) = (-1)^(the number of Phi_c outside R K^+),
-    and R(w rho_K) - rho_c = (R w 2rho_K - 2rho_c) / 2 (ArithmeticError if
-    the numerator is odd).  R K^+ and each R w 2rho_K are the group's,
-    derived at load.
+def _walk_plan(g: RealGroupData, hv: tuple[int, ...],
+               compact: Sequence[tuple], noncompact: Sequence[tuple],
+               rho2_c: tuple[int, ...]) -> tuple[int, tuple[_Term, ...]]:
+    """Blattner's eps = det(w_Phi) and one _Term per W_K record w, for a
+    positive system Phi graded by hv, its compact positives Phi_c summing to
+    rho2_c.  R maps the K roots one-to-one onto the compact roots, so R w_Phi
+    rho_K = rho_c, det(w_Phi) = (-1)^#(Phi_c outside the group's R K^+) and
+    shift_w = R(w rho_K) - rho_c = (R w 2rho_K - 2rho_c) / 2 (ArithmeticError
+    if odd).  Each walk variable (w^T dirs_f, then the noncompact positives;
+    a zero column if none) has a level: its column's state, the rows (i, s,
+    s col[i]) of the conditions s state[i] >= bound, and its reach per unit
+    of its hi: |s col[i]| on a free coordinate, max(s col[i], 0) on a count.
     """
     eps = (-1) ** sum(c not in g.r_k_positives for c in compact)
-    rho2_c = [sum(c[i] for c in compact) for i in range(g.hm.rank)]
     # one parity for every w: R w 2rho_K - R 2rho_K = 2 R(w rho_K - rho_K)
     c2 = list(map(sub, g.k_weyl[0].top, rho2_c))
     if any(x % 2 for x in c2):
         raise ArithmeticError(f"2 (R w rho_K - rho_c) = {c2} is odd")
-    return eps, tuple((w, tuple((x - y) // 2 for x, y in zip(w.top, rho2_c)))
-                      for w in g.k_weyl)
+    rank, width = g.k_roots.rank, len(g.k_weyl[0].walk)
+    # the conditions' (i, s): both signs of each entry of d mu and of each
+    # consistency residue, the state's last, and each pairing
+    cons = width - len(g.fibres.consistency)
+    conditions = [(i, s) for i in range(width) for s in (1, -1) if i < rank
+                  or i >= cons or s == 1 and i < rank + len(g.k_roots.simples)]
+    terms = []
+    for w in g.k_weyl:
+        shift = [(x - y) // 2 for x, y in zip(w.top, rho2_c)]
+        columns, levels = w.dirs + tuple([w.roots[b] for b in noncompact]), []
+        for k, col in enumerate(columns or ((0,) * width,)):
+            rows = tuple([(i, s, s * col[i]) for i, s in conditions])
+            levels.append((col, rows, tuple(
+                [abs(c) for _, _, c in rows] if k < len(w.dirs)
+                else [c if c > 0 else 0 for _, _, c in rows])))
+        terms.append(_Term(w.det, w.walk, matvec(w.walk, shift),
+                           sum(map(mul, hv, shift)), tuple(levels)))
+    return eps, tuple(terms)
 
 
 def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
@@ -410,114 +435,105 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
     """The K-types of the window that Blattner's formula can make nonzero,
     as (highest-weight coordinates, multiplicity) in lexical order.
 
-    P_n(t) is the number of count vectors n in N^k with t = sum_j n_j beta_j
-    over the k noncompact positives, so the formula is eps times the sum of
-    det(w) over the pairs (n, w) for which R w mu + shift_w = t has a
-    solution mu in the window, shift_w the chamber's R(w rho_K) - rho_c
-    less the base.  As w^-1 = w^T, the fibres' one integer map reads it,
-    carried by w^T: the consistency rows vanish on t - shift_w, and d mu =
-    A_w (t - shift_w) + sum_f x_f w^T dirs_f with A_w = w^T a, over the
-    free coordinates x_f of w mu, which lie in [-window, window] since w is
-    a signed permutation; the chamber holds each term's columns, read off
-    the group's W_K record of w.  So d mu is affine in the walk variables,
-    the free coordinates and then the counts, each count at most the
-    largest target height in the window over its own height.
-    The walk carries d mu, its pairings with the simple K roots, its Z' rows
-    and the consistency residues as running sums.  The window, dominance and
-    consistency conditions are linear, so each variable runs over one
-    integer interval, cut by what the later variables can still add; on the
-    last one the interval is exact.  Divisibility by d and the Z' character
-    have period d * |Z'| along it and are tested once per residue, so every
-    (n, w) the walk reaches adds det(w) at its mu.
+    P_n(t) counts the n in N^k with t = sum_j n_j beta_j over the k
+    noncompact positives, so the formula is eps times the sum of det(w)
+    over the (n, w) for which R w mu + shift_w - base = t has a solution mu
+    in the window.  As w^-1 = w^T, the fibres' one integer map reads it,
+    carried by w^T: the consistency rows vanish on t - shift_w + base, and
+    d mu = A_w (t - shift_w + base) + sum_f x_f w^T dirs_f, A_w = w^T a,
+    over the free coordinates x_f of w mu, in [-window, window] as w is a
+    signed permutation.  The walk carries d mu, its pairings with the
+    simple K roots, its Z' rows and the consistency residues as running
+    sums, from walk . base - walk . shift_w, over the free coordinates and
+    then the counts, each at most the largest target height over its own;
+    the conditions are linear, so each variable runs over one interval, cut
+    by what the later ones can still add, exact on the last.  Divisibility
+    by d and the Z' character have period d * |Z'| along it and are tested
+    once per residue, so every (n, w) reached adds det(w) at its mu.
     """
-    chamber, fibres, d = prep.chamber, g.fibres, g.fibres.d
+    chamber, d = prep.chamber, g.fibres.d
     (base, zbase), ztable = prep.base, chamber.hm.ztable
     order, rank = ztable.order, g.k_roots.rank
-    terms = [(det, tuple(map(sub, shift, base)), columns, walk)
-             for det, shift, columns, walk in chamber.terms]
     # R w mu runs over the window's keys, as w permutes the window's weights
-    bound2 = window * sum(map(abs, chamber.top)) + max(
-        sum(map(mul, chamber.hm.height_vec, shift)) for _, shift, *_ in terms)
-    ranges = ([(-window, window)] * len(fibres.dirs)
-              + [(0, bound2 // h) for h in chamber.heights])
-    consistency, nsimple = fibres.consistency, len(g.k_roots.simples)
-    width = len(terms[0][3])  # of the walk's state
-    zs = slice(rank + nsimple, width - len(consistency))
-    # each condition is sign * state[i] >= bound
-    conditions = ([(i, s, -d * window) for i in range(rank) for s in (1, -1)]
-                  + [(rank + j, 1, 0) for j in range(nsimple)]
-                  + [(zs.stop + j, s, 0)
-                     for j in range(len(consistency)) for s in (1, -1)])
+    bound2 = (window * chamber.top_l1 + chamber.shift_top
+              - sum(map(mul, chamber.hm.height_vec, base)))
+    ranges = ([(-window, window)] * len(g.fibres.dirs) + [
+        (0, bound2 // h) for h in chamber.heights] or [(0, 0)])[::-1]
+    width = len(chamber.terms[0].walk)
+    nrows = len(chamber.terms[0].levels[0][1])
+    zs = slice(rank + len(g.k_roots.simples),
+               width - len(g.fibres.consistency))
+    # the last variable's bounds: the window's on d mu, 0 for the rest
+    last = [-d * window] * (2 * rank) + [0] * (nrows - 2 * rank)
+    period = d * order  # of divisibility and the Z' character along a line
 
     found: dict[tuple[int, ...], int] = {}
-    for det, shift, columns, walk in terms:
-        # (column, lo, hi): no count exceeds the cut over its own height;
-        # with no variable at all, a zero column reads the start alone
-        variables = ([(c, lo, hi) for c, (lo, hi) in zip(columns, ranges)]
-                     or [((0,) * width, 0, 0)])
-        col = variables[-1][0]
+    for det, walk, state, _, plan in chamber.terms:
+        # each earlier level's bounds are lowered by what the later variable
+        # adds at most, its reach times its hi (an empty range walks none)
+        levels, bounds = [], last
+        for (col, rows, reach), (lo, hi) in zip(reversed(plan), ranges):
+            if levels:
+                bounds = list(map(sub, bounds, lowered))
+            levels.append((col, rows, lo, hi, bounds))
+            lowered = map(mul, reach, repeat(hi))
+        levels.reverse()
+        col = plan[-1][0]
         dcol, zcol = col[:rank], col[zs]
-        step = tuple(order * x for x in dcol)
-        start = tuple(-x for x in matvec(walk, shift))
-        for line, lo, hi in _walk(start, _levels(conditions, variables)):
+        step = tuple([order * x for x in dcol])
+        start = list(map(sub, matvec(walk, base), state))
+        for line, lo, hi in _walk(start, levels):
             dmu0, z0 = line[:rank], line[zs]
-            for n in range(lo, min(hi, lo + d * order - 1) + 1):
-                dmu = [x + n * y for x, y in zip(dmu0, dcol)]
+            for n in range(lo, min(hi, lo + period - 1) + 1):
+                dmu = list(map(add, dmu0, map(mul, dcol, repeat(n))))
                 if d > 1 and any(x % d for x in dmu):
                     continue
-                if order > 1 and ztable.index_of[tuple(
+                if order > 1 and ztable.index_of[tuple([
                         (x + n * y) // d % order
-                        for x, y in zip(z0, zcol))] != zbase:
+                        for x, y in zip(z0, zcol)])] != zbase:
                     continue
-                mu = tuple(x // d for x in dmu)
-                for _ in range((hi - n) // (d * order) + 1):
+                mu = tuple([x // d for x in dmu]) if d > 1 else tuple(dmu)
+                for _ in range((hi - n) // period + 1):
                     found[mu] = found.get(mu, 0) + det
                     mu = tuple(map(add, mu, step))
     return [(mu, chamber.eps * m) for mu, m in sorted(found.items())]
 
 
-def _levels(conditions: Sequence[tuple[int, int, int]],
-            variables: Sequence[tuple[tuple[int, ...], int, int]]
-            ) -> list[tuple]:
-    """Per walk variable (column, lo, hi), the conditions sign * state[i] >=
-    bound as it reads them: (column, lo, hi, rows), each row (i, sign,
-    bound, coefficient) with the bound lowered by the most that the later
-    variables can add over their ranges."""
-    levels = []
-    reach = [0] * len(conditions)
-    for col, lo, hi in reversed(variables):
-        levels.append((col, lo, hi, [
-            (i, s, bound - r, s * col[i])
-            for (i, s, bound), r in zip(conditions, reach)]))
-        reach = [r + max(s * col[i] * lo, s * col[i] * hi)
-                 for (i, s, _), r in zip(conditions, reach)]
-    return levels[::-1]
+def _walk(state: list[int], levels: Sequence[tuple]
+          ) -> list[tuple[list[int], int, int]]:
+    """The lines (state at the last variable 0, lo, hi) of a walk over the
+    levels (column, rows (i, s, c), lo, hi, bounds): lo..hi are the values n
+    of the last variable with s * state[i] + n * c >= bound for every row.
+    Each earlier variable steps through the values that meet its own rows,
+    adding its column to the state per unit step."""
+    lines, last = [], len(levels) - 1
 
-
-def _walk(state: tuple[int, ...], levels: Sequence[tuple]
-          ) -> Iterable[tuple[tuple[int, ...], int, int]]:
-    """The lines of a walk over the levels' variables: (state at the last
-    variable 0, lo, hi), the last variable's values that meet its
-    conditions.  Each earlier variable steps through the values that meet
-    its own, adding its column to the state per unit step."""
-    (col, lo, hi, rows), rest = levels[0], levels[1:]
-    for i, s, bound, cc in rows:
-        slack = s * state[i] - bound  # slack + n * cc >= 0
-        if cc > 0:
-            lo = max(lo, -(slack // cc))
-        elif cc < 0:
-            hi = min(hi, slack // -cc)
-        elif slack < 0:
+    def visit(k: int, state: list[int]) -> None:
+        col, rows, lo, hi, bounds = levels[k]
+        for (i, s, c), bound in zip(rows, bounds):
+            slack = s * state[i] - bound  # slack + n * c >= 0
+            if c > 0:
+                n = -(slack // c)
+                if n > lo:
+                    lo = n
+            elif c < 0:
+                n = slack // -c
+                if n < hi:
+                    hi = n
+            elif slack < 0:
+                return
+        if lo > hi:
             return
-    if lo > hi:
-        return
-    if not rest:
-        yield state, lo, hi
-        return
-    state = tuple(x + lo * y for x, y in zip(state, col))
-    for _ in range(lo, hi + 1):
-        yield from _walk(state, rest)
-        state = tuple(map(add, state, col))
+        if k == last:
+            lines.append((state, lo, hi))
+            return
+        state = [x + lo * y for x, y in zip(state, col)]
+        for _ in range(lo, hi + 1):
+            visit(k + 1, state)
+            state = list(map(add, state, col))
+
+    visit(0, state)
+    return lines
 
 
 def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
@@ -530,7 +546,8 @@ def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
     prep = _prepare(g, p)
     hw, _ = g.t_lattice.char(kt.highest)
     check_ktype(g, hw)
-    return _evaluate_ktypes(g, prep, mode, [hw])[0]
+    return _evaluate(prep, mode, key_index(g, [hw]),
+                     sum(map(mul, hw, prep.chamber.top))).get(0, 0)
 
 
 def _nonzero(rows: Sequence[_Row]) -> list[_Row]:
@@ -547,7 +564,7 @@ def _box(g: RealGroupData, prep: ParamVerdict, window: int, mode: str
     """The one path of every table over the window's box: one oracle's
     values scattered through the box's index, the nonzero rows kept."""
     ktypes, index = ktype_box(g, window)
-    top2 = window * sum(map(abs, prep.chamber.top))
+    top2 = window * prep.chamber.top_l1
     acc = _evaluate(prep, mode, index, top2)
     return _nonzero([(ktypes[row], acc[row]) for row in sorted(acc)])
 
@@ -598,9 +615,12 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
     rows = (_nonzero(_blattner_table(g, prep, window)) if g.blattner_applies
             else _box(g, prep, window, "partition"))
     v = prep.chamber.top
-    spot = sorted(rows, key=lambda r: sum(map(mul, r[0], v)))[:_SPOT_CHECKS]
-    checked = _evaluate_ktypes(g, prep, oracle, [mu for mu, _ in spot])
-    for (mu, m), c in zip(spot, checked):
+    spot = sorted([(sum(map(mul, mu, v)), mu, m)
+                   for mu, m in rows])[:_SPOT_CHECKS]
+    checked = _evaluate(prep, oracle, key_index(g, [mu for _, mu, _ in spot]),
+                        spot[-1][0] if spot else -1)
+    for row, (_, mu, m) in enumerate(spot):
+        c = checked.get(row, 0)
         if c != m:
             raise ArithmeticError(f"evaluator disagreement at {mu}: "
                                   f"{oracle} {c} vs {evaluator} {m}")

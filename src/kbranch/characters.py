@@ -3,7 +3,8 @@
 Roots and weights are integer coordinate tuples in a fixed lattice basis.
 Weight, the public type of parameters and K-types, labels a tuple with its
 lattice and a denominator (1, or 2 for half-integer parameters); its
-lattice, rank and denominator are checked once, where it comes in.  Formal
+lattice, rank and denominator are checked once, where it comes in, and it
+has no arithmetic: the engine adds coordinate tuples.  Formal
 characters are finitely supported integer combinations of characters
 of a compact abelian group H = (torus T) x (finite abelian Z), keyed by
 (torus coordinates, Z index), possibly truncated to a height window with an
@@ -16,7 +17,7 @@ arbitrary-precision integers.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, inf
+from math import inf
 from operator import add, mul
 from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence)
@@ -62,29 +63,6 @@ class Weight(_WeightFields):
     @property
     def rank(self) -> int:
         return len(self.coords)
-
-    def _check(self, other: "Weight") -> None:
-        if self.lattice != other.lattice:
-            raise LatticeError(
-                f"lattice mismatch: {self.lattice!r} vs {other.lattice!r}")
-        if len(self.coords) != len(other.coords):
-            raise LatticeError("rank mismatch")
-
-    def __add__(self, other: "Weight") -> "Weight":
-        self._check(other)
-        d = self.denom * other.denom // gcd(self.denom, other.denom)
-        a, b = d // self.denom, d // other.denom
-        return weight(
-            tuple(a * x + b * y for x, y in zip(self.coords, other.coords)),
-            self.lattice, d)
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-c for c in self.coords), self.lattice, self.denom)
-
-    def __mul__(self, n: int) -> "Weight":
-        return weight(tuple(n * c for c in self.coords), self.lattice, self.denom)
-
-    __rmul__ = __mul__
 
 
 def weight(coords: Iterable[int], lattice: str = "t", denom: int = 1) -> Weight:
@@ -176,9 +154,8 @@ class HMLattice(_HMLatticeFields):
                ztable: ZCharTable = TRIVIAL_Z) -> "HMLattice":
         """The lattice graded by a positive system, integer tuples of its
         rank: height_vec is the sum of its roots, twice its rho."""
-        positives = tuple(positives)
-        return cls(rank, lattice, tuple(sum(r[i] for r in positives)
-                                        for i in range(rank)), ztable)
+        sums = tuple(map(sum, zip(*positives)))
+        return cls(rank, lattice, sums or (0,) * rank, ztable)
 
     def char(self, w: Weight, z: Optional[int] = None) -> _Key:
         """The key of the character e^w of T times the Z character z, by

@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 import os
 import re
+from itertools import combinations_with_replacement
 from math import gcd, lcm
-from operator import mul, sub
+from operator import add, mul
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -54,15 +55,15 @@ class RootSystem(NamedTuple):
 
 def matvec(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     """The integer matrix-vector product mat v."""
-    return tuple(sum(map(mul, row, v)) for row in mat)
+    return tuple([sum(map(mul, row, v)) for row in mat])
 
 
 def simple_roots(positives: Sequence[tuple]) -> tuple[tuple, ...]:
     """The indecomposable positives: those not the sum of two positives,
     so that taking any positive from one leaves no positive."""
-    pos = set(positives)
-    return tuple(p for p in positives if not any(
-        tuple(map(sub, p, q)) in pos for q in pos))
+    sums = {tuple(map(add, p, q))
+            for p, q in combinations_with_replacement(positives, 2)}
+    return tuple([p for p in positives if p not in sums])
 
 
 def _integral_pairing(b: Sequence[int], a: Sequence[int]) -> bool:
@@ -283,13 +284,11 @@ class RealGroupData(NamedTuple):
             raise LatticeError(
                 f"{root} is not a root of the Levi factor") from None
 
-    def compact_positives(self, positives=None) -> list[tuple[int, ...]]:
-        pos = self.m_roots.positives if positives is None else positives
-        return [r for r in pos if self.is_compact(r)]
+    def compact_positives(self) -> list[tuple[int, ...]]:
+        return [r for r in self.m_roots.positives if self.is_compact(r)]
 
-    def noncompact_positives(self, positives=None) -> list[tuple[int, ...]]:
-        pos = self.m_roots.positives if positives is None else positives
-        return [r for r in pos if not self.is_compact(r)]
+    def noncompact_positives(self) -> list[tuple[int, ...]]:
+        return [r for r in self.m_roots.positives if not self.is_compact(r)]
 
     def zchar(self, coords: Sequence[int]) -> int:
         """Z' character index of the integral T-weight with these coordinates.

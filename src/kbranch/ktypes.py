@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .characters import LatticeError, Weight, partition_counts
 from .groups import RealGroupData, matvec
@@ -68,18 +68,19 @@ def _kostant(g: RealGroupData, x: Sequence[int], d: int = 1
     identity's term is P_K(t); one whose argument has negative height is 0.
     """
     hv = g.t_lattice.height_vec
-    drops = [(w, tuple((a - b) // d for a, b in zip(x, matvec(w.matrix, x))))
+    drops = [(w, [(a - b) // d for a, b in zip(x, matvec(w.matrix, x))])
              for w in g.k_weyl]
     counts = partition_counts(g.k_roots.positives, g.t_lattice,
-                              max(sum(map(mul, dr, hv)) for _, dr in drops))
+                              max([sum(map(mul, dr, hv)) for _, dr in drops]))
     terms = [(w.det, off, sum(map(mul, off, hv)))
              for w, dr in drops for off in [tuple(map(sub, w.rho_shift, dr))]
              if any(off)]  # all but the identity
     weights = []
-    for t, n in counts.items():
+    for t, m in counts.items():
         h = sum(map(mul, t, hv))
-        m = n + sum(det * counts.get(tuple(map(add, t, off)), 0)
-                    for det, off, h_off in terms if h + h_off >= 0)
+        for det, off, h_off in terms:
+            if h + h_off >= 0:
+                m += det * counts.get(tuple(map(add, t, off)), 0)
         if m < 0:
             raise ArithmeticError(
                 f"Kostant's formula gave multiplicity {m} at {x}/{d} - {t}")
@@ -93,15 +94,17 @@ def _class_keys(g: RealGroupData, pairings: tuple[int, ...]) -> tuple:
     """The restriction to H = T_M Z' of the class of K-types with these dot
     products with the simple K roots, up to its translate: the triples (Z'
     rows of t mod |Z'|, (R t, ...), (m, ...)) over the cone points t below
-    the highest weight, m summed over the t of equal (R t, Z' rows mod |Z'|).
+    the highest weight, m summed over the t of equal (R t, Z' rows mod |Z'|),
+    all 0 where |Z'| = 1.
     Kostant's formula runs once, on d x = a p, x the point with these
     pairings p whose free coordinates are 0, read through the fibres of the
     simple K roots, g.k_pairings."""
     dx = matvec(g.k_pairings.a, pairings)
     r, z, order = g.tm_in_t, g.zchar_rows, g.hm.ztable.order
-    groups: dict = {}
+    zero, groups = (0,) * len(z), {}
     for t, m in _kostant(g, dx, g.k_pairings.d):
-        acc = groups.setdefault(tuple(e % order for e in matvec(z, t)), {})
+        acc = groups.setdefault(zero if order == 1 else tuple(
+            [e % order for e in matvec(z, t)]), {})
         r_t = matvec(r, t)
         acc[r_t] = acc.get(r_t, 0) + m
     return tuple((z_t, tuple(acc), tuple(acc.values()))
@@ -109,18 +112,18 @@ def _class_keys(g: RealGroupData, pairings: tuple[int, ...]) -> tuple:
 
 
 def _translate(g: RealGroupData, hw: tuple[int, ...],
-               pairings: tuple[int, ...]) -> Iterator[tuple]:
+               pairings: tuple[int, ...]) -> list[tuple]:
     """The restriction of the K-type hw, with these dot products with the
     simple K roots, to H = T_M Z': for each Z' class of its class's keys,
-    the list of their translates and the tuple of their multiplicities.  R
-    and the Z' rows are linear, so the key of the weight hw - t is (R;Z) hw
-    - (R;Z) t: the translate of its class's keys by hw's own, distinct for
-    distinct (R t, Z' rows of t mod |Z'|)."""
+    the pair of the list of their translates and the tuple of their
+    multiplicities.  R and the Z' rows are linear, so the key of the weight
+    hw - t is (R;Z) hw - (R;Z) t: the translate of its class's keys by hw's
+    own, distinct for distinct (R t, Z' rows of t mod |Z'|)."""
     order, index_of = g.hm.ztable.order, g.hm.ztable.index_of
     r_hw, z_hw = matvec(g.tm_in_t, hw), matvec(g.zchar_rows, hw)
-    for z_t, r_ts, ms in _class_keys(g, pairings):
-        i = index_of[tuple([(a - b) % order for a, b in zip(z_hw, z_t)])]
-        yield [(tuple(map(sub, r_hw, r_t)), i) for r_t in r_ts], ms
+    return [([(tuple(map(sub, r_hw, r_t)), i) for r_t in r_ts], ms)
+            for z_t, r_ts, ms in _class_keys(g, pairings) for i in [index_of[
+                tuple([(a - b) % order for a, b in zip(z_hw, z_t)])]]]
 
 
 def key_index(g: RealGroupData, hws: Iterable[tuple[int, ...]]

@@ -2,13 +2,14 @@
 series/partition modes, Blattner tables, signs, and an independent SU(2,1)
 oracle."""
 
+import hashlib
 import itertools
 import json
 import random
 import re
 from collections import Counter
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -191,7 +192,8 @@ _U = su21_from_lambda(GU, [3, 1, -1])
      "invalid: positive system contains non-roots or duplicates"),
     (GU, _U._replace(rmplus=STD_POS[:2]),
      "invalid: positive system does not split the roots into halves"),
-    (GU, _U._replace(rmplus=(STD_POS[0], -STD_POS[0], STD_POS[2])),
+    (GU, _U._replace(rmplus=(STD_POS[0], GU.tm_weight([-1, 1, 0]),
+                             STD_POS[2])),
      "invalid: positive system does not split the roots into halves"),
     (GU, _U._replace(rmplus=tuple(GU.tm_weight(c) for c in (
         [1, -1, 0], [-1, 0, 1], [0, 1, -1]))),
@@ -392,8 +394,11 @@ def test_prepared_lattice_holds_rho_and_base(g, p):
     two_rho_n_less_two_rho_c = [sum(c[i] for c in noncompact)
                                 - sum(c[i] for c in compact)
                                 for i in range(g.hm.rank)]
-    assert prep.base == g.hm.char(
-        p.lam + weight(two_rho_n_less_two_rho_c, g.hm.lattice, 2), p.chi)
+    # lambda + (2rho_n - 2rho_c) / 2, over the common denominator 2
+    assert prep.base == g.hm.char(weight(
+        [2 // p.lam.denom * x + y
+         for x, y in zip(p.lam.coords, two_rho_n_less_two_rho_c)],
+        g.hm.lattice, 2), p.chi)
 
 
 @pytest.mark.parametrize("table", [ktype_table, ktype_table_series],
@@ -885,16 +890,15 @@ def test_blattner_reads_the_consistency_rows():
 def _searched_terms(g, prep):
     """Blattner's terms by the W_K search that the closed forms replace:
     w_Phi is the one w whose positive K roots R maps onto the compact
-    positives, and shift_w = R(w rho_K - w_Phi rho_K) - base, each term as
-    (det w, shift_w, the walk's state map of w)."""
+    positives, and shift_w = R(w rho_K - w_Phi rho_K), each term as (det w,
+    shift_w, the walk's state map of w)."""
     matvec, target = groups.matvec, set(prep.chamber.compact)
     w_phi, = [w for w in g.k_weyl
               if {matvec(g.tm_in_t, matvec(w.matrix, a))
                   for a in g.k_roots.positives} == target]
     return w_phi.det, [
-        (w.det, tuple(a - b for a, b in zip(matvec(g.tm_in_t, [
-            x - y for x, y in zip(w.rho_shift, w_phi.rho_shift)]),
-            prep.base[0])), w.walk)
+        (w.det, matvec(g.tm_in_t, [
+            x - y for x, y in zip(w.rho_shift, w_phi.rho_shift)]), w.walk)
         for w in g.k_weyl]
 
 
@@ -922,13 +926,20 @@ def _term_cases():
 
 
 def test_blattner_terms_are_the_searched_terms():
+    # a term holds shift_w as its state and height: the state map is one to
+    # one (the fibres' map and the consistency rows are the rows of one
+    # invertible elimination, carried by w^T), so the state pins the shift
     signs = Counter()
     for g, p in _term_cases():
         prep = branching._prepare(g, p)
-        eps, terms = prep.chamber.eps, [
-            (det, tuple(map(sub, shift, prep.base[0])), walk)
-            for det, shift, _, walk in prep.chamber.terms]
-        assert (eps, terms) == _searched_terms(g, prep)
+        chamber, (eps, searched) = prep.chamber, _searched_terms(g, prep)
+        hv = chamber.hm.height_vec
+        assert (chamber.eps, [(t.det, t.state, t.height, t.walk)
+                              for t in chamber.terms]) == (eps, [
+            (det, groups.matvec(walk, shift), dot(hv, shift), walk)
+            for det, shift, walk in searched])
+        assert chamber.shift_top == max(dot(hv, shift)
+                                        for _, shift, _ in searched)
         signs[g.name, eps] += 1
     # both compact chambers of su21 and of Sp(4,R)
     assert all(signs[name, eps] for name in ("su21", "sp4r")
@@ -940,7 +951,7 @@ def test_blattner_terms_refuse_a_half_integral_constant():
     # without its compact positive, rho_c moves by half the root (1, -1, 0);
     # the constant is the positive system's, checked as its record is built
     with pytest.raises(ArithmeticError, match="is odd"):
-        branching._blattner_shifts(GU, ())
+        branching._walk_plan(GU, GU.hm.height_vec, (), (), (0, 0, 0))
 
 
 def test_blattner_partition_calls_track_rows(monkeypatch):
@@ -981,23 +992,15 @@ def test_blattner_partition_calls_track_rows(monkeypatch):
 
 
 def _count_walk(monkeypatch):
-    """Counts of the lines and (n, w) points that the outermost _walk of
-    each term yields.  The walk recurses through the module's _walk, so the
-    wrapper passes a call straight through while an outermost walk runs."""
-    walk, funnel, running = branching._walk, Counter(), []
-
-    def outermost(state, levels):
-        running.append(True)
-        try:
-            for line in walk(state, levels):
-                funnel["lines"] += 1
-                funnel["points"] += line[2] - line[1] + 1
-                yield line
-        finally:
-            running.pop()
+    """Counts of the lines and (n, w) points that the walks of the terms
+    return."""
+    walk, funnel = branching._walk, Counter()
 
     def counted(state, levels):
-        return (walk if running else outermost)(state, levels)
+        lines = walk(state, levels)
+        funnel["lines"] += len(lines)
+        funnel["points"] += sum(hi - lo + 1 for _, lo, hi in lines)
+        return lines
 
     monkeypatch.setattr(branching, "_walk", counted)
     return funnel
@@ -1034,31 +1037,61 @@ def test_top_covector_once_per_chamber(monkeypatch):
         assert calls["_top_covector"] == derived
 
 
+# sha256 of the JSON list of the rows of the 648 tables below, in order
+_SU21_W6_ROWS = ("1c261d5a2d73813b5a76f91aeb787d3a"
+                 "cfb7482974f6861b4090a6e69c433f2c")
+
+
 def test_chamber_derived_once_per_positive_system(monkeypatch):
     # every su21 lambda in [-4, 4]^3 off the compact wall, a singular one on
     # the positive system that this module's _chamber helper picks: 648
-    # tables over the 6 positive systems of A_2, each graded once.  The
-    # records read what the group alone fixes from its load (the W_K
-    # records and R K^+): no product with the fibres' map, their consistency
-    # rows or R, and no derivation of the walk data
+    # tables over the 6 positive systems of A_2, each graded and planned
+    # once.  The records read what the group alone fixes from its load (the
+    # W_K records and R K^+): no product with the fibres' map, their
+    # consistency rows or R, and no derivation of the walk data.  A table
+    # on a warm record multiplies each term's walk map by its base, once,
+    # and walks the record's own condition rows
     calls = _count_calls(monkeypatch, (HMLattice, "graded"),
-                         (groups, "_with_walk"))
+                         (groups, "_with_walk"), (branching, "_walk_plan"))
     group_only = {id(GU.fibres.a), id(GU.fibres.consistency), id(GU.tm_in_t)}
-    matvec, products = branching.matvec, Counter()
+    walks = {id(w.walk) for w in GU.k_weyl}
+    matvec, products, on_walks = branching.matvec, Counter(), []
 
     def counted(mat, v):
-        products[id(mat) in group_only] += 1
+        if id(mat) in walks:
+            on_walks.append(tuple(v))
+        else:
+            products[id(mat) in group_only] += 1
         return matvec(mat, v)
 
+    walk, walked = branching._walk, []
+
+    def rows_of(state, levels):
+        walked.extend(rows for _, rows, *_ in levels)
+        return walk(state, levels)
+
     monkeypatch.setattr(branching, "matvec", counted)
+    monkeypatch.setattr(branching, "_walk", rows_of)
     lams = [lam for lam in itertools.product(range(-4, 5), repeat=3)
             if lam[0] != lam[1]]
     branching._chamber.cache_clear()
+    rows = []
     for lam in lams:
-        ktype_table(GU, _chamber(GU, lam), 6)
+        p = _chamber(GU, lam)
+        verdict = validate_params(GU, p)  # the record, on first sight
+        on_walks.clear()
+        walked.clear()
+        rows.append(ktype_table(GU, p, 6).rows())
+        assert on_walks == [verdict.base[0]] * len(GU.k_weyl)
+        planned = {id(r) for t in verdict.chamber.terms
+                   for _, r, _ in t.levels}
+        assert walked and {id(r) for r in walked} <= planned
     assert len(lams) == 648
     assert calls["graded"] == 6 and calls["_with_walk"] == 0
+    assert calls["_walk_plan"] == 6
     assert products[False] and not products[True]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        _SU21_W6_ROWS)
 
 
 def test_chamber_records_keep_groups_of_one_name_apart():
@@ -1216,18 +1249,20 @@ def _plant(monkeypatch, defect, g):
     chamber = branching._chamber
 
     def flipped(c):
-        det, *rest = c.terms[-1]
-        return c.terms[:-1] + ((-det, *rest),)
+        return c.terms[:-1] + (c.terms[-1]._replace(det=-c.terms[-1].det),)
 
     def moved(c):
         beta = c.noncompact[0]
-        return c.terms[:1] + tuple(
-            (det, tuple(map(sum, zip(shift, beta))), columns, walk)
-            for det, shift, columns, walk in c.terms[1:])
+        return c.terms[:1] + tuple(t._replace(
+            state=tuple(map(add, t.state, groups.matvec(t.walk, beta))),
+            height=t.height + dot(c.hm.height_vec, beta))
+            for t in c.terms[1:])
 
     def planted(g, rmplus):
         c = chamber(g, rmplus)
-        return c._replace(terms={"det": flipped, "shift": moved}[defect](c))
+        terms = {"det": flipped, "shift": moved}[defect](c)
+        return c._replace(terms=terms,
+                          shift_top=max(t.height for t in terms))
     monkeypatch.setattr(branching, "_chamber", planted)
     return g
 
@@ -1472,7 +1507,11 @@ def test_su21_mirror_involution():
     rng = random.Random(17)
     for _ in range(6):
         p = random_su21_params(GU, rng)
-        q = TemperedParams(-p.lam, tuple(-r for r in p.rmplus), p.chi, p.nu)
+        lam = p.lam
+        q = TemperedParams(
+            Weight(tuple(-x for x in lam.coords), lam.lattice, lam.denom),
+            tuple(GU.tm_weight([-x for x in r.coords]) for r in p.rmplus),
+            p.chi, p.nu)
         assert validate_params(GU, q).verdict == "nonzero"
         t = ktype_table(GU, p, 5).entries
         tm = ktype_table(GU, q, 5).entries

@@ -5,11 +5,13 @@ from operator import add
 
 import pytest
 
+from kbranch.branching import validate_params
 from kbranch.characters import (ConeError, CutoffError, FormalCharacter,
                                 HMLattice, LatticeError, Weight, ZCharTable,
                                 char_mul, geometric_series, graded_exterior,
                                 kostant_partition, partition_counts, weight)
 from kbranch.groups import builtin_group
+from kbranch.presets import su21_from_lambda
 
 # rank-1 lattice shaped like the compact-Cartan setup: positive root (2),
 # height covector = that root, order-2 component group
@@ -40,13 +42,12 @@ def height2(hm, coords):
 
 
 def test_weight_arithmetic_and_denominators():
-    a = weight([1, -1], "x")
-    b = weight([1, 1], "x", denom=2)
-    assert (a + b).denom == 2
-    assert (a + b).coords == (3, -1)
+    # a Weight has no arithmetic: weight() reduces a halved tuple once
+    assert weight([3, -1], "x", denom=2) == Weight((3, -1), "x", 2)
     assert weight([2, 4], "x", denom=2) == weight([1, 2], "x")
-    assert (-a).coords == (-1, 1)
-    assert (3 * a).coords == (3, -3)
+    assert weight([2, 4], "x", denom=2).denom == 1
+    assert weight([0, 0], "x", denom=2) == Weight((0, 0), "x")
+    assert weight([-2, 1], "x", denom=2).coords == (-2, 1)
 
 
 @pytest.mark.parametrize("build", [
@@ -67,10 +68,23 @@ def test_non_integers_are_refused_not_truncated(build):
 
 
 def test_weights_from_different_lattices_do_not_mix():
-    with pytest.raises(LatticeError):
-        weight([1], "x") + weight([1], "y")
-    with pytest.raises(LatticeError):
-        weight([1], "x") + weight([1, 0], "x")
+    # a Weight meets another lattice only where it comes in, and is refused
+    # there: as a key of H, and as a parameter of validate_params
+    g = builtin_group("su21")
+    for w in (weight([1, 0, -1], "x"), g.t_weight([1, 0, -1]),
+              g.tm_weight([1, 0]), g.tm_weight([1, 0, -1, 2])):
+        with pytest.raises(LatticeError):
+            g.hm.char(w)
+    p = su21_from_lambda(g, [3, 1, -1])
+    for lam in (g.t_weight([3, 1, -1]), g.tm_weight([3, 1]),
+                g.tm_weight([3, 1, -1, 0])):
+        v = validate_params(g, p._replace(lam=lam))
+        assert v.verdict == "invalid"
+        assert v.reason == "parameter is not a weight of the Levi Cartan"
+    for nu in (g.tm_weight([]), g.a_weight([1])):
+        v = validate_params(g, p._replace(nu=nu))
+        assert v.reason == ("continuous parameter is not a weight of the "
+                            "split part")
 
 
 def test_trivial_times_trivial_is_trivial():
