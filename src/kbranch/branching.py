@@ -28,10 +28,10 @@ what every K-type shares.  That work comes in three tiers:
     of lambda - rho, the component values) into one record, the nonzero
     verdict with the base key lambda - rho + 2rho_n; and what the base and
     window move: each walk's start and the levels' bounds.  A verdict
-    records the group and parameters it judged, and a table refuses it
-    with any others.
+    records the group it judged, so a call is validate_params -> verdict ->
+    table_of, and ktype_table(g, p, window) is that call.
 
-ktype_table evaluates Blattner's formula (Hecht-Schmid)
+table_of evaluates Blattner's formula (Hecht-Schmid)
 
     mult(mu) = eps * sum_{w in W_K} det(w) * P_n(R w(mu + rho_K) - base
                                                   - rho_Phi)
@@ -54,10 +54,10 @@ chamber's truncated series product, each read at key - base in height
 order up to the call's own bound (a series read checked against its
 certificate) and scattered through ktypes.key_index, an inverted index of
 restricted K-types, into the rows the key touches.  Every table over the
-window's box (box_table, and ktype_table outside Blattner's formula) reads
+window's box (box_table, and table_of outside Blattner's formula) reads
 the window's, kept by ktypes.ktype_box once per window; the spot check
 and ktype_multiplicity index their own.
-ktype_table spot-checks its lowest rows with an oracle its table did not
+table_of spot-checks its lowest rows with an oracle its table did not
 come from: the partition counts a Blattner table, the series a box one.
 Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
 are the restricted representation and always nonnegative.
@@ -70,8 +70,8 @@ from itertools import repeat
 from operator import add, mul, neg, sub
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .characters import (CutoffError, HMLattice, Weight, geometric_series,
-                         graded_exterior, partition_counts)
+from .characters import (CutoffError, HMLattice, Weight, char_mul,
+                         geometric_series, graded_exterior, partition_counts)
 from .groups import GroupDataError, RealGroupData, matvec, simple_roots
 from .ktypes import KType, check_ktype, key_index, ktype_box
 
@@ -82,10 +82,6 @@ class InvalidParamsError(ValueError):
     def __init__(self, verdict: "ParamVerdict"):
         self.verdict = verdict
         super().__init__(str(verdict))
-
-
-class ForeignVerdictError(ValueError):
-    """A verdict passed along with a group and parameters it did not judge."""
 
 
 class TemperedParams(NamedTuple):
@@ -146,11 +142,11 @@ class Chamber(_ChamberFields):
 
 class ParamVerdict(NamedTuple):
     verdict: str                 # "nonzero" | "zero" | "invalid"
+    group: RealGroupData         # the group validate_params judged
     reason: Optional[str] = None
     # nonzero verdicts: the record of p.rmplus, which tables reuse
     chamber: Optional[Chamber] = None
     base: Optional[tuple] = None  # the key (lambda - rho + 2rho_n, chi)
-    judged: Optional[tuple] = None  # (g, p), what validate_params judged
 
     def __str__(self):
         return self.verdict if not self.reason else f"{self.verdict}: {self.reason}"
@@ -184,7 +180,7 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
     """Classify parameters: invalid, zero (the induced representation
     vanishes), or nonzero; their Weights are checked here, once."""
     def invalid(reason):
-        return ParamVerdict("invalid", reason, judged=(g, p))
+        return ParamVerdict("invalid", g, reason)
 
     lattice = g.hm.lattice
     if p.lam.lattice != lattice or p.lam.rank != g.hm.rank:
@@ -232,10 +228,9 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
     for a in chamber.compact_simples:
         if not sum(map(mul, lam, a)):
             return ParamVerdict(
-                "zero", f"parameter orthogonal to simple compact root {a}",
-                judged=(g, p))
-    return ParamVerdict("nonzero", chamber=chamber, base=(
-        tuple(map(add, shifted, chamber.rho2_n)), p.chi), judged=(g, p))
+                "zero", g, f"parameter orthogonal to simple compact root {a}")
+    return ParamVerdict("nonzero", g, chamber=chamber, base=(
+        tuple(map(add, shifted, chamber.rho2_n)), p.chi))
 
 
 @lru_cache(maxsize=64)
@@ -279,23 +274,15 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
 
 # ------------------------------------------------------------------ engine
 
-def _prepare(g: RealGroupData, p: TemperedParams, zero_ok: bool = False,
-             verdict: Optional[ParamVerdict] = None) -> Optional[ParamVerdict]:
-    """verdict, by default validate_params(g, p), if nonzero: it carries
-    what every K-type shares.  Raises ForeignVerdictError, before any work,
-    if verdict judged another group or other parameters, and
+def _prepare(verdict: ParamVerdict, zero_ok: bool = False
+             ) -> Optional[ParamVerdict]:
+    """verdict if nonzero: it carries what every K-type shares.  Raises
     InvalidParamsError unless it is nonzero; with zero_ok, zero gives None.
 
     Heights are measured against the parameters' own positive system, which
     need not be the one declared in the group file: the infinite series
     live in the cone it spans.
     """
-    if verdict is None:
-        verdict = validate_params(g, p)
-    elif verdict.judged != (g, p):
-        raise ForeignVerdictError(
-            f"the verdict was not validate_params' for {g.name!r} and these "
-            "parameters")
     if verdict.verdict == "zero" and zero_ok:
         return None
     if verdict.verdict != "nonzero":
@@ -320,7 +307,7 @@ def _series(chamber: Chamber, cutoff: int) -> tuple[Optional[int], list]:
     its certificate, and its terms (doubled height, key, m) lowest first."""
     acc = graded_exterior(chamber.hm, chamber.compact)
     for beta in chamber.noncompact:
-        acc = acc * geometric_series(chamber.hm, beta, cutoff)
+        acc = char_mul(acc, geometric_series(chamber.hm, beta, cutoff))
     return acc.cutoff, acc.by_height()
 
 
@@ -543,7 +530,7 @@ def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
     is checked (an integral weight of T by HMLattice.char, dominant by
     check_ktype) and passed on as coordinates."""
     _check_mode(mode)
-    prep = _prepare(g, p)
+    prep = _prepare(validate_params(g, p))
     hw, _ = g.t_lattice.char(kt.highest)
     check_ktype(g, hw)
     return _evaluate(prep, mode, key_index(g, [hw]),
@@ -585,7 +572,7 @@ def box_table(g: RealGroupData, p: TemperedParams, window: int,
     for zero verdicts."""
     _check_window(window)
     _check_mode(mode)
-    prep = _prepare(g, p, zero_ok=True)
+    prep = _prepare(validate_params(g, p), zero_ok=True)
     rows = [] if prep is None else _box(g, prep, window, mode)
     return KTypeTable(dict(rows), window, sign_factor(g))
 
@@ -593,21 +580,20 @@ def box_table(g: RealGroupData, p: TemperedParams, window: int,
 _SPOT_CHECKS = 3
 
 
-def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
-                verdict: Optional[ParamVerdict] = None) -> KTypeTable:
-    """Multiplicities of every K-type in the window; empty for zero verdicts.
+def table_of(verdict: ParamVerdict, window: int) -> KTypeTable:
+    """Multiplicities of every K-type in the window of what a
+    validate_params verdict judged; empty for a zero verdict, and
+    InvalidParamsError for an invalid one.
 
     Blattner's formula over the K-types the noncompact cone reaches where
     the group data allow it, else partition counts over the box; the
     partition oracle, or the series for a box table, checks the few nonzero
     entries whose keys reach the least height, where it is cheapest (ties in
     lexical order).  Entries are the restricted representation itself; the
-    table's sign field records the index sign.  A caller holding
-    validate_params(g, p) passes it as verdict; any other verdict raises
-    ForeignVerdictError.
+    table's sign field records the index sign.
     """
     _check_window(window)
-    prep = _prepare(g, p, zero_ok=True, verdict=verdict)
+    g, prep = verdict.group, _prepare(verdict, zero_ok=True)
     if prep is None:
         return KTypeTable({}, window, sign_factor(g))
     evaluator, oracle = (("blattner", "partition") if g.blattner_applies
@@ -625,6 +611,13 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int,
             raise ArithmeticError(f"evaluator disagreement at {mu}: "
                                   f"{oracle} {c} vs {evaluator} {m}")
     return KTypeTable(dict(rows), window, sign_factor(g))
+
+
+def ktype_table(g: RealGroupData, p: TemperedParams, window: int
+                ) -> KTypeTable:
+    """table_of(validate_params(g, p), window), the window checked first."""
+    _check_window(window)
+    return table_of(validate_params(g, p), window)
 
 
 def nu_independence_check(g: RealGroupData, p: TemperedParams,

@@ -261,9 +261,6 @@ class FormalCharacter:
                 if self.hm.key_height2(k) <= 2 * cutoff}
         return FormalCharacter(self.hm, kept, cutoff)
 
-    def __mul__(self, other: "FormalCharacter") -> "FormalCharacter":
-        return char_mul(self, other)
-
 
 def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     """Convolution product with sound cutoff propagation.

@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .branching import (InvalidParamsError, KTypeTable, ktype_table,
+from .branching import (InvalidParamsError, KTypeTable, table_of,
                         validate_params)
 from .groups import GroupDataError, builtin_group_names, data_dir, load_group_data
 from .presets import ParamSchemaError, resolve_params
@@ -116,7 +116,7 @@ def cmd_table(args) -> int:
               f"{what}; at most {MAX_BOX} are allowed", file=sys.stderr)
         return EXIT_INVALID_PARAMS
 
-    table = ktype_table(g, params, args.window, verdict)
+    table = table_of(verdict, args.window)
     payload = _table_payload(g.name, doc, table)
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -222,19 +222,19 @@ def _parse_rational(v, inv) -> tuple[int, int]:
 
 class WeylTerm(NamedTuple):
     """One element w of K's Weyl group and what the sums over W_K read of
-    it, derived at load.  Where Blattner's formula applies, _with_walk adds
-    the walk's: its state at a Levi weight b is w^T a b (the fibres' map
-    carried by w^T), its pairings with the simple K roots and Z' rows, and
-    b's consistency rows."""
+    it, derived at load by _k_weyl, Blattner's walk included: the walk's
+    state at a Levi weight b is w^T a b (the fibres' map carried by w^T),
+    its pairings with the simple K roots and Z' rows, and b's consistency
+    rows."""
 
     matrix: tuple[tuple[int, ...], ...]
     det: int
-    rho_shift: tuple[int, ...]               # w rho_K - rho_K
-    top: tuple[int, ...]                     # R w 2rho_K
-    rw_t: tuple[tuple[int, ...], ...]        # (R w)^T, as rows
-    walk: tuple[tuple[int, ...], ...] = ()   # b -> its state, as rows
-    dirs: tuple[tuple[int, ...], ...] = ()   # the states of w^T dirs_f
-    roots: Optional[dict] = None             # noncompact root -> state
+    rho_shift: tuple[int, ...]           # w rho_K - rho_K
+    top: tuple[int, ...]                 # R w 2rho_K
+    rw_t: tuple[tuple[int, ...], ...]    # (R w)^T, as rows
+    walk: tuple[tuple[int, ...], ...]    # b -> its state, as rows
+    dirs: tuple[tuple[int, ...], ...]    # the states of w^T dirs_f
+    roots: dict                          # noncompact root -> state
 
 
 class RealGroupData(NamedTuple):
@@ -261,7 +261,7 @@ class RealGroupData(NamedTuple):
     fibres: Fibres                           # R x = b, read by one integer map
     k_pairings: Fibres                       # S x = p, S the simple K roots
     blattner_applies: bool
-    r_k_positives: frozenset = frozenset()   # R K^+, where it applies
+    r_k_positives: frozenset                 # R K^+
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -368,28 +368,30 @@ def _blattner_applies(g: RealGroupData,
                     for a in g.k_roots.roots))
 
 
-def _with_walk(g: RealGroupData) -> RealGroupData:
-    """g with R K^+ and each W_K record's data of Blattner's walk."""
-    fibres, rank = g.fibres, g.hm.rank
-    probes = (list(g.k_roots.simples)
-              + (list(g.zchar_rows) if g.hm.ztable.order > 1 else []))
-    width = g.k_roots.rank + len(probes) + len(fibres.consistency)
+def _k_weyl(closure, rho2, tm_in_t, fibres: Fibres, probes: Sequence[tuple],
+            compact_of: dict) -> tuple[WeylTerm, ...]:
+    """One WeylTerm per (w, det w, w 2rho_K) of W_K's closure, 2rho_K =
+    rho2; the walk's pairings are with the probes, the simple K roots and,
+    where |Z'| > 1, the Z' rows."""
+    rank = len(tm_in_t)
+    width = len(rho2) + len(probes) + len(fibres.consistency)
     # (vector before w^T, residue): a e_i per Levi coordinate, then dirs_f
     unmoved = [(matvec(fibres.a, e), matvec(fibres.consistency, e)) for e in (
         tuple(int(i == j) for j in range(rank)) for i in range(rank))]
     unmoved += [(v, (0,) * len(fibres.consistency)) for v in fibres.dirs]
-    k_weyl = []
-    for w in g.k_weyl:
-        wt = tuple(zip(*w.matrix))
+    terms = []
+    for w, det, w_rho2 in closure:
+        wt = tuple(zip(*w))
         states = [(*dmu, *matvec(probes, dmu), *res) for dmu, res in (
             (matvec(wt, v), res) for v, res in unmoved)]
         walk = tuple(tuple(s[j] for s in states[:rank]) for j in range(width))
-        k_weyl.append(w._replace(walk=walk, dirs=tuple(states[rank:]), roots={
-            b: matvec(walk, b) for b, compact in g.compact_of.items()
-            if not compact}))
-    return g._replace(r_k_positives=frozenset(
-        matvec(g.tm_in_t, a) for a in g.k_roots.positives),
-        k_weyl=tuple(k_weyl))
+        terms.append(WeylTerm(
+            w, det, tuple((x - y) // 2 for x, y in zip(w_rho2, rho2)),
+            matvec(tm_in_t, w_rho2),
+            tuple(matvec(tm_in_t, col) for col in zip(*w)), walk,
+            tuple(states[rank:]), {b: matvec(walk, b) for b, compact
+                                   in compact_of.items() if not compact}))
+    return tuple(terms)
 
 
 _SCHEMA_FIELDS = {
@@ -452,13 +454,13 @@ def _build(doc: dict) -> RealGroupData:
         _parse_weight_list(_require(k, "simples", list), k_rank))
     t_lattice = HMLattice.graded(k_rank, f"{name}:t", k_roots.positives)
     rho2 = t_lattice.height_vec
-    k_weyl = []  # (w, det, w 2rho_K), of the one closure built at load
+    closure = []  # (w, det, w 2rho_K), of the one closure built at load
     for w, det in _validate_root_system(k_roots, "k", checklist, weyl_group):
         w_rho2 = matvec(w, rho2)
         if any((x - y) % 2 for x, y in zip(w_rho2, rho2)):
             raise GroupDataError("Weyl closure", f"k: w rho - rho is not "
                                                  f"integral for {w}")
-        k_weyl.append((w, det, w_rho2))
+        closure.append((w, det, w_rho2))
 
     # ---- m root system with compact flags ----------------------------------
     m = doc["m"]
@@ -578,18 +580,16 @@ def _build(doc: dict) -> RealGroupData:
     hm = HMLattice.graded(m_rank, f"{name}:tM", m_pos, ztable)
 
     # checklist and blattner_applies are final once the checks below pass
+    fibres = Fibres.of(tm_in_t, k_rank)
     g = RealGroupData(
         name=name, k_roots=k_roots, m_roots=m_roots, dim_a=dim_a,
         tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=tuple(zchar_rows), hm=hm,
         t_lattice=t_lattice, dim_s_m=dim_s_m, checklist=(), compact_of=flag_of,
-        k_weyl=tuple(WeylTerm(
-            w, det, tuple((x - y) // 2 for x, y in zip(w_rho2, rho2)),
-            matvec(tm_in_t, w_rho2),
-            tuple(matvec(tm_in_t, col) for col in zip(*w)))
-            for w, det, w_rho2 in k_weyl),
-        fibres=Fibres.of(tm_in_t, k_rank),
-        k_pairings=Fibres.of(k_roots.simples, k_rank),
-        blattner_applies=False)
+        k_weyl=_k_weyl(closure, rho2, tm_in_t, fibres, k_roots.simples + (
+            tuple(zchar_rows) if order > 1 else ()), flag_of),
+        fibres=fibres, k_pairings=Fibres.of(k_roots.simples, k_rank),
+        blattner_applies=False, r_k_positives=frozenset(
+            matvec(tm_in_t, a) for a in k_roots.positives))
 
     # compact m-roots must come from roots of the compact subgroup
     k_restr = [matvec(tm_in_t, r) for r in k_roots.roots]
@@ -621,9 +621,8 @@ def _build(doc: dict) -> RealGroupData:
                                  "has Z' values in no table row") from None
     checklist.append("zmprime compatibility")
 
-    g = g._replace(checklist=tuple(checklist),
-                   blattner_applies=_blattner_applies(g, k_restr))
-    return _with_walk(g) if g.blattner_applies else g
+    return g._replace(checklist=tuple(checklist),
+                      blattner_applies=_blattner_applies(g, k_restr))
 
 
 def data_dir() -> Path:

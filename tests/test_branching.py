@@ -18,10 +18,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from kbranch.branching import (InvalidParamsError, TemperedParams,
                                box_table, ktype_multiplicity, ktype_table,
                                ktype_table_series, nu_independence_check,
-                               sign_factor, validate_params)
+                               sign_factor, table_of, validate_params)
 from kbranch import branching, groups, ktypes
 from kbranch.characters import (CutoffError, FormalCharacter, HMLattice,
-                                LatticeError, Weight, weight)
+                                LatticeError, Weight, char_mul, weight)
 from kbranch.groups import (_BUILTIN_DIR, GroupDataError, builtin_group,
                             load_group_data, simple_roots)
 from kbranch.ktypes import KType, key_index
@@ -88,31 +88,38 @@ _ZERO = su21_from_lambda(GU, [2, 2, -1], rmplus=[[1, -1, 0], [1, 0, -1],
                                                  [0, 1, -1]])
 
 
+@pytest.mark.parametrize("judged", [(GU, _P2), (GU, _P1), (GU, _ZERO)],
+                         ids=["p2", "p1", "zero"])
+def test_table_of_a_verdict_is_ktype_table(judged):
+    # the verdict names what it judged: table_of needs nothing beside it
+    assert table_of(validate_params(*judged), 4) == ktype_table(*judged, 4)
+
+
 @pytest.mark.parametrize("g, p, judged", [
-    (GU, _P1, (GU, _P2)),
-    (GC, sl2_discrete(GC, 3, "+"), (GU, _P1)),
-    (GU, _P1, (GU, _ZERO))],
-    ids=["other-parameters", "other-group", "zero-of-other-parameters"])
+    (GC, sl2_discrete(GC, 3, "+"), (GU, _P1))], ids=["other-group"])
 def test_a_verdict_is_refused_with_what_it_did_not_judge(monkeypatch, g, p,
                                                          judged):
-    # one clean error before any work: no validation, walk or box runs
+    # the verdict tables its own group, and another group's parameters
+    # judged against that group are refused before any walk or box runs
     verdict = validate_params(*judged)
-    for name in ("validate_params", "_blattner_table", "_box"):
+    assert verdict.group is judged[0] and table_of(verdict, 4) == ktype_table(
+        *judged, 4) != ktype_table(g, p, 4)
+    foreign = validate_params(judged[0], p)
+    for name in ("_blattner_table", "_box"):
         monkeypatch.setattr(branching, name, None)
-    with pytest.raises(branching.ForeignVerdictError) as e:
-        ktype_table(g, p, 4, verdict)
-    assert isinstance(e.value, ValueError)
-    assert str(e.value) == (f"the verdict was not validate_params' for "
-                            f"{g.name!r} and these parameters")
+    with pytest.raises(InvalidParamsError) as e:
+        table_of(foreign, 4)
+    assert str(e.value) == ("invalid: parameter is not a weight of the "
+                            "Levi Cartan")
 
 
 def test_a_verdict_is_bound_by_equality():
-    # equal parameters, and an equal group loaded apart, take the verdict
+    # equal parameters, and an equal group loaded apart, give a verdict
+    # that tables as the first pair does
     q = su21_from_lambda(GU, [3, 1, -1])
-    verdict = validate_params(GU, _P1)
-    assert q is not _P1 and ktype_table(builtin_group("su21"), q, 4,
-                                        verdict) == ktype_table(GU, _P1, 4)
-    assert ktype_table(GU, _ZERO, 4, validate_params(GU, _ZERO)).entries == {}
+    verdict = validate_params(builtin_group("su21"), q)
+    assert q is not _P1 and table_of(verdict, 4) == ktype_table(GU, _P1, 4)
+    assert table_of(validate_params(GU, _ZERO), 4).entries == {}
 
 
 def test_validate_rejects_nondominant():
@@ -137,8 +144,8 @@ def test_validate_refuses_a_chi_that_is_not_an_int(g, p, hw, chi):
     # an index equal to a valid one, or between two, is still no index
     p = p._replace(chi=chi)
     v = validate_params(g, p)
-    assert v == ("invalid", f"no component character with index {chi}",
-                 None, None, (g, p))
+    assert v == ("invalid", g, f"no component character with index {chi}",
+                 None, None)
     for evaluate in (lambda: ktype_table(g, p, 4),
                      lambda: box_table(g, p, 4, "partition"),
                      lambda: ktype_multiplicity(g, p, KType(g.t_weight(hw)))):
@@ -236,10 +243,11 @@ def test_every_verdict_reason_byte_for_byte(g, p, want):
 
 def _virtual_character(g, p, cutoff):
     """e^base times the chamber's series, as the series oracle reads it."""
-    prep = branching._prepare(g, p)
+    prep = validate_params(g, p)
     series, terms = branching._series(prep.chamber, cutoff)
-    return FormalCharacter(prep.chamber.hm, {prep.base: 1}) * FormalCharacter(
-        prep.chamber.hm, {key: m for _, key, m in terms}, series)
+    return char_mul(FormalCharacter(prep.chamber.hm, {prep.base: 1}),
+                    FormalCharacter(prep.chamber.hm,
+                                    {key: m for _, key, m in terms}, series))
 
 
 def test_virtual_character_discrete():
@@ -384,7 +392,7 @@ def test_prepared_lattice_holds_rho_and_base(g, p):
     """The prepared lattice's height covector, 2 rho, pairs to (a, a) with
     every simple root a of the parameters' positive system, and the base is
     lambda - rho_c + rho_n from explicit coordinate half-sums."""
-    prep = branching._prepare(g, p)
+    prep = validate_params(g, p)
     hv = prep.chamber.hm.height_vec
     rmplus = [r.coords for r in p.rmplus]
     for a in simple_roots(rmplus):
@@ -604,7 +612,7 @@ def test_call_tier_does_no_weight_arithmetic(monkeypatch):
     p = su21_from_lambda(GU, [4, 1, -2])
     want = ktype_table(GU, p, 6)
     calls = _count_calls(monkeypatch, (Weight, "__add__"), (HMLattice, "char"))
-    assert ktype_table(GU, p, 6, validate_params(GU, p)) == want
+    assert table_of(validate_params(GU, p), 6) == want
     assert want.entries and calls == {}
 
 def test_series_oracle_reads_no_coefficient(monkeypatch):
@@ -619,7 +627,7 @@ def test_series_oracle_reads_no_coefficient(monkeypatch):
 @pytest.mark.parametrize("mode", ["partition", "series"])
 def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
     # the chamber's table is built by the first evaluation, read by the next
-    prep = branching._prepare(GU, su21_from_lambda(GU, [4, 1, -2]))
+    prep = validate_params(GU, su21_from_lambda(GU, [4, 1, -2]))
     index = key_index(GU, ktypes.enumerate_ktypes(GU, 4))
     top2 = _top2(index, prep.chamber.hm.height_vec)
     want = branching._evaluate(prep, mode, index, top2)
@@ -634,7 +642,7 @@ def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
 def test_virtual_character_steps_coordinate_tuples(monkeypatch):
     # the roots are coordinate tuples, and every term of the character is
     # a (coordinates, Z' index) pair built by tuple sums
-    prep = branching._prepare(GU, su21_from_lambda(GU, [3, 1, -1]))
+    prep = validate_params(GU, su21_from_lambda(GU, [3, 1, -1]))
     calls = _count_calls(monkeypatch, (Weight, "__new__"), (Weight, "__add__"),
                          (Weight, "__mul__"), (Weight, "__rmul__"),
                          (HMLattice, "char"))
@@ -931,7 +939,7 @@ def test_blattner_terms_are_the_searched_terms():
     # invertible elimination, carried by w^T), so the state pins the shift
     signs = Counter()
     for g, p in _term_cases():
-        prep = branching._prepare(g, p)
+        prep = validate_params(g, p)
         chamber, (eps, searched) = prep.chamber, _searched_terms(g, prep)
         hv = chamber.hm.height_vec
         assert (chamber.eps, [(t.det, t.state, t.height, t.walk)
@@ -1052,7 +1060,7 @@ def test_chamber_derived_once_per_positive_system(monkeypatch):
     # on a warm record multiplies each term's walk map by its base, once,
     # and walks the record's own condition rows
     calls = _count_calls(monkeypatch, (HMLattice, "graded"),
-                         (groups, "_with_walk"), (branching, "_walk_plan"))
+                         (groups, "_k_weyl"), (branching, "_walk_plan"))
     group_only = {id(GU.fibres.a), id(GU.fibres.consistency), id(GU.tm_in_t)}
     walks = {id(w.walk) for w in GU.k_weyl}
     matvec, products, on_walks = branching.matvec, Counter(), []
@@ -1087,7 +1095,7 @@ def test_chamber_derived_once_per_positive_system(monkeypatch):
                    for _, r, _ in t.levels}
         assert walked and {id(r) for r in walked} <= planned
     assert len(lams) == 648
-    assert calls["graded"] == 6 and calls["_with_walk"] == 0
+    assert calls["graded"] == 6 and calls["_k_weyl"] == 0
     assert calls["_walk_plan"] == 6
     assert products[False] and not products[True]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
@@ -1241,11 +1249,15 @@ def _plant(monkeypatch, defect, g):
     the last term, the later terms' shifts moved by a noncompact root, or
     the walk reading mu through w in place of w^T."""
     if defect == "w":
-        wt = groups._with_walk(g._replace(k_weyl=tuple(
-            w._replace(matrix=tuple(zip(*w.matrix))) for w in g.k_weyl)))
+        rho2 = g.t_lattice.height_vec
+        wt = groups._k_weyl(
+            [(u, w.det, groups.matvec(u, rho2)) for w in g.k_weyl
+             for u in [tuple(zip(*w.matrix))]], rho2,
+            g.tm_in_t, g.fibres, g.k_roots.simples + (
+                g.zchar_rows if g.hm.ztable.order > 1 else ()), g.compact_of)
         return g._replace(k_weyl=tuple(
             w._replace(walk=t.walk, dirs=t.dirs, roots=t.roots)
-            for w, t in zip(g.k_weyl, wt.k_weyl)))
+            for w, t in zip(g.k_weyl, wt)))
     chamber = branching._chamber
 
     def flipped(c):
@@ -1432,7 +1444,7 @@ def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):
         assert len(t.entries) > 3
         # the rows whose keys reach the least height under the parameters'
         # positive system, where the series is cheapest; ties lexical
-        hv = branching._prepare(g, p).chamber.hm.height_vec
+        hv = validate_params(g, p).chamber.hm.height_vec
         lowest = sorted(t.entries, key=lambda mu: _top2(restrict_to_hm(g, mu),
                                                         hv))
         assert restricted == lowest[:3]

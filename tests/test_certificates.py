@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from kbranch import branching
-from kbranch.branching import TemperedParams, ktype_table
+from kbranch.branching import TemperedParams, ktype_table, validate_params
 from kbranch.characters import partition_counts
 from kbranch.groups import builtin_group, load_group_data, matvec
 from kbranch.verify import _sl2_param_sets, random_su21_params
@@ -26,7 +26,7 @@ SP4R = load_group_data(Path(__file__).parent / "data" / "sp4r.json")
 
 
 def assert_certificates(g, p, window, injective=True):
-    prep = branching._prepare(g, p)
+    prep = validate_params(g, p)
     base, z = prep.base
     rows = ktype_table(g, p, window).rows()
     assert rows

@@ -64,6 +64,24 @@ def test_zero_verdict_exits_2(capsys):
     assert "zero" in err
 
 
+@pytest.mark.parametrize("group, params, window, err", [
+    ("su21", '{"lambda":[2,2,-1],"rmplus":[[1,-1,0],[1,0,-1],[0,1,-1]]}', "3",
+     "verdict: zero: parameter orthogonal to simple compact root (1, -1, 0)"),
+    ("su21", '{"lambda":[3,1,-1],"rmplus":[[-1,1,0],[1,0,-1],[0,1,-1]]}', "3",
+     "verdict: invalid: parameter is not dominant for the root (-1, 1, 0)"),
+    # the verdict is read before the window's cap
+    (str(DATA / "sl2xt3.json"), '{"lambda":[-1],"rmplus":[[2]]}', "17",
+     "verdict: invalid: parameter is not dominant for the root (2,)"),
+    (str(DATA / "sl2xt3.json"), '{"lambda":[1],"rmplus":[[2]]}', "17",
+     "error: sl2xt3: window 17 would scan 42875 fibre points per cone point; "
+     "at most 35937 are allowed")],
+    ids=["zero", "invalid", "invalid-above-cap", "above-cap"])
+def test_table_refusals_byte_for_byte(capsys, group, params, window, err):
+    code, out, got = run(capsys, "table", "--group", group, "--params", params,
+                         "--window", window)
+    assert (code, out, got) == (2, "", err + "\n")
+
+
 def test_bad_params_document_exits_2(capsys):
     code, _, err = run(capsys, "table", "--group", "sl2r-compact",
                        "--params", '{"series":"unknown"}')
@@ -151,7 +169,7 @@ def test_fibre_box_above_cap_exits_2_before_table_work(capsys, monkeypatch):
         raise AssertionError("computed a table")
 
     with monkeypatch.context() as m:
-        m.setattr(cli, "ktype_table", refuse)
+        m.setattr(cli, "table_of", refuse)
         exits_2_with_empty_stdout(capsys, *argv, "--window", "17")
     code, out, _ = run(capsys, *argv, "--window", "2")
     assert code == 0

@@ -444,6 +444,86 @@ def test_unknown_schema_fields_rejected():
     assert e.value.invariant == "schema"
 
 
+def _edited(name, edits):
+    """The shipped group document name with each edit (path..., value)
+    made in turn; an edit with no path replaces the whole document."""
+    doc = json.loads((data_dir() / f"{name}.json").read_text())
+    for *path, value in edits:
+        if not path:
+            doc = value
+            continue
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return doc
+
+
+_SL2_GEN = {"v": ["1/2"], "char_table_row": [0, 1]}
+
+
+@pytest.mark.parametrize("name, edits, invariant, message", [
+    ("su21", [("k", "roots", [[1, -1, 0], [-1, 1, 0], [1, -1, 0]])],
+     "negation closure", "k: duplicate roots"),
+    ("su21", [("k", "roots", [[1, -1, 0], [-1, 1, 0], [0, 0, 0]])],
+     "negation closure", "k: zero vector listed as a root"),
+    ("su21", [("k", "positives", [[1, -1, 0], [-1, 1, 0]])],
+     "positive partition", "k: a root and its negative both positive"),
+    ("su21", [("k", "positives", [])], "positive partition",
+     "k: positives and their negatives do not exhaust the roots"),
+    ("su21", [("k", "simples", [[-1, 1, 0]])], "simple decomposition",
+     "k: simple (-1, 1, 0) is not positive"),
+    ("su21", [("k", "simples", [[1, -1, 0], [1, -1, 0]])],
+     "simple decomposition", "k: simple roots are linearly dependent"),
+    ("su21", [([],)], "schema", "top level must be an object"),
+    ("sl2r-compact", [("zmprime", "generators", 0, {"v": ["1/2"]})],
+     "schema", "each generator needs exactly v and char_table_row"),
+    ("su21", [("m", "compact_flags", [True] + [False] * 5)],
+     "compact partition",
+     "root (1, -1, 0) and its negative disagree on compactness"),
+    ("su21", [("m", "compact_flags", [True] * 4 + [False] * 2),
+              ("dims", "s_M", 2)], "compact partition",
+     "compact-flagged root (1, 0, -1) is not the restriction of any "
+     "compact-group root"),
+    ("sl2r-split", [("restricted", "positives", [[2], [-2]])],
+     "restricted pointed cone", "no linear functional separates (2,)"),
+    ("sl2r-compact", [("zmprime", "order", 0)], "zmprime table",
+     "order must be >= 1"),
+    ("sl2r-compact", [("zmprime", "generators", 0, "v", ["1/2", 0])],
+     "zmprime table", "v must have 1 rational entries"),
+    ("sl2r-compact", [("zmprime", "generators", [
+        _SL2_GEN, {"v": ["1/2"], "char_table_row": [1, 0]}])],
+     "zmprime table", "character table not closed under product"),
+    ("su21", [("dims", "a", 1)], "dims consistency",
+     "dims.a disagrees with restricted.dim_a"),
+    ("sl2r-compact", [("zmprime", "generators", [
+        _SL2_GEN, {"v": ["1/2"], "char_table_row": [0, 0]}])],
+     "zmprime compatibility",
+     "basis weight 0 has Z' values in no table row")],
+    ids=["duplicate-roots", "zero-root", "both-signs-positive",
+         "positives-short", "simple-not-positive", "dependent-simples",
+         "top-level-list", "generator-keys", "flag-parity",
+         "flag-without-k-root", "unpointed-cone", "order-0", "v-length",
+         "table-not-closed", "dims-a", "basis-weight-off-table"])
+def test_loader_refuses_each_broken_invariant(name, edits, invariant,
+                                              message):
+    with pytest.raises(GroupDataError) as e:
+        load_group_data(json.dumps(_edited(name, edits)).encode())
+    assert (e.value.invariant, str(e.value)) == (invariant,
+                                                 f"{invariant}: {message}")
+
+
+def test_group_queries_refuse_what_is_not_there():
+    with pytest.raises(groups.LatticeError) as e:
+        builtin_group("su21").is_compact((1, 1, 1))
+    assert str(e.value) == "(1, 1, 1) is not a root of the Levi factor"
+    with pytest.raises(FileNotFoundError) as e:
+        builtin_group("su7")
+    assert str(e.value) == (
+        f"no builtin group 'su7' in {data_dir()} (available: "
+        "['sl2r-compact', 'sl2r-split', 'su21'])")
+
+
 def test_checklist_is_reported():
     g = builtin_group("su21")
     joined = " ".join(g.checklist)

@@ -42,7 +42,7 @@ FROZEN = {
                ("a", "dirs", "consistency", "d", "free")),
     "TemperedParams": (lambda: _params(GU), ("lam", "rmplus", "chi", "nu")),
     "ParamVerdict": (lambda: validate_params(GU, _params(GU)),
-                     ("verdict", "reason", "chamber", "base", "judged")),
+                     ("verdict", "group", "reason", "chamber", "base")),
     "Chamber": (lambda: branching._chamber.__wrapped__(
                     GU, tuple(r.coords for r in _params(GU).rmplus)),
                 ("hm", "compact", "noncompact", "compact_simples",
