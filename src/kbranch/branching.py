@@ -345,8 +345,7 @@ def _series_values(prep: ParamVerdict, top2: int) -> list[tuple]:
     if cutoff is not None and cutoff < need:
         raise CutoffError(f"doubled height {top2} beyond certified cutoff "
                           f"{cutoff + h2_base // 2}")
-    zs = [hm.ztable.mul(z, i) for i in range(hm.ztable.order)]
-    return [(1, coords, zs, top2 - h2_base, terms)]
+    return [(1, coords, hm.ztable.products[z], top2 - h2_base, terms)]
 
 
 _EVALUATORS = {"partition": _partition_values, "series": _series_values}
@@ -475,9 +474,8 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
                 dmu = list(map(add, dmu0, map(mul, dcol, repeat(n))))
                 if d > 1 and any(x % d for x in dmu):
                     continue
-                if order > 1 and ztable.index_of[tuple([
-                        (x + n * y) // d % order
-                        for x, y in zip(z0, zcol)])] != zbase:
+                if order > 1 and ztable.index([
+                        (x + n * y) // d for x, y in zip(z0, zcol)]) != zbase:
                     continue
                 mu = tuple([x // d for x in dmu]) if d > 1 else tuple(dmu)
                 for _ in range((hi - n) // period + 1):

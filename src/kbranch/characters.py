@@ -16,7 +16,6 @@ arbitrary-precision integers.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import inf
 from operator import add, mul
 from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
@@ -83,9 +82,11 @@ class ZCharTable(_ZCharTableFields):
     """Character table of a finite abelian group, one row per character.
 
     Row entries are exponents e_j with value exp(2*pi*i*e_j/order) at the
-    j-th generator.  Rows form a group under componentwise addition mod
-    order; row 0 need not be the trivial character, the identity index is
-    looked up.  No __slots__: the cached properties live in __dict__.
+    j-th generator.  Rows must form a group under componentwise addition
+    mod order, checked once here, where the row index, the identity and
+    the products (products[i][j], the index of row i + row j) are built;
+    row 0 need not be the trivial character.  No __slots__: what is built
+    lives in __dict__, outside the fields that compare and hash.
     """
 
     def __new__(cls, order, rows):
@@ -95,30 +96,27 @@ class ZCharTable(_ZCharTableFields):
             raise LatticeError(f"expected {order} characters, got {len(rows)}")
         if len(set(rows)) != len(rows):
             raise LatticeError("duplicate character rows")
-        ngen = len(rows[0]) if rows else 0
+        ngen = len(rows[0])
         for r in rows:
             if len(r) != ngen:
                 raise LatticeError("ragged character table")
             if any(not (0 <= e < order) for e in r):
                 raise LatticeError("character exponent out of range")
-        return tuple.__new__(cls, (order, rows))
-
-    @cached_property
-    def index_of(self) -> dict[tuple[int, ...], int]:
-        return {r: i for i, r in enumerate(self.rows)}
-
-    @cached_property
-    def identity(self) -> int:
-        ngen = len(self.rows[0])
-        return self.index_of[(0,) * ngen]
-
-    def mul(self, i: int, j: int) -> int:
-        row = tuple((a + b) % self.order
-                    for a, b in zip(self.rows[i], self.rows[j]))
-        try:
-            return self.index_of[row]
+        self = tuple.__new__(cls, (order, rows))
+        self.index_of = {r: i for i, r in enumerate(rows)}
+        try:  # closed and finite, so a group: the zero row is a sum
+            self.products = tuple(tuple(self.index(map(add, r, s))
+                                        for s in rows) for r in rows)
         except KeyError:
-            raise LatticeError("character table not closed under product")
+            raise LatticeError("character table not closed under product"
+                               ) from None
+        self.identity = self.index_of[(0,) * ngen]
+        return self
+
+    def index(self, exponents: Iterable[int]) -> int:
+        """The index of the character with these exponents mod order;
+        KeyError if none has them."""
+        return self.index_of[tuple([e % self.order for e in exponents])]
 
 
 TRIVIAL_Z = ZCharTable(order=1, rows=((),))
@@ -288,13 +286,13 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     cutoff = min(bounds2) // 2 if bounds2 else None  # floor keeps it sound
 
     acc: dict[_Key, int] = {}
-    zmul = hm.ztable.mul
+    products = hm.ztable.products
     for ha, (ca, za), ma in ga:
         room = inf if cutoff is None else 2 * cutoff - ha
         for h, (cb, zb), mb in gb:
             if h > room:
                 break
-            key = tuple(map(add, ca, cb)), zmul(za, zb)
+            key = tuple(map(add, ca, cb)), products[za][zb]
             acc[key] = acc.get(key, 0) + ma * mb
     # sums of checked keys, within the certificate
     return FormalCharacter._trusted(

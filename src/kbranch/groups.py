@@ -291,12 +291,10 @@ class RealGroupData(NamedTuple):
         return [r for r in self.m_roots.positives if not self.is_compact(r)]
 
     def zchar(self, coords: Sequence[int]) -> int:
-        """Z' character index of the integral T-weight with these coordinates.
-        The table rows form a group holding the values of every basis weight
-        (checked at load), so the lookup cannot miss."""
-        order = self.hm.ztable.order
-        return self.hm.ztable.index_of[
-            tuple(e % order for e in matvec(self.zchar_rows, coords))]
+        """Z' character index of the integral T-weight with these coordinates,
+        read through the table: KeyError if no row holds its values, which
+        the loader refuses for each basis weight (zmprime compatibility)."""
+        return self.hm.ztable.index(matvec(self.zchar_rows, coords))
 
 
 class Fibres(NamedTuple):
@@ -533,10 +531,6 @@ def _build(doc: dict) -> RealGroupData:
                  for i in range(order))
     try:
         ztable = ZCharTable(order, rows)
-        for i in range(order):
-            for j in range(order):
-                ztable.mul(i, j)
-        ztable.identity
     except LatticeError as e:
         raise GroupDataError("zmprime table", str(e)) from e
     checklist.append("zmprime table")

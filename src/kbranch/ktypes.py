@@ -119,11 +119,11 @@ def _translate(g: RealGroupData, hw: tuple[int, ...],
     multiplicities.  R and the Z' rows are linear, so the key of the weight
     hw - t is (R;Z) hw - (R;Z) t: the translate of its class's keys by hw's
     own, distinct for distinct (R t, Z' rows of t mod |Z'|)."""
-    order, index_of = g.hm.ztable.order, g.hm.ztable.index_of
+    index = g.hm.ztable.index
     r_hw, z_hw = matvec(g.tm_in_t, hw), matvec(g.zchar_rows, hw)
     return [([(tuple(map(sub, r_hw, r_t)), i) for r_t in r_ts], ms)
-            for z_t, r_ts, ms in _class_keys(g, pairings) for i in [index_of[
-                tuple([(a - b) % order for a, b in zip(z_hw, z_t)])]]]
+            for z_t, r_ts, ms in _class_keys(g, pairings)
+            for i in [index(map(sub, z_hw, z_t))]]
 
 
 def key_index(g: RealGroupData, hws: Iterable[tuple[int, ...]]

@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from kbranch.branching import (InvalidParamsError, TemperedParams,
-                               box_table, ktype_multiplicity, ktype_table,
-                               ktype_table_series, nu_independence_check,
-                               sign_factor, table_of, validate_params)
+from kbranch.branching import (InvalidParamsError, KTypeTable,
+                               TemperedParams, box_table, ktype_multiplicity,
+                               ktype_table, ktype_table_series,
+                               nu_independence_check, sign_factor, table_of,
+                               validate_params)
 from kbranch import branching, groups, ktypes
 from kbranch.characters import (CutoffError, FormalCharacter, HMLattice,
                                 LatticeError, Weight, char_mul, weight)
@@ -27,6 +28,7 @@ from kbranch.groups import (_BUILTIN_DIR, GroupDataError, builtin_group,
 from kbranch.ktypes import KType, key_index
 from kbranch.presets import (sl2_discrete, sl2_limit, sl2_principal,
                              su21_from_lambda)
+from kbranch.sl2_oracles import sl2_branching
 from kbranch.verify import _sl2_param_sets, random_su21_params
 
 GC = builtin_group("sl2r-compact")
@@ -557,6 +559,39 @@ def test_blattner_sl2_families_window_60():
         t = ktype_table(g, p, 60)
         assert t == ktype_table_series(g, p, 60)
         assert t.entries == box_table(g, p, 60, "partition").entries
+
+
+SL2XSL2 = load_group_data(Path(__file__).parent / "data" / "sl2xsl2.json")
+
+
+def test_sl2xsl2_tables_are_products_of_sl2_tables():
+    """SL(2,R) x SL(2,R) on its compact Cartan, Z' = Z/2 x Z/2 on two
+    generators: a pair of SL(2,R) families, chi the row (2 c1, 2 c2) of
+    their own characters c, has the product of their closed-form tables
+    with sign 1 by every evaluator, and each other chi is refused."""
+    g, window = SL2XSL2, 12
+    families = [(p, series) for _, gc, p, series in _sl2_param_sets()
+                if gc.name == "sl2r-compact" and series.n <= 4]
+    assert len(families) == 10
+    for (p1, s1), (p2, s2) in itertools.product(families, repeat=2):
+        (l1,), (l2,) = p1.lam.coords, p2.lam.coords
+        ((r1,),), ((r2,),) = [[a.coords for a in p.rmplus] for p in (p1, p2)]
+        lam, rmplus = g.tm_weight([l1, l2]), (g.tm_weight([r1, 0]),
+                                              g.tm_weight([0, r2]))
+        chi = g.hm.ztable.rows.index((2 * p1.chi, 2 * p2.chi))
+        want = KTypeTable(
+            {(a, b): m * n
+             for (a,), m in sl2_branching(s1, window).entries.items()
+             for (b,), n in sl2_branching(s2, window).entries.items()},
+            window, 1)
+        p = TemperedParams(lam, rmplus, chi, g.a_weight([]))
+        assert ktype_table(g, p, window) == want
+        for mode in ("partition", "series"):
+            assert box_table(g, p, window, mode) == want
+        for other in set(range(4)) - {chi}:
+            assert str(validate_params(g, p._replace(chi=other))) == (
+                "invalid: component character disagrees with the shifted "
+                "parameter on the torus overlap")
 
 
 def test_all_noncompact_su21_keeps_partition_table():

@@ -247,9 +247,15 @@ def test_coefficient_examples_and_cutoff_error():
 def test_zchar_table_group_structure():
     zt = ZCharTable(2, ((0,), (1,)))
     assert zt.identity == 0
-    assert zt.mul(1, 1) == 0
+    assert zt.products[1][1] == 0
     with pytest.raises(LatticeError):
         ZCharTable(2, ((0,), (0,)))
+    # Z/2 x Z/2 as order 4, its rows out of order: (0, 0) is row 2
+    zt = ZCharTable(4, ((2, 0), (0, 2), (0, 0), (2, 2)))
+    assert zt.identity == 2
+    assert zt.products == ((2, 3, 0, 1), (3, 2, 1, 0),
+                           (0, 1, 2, 3), (1, 0, 3, 2))
+    assert zt.index((6, -2)) == 3
 
 
 def test_zchar_table_index_is_built_once():
@@ -330,7 +336,7 @@ def test_char_mul_equals_the_full_product_truncated(lat):
         for (ca, za), ma in a.items():
             for (cb, zb), mb in b.items():
                 key = (tuple(x + y for x, y in zip(ca, cb)),
-                       lat.ztable.mul(za, zb))
+                       lat.ztable.products[za][zb])
                 full[key] = full.get(key, 0) + ma * mb
         prod = char_mul(a, b)
         if prod.cutoff is None:

@@ -19,6 +19,7 @@ from kbranch import branching, cli
 from kbranch.cli import MAX_WINDOW, main
 from kbranch.oscillator import MAX_GRID_POINTS
 from kbranch.groups import _BUILTIN_DIR
+from test_groups import GROUP_FILES
 
 DATA = Path(__file__).parent / "data"
 
@@ -360,6 +361,25 @@ def test_validate_shipped_files(capsys):
         assert code == 0
         assert f"valid: {name}" in out
         assert "ok: schema" in out
+
+
+# the loader's checks, in the order kbranch validate reports them
+VALIDATE_OK = (
+    "schema", "k negation closure", "k positive partition",
+    "k simple decomposition", "k Weyl closure", "m negation closure",
+    "m positive partition", "m simple decomposition", "m Weyl closure",
+    "compact partition parity", "restricted pointed cone", "zmprime table",
+    "zmprime integrality", "sign factor parity", "dims consistency",
+    "compact partition", "restriction integrality", "zmprime compatibility")
+
+
+@pytest.mark.parametrize("path", GROUP_FILES, ids=lambda path: path.stem)
+def test_validate_reports_every_check_in_order(capsys, path):
+    code, out, err = run(capsys, "validate", str(path))
+    name = json.loads(path.read_text())["name"]
+    assert (code, err) == (0, "")
+    assert out == "".join(f"ok: {c}\n" for c in VALIDATE_OK) + (
+        f"valid: {name}\n")
 
 
 def test_validate_nonclosed_roots_names_weyl_closure(tmp_path, capsys):

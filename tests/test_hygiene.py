@@ -334,3 +334,29 @@ def test_every_public_name_is_referenced():
 ])
 def test_unreferenced_names_are_found(source, unread):
     assert _unreferenced({"m": ast.parse(source)}) == unread
+
+
+def _attribute_reads(tree: ast.Module, attr: str) -> list[int]:
+    """The lines on which the source reads an attribute of this name."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Load) and n.attr == attr)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_characters_reads_the_z_row_index(path):
+    # Z' exponents name a character through ZCharTable.index alone
+    reads = _attribute_reads(ast.parse(path.read_text()), "index_of")
+    assert path.stem == "characters" or reads == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("t.index_of[r]", [1]),
+    ("x = 1\ni = g.hm.ztable.index_of", [2]),
+    ("f(t.index_of.get(r))", [1]),
+    ("t.index_of = {}", []),
+    ("index_of = {}\nindex_of[r]", []),
+    ("t.index(r)", []),
+])
+def test_attribute_reads_are_found(source, lines):
+    assert _attribute_reads(ast.parse(source), "index_of") == lines

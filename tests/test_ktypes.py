@@ -261,7 +261,7 @@ def test_central_translate_of_a_restriction(g):
     for hw in enumerate_ktypes(g, 3):
         c = rng.choice(central)
         rc, zc = matvec(g.tm_in_t, c), g.zchar(c)
-        moved = {(tuple(map(add, r, rc)), ztable.mul(z, zc)): m
+        moved = {(tuple(map(add, r, rc)), ztable.products[z][zc]): m
                  for (r, z), m in restrict_to_hm(g, hw).items()}
         assert restrict_to_hm(g, tuple(map(add, hw, c))) == moved
 

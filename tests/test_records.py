@@ -124,6 +124,8 @@ def test_a_group_hashes_by_its_name(load):
      "ragged character table"),
     (lambda: ZCharTable(2, ((0,), (2,))), LatticeError,
      "character exponent out of range"),
+    (lambda: ZCharTable(2, ((1, 0), (0, 1))), LatticeError,
+     "character table not closed under product"),
     (lambda: HMLattice(2, "t", (1, 1, 0)), LatticeError,
      "height covector has wrong rank"),
     (lambda: GridSpec(0.0, 0.1), GridError, "halfwidth must be positive"),
