@@ -68,12 +68,23 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, neg, sub
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .characters import (CutoffError, HMLattice, Weight, char_mul,
                          geometric_series, graded_exterior, partition_counts)
-from .groups import GroupDataError, RealGroupData, matvec, simple_roots
+from .groups import RealGroupData, matvec, simple_roots
 from .ktypes import KType, check_ktype, key_index, ktype_box
+
+# a table's caps: its window; the points (2w+1)^n of a box it scans, n the
+# rank for a box of K-types, the free coordinates for a torus fibre of
+# Blattner's walk (33^3 is the rank-3 box of window 16); its walk's lines
+MAX_WINDOW = 64
+MAX_BOX = 33 ** 3
+MAX_WALK_LINES = 10 ** 6
+
+
+class TableSizeError(ValueError):
+    """A table's window or scan is above its cap, refused before the work."""
 
 
 class InvalidParamsError(ValueError):
@@ -169,10 +180,7 @@ class KTypeTable(NamedTuple):
 
 
 def sign_factor(g: RealGroupData) -> int:
-    """(-1)^(dim s_M / 2); the dimension is even for valid data."""
-    if g.dim_s_m % 2 != 0:
-        raise GroupDataError("sign factor parity",
-                             f"s_M dimension {g.dim_s_m} is odd")
+    """(-1)^(dim s_M / 2); the loader refuses an odd dimension."""
     return -1 if (g.dim_s_m // 2) % 2 else 1
 
 
@@ -437,6 +445,7 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
     by d and the Z' character have period d * |Z'| along it and are tested
     once per residue, so every (n, w) reached adds det(w) at its mu.
     """
+    _check_scan(g, window, len(g.fibres.dirs), "fibre points per cone point")
     chamber, d = prep.chamber, g.fibres.d
     (base, zbase), ztable = prep.base, chamber.hm.ztable
     order, rank = ztable.order, g.k_roots.rank
@@ -454,6 +463,7 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
     period = d * order  # of divisibility and the Z' character along a line
 
     found: dict[tuple[int, ...], int] = {}
+    walked = 0  # the table's lines so far, over every term's walk
     for det, walk, state, _, plan in chamber.terms:
         # each earlier level's bounds are lowered by what the later variable
         # adds at most, its reach times its hi (an empty range walks none)
@@ -469,6 +479,11 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
         step = tuple([order * x for x in dcol])
         start = list(map(sub, matvec(walk, base), state))
         for line, lo, hi in _walk(start, levels):
+            walked += 1
+            if walked > MAX_WALK_LINES:
+                raise TableSizeError(
+                    f"{g.name}: window {window} would walk more than "
+                    f"{MAX_WALK_LINES} lines of Blattner's formula")
             dmu0, z0 = line[:rank], line[zs]
             for n in range(lo, min(hi, lo + period - 1) + 1):
                 dmu = list(map(add, dmu0, map(mul, dcol, repeat(n))))
@@ -485,15 +500,16 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
 
 
 def _walk(state: list[int], levels: Sequence[tuple]
-          ) -> list[tuple[list[int], int, int]]:
+          ) -> Iterator[tuple[list[int], int, int]]:
     """The lines (state at the last variable 0, lo, hi) of a walk over the
     levels (column, rows (i, s, c), lo, hi, bounds): lo..hi are the values n
     of the last variable with s * state[i] + n * c >= bound for every row.
     Each earlier variable steps through the values that meet its own rows,
-    adding its column to the state per unit step."""
-    lines, last = [], len(levels) - 1
+    adding its column to the state per unit step.  Lazy: a caller that
+    stops reading stops the walk."""
+    last = len(levels) - 1
 
-    def visit(k: int, state: list[int]) -> None:
+    def visit(k: int, state: list[int]) -> Iterator[tuple]:
         col, rows, lo, hi, bounds = levels[k]
         for (i, s, c), bound in zip(rows, bounds):
             slack = s * state[i] - bound  # slack + n * c >= 0
@@ -510,15 +526,14 @@ def _walk(state: list[int], levels: Sequence[tuple]
         if lo > hi:
             return
         if k == last:
-            lines.append((state, lo, hi))
+            yield state, lo, hi
             return
         state = [x + lo * y for x, y in zip(state, col)]
         for _ in range(lo, hi + 1):
-            visit(k + 1, state)
+            yield from visit(k + 1, state)
             state = list(map(add, state, col))
 
-    visit(0, state)
-    return lines
+    return visit(0, state)
 
 
 def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
@@ -548,6 +563,7 @@ def _box(g: RealGroupData, prep: ParamVerdict, window: int, mode: str
          ) -> list[_Row]:
     """The one path of every table over the window's box: one oracle's
     values scattered through the box's index, the nonzero rows kept."""
+    _check_scan(g, window, g.k_roots.rank, "K-types of the window's box")
     ktypes, index = ktype_box(g, window)
     top2 = window * prep.chamber.top_l1
     acc = _evaluate(prep, mode, index, top2)
@@ -557,6 +573,14 @@ def _box(g: RealGroupData, prep: ParamVerdict, window: int, mode: str
 def _check_window(window: int) -> None:
     if type(window) is not int or window < 0:
         raise ValueError(f"window must be a nonnegative int, not {window!r}")
+    if window > MAX_WINDOW:
+        raise TableSizeError(f"window {window} is above the cap of {MAX_WINDOW}")
+
+
+def _check_scan(g: RealGroupData, window: int, n: int, what: str) -> None:
+    if (scanned := (2 * window + 1) ** n) > MAX_BOX:
+        raise TableSizeError(f"{g.name}: window {window} would scan {scanned} "
+                             f"{what}; at most {MAX_BOX} are allowed")
 
 
 def _check_mode(mode: str) -> None:
@@ -580,8 +604,8 @@ _SPOT_CHECKS = 3
 
 def table_of(verdict: ParamVerdict, window: int) -> KTypeTable:
     """Multiplicities of every K-type in the window of what a
-    validate_params verdict judged; empty for a zero verdict, and
-    InvalidParamsError for an invalid one.
+    validate_params verdict judged; empty for a zero verdict,
+    InvalidParamsError for an invalid one, TableSizeError above a cap.
 
     Blattner's formula over the K-types the noncompact cone reaches where
     the group data allow it, else partition counts over the box; the
@@ -613,8 +637,7 @@ def table_of(verdict: ParamVerdict, window: int) -> KTypeTable:
 
 def ktype_table(g: RealGroupData, p: TemperedParams, window: int
                 ) -> KTypeTable:
-    """table_of(validate_params(g, p), window), the window checked first."""
-    _check_window(window)
+    """table_of(validate_params(g, p), window)."""
     return table_of(validate_params(g, p), window)
 
 

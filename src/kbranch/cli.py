@@ -14,8 +14,8 @@ import math
 import sys
 from pathlib import Path
 
-from .branching import (InvalidParamsError, KTypeTable, table_of,
-                        validate_params)
+from .branching import (MAX_WINDOW, InvalidParamsError, KTypeTable,
+                        TableSizeError, table_of, validate_params)
 from .groups import GroupDataError, builtin_group_names, data_dir, load_group_data
 from .presets import ParamSchemaError, resolve_params
 
@@ -24,13 +24,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_PARAMS = 2
 EXIT_IO = 3
 EXIT_SCHEMA = 4
-
-# size caps: the largest K-type window of `table`, and the most points,
-# (2w+1)^n, of a box `table` may scan: the K-types (n = rank) outside
-# Blattner's formula, each torus fibre (n free coordinates) inside it; 33^3
-# is the rank-3 box of window 16.  GridSpec caps the `verify dirac` grid
-MAX_WINDOW = 64
-MAX_BOX = 33 ** 3
 
 # the keys of verify.SUITES, sorted; verify itself loads only in cmd_verify
 SUITE_NAMES = ("dirac", "ring", "sl2", "su21")
@@ -106,17 +99,11 @@ def cmd_table(args) -> int:
         print(f"verdict: {verdict}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
 
-    side = 2 * args.window + 1
-    walked, what = (
-        (side ** len(g.fibres.free), "fibre points per cone point")
-        if g.blattner_applies else
-        (side ** g.k_roots.rank, "K-types outside Blattner's formula"))
-    if walked > MAX_BOX:
-        print(f"error: {g.name}: window {args.window} would scan {walked} "
-              f"{what}; at most {MAX_BOX} are allowed", file=sys.stderr)
+    try:  # branching caps the window and every scan of the table
+        table = table_of(verdict, args.window)
+    except TableSizeError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
-
-    table = table_of(verdict, args.window)
     payload = _table_payload(g.name, doc, table)
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

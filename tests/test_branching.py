@@ -9,13 +9,13 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from kbranch.branching import (InvalidParamsError, KTypeTable,
+from kbranch.branching import (InvalidParamsError, KTypeTable, TableSizeError,
                                TemperedParams, box_table, ktype_multiplicity,
                                ktype_table, ktype_table_series,
                                nu_independence_check, sign_factor, table_of,
@@ -882,7 +882,31 @@ def test_blattner_is_the_partition_box_on_every_chamber_of_a3(name, order):
         assert table == box_table(g, p, 5, "series").entries
 
 
-SL2XT3 = load_group_data(Path(__file__).parent / "data" / "sl2xt3.json")
+SO43 = load_group_data(Path(__file__).parent / "data" / "so43.json")
+
+
+def test_blattner_is_the_box_on_every_chamber_of_so43():
+    # B3 with its middle simple root noncompact: K = SU(2)^3, and the 6
+    # noncompact positives span rank 3, so the walk has 3 more count
+    # variables than the cone has dimensions.  lambda = w rho for each of
+    # the 48 w in W(B3), each a nonzero verdict
+    assert (len(SO43.k_weyl), SO43.blattner_applies) == (8, True)
+    chambers = 0
+    for perm in itertools.permutations((5, 3, 1)):
+        for signs in itertools.product((1, -1), repeat=3):
+            p = _chamber(SO43, list(map(mul, signs, perm)), 2)
+            assert validate_params(SO43, p).verdict == "nonzero"
+            chambers += 1
+            for window in range(5):
+                table = ktype_table(SO43, p, window).entries
+                assert table == box_table(SO43, p, window,
+                                          "partition").entries
+                assert window == 4 or table == box_table(
+                    SO43, p, window, "series").entries
+    assert chambers == 48
+
+
+SL2XT3 =load_group_data(Path(__file__).parent / "data" / "sl2xt3.json")
 
 
 @pytest.mark.parametrize("window", range(5))
@@ -1040,7 +1064,7 @@ def _count_walk(monkeypatch):
     walk, funnel = branching._walk, Counter()
 
     def counted(state, levels):
-        lines = walk(state, levels)
+        lines = list(walk(state, levels))
         funnel["lines"] += len(lines)
         funnel["points"] += sum(hi - lo + 1 for _, lo, hi in lines)
         return lines
@@ -1063,6 +1087,30 @@ def test_blattner_funnel_budget(monkeypatch, g, lam, window, lines, points):
     funnel = _count_walk(monkeypatch)
     assert ktype_table(g, _chamber(g, lam), window).entries
     assert funnel["lines"] <= lines and funnel["points"] <= points
+
+
+@pytest.mark.parametrize("window, walked", [(16, 20), (64, 51)])
+def test_a_walk_past_its_line_cap_is_refused(monkeypatch, window, walked):
+    # su21 [3, 1, -1] walks 20 lines at window 16 and 92 at window 64: with
+    # a cap of 50 the first is served, the second refused at line 51
+    walk, read = branching._walk, []
+
+    def counted(state, levels):
+        for line in walk(state, levels):
+            read.append(line)
+            yield line
+
+    monkeypatch.setattr(branching, "_walk", counted)
+    monkeypatch.setattr(branching, "MAX_WALK_LINES", 50)
+    p = _chamber(GU, [3, 1, -1])
+    if window == 16:
+        assert ktype_table(GU, p, window).entries
+    else:
+        with pytest.raises(TableSizeError) as e:
+            ktype_table(GU, p, window)
+        assert str(e.value) == ("su21: window 64 would walk more than 50 "
+                                "lines of Blattner's formula")
+    assert len(read) == walked
 
 
 def test_top_covector_once_per_chamber(monkeypatch):
@@ -1171,7 +1219,7 @@ def test_a_singular_parameter_gets_a_record_per_positive_system():
                for p, c in zip(params, (a, b)))
 
 
-@pytest.mark.parametrize("window", [-1, 2.5, True, "3"])
+@pytest.mark.parametrize("window", [-1, 2.5, True, "3", 65])
 @pytest.mark.parametrize("table", [
     ktype_table, lambda g, p, w: box_table(g, p, w, "partition")],
     ids=["ktype_table", "box_table"])

@@ -16,9 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 import kbranch
 from kbranch import branching, cli
+from kbranch.branching import TableSizeError
 from kbranch.cli import MAX_WINDOW, main
 from kbranch.oscillator import MAX_GRID_POINTS
-from kbranch.groups import _BUILTIN_DIR
+from kbranch.groups import _BUILTIN_DIR, load_group_data
+from kbranch.presets import resolve_params
 from test_groups import GROUP_FILES
 
 DATA = Path(__file__).parent / "data"
@@ -167,16 +169,48 @@ def test_fibre_box_above_cap_exits_2_before_table_work(capsys, monkeypatch):
             '{"lambda":[1],"rmplus":[[2]]}']
 
     def refuse(*args):
-        raise AssertionError("computed a table")
+        raise AssertionError("walked a fibre")
 
     with monkeypatch.context() as m:
-        m.setattr(cli, "table_of", refuse)
+        m.setattr(branching, "_walk", refuse)
         exits_2_with_empty_stdout(capsys, *argv, "--window", "17")
     code, out, _ = run(capsys, *argv, "--window", "2")
     assert code == 0
     # the lowest K-type (2, x, y, z), for each (x, y, z) in [-2, 2]^3
     assert parse_csv(out) == [(f"2 {x} {y} {z}", 1) for x in range(-2, 3)
                               for y in range(-2, 3) for z in range(-2, 3)]
+
+
+@pytest.mark.parametrize("name, params, table", [
+    ("sl2xt3", '{"lambda":[1],"rmplus":[[2]]}', branching.ktype_table),
+    ("su21-noncompact", '{"lambda":[3,1,-1]}',
+     lambda g, p, w: branching.box_table(g, p, w, "partition"))],
+    ids=["ktype_table", "box_table"])
+def test_library_refuses_a_scan_as_the_cli_does(capsys, monkeypatch, name,
+                                                params, table):
+    # the one refusal, made where the scan is planned: the CLI prints it
+    path = str(DATA / f"{name}.json")
+    code, out, err = run(capsys, "table", "--group", path, "--params", params,
+                         "--window", "17")
+    g = load_group_data(path)
+
+    def refuse(*args):
+        raise AssertionError("did table work")
+
+    monkeypatch.setattr(branching, "_walk", refuse)
+    monkeypatch.setattr(branching, "ktype_box", refuse)
+    with pytest.raises(TableSizeError) as e:
+        table(g, resolve_params(g, json.loads(params)), 17)
+    assert (code, out, err) == (2, "", f"error: {e.value}\n")
+
+
+def test_walk_above_line_cap_exits_2(capsys, monkeypatch):
+    # su21 [3, 1, -1] walks 92 lines of Blattner's formula at window 64
+    monkeypatch.setattr(branching, "MAX_WALK_LINES", 50)
+    code, out, err = run(capsys, "table", "--group", "su21", "--params",
+                         '{"lambda":[3,1,-1]}', "--window", "64")
+    assert (code, out, err) == (2, "", "error: su21: window 64 would walk "
+                                "more than 50 lines of Blattner's formula\n")
 
 
 def _match_digests(capsys, pinned_file, *group):
@@ -208,6 +242,14 @@ def test_window_8_a3_tables_match_their_digests(capsys, name):
     # W_K terms each read the fibres through their own signed permutation
     _match_digests(capsys, f"table_{name}_w8.sha256.json",
                    "--group", str(DATA / f"{name}.json"))
+
+
+def test_window_6_so43_tables_match_their_digests(capsys):
+    # the 48 chambers lambda = w rho of SO(4,3), 4,144 rows: 6 noncompact
+    # positives over a rank-3 cone, so most K-types are reached by many
+    # count vectors of each W_K term
+    _match_digests(capsys, "table_so43_w6.sha256.json",
+                   "--group", str(DATA / "so43.json"))
 
 
 def test_grid_above_cap_exits_2(capsys):

@@ -20,8 +20,8 @@ SP4R = Path(__file__).parent / "data" / "sp4r.json"
 GROUP_FILES = ([data_dir() / f"{name}.json"
                 for name in ("sl2r-compact", "sl2r-split", "su21")]
                + [SP4R.parent / f"{name}.json" for name in (
-                   "sl2xsl2", "sl2xt3", "sp4r", "su21-noncompact", "su22",
-                   "su31")])
+                   "sl2xsl2", "sl2xt3", "so43", "sp4r", "su21-noncompact",
+                   "su22", "su31")])
 
 
 def dot(a, b):

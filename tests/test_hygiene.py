@@ -350,6 +350,14 @@ def test_only_characters_reads_the_z_row_index(path):
     assert path.stem == "characters" or reads == []
 
 
+def test_cli_sizes_no_table():
+    # branching plans each scan of a table, and so sizes and caps it: the
+    # CLI reads none of what a scan's size depends on
+    tree = ast.parse((MODULES[0].parent / "cli.py").read_text())
+    assert [line for attr in ("blattner_applies", "fibres", "k_roots")
+            for line in _attribute_reads(tree, attr)] == []
+
+
 @pytest.mark.parametrize("source, lines", [
     ("t.index_of[r]", [1]),
     ("x = 1\ni = g.hm.ztable.index_of", [2]),
