@@ -123,7 +123,29 @@ class _Term(NamedTuple):
     levels: tuple[tuple[tuple, tuple, tuple], ...]
 
 
-class _ChamberFields(NamedTuple):
+class _Tables(dict):
+    """The one holder of a chamber's oracle tables, name -> (bound, table),
+    written by _table alone.  Every holder equals every other and hashes
+    the same, so a chamber compares and hashes by what Phi fixes."""
+
+    __slots__ = ()
+    __ne__ = object.__ne__  # not dict's: the negation of __eq__
+
+    def __eq__(self, other):
+        return isinstance(other, _Tables)
+
+    def __hash__(self):
+        return 0
+
+
+class Chamber(NamedTuple):
+    """What a positive system Phi of the Levi roots fixes for every
+    parameter tuple that names it (the chamber tier above), built once per
+    (group, Phi) by _chamber.  eps, terms, heights and shift_top plan
+    Blattner's walk, read off the group's W_K records, so that a call forms
+    only what its base moves; where the formula does not apply eps is 1,
+    shift_top 0 and terms empty."""
+
     hm: HMLattice                        # the Levi lattice graded by Phi
     compact: tuple[tuple[int, ...], ...]
     noncompact: tuple[tuple[int, ...], ...]
@@ -139,16 +161,7 @@ class _ChamberFields(NamedTuple):
     terms: tuple[_Term, ...]
     heights: tuple[int, ...]
     shift_top: int
-
-
-class Chamber(_ChamberFields):
-    """What a positive system Phi of the Levi roots fixes for every
-    parameter tuple that names it (the chamber tier above), built once per
-    (group, Phi) by _chamber.  The last four fields plan Blattner's walk,
-    read off the group's W_K records, so that a call forms only what its
-    base moves; where the formula does not apply eps is 1, shift_top 0 and
-    terms empty.  No __slots__: the oracles' tables (_table) live in
-    __dict__, outside the fields that compare and hash."""
+    tables: _Tables                      # the oracles' tables, by _table
 
 
 class ParamVerdict(NamedTuple):
@@ -277,7 +290,7 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
                    tuple(a for a in simple_roots(rmplus) if compact_of[a]),
                    tuple(map(sub, hv, rho2_c)), tuple(subsets), top,
                    sum(map(abs, top)), eps, terms, tuple(heights),
-                   max((t.height for t in terms), default=0))
+                   max((t.height for t in terms), default=0), _Tables())
 
 
 # ------------------------------------------------------------------ engine
@@ -304,9 +317,9 @@ _Row = tuple[tuple[int, ...], int]  # (highest-weight coordinates, m)
 def _table(chamber: Chamber, name: str, build, bound: int):
     """The chamber's table name, build(chamber, bound), rebuilt at exactly
     its own bound by a call that needs more."""
-    kept = vars(chamber).get(name)
+    kept = chamber.tables.get(name)
     if kept is None or kept[0] < bound:
-        kept = vars(chamber)[name] = bound, build(chamber, bound)
+        kept = chamber.tables[name] = bound, build(chamber, bound)
     return kept[1]
 
 
@@ -366,7 +379,7 @@ def _top_covector(g: RealGroupData, hv: tuple[int, ...]) -> tuple[int, ...]:
     point of the window's cube is a weight of a K-type in the window."""
     # the dominant one is highest: (u^T R^T hv, 2rho_K) = (hv, R u 2rho_K)
     u = max(g.k_weyl, key=lambda u: sum(map(mul, u.top, hv)))
-    return matvec(u.rw_t, hv)
+    return matvec(zip(*u.matrix), matvec(zip(*g.tm_in_t), hv))  # (R u)^T hv
 
 
 def _evaluate(prep: ParamVerdict, mode: str, index: Mapping[tuple, list],
@@ -413,14 +426,14 @@ def _walk_plan(g: RealGroupData, hv: tuple[int, ...],
     terms = []
     for w in g.k_weyl:
         shift = [(x - y) // 2 for x, y in zip(w.top, rho2_c)]
-        columns, levels = w.dirs + tuple([w.roots[b] for b in noncompact]), []
-        for k, col in enumerate(columns or ((0,) * width,)):
-            rows = tuple([(i, s, s * col[i]) for i, s in conditions])
-            levels.append((col, rows, tuple(
-                [abs(c) for _, _, c in rows] if k < len(w.dirs)
-                else [c if c > 0 else 0 for _, _, c in rows])))
+        columns = w.dirs + tuple([matvec(w.walk, b) for b in noncompact])
+        levels = tuple((col, rows, tuple(
+            [abs(c) for _, _, c in rows] if k < len(w.dirs)
+            else [c if c > 0 else 0 for _, _, c in rows]))
+            for k, col in enumerate(columns or ((0,) * width,))
+            for rows in [tuple([(i, s, s * col[i]) for i, s in conditions])])
         terms.append(_Term(w.det, w.walk, matvec(w.walk, shift),
-                           sum(map(mul, hv, shift)), tuple(levels)))
+                           sum(map(mul, hv, shift)), levels))
     return eps, tuple(terms)
 
 

@@ -76,6 +76,8 @@ def weight(coords: Iterable[int], lattice: str = "t", denom: int = 1) -> Weight:
 class _ZCharTableFields(NamedTuple):
     order: int
     rows: tuple[tuple[int, ...], ...]
+    products: tuple[tuple[int, ...], ...]
+    identity: int
 
 
 class ZCharTable(_ZCharTableFields):
@@ -83,11 +85,12 @@ class ZCharTable(_ZCharTableFields):
 
     Row entries are exponents e_j with value exp(2*pi*i*e_j/order) at the
     j-th generator.  Rows must form a group under componentwise addition
-    mod order, checked once here, where the row index, the identity and
-    the products (products[i][j], the index of row i + row j) are built;
-    row 0 need not be the trivial character.  No __slots__: what is built
-    lives in __dict__, outside the fields that compare and hash.
+    mod order, checked once here, where the identity's index and the
+    products (products[i][j], the index of row i + row j) are built from
+    (order, rows); row 0 need not be the trivial character.
     """
+
+    __slots__ = ()
 
     def __new__(cls, order, rows):
         if order < 1:
@@ -102,21 +105,19 @@ class ZCharTable(_ZCharTableFields):
                 raise LatticeError("ragged character table")
             if any(not (0 <= e < order) for e in r):
                 raise LatticeError("character exponent out of range")
-        self = tuple.__new__(cls, (order, rows))
-        self.index_of = {r: i for i, r in enumerate(rows)}
         try:  # closed and finite, so a group: the zero row is a sum
-            self.products = tuple(tuple(self.index(map(add, r, s))
-                                        for s in rows) for r in rows)
-        except KeyError:
+            products = tuple(tuple(rows.index(tuple([
+                (x + y) % order for x, y in zip(r, s)])) for s in rows)
+                for r in rows)
+        except ValueError:
             raise LatticeError("character table not closed under product"
                                ) from None
-        self.identity = self.index_of[(0,) * ngen]
-        return self
+        return tuple.__new__(cls, (order, rows, products,
+                                   rows.index((0,) * ngen)))
 
     def index(self, exponents: Iterable[int]) -> int:
-        """The index of the character with these exponents mod order;
-        KeyError if none has them."""
-        return self.index_of[tuple([e % self.order for e in exponents])]
+        """The row of these exponents mod order; ValueError if none."""
+        return self.rows.index(tuple([e % self.order for e in exponents]))
 
 
 TRIVIAL_Z = ZCharTable(order=1, rows=((),))

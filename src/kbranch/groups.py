@@ -10,8 +10,8 @@ lattices of T and T_M graded by the positive systems of K and of the Levi
 factor (with their 2rho), the compactness of each Levi root, the fibres of
 the torus restriction and of the dot products with K's simple roots,
 whether Blattner's formula applies, and one record per element w of the
-Weyl group of K (WeylTerm): w, w rho_K - rho_K, R w 2rho_K, (R w)^T and,
-where Blattner's formula applies, what its walk reads of w.  Roots are
+Weyl group of K (WeylTerm): w, w rho_K - rho_K, R w 2rho_K and, where
+Blattner's formula applies, what its walk reads of w.  Roots are
 integer coordinate tuples from the parse on, and every derivation is in
 integers: fibres by fraction-free elimination, v as integer fractions.
 Coordinates are, by convention, orthonormal for an invariant inner
@@ -82,7 +82,7 @@ def _reflect(gen: tuple, vectors: Sequence[Sequence[int]]) -> tuple:
 # the largest Weyl group loaded, |W(A_6)|: on a 2-CPU x86 host U(7) loads
 # in 1.4 s and SO(11) (|W(B_5)| = 3,840) in 0.6 s, building K's group alone
 _WEYL_CAP = 5_040
-# loading costs O(rank^2) and O(order^2) before any shape check can fail;
+# loading costs O(rank^2) and O(order^3) before any shape check can fail;
 # the shipped groups use ranks 1-3 and order 2
 _RANK_CAP, _ORDER_CAP = 8, 64
 
@@ -231,10 +231,8 @@ class WeylTerm(NamedTuple):
     det: int
     rho_shift: tuple[int, ...]           # w rho_K - rho_K
     top: tuple[int, ...]                 # R w 2rho_K
-    rw_t: tuple[tuple[int, ...], ...]    # (R w)^T, as rows
     walk: tuple[tuple[int, ...], ...]    # b -> its state, as rows
     dirs: tuple[tuple[int, ...], ...]    # the states of w^T dirs_f
-    roots: dict                          # noncompact root -> state
 
 
 class RealGroupData(NamedTuple):
@@ -292,7 +290,7 @@ class RealGroupData(NamedTuple):
 
     def zchar(self, coords: Sequence[int]) -> int:
         """Z' character index of the integral T-weight with these coordinates,
-        read through the table: KeyError if no row holds its values, which
+        read through the table: ValueError if no row holds its values, which
         the loader refuses for each basis weight (zmprime compatibility)."""
         return self.hm.ztable.index(matvec(self.zchar_rows, coords))
 
@@ -366,29 +364,28 @@ def _blattner_applies(g: RealGroupData,
                     for a in g.k_roots.roots))
 
 
-def _k_weyl(closure, rho2, tm_in_t, fibres: Fibres, probes: Sequence[tuple],
-            compact_of: dict) -> tuple[WeylTerm, ...]:
-    """One WeylTerm per (w, det w, w 2rho_K) of W_K's closure, 2rho_K =
-    rho2; the walk's pairings are with the probes, the simple K roots and,
-    where |Z'| > 1, the Z' rows."""
-    rank = len(tm_in_t)
-    width = len(rho2) + len(probes) + len(fibres.consistency)
+def _k_weyl(closure, rho2, tm_in_t, fibres: Fibres, probes: Sequence[tuple]
+            ) -> tuple[WeylTerm, ...]:
+    """One WeylTerm per (w, det w) of W_K's closure, 2rho_K = rho2; the
+    walk's pairings are with the probes, the simple K roots and, where
+    |Z'| > 1, the Z' rows."""
+    rank, width = len(tm_in_t), len(rho2) + len(probes) + len(fibres.consistency)
     # (vector before w^T, residue): a e_i per Levi coordinate, then dirs_f
     unmoved = [(matvec(fibres.a, e), matvec(fibres.consistency, e)) for e in (
         tuple(int(i == j) for j in range(rank)) for i in range(rank))]
     unmoved += [(v, (0,) * len(fibres.consistency)) for v in fibres.dirs]
     terms = []
-    for w, det, w_rho2 in closure:
-        wt = tuple(zip(*w))
+    for w, det in closure:
+        wt, w_rho2 = tuple(zip(*w)), matvec(w, rho2)
         states = [(*dmu, *matvec(probes, dmu), *res) for dmu, res in (
             (matvec(wt, v), res) for v, res in unmoved)]
         walk = tuple(tuple(s[j] for s in states[:rank]) for j in range(width))
+        # w 2rho_K - 2rho_K = 2 (the sum of w p over the positives p that w
+        # makes negative), as the positives split the +- pairs and w permutes
+        # the roots (checked at load as positive partition, Weyl closure)
         terms.append(WeylTerm(
             w, det, tuple((x - y) // 2 for x, y in zip(w_rho2, rho2)),
-            matvec(tm_in_t, w_rho2),
-            tuple(matvec(tm_in_t, col) for col in zip(*w)), walk,
-            tuple(states[rank:]), {b: matvec(walk, b) for b, compact
-                                   in compact_of.items() if not compact}))
+            matvec(tm_in_t, w_rho2), walk, tuple(states[rank:])))
     return tuple(terms)
 
 
@@ -451,14 +448,7 @@ def _build(doc: dict) -> RealGroupData:
         _parse_weight_list(_require(k, "positives", list), k_rank),
         _parse_weight_list(_require(k, "simples", list), k_rank))
     t_lattice = HMLattice.graded(k_rank, f"{name}:t", k_roots.positives)
-    rho2 = t_lattice.height_vec
-    closure = []  # (w, det, w 2rho_K), of the one closure built at load
-    for w, det in _validate_root_system(k_roots, "k", checklist, weyl_group):
-        w_rho2 = matvec(w, rho2)
-        if any((x - y) % 2 for x, y in zip(w_rho2, rho2)):
-            raise GroupDataError("Weyl closure", f"k: w rho - rho is not "
-                                                 f"integral for {w}")
-        closure.append((w, det, w_rho2))
+    closure = _validate_root_system(k_roots, "k", checklist, weyl_group)
 
     # ---- m root system with compact flags ----------------------------------
     m = doc["m"]
@@ -508,8 +498,7 @@ def _build(doc: dict) -> RealGroupData:
     gens_raw = _require(z, "generators", list)
     if order < 1:
         raise GroupDataError("zmprime table", "order must be >= 1")
-    per_gen_rows = []
-    vs = []
+    per_gen_rows, vs = [], []
     for g in gens_raw:
         if not isinstance(g, dict) or set(g) != {"v", "char_table_row"}:
             raise GroupDataError("schema",
@@ -521,28 +510,25 @@ def _build(doc: dict) -> RealGroupData:
             raise GroupDataError(
                 "zmprime table",
                 f"char_table_row must list {order} integer exponents")
-        per_gen_rows.append([e % order for e in row])
+        per_gen_rows.append(row)
         v = g["v"]
         if not isinstance(v, list) or len(v) != k_rank:
             raise GroupDataError("zmprime table",
                                  f"v must have {k_rank} rational entries")
         vs.append(tuple(_parse_rational(x, "zmprime table") for x in v))
-    rows = tuple(tuple(per_gen_rows[j][i] for j in range(len(gens_raw)))
-                 for i in range(order))
-    try:
-        ztable = ZCharTable(order, rows)
+    try:  # a row per character, an exponent per generator
+        ztable = ZCharTable(order, tuple(zip(*per_gen_rows)) or ((),) * order)
     except LatticeError as e:
         raise GroupDataError("zmprime table", str(e)) from e
     checklist.append("zmprime table")
 
     # generator values must be exact on the weight lattice
-    zchar_rows = []
     for j, v in enumerate(vs):
         if any(order * n % d for n, d in v):
             raise GroupDataError(
                 "zmprime compatibility",
                 f"generator {j} gives lattice weights inexact values")
-        zchar_rows.append(tuple(order * n // d for n, d in v))
+    zchar_rows = tuple(tuple(order * n // d for n, d in v) for v in vs)
     checklist.append("zmprime integrality")
 
     # descent to the small torus where the generator lies in it: w = a v / d
@@ -577,10 +563,10 @@ def _build(doc: dict) -> RealGroupData:
     fibres = Fibres.of(tm_in_t, k_rank)
     g = RealGroupData(
         name=name, k_roots=k_roots, m_roots=m_roots, dim_a=dim_a,
-        tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=tuple(zchar_rows), hm=hm,
+        tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=zchar_rows, hm=hm,
         t_lattice=t_lattice, dim_s_m=dim_s_m, checklist=(), compact_of=flag_of,
-        k_weyl=_k_weyl(closure, rho2, tm_in_t, fibres, k_roots.simples + (
-            tuple(zchar_rows) if order > 1 else ()), flag_of),
+        k_weyl=_k_weyl(closure, t_lattice.height_vec, tm_in_t, fibres,
+                       k_roots.simples + (zchar_rows if order > 1 else ())),
         fibres=fibres, k_pairings=Fibres.of(k_roots.simples, k_rank),
         blattner_applies=False, r_k_positives=frozenset(
             matvec(tm_in_t, a) for a in k_roots.positives))
@@ -610,7 +596,7 @@ def _build(doc: dict) -> RealGroupData:
     for i in range(k_rank):
         try:
             g.zchar(tuple(int(j == i) for j in range(k_rank)))
-        except KeyError:
+        except ValueError:
             raise GroupDataError("zmprime compatibility", f"basis weight {i} "
                                  "has Z' values in no table row") from None
     checklist.append("zmprime compatibility")

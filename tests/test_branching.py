@@ -795,7 +795,7 @@ def test_zchar_is_the_fraction_evaluation(doc):
         values = [order * sum(Fraction(c) * x for c, x in zip(mu, v))
                   for v in vs]
         assert all(x.denominator == 1 for x in values)
-        want = g.hm.ztable.index_of[tuple(int(x) % order for x in values)]
+        want = g.hm.ztable.rows.index(tuple(int(x) % order for x in values))
         assert g.zchar(mu) == want
 
 
@@ -1332,14 +1332,12 @@ def _plant(monkeypatch, defect, g):
     the last term, the later terms' shifts moved by a noncompact root, or
     the walk reading mu through w in place of w^T."""
     if defect == "w":
-        rho2 = g.t_lattice.height_vec
         wt = groups._k_weyl(
-            [(u, w.det, groups.matvec(u, rho2)) for w in g.k_weyl
-             for u in [tuple(zip(*w.matrix))]], rho2,
-            g.tm_in_t, g.fibres, g.k_roots.simples + (
-                g.zchar_rows if g.hm.ztable.order > 1 else ()), g.compact_of)
+            [(tuple(zip(*w.matrix)), w.det) for w in g.k_weyl],
+            g.t_lattice.height_vec, g.tm_in_t, g.fibres, g.k_roots.simples + (
+                g.zchar_rows if g.hm.ztable.order > 1 else ()))
         return g._replace(k_weyl=tuple(
-            w._replace(walk=t.walk, dirs=t.dirs, roots=t.roots)
+            w._replace(walk=t.walk, dirs=t.dirs)
             for w, t in zip(g.k_weyl, wt)))
     chamber = branching._chamber
 
@@ -1476,7 +1474,7 @@ def test_chamber_series_is_rebuilt_past_its_certificate(monkeypatch,
     builds = _record_builds(monkeypatch)["series"]
     small = ktype_table_series(GU, p, 2)
     record = validate_params(GU, p).chamber
-    cert, _ = vars(record)["series"][1]
+    cert, _ = record.tables["series"][1]
     assert builds == [((record,), cert)]
     assert ktype_table_series(GU, p, 6).entries.items() > small.entries.items()
     [bounds] = _grown(builds)
@@ -1484,8 +1482,8 @@ def test_chamber_series_is_rebuilt_past_its_certificate(monkeypatch,
     q = ktype_multiplicity(GU, p, KType(GU.t_weight([4, 2, -3])), "series")
     assert len(builds) == 2 and q == 1
     # a series one short of the cutoff it was built for
-    bound, (cutoff, terms) = vars(record)["series"]
-    vars(record)["series"] = bound, (cutoff - 1, terms)
+    bound, (cutoff, terms) = record.tables["series"]
+    record.tables["series"] = bound, (cutoff - 1, terms)
     with pytest.raises(CutoffError):
         ktype_table_series(GU, p, 6)
 

@@ -244,6 +244,19 @@ def test_coefficient_examples_and_cutoff_error():
         d3.coefficient(ch(SL2, [2 * (d3.cutoff + 1)]))
 
 
+def test_a_certificate_holds_no_term_above_it_and_truncation_keeps_it():
+    # e^4 has height 4 on SL2: a character certified to height 3 cannot
+    # hold it, and one certified to 4 cuts at 4 or below, never above
+    with pytest.raises(CutoffError) as e:
+        FormalCharacter(SL2, {ch(SL2, [4]): 1}, cutoff=3)
+    assert str(e.value) == "stored term above the cutoff certificate"
+    series = geometric_series(SL2, ALPHA, 4)
+    assert series.truncate(4) == series
+    with pytest.raises(CutoffError) as e:
+        series.truncate(5)
+    assert str(e.value) == "cannot extend a certificate by truncation"
+
+
 def test_zchar_table_group_structure():
     zt = ZCharTable(2, ((0,), (1,)))
     assert zt.identity == 0
@@ -259,9 +272,11 @@ def test_zchar_table_group_structure():
 
 
 def test_zchar_table_index_is_built_once():
+    # the identity and the products are fields, built with the table; a
+    # lookup reads the rows
     zt = ZCharTable(2, ((1,), (0,)))
-    assert zt.index_of is zt.index_of
-    assert zt.index_of == {(1,): 0, (0,): 1}
+    assert zt == (2, ((1,), (0,)), ((1, 0), (0, 1)), 1)
+    assert [zt.index([e]) for e in (-1, 0, 1, 2)] == [0, 1, 0, 1]
     assert zt.identity == 1
 
 

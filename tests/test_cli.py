@@ -324,6 +324,33 @@ def test_missing_group_exits_3(capsys):
     assert code == 3
 
 
+def test_unknown_group_name_exits_3(capsys):
+    code, out, err = run(capsys, "table", "--group", "no-such-group",
+                         "--params", "{}")
+    assert (code, out) == (3, "")
+    assert err == ("error: group 'no-such-group' is neither a file nor a "
+                   "builtin (builtins: ['sl2r-compact', 'sl2r-split', "
+                   "'su21'])\n")
+
+
+def test_params_document_that_is_no_object_exits_2(capsys):
+    code, out, err = run(capsys, "table", "--group", "su21", "--params", "[1]")
+    assert (code, out) == (2, "")
+    assert err == "error: parameter document must be a JSON object\n"
+
+
+def test_validate_out_of_range_exponent_exits_4(tmp_path, capsys):
+    # the table's exponents are read as written: one owner, ZCharTable,
+    # refuses what lies outside 0..order-1
+    doc = json.loads((_BUILTIN_DIR / "sl2r-compact.json").read_text())
+    doc["zmprime"]["generators"][0]["char_table_row"] = [4, -3]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (4, "")
+    assert err == "invalid: zmprime table: character exponent out of range\n"
+
+
 def test_verify_with_no_group_files_exits_3_without_a_traceback(tmp_path):
     # the suite's builtin groups are missing: an I/O failure, not a failed
     # verification, so exit 3 and one error line

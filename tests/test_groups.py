@@ -490,6 +490,9 @@ _SL2_GEN = {"v": ["1/2"], "char_table_row": [0, 1]}
      "restricted pointed cone", "no linear functional separates (2,)"),
     ("sl2r-compact", [("zmprime", "order", 0)], "zmprime table",
      "order must be >= 1"),
+    ("sl2r-compact", [("zmprime", "generators", 0, "char_table_row",
+                       [4, -3])],
+     "zmprime table", "character exponent out of range"),
     ("sl2r-compact", [("zmprime", "generators", 0, "v", ["1/2", 0])],
      "zmprime table", "v must have 1 rational entries"),
     ("sl2r-compact", [("zmprime", "generators", [
@@ -504,7 +507,8 @@ _SL2_GEN = {"v": ["1/2"], "char_table_row": [0, 1]}
     ids=["duplicate-roots", "zero-root", "both-signs-positive",
          "positives-short", "simple-not-positive", "dependent-simples",
          "top-level-list", "generator-keys", "flag-parity",
-         "flag-without-k-root", "unpointed-cone", "order-0", "v-length",
+         "flag-without-k-root", "unpointed-cone", "order-0",
+         "exponent-out-of-range", "v-length",
          "table-not-closed", "dims-a", "basis-weight-off-table"])
 def test_loader_refuses_each_broken_invariant(name, edits, invariant,
                                               message):

@@ -2,6 +2,7 @@
 module-level names nothing references."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -343,11 +344,38 @@ def _attribute_reads(tree: ast.Module, attr: str) -> list[int]:
                   and isinstance(n.ctx, ast.Load) and n.attr == attr)
 
 
+def _row_lookups(tree: ast.Module) -> list[int]:
+    """The lines on which the source reads the index method of a name or an
+    attribute called rows."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "index"
+                  and "rows" in (getattr(n.value, "attr", None),
+                                 getattr(n.value, "id", None)))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_only_characters_reads_the_z_row_index(path):
     # Z' exponents name a character through ZCharTable.index alone
-    reads = _attribute_reads(ast.parse(path.read_text()), "index_of")
+    reads = _row_lookups(ast.parse(path.read_text()))
     assert path.stem == "characters" or reads == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("t.rows.index(r)", [1]),
+    ("x = 1\ni = g.hm.ztable.rows.index", [2]),
+    ("rows.index(r)", [1]),
+    ("t.index(r)", []),
+    ("t.rows[i].index(r)", []),
+    ("t.rows.count(r)", []),
+])
+def test_row_lookups_are_found(source, lines):
+    assert _row_lookups(ast.parse(source)) == lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_reaches_into_an_instance_dict(path):
+    # a built record keeps all of its state in its fields
+    assert re.findall(r"\bvars\(|__dict__", path.read_text()) == []
 
 
 def test_cli_sizes_no_table():

@@ -124,6 +124,18 @@ def test_weight_multiplicities_su3_adjoint():
             assert all(m == 1 for w, m in table.items() if w != (0, 0, 0))
 
 
+def test_kostant_refuses_a_negative_multiplicity(monkeypatch):
+    # a planted defect: every partition count negated negates every
+    # multiplicity, and the highest weight's -1 is refused
+    partition_counts = ktypes.partition_counts
+    monkeypatch.setattr(ktypes, "partition_counts", lambda *args: {
+        t: -n for t, n in partition_counts(*args).items()})
+    with pytest.raises(ArithmeticError) as e:
+        ktypes._kostant(U2, (1, -1))
+    assert str(e.value).startswith(
+        "Kostant's formula gave multiplicity -1 at (1, -1)/1 - ")
+
+
 def test_weight_multiplicities_b2_adjoint():
     table = weight_multiplicities(B2, (1, 1))
     assert table == {(0, 0): 2, **{r: 1 for r in B2.k_roots.roots}}

@@ -273,6 +273,18 @@ def test_nd_explicit_2d_confirmation():
     assert oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5) == rep2
 
 
+@pytest.mark.parametrize("svd_tol, message", [
+    # the 1-D smallest value, 4.2e-8, in the band [1e-8, 1e-6]
+    (1e-7, "1-D oscillator report is inconclusive; cannot tensor"),
+    # 4.2e-8 below [5e-8, 5e-6], the 2-D value 5.94e-8 inside it
+    (5e-7, "explicit 2-D singular values fall in the tolerance band"),
+])
+def test_nd_band_values_are_inconclusive(svd_tol, message):
+    with pytest.raises(InconclusiveKernelError) as e:
+        oscillator_nd(2, GridSpec(6.0, 0.1), svd_tol)
+    assert str(e.value) == message
+
+
 def test_nd_singular_values_are_residuals():
     # ||A v|| / ||v|| of the Ritz vector, not sqrt of its eigenvalue of
     # A^T A, which stops near 7.7e-8 at scale 2

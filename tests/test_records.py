@@ -28,7 +28,8 @@ def _params(g):
 # each frozen record, built from scratch on every call, with its fields
 FROZEN = {
     "Weight": (lambda: weight((1, -2), "t"), ("coords", "lattice", "denom")),
-    "ZCharTable": (lambda: ZCharTable(2, ((0,), (1,))), ("order", "rows")),
+    "ZCharTable": (lambda: ZCharTable(2, ((0,), (1,))),
+                   ("order", "rows", "products", "identity")),
     "HMLattice": (lambda: HMLattice(2, "t", (1, 1)),
                   ("rank", "lattice", "height_vec", "ztable")),
     "RootSystem": (lambda: builtin_group("su21").k_roots,
@@ -46,7 +47,8 @@ FROZEN = {
     "Chamber": (lambda: branching._chamber.__wrapped__(
                     GU, tuple(r.coords for r in _params(GU).rmplus)),
                 ("hm", "compact", "noncompact", "compact_simples",
-                 "rho2_n", "subsets", "top", "eps", "terms", "heights")),
+                 "rho2_n", "subsets", "top", "top_l1", "eps", "terms",
+                 "heights", "shift_top", "tables")),
     "KType": (lambda: KType(weight((2, 0, -1), "t")), ("highest",)),
     "GridSpec": (lambda: GridSpec(6.0, 0.1), ("halfwidth", "step")),
     "SL2Series": (lambda: SL2Series("discrete_plus", 3), ("kind", "n")),
@@ -72,6 +74,32 @@ def test_frozen_records_refuse_assignment(name):
         with pytest.raises(AttributeError):
             setattr(rec, f, value)
         assert getattr(rec, f) is value
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_records_keep_nothing_outside_their_fields(name):
+    make, _ = FROZEN[name]
+    rec = make()
+    with pytest.raises(TypeError):
+        vars(rec)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    assert not hasattr(rec, "extra")
+
+
+def test_a_grown_chamber_equals_a_cold_one():
+    # the oracles' tables a chamber holds take no part in == and hash
+    p = _params(GU)
+    chamber = validate_params(GU, p).chamber
+    branching.ktype_table(GU, p, 6)  # the partition table, by spot check
+    branching.box_table(GU, p, 4, "series")
+    assert sorted(chamber.tables) == ["partition", "series"]
+    cold = branching._chamber.__wrapped__(
+        GU, tuple(r.coords for r in p.rmplus))
+    assert len(cold.tables) == 0 and chamber.tables != dict(chamber.tables)
+    assert chamber == cold and not chamber != cold
+    assert hash(chamber) == hash(cold)
+    assert chamber.tables == cold.tables and not chamber.tables != cold.tables
 
 
 @pytest.mark.parametrize("name", FROZEN)

@@ -27,6 +27,12 @@ def test_principal_nonspherical_example():
     assert t.sign == 1
 
 
+def test_negative_window_is_refused():
+    with pytest.raises(ValueError) as e:
+        sl2_branching(SL2Series("discrete_plus", 1), -1)
+    assert str(e.value) == "window must be nonnegative"
+
+
 def test_kind_validation():
     with pytest.raises(ValueError):
         SL2Series("discrete_plus", 0)
