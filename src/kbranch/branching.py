@@ -297,13 +297,9 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
 
 def _prepare(verdict: ParamVerdict, zero_ok: bool = False
              ) -> Optional[ParamVerdict]:
-    """verdict if nonzero: it carries what every K-type shares.  Raises
-    InvalidParamsError unless it is nonzero; with zero_ok, zero gives None.
-
-    Heights are measured against the parameters' own positive system, which
-    need not be the one declared in the group file: the infinite series
-    live in the cone it spans.
-    """
+    """verdict if nonzero: its chamber and base key are what every K-type
+    shares.  Raises InvalidParamsError unless it is nonzero; with zero_ok,
+    zero gives None."""
     if verdict.verdict == "zero" and zero_ok:
         return None
     if verdict.verdict != "nonzero":
@@ -406,17 +402,13 @@ def _walk_plan(g: RealGroupData, hv: tuple[int, ...],
     positive system Phi graded by hv, its compact positives Phi_c summing to
     rho2_c.  R maps the K roots one-to-one onto the compact roots, so R w_Phi
     rho_K = rho_c, det(w_Phi) = (-1)^#(Phi_c outside the group's R K^+) and
-    shift_w = R(w rho_K) - rho_c = (R w 2rho_K - 2rho_c) / 2 (ArithmeticError
-    if odd).  Each walk variable (w^T dirs_f, then the noncompact positives;
-    a zero column if none) has a level: its column's state, the rows (i, s,
-    s col[i]) of the conditions s state[i] >= bound, and its reach per unit
-    of its hi: |s col[i]| on a free coordinate, max(s col[i], 0) on a count.
+    shift_w = R(w rho_K) - rho_c = (R w 2rho_K - 2rho_c) / 2.  Each walk
+    variable (w^T dirs_f, then the noncompact positives; a zero column if
+    none) has a level: its column's state, the rows (i, s, s col[i]) of the
+    conditions s state[i] >= bound, and its reach per unit of its hi:
+    |s col[i]| on a free coordinate, max(s col[i], 0) on a count.
     """
     eps = (-1) ** sum(c not in g.r_k_positives for c in compact)
-    # one parity for every w: R w 2rho_K - R 2rho_K = 2 R(w rho_K - rho_K)
-    c2 = list(map(sub, g.k_weyl[0].top, rho2_c))
-    if any(x % 2 for x in c2):
-        raise ArithmeticError(f"2 (R w rho_K - rho_c) = {c2} is odd")
     rank, width = g.k_roots.rank, len(g.k_weyl[0].walk)
     # the conditions' (i, s): both signs of each entry of d mu and of each
     # consistency residue, the state's last, and each pairing
@@ -425,6 +417,9 @@ def _walk_plan(g: RealGroupData, hv: tuple[int, ...],
                   or i >= cons or s == 1 and i < rank + len(g.k_roots.simples)]
     terms = []
     for w in g.k_weyl:
+        # exact: R w 2rho_K - R 2rho_K = 2 R(w rho_K - rho_K), and R 2rho_K
+        # and 2rho_c sum R K^+ and Phi_c, each one root of every compact
+        # pair +-a, so differ by twice the sum of R K^+ outside Phi_c
         shift = [(x - y) // 2 for x, y in zip(w.top, rho2_c)]
         columns = w.dirs + tuple([matvec(w.walk, b) for b in noncompact])
         levels = tuple((col, rows, tuple(

@@ -30,7 +30,8 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import add, mul
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .characters import HMLattice, LatticeError, Weight, ZCharTable, weight
 
@@ -254,7 +255,7 @@ class RealGroupData(NamedTuple):
     dim_s_m: int
     checklist: tuple[str, ...]
     # derived at load; 2rho_K is t_lattice.height_vec
-    compact_of: dict[tuple[int, ...], bool]  # Levi root -> compact flag
+    compact_of: Mapping[tuple[int, ...], bool]  # Levi root -> compact flag
     k_weyl: tuple[WeylTerm, ...]
     fibres: Fibres                           # R x = b, read by one integer map
     k_pairings: Fibres                       # S x = p, S the simple K roots
@@ -496,8 +497,6 @@ def _build(doc: dict) -> RealGroupData:
     z = doc["zmprime"]
     order = _require(z, "order", int, cap=_ORDER_CAP)
     gens_raw = _require(z, "generators", list)
-    if order < 1:
-        raise GroupDataError("zmprime table", "order must be >= 1")
     per_gen_rows, vs = [], []
     for g in gens_raw:
         if not isinstance(g, dict) or set(g) != {"v", "char_table_row"}:
@@ -505,8 +504,7 @@ def _build(doc: dict) -> RealGroupData:
                                  "each generator needs exactly v and "
                                  "char_table_row")
         row = g["char_table_row"]
-        if (not isinstance(row, list) or len(row) != order
-                or not all(type(e) is int for e in row)):
+        if not isinstance(row, list) or not all(type(e) is int for e in row):
             raise GroupDataError(
                 "zmprime table",
                 f"char_table_row must list {order} integer exponents")
@@ -517,7 +515,12 @@ def _build(doc: dict) -> RealGroupData:
                                  f"v must have {k_rank} rational entries")
         vs.append(tuple(_parse_rational(x, "zmprime table") for x in v))
     try:  # a row per character, an exponent per generator
-        ztable = ZCharTable(order, tuple(zip(*per_gen_rows)) or ((),) * order)
+        rows = tuple(zip(*per_gen_rows, strict=True)) or ((),) * order
+    except ValueError:
+        raise GroupDataError("zmprime table", "generators' char_table_rows "
+                             "differ in length") from None
+    try:  # the order and the row count are ZCharTable's to check
+        ztable = ZCharTable(order, rows)
     except LatticeError as e:
         raise GroupDataError("zmprime table", str(e)) from e
     checklist.append("zmprime table")
@@ -564,7 +567,8 @@ def _build(doc: dict) -> RealGroupData:
     g = RealGroupData(
         name=name, k_roots=k_roots, m_roots=m_roots, dim_a=dim_a,
         tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=zchar_rows, hm=hm,
-        t_lattice=t_lattice, dim_s_m=dim_s_m, checklist=(), compact_of=flag_of,
+        t_lattice=t_lattice, dim_s_m=dim_s_m, checklist=(),
+        compact_of=MappingProxyType(flag_of),  # read-only, as the record is
         k_weyl=_k_weyl(closure, t_lattice.height_vec, tm_in_t, fibres,
                        k_roots.simples + (zchar_rows if order > 1 else ())),
         fibres=fibres, k_pairings=Fibres.of(k_roots.simples, k_rank),

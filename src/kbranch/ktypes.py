@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .characters import LatticeError, Weight, partition_counts
 from .groups import RealGroupData, matvec
@@ -144,8 +145,10 @@ def key_index(g: RealGroupData, hws: Iterable[tuple[int, ...]]
 
 
 @lru_cache(maxsize=4)
-def ktype_box(g: RealGroupData, window: int) -> tuple[tuple, dict]:
+def ktype_box(g: RealGroupData, window: int) -> tuple[tuple, Mapping]:
     """The box of a window, built once per (group, window): its dominant
-    K-types in lexicographic order and their key_index."""
+    K-types in lexicographic order and their key_index, read-only with
+    tuple entries, as every later call shares it."""
     ktypes = tuple(enumerate_ktypes(g, window))
-    return ktypes, key_index(g, ktypes)
+    return ktypes, MappingProxyType(
+        {key: tuple(rows) for key, rows in key_index(g, ktypes).items()})

@@ -40,6 +40,8 @@ from .oscillator import (GridSpec, InconclusiveKernelError, cylinder_table,
                          oscillator_1d, oscillator_nd)
 from .sl2_oracles import SL2Series, oracle_match, sl2_branching
 
+_SEED = 20260811  # the one seed of every suite's samplers
+
 
 class Check(NamedTuple):
     name: str
@@ -69,14 +71,13 @@ def _sl2_param_sets():
                                  ("minus", "principal_nonspherical"))])
 
 
-def suite_sl2(window: int = 60, nu_samples: int = 100,
-              seed: int = 20260811) -> list[Check]:
+def suite_sl2() -> list[Check]:
     gs = builtin_group("sl2r-split")
     families = _sl2_param_sets()
     checks = []
 
     for label, g, p, series in families:
-        t = ktype_table(g, p, window)
+        t = ktype_table(g, p, 60)
         rep = oracle_match(t, series)
         checks.append(_check(f"sl2 {label} matches oracle", rep.ok,
                              "empty diff", f"{len(rep.diffs)} diffs"))
@@ -84,13 +85,13 @@ def suite_sl2(window: int = 60, nu_samples: int = 100,
         checks.append(_check(f"sl2 {label} sign", t.sign == sign, sign,
                              t.sign))
 
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     ok = all(nu_independence_check(
         gs, presets.sl2_principal(gs, rng.choice(["plus", "minus"])),
         gs.a_weight([rng.randint(-50, 50)]),
-        gs.a_weight([rng.randint(-50, 50)]), 20) for _ in range(nu_samples))
-    checks.append(_check(f"sl2 nu independence ({nu_samples} random pairs)",
-                         ok, "identical tables", "identical" if ok else "diverged"))
+        gs.a_weight([rng.randint(-50, 50)]), 20) for _ in range(100))
+    checks.append(_check("sl2 nu independence (100 random pairs)", ok,
+                         "identical tables", "identical" if ok else "diverged"))
 
     # support completeness: engine supports over all families tile the oracle
     engine_support = {k for _, g, p, _ in families
@@ -169,8 +170,7 @@ def su21_table_offender(gu, rng, samples: int):
     return None
 
 
-def suite_su21(samples: int = 50, queries: int = 200,
-               seed: int = 20260811) -> list[Check]:
+def suite_su21() -> list[Check]:
     gc = builtin_group("sl2r-compact")
     gu = builtin_group("su21")
     checks = []
@@ -185,16 +185,15 @@ def suite_su21(samples: int = 50, queries: int = 200,
     checks.append(_check("mode equivalence sl2 exhaustive window 60", ok,
                          "series == partition", "agree" if ok else "disagree"))
 
-    rng = random.Random(seed)
-    ok = su21_queries_agree(gu, rng, queries)
-    checks.append(_check(f"mode equivalence su21 ({queries} random queries)",
-                         ok, "series == partition",
-                         "agree" if ok else "disagree"))
+    rng = random.Random(_SEED)
+    ok = su21_queries_agree(gu, rng, 200)
+    checks.append(_check("mode equivalence su21 (200 random queries)", ok,
+                         "series == partition", "agree" if ok else "disagree"))
 
     # multiplicity-free expectation, falsifiable with a reproducer
-    offender = su21_table_offender(gu, rng, samples)
+    offender = su21_table_offender(gu, rng, 50)
     checks.append(_check(
-        f"su21 multiplicity-free + mode-equivalent ({samples} tables)",
+        "su21 multiplicity-free + mode-equivalent (50 tables)",
         offender is None, "all multiplicities <= 1",
         "ok" if offender is None else
         f"violated: lam={offender[0].lam.coords} {offender[1]}"))
@@ -223,15 +222,16 @@ def deformation_scales(grid: GridSpec, svd_tol: float) -> list:
                       for f in (1.0, 2.0, 4.0))]
 
 
-def suite_dirac(grid: GridSpec = GridSpec(8.0, 0.05),
+def suite_dirac(grid_L: float = 8.0, grid_h: float = 0.05,
                 svd_tol: float = 1e-6) -> list[Check]:
-    """Checks read from `deformation_scales(grid, svd_tol)`, except the 2-D
-    check: it ignores both and runs on GridSpec(6, 0.1) at svd_tol 1e-5, as
-    its smallest singular value, the residual 5.94e-8 (the truncation error
-    at L = 6), lies 1.23 decades below the band at 1e-5, only 0.23 below
-    [1e-7, 1e-5] at the default 1e-6."""
+    """Checks read from deformation_scales on GridSpec(grid_L, grid_h),
+    checked first (GridError), at svd_tol, except the 2-D check: it ignores
+    all three and runs on GridSpec(6, 0.1) at svd_tol 1e-5, as its smallest
+    singular value, the residual 5.94e-8 (the truncation error at L = 6),
+    lies 1.23 decades below the band at 1e-5, only 0.23 below [1e-7, 1e-5]
+    at the default 1e-6."""
     checks = []
-    scales = deformation_scales(grid, svd_tol)
+    scales = deformation_scales(GridSpec(grid_L, grid_h), svd_tol)
 
     rep, diffs = scales[0]
     dims = (rep.kernel_dim_even, rep.kernel_dim_odd)
@@ -269,7 +269,7 @@ def suite_dirac(grid: GridSpec = GridSpec(8.0, 0.05),
     return checks
 
 
-def suite_ring(seed: int = 20260811) -> list[Check]:
+def suite_ring() -> list[Check]:
     checks = []
     gc = builtin_group("sl2r-compact")
     gu = builtin_group("su21")
@@ -288,7 +288,7 @@ def suite_ring(seed: int = 20260811) -> list[Check]:
                          "trivial character", "ok" if ok else "broken"))
 
     # partition counts equal truncated-series coefficients
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     ok = True
     betas = gu.noncompact_positives()
     H = 12
@@ -341,7 +341,7 @@ SUITES = {
 
 
 def run_suite(name: str, **kwargs) -> dict:
-    """Run a named suite and return a JSON-ready report."""
+    """Run a named suite (kwargs: dirac's) and return a JSON-ready report."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     checks = SUITES[name](**kwargs)

@@ -1014,13 +1014,6 @@ def test_blattner_terms_are_the_searched_terms():
     assert signs["sl2xt3", 1] and len(signs) > 10
 
 
-def test_blattner_terms_refuse_a_half_integral_constant():
-    # without its compact positive, rho_c moves by half the root (1, -1, 0);
-    # the constant is the positive system's, checked as its record is built
-    with pytest.raises(ArithmeticError, match="is odd"):
-        branching._walk_plan(GU, GU.hm.height_vec, (), (), (0, 0, 0))
-
-
 def test_blattner_partition_calls_track_rows(monkeypatch):
     # the one partition table is the spot check's, over its three rows
     partition_counts, evaluate = branching.partition_counts, branching._evaluate

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import kbranch
 from kbranch import branching, cli
-from kbranch.branching import TableSizeError
-from kbranch.cli import MAX_WINDOW, main
+from kbranch.branching import MAX_WINDOW, TableSizeError
+from kbranch.cli import main
 from kbranch.oscillator import MAX_GRID_POINTS
 from kbranch.groups import _BUILTIN_DIR, load_group_data
 from kbranch.presets import resolve_params
@@ -141,9 +141,22 @@ def exits_2_with_empty_stdout(capsys, *argv):
 
 
 def test_window_above_cap_exits_2(capsys):
-    exits_2_with_empty_stdout(
-        capsys, "table", "--group", "su21", "--params", '{"lambda":[3,1,-1]}',
-        "--window", str(MAX_WINDOW + 1))
+    # branching's refusal, printed after the group and the parameters pass
+    code, out, err = run(capsys, "table", "--group", "su21", "--params",
+                         '{"lambda":[3,1,-1]}', "--window",
+                         str(MAX_WINDOW + 1))
+    assert (code, out, err) == (2, "", f"error: window {MAX_WINDOW + 1} is "
+                                f"above the cap of {MAX_WINDOW}\n")
+
+
+def test_window_above_cap_is_checked_after_the_group(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    code, out, err = run(capsys, "table", "--group", str(bad), "--params",
+                         '{"lambda":[3,1,-1]}', "--window",
+                         str(MAX_WINDOW + 1))
+    assert (code, out, err) == (4, "", "error: schema: top level must be an "
+                                "object\n")
 
 
 def test_box_above_cap_exits_2_without_scanning(capsys, monkeypatch):
@@ -603,6 +616,25 @@ def test_validate_rank_above_cap_exits_4(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(bad))
     assert (code, out) == (4, "")
     assert "invalid: size cap" in err
+
+
+@pytest.mark.parametrize("argv, forwarded", [
+    ((), {}), (("--svd-tol", "1"), {"svd_tol": 1.0}),
+    (("--grid-h", "0.025", "--grid-L", "12"),
+     {"grid_L": 12.0, "grid_h": 0.025})])
+def test_verify_dirac_forwards_only_the_flags_set(capsys, monkeypatch, argv,
+                                                  forwarded):
+    # verify holds the defaults of verify dirac: the CLI adds none of its own
+    from kbranch import verify
+    calls = []
+
+    def recorded(name, **kwargs):
+        calls.append((name, kwargs))
+        return {"suite": name, "pass": True, "checks": []}
+
+    monkeypatch.setattr(verify, "run_suite", recorded)
+    code, _, err = run(capsys, "verify", "dirac", *argv)
+    assert (code, err, calls) == (0, "", [("dirac", forwarded)])
 
 
 def test_verify_dirac_inconclusive_kernel_fails_cleanly(capsys):

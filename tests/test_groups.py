@@ -489,7 +489,13 @@ _SL2_GEN = {"v": ["1/2"], "char_table_row": [0, 1]}
     ("sl2r-split", [("restricted", "positives", [[2], [-2]])],
      "restricted pointed cone", "no linear functional separates (2,)"),
     ("sl2r-compact", [("zmprime", "order", 0)], "zmprime table",
-     "order must be >= 1"),
+     "group order must be >= 1"),
+    ("sl2r-compact", [("zmprime", "generators", 0, "char_table_row",
+                       [0, 1, 0])],
+     "zmprime table", "expected 2 characters, got 3"),
+    ("sl2r-compact", [("zmprime", "generators", [
+        _SL2_GEN, {"v": ["1/2"], "char_table_row": [0]}])],
+     "zmprime table", "generators' char_table_rows differ in length"),
     ("sl2r-compact", [("zmprime", "generators", 0, "char_table_row",
                        [4, -3])],
      "zmprime table", "character exponent out of range"),
@@ -507,7 +513,8 @@ _SL2_GEN = {"v": ["1/2"], "char_table_row": [0, 1]}
     ids=["duplicate-roots", "zero-root", "both-signs-positive",
          "positives-short", "simple-not-positive", "dependent-simples",
          "top-level-list", "generator-keys", "flag-parity",
-         "flag-without-k-root", "unpointed-cone", "order-0",
+         "flag-without-k-root", "unpointed-cone", "order-0", "row-count",
+         "ragged-rows",
          "exponent-out-of-range", "v-length",
          "table-not-closed", "dims-a", "basis-weight-off-table"])
 def test_loader_refuses_each_broken_invariant(name, edits, invariant,

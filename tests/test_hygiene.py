@@ -2,6 +2,7 @@
 module-level names nothing references."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -384,6 +385,40 @@ def test_cli_sizes_no_table():
     tree = ast.parse((MODULES[0].parent / "cli.py").read_text())
     assert [line for attr in ("blattner_applies", "fibres", "k_roots")
             for line in _attribute_reads(tree, attr)] == []
+
+
+def _named_caps_and_numbers(tree: ast.Module) -> tuple[list, set]:
+    """The MAX_* names the source reads, imports or binds, and its numeric
+    literals."""
+    names = [getattr(n, "id", None) or getattr(n, "attr", None) or n.name
+             for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute, ast.alias))]
+    return ([n for n in names if n.split(".")[-1].startswith("MAX_")],
+            {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+             and type(n.value) in (int, float)})
+
+
+def test_cli_names_no_cap_and_no_dirac_default():
+    # branching owns every cap of a table and verify the defaults of verify
+    # dirac: the CLI parses and prints, deciding neither
+    from kbranch.verify import suite_dirac
+    caps, numbers = _named_caps_and_numbers(
+        ast.parse((MODULES[0].parent / "cli.py").read_text()))
+    defaults = [p.default for p in
+                inspect.signature(suite_dirac).parameters.values()]
+    assert defaults == [8.0, 0.05, 1e-6]
+    assert caps == [] and numbers.isdisjoint(defaults)
+
+
+@pytest.mark.parametrize("source, caps, numbers", [
+    ("from .branching import MAX_WINDOW", ["MAX_WINDOW"], set()),
+    ("import m\nm.MAX_BOX + 1", ["MAX_BOX"], {1}),
+    ("MAX_X = 2", ["MAX_X"], {2}),
+    ("f(8.0, h=0.05, tol=1e-6)", [], {8.0, 0.05, 1e-6}),
+    ("x = 'MAX_WINDOW'  # 8.0", [], set()),
+])
+def test_caps_and_numbers_are_found(source, caps, numbers):
+    assert _named_caps_and_numbers(ast.parse(source)) == (caps, numbers)
 
 
 @pytest.mark.parametrize("source, lines", [

@@ -250,7 +250,26 @@ def test_batch_restriction_is_the_per_weight_definition(g):
             inverted.setdefault(key, []).append((row, m))
     box, index = ktypes.ktype_box(g, 3)
     assert box == tuple(kts)
-    assert index == inverted
+    assert index == {key: tuple(rows) for key, rows in inverted.items()}
+
+
+def test_a_caller_cannot_change_the_box_a_later_table_reads():
+    # every later table of the window reads the box ktype_box keeps
+    from kbranch.branching import box_table
+    from kbranch.presets import su21_from_lambda
+    g = builtin_group("su21")
+    p = su21_from_lambda(g, [3, 1, -1])
+    ktypes.ktype_box.cache_clear()
+    box, index = ktypes.ktype_box(g, 6)
+    want = box_table(g, p, 6, "series")
+    key, rows = next(iter(index.items()))
+    for change in (lambda: index.clear(), lambda: index.__setitem__(key, ()),
+                   lambda: index.pop(key), lambda: rows.append((0, 1)),
+                   lambda: box.append(())):
+        with pytest.raises((AttributeError, TypeError)):
+            change()
+    assert ktypes.ktype_box(g, 6)[1] is index
+    assert box_table(g, p, 6, "series") == want and len(want.entries) == 8
 
 
 def _central(g, bound):

@@ -126,6 +126,16 @@ def test_records_with_different_fields_differ():
     assert KTypeTable({(1,): 1}, 3, -1) != KTypeTable({(1,): 1}, 3, 1)
 
 
+def test_a_group_refuses_item_assignment_to_its_compact_flags():
+    # every chamber built later from the group reads the flags
+    g = builtin_group("su21")
+    root, flag = next(iter(g.compact_of.items()))
+    with pytest.raises(TypeError):
+        g.compact_of[root] = not flag
+    assert g.compact_of[root] is flag and g == builtin_group("su21")
+    assert g.compact_of == dict(g.compact_of)
+
+
 @pytest.mark.parametrize("load", [
     lambda: builtin_group("su21"), lambda: builtin_group("sl2r-split"),
     lambda: load_group_data(DATA / "sp4r.json")])

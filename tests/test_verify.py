@@ -1,5 +1,5 @@
-"""Verification suites end to end (reduced sampling where it only
-repeats the acceptance gate)."""
+"""Verification suites end to end, each the fixed workload that
+`kbranch verify` runs."""
 
 from kbranch import oscillator, verify
 from kbranch.oscillator import InconclusiveKernelError
@@ -12,11 +12,11 @@ def _assert_all_pass(report):
 
 
 def test_suite_sl2():
-    _assert_all_pass(run_suite("sl2", window=30, nu_samples=10))
+    _assert_all_pass(run_suite("sl2"))
 
 
-def test_suite_su21_reduced():
-    _assert_all_pass(run_suite("su21", samples=8, queries=40))
+def test_suite_su21():
+    _assert_all_pass(run_suite("su21"))
 
 
 def test_suite_dirac(monkeypatch):
