@@ -295,16 +295,12 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
 
 # ------------------------------------------------------------------ engine
 
-def _prepare(verdict: ParamVerdict, zero_ok: bool = False
-             ) -> Optional[ParamVerdict]:
-    """verdict if nonzero: its chamber and base key are what every K-type
-    shares.  Raises InvalidParamsError unless it is nonzero; with zero_ok,
-    zero gives None."""
-    if verdict.verdict == "zero" and zero_ok:
-        return None
-    if verdict.verdict != "nonzero":
+def _prepare(verdict: ParamVerdict) -> Optional[ParamVerdict]:
+    """The one gate of every evaluator: verdict if nonzero, None if zero
+    (the zero representation), InvalidParamsError if invalid."""
+    if verdict.verdict == "invalid":
         raise InvalidParamsError(verdict)
-    return verdict
+    return verdict if verdict.verdict == "nonzero" else None
 
 
 _Row = tuple[tuple[int, ...], int]  # (highest-weight coordinates, m)
@@ -547,13 +543,15 @@ def _walk(state: list[int], levels: Sequence[tuple]
 def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
                        mode: str = "partition") -> int:
     """Multiplicity of one K-type by one oracle, "series" or "partition";
-    the two must agree.  The one conversion of a KType: its highest weight
-    is checked (an integral weight of T by HMLattice.char, dominant by
-    check_ktype) and passed on as coordinates."""
+    the two must agree; 0 for a zero verdict.  The one conversion of a
+    KType: its highest weight is checked (an integral weight of T by
+    HMLattice.char, dominant by check_ktype) and passed on as coordinates."""
     _check_mode(mode)
     prep = _prepare(validate_params(g, p))
     hw, _ = g.t_lattice.char(kt.highest)
     check_ktype(g, hw)
+    if prep is None:
+        return 0
     return _evaluate(prep, mode, key_index(g, [hw]),
                      sum(map(mul, hw, prep.chamber.top))).get(0, 0)
 
@@ -602,7 +600,7 @@ def box_table(g: RealGroupData, p: TemperedParams, window: int,
     for zero verdicts."""
     _check_window(window)
     _check_mode(mode)
-    prep = _prepare(validate_params(g, p), zero_ok=True)
+    prep = _prepare(validate_params(g, p))
     rows = [] if prep is None else _box(g, prep, window, mode)
     return KTypeTable(dict(rows), window, sign_factor(g))
 
@@ -623,7 +621,7 @@ def table_of(verdict: ParamVerdict, window: int) -> KTypeTable:
     table's sign field records the index sign.
     """
     _check_window(window)
-    g, prep = verdict.group, _prepare(verdict, zero_ok=True)
+    g, prep = verdict.group, _prepare(verdict)
     if prep is None:
         return KTypeTable({}, window, sign_factor(g))
     evaluator, oracle = (("blattner", "partition") if g.blattner_applies

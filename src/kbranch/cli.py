@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .branching import KTypeTable, TableSizeError, table_of, validate_params
-from .groups import GroupDataError, builtin_group_names, data_dir, load_group_data
+from .groups import GroupDataError, builtin_group, load_group_data
 from .presets import ParamSchemaError, resolve_params
 
 EXIT_OK = 0
@@ -32,12 +32,7 @@ def _load_group(spec: str):
     path = Path(spec)
     if path.suffix == ".json" or path.exists():
         return load_group_data(path)
-    builtin = data_dir() / f"{spec}.json"
-    if builtin.exists():
-        return load_group_data(builtin)
-    raise FileNotFoundError(
-        f"group {spec!r} is neither a file nor a builtin "
-        f"(builtins: {builtin_group_names()})")
+    return builtin_group(spec)
 
 
 def _table_payload(group: str, params_doc: dict, table: KTypeTable) -> dict:
@@ -71,8 +66,6 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def cmd_table(args) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .branching import KTypeTable
+from .branching import KTypeTable, _check_window
 
 KINDS = ("discrete_plus", "discrete_minus", "limit_plus", "limit_minus",
          "principal_spherical", "principal_nonspherical")
@@ -45,8 +45,7 @@ class SL2Series(_SL2SeriesFields):
 
 def sl2_branching(s: SL2Series, window: int) -> KTypeTable:
     """Exact closed-form table of all K-weights with |weight| <= window."""
-    if window < 0:
-        raise ValueError("window must be nonnegative")
+    _check_window(window)
     if s.kind == "discrete_plus":
         support = range(s.n + 1, window + 1, 2)
         sign = -1

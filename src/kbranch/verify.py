@@ -15,10 +15,10 @@ Four suites, each a list of named checks with expected/actual values:
     ring  -- formal-character ring laws, the defining inverse identity and
              partition-vs-series agreement, of counts and of tables.
 
-Each workload has one implementation, shared with the acceptance tests:
-the fourteen SL(2,R) families, the su21 query and table samplers, and
-deformation_scales, one 1-D oscillator report per scale.  The partition
-oracle over the window's box is box_table(g, p, window, "partition").
+Each suite is one fixed workload, whose report the acceptance tests read;
+they share the su21 table sampler for the one criterion that draws tables
+of its own.  The partition oracle over the window's box is box_table(g, p,
+window, "partition").
 """
 
 from __future__ import annotations
@@ -145,16 +145,6 @@ def random_su21_params(g, rng, scale: int = 4) -> TemperedParams:
             return p
 
 
-def su21_queries_agree(gu, rng, queries: int) -> bool:
-    """Sample su21 parameters and K-types of window 6: the partition and
-    series oracles must agree on each."""
-    ktypes6, _ = ktype_box(gu, 6)
-    drawn = ((random_su21_params(gu, rng),
-              KType(gu.t_weight(rng.choice(ktypes6)))) for _ in range(queries))
-    return all(ktype_multiplicity(gu, p, kt, "partition")
-               == ktype_multiplicity(gu, p, kt, "series") for p, kt in drawn)
-
-
 def su21_table_offender(gu, rng, samples: int):
     """Sample su21 parameters and their window-6 tables: each table must
     equal its series table and be multiplicity-free.  The first offender
@@ -185,8 +175,13 @@ def suite_su21() -> list[Check]:
     checks.append(_check("mode equivalence sl2 exhaustive window 60", ok,
                          "series == partition", "agree" if ok else "disagree"))
 
+    # sampled parameters and K-types of window 6: the oracles agree on each
     rng = random.Random(_SEED)
-    ok = su21_queries_agree(gu, rng, 200)
+    ktypes6, _ = ktype_box(gu, 6)
+    drawn = ((random_su21_params(gu, rng),
+              KType(gu.t_weight(rng.choice(ktypes6)))) for _ in range(200))
+    ok = all(ktype_multiplicity(gu, p, kt, "partition")
+             == ktype_multiplicity(gu, p, kt, "series") for p, kt in drawn)
     checks.append(_check("mode equivalence su21 (200 random queries)", ok,
                          "series == partition", "agree" if ok else "disagree"))
 
@@ -214,24 +209,19 @@ def _cylinder_diffs(rep, parity: str, kind: str):
     return len(oracle_match(t, SL2Series(kind)).diffs)
 
 
-def deformation_scales(grid: GridSpec, svd_tol: float) -> list:
-    """(1-D kernel report, its (even, odd) cylinder diff counts) at each
-    potential scale f in {1, 2, 4}."""
-    return [(r, tuple(_cylinder_diffs(r, *c) for c in _CYLINDERS))
-            for r in (oscillator_1d(grid, svd_tol, potential_scale=f)
-                      for f in (1.0, 2.0, 4.0))]
-
-
 def suite_dirac(grid_L: float = 8.0, grid_h: float = 0.05,
                 svd_tol: float = 1e-6) -> list[Check]:
-    """Checks read from deformation_scales on GridSpec(grid_L, grid_h),
-    checked first (GridError), at svd_tol, except the 2-D check: it ignores
-    all three and runs on GridSpec(6, 0.1) at svd_tol 1e-5, as its smallest
-    singular value, the residual 5.94e-8 (the truncation error at L = 6),
-    lies 1.23 decades below the band at 1e-5, only 0.23 below [1e-7, 1e-5]
-    at the default 1e-6."""
-    checks = []
-    scales = deformation_scales(GridSpec(grid_L, grid_h), svd_tol)
+    """Checks read from the 1-D kernel report at each potential scale f in
+    {1, 2, 4} and the (even, odd) cylinder diff counts read from it, on
+    GridSpec(grid_L, grid_h), checked first (GridError), at svd_tol, except
+    the 2-D check: it ignores all three and runs on GridSpec(6, 0.1) at
+    svd_tol 1e-5, as its smallest singular value, the residual 5.94e-8 (the
+    truncation error at L = 6), lies 1.23 decades below the band at 1e-5,
+    only 0.23 below [1e-7, 1e-5] at the default 1e-6."""
+    checks, grid = [], GridSpec(grid_L, grid_h)
+    scales = [(r, tuple(_cylinder_diffs(r, *c) for c in _CYLINDERS))
+              for r in (oscillator_1d(grid, svd_tol, potential_scale=f)
+                        for f in (1.0, 2.0, 4.0))]
 
     rep, diffs = scales[0]
     dims = (rep.kernel_dim_even, rep.kernel_dim_odd)
@@ -296,10 +286,9 @@ def suite_ring() -> list[Check]:
     series = char_mul(series, geometric_series(gu.hm, betas[1], H))
     for _ in range(200):
         n1, n2 = rng.randint(0, 4), rng.randint(0, 4)
+        # doubled heights 4 n1 + 2 n2 <= 24 = 2H: within the series' cutoff
         key = (tuple(n1 * x + n2 * y for x, y in zip(betas[0], betas[1])),
                gu.hm.ztable.identity)
-        if gu.hm.key_height2(key) > 2 * series.cutoff:
-            continue
         got = kostant_partition(key[0], betas, gu.hm)
         want = series.coefficient(key)
         if got != want:

@@ -28,7 +28,7 @@ from kbranch.groups import (_BUILTIN_DIR, GroupDataError, builtin_group,
 from kbranch.ktypes import KType, key_index
 from kbranch.presets import (sl2_discrete, sl2_limit, sl2_principal,
                              su21_from_lambda)
-from kbranch.sl2_oracles import sl2_branching
+from kbranch.sl2_oracles import SL2Series, sl2_branching
 from kbranch.verify import _sl2_param_sets, random_su21_params
 
 GC = builtin_group("sl2r-compact")
@@ -305,11 +305,22 @@ def test_multiplicity_trivial_group():
     assert ktype_multiplicity(g, p, KType(g.t_weight([]))) == 1
 
 
-def test_multiplicity_requires_nonzero_verdict():
-    p = su21_from_lambda(GU, [2, 2, -1], rmplus=[[1, -1, 0], [1, 0, -1],
-                                                 [0, 1, -1]])
+def test_a_zero_verdict_has_multiplicity_0_at_every_ktype():
+    # a zero verdict is the zero representation, so every evaluator reads
+    # it as multiplicity 0: ktype_multiplicity at each K-type as the box
+    # tables do over the window, in both modes
+    assert validate_params(GU, _ZERO).verdict == "zero"
+    kts = [KType(GU.t_weight(hw)) for hw in ktypes.enumerate_ktypes(GU, 4)]
+    for mode in ("partition", "series"):
+        assert box_table(GU, _ZERO, 4, mode).entries == {}
+        assert {ktype_multiplicity(GU, _ZERO, kt, mode) for kt in kts} == {0}
+    # a K-type check_ktype refuses is refused still, and invalid parameters
+    # before it
+    bad = KType(GU.t_weight([0, 1, 0]))
+    with pytest.raises(LatticeError, match="not a dominant integral weight"):
+        ktype_multiplicity(GU, _ZERO, bad)
     with pytest.raises(InvalidParamsError):
-        ktype_multiplicity(GU, p, KType(GU.t_weight([0, 0, 0])))
+        ktype_multiplicity(GU, _ZERO._replace(chi=1), bad)
 
 
 # ------------------------------------------------------------------ tables
@@ -1214,16 +1225,23 @@ def test_a_singular_parameter_gets_a_record_per_positive_system():
 
 @pytest.mark.parametrize("window", [-1, 2.5, True, "3", 65])
 @pytest.mark.parametrize("table", [
-    ktype_table, lambda g, p, w: box_table(g, p, w, "partition")],
-    ids=["ktype_table", "box_table"])
+    ktype_table, lambda g, p, w: box_table(g, p, w, "partition"),
+    lambda g, p, w: sl2_branching(SL2Series("discrete_plus", 1), w)],
+    ids=["ktype_table", "box_table", "sl2_branching"])
 def test_window_must_be_a_nonnegative_int(monkeypatch, table, window):
+    # one owner, _check_window, refuses a window for the engine's tables and
+    # the closed-form SL(2,R) oracle alike, with the same messages
     def refuse(*args, **kwargs):
         raise AssertionError("prepared before the window was checked")
 
     p = su21_from_lambda(GU, [3, 1, -1])
     monkeypatch.setattr(branching, "_prepare", refuse)
-    with pytest.raises(ValueError, match="window"):
+    error, message = ((TableSizeError, "window 65 is above the cap of 64")
+                      if window == 65 else (ValueError, "window must be a "
+                                            f"nonnegative int, not {window!r}"))
+    with pytest.raises(error) as e:
         table(GU, p, window)
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize("lam", [[3, 1, -1], [2, 2, -1]],

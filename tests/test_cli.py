@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kbranch
-from kbranch import branching, cli
+from kbranch import branching, cli, verify
 from kbranch.branching import MAX_WINDOW, TableSizeError
 from kbranch.cli import main
 from kbranch.oscillator import MAX_GRID_POINTS
-from kbranch.groups import _BUILTIN_DIR, load_group_data
+from kbranch.groups import _BUILTIN_DIR, data_dir, load_group_data
 from kbranch.presets import resolve_params
 from test_groups import GROUP_FILES
 
@@ -341,9 +341,20 @@ def test_unknown_group_name_exits_3(capsys):
     code, out, err = run(capsys, "table", "--group", "no-such-group",
                          "--params", "{}")
     assert (code, out) == (3, "")
-    assert err == ("error: group 'no-such-group' is neither a file nor a "
-                   "builtin (builtins: ['sl2r-compact', 'sl2r-split', "
-                   "'su21'])\n")
+    assert err == (f"error: no builtin group 'no-such-group' in {data_dir()} "
+                   "(available: ['sl2r-compact', 'sl2r-split', 'su21'])\n")
+
+
+def test_a_missing_builtin_is_worded_once(tmp_path, monkeypatch, capsys):
+    # groups.builtin_group words the refusal, whichever command names the
+    # group: an unknown --group, and a suite's group missing from the data
+    monkeypatch.setenv("KTYPE_DATA_DIR", str(tmp_path))
+    missing = (f"error: no builtin group {{!r}} in {tmp_path} "
+               "(available: [])\n")
+    assert run(capsys, "table", "--group", "no-such-group", "--params",
+               "{}") == (3, "", missing.format("no-such-group"))
+    assert run(capsys, "verify", "sl2") == (3, "",
+                                            missing.format("sl2r-split"))
 
 
 def test_params_document_that_is_no_object_exits_2(capsys):
@@ -597,7 +608,6 @@ def test_cli_table_and_validate_leave_numpy_and_verify_unloaded():
 
 
 def test_suite_names_are_the_verify_suites(capsys):
-    from kbranch import verify
     assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nosuch"])
@@ -625,7 +635,6 @@ def test_validate_rank_above_cap_exits_4(tmp_path, capsys):
 def test_verify_dirac_forwards_only_the_flags_set(capsys, monkeypatch, argv,
                                                   forwarded):
     # verify holds the defaults of verify dirac: the CLI adds none of its own
-    from kbranch import verify
     calls = []
 
     def recorded(name, **kwargs):
@@ -669,19 +678,27 @@ def test_verify_dirac_inconclusive_kernel_fails_cleanly(capsys):
     ("table_su21-noncompact_w4.csv", 0,
      ("table", "--group", str(DATA / "su21-noncompact.json"), "--params",
       '{"lambda":[3,1,-1]}', "--window", "4", "--format", "csv"))])
-def test_verify_dirac_stdout_matches_golden_bytes(capsys, golden, code, argv):
+def test_verify_dirac_stdout_matches_golden_bytes(capsys, monkeypatch,
+                                                 suite_run, golden, code,
+                                                 argv):
     # each verify file is named verify_<suite>[_<flags>].json, and its argv
     # holds the flags; the dirac reports were written by whole-matrix SVDs,
-    # an independent 1-D solver.  Each table file holds the stdout of its
+    # an independent 1-D solver.  A suite with no flags prints the report of
+    # the session's one run of it.  Each table file holds the stdout of its
     # whole argv: Blattner's formula on su21 and on an Sp(4,R) chamber, and
     # the box fallback of a group outside it
     want = (DATA / golden).read_bytes()
     if golden.startswith("verify_"):
+        if not argv:
+            monkeypatch.setattr(verify, "run_suite",
+                                lambda name: suite_run(name).report)
         argv = ("verify", Path(golden).stem.split("_")[1], *argv)
     assert run(capsys, *argv) == (code, want.decode(), "")
 
 
-def test_verify_ring_passes(capsys):
+def test_verify_ring_passes(capsys, monkeypatch, suite_run):
+    monkeypatch.setattr(verify, "run_suite",
+                        lambda name: suite_run(name).report)
     code, out, _ = run(capsys, "verify", "ring")
     assert code == 0
     doc = json.loads(out)

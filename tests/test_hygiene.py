@@ -431,3 +431,64 @@ def test_caps_and_numbers_are_found(source, caps, numbers):
 ])
 def test_attribute_reads_are_found(source, lines):
     assert _attribute_reads(ast.parse(source), "index_of") == lines
+
+
+def test_cli_resolves_no_group_name():
+    # groups.builtin_group looks a builtin up and words its refusal: the CLI
+    # neither reads the data directory nor lists the builtins itself
+    tree = ast.parse((MODULES[0].parent / "cli.py").read_text())
+    names = {getattr(n, "id", None) or getattr(n, "attr", None) or n.name
+             for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+    assert names.isdisjoint({"data_dir", "builtin_group_names"})
+
+
+_WINDOW = re.compile(r"(^|_)window$")
+
+
+def _window_refusals(tree: ast.Module) -> list[str]:
+    """The functions that raise under an if whose test compares a window: a
+    name or attribute called window or ending in _window."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in _scope_code(func):
+            if not isinstance(node, ast.If) or not any(
+                    isinstance(n, ast.Raise) for stmt in node.body
+                    for n in ast.walk(stmt)):
+                continue
+            compared = {getattr(n, "id", None) or getattr(n, "attr", None)
+                        for c in ast.walk(node.test)
+                        if isinstance(c, ast.Compare) for n in ast.walk(c)}
+            if any(_WINDOW.search(n) for n in compared if n):
+                found.append(func.name)
+                break
+    return found
+
+
+def test_branching_alone_refuses_a_window():
+    # branching._check_window refuses every window of a table, the SL(2,R)
+    # oracle's too; the one check left outside is the cylinder's weight
+    # window, oscillator._check_cylinder
+    refusals = {p.stem: _window_refusals(ast.parse(p.read_text()))
+                for p in MODULES if p.stem != "branching"}
+    assert {m: f for m, f in refusals.items() if f} == {
+        "oscillator": ["_check_cylinder"]}
+
+
+@pytest.mark.parametrize("source, funcs", [
+    ("def f(window):\n    if window < 0:\n        raise ValueError", ["f"]),
+    ("def f(w):\n    if type(w.weight_window) is not int:\n"
+     "        raise ValueError", ["f"]),
+    ("def f(window):\n    if window < 0:\n        return None", []),
+    ("def f(out_of_window):\n    if out_of_window:\n        raise ValueError",
+     []),
+    ("def f(windows):\n    if windows < 0:\n        raise ValueError", []),
+    ("def f(window):\n    if window < 0:\n        pass\n"
+     "    else:\n        raise ValueError", []),
+    ("def f(n):\n    def g(window):\n        if window > 64:\n"
+     "            raise ValueError\n    return g", ["g"]),
+])
+def test_window_refusals_are_found(source, funcs):
+    assert _window_refusals(ast.parse(source)) == funcs

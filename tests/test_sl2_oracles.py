@@ -30,7 +30,7 @@ def test_principal_nonspherical_example():
 def test_negative_window_is_refused():
     with pytest.raises(ValueError) as e:
         sl2_branching(SL2Series("discrete_plus", 1), -1)
-    assert str(e.value) == "window must be nonnegative"
+    assert str(e.value) == "window must be a nonnegative int, not -1"
 
 
 def test_kind_validation():

@@ -1,7 +1,7 @@
 """Verification suites end to end, each the fixed workload that
-`kbranch verify` runs."""
+`kbranch verify` runs, read from the session's one run of it."""
 
-from kbranch import oscillator, verify
+from kbranch import verify
 from kbranch.oscillator import InconclusiveKernelError
 from kbranch.verify import run_suite
 
@@ -11,28 +11,20 @@ def _assert_all_pass(report):
     assert report["pass"] and not failed, f"failed checks: {failed}"
 
 
-def test_suite_sl2():
-    _assert_all_pass(run_suite("sl2"))
+def test_suite_sl2(suite_run):
+    _assert_all_pass(suite_run("sl2").report)
 
 
-def test_suite_su21():
-    _assert_all_pass(run_suite("su21"))
+def test_suite_su21(suite_run):
+    _assert_all_pass(suite_run("su21").report)
 
 
-def test_suite_dirac(monkeypatch):
+def test_suite_dirac(suite_run):
     # one 1-D kernel solve per scale f in {1, 2, 4}, and one inside the 2-D
     # check
-    calls = []
-    solve = oscillator.oscillator_1d
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(oscillator, "oscillator_1d", counted)
-    monkeypatch.setattr(verify, "oscillator_1d", counted)
-    _assert_all_pass(run_suite("dirac"))
-    assert len(calls) == 4
+    run = suite_run("dirac")
+    _assert_all_pass(run.report)
+    assert run.solves == 4
 
 
 def test_suite_dirac_reports_inconclusive_kernels(monkeypatch):
@@ -52,8 +44,8 @@ def test_suite_dirac_reports_inconclusive_kernels(monkeypatch):
         "deformation scaling f in {1,2,4} stable": "inconclusive"}
 
 
-def test_suite_ring():
-    _assert_all_pass(run_suite("ring"))
+def test_suite_ring(suite_run):
+    _assert_all_pass(suite_run("ring").report)
 
 
 def test_unknown_suite_rejected():
