@@ -647,14 +647,6 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int
     return table_of(validate_params(g, p), window)
 
 
-def nu_independence_check(g: RealGroupData, p: TemperedParams,
-                          nu1: Weight, nu2: Weight, window: int) -> bool:
-    """True iff the table is unchanged when the continuous parameter moves."""
-    t1 = ktype_table(g, p._replace(nu=nu1), window)
-    t2 = ktype_table(g, p._replace(nu=nu2), window)
-    return t1 == t2
-
-
 def ktype_table_series(g: RealGroupData, p: TemperedParams, window: int,
                        restrictions: Optional[dict] = None) -> KTypeTable:
     """The series oracle's box table; restrictions is not used, as

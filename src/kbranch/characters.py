@@ -2,9 +2,9 @@
 
 Roots and weights are integer coordinate tuples in a fixed lattice basis.
 Weight, the public type of parameters and K-types, labels a tuple with its
-lattice and a denominator (1, or 2 for half-integer parameters); its
-lattice, rank and denominator are checked once, where it comes in, and it
-has no arithmetic: the engine adds coordinate tuples.  Formal
+lattice and a denominator (1, or 2 for half-integer parameters, reduced
+when it is built); its lattice and rank are checked once, where it comes
+in, and it has no arithmetic: the engine adds coordinate tuples.  Formal
 characters are finitely supported integer combinations of characters
 of a compact abelian group H = (torus T) x (finite abelian Z), keyed by
 (torus coordinates, Z index), possibly truncated to a height window with an
@@ -47,30 +47,26 @@ class Weight(_WeightFields):
     """Integer vector in a lattice basis; value is coords/denom.
 
     denom is 1 or 2: half-integer weights (rho-shifts) live in the doubled
-    lattice.  Construct via weight() to keep denom reduced.
+    lattice.  Construction keeps the invariants: coords become a tuple of
+    integers, and a halved tuple of even coordinates is reduced to denom 1,
+    so equal values compare and hash equal.
     """
 
     __slots__ = ()
 
     def __new__(cls, coords, lattice="t", denom=1):
+        coords = tuple(coords)
         if type(denom) is not int or denom not in (1, 2):
             raise LatticeError(f"denom must be 1 or 2, got {denom!r}")
         if not {int}.issuperset(map(type, coords)):  # no bools
             raise LatticeError(f"coordinates {coords!r} are not integers")
+        if denom == 2 and not any(c % 2 for c in coords):
+            coords, denom = tuple([c // 2 for c in coords]), 1
         return tuple.__new__(cls, (coords, lattice, denom))
 
     @property
     def rank(self) -> int:
         return len(self.coords)
-
-
-def weight(coords: Iterable[int], lattice: str = "t", denom: int = 1) -> Weight:
-    """Build a Weight with the denominator reduced."""
-    coords = tuple(coords)
-    if denom == 2 and all(c % 2 == 0 for c in coords):
-        coords = tuple(c // 2 for c in coords)
-        denom = 1
-    return Weight(coords, lattice, denom)
 
 
 class _ZCharTableFields(NamedTuple):
@@ -366,10 +362,3 @@ def partition_counts(roots: Sequence[tuple[int, ...]], hm: HMLattice,
         counts = grown
     return counts
 
-
-def kostant_partition(target: tuple[int, ...],
-                      roots: Sequence[tuple[int, ...]], hm: HMLattice) -> int:
-    """Number of ways to write target as a nonnegative sum of the roots:
-    its entry in the partition_counts table cut at its own height."""
-    return partition_counts(roots, hm, sum(map(mul, target, hm.height_vec))
-                            ).get(target, 0)

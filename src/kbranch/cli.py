@@ -170,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", help="compute a K-type multiplicity table")
     t.add_argument("--group", required=True,
-                   help="builtin name (sl2r-compact, sl2r-split, su21) or a "
-                        "group-data file path")
+                   help="builtin group name or group-data file path")
     t.add_argument("--params", required=True,
                    help="JSON parameter document (friendly or raw)")
     t.add_argument("--window", type=_window, default=10,

@@ -33,7 +33,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .characters import HMLattice, LatticeError, Weight, ZCharTable, weight
+from .characters import HMLattice, LatticeError, Weight, ZCharTable
 
 DATA_ENV_VAR = "KTYPE_DATA_DIR"
 _BUILTIN_DIR = Path(__file__).parent / "data"
@@ -267,27 +267,20 @@ class RealGroupData(NamedTuple):
 
     # -- weight constructors ------------------------------------------------
     def t_weight(self, coords, denom: int = 1) -> Weight:
-        return weight(coords, self.t_lattice.lattice, denom)
+        return Weight(coords, self.t_lattice.lattice, denom)
 
     def tm_weight(self, coords, denom: int = 1) -> Weight:
-        return weight(coords, self.hm.lattice, denom)
+        return Weight(coords, self.hm.lattice, denom)
 
     def a_weight(self, coords) -> Weight:
-        return weight(coords, f"{self.name}:a")
+        return Weight(coords, f"{self.name}:a")
 
     # -- structure queries --------------------------------------------------
-    def is_compact(self, root: tuple[int, ...]) -> bool:
-        try:
-            return self.compact_of[root]
-        except KeyError:
-            raise LatticeError(
-                f"{root} is not a root of the Levi factor") from None
-
     def compact_positives(self) -> list[tuple[int, ...]]:
-        return [r for r in self.m_roots.positives if self.is_compact(r)]
+        return [r for r in self.m_roots.positives if self.compact_of[r]]
 
     def noncompact_positives(self) -> list[tuple[int, ...]]:
-        return [r for r in self.m_roots.positives if not self.is_compact(r)]
+        return [r for r in self.m_roots.positives if not self.compact_of[r]]
 
     def zchar(self, coords: Sequence[int]) -> int:
         """Z' character index of the integral T-weight with these coordinates,

@@ -29,10 +29,10 @@ from typing import NamedTuple
 
 from . import presets
 from .branching import (TemperedParams, box_table, ktype_multiplicity,
-                        ktype_table, nu_independence_check, validate_params)
+                        ktype_table, validate_params)
 from .characters import (FormalCharacter, HMLattice, ZCharTable, Weight,
                          char_mul, geometric_series, graded_exterior,
-                         kostant_partition)
+                         partition_counts)
 from .groups import (RootSystem, builtin_group, matvec, simple_roots,
                      weyl_group)
 from .ktypes import KType, ktype_box
@@ -86,10 +86,13 @@ def suite_sl2() -> list[Check]:
                              t.sign))
 
     rng = random.Random(_SEED)
-    ok = all(nu_independence_check(
-        gs, presets.sl2_principal(gs, rng.choice(["plus", "minus"])),
-        gs.a_weight([rng.randint(-50, 50)]),
-        gs.a_weight([rng.randint(-50, 50)]), 20) for _ in range(100))
+    ok = True
+    for _ in range(100):  # the table stays put as the continuous nu moves
+        p = presets.sl2_principal(gs, rng.choice(["plus", "minus"]))
+        t1, t2 = [ktype_table(gs, p._replace(nu=gs.a_weight(
+            [rng.randint(-50, 50)])), 20) for _ in range(2)]
+        if t1 != t2:
+            ok = False
     checks.append(_check("sl2 nu independence (100 random pairs)", ok,
                          "identical tables", "identical" if ok else "diverged"))
 
@@ -130,13 +133,13 @@ def _tables_agree(g, p, window: int) -> bool:
             and t.entries == box_table(g, p, window, "partition").entries)
 
 
-def random_su21_params(g, rng, scale: int = 4) -> TemperedParams:
-    """Sample valid (nonzero) discrete-series or limit parameters."""
+def random_su21_params(g, rng) -> TemperedParams:
+    """Sample nonzero discrete-series or limit parameters in [-4, 4]^3."""
     tie = (1, 0, -1)
     while True:
-        a = rng.randint(-scale, scale)
-        b = rng.randint(-scale, a)
-        c = rng.randint(-scale, scale)
+        a = rng.randint(-4, 4)
+        b = rng.randint(-4, a)
+        c = rng.randint(-4, 4)
         # r or -r, whichever lam pairs positively with; tie breaks ties
         p = presets.su21_from_lambda(g, [a, b, c], [
             r if (sum(map(mul, (a, b, c), r)), sum(map(mul, tie, r))) > (0, 0)
@@ -284,12 +287,13 @@ def suite_ring() -> list[Check]:
     H = 12
     series = geometric_series(gu.hm, betas[0], H)
     series = char_mul(series, geometric_series(gu.hm, betas[1], H))
+    counts = partition_counts(betas, gu.hm, 2 * H)
     for _ in range(200):
         n1, n2 = rng.randint(0, 4), rng.randint(0, 4)
         # doubled heights 4 n1 + 2 n2 <= 24 = 2H: within the series' cutoff
         key = (tuple(n1 * x + n2 * y for x, y in zip(betas[0], betas[1])),
                gu.hm.ztable.identity)
-        got = kostant_partition(key[0], betas, gu.hm)
+        got = counts.get(key[0], 0)
         want = series.coefficient(key)
         if got != want:
             ok = False

@@ -9,7 +9,7 @@ from kbranch.branching import validate_params
 from kbranch.characters import (ConeError, CutoffError, FormalCharacter,
                                 HMLattice, LatticeError, Weight, ZCharTable,
                                 char_mul, geometric_series, graded_exterior,
-                                kostant_partition, partition_counts, weight)
+                                partition_counts)
 from kbranch.groups import builtin_group
 from kbranch.presets import su21_from_lambda
 
@@ -41,18 +41,38 @@ def height2(hm, coords):
     return hm.key_height2((coords, hm.ztable.identity))
 
 
+def kostant(target, roots, hm):
+    """The number of ways target is a nonnegative sum of the roots: its
+    entry in the partition_counts table cut at its own height."""
+    return partition_counts(roots, hm, height2(hm, target)).get(target, 0)
+
+
 def test_weight_arithmetic_and_denominators():
-    # a Weight has no arithmetic: weight() reduces a halved tuple once
-    assert weight([3, -1], "x", denom=2) == Weight((3, -1), "x", 2)
-    assert weight([2, 4], "x", denom=2) == weight([1, 2], "x")
-    assert weight([2, 4], "x", denom=2).denom == 1
-    assert weight([0, 0], "x", denom=2) == Weight((0, 0), "x")
-    assert weight([-2, 1], "x", denom=2).coords == (-2, 1)
+    # a Weight has no arithmetic: it reduces a halved tuple where it is built
+    assert Weight([3, -1], "x", denom=2) == Weight((3, -1), "x", 2)
+    assert Weight([2, 4], "x", denom=2) == Weight([1, 2], "x")
+    assert Weight([2, 4], "x", denom=2).denom == 1
+    assert Weight([0, 0], "x", denom=2) == Weight((0, 0), "x")
+    assert Weight([-2, 1], "x", denom=2).coords == (-2, 1)
+
+
+def test_a_weight_built_from_a_list_holds_a_tuple_and_hashes():
+    w = Weight([1, 2], "x")
+    assert type(w.coords) is tuple and w == Weight((1, 2), "x")
+    assert hash(w) == hash(Weight((1, 2), "x"))
+    assert Weight(iter([1, 2]), "x") == w
+
+
+def test_a_halved_weight_of_even_coordinates_is_its_reduction():
+    w = Weight((2, 4), "x", 2)
+    assert w == Weight((1, 2), "x") and w.denom == 1
+    assert hash(w) == hash(Weight((1, 2), "x"))
+    assert Weight((2, 3), "x", 2).denom == 2
 
 
 @pytest.mark.parametrize("build", [
-    lambda: weight([1.5, 2.7], "x"),
-    lambda: weight([True, 0], "x"),
+    lambda: Weight([1.5, 2.7], "x"),
+    lambda: Weight([True, 0], "x"),
     lambda: Weight((1.5,), "x"),
     lambda: Weight((1,), "x", 2.0),
     lambda: builtin_group("su21").t_weight([1.9, 0, -1]),
@@ -71,7 +91,7 @@ def test_weights_from_different_lattices_do_not_mix():
     # a Weight meets another lattice only where it comes in, and is refused
     # there: as a key of H, and as a parameter of validate_params
     g = builtin_group("su21")
-    for w in (weight([1, 0, -1], "x"), g.t_weight([1, 0, -1]),
+    for w in (Weight([1, 0, -1], "x"), g.t_weight([1, 0, -1]),
               g.tm_weight([1, 0]), g.tm_weight([1, 0, -1, 2])):
         with pytest.raises(LatticeError):
             g.hm.char(w)
@@ -169,11 +189,11 @@ def test_graded_exterior_examples():
 
 
 def test_kostant_partition_examples():
-    assert kostant_partition((0,), [ALPHA], SL2) == 1
-    assert kostant_partition((6,), [ALPHA], SL2) == 1
-    assert kostant_partition((5,), [ALPHA], SL2) == 0
-    assert kostant_partition(comb((1, B1), (1, B2)), [B1, B2], U21) == 1
-    assert kostant_partition((0, 0, 0), [B1, B2], U21) == 1
+    assert kostant((0,), [ALPHA], SL2) == 1
+    assert kostant((6,), [ALPHA], SL2) == 1
+    assert kostant((5,), [ALPHA], SL2) == 0
+    assert kostant(comb((1, B1), (1, B2)), [B1, B2], U21) == 1
+    assert kostant((0, 0, 0), [B1, B2], U21) == 1
 
 
 def test_kostant_partition_brute_force_and_permutation():
@@ -185,11 +205,11 @@ def test_kostant_partition_brute_force_and_permutation():
         brute = sum(
             1 for c1 in range(0, 11) for c2 in range(0, 11) for c3 in range(0, 11)
             if comb((c1, B1), (c2, B2), (c3, roots[2])) == target)
-        got = kostant_partition(target, roots, U21)
+        got = kostant(target, roots, U21)
         assert got == brute
         shuffled = roots[:]
         rng.shuffle(shuffled)
-        assert kostant_partition(target, shuffled, U21) == got
+        assert kostant(target, shuffled, U21) == got
     # the whole table, at every point it holds and at none beyond
     counts = partition_counts(roots, U21, 20)
     brute = {}
@@ -204,7 +224,7 @@ def test_kostant_partition_brute_force_and_permutation():
 
 def test_kostant_partition_rejects_unpointed_cone():
     with pytest.raises(ConeError):
-        kostant_partition((2,), [ALPHA, (-2,)], SL2)
+        kostant((2,), [ALPHA, (-2,)], SL2)
 
 
 def test_kostant_partition_memo_is_grading_independent():
@@ -217,8 +237,8 @@ def test_kostant_partition_memo_is_grading_independent():
     for n1 in range(5):
         for n2 in range(5):
             t = comb((n1, roots[0]), (n2, roots[1]))
-            a = kostant_partition(t, roots, lat_a)
-            b = kostant_partition(t, roots, lat_b)
+            a = kostant(t, roots, lat_a)
+            b = kostant(t, roots, lat_b)
             assert a == b == 1
 
 
@@ -228,7 +248,7 @@ def test_kostant_equals_series_coefficient():
     for n1 in range(4):
         for n2 in range(4):
             t = comb((n1, B1), (n2, B2))
-            assert (kostant_partition(t, [B1, B2], U21)
+            assert (kostant(t, [B1, B2], U21)
                     == series.coefficient(ch(U21, t)))
 
 

@@ -443,6 +443,37 @@ def test_cli_resolves_no_group_name():
     assert names.isdisjoint({"data_dir", "builtin_group_names"})
 
 
+def _literals_naming(tree: ast.Module, names, spared=()) -> list[str]:
+    """The string literals of the source that contain one of the names,
+    less those equal to a spared string."""
+    return [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+            and isinstance(n.value, str) and n.value not in spared
+            and any(name in n.value for name in names)]
+
+
+def test_cli_lists_no_builtin_group():
+    # the data directory is the one list of builtins, and the refusal of a
+    # missing one prints it: no help or message of the CLI repeats it.  A
+    # verify suite may share a group's name (su21): that literal names the
+    # suite
+    from kbranch.groups import _BUILTIN_DIR
+    from kbranch.verify import SUITES
+    shipped = [p.stem for p in _BUILTIN_DIR.glob("*.json")]
+    tree = ast.parse((MODULES[0].parent / "cli.py").read_text())
+    assert shipped and _literals_naming(tree, shipped, SUITES) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("f(help='builtin name (su21)')", ["builtin name (su21)"]),
+    ("SUITES = ('sl2', 'su21')", []),
+    ("x = 'a group-data file path'", []),
+    ("'''Run su21.'''", ["Run su21."]),
+    ("su21 = 1", []),
+])
+def test_literals_naming_are_found(source, found):
+    assert _literals_naming(ast.parse(source), ["su21"], {"su21"}) == found
+
+
 _WINDOW = re.compile(r"(^|_)window$")
 
 

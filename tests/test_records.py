@@ -8,8 +8,7 @@ import pytest
 
 from kbranch import branching
 from kbranch.branching import KTypeTable, validate_params
-from kbranch.characters import (HMLattice, LatticeError, Weight, ZCharTable,
-                                weight)
+from kbranch.characters import HMLattice, LatticeError, Weight, ZCharTable
 from kbranch.groups import builtin_group, load_group_data
 from kbranch.ktypes import KType
 from kbranch.oscillator import GridError, GridSpec, KernelReport
@@ -27,7 +26,7 @@ def _params(g):
 
 # each frozen record, built from scratch on every call, with its fields
 FROZEN = {
-    "Weight": (lambda: weight((1, -2), "t"), ("coords", "lattice", "denom")),
+    "Weight": (lambda: Weight((1, -2), "t"), ("coords", "lattice", "denom")),
     "ZCharTable": (lambda: ZCharTable(2, ((0,), (1,))),
                    ("order", "rows", "products", "identity")),
     "HMLattice": (lambda: HMLattice(2, "t", (1, 1)),
@@ -49,7 +48,7 @@ FROZEN = {
                 ("hm", "compact", "noncompact", "compact_simples",
                  "rho2_n", "subsets", "top", "top_l1", "eps", "terms",
                  "heights", "shift_top", "tables")),
-    "KType": (lambda: KType(weight((2, 0, -1), "t")), ("highest",)),
+    "KType": (lambda: KType(Weight((2, 0, -1), "t")), ("highest",)),
     "GridSpec": (lambda: GridSpec(6.0, 0.1), ("halfwidth", "step")),
     "SL2Series": (lambda: SL2Series("discrete_plus", 3), ("kind", "n")),
     "MatchReport": (lambda: MatchReport(4, (((1,), 0, 1),)),
@@ -119,8 +118,8 @@ def test_equal_fields_compare_equal(name):
 
 
 def test_records_with_different_fields_differ():
-    assert weight((1, -2), "t") != weight((1, -2), "tM")
-    assert weight((1, 3), "t", 2) != weight((1, 3), "t")
+    assert Weight((1, -2), "t") != Weight((1, -2), "tM")
+    assert Weight((1, 3), "t", 2) != Weight((1, 3), "t")
     assert GridSpec(6.0, 0.1) != GridSpec(6.0, 0.05)
     assert SL2Series("discrete_plus", 3) != SL2Series("discrete_minus", 3)
     assert KTypeTable({(1,): 1}, 3, -1) != KTypeTable({(1,): 1}, 3, 1)
