@@ -20,8 +20,8 @@ only applies its own svd_tol to them and builds a new report.  A cylinder
 table is read from one such 1-D report (`cylinder_table`).  The 2-D check is
 matrix-free block LOBPCG: A and A^T fill one output each from the stencil
 diagonals, and the preconditioner's vectors come from the SVDs of the
-parity halves (`_component_svds`).  numpy loads inside the functions that
-compute.
+parity halves (`_component_svds`); of its start block only the guard
+carries a seeded draw.  numpy loads inside the functions that compute.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .branching import KTypeTable
+from .branching import KTypeTable, _check_window
 
 MAX_GRID_POINTS = 2000  # 1-D: n/2-square SVDs; the Gaussian costs O(n)
 MAX_GRID_POINTS_2D = 241  # oscillator_nd: A O(m^2), preconditioner O(m^3)
-MAX_LOBPCG_ITERATIONS = 60  # oscillator_nd needs 4-5 on desk grids
+MAX_LOBPCG_ITERATIONS = 60  # oscillator_nd needs 2-3 on desk grids
 MAX_LOBPCG_BLOCK = 16  # oscillator_nd: ev + 2 vectors, 3 on desk kernels
 
 
@@ -261,10 +261,15 @@ def _lobpcg(op, adj, prec, x, nwant: int, tol: float):
     and p and their images are combinations of the old basis and images, so
     op runs on w alone; once the wanted residuals pass, op images x afresh
     and they are checked again, so that the images returned, and the
-    residuals that passed, are the vectors' own."""
+    residuals that passed, are the vectors' own.  A start whose rows span
+    fewer than nwant + 1 directions is refused, as the block has no guard."""
     import numpy as np
-    k = len(x)
     x = _orth(x, x[:0])
+    k = len(x)  # the directions the start spans
+    if k <= nwant:
+        raise InconclusiveKernelError(
+            f"the LOBPCG start spans {k} directions; {nwant} wanted and a "
+            f"guard need {nwant + 1}")
     ax = op(x)
     q, aq = (np.empty((3 * k, a.shape[1])) for a in (x, ax))
     q[:k], aq[:k] = x, ax
@@ -303,8 +308,8 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
 
     The even block couples degrees 0 and 2 through the two odd components;
     staggering per axis matches the 1-D scheme.  The ev + 1 lowest pairs of
-    A^T A come from `_lobpcg` on ev + 2 vectors, the last a guard, from the
-    preconditioner's lowest eigenvectors plus a seeded draw (README).
+    A^T A come from `_lobpcg` on ev + 2 vectors, the preconditioner's lowest
+    eigenvectors, the last a guard that carries a seeded draw (README).
     """
     if n != 2:
         raise ValueError("desk scale covers n = 2 only")
@@ -378,19 +383,20 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
         return z
 
     # start: the ev + 2 lowest eigenvectors vt[i] (x) vt[j] of prec (s falls,
-    # so den's lowest are in its last rows and columns), plus 1e-4 of a draw,
-    # as A^T A and prec never leave the parity sectors the start touches
+    # so den's lowest are in its last rows and columns), and 1e-4 of a draw
+    # on the guard alone, as A^T A and prec never leave the parity sectors
+    # the block's span touches; the wanted rows start clean
     k = ev + 2
     low = sorted((den[i, j], b, i, j) for b, (_, den) in enumerate(fd)
                  for i in range(max(len(den) - k, 0), len(den))
                  for j in range(max(len(den) - k, 0), len(den)))[:k]
-    x0 = np.random.default_rng(0).random((k, n0 + (m - 1) ** 2))
-    x0 -= 0.5
-    x0 *= 1e-4 / np.linalg.norm(x0, axis=1, keepdims=True)
+    x0 = np.zeros((k, n0 + (m - 1) ** 2))
     blocks = split(x0, (m - 2, m - 2), (m - 1, m - 1))
     for row, (_, b, i, j) in enumerate(low):
         vt = fd[b][0]
-        blocks[b][row] += np.outer(vt[i], vt[j])
+        blocks[b][row] = np.outer(vt[i], vt[j])
+    draw = np.random.default_rng(0).random(x0.shape[1]) - 0.5
+    x0[-1] += 1e-4 / np.linalg.norm(draw) * draw
     x, ax = _lobpcg(op, adj, prec, x0, ev + 1, 10 * floor)
     # residuals, as sqrt(theta) stops at the rounding floor of A^T A
     svals = np.linalg.norm(ax[:ev + 1], axis=1)  # the rows of x are unit
@@ -415,8 +421,7 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
 def _check_cylinder(parity: str, weight_window: int):
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    if type(weight_window) is not int or weight_window < 0:
-        raise ValueError("weight window must be a nonnegative int")
+    _check_window(weight_window)
 
 
 def cylinder_table(rep: KernelReport, parity: str,

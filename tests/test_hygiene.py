@@ -500,12 +500,10 @@ def _window_refusals(tree: ast.Module) -> list[str]:
 
 def test_branching_alone_refuses_a_window():
     # branching._check_window refuses every window of a table, the SL(2,R)
-    # oracle's too; the one check left outside is the cylinder's weight
-    # window, oscillator._check_cylinder
+    # oracle's and the cylinder's weight window too
     refusals = {p.stem: _window_refusals(ast.parse(p.read_text()))
                 for p in MODULES if p.stem != "branching"}
-    assert {m: f for m, f in refusals.items() if f} == {
-        "oscillator": ["_check_cylinder"]}
+    assert {m: f for m, f in refusals.items() if f} == {}
 
 
 @pytest.mark.parametrize("source, funcs", [

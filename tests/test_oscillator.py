@@ -13,11 +13,12 @@ import pytest
 
 import kbranch
 from kbranch import oscillator, verify
+from kbranch.branching import TableSizeError
 from kbranch.oscillator import (GridSpec, GridError, InconclusiveKernelError,
                                 KernelReport, _component_stencils,
-                                _component_svds, _dense, _parity_halves,
-                                cylinder_sl2, cylinder_table, oscillator_1d,
-                                oscillator_nd)
+                                _component_svds, _dense, _lobpcg,
+                                _parity_halves, cylinder_sl2, cylinder_table,
+                                oscillator_1d, oscillator_nd)
 from kbranch.sl2_oracles import SL2Series, oracle_match
 
 GRID = GridSpec(8.0, 0.05)
@@ -391,7 +392,8 @@ def test_nd_stencil_operator_matches_dense_kronecker(monkeypatch, grid):
 
 
 def test_nd_iteration_cap_is_inconclusive(monkeypatch):
-    # the default call needs 4 Rayleigh-Ritz rounds
+    # the default call needs 2 Rayleigh-Ritz rounds: the first fails the
+    # wanted residuals, the second passes them
     monkeypatch.setattr(oscillator, "MAX_LOBPCG_ITERATIONS", 1)
     with pytest.raises(InconclusiveKernelError):
         oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
@@ -400,9 +402,10 @@ def test_nd_iteration_cap_is_inconclusive(monkeypatch):
 @pytest.mark.parametrize("f", [1.0, 2.0, 4.0])
 def test_nd_lobpcg_iteration_budget(monkeypatch, f):
     # a work budget: applications of A, A^T and the preconditioner in the
-    # `verify dirac` 2-D check, started in the preconditioner's eigenbasis;
-    # A images the start, each w block and the returned block once, and A^T
-    # takes one residual per round and the returned block's
+    # `verify dirac` 2-D check, started in the preconditioner's eigenbasis
+    # with the draw on the guard alone; A images the start, each w block
+    # and the returned block once, and A^T takes one residual per round and
+    # the returned block's (3, 3 and 1 at scale 1; 4, 4 and 2 at 2 and 4)
     lobpcg, count = oscillator._lobpcg, {"op": 0, "adj": 0, "prec": 0}
 
     def counted(name, fn):
@@ -417,8 +420,8 @@ def test_nd_lobpcg_iteration_budget(monkeypatch, f):
 
     monkeypatch.setattr(oscillator, "_lobpcg", counting)
     oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5, potential_scale=f)
-    assert 1 <= count["prec"] <= 3
-    assert count["op"] <= 5 and count["adj"] <= 5
+    assert 1 <= count["prec"] <= 2
+    assert count["op"] <= 4 and count["adj"] <= 4
 
 
 @pytest.mark.parametrize("f", [1.0, 2.0, 4.0])
@@ -476,6 +479,140 @@ def test_nd_start_block_is_in_generic_position(monkeypatch):
         assert np.linalg.norm(v) > 1e-8 * np.linalg.norm(x)
 
 
+def _tensor_parts(x, grid, f):
+    """For each row of x, its largest component on a tensor eigenvector
+    vt[i] (x) vt[j] of the preconditioner: (the eigenvalue s_i^2 + s_j^2,
+    that vector as a row)."""
+    m = grid.npoints
+    out = []
+    for row in x:
+        best = (-1.0,)
+        for (s, vt), lo, w in zip(_component_svds(grid, f), (0, (m - 2) ** 2),
+                                  (m - 2, m - 1)):
+            c = vt @ row[lo:lo + w * w].reshape(w, w) @ vt.T
+            i, j = np.unravel_index(np.abs(c).argmax(), c.shape)
+            if abs(c[i, j]) > best[0]:
+                t = np.zeros_like(row)
+                t[lo:lo + w * w] = np.outer(vt[i], vt[j]).ravel()
+                best = (abs(c[i, j]), s[i] ** 2 + s[j] ** 2, t)
+        out.append(best[1:])
+    return out
+
+
+@pytest.mark.parametrize("f", [1.0, 2.0])
+def test_nd_start_draws_on_the_guard_alone(monkeypatch, f):
+    # the wanted rows start as exactly the ev + 1 lowest tensor eigenvectors
+    # of the preconditioner; only the guard, the next one, carries the draw
+    start = {}
+
+    def capture(op, adj, prec, x, *args):
+        start["x"] = x
+        raise _Captured
+
+    monkeypatch.setattr(oscillator, "_lobpcg", capture)
+    grid = GridSpec(6.0, 0.1)
+    with pytest.raises(_Captured):
+        oscillator_nd(2, grid, 1e-5, potential_scale=f)
+    x = start["x"]
+    assert len(x) == 3  # ev + 2 at ev = 1
+    parts = _tensor_parts(x, grid, f)
+    lowest = np.sort(np.concatenate([np.add.outer(s ** 2, s ** 2).ravel()
+                                     for s, _ in _component_svds(grid, f)]))
+    assert [p[0] for p in parts] == pytest.approx(lowest[:3], abs=1e-12)
+    for row, (_, t) in zip(x[:-1], parts):
+        assert np.array_equal(row, t)
+    draw = x[-1] - parts[-1][1]
+    assert np.linalg.norm(draw) == pytest.approx(1e-4)
+    assert np.count_nonzero(draw) == len(draw)
+
+
+@pytest.mark.parametrize("f", [1.0, 2.0])
+def test_nd_guard_alone_reaches_a_hidden_sector(monkeypatch, f):
+    # the Gaussian's sector (even-even on the degree 0 block) taken out of
+    # every row but the guard, which keeps only its draw there; the wanted
+    # rows get 1e-4 of a draw outside it, lest the Gaussian's row vanish.
+    # The guard alone leads LOBPCG to the kernel, predicted or not
+    grid = GridSpec(6.0, 0.1)
+    m, n0 = grid.npoints, (grid.npoints - 2) ** 2
+    lobpcg, shares = oscillator._lobpcg, []
+
+    def gauss_sector(x):
+        v = np.zeros_like(x)
+        v[:, :n0] = next(_parity_sectors(x, m)).reshape(len(x), -1)
+        return v
+
+    def hide(op, adj, prec, x, *args):
+        d = np.random.default_rng(1).random(x[:-1].shape) - 0.5
+        x[:-1] += 1e-4 / np.linalg.norm(d, axis=1, keepdims=True) * d
+        x[:-1] -= gauss_sector(x[:-1])
+        shares.append(np.linalg.norm(gauss_sector(x), axis=1)
+                      / np.linalg.norm(x))
+        return lobpcg(op, adj, prec, x, *args)
+
+    clean = oscillator_nd(2, grid, 1e-5, potential_scale=f)
+    monkeypatch.setattr(oscillator, "_lobpcg", hide)
+    rep = oscillator_nd(2, grid, 1e-5, potential_scale=f)
+    assert (rep.kernel_dim_even, rep.kernel_dim_odd) == (1, 0)
+    assert rep.gaussian_l2_error == pytest.approx(clean.gaussian_l2_error,
+                                                  abs=1e-13)
+    assert rep.even_singular_values[1] == pytest.approx(
+        clean.even_singular_values[1], rel=1e-10)
+    # 1-D dims (0, 0), so ev = 0: the guard still finds the Gaussian that
+    # the tensor rule denies
+    monkeypatch.setattr(oscillator, "oscillator_1d",
+                        lambda *a: KernelReport(0, 0, 0.0))
+    with pytest.raises(ArithmeticError, match="dimension 1 contradicts "
+                                              "the tensor rule 0"):
+        oscillator_nd(2, grid, 1e-5, potential_scale=f)
+    for share in shares:
+        assert (share[:-1] < 1e-15).all() and 1e-5 < share[-1] < 1e-4
+
+
+@pytest.mark.parametrize("rows, nwant", [(2, 1), (3, 2)])
+def test_lobpcg_refuses_a_start_with_no_guard(rows, nwant):
+    # diag(1..20) has no kernel; rows spanning only nwant directions leave
+    # no guard, and a block filled out past its span would return rounding
+    # (a Ritz vector of norm 3e-17) whose image reads as a kernel value
+    d = np.arange(1.0, 21.0)
+    x = np.ones((rows, 20))
+    x[2:] = d
+    with pytest.raises(InconclusiveKernelError,
+                       match=f"the LOBPCG start spans {nwant} directions; "
+                             f"{nwant} wanted and a guard need {nwant + 1}"):
+        _lobpcg(lambda v: v * d, lambda v: v * d, lambda r: r / d ** 2, x,
+                nwant, 1e-12)
+
+
+def test_nd_start_in_too_few_directions_is_inconclusive(monkeypatch):
+    # P's two lowest right singular vectors made one: the three tensor
+    # vectors of the start coincide, and with the guard span 2 directions
+    svds = oscillator._component_svds
+
+    def repeated(*args):
+        (s, vt), odd = svds(*args)
+        vt = vt.copy()
+        vt[-2] = vt[-1]
+        return [(s, vt), odd]
+
+    monkeypatch.setattr(oscillator, "_component_svds", repeated)
+    with pytest.raises(InconclusiveKernelError,
+                       match="the LOBPCG start spans 2 directions"):
+        oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
+
+
+def test_lobpcg_block_is_the_span_of_its_start():
+    # three rows spanning two directions: the block has two rows
+    d = np.arange(1.0, 21.0)
+    x = np.ones((3, 20))
+    x[2] = d
+    got, images = _lobpcg(lambda v: v * d, lambda v: v * d,
+                          lambda r: r / d ** 2, x, 1, 1e-12)
+    assert got.shape == images.shape == (2, 20)
+    assert np.linalg.norm(got, axis=1) == pytest.approx(1.0)
+    assert abs(got[0, 0]) == pytest.approx(1.0)  # e_0, the lowest pair
+    assert np.linalg.norm(images[0]) == pytest.approx(1.0)
+
+
 def test_nd_finds_the_gaussian_the_tensor_rule_denies(monkeypatch):
     # 1-D dims (0, 0) predict ev = 0; the 2-D solve still finds the Gaussian
     monkeypatch.setattr(oscillator, "oscillator_1d",
@@ -527,19 +664,29 @@ def test_potential_scale_must_be_finite(monkeypatch, scale):
                 solve()
 
 
-@pytest.mark.parametrize("parity, window", [
-    ("diagonal", 4), ("even", -1), ("odd", 2.0), ("even", True),
-    ("even", "4")])
+@pytest.mark.parametrize("parity, window, error, message", [
+    pytest.param(parity, window, error, message, id=f"{parity}-{window}")
+    for parity, window, error, message in [
+        ("diagonal", 4, ValueError, "parity must be 'even' or 'odd'"),
+        ("even", -1, ValueError, "window must be a nonnegative int, not -1"),
+        ("odd", 2.0, ValueError, "window must be a nonnegative int, not 2.0"),
+        ("even", True, ValueError,
+         "window must be a nonnegative int, not True"),
+        ("even", "4", ValueError, "window must be a nonnegative int, not '4'"),
+        # the engine's cap: no cylinder table outgrows its SL(2,R) oracle
+        ("even", 65, TableSizeError, "window 65 is above the cap of 64")]])
 def test_cylinder_arguments_checked_before_the_solve(monkeypatch, parity,
-                                                     window):
+                                                     window, error, message):
     def refuse(*args):
         raise AssertionError("solved before checking the arguments")
 
     monkeypatch.setattr(oscillator, "oscillator_1d", refuse)
-    with pytest.raises(ValueError):
-        cylinder_sl2(parity, window, GRID, TOL)
-    with pytest.raises(ValueError):
-        cylinder_table(KernelReport(1, 0, 0.0), parity, window)
+    for build in (lambda: cylinder_sl2(parity, window, GRID, TOL),
+                  lambda: cylinder_table(KernelReport(1, 0, 0.0), parity,
+                                         window)):
+        with pytest.raises(ValueError) as e:
+            build()
+        assert type(e.value) is error and str(e.value) == message
 
 
 def test_1d_values_stop_at_the_rounding_floor():
