@@ -20,8 +20,9 @@ only applies its own svd_tol to them and builds a new report.  A cylinder
 table is read from one such 1-D report (`cylinder_table`).  The 2-D check is
 matrix-free block LOBPCG: A and A^T fill one output each from the stencil
 diagonals, and the preconditioner's vectors come from the SVDs of the
-parity halves (`_component_svds`); of its start block only the guard
-carries a seeded draw.  numpy loads inside the functions that compute.
+parity halves (`_component_svds`); its start block is their tensor vectors
+corrected to first order for the coupling of degrees 0 and 2, and only the
+guard carries a seeded draw.  numpy loads inside the functions that compute.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .branching import KTypeTable, _check_window
 
 MAX_GRID_POINTS = 2000  # 1-D: n/2-square SVDs; the Gaussian costs O(n)
 MAX_GRID_POINTS_2D = 241  # oscillator_nd: A O(m^2), preconditioner O(m^3)
-MAX_LOBPCG_ITERATIONS = 60  # oscillator_nd needs 2-3 on desk grids
+MAX_LOBPCG_ITERATIONS = 60  # oscillator_nd needs 2 on desk grids
 MAX_LOBPCG_BLOCK = 16  # oscillator_nd: ev + 2 vectors, 3 on desk kernels
 
 
@@ -242,7 +243,8 @@ def _orth(w, b):
     of b, in two Gram passes that drop directions lost to rounding."""
     import numpy as np
     for _ in range(2):
-        w = w - (w @ b.T) @ b
+        if len(b):
+            w = w - (w @ b.T) @ b
         g = w @ w.T
         d = np.sqrt(g.diagonal())  # the row norms, taken out of the Gram
         d[d == 0] = 1.0
@@ -255,9 +257,12 @@ def _orth(w, b):
 def _lobpcg(op, adj, prec, x, nwant: int, tol: float):
     """Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the lowest
     eigenpairs of op^T op from the rows of x: the Ritz vectors, lowest first,
-    and their images, once the first nwant residuals are <= tol + 1e-6 theta.
+    and their images, once the first nwant residuals are <= tol + 1e-6 theta
+    after at least one preconditioned round, so a draw on x gets one.
     Rayleigh-Ritz runs on an orthonormal basis [x, p, w] and its images,
-    kept in one buffer of 3k rows each and overwritten in place.  The new x
+    kept in one buffer of 3k rows each and overwritten in place; w is the
+    preconditioned residuals of the guards and of the wanted rows not yet
+    within bound (soft locking, as in Knyazev's code).  The new x
     and p and their images are combinations of the old basis and images, so
     op runs on w alone; once the wanted residuals pass, op images x afresh
     and they are checked again, so that the images returned, and the
@@ -274,7 +279,7 @@ def _lobpcg(op, adj, prec, x, nwant: int, tol: float):
     q, aq = (np.empty((3 * k, a.shape[1])) for a in (x, ax))
     q[:k], aq[:k] = x, ax
     n = k  # the live rows, as _orth may drop directions
-    for _ in range(MAX_LOBPCG_ITERATIONS):
+    for it in range(MAX_LOBPCG_ITERATIONS):
         theta, y = (a[..., :k] for a in np.linalg.eigh(aq[:n] @ aq[:n].T))
         bound = tol + 1e-6 * theta[:nwant]  # theta, y: the k lowest pairs
         # the new x, then p: the part of the new x outside the old one
@@ -286,14 +291,16 @@ def _lobpcg(op, adj, prec, x, nwant: int, tol: float):
         x, ax = q[:k], aq[:k]
         r = adj(ax)
         r -= theta[:, None] * x
-        if (np.linalg.norm(r[:nwant], axis=1) <= bound).all():
+        ok = np.linalg.norm(r[:nwant], axis=1) <= bound
+        if it and ok.all():
             ax = op(x)
             r = adj(ax)
             r -= theta[:, None] * x
-            if (np.linalg.norm(r[:nwant], axis=1) <= bound).all():
+            ok = np.linalg.norm(r[:nwant], axis=1) <= bound
+            if ok.all():
                 return x, ax
             aq[:k] = ax
-        w = _orth(prec(r), q[:j])
+        w = _orth(prec(r[np.r_[~ok, [True] * (k - nwant)]]), q[:j])
         n = j + len(w)
         q[j:n], aq[j:n] = w, op(w)
     raise InconclusiveKernelError("2-D LOBPCG hit MAX_LOBPCG_ITERATIONS")
@@ -309,7 +316,8 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     The even block couples degrees 0 and 2 through the two odd components;
     staggering per axis matches the 1-D scheme.  The ev + 1 lowest pairs of
     A^T A come from `_lobpcg` on ev + 2 vectors, the preconditioner's lowest
-    eigenvectors, the last a guard that carries a seeded draw (README).
+    eigenvectors corrected to first order for that coupling, the last a
+    guard that carries a seeded draw (README).
     """
     if n != 2:
         raise ValueError("desk scale covers n = 2 only")
@@ -382,19 +390,36 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
             np.matmul(vt.T @ t, vt, out=out)
         return z
 
-    # start: the ev + 2 lowest eigenvectors vt[i] (x) vt[j] of prec (s falls,
-    # so den's lowest are in its last rows and columns), and 1e-4 of a draw
-    # on the guard alone, as A^T A and prec never leave the parity sectors
-    # the block's span touches; the wanted rows start clean
+    # start: the ev + 2 lowest eigenvectors u = vt[i] (x) vt[j] of prec (s
+    # falls, so den's lowest are in its last rows and columns), each plus
+    # its first-order coupling -(D - theta)^-1 C^T u into the other degree,
+    # as A^T A u = theta u + C^T u (E^T E = I) and D is that degree's block
+    # of prec^-1.  For u = a c^T, C^T u = (F a)(G c)^T - (G a)(F c)^T, with
+    # (F, G) = (M^T E, P) from degree 0 and (E^T M, P^T) from degree 2.
+    # First order needs D - theta well above 0: an entry not above theta / 2
+    # is left to LOBPCG
+    def fg(v, b):  # (F v, G v) from the stencil diagonals
+        if b == 0:
+            w = np.r_[0, v, 0]
+            return (dm * w[:-1] + lm * w[1:],
+                    np.r_[dp, 0] * w[1:] + np.r_[0, lp] * w[:-1])
+        return dm[1:] * v[1:] + lm[:-1] * v[:-1], dp * v[:-1] + lp * v[1:]
     k = ev + 2
     low = sorted((den[i, j], b, i, j) for b, (_, den) in enumerate(fd)
                  for i in range(max(len(den) - k, 0), len(den))
                  for j in range(max(len(den) - k, 0), len(den)))[:k]
     x0 = np.zeros((k, n0 + (m - 1) ** 2))
     blocks = split(x0, (m - 2, m - 2), (m - 1, m - 1))
-    for row, (_, b, i, j) in enumerate(low):
-        vt = fd[b][0]
+    for row, (theta, b, i, j) in enumerate(low):
+        (vt, _), (wt, den) = fd[b], fd[1 - b]
         blocks[b][row] = np.outer(vt[i], vt[j])
+        fa, ga, fc, gc = (wt @ np.transpose(fg(vt[i], b) + fg(vt[j], b))).T
+        t = np.outer(fa, gc) - np.outer(ga, fc)
+        t /= np.where(den - theta > theta / 2, den - theta, np.inf)
+        blocks[1 - b][row] = -(wt.T @ t @ wt)
+    # and 1e-4 of a draw on the guard alone, as A^T A and prec leave the
+    # parity sectors the block's span touches only by rounding; the wanted
+    # rows carry none
     draw = np.random.default_rng(0).random(x0.shape[1]) - 0.5
     x0[-1] += 1e-4 / np.linalg.norm(draw) * draw
     x, ax = _lobpcg(op, adj, prec, x0, ev + 1, 10 * floor)

@@ -30,6 +30,16 @@ def _component_matrices(grid, f):
     return tuple(_dense(*s) for s in _component_stencils(grid, f))
 
 
+def _dense_2d(grid, f):
+    """The 2-D even block A, dense, from the Kronecker products of the 1-D
+    component matrices: columns degree 0, then degree 2."""
+    m = grid.npoints
+    P, M = _component_matrices(grid, f)
+    E, I1 = np.eye(m)[:, 1:-1], np.eye(m - 1)
+    return np.block([[np.kron(P, E), -np.kron(I1, M)],
+                     [np.kron(E, P), np.kron(M, I1)]])
+
+
 def test_grid_validation(monkeypatch):
     with pytest.raises(GridError):
         GridSpec(8.0, 9.0)  # step >= halfwidth
@@ -373,14 +383,10 @@ def test_nd_stencil_operator_matches_dense_kronecker(monkeypatch, grid):
                         lambda *a: KernelReport(1, 0, 0.0))
     monkeypatch.setattr(oscillator, "_lobpcg", capture)
     rng = np.random.default_rng(1)
-    m = grid.npoints
     for f in (0.0, 0.37, 1.0, 2.0):
         with pytest.raises(_Captured):
             oscillator_nd(2, grid, 1e-5, potential_scale=f)
-        P, M = _component_matrices(grid, f)
-        E, I1 = np.eye(m)[:, 1:-1], np.eye(m - 1)
-        A = np.block([[np.kron(P, E), -np.kron(I1, M)],
-                      [np.kron(E, P), np.kron(M, I1)]])
+        A = _dense_2d(grid, f)
         x = rng.standard_normal((4, A.shape[1]))
         y = rng.standard_normal((4, A.shape[0]))
         ax, aty = ops["op"](x), ops["adj"](y)
@@ -402,10 +408,10 @@ def test_nd_iteration_cap_is_inconclusive(monkeypatch):
 @pytest.mark.parametrize("f", [1.0, 2.0, 4.0])
 def test_nd_lobpcg_iteration_budget(monkeypatch, f):
     # a work budget: applications of A, A^T and the preconditioner in the
-    # `verify dirac` 2-D check, started in the preconditioner's eigenbasis
-    # with the draw on the guard alone; A images the start, each w block
-    # and the returned block once, and A^T takes one residual per round and
-    # the returned block's (3, 3 and 1 at scale 1; 4, 4 and 2 at 2 and 4)
+    # `verify dirac` 2-D check, started from the coupling-corrected tensor
+    # vectors with the draw on the guard alone; A images the start, the one
+    # w block and the returned block, and A^T takes one residual per round
+    # and the returned block's (3, 3 and 1 at every scale)
     lobpcg, count = oscillator._lobpcg, {"op": 0, "adj": 0, "prec": 0}
 
     def counted(name, fn):
@@ -420,8 +426,8 @@ def test_nd_lobpcg_iteration_budget(monkeypatch, f):
 
     monkeypatch.setattr(oscillator, "_lobpcg", counting)
     oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5, potential_scale=f)
-    assert 1 <= count["prec"] <= 2
-    assert count["op"] <= 4 and count["adj"] <= 4
+    assert count["prec"] == 1
+    assert count["op"] <= 3 and count["adj"] <= 3
 
 
 @pytest.mark.parametrize("f", [1.0, 2.0, 4.0])
@@ -499,31 +505,90 @@ def _tensor_parts(x, grid, f):
     return out
 
 
-@pytest.mark.parametrize("f", [1.0, 2.0])
-def test_nd_start_draws_on_the_guard_alone(monkeypatch, f):
-    # the wanted rows start as exactly the ev + 1 lowest tensor eigenvectors
-    # of the preconditioner; only the guard, the next one, carries the draw
-    start = {}
+def _start_block(monkeypatch, grid, f, rep1):
+    """The start block, A and A^T that `oscillator_nd` hands to `_lobpcg`
+    when the 1-D report is rep1."""
+    got = {}
 
     def capture(op, adj, prec, x, *args):
-        start["x"] = x
+        got.update(op=op, adj=adj, x=x)
         raise _Captured
 
+    monkeypatch.setattr(oscillator, "oscillator_1d", lambda *a: rep1)
     monkeypatch.setattr(oscillator, "_lobpcg", capture)
-    grid = GridSpec(6.0, 0.1)
     with pytest.raises(_Captured):
         oscillator_nd(2, grid, 1e-5, potential_scale=f)
-    x = start["x"]
+    return got
+
+
+@pytest.mark.parametrize("f", [1.0, 2.0])
+def test_nd_start_draws_on_the_guard_alone(monkeypatch, f):
+    # each start row is a tensor eigenvector u0 of the preconditioner, the
+    # ev + 2 lowest, exactly in degree 0, plus the first-order effect of the
+    # coupling, -(D2 - theta)^-1 C^T u0, in degree 2, against A^T A from
+    # the dense Kronecker A; only the guard, the last row, carries a draw
+    grid = GridSpec(2.0, 0.2)
+    n0 = (grid.npoints - 2) ** 2
+    x = _start_block(monkeypatch, grid, f, KernelReport(1, 0, 0.0))["x"]
     assert len(x) == 3  # ev + 2 at ev = 1
     parts = _tensor_parts(x, grid, f)
     lowest = np.sort(np.concatenate([np.add.outer(s ** 2, s ** 2).ravel()
                                      for s, _ in _component_svds(grid, f)]))
     assert [p[0] for p in parts] == pytest.approx(lowest[:3], abs=1e-12)
-    for row, (_, t) in zip(x[:-1], parts):
-        assert np.array_equal(row, t)
-    draw = x[-1] - parts[-1][1]
+    a = _dense_2d(grid, f)
+    ata = a.T @ a
+    d2 = ata[n0:, n0:]
+    # no entry comes near the margin that leaves the term out
+    assert np.linalg.eigvalsh(d2)[0] > 1.5 * lowest[2]
+    want = []
+    for theta, u0 in parts:
+        assert not u0[n0:].any()  # the desk grids pick no degree-2 row
+        c = (ata @ u0)[n0:]
+        want.append(u0 - np.r_[np.zeros(n0), np.linalg.solve(
+            d2 - theta * np.eye(len(d2)), c)])
+        assert np.linalg.norm(want[-1][n0:]) > 1e-5  # the coupling is seen
+    for row, w in zip(x[:-1], want):
+        assert np.array_equal(row[:n0], w[:n0])
+        assert np.linalg.norm(row - w) <= (1e-12 * np.linalg.norm(w[n0:])
+                                           + 1e-16)  # rounding of a unit row
+    draw = x[-1] - want[-1]
     assert np.linalg.norm(draw) == pytest.approx(1e-4)
     assert np.count_nonzero(draw) == len(draw)
+
+
+def test_nd_start_leaves_a_near_degenerate_coupling_to_lobpcg(monkeypatch):
+    # 1-D dims (2, 2): ev = 8, ten rows, nine below the guard up to theta =
+    # 5.97 at f = 1, one of them degree 2's lowest (4.0).  An entry of the
+    # other degree where D - theta is not above theta / 2 gets no term;
+    # every other entry gets the first-order one, with C^T u0 (or C u2)
+    # from A^T A as `_lobpcg` gets it
+    grid = GridSpec(6.0, 0.1)
+    m = grid.npoints
+    n0 = (m - 2) ** 2
+    got = _start_block(monkeypatch, grid, 1.0, KernelReport(2, 2, 0.0))
+    x, op, adj = got["x"], got["op"], got["adj"]
+    assert len(x) == 10
+
+    def degree(v, b):  # v's degree-0 block (b = 0) or degree-2 block (b = 1)
+        return (v[:n0].reshape(m - 2, m - 2) if b == 0
+                else v[n0:].reshape(m - 1, m - 1))
+
+    svds, left_out, seen = _component_svds(grid, 1.0), [], set()
+    for row, (theta, u) in zip(x[:-1], _tensor_parts(x[:-1], grid, 1.0)):
+        b = 1 - u[:n0].any()  # 0 for a degree-0 row, 1 for a degree-2 row
+        seen.add(b)
+        s, vt = svds[1 - b]
+        c = vt @ degree(adj(op(u[None]))[0], 1 - b) @ vt.T
+        gap = s[:, None] ** 2 + s ** 2 - theta
+        keep = gap > theta / 2
+        want = np.where(keep, -c / np.where(keep, gap, 1.0), 0.0)
+        have = vt @ degree(row, 1 - b) @ vt.T
+        assert np.array_equal(degree(row, b), degree(u, b))
+        assert np.abs(have - want).max() <= (1e-12 * np.abs(want).max()
+                                             + 1e-16)
+        left_out.append(np.abs(c[~keep]).max(initial=0.0))
+    assert seen == {0, 1}
+    assert max(left_out) > 1e-7  # a coupling the margin left out
 
 
 @pytest.mark.parametrize("f", [1.0, 2.0])
@@ -585,7 +650,9 @@ def test_lobpcg_refuses_a_start_with_no_guard(rows, nwant):
 
 def test_nd_start_in_too_few_directions_is_inconclusive(monkeypatch):
     # P's two lowest right singular vectors made one: the three tensor
-    # vectors of the start coincide, and with the guard span 2 directions
+    # vectors of the start coincide, their corrections nearly so (about
+    # 1e-12, as that vector is the Gaussian), and with the guard the rows
+    # span 2 directions
     svds = oscillator._component_svds
 
     def repeated(*args):
@@ -598,6 +665,25 @@ def test_nd_start_in_too_few_directions_is_inconclusive(monkeypatch):
     with pytest.raises(InconclusiveKernelError,
                        match="the LOBPCG start spans 2 directions"):
         oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
+
+
+def test_lobpcg_preconditions_once_before_it_returns():
+    # exact eigenvectors of diag(1..20) pass the residual bound at once; the
+    # first round still preconditions, as a draw on the start would need,
+    # but only the guard's residual: the wanted rows are within bound
+    d = np.arange(1.0, 21.0)
+    calls = []
+
+    def prec(r):
+        calls.append(len(r))
+        return r / d ** 2
+
+    x = np.eye(20)[:3]
+    got, images = _lobpcg(lambda v: v * d, lambda v: v * d, prec, x, 2,
+                          1e-12)
+    assert calls == [1]
+    assert np.abs(np.abs(got) - x).max() < 1e-12
+    assert np.abs(np.abs(images) - x * d).max() < 1e-12
 
 
 def test_lobpcg_block_is_the_span_of_its_start():
