@@ -52,11 +52,11 @@ Two oracles stay independent of it and of each other: signed sums over the
 compact offsets of the chamber's Kostant partition counts, and the
 chamber's truncated series product, each read at key - base in height
 order up to the call's own bound (a series read checked against its
-certificate) and scattered through ktypes.key_index, an inverted index of
-restricted K-types, into the rows the key touches.  Every table over the
-window's box (box_table, and table_of outside Blattner's formula) reads
-the window's, kept by ktypes.ktype_box once per window; the spot check
-and ktype_multiplicity index their own.
+certificate) and scattered through an inverted index of restricted
+K-types into the rows the key touches.  Every table over the window's box
+(box_table, and table_of outside Blattner's formula) reads the window's
+ktypes.KTypeBox, which restricts only the keys read; the spot check and
+ktype_multiplicity index their own K-types with ktypes.key_index.
 table_of spot-checks its lowest rows with an oracle its table did not
 come from: the partition counts a Blattner table, the series a box one.
 Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
@@ -568,12 +568,11 @@ def _nonzero(rows: Sequence[_Row]) -> list[_Row]:
 def _box(g: RealGroupData, prep: ParamVerdict, window: int, mode: str
          ) -> list[_Row]:
     """The one path of every table over the window's box: one oracle's
-    values scattered through the box's index, the nonzero rows kept."""
+    values scattered through its KTypeBox, the nonzero rows in lexical order."""
     _check_scan(g, window, g.k_roots.rank, "K-types of the window's box")
-    ktypes, index = ktype_box(g, window)
-    top2 = window * prep.chamber.top_l1
-    acc = _evaluate(prep, mode, index, top2)
-    return _nonzero([(ktypes[row], acc[row]) for row in sorted(acc)])
+    acc = _evaluate(prep, mode, ktype_box(g, window),
+                    window * prep.chamber.top_l1)
+    return _nonzero(sorted(acc.items()))
 
 
 def _check_window(window: int) -> None:
@@ -649,7 +648,7 @@ def ktype_table(g: RealGroupData, p: TemperedParams, window: int
 
 def ktype_table_series(g: RealGroupData, p: TemperedParams, window: int,
                        restrictions: Optional[dict] = None) -> KTypeTable:
-    """The series oracle's box table; restrictions is not used, as
-    ktype_box keeps every window's restricted K-types.  Its one caller is
+    """The series oracle's box table; restrictions is not used, as the
+    window's KTypeBox keeps what its tables read.  Its one caller is
     perfbench/workloads.py."""
     return box_table(g, p, window, "series")

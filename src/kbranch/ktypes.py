@@ -10,15 +10,15 @@ restriction runs it once per class of K-types modulo the centre of K,
 cached with the class's weights mapped to H, and a K-type's restriction is
 that class's translate by its own H-key.
 key_index restricts a batch of K-types into one inverted index from each
-H-key to its rows; ktype_box keeps the window's, once per (group, window).
+H-key to its rows; a window's KTypeBox lifts that index one key at a time.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product, repeat
 from operator import add, mul, sub
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .characters import LatticeError, Weight, partition_counts
 from .groups import RealGroupData, matvec
@@ -93,10 +93,10 @@ def _kostant(g: RealGroupData, x: Sequence[int], d: int = 1
 @lru_cache(maxsize=1024)
 def _class_keys(g: RealGroupData, pairings: tuple[int, ...]) -> tuple:
     """The restriction to H = T_M Z' of the class of K-types with these dot
-    products with the simple K roots, up to its translate: the triples (Z'
-    rows of t mod |Z'|, (R t, ...), (m, ...)) over the cone points t below
-    the highest weight, m summed over the t of equal (R t, Z' rows mod |Z'|),
-    all 0 where |Z'| = 1.
+    products with the simple K roots, up to its translate: the pairs (Z'
+    rows of t mod |Z'|, {R t: m}) over the cone points t below the highest
+    weight, m summed over the t of equal (R t, Z' rows mod |Z'|), all 0
+    where |Z'| = 1.
     Kostant's formula runs once, on d x = a p, x the point with these
     pairings p whose free coordinates are 0, read through the fibres of the
     simple K roots, g.k_pairings."""
@@ -108,47 +108,88 @@ def _class_keys(g: RealGroupData, pairings: tuple[int, ...]) -> tuple:
             [e % order for e in matvec(z, t)]), {})
         r_t = matvec(r, t)
         acc[r_t] = acc.get(r_t, 0) + m
-    return tuple((z_t, tuple(acc), tuple(acc.values()))
-                 for z_t, acc in groups.items())
+    return tuple(groups.items())
 
 
-def _translate(g: RealGroupData, hw: tuple[int, ...],
-               pairings: tuple[int, ...]) -> list[tuple]:
-    """The restriction of the K-type hw, with these dot products with the
-    simple K roots, to H = T_M Z': for each Z' class of its class's keys,
-    the pair of the list of their translates and the tuple of their
-    multiplicities.  R and the Z' rows are linear, so the key of the weight
-    hw - t is (R;Z) hw - (R;Z) t: the translate of its class's keys by hw's
-    own, distinct for distinct (R t, Z' rows of t mod |Z'|)."""
-    index = g.hm.ztable.index
-    r_hw, z_hw = matvec(g.tm_in_t, hw), matvec(g.zchar_rows, hw)
-    return [([(tuple(map(sub, r_hw, r_t)), i) for r_t in r_ts], ms)
-            for z_t, r_ts, ms in _class_keys(g, pairings)
-            for i in [index(map(sub, z_hw, z_t))]]
+def _pairings(g: RealGroupData, hw: Sequence[int]) -> tuple[int, ...]:
+    return tuple([sum(map(mul, hw, s)) for s in g.k_roots.simples])
 
 
 def key_index(g: RealGroupData, hws: Iterable[tuple[int, ...]]
               ) -> dict[tuple, list]:
     """The restriction of a batch of dominant integer tuples to H = T_M Z',
     as one inverted index: each H-key to its (row, multiplicity) entries,
-    rows numbered in batch order, filled as each tuple's keys are
-    translated.  The tuples are not checked again: a K-type from outside the
-    engine passes check_ktype first."""
-    simples = g.k_roots.simples
+    rows numbered in batch order.  R and the Z' rows are linear, so the key
+    of the weight hw - t is (R;Z) hw - (R;Z) t: a tuple's keys are its
+    class's, translated by its own.  The tuples are not checked again: a
+    K-type from outside the engine passes check_ktype first."""
     index: dict[tuple, list] = {}
     for row, hw in enumerate(hws):
-        pairings = tuple([sum(map(mul, hw, s)) for s in simples])
-        for keys, ms in _translate(g, hw, pairings):
-            for key, m in zip(keys, ms):
-                index.setdefault(key, []).append((row, m))
+        r_hw, z_hw = matvec(g.tm_in_t, hw), matvec(g.zchar_rows, hw)
+        for z_t, acc in _class_keys(g, _pairings(g, hw)):
+            i = g.hm.ztable.index(map(sub, z_hw, z_t))
+            for r_t, m in acc.items():
+                index.setdefault((tuple(map(sub, r_hw, r_t)), i), []
+                                 ).append((row, m))
     return index
 
 
-@lru_cache(maxsize=4)
-def ktype_box(g: RealGroupData, window: int) -> tuple[tuple, Mapping]:
-    """The box of a window, built once per (group, window): its dominant
-    K-types in lexicographic order and their key_index, read-only with
-    tuple entries, as every later call shares it."""
-    ktypes = tuple(enumerate_ktypes(g, window))
-    return ktypes, MappingProxyType(
-        {key: tuple(rows) for key, rows in key_index(g, ktypes).items()})
+class KTypeBox:
+    """The key_index of a window's K-types, rows keyed by K-type, built one
+    H-key at a time: get lifts a key on its first read and keeps it if a
+    K-type of the window holds it, so a box holds at most its window's keys.
+    W_K acts by signed permutations, the integer orthogonal matrices, so the
+    K-types of the window that hold a key (c, i) are those at or above the
+    dominant conjugate of a T-weight t in the window's cube with R t = c
+    (t = (a c + sum_f x_f dirs_f) / d over the fibres' free x_f) and Z' row
+    i: its sums with cone points of the positive K roots.  A key with no
+    such t reads empty before any cone point is visited."""
+
+    __slots__ = ("_g", "_window", "_cone", "_lifted")
+
+    def __init__(self, g: RealGroupData, window: int):
+        self._g, self._window, self._lifted = g, window, {}
+        hv = g.t_lattice.height_vec
+        top2 = window * sum(map(abs, hv))  # the window's highest doubled height
+        # the cone points below it, with the room each leaves, lowest first
+        self._cone = sorted([(top2 - sum(map(mul, s, hv)), s) for s in
+                             partition_counts(g.k_roots.positives,
+                                              g.t_lattice, top2)], reverse=True)
+
+    def get(self, key: tuple, default: tuple = ()) -> tuple:
+        """The (K-type, m) entries of the H-key (c, i), K-types in lexical
+        order; default if no K-type of the window holds it."""
+        rows = self._lifted.get(key)
+        if rows is None and (rows := self._lift(key)):  # a key of the window
+            self._lifted[key] = rows
+        return rows or default
+
+    def _lift(self, key: tuple) -> tuple:
+        """The key's entries, each K-type's read off its class's keys."""
+        (c, i), g, w = key, self._g, self._window
+        f, tops, rows = g.fibres, set(), {}
+        base, cols = matvec(f.a, c), tuple(zip(*f.dirs)) or repeat(())
+        for x in product(range(-w, w + 1), repeat=len(f.dirs)):
+            t = tuple([(b + sum(map(mul, x, col))) // f.d
+                       for b, col in zip(base, cols)])
+            if (max(map(abs, t), default=0) <= w and matvec(g.tm_in_t, t) == c
+                    and g.zchar(t) == i):
+                tops.add(next(u for u in (matvec(v.matrix, t) for v in g.k_weyl)
+                              if min(_pairings(g, u), default=0) >= 0))
+        for top in tops:
+            h = sum(map(mul, top, g.t_lattice.height_vec))
+            for room, s in self._cone:
+                if room < h:
+                    break
+                hw = tuple(map(add, top, s))
+                if hw in rows or max(map(abs, hw), default=0) > w or min(
+                        pairings := _pairings(g, hw), default=0) < 0:
+                    continue
+                r_t = tuple(map(sub, matvec(g.tm_in_t, hw), c))
+                z_hw = matvec(g.zchar_rows, hw)
+                rows[hw] = sum([acc.get(r_t, 0) for z_t, acc in _class_keys(
+                    g, pairings) if g.hm.ztable.index(map(sub, z_hw, z_t)) == i])
+        return tuple(sorted(rows.items()))
+
+
+ktype_box = lru_cache(maxsize=4)(KTypeBox)  # one box per (group, window)

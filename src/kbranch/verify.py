@@ -35,7 +35,7 @@ from .characters import (FormalCharacter, HMLattice, ZCharTable, Weight,
                          partition_counts)
 from .groups import (RootSystem, builtin_group, matvec, simple_roots,
                      weyl_group)
-from .ktypes import KType, ktype_box
+from .ktypes import KType, enumerate_ktypes
 from .oscillator import (GridSpec, InconclusiveKernelError, cylinder_table,
                          oscillator_1d, oscillator_nd)
 from .sl2_oracles import SL2Series, oracle_match, sl2_branching
@@ -180,7 +180,7 @@ def suite_su21() -> list[Check]:
 
     # sampled parameters and K-types of window 6: the oracles agree on each
     rng = random.Random(_SEED)
-    ktypes6, _ = ktype_box(gu, 6)
+    ktypes6 = enumerate_ktypes(gu, 6)
     drawn = ((random_su21_params(gu, rng),
               KType(gu.t_weight(rng.choice(ktypes6)))) for _ in range(200))
     ok = all(ktype_multiplicity(gu, p, kt, "partition")

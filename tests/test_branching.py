@@ -25,8 +25,8 @@ from kbranch.characters import (CutoffError, FormalCharacter, HMLattice,
 from kbranch.groups import (_BUILTIN_DIR, GroupDataError, builtin_group,
                             load_group_data, simple_roots)
 from kbranch.ktypes import KType, key_index
-from kbranch.presets import (sl2_discrete, sl2_limit, sl2_principal,
-                             su21_from_lambda)
+from kbranch.presets import (resolve_params, sl2_discrete, sl2_limit,
+                             sl2_principal, su21_from_lambda)
 from kbranch.sl2_oracles import SL2Series, sl2_branching
 from kbranch.verify import _sl2_param_sets, random_su21_params
 
@@ -505,35 +505,73 @@ def test_engine_reads_the_weyl_group_from_load(monkeypatch):
     assert len(g.k_weyl) == 2
 
 
+def _counted_lifts(monkeypatch):
+    """The (key, entries) of every key a box lifts from here on: each first
+    read of a key of the window, and each read of a key of none."""
+    lift, lifted = ktypes.KTypeBox._lift, []
+
+    def counted(box, key):
+        rows = lift(box, key)
+        lifted.append((key, len(rows)))
+        return rows
+
+    monkeypatch.setattr(ktypes.KTypeBox, "_lift", counted)
+    return lifted
+
+
 def test_series_tables_share_the_restriction_cache(monkeypatch):
-    # a second table at the same window, of either oracle, builds no box
+    # a second table at the same window, of either oracle, re-lifts no key
+    # of the window that an earlier one read
     p = su21_from_lambda(GU, [4, 1, -2])
     ktypes.ktype_box.cache_clear()
-    translate = ktypes._translate
-    calls = []
-
-    def counted(g, hw, pairings):
-        calls.append(hw)
-        return translate(g, hw, pairings)
-
-    monkeypatch.setattr(ktypes, "_translate", counted)
+    lifted = _counted_lifts(monkeypatch)
     ktype_table_series(GU, p, 4)
+    first = sum(1 for _, n in lifted if n)
     ktype_table_series(GU, su21_from_lambda(GU, [3, 1, -1]), 4)
     box_table(GU, p, 4, "partition")
-    assert calls == ktypes.enumerate_ktypes(GU, 4)
+    held = [key for key, n in lifted if n]
+    assert 0 < first < len(held) == len(set(held))
     assert ktypes.ktype_box.cache_info().misses == 1
 
 
+# the eight series tables of an oracle-mix round (perfbench, seed 1)
+ORACLE_MIX_SERIES = [
+    ([-4, 3, 4], None), ([-4, 4, 4], [[-1, 1, 0], [-1, 0, 1], [0, 1, -1]]),
+    ([-2, 3, 1], None), ([-4, 3, 3], [[-1, 1, 0], [-1, 0, 1], [0, 1, -1]]),
+    ([-4, 1, -2], None), ([3, 1, 1], [[1, -1, 0], [1, 0, -1], [0, 1, -1]]),
+    ([3, 1, 2], None), ([-4, 2, -4], [[-1, 1, 0], [1, 0, -1], [0, 1, -1]])]
+
+
+def test_series_tables_lift_only_the_keys_they_read(monkeypatch):
+    # the round's tables make 98 reads of 95 distinct keys (3 keys that no
+    # K-type of the window holds are read twice) and keep the 47 keys that
+    # K-types of the window hold, with 122 (K-type, key) entries; a box of
+    # the whole window held 2,197 keys and 5,915 entries
+    ktypes.ktype_box.cache_clear()
+    lifted = _counted_lifts(monkeypatch)
+    for lam, rmplus in ORACLE_MIX_SERIES:
+        doc = {"lambda": lam} if rmplus is None else {"lambda": lam,
+                                                       "rmplus": rmplus}
+        ktype_table_series(GU, resolve_params(GU, doc), 6)
+    held = [n for _, n in lifted if n]
+    assert len(lifted) <= 98 and len(held) <= 47 and sum(held) <= 122
+
+
 def test_box_cache_evicts_past_its_maxsize():
+    # four boxes, each keeping the keys of its window that were read and
+    # none of those read that no K-type of its window holds
     box = ktypes.ktype_box
     box.cache_clear()
     size = box.cache_info().maxsize
     for window in range(size + 1):
-        box(GC, window)
+        for key in key_index(GU, ktypes.enumerate_ktypes(GU, window + 1)):
+            box(GU, window).get(key)
+        assert box(GU, window)._lifted.keys() == key_index(
+            GU, ktypes.enumerate_ktypes(GU, window)).keys()
     assert box.cache_info().currsize == size
-    box(GC, size)  # the newest stays
+    box(GU, size)  # the newest stays
     assert box.cache_info().misses == size + 1
-    box(GC, 0)  # the oldest was evicted
+    box(GU, 0)  # the oldest was evicted
     assert box.cache_info().misses == size + 2
 
 
@@ -561,7 +599,8 @@ def test_box_tables_agree_with_ktype_table():
                                          all_noncompact_su21())]
                        + [(g, 3) for g in a3]):
         for window in range(windows):
-            box, index = ktypes.ktype_box(g, window)
+            box = ktypes.enumerate_ktypes(g, window)
+            index = key_index(g, box)
             for hv in {g.hm.height_vec, *itertools.product(
                     range(-1, 2), repeat=g.hm.rank)}:
                 v = branching._top_covector(g, hv)
@@ -760,9 +799,11 @@ def test_restrict_to_hm_does_no_weight_work(monkeypatch):
     calls = _count_calls(monkeypatch, (HMLattice, "char"),
                          (Weight, "__new__"), (Weight, "__add__"))
 
-    def box():  # each K-type's entries of the box's inverted index
+    keys = list(key_index(GU, kts))
+
+    def box():  # every key of the window, read through a new box
         ktypes.ktype_box.cache_clear()
-        return ktypes.ktype_box(GU, 4)[1].values()
+        return [ktypes.ktype_box(GU, 4).get(key) for key in keys]
 
     for restrict in (lambda: [restrict_to_hm(GU, kt) for kt in kts], box):
         for _ in range(2):  # Kostant's formula runs on each pass

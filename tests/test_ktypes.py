@@ -227,10 +227,17 @@ U2_Z2_DOC = compact_group_doc("u2-z2-test", 2, [[1, -1], [-1, 1]], [[1, -1]],
 U2_Z2_DOC["zmprime"] = {"order": 2, "generators": [
     {"v": ["1/2", "0"], "char_table_row": [0, 1]}]}
 U2_Z2 = load_group_data(json.dumps(U2_Z2_DOC))
+# the same U(2) and Z' over a rank-1 T_M that its root restricts to 0: the
+# weights hw and hw - root share R but not their Z' index, so a class's
+# keys split by Z' row at one R t
+U2_KERNEL_Z2 = load_group_data(json.dumps({
+    **U2_Z2_DOC, "name": "u2-kernel-z2-test", "tM_in_t": [[1, 1]],
+    "m": {"rank": 1, "roots": [], "positives": [], "compact_flags": []}}))
 
 
 @pytest.mark.parametrize("g", [*map(builtin_group, builtin_group_names()),
-                               SP4R, U2, U2_Z2, *COMPACT.values(), U3xU1],
+                               SP4R, U2, U2_Z2, U2_KERNEL_Z2,
+                               *COMPACT.values(), U3xU1],
                          ids=lambda g: g.name)
 def test_batch_restriction_is_the_per_weight_definition(g):
     # the translates of the class restrictions give each weight mu of each
@@ -248,9 +255,10 @@ def test_batch_restriction_is_the_per_weight_definition(g):
     for row, res in enumerate(want):
         for key, m in res.items():
             inverted.setdefault(key, []).append((row, m))
-    box, index = ktypes.ktype_box(g, 3)
-    assert box == tuple(kts)
-    assert index == {key: tuple(rows) for key, rows in inverted.items()}
+    box = ktypes.ktype_box(g, 3)
+    assert {key: box.get(key) for key in inverted} == {
+        key: tuple((kts[row], m) for row, m in rows)
+        for key, rows in inverted.items()}
 
 
 def test_a_caller_cannot_change_the_box_a_later_table_reads():
@@ -260,16 +268,65 @@ def test_a_caller_cannot_change_the_box_a_later_table_reads():
     g = builtin_group("su21")
     p = su21_from_lambda(g, [3, 1, -1])
     ktypes.ktype_box.cache_clear()
-    box, index = ktypes.ktype_box(g, 6)
+    box = ktypes.ktype_box(g, 6)
     want = box_table(g, p, 6, "series")
-    key, rows = next(iter(index.items()))
-    for change in (lambda: index.clear(), lambda: index.__setitem__(key, ()),
-                   lambda: index.pop(key), lambda: rows.append((0, 1)),
-                   lambda: box.append(())):
+    key = next(iter(key_index(g, [(3, 1, -1)])))
+    rows = box.get(key)
+    assert rows
+    for change in (lambda: box.clear(), lambda: box.__setitem__(key, ()),
+                   lambda: box.pop(key), lambda: rows.append((0, 1)),
+                   lambda: setattr(box, "window", 7)):
         with pytest.raises((AttributeError, TypeError)):
             change()
-    assert ktypes.ktype_box(g, 6)[1] is index
+    assert ktypes.ktype_box(g, 6) is box and box.get(key) is rows
     assert box_table(g, p, 6, "series") == want and len(want.entries) == 8
+
+
+GROUP_DOCS = [path for path in sorted([
+    *(Path(ktypes.__file__).parent / "data").glob("*.json"),
+    *(Path(__file__).parent / "data").glob("*.json")])
+    if "zmprime" in json.loads(path.read_text())]
+
+
+@pytest.mark.parametrize("path", GROUP_DOCS,
+                         ids=lambda p: f"{p.parent.parent.name}/{p.stem}")
+def test_box_reads_each_key_as_the_full_index(path):
+    # a key read from the window's box holds the same (K-type, m) entries,
+    # K-types in lexical order, as the inverted index of all the window's
+    # K-types; a key of the next window's boundary that no K-type of the
+    # window holds reads empty
+    g = load_group_data(path)
+    unheld = 0
+    for window in range(5):
+        kts = enumerate_ktypes(g, window)
+        full = key_index(g, kts)
+        boundary = [hw for hw in enumerate_ktypes(g, window + 1)
+                    if max(map(abs, hw)) > window]
+        keys = full.keys() | key_index(g, boundary[::7]).keys()
+        unheld += len(keys - full.keys())
+        for key in sorted(keys):
+            assert ktypes.ktype_box(g, window).get(key) == tuple(
+                (kts[row], m) for row, m in full.get(key, ()))
+    assert unheld
+
+
+def test_a_key_of_no_ktype_reads_empty_before_the_cone():
+    # a key with no T-weight in the window's cube, or none with its Z' row,
+    # reads empty without visiting a cone point: on SO(2) the weight 1 has
+    # Z' row 1, so the key ((1,), 0) is no key of any window
+    class Refuse:
+        def __iter__(self):
+            raise AssertionError("walked the cone")
+
+    gc = builtin_group("sl2r-compact")
+    assert key_index(gc, [(1,)]).keys() == {((1,), 1)}
+    for g, keys in ((builtin_group("su21"), [((3, 0, 0), 0), ((0, 1, -3), 0)]),
+                    (gc, [((3,), 0), ((1,), 0)])):
+        box = ktypes.KTypeBox(g, 2)
+        box._cone = Refuse()
+        for key in keys:
+            assert box.get(key) == () and key not in key_index(
+                g, enumerate_ktypes(g, 2))
 
 
 def _central(g, bound):
@@ -301,25 +358,23 @@ def test_restriction_runs_kostant_once_per_class(monkeypatch):
     # Kostant's formula runs once per class of K-types modulo the centre,
     # the dot products with the simple roots: on su21 once per a - b
     g = builtin_group("su21")
-    kostant, translate = ktypes._kostant, ktypes._translate
-    calls, translated = [], []
+    kts = enumerate_ktypes(g, 6)
+    keys = list(key_index(g, kts))
+    kostant, calls = ktypes._kostant, []
 
     def counted_kostant(g, *args):
         calls.append(args)
         return kostant(g, *args)
 
-    def counted_translate(g, hw, pairings):
-        translated.append(hw)
-        return translate(g, hw, pairings)
-
     monkeypatch.setattr(ktypes, "_kostant", counted_kostant)
-    monkeypatch.setattr(ktypes, "_translate", counted_translate)
     ktypes.ktype_box.cache_clear()
     ktypes._class_keys.cache_clear()
-    box, _ = ktypes.ktype_box(g, 6)
-    assert ktypes.ktype_box(g, 6)[0] is box  # one build per (group, window)
-    assert len(box) == 1183 and translated == list(box)  # each K-type once
-    assert len(calls) <= 13 == len({a - b for a, b, _ in box})
+    box = ktypes.ktype_box(g, 6)
+    assert ktypes.ktype_box(g, 6) is box  # one box per (group, window)
+    assert calls == []  # nothing is restricted before a read
+    entries = [box.get(key) for key in keys]
+    assert len(kts) == 1183 and sum(map(len, entries)) == 5915
+    assert len(calls) <= 13 == len({a - b for a, b, _ in kts})
     ktypes._class_keys.cache_clear()
     calls.clear()
     sample = enumerate_ktypes(g, 8)[::7]
