@@ -204,16 +204,19 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
         return ParamVerdict("invalid", g, reason)
 
     lattice = g.hm.lattice
-    if p.lam.lattice != lattice or p.lam.rank != g.hm.rank:
+    if not isinstance(p.lam, Weight) or (p.lam.lattice, p.lam.rank) != (
+            lattice, g.hm.rank):
         return invalid("parameter is not a weight of the Levi Cartan")
-    if p.nu.lattice != f"{g.name}:a" or p.nu.rank != g.dim_a:
+    if not isinstance(p.nu, Weight) or (p.nu.lattice, p.nu.rank) != (
+            f"{g.name}:a", g.dim_a):
         return invalid("continuous parameter is not a weight of the split part")
     if type(p.chi) is not int or not 0 <= p.chi < g.hm.ztable.order:
         return invalid(f"no component character with index {p.chi}")
 
-    # a root's coordinates on another lattice, or halved, are no root (None)
+    # a root on another lattice or halved, or a non-tuple, is no root (None)
+    rmplus = p.rmplus if type(p.rmplus) is tuple else (None,)
     rmplus = tuple(a.coords if isinstance(a, Weight) and a.denom == 1
-                   and a.lattice == lattice else None for a in p.rmplus)
+                   and a.lattice == lattice else None for a in rmplus)
     chamber = _chamber(g, rmplus)
     if isinstance(chamber, str):
         return invalid(chamber)

@@ -51,22 +51,13 @@ def _sign(doc: dict) -> str:
 
 
 def sl2_discrete(g: RealGroupData, n: int, sign: str) -> TemperedParams:
-    if n < 1:
-        raise ParamSchemaError("discrete series need n >= 1")
+    """The discrete series whose lowest K-type is sign (n + 1); n = 0 gives
+    the limit of discrete series of that sign."""
     s = 1 if sign == "+" else -1
     return TemperedParams(
         lam=g.tm_weight([s * n]),
         rmplus=(g.tm_weight([2 * s]),),
         chi=(n - 1) % 2,
-        nu=g.a_weight([]))
-
-
-def sl2_limit(g: RealGroupData, sign: str) -> TemperedParams:
-    s = 1 if sign == "+" else -1
-    return TemperedParams(
-        lam=g.tm_weight([0]),
-        rmplus=(g.tm_weight([2 * s]),),
-        chi=1,
         nu=g.a_weight([]))
 
 
@@ -127,10 +118,13 @@ def resolve_params(g: RealGroupData, doc: dict) -> TemperedParams:
         series = doc.get("series")
         if series == "discrete":
             _only(doc, "series", "n", "sign")
-            return sl2_discrete(g, _integers(doc, "n", 0), _sign(doc))
+            n, sign = _integers(doc, "n", 0), _sign(doc)
+            if n < 1:
+                raise ParamSchemaError("discrete series need n >= 1")
+            return sl2_discrete(g, n, sign)
         if series == "limit":
             _only(doc, "series", "sign")
-            return sl2_limit(g, _sign(doc))
+            return sl2_discrete(g, 0, _sign(doc))
         raise ParamSchemaError(
             'expected {"series": "discrete"|"limit", ...} or raw parameters')
     if g.name == "sl2r-split":

@@ -4,10 +4,11 @@ The six tempered families restrict to the circle subgroup as:
 
     discrete(n, +):  weights n+1, n+3, n+5, ...      each once
     discrete(n, -):  weights -(n+1), -(n+3), ...     each once
-    limit(+):        weights 1, 3, 5, ...            each once
-    limit(-):        weights -1, -3, -5, ...         each once
     principal spherical:     all even weights        each once
     principal nonspherical:  all odd weights         each once
+
+with n >= 1 for the discrete series and n = 0 for the limits of discrete
+series, limit_plus and limit_minus.
 
 These tables are written down directly from the classical decompositions,
 never computed by the engine, so they can serve as an independent oracle.
@@ -46,29 +47,16 @@ class SL2Series(_SL2SeriesFields):
 def sl2_branching(s: SL2Series, window: int) -> KTypeTable:
     """Exact closed-form table of all K-weights with |weight| <= window."""
     _check_window(window)
-    if s.kind == "discrete_plus":
-        support = range(s.n + 1, window + 1, 2)
-        sign = -1
-    elif s.kind == "discrete_minus":
-        support = range(-(s.n + 1), -(window + 1), -2)
-        sign = -1
-    elif s.kind == "limit_plus":
-        support = range(1, window + 1, 2)
-        sign = -1
-    elif s.kind == "limit_minus":
-        support = range(-1, -(window + 1), -2)
-        sign = -1
-    elif s.kind == "principal_spherical":
-        support = (k for k in range(-window, window + 1) if k % 2 == 0)
-        sign = 1
-    else:
-        support = (k for k in range(-window, window + 1) if k % 2 != 0)
-        sign = 1
-    return KTypeTable({(k,): 1 for k in support}, window, sign)
+    if s.kind.startswith("principal"):  # every weight of its parity
+        odd = s.kind == "principal_nonspherical"
+        return KTypeTable({(k,): 1 for k in range(-window, window + 1)
+                           if k % 2 == odd}, window, 1)
+    out = 1 if s.kind.endswith("plus") else -1  # every other weight outwards
+    return KTypeTable({(k,): 1 for k in range(
+        out * (s.n + 1), out * (window + 1), 2 * out)}, window, -1)
 
 
 class MatchReport(NamedTuple):
-    window: int
     diffs: tuple[tuple[tuple[int, ...], int, int], ...]  # (ktype, got, want)
 
     @property
@@ -90,4 +78,4 @@ def oracle_match(table: KTypeTable, s: SL2Series) -> MatchReport:
         want = expected.entries.get(key, 0)
         if got != want:
             diffs.append((key, got, want))
-    return MatchReport(table.window, tuple(diffs))
+    return MatchReport(tuple(diffs))

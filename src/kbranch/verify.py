@@ -63,7 +63,7 @@ def _sl2_param_sets():
     return ([(f"discrete n={n} sign {s}", gc, presets.sl2_discrete(gc, n, s),
               SL2Series(f"discrete_{pm[s]}", n))
              for n in range(1, 6) for s in "+-"]
-            + [(f"limit sign {s}", gc, presets.sl2_limit(gc, s),
+            + [(f"limit sign {s}", gc, presets.sl2_discrete(gc, 0, s),
                 SL2Series(f"limit_{pm[s]}")) for s in "+-"]
             + [(f"principal {chi}", gs, presets.sl2_principal(gs, chi),
                 SL2Series(kind))

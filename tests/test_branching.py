@@ -25,8 +25,8 @@ from kbranch.characters import (CutoffError, FormalCharacter, HMLattice,
 from kbranch.groups import (_BUILTIN_DIR, GroupDataError, builtin_group,
                             load_group_data, simple_roots)
 from kbranch.ktypes import KType, key_index
-from kbranch.presets import (resolve_params, sl2_discrete, sl2_limit,
-                             sl2_principal, su21_from_lambda)
+from kbranch.presets import (resolve_params, sl2_discrete, sl2_principal,
+                             su21_from_lambda)
 from kbranch.sl2_oracles import SL2Series, sl2_branching
 from kbranch.verify import _sl2_param_sets, random_su21_params
 
@@ -60,7 +60,7 @@ def test_validate_discrete_nonzero():
 
 
 def test_validate_limit_nonzero_vacuous_compact_condition():
-    assert validate_params(GC, sl2_limit(GC, "+")).verdict == "nonzero"
+    assert validate_params(GC, sl2_discrete(GC, 0, "+")).verdict == "nonzero"
 
 
 def test_validate_su21_zero_on_compact_wall():
@@ -205,11 +205,17 @@ _U = su21_from_lambda(GU, [3, 1, -1])
      "invalid: parameter is not a weight of the Levi Cartan"),
     (GU, _U._replace(lam=GC.tm_weight([3])),
      "invalid: parameter is not a weight of the Levi Cartan"),
+    (GU, _U._replace(lam=[3, 1, -1]),
+     "invalid: parameter is not a weight of the Levi Cartan"),
     (GU, _U._replace(nu=GU.tm_weight([])),
      "invalid: continuous parameter is not a weight of the split part"),
     (GU, _U._replace(nu=GC.a_weight([])),
      "invalid: continuous parameter is not a weight of the split part"),
+    (GU, _U._replace(nu=[]),
+     "invalid: continuous parameter is not a weight of the split part"),
     (GU, _U._replace(rmplus=STD_POS[:2] + STD_POS[:1]),
+     "invalid: positive system contains non-roots or duplicates"),
+    (GU, _U._replace(rmplus=None),
      "invalid: positive system contains non-roots or duplicates"),
     (GU, _U._replace(rmplus=STD_POS[:2]),
      "invalid: positive system does not split the roots into halves"),
@@ -244,9 +250,10 @@ _U = su21_from_lambda(GU, [3, 1, -1])
     (GU, _U._replace(lam=GU.tm_weight([2, 2, -1]), rmplus=tuple(
         GU.tm_weight(c) for c in ([1, -1, 0], [0, 1, -1], [1, 0, -1]))),
      "zero: parameter orthogonal to simple compact root (1, -1, 0)"),
-], ids=["lam-lattice", "lam-rank", "nu-lattice", "nu-rank", "duplicates",
-        "too-few", "not-halves", "not-pointed", "not-dominant", "no-lift",
-        "component", "inexact", "d2-nonzero", "d2-component", "zero"])
+], ids=["lam-lattice", "lam-rank", "lam-list", "nu-lattice", "nu-rank",
+        "nu-list", "duplicates", "rmplus-none", "too-few", "not-halves",
+        "not-pointed", "not-dominant", "no-lift", "component", "inexact",
+        "d2-nonzero", "d2-component", "zero"])
 def test_every_verdict_reason_byte_for_byte(g, p, want):
     v = validate_params(g, p)
     assert str(v) == want
@@ -279,7 +286,7 @@ def test_virtual_character_split_is_single_term():
 
 
 def test_virtual_character_limit():
-    W = _virtual_character(GC, sl2_limit(GC, "+"), 9)
+    W = _virtual_character(GC, sl2_discrete(GC, 0, "+"), 9)
     got = sorted(c[0] for (c, _), _ in W.items())
     assert got == [1, 3, 5, 7, 9]
 
@@ -459,7 +466,7 @@ def test_tables_validate_once(monkeypatch, table):
 
 
 def test_mode_equivalence_table_level():
-    for p in (sl2_discrete(GC, 2, "-"), sl2_limit(GC, "-")):
+    for p in (sl2_discrete(GC, 2, "-"), sl2_discrete(GC, 0, "-")):
         assert ktype_table(GC, p, 40) == ktype_table_series(GC, p, 40)
     rng = random.Random(11)
     for _ in range(5):
@@ -1429,9 +1436,11 @@ def _plant(monkeypatch, defect, g):
 
 
 # where the series spot check, which checked Blattner's tables before the
-# partition oracle did, raised ArithmeticError on the planted defects: first
-# the nonnegativity of the rows, then the check's disagreement
-_CAUGHT = {
+# partition oracle did, raised ArithmeticError on the planted defects at
+# window 6: first the nonnegativity of the rows, then the check's
+# disagreement.  The partition check catches the same; at window 12 the
+# flipped det also makes a row of sp4r (6, 1) negative
+_CAUGHT_AT_6 = {
     "det": {("su21", (3, 1, -1)), ("su21", (5, -2, 0)), ("sp4r", (2, 1)),
             ("sp4r", (3, 1)), ("sp4r", (5, 2)), ("sp4r", (2, -1)),
             ("sp4r", (3, -1)), ("sp4r", (4, -3)), ("sp4r", (1, -2)),
@@ -1441,23 +1450,35 @@ _CAUGHT = {
               ("sp4r", (4, -3)), ("sp4r", (1, -2)), ("su31", (3, 1, -1, -3))},
     "w": set(),
 }
+_CAUGHT = {**{(d, 6): c for d, c in _CAUGHT_AT_6.items()},
+           ("det", 12): _CAUGHT_AT_6["det"] | {("sp4r", (6, 1))},
+           ("shift", 12): _CAUGHT_AT_6["shift"], ("w", 12): set()}
+# the tables a planted defect leaves wrong with no check raising.  Of su21
+# (-1, 2, 4)'s 21 rows at window 12, the moved shifts drop 6 and the flipped
+# det adds 6 more; w for w^T adds rows to su31 at lambda = rho, 1 at window
+# 6 and 37 at 12.  Every row such a table shares with the right one holds
+# the right value; only the window-8 digests of su31 catch the last
+_WRONG = {("det", 12): {("su21", (-1, 2, 4))},
+          ("shift", 12): {("su21", (-1, 2, 4))},
+          ("w", 6): {("su31", (3, 1, -1, -3))},
+          ("w", 12): {("su31", (3, 1, -1, -3))}}
 
 
-@pytest.mark.parametrize("defect", _CAUGHT)
+# window 6 keeps the bare defect as its id
+@pytest.mark.parametrize("defect, window", _CAUGHT, ids=[
+    d if w == 6 else f"{d}-window{w}" for d, w in _CAUGHT])
 def test_partition_spot_check_catches_planted_blattner_defects(monkeypatch,
-                                                                defect):
-    # the partition check raises on exactly the cases the series check
-    # raised on; the rest keep their table, but for w on su31 at lambda =
-    # rho, which the window-8 digests of su31 catch
+                                                                defect,
+                                                                window):
     clean = {}
     for g, lam, denom in _PLANTED:
-        clean[g.name, lam] = ktype_table(g, _chamber(g, lam, denom), 6)
-    caught = set()
+        clean[g.name, lam] = ktype_table(g, _chamber(g, lam, denom), window)
+    caught, wrong = set(), set()
     for g, lam, denom in _PLANTED:
         with monkeypatch.context() as m:
             bad = _plant(m, defect, g)
             try:
-                table = ktype_table(bad, _chamber(bad, lam, denom), 6)
+                table = ktype_table(bad, _chamber(bad, lam, denom), window)
             except ArithmeticError as e:
                 caught.add((g.name, lam))
                 assert re.fullmatch({
@@ -1465,9 +1486,10 @@ def test_partition_spot_check_catches_planted_blattner_defects(monkeypatch,
                     "shift": r"evaluator disagreement at .*: "
                              r"partition 0 vs blattner 1"}[defect], str(e))
                 continue
-        changed = (g.name, lam) == ("su31", (3, 1, -1, -3)) and defect == "w"
-        assert (table != clean[g.name, lam]) == changed
-    assert caught == _CAUGHT[defect]
+        if table != clean[g.name, lam]:
+            wrong.add((g.name, lam))
+    assert caught == _CAUGHT[defect, window]
+    assert wrong == _WRONG.get((defect, window), set())
 
 
 def _record_builds(monkeypatch):

@@ -521,3 +521,69 @@ def test_branching_alone_refuses_a_window():
 ])
 def test_window_refusals_are_found(source, funcs):
     assert _window_refusals(ast.parse(source)) == funcs
+
+
+def _reads(scope: ast.AST) -> set[str]:
+    """The names a scope's code reads, by a load or an augmented
+    assignment, its nested scopes' reads of names they do not bind
+    included."""
+    code = _scope_code(scope)
+    reads = {n.id for n in code
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    reads |= {n.target.id for n in code if isinstance(n, ast.AugAssign)
+              and isinstance(n.target, ast.Name)}
+    for node in code:
+        if isinstance(node, _SCOPES):
+            reads |= _reads(node) - _bound(_scope_code(node))
+    return reads
+
+
+def _unread_parameters(tree: ast.Module) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter its function never reads.
+    A method's first parameter is spared: the call binds it, and a dunder
+    method such as __hash__ takes it whether it reads it or not."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, _FUNCTIONS)}
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, _FUNCTIONS):
+            continue
+        a = func.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg,
+                                  *a.kwonlyargs, a.kwarg) if p]
+        reads = _reads(func)
+        found += [(getattr(func, "name", "<lambda>"), p)
+                  for p in params[id(func) in methods:] if p not in reads]
+    return found
+
+
+# perfbench/workloads.py passes it; it goes with ktype_table_series
+_UNREAD_KEPT = {("branching", "ktype_table_series", "restrictions")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    unread = {(path.stem, *f) for f in
+              _unread_parameters(ast.parse(path.read_text()))}
+    assert unread - _UNREAD_KEPT == set()
+
+
+@pytest.mark.parametrize("source, unread", [
+    ("def f(x, y): return x", [("f", "y")]),
+    ("def f(x, *args, k=1, **kw): return x", [
+        ("f", "args"), ("f", "k"), ("f", "kw")]),
+    ("def f(x, /, y): return y", [("f", "x")]),
+    ("f = lambda x, y: y", [("<lambda>", "x")]),
+    ("def f(x):\n    x = 1\n    return x", []),
+    ("def f(x):\n    x += 1", []),
+    ("def f(x):\n    def g(): return x\n    return g", []),
+    ("def f(x):\n    return [x for _ in y]", []),
+    ("def f(x):\n    def g(x): return x\n    return g", [("f", "x")]),
+    ("def f(x):\n    return [x for x in y]", [("f", "x")]),
+    ("def f(x):\n    def g(k=x): return k\n    return g", []),
+    ("class C:\n    def __hash__(self): return 0", []),
+    ("class C:\n    def m(self, x): return self", [("m", "x")]),
+    ("def f(self): return 0", [("f", "self")]),
+])
+def test_unread_parameters_are_found(source, unread):
+    assert _unread_parameters(ast.parse(source)) == unread

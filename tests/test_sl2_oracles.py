@@ -85,3 +85,25 @@ def test_oracle_match_window_mismatch():
 def test_window_zero():
     assert sl2_branching(SL2Series("principal_nonspherical"), 0).entries == {}
     assert sl2_branching(SL2Series("principal_spherical"), 0).entries == {(0,): 1}
+
+
+# the module docstring's table, one kind at a time: (weights, sign)
+DOC_TABLE = {
+    "discrete_plus": lambda n, w: (range(n + 1, w + 1, 2), -1),
+    "discrete_minus": lambda n, w: (range(-(n + 1), -w - 1, -2), -1),
+    "limit_plus": lambda n, w: (range(1, w + 1, 2), -1),
+    "limit_minus": lambda n, w: (range(-1, -w - 1, -2), -1),
+    "principal_spherical": lambda n, w: (range(-w + w % 2, w + 1, 2), 1),
+    "principal_nonspherical": lambda n, w: (
+        range(-w + 1 - w % 2, w + 1, 2), 1),
+}
+
+
+@pytest.mark.parametrize("kind", DOC_TABLE)
+def test_every_entry_matches_the_docstring_table(kind):
+    for n in (range(1, 6) if kind.startswith("discrete") else [0]):
+        for window in range(61):
+            weights, sign = DOC_TABLE[kind](n, window)
+            t = sl2_branching(SL2Series(kind, n), window)
+            assert (t.entries, t.window, t.sign) == (
+                {(k,): 1 for k in weights}, window, sign), (n, window)
