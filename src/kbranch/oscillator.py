@@ -19,10 +19,10 @@ kept per (grid, scale) in a memo of 8 entries (`_spectra`), so that a repeat
 only applies its own svd_tol to them and builds a new report.  A cylinder
 table is read from one such 1-D report (`cylinder_table`).  The 2-D check is
 matrix-free block LOBPCG: A and A^T fill one output each from the stencil
-diagonals, and the preconditioner's vectors come from the SVDs of the
-parity halves (`_component_svds`); its start block is their tensor vectors
-corrected to first order for the coupling of degrees 0 and 2, and only the
-guard carries a seeded draw.  numpy loads inside the functions that compute.
+diagonals, the preconditioner's vectors come from `eigh` of the parity
+halves' Gram matrices (`_component_eigs`), and the start block is their
+tensor vectors corrected to first order for the coupling of degrees 0 and
+2; only the guard carries a seeded draw.  numpy loads where it computes.
 """
 
 from __future__ import annotations
@@ -133,26 +133,26 @@ def _parity_halves(grid: GridSpec, scale: float):
     return (even[:-1], even[:-1, :-1]), (odd, odd[:-1])
 
 
-def _component_svds(grid: GridSpec, scale: float):
+def _component_eigs(grid: GridSpec, scale: float):
     """(s, vt) of each component matrix, s falling, the rows of vt its right
-    singular vectors: the SVDs of its parity halves, each vt unfolded from
-    the half's basis, whose vectors are e_0 or (e_j + sign e_-j)/sqrt(2)
-    with sign + on even columns (P's first half, M's second), to grid
-    coordinates."""
+    singular vectors, from `eigh` of b^T b for each parity half b: s =
+    sqrt(max(w, 0)), exact but at the floor eps * s_max^2 that the
+    preconditioner's clamp replaces.  Each half's basis, e_0 or (e_j + sign
+    e_-j)/sqrt(2) with sign + on even columns (P's first half, M's second),
+    is unfolded to grid coordinates by slicing."""
     import numpy as np
     out = []
     for halves, signs in zip(_parity_halves(grid, scale), ((1, -1), (-1, 1))):
         n = sum(b.shape[1] for b in halves)  # the matrix's columns
         ss, vts = [], []
         for b, sign in zip(halves, signs):
-            s, vt = np.linalg.svd(b, full_matrices=False)[1:]
-            j = np.arange(b.shape[1])
-            basis = np.zeros((len(j), n))
-            basis[j, j] = 1.0
-            basis[j, n - 1 - j] += sign  # 2 on the centre, which is even
-            basis /= np.linalg.norm(basis, axis=1, keepdims=True)
-            ss.append(s)
-            vts.append(vt @ basis)
+            w, v = np.linalg.eigh(b.T @ b)
+            c, j = b.shape[1], np.arange(b.shape[1])
+            v = v.T / np.where(j == n - 1 - j, 2, 2 ** 0.5)  # 2: the centre
+            vt = np.pad(v, ((0, 0), (0, n - c)))
+            vt[:, n - c:] += sign * v[:, ::-1]
+            ss.append(np.sqrt(np.maximum(w, 0)))
+            vts.append(vt)
         s = np.concatenate(ss)
         order = np.argsort(-s, kind="stable")
         out.append((s[order], np.concatenate(vts)[order]))
@@ -262,11 +262,10 @@ def _lobpcg(op, adj, prec, x, nwant: int, tol: float):
     Rayleigh-Ritz runs on an orthonormal basis [x, p, w] and its images,
     kept in one buffer of 3k rows each and overwritten in place; w is the
     preconditioned residuals of the guards and of the wanted rows not yet
-    within bound (soft locking, as in Knyazev's code).  The new x
-    and p and their images are combinations of the old basis and images, so
-    op runs on w alone; once the wanted residuals pass, op images x afresh
-    and they are checked again, so that the images returned, and the
-    residuals that passed, are the vectors' own.  A start whose rows span
+    within bound (soft locking, as in Knyazev's code).  The new x and p, p's
+    images and, in round 0, x's are combinations of the old basis and images;
+    later op images x afresh before its residuals, so that those that pass
+    and the images returned are the vectors' own.  A start whose rows span
     fewer than nwant + 1 directions is refused, as the block has no guard."""
     import numpy as np
     x = _orth(x, x[:0])
@@ -286,20 +285,17 @@ def _lobpcg(op, adj, prec, x, nwant: int, tol: float):
         c = np.vstack([y.T, _orth(np.where(np.arange(n)[:, None] < k, 0, y).T,
                                   y.T)])
         j = len(c)
+        lo = k if it else 0  # from round 1, op images x afresh
+        aq[lo:j] = c[lo:] @ aq[:n]
         q[:j] = c @ q[:n]
-        aq[:j] = c @ aq[:n]
+        if it:
+            aq[:k] = op(q[:k])
         x, ax = q[:k], aq[:k]
         r = adj(ax)
         r -= theta[:, None] * x
         ok = np.linalg.norm(r[:nwant], axis=1) <= bound
         if it and ok.all():
-            ax = op(x)
-            r = adj(ax)
-            r -= theta[:, None] * x
-            ok = np.linalg.norm(r[:nwant], axis=1) <= bound
-            if ok.all():
-                return x, ax
-            aq[:k] = ax
+            return x, ax
         w = _orth(prec(r[np.r_[~ok, [True] * (k - nwant)]]), q[:j])
         n = j + len(w)
         q[j:n], aq[j:n] = w, op(w)
@@ -377,9 +373,9 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     # precondition by the inverse of the diagonal blocks P^T P (+) P^T P and
     # M^T M (+) M^T M of A^T A by fast diagonalisation (Lynch, Rice, Thomas
     # 1964), clamped at the rounding floor lest rounding pose as a kernel
-    svds = _component_svds(grid, potential_scale)
-    floor = 2 * np.finfo(float).eps * max(s[0] for s, _ in svds) ** 2
-    fd = [(vt, np.maximum(s[:, None] ** 2 + s ** 2, floor)) for s, vt in svds]
+    eigs = _component_eigs(grid, potential_scale)
+    floor = 2 * np.finfo(float).eps * max(s[0] for s, _ in eigs) ** 2
+    fd = [(vt, np.maximum(s[:, None] ** 2 + s ** 2, floor)) for s, vt in eigs]
     def prec(r):
         z = np.empty_like(r)
         for u, out, (vt, den) in zip(

@@ -58,24 +58,28 @@ def sl2_branching(s: SL2Series, window: int) -> KTypeTable:
 
 class MatchReport(NamedTuple):
     diffs: tuple[tuple[tuple[int, ...], int, int], ...]  # (ktype, got, want)
+    sign: tuple[int, ...] = ()  # (got, want) when the signs differ
 
     @property
     def ok(self) -> bool:
-        return not self.diffs
+        return not self.diffs and not self.sign
 
 
 def oracle_match(table: KTypeTable, s: SL2Series) -> MatchReport:
-    """Per-K-type diff of an engine table against the closed form."""
+    """Per-K-type diff of an engine table against the closed form, and its
+    sign against the closed form's."""
+    wide = [k for k in table.entries if len(k) != 1]
+    if wide:
+        raise ValueError(f"K-type {wide[0]} is not a 1-tuple of SL(2,R)'s K")
     out_of_window = [k for k, in table.entries if abs(k) > table.window]
     if out_of_window:
         raise ValueError(
             f"window mismatch: entries {out_of_window} lie outside the "
             f"declared window {table.window}")
     expected = sl2_branching(s, table.window)
-    diffs = []
-    for key in sorted(set(table.entries) | set(expected.entries)):
-        got = table.entries.get(key, 0)
-        want = expected.entries.get(key, 0)
-        if got != want:
-            diffs.append((key, got, want))
-    return MatchReport(tuple(diffs))
+    got, want = table.entries, expected.entries
+    diffs = tuple((k, got.get(k, 0), want.get(k, 0))
+                  for k in sorted(got.keys() | want.keys())
+                  if got.get(k, 0) != want.get(k, 0))
+    sign = (table.sign, expected.sign) if table.sign != expected.sign else ()
+    return MatchReport(diffs, sign)

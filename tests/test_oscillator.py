@@ -16,7 +16,7 @@ from kbranch import oscillator, verify
 from kbranch.branching import TableSizeError
 from kbranch.oscillator import (GridSpec, GridError, InconclusiveKernelError,
                                 KernelReport, _component_stencils,
-                                _component_svds, _dense, _lobpcg,
+                                _component_eigs, _dense, _lobpcg,
                                 _parity_halves, cylinder_sl2, cylinder_table,
                                 oscillator_1d, oscillator_nd)
 from kbranch.sl2_oracles import SL2Series, oracle_match
@@ -130,12 +130,13 @@ def test_parity_halves_split_the_component_matrices(grid):
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1.0, 0.25), GridSpec(2.0, 0.2)])
-def test_component_svds_unfold_the_parity_halves(grid):
-    # the preconditioner's vectors, from the SVDs of the parity halves, are
-    # those of the whole component matrices; the dense SVD is the reference
+def test_component_eigs_unfold_the_parity_halves(grid):
+    # the preconditioner's vectors, from eigh of the parity halves' Gram
+    # matrices, are those of the whole component matrices; the dense SVD
+    # is the reference
     for f in (0.37, 1.0, 2.0):
         for a, (s, vt) in zip(_component_matrices(grid, f),
-                              _component_svds(grid, f)):
+                              _component_eigs(grid, f)):
             n = a.shape[1]
             assert vt.shape == (n, n) and (np.diff(s) <= 0).all()
             assert np.abs(vt @ vt.T - np.eye(n)).max() <= 1e-13
@@ -410,8 +411,8 @@ def test_nd_lobpcg_iteration_budget(monkeypatch, f):
     # a work budget: applications of A, A^T and the preconditioner in the
     # `verify dirac` 2-D check, started from the coupling-corrected tensor
     # vectors with the draw on the guard alone; A images the start, the one
-    # w block and the returned block, and A^T takes one residual per round
-    # and the returned block's (3, 3 and 1 at every scale)
+    # w block and the returned block, and A^T takes one residual per round,
+    # the second round's from those fresh images (3, 2 and 1 at every scale)
     lobpcg, count = oscillator._lobpcg, {"op": 0, "adj": 0, "prec": 0}
 
     def counted(name, fn):
@@ -427,7 +428,22 @@ def test_nd_lobpcg_iteration_budget(monkeypatch, f):
     monkeypatch.setattr(oscillator, "_lobpcg", counting)
     oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5, potential_scale=f)
     assert count["prec"] == 1
-    assert count["op"] <= 3 and count["adj"] <= 3
+    assert count["op"] <= 3 and count["adj"] <= 2
+
+
+def test_nd_makes_no_svd_with_vectors(monkeypatch):
+    # a cold 2-D check: the 1-D spectra take the values of the four parity
+    # halves, and the preconditioner's vectors come from eigh, not an SVD
+    svd, calls = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    oscillator._spectra.cache_clear()
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
+    assert calls == [False] * 4
 
 
 @pytest.mark.parametrize("f", [1.0, 2.0, 4.0])
@@ -493,7 +509,7 @@ def _tensor_parts(x, grid, f):
     out = []
     for row in x:
         best = (-1.0,)
-        for (s, vt), lo, w in zip(_component_svds(grid, f), (0, (m - 2) ** 2),
+        for (s, vt), lo, w in zip(_component_eigs(grid, f), (0, (m - 2) ** 2),
                                   (m - 2, m - 1)):
             c = vt @ row[lo:lo + w * w].reshape(w, w) @ vt.T
             i, j = np.unravel_index(np.abs(c).argmax(), c.shape)
@@ -533,7 +549,7 @@ def test_nd_start_draws_on_the_guard_alone(monkeypatch, f):
     assert len(x) == 3  # ev + 2 at ev = 1
     parts = _tensor_parts(x, grid, f)
     lowest = np.sort(np.concatenate([np.add.outer(s ** 2, s ** 2).ravel()
-                                     for s, _ in _component_svds(grid, f)]))
+                                     for s, _ in _component_eigs(grid, f)]))
     assert [p[0] for p in parts] == pytest.approx(lowest[:3], abs=1e-12)
     a = _dense_2d(grid, f)
     ata = a.T @ a
@@ -573,11 +589,11 @@ def test_nd_start_leaves_a_near_degenerate_coupling_to_lobpcg(monkeypatch):
         return (v[:n0].reshape(m - 2, m - 2) if b == 0
                 else v[n0:].reshape(m - 1, m - 1))
 
-    svds, left_out, seen = _component_svds(grid, 1.0), [], set()
+    eigs, left_out, seen = _component_eigs(grid, 1.0), [], set()
     for row, (theta, u) in zip(x[:-1], _tensor_parts(x[:-1], grid, 1.0)):
         b = 1 - u[:n0].any()  # 0 for a degree-0 row, 1 for a degree-2 row
         seen.add(b)
-        s, vt = svds[1 - b]
+        s, vt = eigs[1 - b]
         c = vt @ degree(adj(op(u[None]))[0], 1 - b) @ vt.T
         gap = s[:, None] ** 2 + s ** 2 - theta
         keep = gap > theta / 2
@@ -653,15 +669,15 @@ def test_nd_start_in_too_few_directions_is_inconclusive(monkeypatch):
     # vectors of the start coincide, their corrections nearly so (about
     # 1e-12, as that vector is the Gaussian), and with the guard the rows
     # span 2 directions
-    svds = oscillator._component_svds
+    eigs = oscillator._component_eigs
 
     def repeated(*args):
-        (s, vt), odd = svds(*args)
+        (s, vt), odd = eigs(*args)
         vt = vt.copy()
         vt[-2] = vt[-1]
         return [(s, vt), odd]
 
-    monkeypatch.setattr(oscillator, "_component_svds", repeated)
+    monkeypatch.setattr(oscillator, "_component_eigs", repeated)
     with pytest.raises(InconclusiveKernelError,
                        match="the LOBPCG start spans 2 directions"):
         oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
@@ -684,6 +700,36 @@ def test_lobpcg_preconditions_once_before_it_returns():
     assert calls == [1]
     assert np.abs(np.abs(got) - x).max() < 1e-12
     assert np.abs(np.abs(images) - x * d).max() < 1e-12
+
+
+def test_lobpcg_images_x_afresh_in_a_round_that_does_not_converge():
+    # diag(1..20) from a draw, preconditioned by the identity: round 1 fails
+    # the bound, and each round from 1 on images x once, before its
+    # residual, which A^T takes once; the images returned are op's own
+    d = np.arange(1.0, 21.0)
+    calls = []
+
+    def counted(name, fn):
+        def apply(v):
+            calls.append((name, len(v)))
+            return fn(v)
+        return apply
+
+    x = np.random.default_rng(3).random((3, 20))
+    op = counted("op", lambda v: v * d)
+    got, images = _lobpcg(op, counted("adj", lambda v: v * d),
+                          counted("prec", lambda r: r.copy()), x, 1, 1e-12)
+    assert np.array_equal(op(got), images)
+    del calls[-1]
+    rounds = [i for i, (name, _) in enumerate(calls) if name == "adj"]
+    assert len(rounds) > 2  # round 1 did not converge
+    assert calls[0] == ("op", 3)  # the start's images
+    # each round but the last: A^T, the preconditioner, A on w, then the
+    # next round's A on x, its k = 3 rows
+    for a, b in zip(rounds, rounds[1:]):
+        assert [name for name, _ in calls[a:b]] == ["adj", "prec", "op", "op"]
+        assert calls[b - 1] == ("op", 3)
+    assert calls[rounds[-1]:] == [("adj", 3)]
 
 
 def test_lobpcg_block_is_the_span_of_its_start():

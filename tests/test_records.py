@@ -51,7 +51,8 @@ FROZEN = {
     "KType": (lambda: KType(Weight((2, 0, -1), "t")), ("highest",)),
     "GridSpec": (lambda: GridSpec(6.0, 0.1), ("halfwidth", "step")),
     "SL2Series": (lambda: SL2Series("discrete_plus", 3), ("kind", "n")),
-    "MatchReport": (lambda: MatchReport((((1,), 0, 1),)), ("diffs",)),
+    "MatchReport": (lambda: MatchReport((((1,), 0, 1),), (1, -1)),
+                    ("diffs", "sign")),
 }
 
 # the records that hold a dict or list, built from scratch on every call

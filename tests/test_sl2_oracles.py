@@ -76,6 +76,23 @@ def test_oracle_match_identical_and_disjoint():
     assert len(rep.diffs) == len(ts.entries) + 6  # 7 even got, 6 odd wanted
 
 
+def test_oracle_match_compares_the_sign():
+    # the limit's entries under the principal series' sign: no K-type
+    # differs, the table does
+    t = sl2_branching(SL2Series("limit_plus"), 6)
+    rep = oracle_match(KTypeTable(t.entries, 6, 1), SL2Series("limit_plus"))
+    assert not rep.ok
+    assert rep.diffs == () and rep.sign == (1, -1)
+    assert oracle_match(t, SL2Series("limit_plus")) == ((), ())
+
+
+def test_oracle_match_refuses_a_ktype_of_another_rank():
+    with pytest.raises(ValueError, match=r"K-type \(1, 2, 3\) is not a "
+                                         r"1-tuple"):
+        oracle_match(KTypeTable({(1, 2, 3): 1}, 4, -1),
+                     SL2Series("discrete_plus", 1))
+
+
 def test_oracle_match_window_mismatch():
     bad = KTypeTable({(12,): 1}, 9, -1)
     with pytest.raises(ValueError):
