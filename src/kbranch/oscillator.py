@@ -18,11 +18,10 @@ from inverse iteration with the tridiagonal A^T A in O(n), and both are
 kept per (grid, scale) in a memo of 8 entries (`_spectra`), so that a repeat
 only applies its own svd_tol to them and builds a new report.  A cylinder
 table is read from one such 1-D report (`cylinder_table`).  The 2-D check is
-matrix-free block LOBPCG: A and A^T fill one output each from the stencil
-diagonals, the preconditioner's vectors come from `eigh` of the parity
-halves' Gram matrices (`_component_eigs`), and the start block is their
-tensor vectors corrected to first order for the coupling of degrees 0 and
-2; only the guard carries a seeded draw.  numpy loads where it computes.
+matrix-free and does not iterate: one Rayleigh-Ritz step on the
+preconditioner's tensor vectors, corrected for the coupling of degrees 0
+and 2, gives its values (`_ritz_step`), and a bound on that coupling proves
+its count (`_count_bound`).  numpy loads where it computes.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from .branching import KTypeTable, _check_window
 
 MAX_GRID_POINTS = 2000  # 1-D: n/2-square SVDs; the Gaussian costs O(n)
 MAX_GRID_POINTS_2D = 241  # oscillator_nd: A O(m^2), preconditioner O(m^3)
-MAX_LOBPCG_ITERATIONS = 60  # oscillator_nd needs 2 on desk grids
-MAX_LOBPCG_BLOCK = 16  # oscillator_nd: ev + 2 vectors, 3 on desk kernels
+MAX_START_ROWS = 15  # oscillator_nd: ev + 1 vectors, 2 on desk kernels
 
 
 class GridError(ValueError):
@@ -90,7 +88,7 @@ class KernelReport(NamedTuple):
     Dimensions are None when the singular values fall inside the
     inconclusive band around the tolerance, and read as eps * s_max below
     that rounding floor.  From `oscillator_nd` the even values are the
-    residuals ||A v|| / ||v|| of its ev + 1 lowest LOBPCG Ritz vectors.
+    residuals ||A v|| / ||v|| of its ev + 1 lowest Ritz vectors.
     """
 
     kernel_dim_even: Optional[int]
@@ -238,68 +236,44 @@ def oscillator_1d(grid: GridSpec, svd_tol: float,
     )
 
 
-def _orth(w, b):
-    """The rows of w made orthonormal and orthogonal to the orthonormal rows
-    of b, in two Gram passes that drop directions lost to rounding."""
+def _ritz_step(op, adj, prec, x, tol: float):
+    """The len(x) lowest Ritz pairs of op^T op on the span of the rows of x,
+    unit vectors lowest first, and images equal to op of them up to rounding:
+    one Rayleigh-Ritz step, then one on [x; w], w the preconditioned residuals
+    above tol + 1e-6 theta.  A start of lower rank than its rows is refused."""
     import numpy as np
-    for _ in range(2):
-        if len(b):
-            w = w - (w @ b.T) @ b
-        g = w @ w.T
-        d = np.sqrt(g.diagonal())  # the row norms, taken out of the Gram
-        d[d == 0] = 1.0
-        g, z = np.linalg.eigh(g / np.outer(d, d))
-        keep = g > 1e-10 * g.max(initial=0)
-        w = (z[:, keep] / np.sqrt(g[keep])).T / d @ w
-    return w
-
-
-def _lobpcg(op, adj, prec, x, nwant: int, tol: float):
-    """Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the lowest
-    eigenpairs of op^T op from the rows of x: the Ritz vectors, lowest first,
-    and their images, once the first nwant residuals are <= tol + 1e-6 theta
-    after at least one preconditioned round, so a draw on x gets one.
-    Rayleigh-Ritz runs on an orthonormal basis [x, p, w] and its images,
-    kept in one buffer of 3k rows each and overwritten in place; w is the
-    preconditioned residuals of the guards and of the wanted rows not yet
-    within bound (soft locking, as in Knyazev's code).  The new x and p, p's
-    images and, in round 0, x's are combinations of the old basis and images;
-    later op images x afresh before its residuals, so that those that pass
-    and the images returned are the vectors' own.  A start whose rows span
-    fewer than nwant + 1 directions is refused, as the block has no guard."""
-    import numpy as np
-    x = _orth(x, x[:0])
-    k = len(x)  # the directions the start spans
-    if k <= nwant:
+    k = len(x)
+    def ritz(v, av):  # on the orthonormal basis of v's span from its Gram
+        g, z = np.linalg.eigh(v @ v.T)
+        keep = g > 1e-10 * g[-1]
+        c = (z[:, keep] / np.sqrt(g[keep])).T
+        theta, y = np.linalg.eigh((c @ av) @ (c @ av).T)
+        c = y[:, :k].T @ c
+        return theta[:k], c @ v, c @ av
+    theta, x, ax = ritz(x, op(x))
+    if len(x) < k:
         raise InconclusiveKernelError(
-            f"the LOBPCG start spans {k} directions; {nwant} wanted and a "
-            f"guard need {nwant + 1}")
-    ax = op(x)
-    q, aq = (np.empty((3 * k, a.shape[1])) for a in (x, ax))
-    q[:k], aq[:k] = x, ax
-    n = k  # the live rows, as _orth may drop directions
-    for it in range(MAX_LOBPCG_ITERATIONS):
-        theta, y = (a[..., :k] for a in np.linalg.eigh(aq[:n] @ aq[:n].T))
-        bound = tol + 1e-6 * theta[:nwant]  # theta, y: the k lowest pairs
-        # the new x, then p: the part of the new x outside the old one
-        c = np.vstack([y.T, _orth(np.where(np.arange(n)[:, None] < k, 0, y).T,
-                                  y.T)])
-        j = len(c)
-        lo = k if it else 0  # from round 1, op images x afresh
-        aq[lo:j] = c[lo:] @ aq[:n]
-        q[:j] = c @ q[:n]
-        if it:
-            aq[:k] = op(q[:k])
-        x, ax = q[:k], aq[:k]
-        r = adj(ax)
-        r -= theta[:, None] * x
-        ok = np.linalg.norm(r[:nwant], axis=1) <= bound
-        if it and ok.all():
-            return x, ax
-        w = _orth(prec(r[np.r_[~ok, [True] * (k - nwant)]]), q[:j])
-        n = j + len(w)
-        q[j:n], aq[j:n] = w, op(w)
-    raise InconclusiveKernelError("2-D LOBPCG hit MAX_LOBPCG_ITERATIONS")
+            f"the Rayleigh-Ritz start's {k} rows have rank {len(x)}")
+    r = adj(ax) - theta[:, None] * x
+    far = np.linalg.norm(r, axis=1) > tol + 1e-6 * theta
+    if not far.any():
+        return x, ax
+    w = prec(r[far])
+    w -= (w @ x.T) @ x
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return ritz(np.vstack([x, w]), np.vstack([ax, op(w)]))[1:]
+
+
+def _count_bound(eigs, sh: float, delta: float) -> float:
+    """At least the count of eigenvalues of A^T A below delta, or inf, from
+    the values of eigs = `_component_eigs` and sh = s h: the count of (1 -
+    alpha) lambda_i(T0) <= delta where alpha = (s h)^2 / (2 (lambda_min(T2)
+    - delta)) < 1 (README, "Numerical notes")."""
+    (s0, _), (s2, _) = eigs
+    room = 2 * s2[-1] ** 2 - delta  # lambda_min(T2) = 2 s_min(M)^2
+    alpha = sh * sh / 2 / room if room > 0 else 1.0
+    t0 = s0[:, None] ** 2 + s0 ** 2
+    return int(((1 - alpha) * t0 <= delta).sum()) if alpha < 1 else math.inf
 
 
 def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
@@ -310,10 +284,10 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     singular values and Gaussian error.  Any other n raises ValueError.
 
     The even block couples degrees 0 and 2 through the two odd components;
-    staggering per axis matches the 1-D scheme.  The ev + 1 lowest pairs of
-    A^T A come from `_lobpcg` on ev + 2 vectors, the preconditioner's lowest
-    eigenvectors corrected to first order for that coupling, the last a
-    guard that carries a seeded draw (README).
+    staggering per axis matches the 1-D scheme.  `_ritz_step` gives ev + 1
+    Ritz pairs of A^T A from the preconditioner's lowest eigenvectors,
+    corrected for that coupling, and `_count_bound` proves that at most ev
+    values lie below the band, or the check is inconclusive (README).
     """
     if n != 2:
         raise ValueError("desk scale covers n = 2 only")
@@ -326,9 +300,9 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
             "1-D oscillator report is inconclusive; cannot tensor")
     e, o = rep1.kernel_dim_even, rep1.kernel_dim_odd
     ev, od = e * e + o * o, 2 * e * o
-    if ev + 2 > MAX_LOBPCG_BLOCK:
-        raise ValueError(f"2-D kernel dimension {ev}: LOBPCG takes at most "
-                         f"{MAX_LOBPCG_BLOCK - 2}")
+    if ev + 1 > MAX_START_ROWS:
+        raise ValueError(f"2-D kernel dimension {ev}: the Rayleigh-Ritz "
+                         f"step takes at most {MAX_START_ROWS - 1}")
     import numpy as np
 
     m = grid.npoints
@@ -377,30 +351,26 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
     floor = 2 * np.finfo(float).eps * max(s[0] for s, _ in eigs) ** 2
     fd = [(vt, np.maximum(s[:, None] ** 2 + s ** 2, floor)) for s, vt in eigs]
     def prec(r):
-        z = np.empty_like(r)
-        for u, out, (vt, den) in zip(
-                split(r, (m - 2, m - 2), (m - 1, m - 1)),
-                split(z, (m - 2, m - 2), (m - 1, m - 1)), fd):
-            t = vt @ u @ vt.T
-            t /= den
-            np.matmul(vt.T @ t, vt, out=out)
-        return z
+        return np.hstack([
+            (vt.T @ (vt @ u @ vt.T / den) @ vt).reshape(len(r), -1)
+            for u, (vt, den) in zip(split(r, (m - 2, m - 2), (m - 1, m - 1)),
+                                    fd)])
 
-    # start: the ev + 2 lowest eigenvectors u = vt[i] (x) vt[j] of prec (s
+    # start: the ev + 1 lowest eigenvectors u = vt[i] (x) vt[j] of prec (s
     # falls, so den's lowest are in its last rows and columns), each plus
     # its first-order coupling -(D - theta)^-1 C^T u into the other degree,
     # as A^T A u = theta u + C^T u (E^T E = I) and D is that degree's block
     # of prec^-1.  For u = a c^T, C^T u = (F a)(G c)^T - (G a)(F c)^T, with
     # (F, G) = (M^T E, P) from degree 0 and (E^T M, P^T) from degree 2.
     # First order needs D - theta well above 0: an entry not above theta / 2
-    # is left to LOBPCG
+    # is left to the Rayleigh-Ritz step
     def fg(v, b):  # (F v, G v) from the stencil diagonals
         if b == 0:
             w = np.r_[0, v, 0]
             return (dm * w[:-1] + lm * w[1:],
                     np.r_[dp, 0] * w[1:] + np.r_[0, lp] * w[:-1])
         return dm[1:] * v[1:] + lm[:-1] * v[:-1], dp * v[:-1] + lp * v[1:]
-    k = ev + 2
+    k = ev + 1
     low = sorted((den[i, j], b, i, j) for b, (_, den) in enumerate(fd)
                  for i in range(max(len(den) - k, 0), len(den))
                  for j in range(max(len(den) - k, 0), len(den)))[:k]
@@ -413,14 +383,9 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
         t = np.outer(fa, gc) - np.outer(ga, fc)
         t /= np.where(den - theta > theta / 2, den - theta, np.inf)
         blocks[1 - b][row] = -(wt.T @ t @ wt)
-    # and 1e-4 of a draw on the guard alone, as A^T A and prec leave the
-    # parity sectors the block's span touches only by rounding; the wanted
-    # rows carry none
-    draw = np.random.default_rng(0).random(x0.shape[1]) - 0.5
-    x0[-1] += 1e-4 / np.linalg.norm(draw) * draw
-    x, ax = _lobpcg(op, adj, prec, x0, ev + 1, 10 * floor)
+    x, ax = _ritz_step(op, adj, prec, x0, 10 * floor)
     # residuals, as sqrt(theta) stops at the rounding floor of A^T A
-    svals = np.linalg.norm(ax[:ev + 1], axis=1)  # the rows of x are unit
+    svals = np.linalg.norm(ax, axis=1)  # the rows of x are unit
     dim, ambiguous = _band_count(svals, svd_tol)
     if ambiguous:
         raise InconclusiveKernelError(
@@ -429,6 +394,11 @@ def oscillator_nd(n: int, grid: GridSpec, svd_tol: float,
         raise ArithmeticError(
             f"explicit 2-D kernel dimension {dim} contradicts the "
             f"tensor rule {ev}")
+    if _count_bound(eigs, potential_scale * grid.step,
+                    (10 * svd_tol) ** 2) > ev:
+        raise InconclusiveKernelError(
+            f"the coupling bound cannot prove that at most {ev} explicit "
+            f"2-D singular values lie below {10 * svd_tol:g}")
 
     xi = grid.nodes()[1:-1]
     g2 = np.exp(-potential_scale * (xi[:, None] ** 2 + xi[None, :] ** 2) / 2)

@@ -79,7 +79,7 @@ def suite_sl2() -> list[Check]:
     for label, g, p, series in families:
         t = ktype_table(g, p, 60)
         rep = oracle_match(t, series)
-        checks.append(_check(f"sl2 {label} matches oracle", rep.ok,
+        checks.append(_check(f"sl2 {label} matches oracle", not rep.diffs,
                              "empty diff", f"{len(rep.diffs)} diffs"))
         sign = sl2_branching(series, 0).sign  # -1 compact, +1 split
         checks.append(_check(f"sl2 {label} sign", t.sign == sign, sign,

@@ -16,9 +16,9 @@ from kbranch import oscillator, verify
 from kbranch.branching import TableSizeError
 from kbranch.oscillator import (GridSpec, GridError, InconclusiveKernelError,
                                 KernelReport, _component_stencils,
-                                _component_eigs, _dense, _lobpcg,
-                                _parity_halves, cylinder_sl2, cylinder_table,
-                                oscillator_1d, oscillator_nd)
+                                _component_eigs, _count_bound, _dense,
+                                _parity_halves, _ritz_step, cylinder_sl2,
+                                cylinder_table, oscillator_1d, oscillator_nd)
 from kbranch.sl2_oracles import SL2Series, oracle_match
 
 GRID = GridSpec(8.0, 0.05)
@@ -281,7 +281,7 @@ def test_nd_explicit_2d_confirmation():
     assert len(s1) == 2
     assert s1[0] == pytest.approx(5.94e-8, rel=1e-2)
     assert s1[1] > 1.4
-    # reproducible to the last digit: LOBPCG starts from a fixed block
+    # reproducible to the last digit: the Ritz step starts from a fixed block
     assert oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5) == rep2
 
 
@@ -357,6 +357,53 @@ def test_nd_matches_sparse_reference(grid, svd_tol, f):
     assert rep.gaussian_l2_error == pytest.approx(err, abs=1e-13)
 
 
+@pytest.mark.parametrize("grid", [GridSpec(1.0, 0.25), GridSpec(2.0, 0.2)])
+@pytest.mark.parametrize("f", [0.37, 1.0, 2.0, 5.0])
+def test_count_bound_holds_on_the_dense_normal_matrix(grid, f):
+    # A^T A = [[T0, C], [C^T, T2]], dense: the diagonal blocks are the
+    # preconditioner's Kronecker sums, C^T = D (x) P - P (x) D with D =
+    # (s h / 4) Delta, C C^T <= 2 ||D||^2 T0, and the proof's count is at
+    # least the count of eigenvalues below delta
+    m, h = grid.npoints, grid.step
+    n0 = (m - 2) ** 2
+    P, M = _component_matrices(grid, f)
+    E, I0, I1 = np.eye(m)[:, 1:-1], np.eye(m - 2), np.eye(m - 1)
+    a = _dense_2d(grid, f)
+    ata = a.T @ a
+    t0, ct, t2 = ata[:n0, :n0], ata[n0:, :n0], ata[n0:, n0:]
+    atol = 1e-14 * np.abs(ata).max()
+    assert np.abs(t0 - np.kron(P.T @ P, I0) - np.kron(I0, P.T @ P)).max() \
+        <= atol
+    assert np.abs(t2 - np.kron(M.T @ M, I1) - np.kron(I1, M.T @ M)).max() \
+        <= atol
+    delta_ = np.eye(m - 1, m - 2) - np.eye(m - 1, m - 2, -1)  # +1 on, -1 below
+    D = M.T @ E - P
+    assert np.abs(D - f * h / 4 * delta_).max() <= 1e-14 * np.abs(P).max()
+    assert np.abs(ct - np.kron(D, P) + np.kron(P, D)).max() <= atol
+    gap = 2 * np.linalg.norm(D, 2) ** 2 * t0 - ct.T @ ct
+    assert np.linalg.eigvalsh(gap)[0] >= -1e-12 * np.linalg.norm(t0, 2)
+    values, eigs = np.linalg.eigvalsh(ata), _component_eigs(grid, f)
+    proven = 0
+    for delta in np.logspace(-12, 2, 29):
+        bound = _count_bound(eigs, f * h, delta)
+        assert bound >= (values < delta).sum()
+        proven += bound < math.inf
+    assert proven >= 20  # the proof's count is finite on most of the grid
+
+
+def test_nd_coupling_bound_refuses_a_coarse_grid():
+    # 5 points per axis at scale 8: alpha = 0.75 leaves (1 - alpha)
+    # lambda_1(T0) = 0.71 below delta = 1, so no count is proven, though the
+    # 1-D report is conclusive and the Ritz step finds no kernel vector
+    grid = GridSpec(2.0, 1.0)
+    rep1 = oscillator_1d(grid, 0.1, 8.0)
+    assert (rep1.kernel_dim_even, rep1.kernel_dim_odd) == (0, 0)
+    with pytest.raises(InconclusiveKernelError) as e:
+        oscillator_nd(2, grid, 0.1, potential_scale=8.0)
+    assert str(e.value) == ("the coupling bound cannot prove that at most 0 "
+                            "explicit 2-D singular values lie below 1")
+
+
 def test_nd_smallest_value_tensors_the_1d_one():
     # the 2-D kernel vector is near the tensor square of the 1-D one, so its
     # residual is sqrt(2) times the 1-D residual
@@ -372,7 +419,7 @@ class _Captured(Exception):
 
 @pytest.mark.parametrize("grid", [GridSpec(1.0, 0.25), GridSpec(2.0, 0.2)])
 def test_nd_stencil_operator_matches_dense_kronecker(monkeypatch, grid):
-    # A and A^T as oscillator_nd hands them to _lobpcg, against A assembled
+    # A and A^T as oscillator_nd hands them to _ritz_step, against A assembled
     # densely from the Kronecker products of the 1-D component matrices
     ops = {}
 
@@ -382,7 +429,7 @@ def test_nd_stencil_operator_matches_dense_kronecker(monkeypatch, grid):
 
     monkeypatch.setattr(oscillator, "oscillator_1d",
                         lambda *a: KernelReport(1, 0, 0.0))
-    monkeypatch.setattr(oscillator, "_lobpcg", capture)
+    monkeypatch.setattr(oscillator, "_ritz_step", capture)
     rng = np.random.default_rng(1)
     for f in (0.0, 0.37, 1.0, 2.0):
         with pytest.raises(_Captured):
@@ -398,22 +445,10 @@ def test_nd_stencil_operator_matches_dense_kronecker(monkeypatch, grid):
             assert au @ v == pytest.approx(u @ atv, rel=1e-13)
 
 
-def test_nd_iteration_cap_is_inconclusive(monkeypatch):
-    # the default call needs 2 Rayleigh-Ritz rounds: the first fails the
-    # wanted residuals, the second passes them
-    monkeypatch.setattr(oscillator, "MAX_LOBPCG_ITERATIONS", 1)
-    with pytest.raises(InconclusiveKernelError):
-        oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
-
-
-@pytest.mark.parametrize("f", [1.0, 2.0, 4.0])
-def test_nd_lobpcg_iteration_budget(monkeypatch, f):
-    # a work budget: applications of A, A^T and the preconditioner in the
-    # `verify dirac` 2-D check, started from the coupling-corrected tensor
-    # vectors with the draw on the guard alone; A images the start, the one
-    # w block and the returned block, and A^T takes one residual per round,
-    # the second round's from those fresh images (3, 2 and 1 at every scale)
-    lobpcg, count = oscillator._lobpcg, {"op": 0, "adj": 0, "prec": 0}
+def _counting(monkeypatch):
+    """Counts of the applications of A, A^T and the preconditioner that
+    `oscillator_nd` hands to `_ritz_step`, filled as it runs."""
+    step, count = oscillator._ritz_step, {"op": 0, "adj": 0, "prec": 0}
 
     def counted(name, fn):
         def apply(v):
@@ -422,13 +457,31 @@ def test_nd_lobpcg_iteration_budget(monkeypatch, f):
         return apply
 
     def counting(op, adj, prec, *args):
-        return lobpcg(counted("op", op), counted("adj", adj),
-                      counted("prec", prec), *args)
+        return step(counted("op", op), counted("adj", adj),
+                    counted("prec", prec), *args)
 
-    monkeypatch.setattr(oscillator, "_lobpcg", counting)
+    monkeypatch.setattr(oscillator, "_ritz_step", counting)
+    return count
+
+
+@pytest.mark.parametrize("f", [1.0, 2.0, 4.0])
+def test_nd_lobpcg_iteration_budget(monkeypatch, f):
+    # a work budget of the `verify dirac` 2-D check: the coupling-corrected
+    # tensor vectors are within their residual bound, so A images them once,
+    # A^T takes their residuals once, and nothing is preconditioned
+    count = _counting(monkeypatch)
     oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5, potential_scale=f)
-    assert count["prec"] == 1
-    assert count["op"] <= 3 and count["adj"] <= 2
+    assert count == {"op": 1, "adj": 1, "prec": 0}
+
+
+@pytest.mark.parametrize("grid, svd_tol, f", [
+    (GridSpec(4.0, 0.1), 0.05, 1.0), (GridSpec(6.0, 0.2), 1e-5, 3.0)])
+def test_nd_correction_budget(monkeypatch, grid, svd_tol, f):
+    # the two sparse-reference cases with a start row off its bound: one
+    # preconditioned correction, imaged once, and no second residual
+    count = _counting(monkeypatch)
+    oscillator_nd(2, grid, svd_tol, potential_scale=f)
+    assert count["op"] <= 2 and count["adj"] == 1 and count["prec"] == 1
 
 
 def test_nd_makes_no_svd_with_vectors(monkeypatch):
@@ -446,23 +499,34 @@ def test_nd_makes_no_svd_with_vectors(monkeypatch):
     assert calls == [False] * 4
 
 
-@pytest.mark.parametrize("f", [1.0, 2.0, 4.0])
-def test_nd_reports_the_returned_blocks_own_images(monkeypatch, f):
-    # the images _lobpcg returns are A of the vectors it returns, not
-    # combinations of older images, and they give the reported values
-    lobpcg, seen = oscillator._lobpcg, {}
+@pytest.mark.parametrize("grid, svd_tol, f", [
+    *(pytest.param(GridSpec(6.0, 0.1), 1e-5, f, id=str(f))
+      for f in (1.0, 2.0, 4.0)),
+    pytest.param(GridSpec(4.0, 0.1), 0.05, 1.0, id="L4-1.0"),
+    pytest.param(GridSpec(4.0, 0.1), 0.05, 2.0, id="L4-2.0"),
+    pytest.param(GridSpec(6.0, 0.2), 1e-5, 3.0, id="h0.2-3.0")])
+def test_nd_reports_the_returned_blocks_own_images(monkeypatch, grid,
+                                                   svd_tol, f):
+    # the images _ritz_step returns are combinations of A's images, equal
+    # to A of the unit vectors it returns to 1e-12 relative above the
+    # rounding floor eps * s_max, and they give the reported values
+    step, seen = oscillator._ritz_step, {}
 
     def capture(op, *args):
         seen["op"] = op
-        seen["x"], seen["ax"] = lobpcg(op, *args)
+        seen["x"], seen["ax"] = step(op, *args)
         return seen["x"], seen["ax"]
 
-    monkeypatch.setattr(oscillator, "_lobpcg", capture)
-    rep = oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5, potential_scale=f)
-    assert np.array_equal(seen["op"](seen["x"]), seen["ax"])
-    ev = rep.kernel_dim_even
-    assert rep.even_singular_values == sorted(
-        np.linalg.norm(seen["ax"][:ev + 1], axis=1).tolist())
+    monkeypatch.setattr(oscillator, "_ritz_step", capture)
+    rep = oscillator_nd(2, grid, svd_tol, potential_scale=f)
+    x, ax = seen["x"], seen["ax"]
+    norms = np.linalg.norm(ax, axis=1)
+    eigs = _component_eigs(grid, f)
+    floor = np.finfo(float).eps * max(s[0] for s, _ in eigs)
+    assert np.abs(x @ x.T - np.eye(len(x))).max() < 1e-14
+    assert (np.linalg.norm(seen["op"](x) - ax, axis=1)
+            <= 1e-12 * norms + floor).all()
+    assert rep.even_singular_values == sorted(norms.tolist())
 
 
 def _parity_sectors(x, m):
@@ -476,29 +540,6 @@ def _parity_sectors(x, m):
             for sy in (1, -1):
                 v = (u + sx * u[:, ::-1]) / 2
                 yield (v + sy * v[:, :, ::-1]) / 2
-
-
-def test_nd_start_block_is_in_generic_position(monkeypatch):
-    # A^T A and the preconditioner commute with both reflections, so LOBPCG
-    # never reaches a symmetry class its start misses; the tensor
-    # eigenvectors alone are zero in 5 of the 8 sectors
-    start = {}
-
-    def capture(op, adj, prec, x, *args):
-        start["x"] = x
-        raise _Captured
-
-    monkeypatch.setattr(oscillator, "_lobpcg", capture)
-    grid = GridSpec(6.0, 0.1)
-    with pytest.raises(_Captured):
-        oscillator_nd(2, grid, 1e-5)
-    x = start["x"]
-    sectors = list(_parity_sectors(x, grid.npoints))
-    assert len(sectors) == 8
-    assert sum(np.linalg.norm(v) ** 2 for v in sectors) == pytest.approx(
-        np.linalg.norm(x) ** 2)
-    for v in sectors:
-        assert np.linalg.norm(v) > 1e-8 * np.linalg.norm(x)
 
 
 def _tensor_parts(x, grid, f):
@@ -522,7 +563,7 @@ def _tensor_parts(x, grid, f):
 
 
 def _start_block(monkeypatch, grid, f, rep1):
-    """The start block, A and A^T that `oscillator_nd` hands to `_lobpcg`
+    """The start block, A and A^T that `oscillator_nd` hands to `_ritz_step`
     when the 1-D report is rep1."""
     got = {}
 
@@ -531,7 +572,7 @@ def _start_block(monkeypatch, grid, f, rep1):
         raise _Captured
 
     monkeypatch.setattr(oscillator, "oscillator_1d", lambda *a: rep1)
-    monkeypatch.setattr(oscillator, "_lobpcg", capture)
+    monkeypatch.setattr(oscillator, "_ritz_step", capture)
     with pytest.raises(_Captured):
         oscillator_nd(2, grid, 1e-5, potential_scale=f)
     return got
@@ -540,57 +581,52 @@ def _start_block(monkeypatch, grid, f, rep1):
 @pytest.mark.parametrize("f", [1.0, 2.0])
 def test_nd_start_draws_on_the_guard_alone(monkeypatch, f):
     # each start row is a tensor eigenvector u0 of the preconditioner, the
-    # ev + 2 lowest, exactly in degree 0, plus the first-order effect of the
+    # ev + 1 lowest, exactly in degree 0, plus the first-order effect of the
     # coupling, -(D2 - theta)^-1 C^T u0, in degree 2, against A^T A from
-    # the dense Kronecker A; only the guard, the last row, carries a draw
+    # the dense Kronecker A; there is no guard row and no row carries a draw
     grid = GridSpec(2.0, 0.2)
     n0 = (grid.npoints - 2) ** 2
     x = _start_block(monkeypatch, grid, f, KernelReport(1, 0, 0.0))["x"]
-    assert len(x) == 3  # ev + 2 at ev = 1
+    assert len(x) == 2  # ev + 1 at ev = 1
     parts = _tensor_parts(x, grid, f)
     lowest = np.sort(np.concatenate([np.add.outer(s ** 2, s ** 2).ravel()
                                      for s, _ in _component_eigs(grid, f)]))
-    assert [p[0] for p in parts] == pytest.approx(lowest[:3], abs=1e-12)
+    assert [p[0] for p in parts] == pytest.approx(lowest[:2], abs=1e-12)
     a = _dense_2d(grid, f)
     ata = a.T @ a
     d2 = ata[n0:, n0:]
     # no entry comes near the margin that leaves the term out
-    assert np.linalg.eigvalsh(d2)[0] > 1.5 * lowest[2]
-    want = []
-    for theta, u0 in parts:
+    assert np.linalg.eigvalsh(d2)[0] > 1.5 * lowest[1]
+    for row, (theta, u0) in zip(x, parts):
         assert not u0[n0:].any()  # the desk grids pick no degree-2 row
         c = (ata @ u0)[n0:]
-        want.append(u0 - np.r_[np.zeros(n0), np.linalg.solve(
-            d2 - theta * np.eye(len(d2)), c)])
-        assert np.linalg.norm(want[-1][n0:]) > 1e-5  # the coupling is seen
-    for row, w in zip(x[:-1], want):
-        assert np.array_equal(row[:n0], w[:n0])
-        assert np.linalg.norm(row - w) <= (1e-12 * np.linalg.norm(w[n0:])
-                                           + 1e-16)  # rounding of a unit row
-    draw = x[-1] - want[-1]
-    assert np.linalg.norm(draw) == pytest.approx(1e-4)
-    assert np.count_nonzero(draw) == len(draw)
+        want = u0 - np.r_[np.zeros(n0), np.linalg.solve(
+            d2 - theta * np.eye(len(d2)), c)]
+        assert np.linalg.norm(want[n0:]) > 1e-5  # the coupling is seen
+        assert np.array_equal(row[:n0], want[:n0])
+        assert np.linalg.norm(row - want) <= (
+            1e-12 * np.linalg.norm(want[n0:]) + 1e-16)  # rounding of a row
 
 
 def test_nd_start_leaves_a_near_degenerate_coupling_to_lobpcg(monkeypatch):
-    # 1-D dims (2, 2): ev = 8, ten rows, nine below the guard up to theta =
-    # 5.97 at f = 1, one of them degree 2's lowest (4.0).  An entry of the
-    # other degree where D - theta is not above theta / 2 gets no term;
-    # every other entry gets the first-order one, with C^T u0 (or C u2)
-    # from A^T A as `_lobpcg` gets it
+    # 1-D dims (2, 2): ev = 8, nine rows up to theta = 5.97 at f = 1, one of
+    # them degree 2's lowest (4.0).  An entry of the other degree where D -
+    # theta is not above theta / 2 gets no term, and is left to the
+    # Rayleigh-Ritz step; every other entry gets the first-order one, with
+    # C^T u0 (or C u2) from A^T A as `_ritz_step` gets it
     grid = GridSpec(6.0, 0.1)
     m = grid.npoints
     n0 = (m - 2) ** 2
     got = _start_block(monkeypatch, grid, 1.0, KernelReport(2, 2, 0.0))
     x, op, adj = got["x"], got["op"], got["adj"]
-    assert len(x) == 10
+    assert len(x) == 9
 
     def degree(v, b):  # v's degree-0 block (b = 0) or degree-2 block (b = 1)
         return (v[:n0].reshape(m - 2, m - 2) if b == 0
                 else v[n0:].reshape(m - 1, m - 1))
 
     eigs, left_out, seen = _component_eigs(grid, 1.0), [], set()
-    for row, (theta, u) in zip(x[:-1], _tensor_parts(x[:-1], grid, 1.0)):
+    for row, (theta, u) in zip(x, _tensor_parts(x, grid, 1.0)):
         b = 1 - u[:n0].any()  # 0 for a degree-0 row, 1 for a degree-2 row
         seen.add(b)
         s, vt = eigs[1 - b]
@@ -610,65 +646,63 @@ def test_nd_start_leaves_a_near_degenerate_coupling_to_lobpcg(monkeypatch):
 @pytest.mark.parametrize("f", [1.0, 2.0])
 def test_nd_guard_alone_reaches_a_hidden_sector(monkeypatch, f):
     # the Gaussian's sector (even-even on the degree 0 block) taken out of
-    # every row but the guard, which keeps only its draw there; the wanted
-    # rows get 1e-4 of a draw outside it, lest the Gaussian's row vanish.
-    # The guard alone leads LOBPCG to the kernel, predicted or not
+    # every start row, with 1e-4 of a draw outside it, lest the Gaussian's
+    # row vanish.  A^T A and the preconditioner keep to the sectors, so the
+    # Ritz step cannot find the Gaussian; the check ends in an error, never
+    # in a count
     grid = GridSpec(6.0, 0.1)
     m, n0 = grid.npoints, (grid.npoints - 2) ** 2
-    lobpcg, shares = oscillator._lobpcg, []
+    step, shares = oscillator._ritz_step, []
 
     def gauss_sector(x):
         v = np.zeros_like(x)
         v[:, :n0] = next(_parity_sectors(x, m)).reshape(len(x), -1)
         return v
 
-    def hide(op, adj, prec, x, *args):
-        d = np.random.default_rng(1).random(x[:-1].shape) - 0.5
-        x[:-1] += 1e-4 / np.linalg.norm(d, axis=1, keepdims=True) * d
-        x[:-1] -= gauss_sector(x[:-1])
-        shares.append(np.linalg.norm(gauss_sector(x), axis=1)
-                      / np.linalg.norm(x))
-        return lobpcg(op, adj, prec, x, *args)
+    def hide(op, adj, prec, x, *args):  # shares of the start's norm
+        d = np.random.default_rng(1).random(x.shape) - 0.5
+        x += 1e-4 / np.linalg.norm(d, axis=1, keepdims=True) * d
+        norm = np.linalg.norm(x)
+        x -= gauss_sector(x)
+        shares.append(np.linalg.norm(gauss_sector(x), axis=1) / norm)
+        return step(op, adj, prec, x, *args)
 
-    clean = oscillator_nd(2, grid, 1e-5, potential_scale=f)
-    monkeypatch.setattr(oscillator, "_lobpcg", hide)
-    rep = oscillator_nd(2, grid, 1e-5, potential_scale=f)
-    assert (rep.kernel_dim_even, rep.kernel_dim_odd) == (1, 0)
-    assert rep.gaussian_l2_error == pytest.approx(clean.gaussian_l2_error,
-                                                  abs=1e-13)
-    assert rep.even_singular_values[1] == pytest.approx(
-        clean.even_singular_values[1], rel=1e-10)
-    # 1-D dims (0, 0), so ev = 0: the guard still finds the Gaussian that
-    # the tensor rule denies
+    monkeypatch.setattr(oscillator, "_ritz_step", hide)
+    with pytest.raises(ArithmeticError, match="dimension 0 contradicts "
+                                              "the tensor rule 1"):
+        oscillator_nd(2, grid, 1e-5, potential_scale=f)
+    # 1-D dims (0, 0), so ev = 0: no kernel vector is found, and the count
+    # of none is not proven, as T0 has the Gaussian's value near 0
     monkeypatch.setattr(oscillator, "oscillator_1d",
                         lambda *a: KernelReport(0, 0, 0.0))
-    with pytest.raises(ArithmeticError, match="dimension 1 contradicts "
-                                              "the tensor rule 0"):
+    with pytest.raises(InconclusiveKernelError,
+                       match="cannot prove that at most 0 explicit"):
         oscillator_nd(2, grid, 1e-5, potential_scale=f)
+    assert [len(share) for share in shares] == [2, 1]
     for share in shares:
-        assert (share[:-1] < 1e-15).all() and 1e-5 < share[-1] < 1e-4
+        assert (share < 1e-15).all()
 
 
-@pytest.mark.parametrize("rows, nwant", [(2, 1), (3, 2)])
-def test_lobpcg_refuses_a_start_with_no_guard(rows, nwant):
-    # diag(1..20) has no kernel; rows spanning only nwant directions leave
-    # no guard, and a block filled out past its span would return rounding
-    # (a Ritz vector of norm 3e-17) whose image reads as a kernel value
+@pytest.mark.parametrize("rows, rank", [(2, 1), (3, 2)])
+def test_lobpcg_refuses_a_start_with_no_guard(rows, rank):
+    # diag(1..20) has no kernel; rows spanning fewer directions than there
+    # are rows are refused, as a block filled out past its span would
+    # return rounding (a Ritz vector of norm 3e-17) whose image reads as a
+    # kernel value
     d = np.arange(1.0, 21.0)
     x = np.ones((rows, 20))
     x[2:] = d
     with pytest.raises(InconclusiveKernelError,
-                       match=f"the LOBPCG start spans {nwant} directions; "
-                             f"{nwant} wanted and a guard need {nwant + 1}"):
-        _lobpcg(lambda v: v * d, lambda v: v * d, lambda r: r / d ** 2, x,
-                nwant, 1e-12)
+                       match=f"the Rayleigh-Ritz start's {rows} rows have "
+                             f"rank {rank}"):
+        _ritz_step(lambda v: v * d, lambda v: v * d, lambda r: r / d ** 2, x,
+                   1e-12)
 
 
 def test_nd_start_in_too_few_directions_is_inconclusive(monkeypatch):
-    # P's two lowest right singular vectors made one: the three tensor
+    # P's two lowest right singular vectors made one: the two tensor
     # vectors of the start coincide, their corrections nearly so (about
-    # 1e-12, as that vector is the Gaussian), and with the guard the rows
-    # span 2 directions
+    # 1e-12, as that vector is the Gaussian), and the rows span 1 direction
     eigs = oscillator._component_eigs
 
     def repeated(*args):
@@ -679,14 +713,13 @@ def test_nd_start_in_too_few_directions_is_inconclusive(monkeypatch):
 
     monkeypatch.setattr(oscillator, "_component_eigs", repeated)
     with pytest.raises(InconclusiveKernelError,
-                       match="the LOBPCG start spans 2 directions"):
+                       match="the Rayleigh-Ritz start's 2 rows have rank 1"):
         oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
 
 
 def test_lobpcg_preconditions_once_before_it_returns():
-    # exact eigenvectors of diag(1..20) pass the residual bound at once; the
-    # first round still preconditions, as a draw on the start would need,
-    # but only the guard's residual: the wanted rows are within bound
+    # exact eigenvectors of diag(1..20) pass the residual bound at once, so
+    # the Ritz step preconditions nothing and returns them
     d = np.arange(1.0, 21.0)
     calls = []
 
@@ -695,17 +728,17 @@ def test_lobpcg_preconditions_once_before_it_returns():
         return r / d ** 2
 
     x = np.eye(20)[:3]
-    got, images = _lobpcg(lambda v: v * d, lambda v: v * d, prec, x, 2,
-                          1e-12)
-    assert calls == [1]
+    got, images = _ritz_step(lambda v: v * d, lambda v: v * d, prec, x, 1e-12)
+    assert calls == []
     assert np.abs(np.abs(got) - x).max() < 1e-12
     assert np.abs(np.abs(images) - x * d).max() < 1e-12
 
 
 def test_lobpcg_images_x_afresh_in_a_round_that_does_not_converge():
-    # diag(1..20) from a draw, preconditioned by the identity: round 1 fails
-    # the bound, and each round from 1 on images x once, before its
-    # residual, which A^T takes once; the images returned are op's own
+    # diag(1..20) from a draw, preconditioned by the identity: the start is
+    # off its bound, so its residuals get exactly one correction, imaged
+    # once, and a second Rayleigh-Ritz step with no further residual; the
+    # images returned equal op of the returned vectors up to rounding
     d = np.arange(1.0, 21.0)
     calls = []
 
@@ -717,32 +750,25 @@ def test_lobpcg_images_x_afresh_in_a_round_that_does_not_converge():
 
     x = np.random.default_rng(3).random((3, 20))
     op = counted("op", lambda v: v * d)
-    got, images = _lobpcg(op, counted("adj", lambda v: v * d),
-                          counted("prec", lambda r: r.copy()), x, 1, 1e-12)
-    assert np.array_equal(op(got), images)
-    del calls[-1]
-    rounds = [i for i, (name, _) in enumerate(calls) if name == "adj"]
-    assert len(rounds) > 2  # round 1 did not converge
-    assert calls[0] == ("op", 3)  # the start's images
-    # each round but the last: A^T, the preconditioner, A on w, then the
-    # next round's A on x, its k = 3 rows
-    for a, b in zip(rounds, rounds[1:]):
-        assert [name for name, _ in calls[a:b]] == ["adj", "prec", "op", "op"]
-        assert calls[b - 1] == ("op", 3)
-    assert calls[rounds[-1]:] == [("adj", 3)]
+    got, images = _ritz_step(op, counted("adj", lambda v: v * d),
+                             counted("prec", lambda r: r.copy()), x, 1e-12)
+    assert calls == [("op", 3), ("adj", 3), ("prec", 3), ("op", 3)]
+    assert got.shape == images.shape == (3, 20)
+    assert np.abs(got @ got.T - np.eye(3)).max() < 1e-14
+    assert np.abs(got * d - images).max() < 1e-12 * np.abs(images).max()
 
 
 def test_lobpcg_block_is_the_span_of_its_start():
-    # three rows spanning two directions: the block has two rows
+    # two rows spanning e_0 and e_1: the block is e_0 and e_1, the lowest
+    # pairs of its span, exact, so nothing is corrected
     d = np.arange(1.0, 21.0)
-    x = np.ones((3, 20))
-    x[2] = d
-    got, images = _lobpcg(lambda v: v * d, lambda v: v * d,
-                          lambda r: r / d ** 2, x, 1, 1e-12)
+    x = np.zeros((2, 20))
+    x[:, :2] = [[1.0, 1.0], [1.0, 2.0]]
+    got, images = _ritz_step(lambda v: v * d, lambda v: v * d, None, x,
+                             1e-12)
     assert got.shape == images.shape == (2, 20)
-    assert np.linalg.norm(got, axis=1) == pytest.approx(1.0)
-    assert abs(got[0, 0]) == pytest.approx(1.0)  # e_0, the lowest pair
-    assert np.linalg.norm(images[0]) == pytest.approx(1.0)
+    assert np.abs(np.abs(got) - np.eye(20)[:2]).max() < 1e-12
+    assert np.linalg.norm(images, axis=1) == pytest.approx([1.0, 2.0])
 
 
 def test_nd_finds_the_gaussian_the_tensor_rule_denies(monkeypatch):
@@ -764,12 +790,13 @@ def test_nd_contradicting_the_tensor_rule_raises(monkeypatch):
 
 
 def test_nd_block_cap_raises_before_the_start_block(monkeypatch):
-    # 1-D dims (4, 0) predict ev = 16: a start block of 18 vectors
+    # 1-D dims (4, 0) predict ev = 16: a start block of 17 vectors
     monkeypatch.setattr(oscillator, "oscillator_1d",
                         lambda *a: KernelReport(4, 0, 0.0))
-    monkeypatch.setattr(np.random, "default_rng", None)  # calling it fails
-    with pytest.raises(ValueError, match="dimension 16: LOBPCG takes at "
-                                         "most 14"):
+    # calling it fails: no stencil, so no vector, is built
+    monkeypatch.setattr(oscillator, "_component_stencils", None)
+    with pytest.raises(ValueError, match="dimension 16: the Rayleigh-Ritz "
+                                         "step takes at most 14"):
         oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
 
 
@@ -971,9 +998,11 @@ def test_1d_and_cylinder_leave_scipy_unloaded():
 
 
 def test_2d_and_verify_dirac_run_without_scipy():
-    # importing scipy raises here, so any kbranch path that needs it fails
+    # importing scipy or numpy.random raises here, so any kbranch path that
+    # needs either fails
     script = ("import sys\n"
               "sys.modules['scipy'] = None\n"
+              "sys.modules['numpy.random'] = None\n"
               "from kbranch import verify\n"
               "from kbranch.oscillator import GridSpec, oscillator_nd\n"
               "rep = oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)\n"

@@ -15,6 +15,25 @@ def test_suite_sl2(suite_run):
     _assert_all_pass(suite_run("sl2").report)
 
 
+def test_sl2_oracle_check_reads_the_entries_and_sign_check_the_sign(
+        monkeypatch):
+    # every table's sign negated: the entries still match their closed
+    # forms, and the sign checks alone fail
+    table = verify.ktype_table
+
+    def flipped(*args):
+        t = table(*args)
+        return t._replace(sign=-t.sign)
+
+    monkeypatch.setattr(verify, "ktype_table", flipped)
+    checks = verify.suite_sl2()
+    match = [c for c in checks if c.name.endswith(" matches oracle")]
+    sign = [c for c in checks if c.name.endswith(" sign")]
+    assert len(match) == len(sign) == 14
+    assert all(c.passed and c.actual == "0 diffs" for c in match)
+    assert not any(c.passed for c in sign)
+
+
 def test_suite_su21(suite_run):
     _assert_all_pass(suite_run("su21").report)
 
