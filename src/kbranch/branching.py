@@ -409,11 +409,10 @@ def _walk_plan(g: RealGroupData, hv: tuple[int, ...],
     """
     eps = (-1) ** sum(c not in g.r_k_positives for c in compact)
     rank, width = g.k_roots.rank, len(g.k_weyl[0].walk)
-    # the conditions' (i, s): both signs of each entry of d mu and of each
-    # consistency residue, the state's last, and each pairing
-    cons = width - len(g.fibres.consistency)
-    conditions = [(i, s) for i in range(width) for s in (1, -1) if i < rank
-                  or i >= cons or s == 1 and i < rank + len(g.k_roots.simples)]
+    # the conditions' (i, s): both signs of each entry of d mu, then each
+    # pairing with a simple K root
+    conditions = [(i, s) for i in range(width) for s in (1, -1)
+                  if i < rank or s == 1]
     terms = []
     for w in g.k_weyl:
         # exact: R w 2rho_K - R 2rho_K = 2 R(w rho_K - rho_K), and R 2rho_K
@@ -440,31 +439,28 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
     noncompact positives, so the formula is eps times the sum of det(w)
     over the (n, w) for which R w mu + shift_w - base = t has a solution mu
     in the window.  As w^-1 = w^T, the fibres' one integer map reads it,
-    carried by w^T: the consistency rows vanish on t - shift_w + base, and
+    carried by w^T (R has full row rank, so every t lies over some mu):
     d mu = A_w (t - shift_w + base) + sum_f x_f w^T dirs_f, A_w = w^T a,
     over the free coordinates x_f of w mu, in [-window, window] as w is a
-    signed permutation.  The walk carries d mu, its pairings with the
-    simple K roots, its Z' rows and the consistency residues as running
-    sums, from walk . base - walk . shift_w, over the free coordinates and
-    then the counts, each at most the largest target height over its own;
-    the conditions are linear, so each variable runs over one interval, cut
-    by what the later ones can still add, exact on the last.  Divisibility
-    by d and the Z' character have period d * |Z'| along it and are tested
-    once per residue, so every (n, w) reached adds det(w) at its mu.
+    signed permutation.  The walk carries d mu and its pairings with the
+    simple K roots as running sums, from walk . base - walk . shift_w, over
+    the free coordinates and then the counts, each at most the largest
+    target height over its own; the conditions are linear, so each variable
+    runs over one interval, cut by what the later ones can still add, exact
+    on the last.  Divisibility by d and the Z' character of mu have period
+    d * |Z'| along it and are tested once per residue, so every (n, w)
+    reached adds det(w) at its mu.
     """
     _check_scan(g, window, len(g.fibres.dirs), "fibre points per cone point")
     chamber, d = prep.chamber, g.fibres.d
-    (base, zbase), ztable = prep.base, chamber.hm.ztable
-    order, rank = ztable.order, g.k_roots.rank
+    (base, zbase), order = prep.base, chamber.hm.ztable.order
+    rank = g.k_roots.rank
     # R w mu runs over the window's keys, as w permutes the window's weights
     bound2 = (window * chamber.top_l1 + chamber.shift_top
               - sum(map(mul, chamber.hm.height_vec, base)))
     ranges = ([(-window, window)] * len(g.fibres.dirs) + [
         (0, bound2 // h) for h in chamber.heights] or [(0, 0)])[::-1]
-    width = len(chamber.terms[0].walk)
     nrows = len(chamber.terms[0].levels[0][1])
-    zs = slice(rank + len(g.k_roots.simples),
-               width - len(g.fibres.consistency))
     # the last variable's bounds: the window's on d mu, 0 for the rest
     last = [-d * window] * (2 * rank) + [0] * (nrows - 2 * rank)
     period = d * order  # of divisibility and the Z' character along a line
@@ -481,8 +477,7 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
             levels.append((col, rows, lo, hi, bounds))
             lowered = map(mul, reach, repeat(hi))
         levels.reverse()
-        col = plan[-1][0]
-        dcol, zcol = col[:rank], col[zs]
+        dcol = plan[-1][0][:rank]
         step = tuple([order * x for x in dcol])
         start = list(map(sub, matvec(walk, base), state))
         for line, lo, hi in _walk(start, levels):
@@ -491,15 +486,14 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
                 raise TableSizeError(
                     f"{g.name}: window {window} would walk more than "
                     f"{MAX_WALK_LINES} lines of Blattner's formula")
-            dmu0, z0 = line[:rank], line[zs]
+            dmu0 = line[:rank]
             for n in range(lo, min(hi, lo + period - 1) + 1):
                 dmu = list(map(add, dmu0, map(mul, dcol, repeat(n))))
                 if d > 1 and any(x % d for x in dmu):
                     continue
-                if order > 1 and ztable.index([
-                        (x + n * y) // d for x, y in zip(z0, zcol)]) != zbase:
-                    continue
                 mu = tuple([x // d for x in dmu]) if d > 1 else tuple(dmu)
+                if order > 1 and g.zchar(mu) != zbase:
+                    continue
                 for _ in range((hi - n) // period + 1):
                     found[mu] = found.get(mu, 0) + det
                     mu = tuple(map(add, mu, step))

@@ -8,10 +8,10 @@ Loading validates every structural invariant and names the first violated
 one, and derives, once per group, the root data the engine reads: the
 lattices of T and T_M graded by the positive systems of K and of the Levi
 factor (with their 2rho), the compactness of each Levi root, the fibres of
-the torus restriction and of the dot products with K's simple roots,
-whether Blattner's formula applies, and one record per element w of the
-Weyl group of K (WeylTerm): w, w rho_K - rho_K, R w 2rho_K and, where
-Blattner's formula applies, what its walk reads of w.  Roots are
+the torus restriction R (onto, as T_M is a subtorus of T) and of the dot
+products with K's simple roots, whether Blattner's formula applies, and
+one record per W_K element w (WeylTerm): w, w rho_K - rho_K, R w 2rho_K
+and its walk's maps to d mu and d mu's simple K pairings.  Roots are
 integer coordinate tuples from the parse on, and every derivation is in
 integers: fibres by fraction-free elimination, v as integer fractions.
 Coordinates are, by convention, orthonormal for an invariant inner
@@ -224,9 +224,8 @@ def _parse_rational(v, inv) -> tuple[int, int]:
 class WeylTerm(NamedTuple):
     """One element w of K's Weyl group and what the sums over W_K read of
     it, derived at load by _k_weyl, Blattner's walk included: the walk's
-    state at a Levi weight b is w^T a b (the fibres' map carried by w^T),
-    its pairings with the simple K roots and Z' rows, and b's consistency
-    rows."""
+    state at a Levi weight b is w^T a b (the fibres' map carried by w^T)
+    and its pairings with the simple K roots."""
 
     matrix: tuple[tuple[int, ...], ...]
     det: int
@@ -358,21 +357,17 @@ def _blattner_applies(g: RealGroupData,
                     for a in g.k_roots.roots))
 
 
-def _k_weyl(closure, rho2, tm_in_t, fibres: Fibres, probes: Sequence[tuple]
+def _k_weyl(closure, rho2, tm_in_t, fibres: Fibres, simples: Sequence[tuple]
             ) -> tuple[WeylTerm, ...]:
-    """One WeylTerm per (w, det w) of W_K's closure, 2rho_K = rho2; the
-    walk's pairings are with the probes, the simple K roots and, where
-    |Z'| > 1, the Z' rows."""
-    rank, width = len(tm_in_t), len(rho2) + len(probes) + len(fibres.consistency)
-    # (vector before w^T, residue): a e_i per Levi coordinate, then dirs_f
-    unmoved = [(matvec(fibres.a, e), matvec(fibres.consistency, e)) for e in (
-        tuple(int(i == j) for j in range(rank)) for i in range(rank))]
-    unmoved += [(v, (0,) * len(fibres.consistency)) for v in fibres.dirs]
+    """One WeylTerm per (w, det w) of W_K's closure, 2rho_K = rho2; a walk
+    state is d mu and its pairings with the simple K roots."""
+    rank, width = len(tm_in_t), len(rho2) + len(simples)
+    unmoved = (*zip(*fibres.a), *fibres.dirs)  # a e_i per Levi i, dirs_f
     terms = []
     for w, det in closure:
         wt, w_rho2 = tuple(zip(*w)), matvec(w, rho2)
-        states = [(*dmu, *matvec(probes, dmu), *res) for dmu, res in (
-            (matvec(wt, v), res) for v, res in unmoved)]
+        states = [(*dmu, *matvec(simples, dmu))
+                  for dmu in (matvec(wt, v) for v in unmoved)]
         walk = tuple(tuple(s[j] for s in states[:rank]) for j in range(width))
         # w 2rho_K - 2rho_K = 2 (the sum of w p over the positives p that w
         # makes negative), as the positives split the +- pairs and w permutes
@@ -550,20 +545,23 @@ def _build(doc: dict) -> RealGroupData:
     if dim_a_decl != dim_a:
         raise GroupDataError("dims consistency",
                              "dims.a disagrees with restricted.dim_a")
+    fibres = Fibres.of(tm_in_t, k_rank)  # every character of T_M extends
+    if (r := k_rank - len(fibres.free)) < m_rank:
+        raise GroupDataError("dims consistency", f"tM_in_t has rank {r} < "
+                             f"{m_rank}: T_M is not a torus in T")
     checklist.append("dims consistency")
 
     # ---- the Levi lattice, graded by the declared positives -------------------
     hm = HMLattice.graded(m_rank, f"{name}:tM", m_pos, ztable)
 
     # checklist and blattner_applies are final once the checks below pass
-    fibres = Fibres.of(tm_in_t, k_rank)
     g = RealGroupData(
         name=name, k_roots=k_roots, m_roots=m_roots, dim_a=dim_a,
         tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=zchar_rows, hm=hm,
         t_lattice=t_lattice, dim_s_m=dim_s_m, checklist=(),
         compact_of=MappingProxyType(flag_of),  # read-only, as the record is
         k_weyl=_k_weyl(closure, t_lattice.height_vec, tm_in_t, fibres,
-                       k_roots.simples + (zchar_rows if order > 1 else ())),
+                       k_roots.simples),
         fibres=fibres, k_pairings=Fibres.of(k_roots.simples, k_rank),
         blattner_applies=False, r_k_positives=frozenset(
             matvec(tm_in_t, a) for a in k_roots.positives))

@@ -21,7 +21,7 @@ from kbranch.cli import main
 from kbranch.oscillator import MAX_GRID_POINTS
 from kbranch.groups import _BUILTIN_DIR, data_dir, load_group_data
 from kbranch.presets import resolve_params
-from test_groups import GROUP_FILES
+from test_groups import CIRCLE_SL2XU1_DOC, GROUP_FILES
 
 DATA = Path(__file__).parent / "data"
 
@@ -226,13 +226,39 @@ def test_walk_above_line_cap_exits_2(capsys, monkeypatch):
                                 "more than 50 lines of Blattner's formula\n")
 
 
+def _prefix_digests(out, windows):
+    """A table's CSV stdout as (its row count, the sha256 of its rows whose
+    K-type has max-coordinate norm <= w, for each w of windows)."""
+    rows = out.splitlines(keepends=True)[1:]  # the header is no row
+    norms = [max(abs(int(x)) for x in row.split(",", 1)[0].split())
+             for row in rows]
+    return len(rows), [hashlib.sha256("".join(
+        [row for row, n in zip(rows, norms) if n <= w]).encode()).hexdigest()
+        for w in windows]
+
+
+def _digest_mismatch(pinned, params, out):
+    """None if out hashes to the pinned sha256 of params, else a message
+    naming the first prefix window whose rows changed and both row counts."""
+    if hashlib.sha256(out.encode()).hexdigest() == pinned["sha256"][params]:
+        return None
+    windows = pinned["prefix_windows"]
+    rows, prefixes = _prefix_digests(out, windows)
+    changed = [w for w, old, new in zip(
+        windows, pinned["prefix_sha256"][params], prefixes) if old != new]
+    where = (f"rows differ from window {changed[0]} on" if changed
+             else "no prefix window's rows differ")
+    return (f"{params}: {where} ({pinned['rows'][params]} rows pinned, "
+            f"{rows} now)")
+
+
 def _match_digests(capsys, pinned_file, *group):
     pinned = json.loads((DATA / pinned_file).read_text())
-    for params, digest in pinned["sha256"].items():
+    for params in pinned["sha256"]:
         code, out, err = run(capsys, *pinned["argv"], *group,
                              "--params", params)
         assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert _digest_mismatch(pinned, params, out) is None
 
 
 def test_window_64_tables_match_their_digests(capsys):
@@ -263,6 +289,24 @@ def test_window_6_so43_tables_match_their_digests(capsys):
     # count vectors of each W_K term
     _match_digests(capsys, "table_so43_w6.sha256.json",
                    "--group", str(DATA / "so43.json"))
+
+
+def test_a_digest_failure_names_the_first_window_that_changed(capsys,
+                                                              monkeypatch):
+    # a planted defect that no check catches: each line of Blattner's walk
+    # starts one past its first point.  The flipped det and the moved shifts
+    # of test_branching's _plant raise on all four su21 entries at window
+    # 64, and this one on two; su21 (5, -2, 0) exits 0 with 3,720 rows for
+    # 3,780, the first change inside window 8
+    walk = branching._walk
+    monkeypatch.setattr(branching, "_walk", lambda state, levels: (
+        (line, lo + 1, hi) for line, lo, hi in walk(state, levels)))
+    pinned = json.loads((DATA / "table_su21_w64.sha256.json").read_text())
+    params = '{"lambda":[5,-2,0]}'
+    code, out, err = run(capsys, *pinned["argv"], "--params", params)
+    assert (code, err) == (0, "")
+    assert _digest_mismatch(pinned, params, out) == (
+        f"{params}: rows differ from window 8 on (3780 rows pinned, 3720 now)")
 
 
 def test_grid_above_cap_exits_2(capsys):
@@ -373,6 +417,15 @@ def test_validate_out_of_range_exponent_exits_4(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(bad))
     assert (code, out) == (4, "")
     assert err == "invalid: zmprime table: character exponent out of range\n"
+
+
+def test_validate_refuses_a_restriction_that_is_not_onto(tmp_path, capsys):
+    bad = tmp_path / "circle.json"
+    bad.write_text(json.dumps(CIRCLE_SL2XU1_DOC))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (4, "")
+    assert err == ("invalid: dims consistency: tM_in_t has rank 1 < 2: T_M "
+                   "is not a torus in T\n")
 
 
 def test_verify_with_no_group_files_exits_3_without_a_traceback(tmp_path):

@@ -24,6 +24,18 @@ GROUP_FILES = ([data_dir() / f"{name}.json"
                    "su22", "su31")])
 
 
+# a circle onto the first factor of the Cartan of SL(2,R) x U(1): R has
+# rank 1 of 2, so the U(1) characters of T_M extend to no character of T
+CIRCLE_SL2XU1_DOC = {
+    "name": "circle-sl2xu1",
+    "k": {"rank": 1, "roots": [], "positives": [], "simples": []},
+    "m": {"rank": 2, "roots": [[2, 0], [-2, 0]], "positives": [[2, 0]],
+          "compact_flags": [False, False]},
+    "restricted": {"dim_a": 0, "roots": [], "positives": []},
+    "tM_in_t": [[1], [0]], "zmprime": {"order": 1, "generators": []},
+    "dims": {"s_M": 2, "a": 0}}
+
+
 def dot(a, b):
     """The inner product of two coordinate tuples."""
     return sum(map(mul, a, b))
@@ -437,6 +449,20 @@ def test_load_and_a_cold_chamber_build_no_weight(monkeypatch, path):
     assert isinstance(chamber, branching.Chamber) and built == []
 
 
+@pytest.mark.parametrize("path", GROUP_FILES, ids=lambda path: path.stem)
+def test_walk_states_are_d_mu_and_its_simple_pairings(path):
+    # Blattner's walk state is d mu (k-rank entries) followed by its pairing
+    # with each simple K root, both for a Levi coordinate (a column of the
+    # walk map) and for a free direction, and nothing else
+    g = load_group_data(path)
+    rank, simples = g.k_roots.rank, g.k_roots.simples
+    for w in g.k_weyl:
+        assert len(w.walk) == rank + len(simples)
+        for state in [*zip(*w.walk), *w.dirs]:
+            assert len(state) == rank + len(simples)
+            assert state[rank:] == matvec(simples, state[:rank])
+
+
 def test_unknown_schema_fields_rejected():
     doc = doc_sl2_compact()
     doc["extra"] = 1
@@ -506,6 +532,9 @@ _SL2_GEN = {"v": ["1/2"], "char_table_row": [0, 1]}
      "zmprime table", "character table not closed under product"),
     ("su21", [("dims", "a", 1)], "dims consistency",
      "dims.a disagrees with restricted.dim_a"),
+    # restriction from T to a subtorus T_M is onto: R has full row rank
+    ("su21", [(CIRCLE_SL2XU1_DOC,)], "dims consistency",
+     "tM_in_t has rank 1 < 2: T_M is not a torus in T"),
     ("sl2r-compact", [("zmprime", "generators", [
         _SL2_GEN, {"v": ["1/2"], "char_table_row": [0, 0]}])],
      "zmprime compatibility",
@@ -516,7 +545,8 @@ _SL2_GEN = {"v": ["1/2"], "char_table_row": [0, 1]}
          "flag-without-k-root", "unpointed-cone", "order-0", "row-count",
          "ragged-rows",
          "exponent-out-of-range", "v-length",
-         "table-not-closed", "dims-a", "basis-weight-off-table"])
+         "table-not-closed", "dims-a", "restriction-not-onto",
+         "basis-weight-off-table"])
 def test_loader_refuses_each_broken_invariant(name, edits, invariant,
                                               message):
     with pytest.raises(GroupDataError) as e:
