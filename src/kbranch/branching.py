@@ -48,15 +48,17 @@ over those takes, one line of the last variable at a time, the integer
 interval that keeps mu in the window and the dominant chamber, so neither
 a box of K-types nor a table of partition counts is built.
 
-Two oracles stay independent of it and of each other: signed sums over the
-compact offsets of the chamber's Kostant partition counts, and the
-chamber's truncated series product, each read at key - base in height
-order up to the call's own bound (a series read checked against its
-certificate) and scattered through an inverted index of restricted
-K-types into the rows the key touches.  Every table over the window's box
-(box_table, and table_of outside Blattner's formula) reads the window's
-ktypes.KTypeBox, which restricts only the keys read; the spot check and
-ktype_multiplicity index their own K-types with ktypes.key_index.
+Two oracles stay independent of it and of each other, each a chamber table
+(certificate, terms) read at signed offsets by _evaluate: the Kostant
+partition counts of the noncompact positives at base + S with sign
+(-1)^|S| for each compact subset S, and the truncated series product,
+which holds the compact exterior, at the base alone.  Each read runs in
+height order up to the call's own doubled height, never past the table's
+certificate, and is scattered by K-type through an inverted index of
+restricted K-types.  Every table over the window's box (box_table, and
+table_of outside Blattner's formula) reads the window's ktypes.KTypeBox,
+which restricts only the keys read; the spot check and ktype_multiplicity
+index their own K-types with ktypes.key_index.
 table_of spot-checks its lowest rows with an oracle its table did not
 come from: the partition counts a Blattner table, the series a box one.
 Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
@@ -309,62 +311,35 @@ def _prepare(verdict: ParamVerdict) -> Optional[ParamVerdict]:
 _Row = tuple[tuple[int, ...], int]  # (highest-weight coordinates, m)
 
 
-def _table(chamber: Chamber, name: str, build, bound: int):
-    """The chamber's table name, build(chamber, bound), rebuilt at exactly
+def _table(chamber: Chamber, name: str, build, bound2: int):
+    """The chamber's table name, build(chamber, bound2), rebuilt at exactly
     its own bound by a call that needs more."""
     kept = chamber.tables.get(name)
-    if kept is None or kept[0] < bound:
-        kept = chamber.tables[name] = bound, build(chamber, bound)
+    if kept is None or kept[0] < bound2:
+        kept = chamber.tables[name] = bound2, build(chamber, bound2)
     return kept[1]
 
 
-def _series(chamber: Chamber, cutoff: int) -> tuple[Optional[int], list]:
-    """graded_exterior(compact) x prod_beta geometric_series(beta, cutoff):
-    its certificate, and its terms (doubled height, key, m) lowest first."""
+def _series(chamber: Chamber, bound2: int) -> tuple[Optional[int], list]:
+    """graded_exterior(compact) x prod_beta geometric_series(beta, cutoff),
+    cut at the least cutoff whose doubled height covers bound2: its
+    certificate, a doubled height or None if exact, and its terms (doubled
+    height, key, m) lowest first."""
+    cutoff = max(-(-bound2 // 2), 0)
     acc = graded_exterior(chamber.hm, chamber.compact)
     for beta in chamber.noncompact:
         acc = char_mul(acc, geometric_series(chamber.hm, beta, cutoff))
-    return acc.cutoff, acc.by_height()
+    return None if acc.cutoff is None else 2 * acc.cutoff, acc.by_height()
 
 
-def _partition_table(chamber: Chamber, bound2: int) -> list[tuple]:
-    """The partition counts of the noncompact positives up to a doubled
-    height, as (doubled height, key, count) lowest first."""
+def _partition_table(chamber: Chamber, bound2: int) -> tuple[int, list]:
+    """The partition counts of the noncompact positives up to the doubled
+    height bound2, which certifies them, as (doubled height, key, count)
+    lowest first."""
     hv, z = chamber.hm.height_vec, chamber.hm.ztable.identity
-    return sorted([(sum(map(mul, t, hv)), (t, z), n) for t, n in
-                   partition_counts(chamber.noncompact, chamber.hm,
-                                    bound2).items()])
-
-
-def _partition_values(prep: ParamVerdict, top2: int) -> list[tuple]:
-    """Signed Kostant partition counts, sum over the compact subsets S of
-    (-1)^|S| P_n(key - base - S): per S, a read of the partition table."""
-    chamber, (coords, z) = prep.chamber, prep.base
-    offsets = [tuple(map(add, coords, s)) for _, s in chamber.subsets]
-    rooms = [top2 - sum(map(mul, offset, chamber.hm.height_vec))
-             for offset in offsets]
-    counts = _table(chamber, "partition", _partition_table, max(rooms))
-    zs = [z] * chamber.hm.ztable.order  # the table's keys carry the identity
-    return [(sign, offset, zs, room, counts) for (sign, _), offset, room
-            in zip(chamber.subsets, offsets, rooms)]
-
-
-def _series_values(prep: ParamVerdict, top2: int) -> list[tuple]:
-    """The read of e^base times the chamber's series.  No term lies below
-    the base height h_b, so they are exact up to the series' cutoff plus
-    floor(h_b / 2): the least cutoff covering top2 builds or grows the
-    chamber's series, and each read is checked against its certificate."""
-    (coords, z), hm = prep.base, prep.chamber.hm
-    h2_base = hm.key_height2(prep.base)
-    need = -(-max(top2, h2_base) // 2) - h2_base // 2
-    cutoff, terms = _table(prep.chamber, "series", _series, need)
-    if cutoff is not None and cutoff < need:
-        raise CutoffError(f"doubled height {top2} beyond certified cutoff "
-                          f"{cutoff + h2_base // 2}")
-    return [(1, coords, hm.ztable.products[z], top2 - h2_base, terms)]
-
-
-_EVALUATORS = {"partition": _partition_values, "series": _series_values}
+    return bound2, sorted([(sum(map(mul, t, hv)), (t, z), n) for t, n in
+                           partition_counts(chamber.noncompact, chamber.hm,
+                                            bound2).items()])
 
 
 def _top_covector(g: RealGroupData, hv: tuple[int, ...]) -> tuple[int, ...]:
@@ -377,20 +352,34 @@ def _top_covector(g: RealGroupData, hv: tuple[int, ...]) -> tuple[int, ...]:
     return matvec(zip(*u.matrix), matvec(zip(*g.tm_in_t), hv))  # (R u)^T hv
 
 
-def _evaluate(prep: ParamVerdict, mode: str, index: Mapping[tuple, list],
-              top2: int) -> dict[int, int]:
+def _evaluate(prep: ParamVerdict, mode: str, index: Mapping[tuple, Sequence],
+              top2: int) -> dict[tuple[int, ...], int]:
     """One oracle's value at each H-key up to the doubled height top2,
-    scattered through an index of restricted K-types into {row: m}: each
-    read (sign, offset, zs, room, terms) of a chamber table's terms (doubled
-    height, key, m) moves a key (c, i) to (c + offset, zs[i]), up to room."""
-    acc: dict[int, int] = {}
-    for sign, offset, zs, room, terms in _EVALUATORS[mode](prep, top2):
+    scattered by K-type through an index of restricted K-types: a chamber
+    table of terms (doubled height, key, m) read at signed offsets, the
+    partition table at base + S with sign (-1)^|S| per compact subset S,
+    the series, which holds the exterior, at the base alone.  A read moves
+    a key (c, i) to (c + offset, i + z_base) up to its room, top2 less the
+    offset's doubled height; no room may pass the table's certificate."""
+    chamber, (coords, z) = prep.chamber, prep.base
+    build, subsets = ((_partition_table, chamber.subsets) if mode == "partition"
+                      else (_series, chamber.subsets[:1]))
+    reads = [(sign, tuple(map(add, coords, s))) for sign, s in subsets]
+    rooms = [top2 - sum(map(mul, offset, chamber.hm.height_vec))
+             for _, offset in reads]
+    most = max(rooms)
+    cert, terms = _table(chamber, mode, build, most)
+    if cert is not None and most > cert:
+        raise CutoffError(f"a {mode} read to doubled height {most} beyond "
+                          f"the table's certificate {cert}")
+    zs, acc = chamber.hm.ztable.products[z], {}
+    for (sign, offset), room in zip(reads, rooms):
         for h, (c, zc), m in terms:
             if h > room:
                 break
             key = tuple(map(add, offset, c)), zs[zc]
-            for row, mi in index.get(key, ()):
-                acc[row] = acc.get(row, 0) + sign * m * mi
+            for kt, mi in index.get(key, ()):
+                acc[kt] = acc.get(kt, 0) + sign * m * mi
     return acc
 
 
@@ -550,7 +539,7 @@ def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
     if prep is None:
         return 0
     return _evaluate(prep, mode, key_index(g, [hw]),
-                     sum(map(mul, hw, prep.chamber.top))).get(0, 0)
+                     sum(map(mul, hw, prep.chamber.top))).get(hw, 0)
 
 
 def _nonzero(rows: Sequence[_Row]) -> list[_Row]:
@@ -585,8 +574,11 @@ def _check_scan(g: RealGroupData, window: int, n: int, what: str) -> None:
                              f"{what}; at most {MAX_BOX} are allowed")
 
 
+_MODES = ("partition", "series")
+
+
 def _check_mode(mode: str) -> None:
-    if mode not in _EVALUATORS:
+    if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -629,8 +621,8 @@ def table_of(verdict: ParamVerdict, window: int) -> KTypeTable:
                    for mu, m in rows])[:_SPOT_CHECKS]
     checked = _evaluate(prep, oracle, key_index(g, [mu for _, mu, _ in spot]),
                         spot[-1][0] if spot else -1)
-    for row, (_, mu, m) in enumerate(spot):
-        c = checked.get(row, 0)
+    for _, mu, m in spot:
+        c = checked.get(mu, 0)
         if c != m:
             raise ArithmeticError(f"evaluator disagreement at {mu}: "
                                   f"{oracle} {c} vs {evaluator} {m}")

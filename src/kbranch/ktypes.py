@@ -117,20 +117,20 @@ def _pairings(g: RealGroupData, hw: Sequence[int]) -> tuple[int, ...]:
 
 def key_index(g: RealGroupData, hws: Iterable[tuple[int, ...]]
               ) -> dict[tuple, list]:
-    """The restriction of a batch of dominant integer tuples to H = T_M Z',
-    as one inverted index: each H-key to its (row, multiplicity) entries,
-    rows numbered in batch order.  R and the Z' rows are linear, so the key
-    of the weight hw - t is (R;Z) hw - (R;Z) t: a tuple's keys are its
+    """The restriction of a batch of distinct dominant integer tuples to
+    H = T_M Z', as one inverted index: each H-key to its (K-type, m)
+    entries, as a KTypeBox holds them.  R and the Z' rows are linear, so the
+    key of the weight hw - t is (R;Z) hw - (R;Z) t: a tuple's keys are its
     class's, translated by its own.  The tuples are not checked again: a
     K-type from outside the engine passes check_ktype first."""
     index: dict[tuple, list] = {}
-    for row, hw in enumerate(hws):
+    for hw in hws:
         r_hw, z_hw = matvec(g.tm_in_t, hw), matvec(g.zchar_rows, hw)
         for z_t, acc in _class_keys(g, _pairings(g, hw)):
             i = g.hm.ztable.index(map(sub, z_hw, z_t))
             for r_t, m in acc.items():
                 index.setdefault((tuple(map(sub, r_hw, r_t)), i), []
-                                 ).append((row, m))
+                                 ).append((hw, m))
     return index
 
 

@@ -139,7 +139,7 @@ def resolve_params(g: RealGroupData, doc: dict) -> TemperedParams:
             lam = _integers(doc, "lambda", depth=1)
             if len(lam) != g.hm.rank:
                 raise ParamSchemaError(f"'lambda' needs {g.hm.rank} entries")
-            rmplus = (None if doc.get("rmplus") is None
+            rmplus = (None if "rmplus" not in doc
                       else _integers(doc, "rmplus", depth=2))
             return su21_from_lambda(g, lam, rmplus, _integers(doc, "chi", 0))
         raise ParamSchemaError('expected {"lambda": [a, b, c], ...}')

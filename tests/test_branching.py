@@ -263,12 +263,14 @@ def test_every_verdict_reason_byte_for_byte(g, p, want):
 # ------------------------------------------------------- virtual character
 
 def _virtual_character(g, p, cutoff):
-    """e^base times the chamber's series, as the series oracle reads it."""
+    """e^base times the chamber's series, as the series oracle reads it,
+    the series built for the doubled height of the cutoff."""
     prep = validate_params(g, p)
-    series, terms = branching._series(prep.chamber, cutoff)
+    cert, terms = branching._series(prep.chamber, 2 * cutoff)
     return char_mul(FormalCharacter(prep.chamber.hm, {prep.base: 1}),
                     FormalCharacter(prep.chamber.hm,
-                                    {key: m for _, key, m in terms}, series))
+                                    {key: m for _, key, m in terms},
+                                    None if cert is None else cert // 2))
 
 
 def test_virtual_character_discrete():
@@ -754,7 +756,7 @@ def test_virtual_character_steps_coordinate_tuples(monkeypatch):
     calls = _count_calls(monkeypatch, (Weight, "__new__"), (Weight, "__add__"),
                          (Weight, "__mul__"), (Weight, "__rmul__"),
                          (HMLattice, "char"))
-    assert len(branching._series(prep.chamber, 40)[1]) == 61
+    assert len(branching._series(prep.chamber, 80)[1]) == 61
     assert calls == {}
 
 
@@ -775,11 +777,11 @@ def test_short_certificate_raises_cutoff_error(monkeypatch, cold_records):
     q = _chamber(noncompact, [3, 1, -1])
     top = max(ktype_table(GU, p, 4).entries)
     assert ktype_table(noncompact, q, 4).entries
-    # the chamber's series is built one short; each path builds its own,
-    # from a cold record
+    # the chamber's series is built one cutoff short, two doubled heights;
+    # each path builds its own, from a cold record
     series = branching._series
     monkeypatch.setattr(branching, "_series",
-                        lambda chamber, cutoff: series(chamber, cutoff - 1))
+                        lambda chamber, bound2: series(chamber, bound2 - 2))
     for evaluate in (lambda: ktype_table_series(GU, p, 4),
                      lambda: ktype_table(noncompact, q, 4),
                      lambda: ktype_multiplicity(GU, p, KType(GU.t_weight(top)),
@@ -1363,15 +1365,16 @@ def test_spot_check_partition_budget(monkeypatch):
 def test_spot_check_series_budget(monkeypatch):
     # where the table is partition counts over the box, as on the
     # all-noncompact su21, the spot check builds one truncated series per
-    # table, and its cutoff does not grow with the window: over every
-    # parameter in [-2, 2]^3, the ceilings per (window, singular) are pinned
-    ceilings = {(2, False): 0, (3, False): 2, (3, True): 2}  # the rest 1
+    # table, and its doubled height bound does not grow with the window:
+    # over every parameter in [-2, 2]^3, the ceilings per (window, singular)
+    # are pinned, twice the cutoffs they were
+    ceilings = {(2, False): 0, (3, False): 4, (3, True): 4}  # the rest 2
     g = all_noncompact_su21()
-    cutoff = _spot_check_bound(monkeypatch, g, "_series")
+    bound = _spot_check_bound(monkeypatch, g, "_series")
     params = list(_nonzero_tie_broken(g, 2))
     for singular, p in params:
         for window in (2, 3, 4, 6):
-            assert cutoff(p, window) <= ceilings.get((window, singular), 1)
+            assert bound(p, window) <= ceilings.get((window, singular), 2)
     assert len(params) == 125
 
 
@@ -1543,18 +1546,44 @@ def test_chamber_series_is_rebuilt_past_its_certificate(monkeypatch,
     builds = _record_builds(monkeypatch)["series"]
     small = ktype_table_series(GU, p, 2)
     record = validate_params(GU, p).chamber
-    cert, _ = record.tables["series"][1]
-    assert builds == [((record,), cert)]
+    bound2, (cert, _) = record.tables["series"]
+    assert builds == [((record,), bound2)] and bound2 <= cert
     assert ktype_table_series(GU, p, 6).entries.items() > small.entries.items()
     [bounds] = _grown(builds)
     assert len(bounds) == 2
     q = ktype_multiplicity(GU, p, KType(GU.t_weight([4, 2, -3])), "series")
     assert len(builds) == 2 and q == 1
-    # a series one short of the cutoff it was built for
-    bound, (cutoff, terms) = record.tables["series"]
-    record.tables["series"] = bound, (cutoff - 1, terms)
+    # a series certified one doubled height short of the bound it was
+    # built for
+    bound2, (_, terms) = record.tables["series"]
+    record.tables["series"] = bound2, (bound2 - 1, terms)
     with pytest.raises(CutoffError):
         ktype_table_series(GU, p, 6)
+
+
+def test_partition_table_read_past_its_certificate_raises(monkeypatch,
+                                                          cold_records):
+    # the partition table is certified up to the doubled height it was
+    # built for: planted below the room of a read, in the chamber's record
+    # or by its builder, as _evaluate looks the builder up when it reads,
+    # it raises CutoffError
+    p = su21_from_lambda(GU, [4, 1, -2])
+    want = ktype_table(GU, p, 6)
+    record = validate_params(GU, p).chamber
+    bound2, (cert, terms) = record.tables["partition"]
+    assert cert == bound2 and table_of(validate_params(GU, p), 6) == want
+    record.tables["partition"] = bound2, (bound2 - 1, terms)
+    with pytest.raises(CutoffError):
+        ktype_table(GU, p, 6)
+    build = branching._partition_table
+    monkeypatch.setattr(branching, "_partition_table", lambda chamber, bound2: (
+        bound2 - 1, build(chamber, bound2)[1]))
+    for evaluate in (lambda: box_table(GU, p, 4, "partition"),
+                     lambda: ktype_multiplicity(GU, p, KType(GU.t_weight(
+                         min(want.entries))))):
+        branching._chamber.cache_clear()
+        with pytest.raises(CutoffError):
+            evaluate()
 
 
 def test_oracle_table_built_once_per_chamber(monkeypatch):

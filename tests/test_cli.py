@@ -103,6 +103,9 @@ def test_bad_params_document_exits_2(capsys):
     ("su21", '{"lambda":[3,1,-1],"lambda_denom":2}'),
     ("sl2r-compact", '{"series":"limit","n":3,"sign":"+"}'),
     ("sl2r-split", '{"chi":"plus","rmplus":[[1]]}'),
+    ("su21", '{"lambda":[3,1,-1],"rmplus":null}'),
+    # a group with no friendly form reads a document as raw parameters
+    (str(DATA / "sp4r.json"), '{"chi":0}'),
 ])
 def test_malformed_params_document_exits_2(capsys, group, params):
     code, out, err = run(capsys, "table", "--group", group,
@@ -318,7 +321,8 @@ def test_grid_above_cap_exits_2(capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--grid-h", "0"), ("--grid-h", "-0.05"), ("--grid-h", "nan"),
-    ("--grid-L", "inf"), ("--svd-tol", "0"), ("--grid-h", "0.03")])
+    ("--grid-L", "inf"), ("--svd-tol", "0"), ("--grid-h", "0.03"),
+    ("--grid-h", "abc")])
 def test_bad_grid_exits_2(capsys, flag, value):
     exits_2_with_empty_stdout(capsys, "verify", "dirac", flag, value)
 

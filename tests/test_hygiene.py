@@ -587,3 +587,53 @@ def test_every_parameter_is_read(path):
 ])
 def test_unread_parameters_are_found(source, unread):
     assert _unread_parameters(ast.parse(source)) == unread
+
+
+def _readers(tree: ast.Module, name: str) -> list[str]:
+    """The innermost function around each read of a name, <module> for one
+    outside every function."""
+    found = []
+
+    def visit(node: ast.AST, func: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id == name):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_evaluate_alone_reads_a_chamber_table():
+    # an oracle is a chamber table read at signed offsets: _evaluate is the
+    # one function of any module that names _table
+    readers = {p.stem: _readers(ast.parse(p.read_text()), "_table")
+               for p in MODULES}
+    assert {m: r for m, r in readers.items() if r} == {
+        "branching": ["_evaluate"]}
+
+
+@pytest.mark.parametrize("source, readers", [
+    ("def f():\n    return _table(c)", ["f"]),
+    ("def f():\n    g = _table\n    return [_table(x) for x in y]",
+     ["f", "f"]),
+    ("def f():\n    def g(): return _table()\n    return g", ["g"]),
+    ("t = _table", ["<module>"]),
+    ("def _table(c): return c\nx.tables = 1", []),
+    ("def f(): return m._table(c)", []),
+])
+def test_readers_are_found(source, readers):
+    assert _readers(ast.parse(source), "_table") == readers
+
+
+# the lines of src/kbranch/*.py, as `cat src/kbranch/*.py | wc -l` counts
+# them: a change that shrinks the source lowers it, and one that grows it
+# says why
+SRC_LINES = 3056
+
+
+def test_source_is_within_its_line_budget():
+    assert sum(p.read_bytes().count(b"\n") for p in MODULES) <= SRC_LINES

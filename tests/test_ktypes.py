@@ -306,7 +306,7 @@ def test_box_reads_each_key_as_the_full_index(path):
         unheld += len(keys - full.keys())
         for key in sorted(keys):
             assert ktypes.ktype_box(g, window).get(key) == tuple(
-                (kts[row], m) for row, m in full.get(key, ()))
+                full.get(key, ()))
     assert unheld
 
 

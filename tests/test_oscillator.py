@@ -583,7 +583,7 @@ def test_nd_start_draws_on_the_guard_alone(monkeypatch, f):
     # each start row is a tensor eigenvector u0 of the preconditioner, the
     # ev + 1 lowest, exactly in degree 0, plus the first-order effect of the
     # coupling, -(D2 - theta)^-1 C^T u0, in degree 2, against A^T A from
-    # the dense Kronecker A; there is no guard row and no row carries a draw
+    # the dense Kronecker A; the start is those ev + 1 rows, none with a draw
     grid = GridSpec(2.0, 0.2)
     n0 = (grid.npoints - 2) ** 2
     x = _start_block(monkeypatch, grid, f, KernelReport(1, 0, 0.0))["x"]
@@ -608,7 +608,8 @@ def test_nd_start_draws_on_the_guard_alone(monkeypatch, f):
             1e-12 * np.linalg.norm(want[n0:]) + 1e-16)  # rounding of a row
 
 
-def test_nd_start_leaves_a_near_degenerate_coupling_to_lobpcg(monkeypatch):
+def test_nd_start_leaves_a_near_degenerate_coupling_to_the_ritz_step(
+        monkeypatch):
     # 1-D dims (2, 2): ev = 8, nine rows up to theta = 5.97 at f = 1, one of
     # them degree 2's lowest (4.0).  An entry of the other degree where D -
     # theta is not above theta / 2 gets no term, and is left to the
@@ -717,7 +718,7 @@ def test_nd_start_in_too_few_directions_is_inconclusive(monkeypatch):
         oscillator_nd(2, GridSpec(6.0, 0.1), 1e-5)
 
 
-def test_lobpcg_preconditions_once_before_it_returns():
+def test_ritz_step_returns_exact_eigenvectors_unpreconditioned():
     # exact eigenvectors of diag(1..20) pass the residual bound at once, so
     # the Ritz step preconditions nothing and returns them
     d = np.arange(1.0, 21.0)
@@ -734,7 +735,7 @@ def test_lobpcg_preconditions_once_before_it_returns():
     assert np.abs(np.abs(images) - x * d).max() < 1e-12
 
 
-def test_lobpcg_images_x_afresh_in_a_round_that_does_not_converge():
+def test_ritz_step_corrects_a_start_off_its_bound_once():
     # diag(1..20) from a draw, preconditioned by the identity: the start is
     # off its bound, so its residuals get exactly one correction, imaged
     # once, and a second Rayleigh-Ritz step with no further residual; the
@@ -758,7 +759,7 @@ def test_lobpcg_images_x_afresh_in_a_round_that_does_not_converge():
     assert np.abs(got * d - images).max() < 1e-12 * np.abs(images).max()
 
 
-def test_lobpcg_block_is_the_span_of_its_start():
+def test_ritz_step_block_is_the_span_of_its_start():
     # two rows spanning e_0 and e_1: the block is e_0 and e_1, the lowest
     # pairs of its span, exact, so nothing is corrected
     d = np.arange(1.0, 21.0)
