@@ -72,10 +72,11 @@ from itertools import repeat
 from operator import add, mul, neg, sub
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .characters import (CutoffError, HMLattice, Weight, char_mul,
-                         geometric_series, graded_exterior, partition_counts)
+from .characters import (CutoffError, HMLattice, LatticeError, Weight,
+                         char_mul, geometric_series, graded_exterior,
+                         partition_counts)
 from .groups import RealGroupData, matvec, simple_roots
-from .ktypes import KType, check_ktype, key_index, ktype_box
+from .ktypes import KType, key_index, ktype_box
 
 # a table's caps: its window; the points (2w+1)^n of a box it scans, n the
 # rank for a box of K-types, the free coordinates for a torus fibre of
@@ -102,14 +103,14 @@ class TemperedParams(NamedTuple):
 
     lam: Harish-Chandra-style parameter on the compact Cartan of the Levi
          factor (half-integral allowed in the doubled lattice);
-    rmplus: explicit positive system for the Levi roots;
+    rmplus: explicit positive system of the Levi roots, as coordinate tuples;
     chi: index into the character table of the finite component group;
     nu: continuous parameter on the split part -- carried but never used by
         the restriction arithmetic.
     """
 
     lam: Weight
-    rmplus: tuple[Weight, ...]
+    rmplus: tuple[tuple[int, ...], ...]
     chi: int
     nu: Weight
 
@@ -201,13 +202,12 @@ def sign_factor(g: RealGroupData) -> int:
 
 def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
     """Classify parameters: invalid, zero (the induced representation
-    vanishes), or nonzero; their Weights are checked here, once."""
+    vanishes), or nonzero; lam, nu and rmplus are checked here, once."""
     def invalid(reason):
         return ParamVerdict("invalid", g, reason)
 
-    lattice = g.hm.lattice
     if not isinstance(p.lam, Weight) or (p.lam.lattice, p.lam.rank) != (
-            lattice, g.hm.rank):
+            g.hm.lattice, g.hm.rank):
         return invalid("parameter is not a weight of the Levi Cartan")
     if not isinstance(p.nu, Weight) or (p.nu.lattice, p.nu.rank) != (
             f"{g.name}:a", g.dim_a):
@@ -215,10 +215,11 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
     if type(p.chi) is not int or not 0 <= p.chi < g.hm.ztable.order:
         return invalid(f"no component character with index {p.chi}")
 
-    # a root on another lattice or halved, or a non-tuple, is no root (None)
+    # an entry not a tuple of ints is no root (None): (1.0, -1, 0) and
+    # (True, -1, 0) compare and hash equal to (1, -1, 0); a Weight is refused
     rmplus = p.rmplus if type(p.rmplus) is tuple else (None,)
-    rmplus = tuple(a.coords if isinstance(a, Weight) and a.denom == 1
-                   and a.lattice == lattice else None for a in rmplus)
+    rmplus = tuple(a if type(a) is tuple and {int}.issuperset(map(type, a))
+                   else None for a in rmplus)
     chamber = _chamber(g, rmplus)
     if isinstance(chamber, str):
         return invalid(chamber)
@@ -531,11 +532,13 @@ def ktype_multiplicity(g: RealGroupData, p: TemperedParams, kt: KType,
     """Multiplicity of one K-type by one oracle, "series" or "partition";
     the two must agree; 0 for a zero verdict.  The one conversion of a
     KType: its highest weight is checked (an integral weight of T by
-    HMLattice.char, dominant by check_ktype) and passed on as coordinates."""
+    HMLattice.char, then dominant) and passed on as coordinates."""
     _check_mode(mode)
     prep = _prepare(validate_params(g, p))
     hw, _ = g.t_lattice.char(kt.highest)
-    check_ktype(g, hw)
+    if any(sum(map(mul, hw, s)) < 0 for s in g.k_roots.simples):
+        raise LatticeError(f"{hw!r} is not a dominant integral weight of "
+                           f"rank {g.k_roots.rank}")
     if prep is None:
         return 0
     return _evaluate(prep, mode, key_index(g, [hw]),

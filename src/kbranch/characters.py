@@ -1,7 +1,7 @@
 """Exact arithmetic on lattice weights and formal characters of H = T x Z.
 
 Roots and weights are integer coordinate tuples in a fixed lattice basis.
-Weight, the public type of parameters and K-types, labels a tuple with its
+Weight, the public type of lambda, nu and K-types, labels a tuple with its
 lattice and a denominator (1, or 2 for half-integer parameters, reduced
 when it is built); its lattice and rank are checked once, where it comes
 in, and it has no arithmetic: the engine adds coordinate tuples.  Formal

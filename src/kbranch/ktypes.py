@@ -1,10 +1,9 @@
 """Irreducible representations of the maximal compact subgroup.
 
 K-types are the coordinate tuples of their highest weights: enumeration
-inside the dominant chamber, the check of a tuple from outside (integer
-entries, rank, dominance), and restriction to the compact Cartan component
-group H = T_M x Z' of the weights that Kostant's multiplicity formula
-(summed over the W_K derived at load) gives.  Kostant's formula reads a
+inside the dominant chamber, and restriction to the compact Cartan
+component group H = T_M x Z' of the weights that Kostant's multiplicity
+formula (summed over the W_K derived at load) gives.  Kostant's formula reads a
 highest weight only through its dot products with the simple K roots, so
 restriction runs it once per class of K-types modulo the centre of K,
 cached with the class's weights mapped to H, and a K-type's restriction is
@@ -20,7 +19,7 @@ from itertools import product, repeat
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .characters import LatticeError, Weight, partition_counts
+from .characters import Weight, partition_counts
 from .groups import RealGroupData, matvec
 
 
@@ -28,15 +27,6 @@ class KType(NamedTuple):
     """Highest weight of an irreducible representation of the compact group."""
 
     highest: Weight
-
-
-def check_ktype(g: RealGroupData, hw: tuple[int, ...]) -> None:
-    """LatticeError unless hw is a dominant integer tuple of K's rank."""
-    if not (type(hw) is tuple and len(hw) == g.k_roots.rank
-            and {int}.issuperset(map(type, hw))
-            and all(sum(map(mul, hw, s)) >= 0 for s in g.k_roots.simples)):
-        raise LatticeError(f"{hw!r} is not a dominant integral weight of "
-                           f"rank {g.k_roots.rank}")
 
 
 def enumerate_ktypes(g: RealGroupData, norm_cutoff: int
@@ -122,7 +112,7 @@ def key_index(g: RealGroupData, hws: Iterable[tuple[int, ...]]
     entries, as a KTypeBox holds them.  R and the Z' rows are linear, so the
     key of the weight hw - t is (R;Z) hw - (R;Z) t: a tuple's keys are its
     class's, translated by its own.  The tuples are not checked again: a
-    K-type from outside the engine passes check_ktype first."""
+    K-type from outside the engine is checked by ktype_multiplicity."""
     index: dict[tuple, list] = {}
     for hw in hws:
         r_hw, z_hw = matvec(g.tm_in_t, hw), matvec(g.zchar_rows, hw)

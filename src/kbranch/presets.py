@@ -56,7 +56,7 @@ def sl2_discrete(g: RealGroupData, n: int, sign: str) -> TemperedParams:
     s = 1 if sign == "+" else -1
     return TemperedParams(
         lam=g.tm_weight([s * n]),
-        rmplus=(g.tm_weight([2 * s]),),
+        rmplus=((2 * s,),),
         chi=(n - 1) % 2,
         nu=g.a_weight([]))
 
@@ -77,10 +77,11 @@ def su21_from_lambda(g: RealGroupData, coords,
 
     For regular coords the positive system is derived from the sign of the
     pairings; singular parameters (limits) must supply rmplus explicitly.
+    Its roots, given or derived, are kept as coordinate tuples.
     """
     lam = g.tm_weight(coords)
     if rmplus is not None:
-        pos = tuple(g.tm_weight(c) for c in rmplus)
+        pos = tuple(map(tuple, rmplus))
     else:
         pos = []
         for r in g.m_roots.positives:
@@ -89,18 +90,18 @@ def su21_from_lambda(g: RealGroupData, coords,
                 raise ParamSchemaError(
                     f"parameter is orthogonal to root {r}; supply "
                     "rmplus explicitly for limits")
-            pos.append(g.tm_weight(r if d > 0 else [-x for x in r]))
+            pos.append(r if d > 0 else tuple([-x for x in r]))
         pos = tuple(pos)
     return TemperedParams(lam=lam, rmplus=pos, chi=chi, nu=g.a_weight([]))
 
 
 def raw_params(g: RealGroupData, doc: dict) -> TemperedParams:
+    """Parameters from the raw form, rmplus as coordinate tuples."""
     _only(doc, "lambda", "lambda_denom", "rmplus", "chi", "nu")
     try:
         lam = g.tm_weight(_integers(doc, "lambda", depth=1),
                           denom=_integers(doc, "lambda_denom", 1))
-        rmplus = tuple(g.tm_weight(c)
-                       for c in _integers(doc, "rmplus", [], 2))
+        rmplus = tuple(map(tuple, _integers(doc, "rmplus", [], 2)))
         chi = _integers(doc, "chi", 0)
         nu = g.a_weight(_integers(doc, "nu", [0] * g.dim_a, 1))
     except (KeyError, TypeError, ValueError) as e:

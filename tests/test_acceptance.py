@@ -103,7 +103,7 @@ def test_criterion_09_su21_multiplicity_free():
     if offender is not None:
         reproducer = offender[0]
         print(f"reproducer: lam={reproducer.lam.coords} "
-              f"rmplus={[r.coords for r in reproducer.rmplus]}")
+              f"rmplus={list(reproducer.rmplus)}")
     _report(9, "50 sampled su21 tables multiplicity-free and mode-equivalent",
             offender is None, time.perf_counter() - t0, 120.0)
 

@@ -40,7 +40,7 @@ def restrict_to_hm(g, hw):
     return {k: m for k, [(_, m)] in key_index(g, [hw]).items()}
 
 
-STD_POS = tuple(GU.tm_weight(c) for c in ([1, -1, 0], [1, 0, -1], [0, 1, -1]))
+STD_POS = ((1, -1, 0), (1, 0, -1), (0, 1, -1))
 
 
 def dot(a, b):
@@ -48,9 +48,9 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _signed(g, r, up):
-    """The Levi root r, or its negative, as a Weight of a positive system."""
-    return g.tm_weight(r if up else [-x for x in r])
+def _signed(r, up):
+    """The Levi root r, or its negative, as a root of a positive system."""
+    return r if up else tuple([-x for x in r])
 
 
 # ---------------------------------------------------------------- verdicts
@@ -78,7 +78,7 @@ def test_validate_refuses_root_coordinates_that_are_not_roots(lattice,
     # the coordinates of the su21 positives, on the lattice of T or halved:
     # a verdict, not a LatticeError from grading the positive system
     p = su21_from_lambda(GU, [3, 1, -1])._replace(rmplus=tuple(
-        Weight(r.coords, lattice, denom) for r in STD_POS))
+        Weight(r, lattice, denom) for r in STD_POS))
     v = validate_params(GU, p)
     assert v.verdict == "invalid"
     assert v.reason == "positive system contains non-roots or duplicates"
@@ -95,7 +95,7 @@ def test_validate_reads_list_coordinates_as_tuples(p):
     # values, not a TypeError from the chamber cache, and so is a K-type's
     def listed(w):
         return Weight(list(w.coords), w.lattice, w.denom)
-    q = p._replace(lam=listed(p.lam), rmplus=tuple(map(listed, p.rmplus)))
+    q = p._replace(lam=listed(p.lam))
     assert validate_params(GU, q) == validate_params(GU, p)
     hw = GU.t_weight((3, 2, -2))  # multiplicity 1 for p1, 0 for zero
     assert (ktype_multiplicity(GU, q, KType(listed(hw)))
@@ -137,13 +137,13 @@ def test_a_verdict_is_bound_by_equality():
 
 
 def test_validate_rejects_nondominant():
-    p = TemperedParams(GC.tm_weight([-3]), (GC.tm_weight([2]),), 0,
+    p = TemperedParams(GC.tm_weight([-3]), ((2,),), 0,
                        GC.a_weight([]))
     assert validate_params(GC, p).verdict == "invalid"
 
 
 def test_validate_rejects_wrong_component_character():
-    p = TemperedParams(GC.tm_weight([3]), (GC.tm_weight([2]),), 1,
+    p = TemperedParams(GC.tm_weight([3]), ((2,),), 1,
                        GC.a_weight([]))
     v = validate_params(GC, p)
     assert v.verdict == "invalid"
@@ -169,7 +169,7 @@ def test_validate_refuses_a_chi_that_is_not_an_int(g, p, hw, chi):
 
 def test_validate_rejects_non_positive_system():
     # closed-but-unpointed sign choice of the rank-two system
-    bad = tuple(GU.tm_weight(c) for c in ([1, -1, 0], [-1, 0, 1], [0, 1, -1]))
+    bad = ((1, -1, 0), (-1, 0, 1), (0, 1, -1))
     p = TemperedParams(GU.tm_weight([0, 0, 0]), bad, 0, GU.a_weight([]))
     v = validate_params(GU, p)
     assert v.verdict == "invalid"
@@ -177,7 +177,7 @@ def test_validate_rejects_non_positive_system():
 
 
 def test_validate_rejects_nonintegral_shift():
-    p = TemperedParams(GC.tm_weight([1], denom=2), (GC.tm_weight([2]),), 0,
+    p = TemperedParams(GC.tm_weight([1], denom=2), ((2,),), 0,
                        GC.a_weight([]))
     v = validate_params(GC, p)
     assert v.verdict == "invalid"
@@ -217,41 +217,48 @@ _U = su21_from_lambda(GU, [3, 1, -1])
      "invalid: positive system contains non-roots or duplicates"),
     (GU, _U._replace(rmplus=None),
      "invalid: positive system contains non-roots or duplicates"),
+    # an entry that is not a tuple of ints is no root, though (1.0, 0, -1)
+    # and (True, 0, -1) compare and hash equal to the root (1, 0, -1)
+    *[(GU, _U._replace(rmplus=rmplus),
+       "invalid: positive system contains non-roots or duplicates")
+      for rmplus in (list(STD_POS), (STD_POS[0], [1, 0, -1], STD_POS[2]),
+                     (STD_POS[0], GU.tm_weight([1, 0, -1]), STD_POS[2]),
+                     (STD_POS[0], (1.0, 0, -1), STD_POS[2]),
+                     (STD_POS[0], (True, 0, -1), STD_POS[2]))],
     (GU, _U._replace(rmplus=STD_POS[:2]),
      "invalid: positive system does not split the roots into halves"),
-    (GU, _U._replace(rmplus=(STD_POS[0], GU.tm_weight([-1, 1, 0]),
-                             STD_POS[2])),
+    (GU, _U._replace(rmplus=(STD_POS[0], (-1, 1, 0), STD_POS[2])),
      "invalid: positive system does not split the roots into halves"),
-    (GU, _U._replace(rmplus=tuple(GU.tm_weight(c) for c in (
-        [1, -1, 0], [-1, 0, 1], [0, 1, -1]))),
+    (GU, _U._replace(rmplus=((1, -1, 0), (-1, 0, 1), (0, 1, -1))),
      "invalid: chosen positive system is not pointed at (1, -1, 0)"),
     (GU, _U._replace(lam=GU.tm_weight([1, 3, -1])),
      "invalid: parameter is not dominant for the root (1, -1, 0)"),
-    (GC, TemperedParams(GC.tm_weight([3], denom=2), (GC.tm_weight([2]),), 0,
+    (GC, TemperedParams(GC.tm_weight([3], denom=2), ((2,),), 0,
                         GC.a_weight([])),
      "invalid: parameter minus rho does not lift to the torus"),
     (GC, sl2_discrete(GC, 2, "+")._replace(chi=0),
      "invalid: component character disagrees with the shifted parameter on "
      "the torus overlap"),
     (CIRCLE2, TemperedParams(CIRCLE2.tm_weight([0]),
-                             (CIRCLE2.tm_weight([2]),), 0,
+                             ((2,),), 0,
                              CIRCLE2.a_weight([])),
      "invalid: shifted parameter has no exact value at a component "
      "generator"),
     # lambda = 3: the shifted parameter 2 takes the value 2 / d = 1 there
     (CIRCLE2, TemperedParams(CIRCLE2.tm_weight([3]),
-                             (CIRCLE2.tm_weight([2]),), 1,
+                             ((2,),), 1,
                              CIRCLE2.a_weight([])), "nonzero"),
     (CIRCLE2, TemperedParams(CIRCLE2.tm_weight([3]),
-                             (CIRCLE2.tm_weight([2]),), 0,
+                             ((2,),), 0,
                              CIRCLE2.a_weight([])),
      "invalid: component character disagrees with the shifted parameter on "
      "the torus overlap"),
-    (GU, _U._replace(lam=GU.tm_weight([2, 2, -1]), rmplus=tuple(
-        GU.tm_weight(c) for c in ([1, -1, 0], [0, 1, -1], [1, 0, -1]))),
+    (GU, _U._replace(lam=GU.tm_weight([2, 2, -1]),
+                     rmplus=((1, -1, 0), (0, 1, -1), (1, 0, -1))),
      "zero: parameter orthogonal to simple compact root (1, -1, 0)"),
 ], ids=["lam-lattice", "lam-rank", "lam-list", "nu-lattice", "nu-rank",
-        "nu-list", "duplicates", "rmplus-none", "too-few", "not-halves",
+        "nu-list", "duplicates", "rmplus-none", "rmplus-list", "root-list",
+        "root-weight", "root-float", "root-bool", "too-few", "not-halves",
         "not-pointed", "not-dominant", "no-lift", "component", "inexact",
         "d2-nonzero", "d2-component", "zero"])
 def test_every_verdict_reason_byte_for_byte(g, p, want):
@@ -335,8 +342,8 @@ def test_a_zero_verdict_has_multiplicity_0_at_every_ktype():
     for mode in ("partition", "series"):
         assert box_table(GU, _ZERO, 4, mode).entries == {}
         assert {ktype_multiplicity(GU, _ZERO, kt, mode) for kt in kts} == {0}
-    # a K-type check_ktype refuses is refused still, and invalid parameters
-    # before it
+    # a K-type that is not dominant is refused still, and invalid
+    # parameters before it
     bad = KType(GU.t_weight([0, 1, 0]))
     with pytest.raises(LatticeError, match="not a dominant integral weight"):
         ktype_multiplicity(GU, _ZERO, bad)
@@ -393,8 +400,8 @@ def test_w_equivariance_of_parameters():
     lam = GU.tm_weight([3, 1, -1])
     p1 = TemperedParams(lam, STD_POS, 0, GU.a_weight([]))
     # reflect by the compact root (swap the first two coordinates)
-    swap = lambda w: GU.tm_weight([w.coords[1], w.coords[0], w.coords[2]])
-    p2 = TemperedParams(swap(lam), tuple(swap(r) for r in STD_POS), 0,
+    p2 = TemperedParams(GU.tm_weight([1, 3, -1]),
+                        tuple((b, a, c) for a, b, c in STD_POS), 0,
                         GU.a_weight([]))
     assert ktype_table(GU, p1, 5) == ktype_table(GU, p2, 5)
 
@@ -405,7 +412,7 @@ SP4R = load_group_data(Path(__file__).parent / "data" / "sp4r.json")
 def _chamber(g, lam, denom=1):
     """A regular parameter on the Levi positive system it picks."""
     w = g.tm_weight(lam, denom)
-    return TemperedParams(w, tuple(_signed(g, r, dot(w.coords, r) > 0)
+    return TemperedParams(w, tuple(_signed(r, dot(w.coords, r) > 0)
                                    for r in g.m_roots.positives),
                           0, g.a_weight([]))
 
@@ -419,7 +426,7 @@ PREPARED = ([(g, p) for _, g, p, _ in _sl2_param_sets()]
 
 
 def test_prepared_samples_include_singular_parameters():
-    assert any(dot(p.lam.coords, a.coords) == 0 for g, p in PREPARED
+    assert any(dot(p.lam.coords, a) == 0 for g, p in PREPARED
                if g is GU for a in p.rmplus)
 
 
@@ -432,11 +439,10 @@ def test_prepared_lattice_holds_rho_and_base(g, p):
     lambda - rho_c + rho_n from explicit coordinate half-sums."""
     prep = validate_params(g, p)
     hv = prep.chamber.hm.height_vec
-    rmplus = [r.coords for r in p.rmplus]
-    for a in simple_roots(rmplus):
+    for a in simple_roots(p.rmplus):
         assert dot(hv, a) == dot(a, a)
-    compact = [r for r in rmplus if g.compact_of[r]]
-    noncompact = [r for r in rmplus if not g.compact_of[r]]
+    compact = [r for r in p.rmplus if g.compact_of[r]]
+    noncompact = [r for r in p.rmplus if not g.compact_of[r]]
     two_rho_n_less_two_rho_c = [sum(c[i] for c in noncompact)
                                 - sum(c[i] for c in compact)
                                 for i in range(g.hm.rank)]
@@ -650,9 +656,8 @@ def test_sl2xsl2_tables_are_products_of_sl2_tables():
     assert len(families) == 10
     for (p1, s1), (p2, s2) in itertools.product(families, repeat=2):
         (l1,), (l2,) = p1.lam.coords, p2.lam.coords
-        ((r1,),), ((r2,),) = [[a.coords for a in p.rmplus] for p in (p1, p2)]
-        lam, rmplus = g.tm_weight([l1, l2]), (g.tm_weight([r1, 0]),
-                                              g.tm_weight([0, r2]))
+        ((r1,),), ((r2,),) = p1.rmplus, p2.rmplus
+        lam, rmplus = g.tm_weight([l1, l2]), ((r1, 0), (0, r2))
         chi = g.hm.ztable.rows.index((2 * p1.chi, 2 * p2.chi))
         want = KTypeTable(
             {(a, b): m * n
@@ -714,6 +719,18 @@ def test_tables_build_no_weight_per_ktype(monkeypatch):
             built.append(calls["__new__"])
         assert built[0] == built[1] < 20
 
+
+
+@pytest.mark.parametrize("doc", [
+    {"lambda": [3, 1, -1]},
+    {"lambda": [3, 1, 1], "rmplus": [[1, -1, 0], [1, 0, -1], [0, 1, -1]]}],
+    ids=["regular", "singular"])
+def test_su21_lambda_document_builds_two_weights(monkeypatch, doc):
+    # the positive system is root tuples, so resolving a lambda document
+    # builds only lambda and nu as Weights, a count budget
+    calls = _count_calls(monkeypatch, (Weight, "__new__"))
+    assert validate_params(GU, resolve_params(GU, doc)).verdict == "nonzero"
+    assert calls["__new__"] == 2
 
 
 def test_call_tier_does_no_weight_arithmetic(monkeypatch):
@@ -824,19 +841,17 @@ def test_restrict_to_hm_does_no_weight_work(monkeypatch):
 
 
 @pytest.mark.parametrize("kt", [
-    # (a KType, a highest-weight tuple), each refused
-    (KType(Weight((4, 1, -2), "elsewhere")), (4, 1, True)),  # lattice; bool
-    (KType(GU.t_weight([4, 1])), (4, 1)),                     # wrong rank
-    (KType(Weight((3, 1, -1), GU.t_lattice.lattice, 2)),      # half-integral
-     (1.5, 0.5, -0.5)),
-    (KType(GU.t_weight([1, 4, -2])), (1, 4, -2)),             # not dominant
+    KType(Weight((4, 1, -2), "elsewhere")),                # lattice
+    KType(GU.t_weight([4, 1])),                            # wrong rank
+    KType(Weight((3, 1, -1), GU.t_lattice.lattice, 2)),    # half-integral
+    KType(GU.t_weight([1, 4, -2])),                        # not dominant
 ])
 def test_ktype_off_the_group_lattice_raises(kt):
-    kt, hw = kt
     p = su21_from_lambda(GU, [3, 1, -1])
-    # a tuple from outside the engine is checked where it comes in
-    for evaluate in (lambda: ktypes.check_ktype(GU, hw),
-                     lambda: ktype_multiplicity(GU, p, kt, "partition"),
+    # a K-type from outside the engine is checked where it comes in, once:
+    # HMLattice.char fixes its lattice, rank and denominator, and
+    # ktype_multiplicity tests dominance
+    for evaluate in (lambda: ktype_multiplicity(GU, p, kt, "partition"),
                      lambda: ktype_multiplicity(GU, p, kt, "series")):
         with pytest.raises(LatticeError):
             evaluate()
@@ -878,12 +893,12 @@ def test_zchar_is_the_fraction_evaluation(doc):
 
 def test_blattner_fibres_of_a_non_injective_restriction():
     g = SL2XU1
-    p = TemperedParams(g.tm_weight([3]), (g.tm_weight([2]),), 1,
+    p = TemperedParams(g.tm_weight([3]), ((2,),), 1,
                        g.a_weight([]))
     t = ktype_table(g, p, 4)
     assert t.entries == {(4, k): 1 for k in (-3, -1, 1, 3)}
     for lam, chi, root in itertools.product(range(-5, 6), (0, 1), (2, -2)):
-        p = TemperedParams(g.tm_weight([lam]), (g.tm_weight([root]),), chi,
+        p = TemperedParams(g.tm_weight([lam]), ((root,),), chi,
                            g.a_weight([]))
         if validate_params(g, p).verdict == "nonzero":
             assert (ktype_table(g, p, 5).entries
@@ -909,7 +924,7 @@ def _agree_with_both_boxes(g, p, window):
 def test_blattner_is_the_partition_box_on_su21(lam, tie, window):
     # singular parameters take the positive system that tie breaks ties for
     w = GU.tm_weight(list(lam))
-    pos = tuple(_signed(GU, r, (dot(w.coords, r), (-1) ** tie) > (0, 0))
+    pos = tuple(_signed(r, (dot(w.coords, r), (-1) ** tie) > (0, 0))
                 for r in GU.m_roots.positives)
     _agree_with_both_boxes(GU, TemperedParams(w, pos, 0, GU.a_weight([])),
                            window)
@@ -938,7 +953,7 @@ def test_blattner_is_the_partition_box_on_rank_2_tori(row, lam, chi, root,
                                         "tM_in_t": [list(row)]}))
     except GroupDataError:
         assume(False)
-    p = TemperedParams(g.tm_weight([lam]), (g.tm_weight([root]),), chi,
+    p = TemperedParams(g.tm_weight([lam]), ((root,),), chi,
                        g.a_weight([]))
     _agree_with_both_boxes(g, p, window)
 
@@ -952,7 +967,7 @@ def test_blattner_is_the_partition_box_on_every_chamber_of_a3(name, order):
     assert (len(g.k_weyl), g.blattner_applies) == (order, True)
     for lam in itertools.permutations((3, 1, -1, -3)):
         w = g.tm_weight(lam, 2)  # lambda = w rho, for each w in W
-        p = TemperedParams(w, tuple(_signed(g, r, dot(w.coords, r) > 0)
+        p = TemperedParams(w, tuple(_signed(r, dot(w.coords, r) > 0)
                                     for r in g.m_roots.positives),
                            0, g.a_weight([]))
         table = ktype_table(g, p, 5).entries
@@ -994,7 +1009,7 @@ def test_blattner_walks_three_free_coordinates(window):
     assert len(SL2XT3.fibres.free) == 3
     for lam, root in itertools.product(range(-3, 4), (2, -2)):
         p = TemperedParams(SL2XT3.tm_weight([lam]),
-                           (SL2XT3.tm_weight([root]),), 0, SL2XT3.a_weight([]))
+                           ((root,),), 0, SL2XT3.a_weight([]))
         if validate_params(SL2XT3, p).verdict == "nonzero":
             assert (ktype_table(SL2XT3, p, window).entries
                     == box_table(SL2XT3, p, window, "partition").entries)
@@ -1041,7 +1056,7 @@ def _term_cases():
         load_group_data(json.dumps({**SL2XU1_DOC, "name": f"t2{row}",
                                     "tM_in_t": [list(row)]}))
         for row in itertools.product(range(-2, 3), repeat=2) if any(row)]
-    cases += [(g, TemperedParams(g.tm_weight([lam]), (g.tm_weight([root]),),
+    cases += [(g, TemperedParams(g.tm_weight([lam]), ((root,),),
                                  chi, g.a_weight([])))
               for g in tori for lam, chi, root in itertools.product(
                   range(-3, 4), range(g.hm.ztable.order), (2, -2))]
@@ -1337,7 +1352,7 @@ def _nonzero_tie_broken(g, span):
     for a, b, c in itertools.product(range(-span, span + 1), repeat=3):
         lam = g.tm_weight([a, b, c])
         p = TemperedParams(lam, tuple(
-            _signed(g, r, (dot((a, b, c), r), dot((1, 0, -1), r)) > (0, 0))
+            _signed(r, (dot((a, b, c), r), dot((1, 0, -1), r)) > (0, 0))
             for r in g.m_roots.positives), 0, g.a_weight([]))
         if validate_params(g, p).verdict == "nonzero":
             yield len({a, b, c}) < 3, p
@@ -1383,12 +1398,48 @@ _PLANTED = ([(GU, lam, 1) for lam in ((3, 1, -1), (5, -2, 0), (-1, 2, 4))]
             + [(SP4R, lam, 1) for lam in ((2, 1), (3, 1), (5, 2), (6, 1),
                                           (2, -1), (3, -1), (4, -3), (1, -2))]
             + [(SU31, (3, 1, -1, -3), 2)])  # lambda = rho
+# the Z' filter is planted where |Z'| = 2 (it is trivial on su21, sp4r and
+# su31): on sl2r-compact, the discrete series of lambda = +-n, and on
+# sl2xu1, where Z' splits each cone point's line of preimages by parity
+_PLANTED_ZPRIME = (
+    [(GC, (s * n,), sl2_discrete(GC, n, "+" if s > 0 else "-"))
+     for n in (1, 2, 3, 4) for s in (1, -1)]
+    + [(SL2XU1, (lam,), TemperedParams(SL2XU1.tm_weight([lam]), ((root,),),
+                                       chi, SL2XU1.a_weight([])))
+       for lam, chi, root in ((1, 0, 2), (2, 1, 2), (3, 0, 2), (-2, 0, -2),
+                              (-3, 1, -2))])
+
+
+def _planted_cases(defect):
+    """(group, lambda, parameters) of each case the defect is planted on."""
+    if defect == "zprime":
+        return _PLANTED_ZPRIME
+    return [(g, lam, _chamber(g, lam, denom)) for g, lam, denom in _PLANTED]
 
 
 def _plant(monkeypatch, defect, g):
     """g, or its copy, with a Blattner defect planted: a flipped det(w) on
-    the last term, the later terms' shifts moved by a noncompact root, or
-    the walk reading mu through w in place of w^T."""
+    the last term, the later terms' shifts moved by a noncompact root, the
+    walk reading mu through w in place of w^T, the last term dropped, each
+    walk line starting one past its first point, the Z' filter skipped, or
+    the last dominance row (a simple K root's pairing) dropped."""
+    if defect == "start":
+        walk = branching._walk
+        monkeypatch.setattr(branching, "_walk", lambda state, levels: (
+            (line, lo + 1, hi) for line, lo, hi in walk(state, levels)))
+        return g
+    if defect == "zprime":
+        blattner = branching._blattner_table
+
+        def unfiltered(g, prep, window):
+            class EveryZ(type(g)):
+                __slots__ = ()
+
+                def zchar(self, mu):  # the base's Z' character, at every mu
+                    return prep.base[1]
+            return blattner(EveryZ(*g), prep, window)
+        monkeypatch.setattr(branching, "_blattner_table", unfiltered)
+        return g
     if defect == "w":
         wt = groups._k_weyl(
             [(tuple(zip(*w.matrix)), w.det) for w in g.k_weyl],
@@ -1408,9 +1459,16 @@ def _plant(monkeypatch, defect, g):
             height=t.height + dot(c.hm.height_vec, beta))
             for t in c.terms[1:])
 
+    def undominant(c):
+        assert len(c.terms[0].levels[0][1]) > 2 * g.k_roots.rank
+        return tuple(t._replace(levels=tuple(
+            (col, rows[:-1], reach[:-1]) for col, rows, reach in t.levels))
+            for t in c.terms)
+
     def planted(g, rmplus):
         c = chamber(g, rmplus)
-        terms = {"det": flipped, "shift": moved}[defect](c)
+        terms = {"det": flipped, "shift": moved, "dominance": undominant,
+                 "drop": lambda c: c.terms[:-1]}[defect](c)
         return c._replace(terms=terms,
                           shift_top=max(t.height for t in terms))
     monkeypatch.setattr(branching, "_chamber", planted)
@@ -1444,6 +1502,40 @@ _WRONG = {("det", 12): {("su21", (-1, 2, 4))},
           ("shift", 12): {("su21", (-1, 2, 4))},
           ("w", 6): {("su31", (3, 1, -1, -3))},
           ("w", 12): {("su31", (3, 1, -1, -3))}}
+# four more defects, each raising only a negative row or, for the walk
+# lines and Z', a disagreement.  The dropped last term empties six tables
+# at window 6 and five at 12, and an empty table gives the spot check no
+# row; at 12 it adds 6 rows to su21 (-1, 2, 4).  Lines started one past
+# their first point drop rows from every table they leave wrong, as from
+# su21 (5, -2, 0) (10 -> 8 rows at 6, 88 -> 80 at 12).  Skipping the Z' filter changes no
+# sl2r-compact table, where the walk's parity already fixes the Z'
+# character, and every sl2xu1 one raises.  The one dominance row dropped
+# leaves sp4r (5, 2) and (6, 1) unchanged at 6 and raises everywhere else
+_SP4R_LOW = {("sp4r", (2, 1)), ("sp4r", (3, 1))}
+_SU21_31 = {("su21", (3, 1, -1)), ("su31", (3, 1, -1, -3))}
+_EMPTIED = {("su21", (5, -2, 0)), ("sp4r", (2, -1)), ("sp4r", (3, -1)),
+            ("sp4r", (4, -3)), ("sp4r", (1, -2))}
+_SL2XU1 = {("sl2xu1", (lam,)) for lam in (1, 2, 3, -2, -3)}
+_CAUGHT.update({
+    ("drop", 6): _SP4R_LOW | _SU21_31,
+    ("drop", 12): _SP4R_LOW | _SU21_31 | {("sp4r", (5, 2)), ("sp4r", (6, 1))},
+    ("start", 6): {("sp4r", (1, -2)), ("sp4r", (2, 1)), ("su21", (3, 1, -1))},
+    ("start", 12): _SP4R_LOW | _SU21_31 | {("sp4r", (1, -2)),
+                                           ("sp4r", (5, 2))},
+    ("zprime", 6): _SL2XU1, ("zprime", 12): _SL2XU1,
+    ("dominance", 6): {(g.name, lam) for g, lam, _ in _PLANTED} - {
+        ("sp4r", (5, 2)), ("sp4r", (6, 1))},
+    ("dominance", 12): {(g.name, lam) for g, lam, _ in _PLANTED}})
+_WRONG.update({
+    ("drop", 6): _EMPTIED | {("sp4r", (5, 2))},
+    ("drop", 12): _EMPTIED | {("su21", (-1, 2, 4))},
+    ("start", 6): {("su21", (5, -2, 0)), ("su21", (-1, 2, 4)),
+                   ("sp4r", (3, 1)), ("sp4r", (5, 2)), ("sp4r", (2, -1)),
+                   ("sp4r", (3, -1)), ("sp4r", (4, -3)),
+                   ("su31", (3, 1, -1, -3))},
+    ("start", 12): {("su21", (5, -2, 0)), ("su21", (-1, 2, 4)),
+                    ("sp4r", (6, 1)), ("sp4r", (2, -1)), ("sp4r", (3, -1)),
+                    ("sp4r", (4, -3))}})
 
 
 # window 6 keeps the bare defect as its id
@@ -1452,21 +1544,28 @@ _WRONG = {("det", 12): {("su21", (-1, 2, 4))},
 def test_partition_spot_check_catches_planted_blattner_defects(monkeypatch,
                                                                 defect,
                                                                 window):
-    clean = {}
-    for g, lam, denom in _PLANTED:
-        clean[g.name, lam] = ktype_table(g, _chamber(g, lam, denom), window)
+    clean, cases = {}, _planted_cases(defect)
+    for g, lam, p in cases:
+        clean[g.name, lam] = ktype_table(g, p, window)
     caught, wrong = set(), set()
-    for g, lam, denom in _PLANTED:
+    for g, lam, p in cases:
         with monkeypatch.context() as m:
             bad = _plant(m, defect, g)
             try:
-                table = ktype_table(bad, _chamber(bad, lam, denom), window)
+                table = ktype_table(bad, p, window)
             except ArithmeticError as e:
                 caught.add((g.name, lam))
                 assert re.fullmatch({
                     "det": r"negative multiplicity -1 at .*",
                     "shift": r"evaluator disagreement at .*: "
-                             r"partition 0 vs blattner 1"}[defect], str(e))
+                             r"partition 0 vs blattner 1",
+                    "drop": r"negative multiplicity -1 at .*",
+                    "start": r"negative multiplicity -1 at .*|evaluator dis"
+                             r"agreement at .*: partition \d vs blattner \d",
+                    "zprime": r"evaluator disagreement at .*: "
+                              r"partition 0 vs blattner 1",
+                    "dominance": r"negative multiplicity -1 at .*"}[defect],
+                    str(e))
                 continue
         if table != clean[g.name, lam]:
             wrong.add((g.name, lam))
@@ -1683,7 +1782,7 @@ def su21_holomorphic_oracle(lam_coords, window, margin=14):
 def test_su21_discrete_series_against_strip_oracle(lam):
     p = TemperedParams(GU.tm_weight(list(lam)), STD_POS, 0, GU.a_weight([]))
     assert validate_params(GU, p).verdict == "nonzero"
-    assert all(dot(p.lam.coords, b.coords) > 0
+    assert all(dot(p.lam.coords, b) > 0
                for b in STD_POS[1:])  # holomorphic type
     engine = ktype_table(GU, p, 6).entries
     oracle = su21_holomorphic_oracle(lam, 6)
@@ -1701,7 +1800,7 @@ def test_su21_mirror_involution():
         lam = p.lam
         q = TemperedParams(
             Weight(tuple(-x for x in lam.coords), lam.lattice, lam.denom),
-            tuple(GU.tm_weight([-x for x in r.coords]) for r in p.rmplus),
+            tuple(tuple([-x for x in r]) for r in p.rmplus),
             p.chi, p.nu)
         assert validate_params(GU, q).verdict == "nonzero"
         t = ktype_table(GU, p, 5).entries

@@ -52,8 +52,8 @@ def test_su21_random_parameters():
                                  (2, -1), (3, -1), (4, -3), (1, -2)])
 def test_sp4r_chambers(lam):
     # lam on its own chamber: the Levi roots it pairs positively with
-    pos = tuple(SP4R.tm_weight(
-        r if sum(a * b for a, b in zip(lam, r)) > 0 else [-x for x in r])
+    pos = tuple(
+        r if sum(a * b for a, b in zip(lam, r)) > 0 else tuple([-x for x in r])
         for r in SP4R.m_roots.positives)
     assert_certificates(SP4R, TemperedParams(
         SP4R.tm_weight(list(lam)), pos, 0, SP4R.a_weight([])), 10)

@@ -160,7 +160,7 @@ def test_geometric_series_rejects_bad_roots():
 def test_series_factors_check_their_roots(factor, root, exc):
     # each root is checked once, before its terms are built unchecked; a
     # Weight, of another lattice or halved, is no integer coordinate tuple
-    # (validate_params turns a positive system's Weights into coordinates:
+    # (validate_params refuses a positive system's Weight as no root:
     # tests/test_groups.py::test_graded_rejects_a_foreign_positive)
     with pytest.raises(exc):
         factor(SL2, root)

@@ -303,15 +303,14 @@ def test_rho_half_sum_examples():
 
 
 @pytest.mark.parametrize("bad", [
-    Weight((2,), "other"), Weight((2, 0), "sl2r-compact:tM"),
-    Weight((1,), "sl2r-compact:tM", 2)],
+    Weight((2,), "other"), (2, 0), Weight((1,), "sl2r-compact:tM", 2)],
     ids=["lattice", "rank", "non-integral"])
 def test_graded_rejects_a_foreign_positive(monkeypatch, bad):
     # HMLattice.graded reads integer tuples; the one place a positive system
-    # comes in as Weights is validate_params, which refuses a positive of
-    # another lattice, another rank, or halved before anything is graded
+    # comes in is validate_params, which refuses a positive of another rank,
+    # or a Weight, of any lattice or halved, before anything is graded
     g = builtin_group("sl2r-compact")
-    rmplus = (g.tm_weight([2]), bad)
+    rmplus = ((2,), bad)
     graded = []
     monkeypatch.setattr(HMLattice, "graded", classmethod(
         lambda cls, *args: graded.append(args)))

@@ -44,7 +44,7 @@ FROZEN = {
     "ParamVerdict": (lambda: validate_params(GU, _params(GU)),
                      ("verdict", "group", "reason", "chamber", "base")),
     "Chamber": (lambda: branching._chamber.__wrapped__(
-                    GU, tuple(r.coords for r in _params(GU).rmplus)),
+                    GU, _params(GU).rmplus),
                 ("hm", "compact", "noncompact", "compact_simples",
                  "rho2_n", "subsets", "top", "top_l1", "eps", "terms",
                  "heights", "shift_top", "tables")),
@@ -93,8 +93,7 @@ def test_a_grown_chamber_equals_a_cold_one():
     branching.ktype_table(GU, p, 6)  # the partition table, by spot check
     branching.box_table(GU, p, 4, "series")
     assert sorted(chamber.tables) == ["partition", "series"]
-    cold = branching._chamber.__wrapped__(
-        GU, tuple(r.coords for r in p.rmplus))
+    cold = branching._chamber.__wrapped__(GU, p.rmplus)
     assert len(cold.tables) == 0 and chamber.tables != dict(chamber.tables)
     assert chamber == cold and not chamber != cold
     assert hash(chamber) == hash(cold)

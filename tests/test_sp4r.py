@@ -20,8 +20,8 @@ LARGE = [(2, -1), (3, -1), (4, -3), (1, -2)]
 def params(lam):
     """The parameter lam (regular) on its own chamber: the Levi positive
     system of the roots that pair positively with it."""
-    pos = tuple(G.tm_weight(
-        r if sum(a * b for a, b in zip(lam, r)) > 0 else [-x for x in r])
+    pos = tuple(
+        r if sum(a * b for a, b in zip(lam, r)) > 0 else tuple([-x for x in r])
         for r in G.m_roots.positives)
     return TemperedParams(G.tm_weight(list(lam)), pos, 0, G.a_weight([]))
 
