@@ -323,14 +323,14 @@ def _table(chamber: Chamber, name: str, build, bound2: int):
 
 def _series(chamber: Chamber, bound2: int) -> tuple[Optional[int], list]:
     """graded_exterior(compact) x prod_beta geometric_series(beta, cutoff),
-    cut at the least cutoff whose doubled height covers bound2: its
-    certificate, a doubled height or None if exact, and its terms (doubled
-    height, key, m) lowest first."""
-    cutoff = max(-(-bound2 // 2), 0)
-    acc = graded_exterior(chamber.hm, chamber.compact)
+    cut at the least cutoff whose doubled height covers bound2: char_mul's
+    pair of its certificate, a doubled height or None if exact, and its
+    terms (doubled height, key, m) lowest first."""
+    cutoff, hm = max(-(-bound2 // 2), 0), chamber.hm
+    acc = graded_exterior(hm, chamber.compact)
     for beta in chamber.noncompact:
-        acc = char_mul(acc, geometric_series(chamber.hm, beta, cutoff))
-    return None if acc.cutoff is None else 2 * acc.cutoff, acc.by_height()
+        acc = char_mul(hm, acc, geometric_series(hm, beta, cutoff))
+    return acc
 
 
 def _partition_table(chamber: Chamber, bound2: int) -> tuple[int, list]:

@@ -1,25 +1,24 @@
-"""Exact arithmetic on lattice weights and formal characters of H = T x Z.
+"""Exact arithmetic on lattice weights and series of characters of H = T x Z.
 
 Roots and weights are integer coordinate tuples in a fixed lattice basis.
 Weight, the public type of lambda, nu and K-types, labels a tuple with its
 lattice and a denominator (1, or 2 for half-integer parameters, reduced
 when it is built); its lattice and rank are checked once, where it comes
-in, and it has no arithmetic: the engine adds coordinate tuples.  Formal
-characters are finitely supported integer combinations of characters
-of a compact abelian group H = (torus T) x (finite abelian Z), keyed by
-(torus coordinates, Z index), possibly truncated to a height window with an
-exactness certificate, and read by key or in height order (by_height).
-Every Kostant partition count is read from one partition_counts table; no
-state outlives a call.  All arithmetic is exact; coefficients are
-arbitrary-precision integers.
+in, and it has no arithmetic: the engine adds coordinate tuples.  A
+character of H = (torus T) x (finite abelian Z) is keyed by (torus
+coordinates, Z index).  A series of them is a pair (certificate, terms),
+as a chamber table holds it: terms (doubled height, key, m) lowest first,
+none zero, exact up to the certificate, a doubled height, or everywhere
+if it is None.  Every Kostant partition count is read from one
+partition_counts table; no state outlives a call.  All arithmetic is
+exact; coefficients are arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 from math import inf
 from operator import add, mul
-from typing import (Iterable, Iterator, Mapping, NamedTuple, Optional,
-                    Sequence)
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class LatticeError(ValueError):
@@ -31,10 +30,11 @@ class ConeError(ValueError):
 
 
 class CutoffError(ValueError):
-    """Coefficient query beyond a character's exactness certificate."""
+    """A read of a series beyond its exactness certificate."""
 
 
 _Key = tuple[tuple[int, ...], int]  # (torus coordinates, Z index)
+_Series = tuple[Optional[int], list[tuple[int, _Key, int]]]
 
 
 class _WeightFields(NamedTuple):
@@ -127,7 +127,7 @@ class _HMLatticeFields(NamedTuple):
 
 
 class HMLattice(_HMLatticeFields):
-    """Shared structure behind a family of formal characters.
+    """The grading shared by the characters of H in a family of series.
 
     height_vec is the sum of the declared positive roots (an integer
     covector); the height of a weight mu is (mu, height_vec)/2, measured
@@ -175,125 +175,46 @@ class HMLattice(_HMLatticeFields):
         return sum(x * y for x, y in zip(coords, self.height_vec))
 
 
-class FormalCharacter:
-    """Finitely supported Z-linear combination of characters of H, keyed
-    by (torus coordinates, Z index).
+def _by_height(hm: HMLattice, acc: dict[_Key, int]
+               ) -> list[tuple[int, _Key, int]]:
+    """The nonzero terms of acc as (doubled height, key, m), lowest first."""
+    hv = hm.height_vec
+    return sorted([(sum(map(mul, c, hv)), (c, z), m)
+                   for (c, z), m in acc.items() if m])
 
-    cutoff=None means the character is exact (finite support).  An integer
-    cutoff certifies that every coefficient at height <= cutoff is exact,
-    and no terms above the cutoff are stored.
+
+def char_mul(hm: HMLattice, a: _Series, b: _Series) -> _Series:
+    """Convolution product of two series over hm with sound certificate
+    propagation.
+
+    The result certificate C is chosen so that every pair of terms from the
+    (possibly infinite) full supports that could land at doubled height
+    <= C was retained in the truncated inputs: C = min over truncated
+    factors of (factor certificate + least doubled height of the other
+    factor's support), floored to a whole height.  A pair above C is
+    skipped before it is formed: b's terms go in height order.
     """
-
-    __slots__ = ("hm", "_terms", "cutoff")
-
-    def __init__(self, hm: HMLattice, terms: Mapping[_Key, int] = (),
-                 cutoff: Optional[int] = None):
-        if cutoff is not None and type(cutoff) is not int:
-            raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
-        self.hm = hm
-        self.cutoff = cutoff
-        clean: dict[_Key, int] = {}
-        for key, m in dict(terms).items():
-            if type(m) is not int:
-                raise ValueError(f"coefficient {m!r} is not an integer")
-            if m == 0:
-                continue
-            h2 = hm.key_height2(key)
-            if cutoff is not None and h2 > 2 * cutoff:
-                raise CutoffError("stored term above the cutoff certificate")
-            clean[key] = m
-        self._terms = clean
-
-    @classmethod
-    def one(cls, hm: HMLattice) -> "FormalCharacter":
-        return cls(hm, {((0,) * hm.rank, hm.ztable.identity): 1})
-
-    @classmethod
-    def _trusted(cls, hm: HMLattice, terms: dict[_Key, int],
-                 cutoff: Optional[int]) -> "FormalCharacter":
-        """A character from terms that are already characters of H, nonzero
-        and within the cutoff: built without the constructor's checks."""
-        out = cls.__new__(cls)
-        out.hm, out._terms, out.cutoff = hm, terms, cutoff
-        return out
-
-    def items(self) -> Iterator[tuple[_Key, int]]:
-        return iter(sorted(self._terms.items()))
-
-    def by_height(self) -> list[tuple[int, _Key, int]]:
-        """(doubled height, key, coefficient) of each term, lowest first."""
-        hv = self.hm.height_vec
-        return sorted((sum(map(mul, c, hv)), (c, z), m)
-                      for (c, z), m in self._terms.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FormalCharacter)
-                and self.hm == other.hm
-                and self._terms == other._terms
-                and self.cutoff == other.cutoff)
-
-    def __repr__(self) -> str:
-        parts = [f"{m}*e{c}@z{z}" for (c, z), m in self.items()]
-        tail = "" if self.cutoff is None else f" (cutoff {self.cutoff})"
-        return "FormalCharacter(" + " + ".join(parts or ["0"]) + tail + ")"
-
-    def coefficient(self, at: _Key) -> int:
-        """Coefficient at a character; raises CutoffError beyond certificate."""
-        top2 = self.hm.key_height2(at)
-        if self.cutoff is not None and top2 > 2 * self.cutoff:
-            raise CutoffError(f"doubled height {top2} beyond certified cutoff "
-                              f"{self.cutoff}")
-        return self._terms.get(at, 0)
-
-    def truncate(self, cutoff: int) -> "FormalCharacter":
-        """Restrict to height <= cutoff; requires exactness there."""
-        if self.cutoff is not None and cutoff > self.cutoff:
-            raise CutoffError("cannot extend a certificate by truncation")
-        kept = {k: m for k, m in self._terms.items()
-                if self.hm.key_height2(k) <= 2 * cutoff}
-        return FormalCharacter(self.hm, kept, cutoff)
-
-
-def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
-    """Convolution product with sound cutoff propagation.
-
-    The result certificate H is chosen so that every pair of terms from the
-    (possibly infinite) full supports that could land at height <= H was
-    retained in the truncated inputs: H = min over truncated factors of
-    (factor cutoff + least height of the other factor's support).  A pair
-    above H is skipped before it is formed: b's terms go in height order.
-    """
-    if a.hm != b.hm:
-        raise LatticeError("characters live over different lattices")
-    hm = a.hm
-    if (not a._terms and a.cutoff is None) or (not b._terms and b.cutoff is None):
-        return FormalCharacter(hm)
-
-    # each factor's terms, lowest first; the least height of a truncated
-    # zero lies above its cutoff
-    ga, gb = a.by_height(), b.by_height()
+    (cert_a, ga), (cert_b, gb) = a, b
+    if (not ga and cert_a is None) or (not gb and cert_b is None):
+        return None, []
+    # the least height of a truncated zero lies above its certificate
     bounds2 = []
-    if a.cutoff is not None:
-        bounds2.append(2 * a.cutoff + (gb[0][0] if gb else 2 * b.cutoff + 1))
-    if b.cutoff is not None:
-        bounds2.append(2 * b.cutoff + (ga[0][0] if ga else 2 * a.cutoff + 1))
-    cutoff = min(bounds2) // 2 if bounds2 else None  # floor keeps it sound
+    if cert_a is not None:
+        bounds2.append(cert_a + (gb[0][0] if gb else cert_b + 1))
+    if cert_b is not None:
+        bounds2.append(cert_b + (ga[0][0] if ga else cert_a + 1))
+    cert = min(bounds2) // 2 * 2 if bounds2 else None  # floor keeps it sound
 
     acc: dict[_Key, int] = {}
     products = hm.ztable.products
     for ha, (ca, za), ma in ga:
-        room = inf if cutoff is None else 2 * cutoff - ha
+        room = inf if cert is None else cert - ha
         for h, (cb, zb), mb in gb:
             if h > room:
                 break
             key = tuple(map(add, ca, cb)), products[za][zb]
             acc[key] = acc.get(key, 0) + ma * mb
-    # sums of checked keys, within the certificate
-    return FormalCharacter._trusted(
-        hm, {k: m for k, m in acc.items() if m}, cutoff)
+    return cert, _by_height(hm, acc)
 
 
 def _step(hm: HMLattice, root: tuple[int, ...]) -> int:
@@ -308,23 +229,24 @@ def _step(hm: HMLattice, root: tuple[int, ...]) -> int:
 
 
 def geometric_series(hm: HMLattice, root: tuple[int, ...],
-                     cutoff: int) -> FormalCharacter:
-    """Sum of e^{n*root} over n >= 0 with height(n*root) <= cutoff.  The
-    root is checked once (_step); its multiples are keys by construction."""
+                     cutoff: int) -> _Series:
+    """Sum of e^{n*root} over n >= 0 with height(n*root) <= cutoff,
+    certified to the doubled height 2 * cutoff.  The root is checked once
+    (_step); its multiples are keys by construction."""
     if type(cutoff) is not int or cutoff < 0:
         raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
     h2 = _step(hm, root)
-    z, terms, point = hm.ztable.identity, {}, (0,) * hm.rank
-    for _ in range(2 * cutoff // h2 + 1):
-        terms[point, z] = 1
+    z, terms, point = hm.ztable.identity, [], (0,) * hm.rank
+    for n in range(2 * cutoff // h2 + 1):
+        terms.append((n * h2, (point, z), 1))
         point = tuple(map(add, point, root))
-    return FormalCharacter._trusted(hm, terms, cutoff)
+    return 2 * cutoff, terms
 
 
 def graded_exterior(hm: HMLattice, roots: Sequence[tuple[int, ...]]
-                    ) -> FormalCharacter:
-    """Signed exterior-algebra character of positive roots: the product of
-    (1 - e^{root}), each root checked once (_step)."""
+                    ) -> _Series:
+    """Signed exterior-algebra character of positive roots, exact: the
+    product of (1 - e^{root}), each root checked once (_step)."""
     acc = {((0,) * hm.rank, hm.ztable.identity): 1}
     for root in roots:
         _step(hm, root)
@@ -333,8 +255,8 @@ def graded_exterior(hm: HMLattice, roots: Sequence[tuple[int, ...]]
             nxt[c, z] = nxt.get((c, z), 0) + m
             shifted = tuple(map(add, c, root)), z
             nxt[shifted] = nxt.get(shifted, 0) - m
-        acc = {k: m for k, m in nxt.items() if m != 0}
-    return FormalCharacter._trusted(hm, acc, None)
+        acc = nxt
+    return None, _by_height(hm, acc)
 
 
 def partition_counts(roots: Sequence[tuple[int, ...]], hm: HMLattice,

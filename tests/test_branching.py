@@ -20,8 +20,8 @@ from kbranch.branching import (InvalidParamsError, KTypeTable, TableSizeError,
                                ktype_table, ktype_table_series, sign_factor,
                                table_of, validate_params)
 from kbranch import branching, groups, ktypes
-from kbranch.characters import (CutoffError, FormalCharacter, HMLattice,
-                                LatticeError, Weight, char_mul)
+from kbranch.characters import (CutoffError, HMLattice, LatticeError, Weight,
+                                char_mul)
 from kbranch.groups import (_BUILTIN_DIR, GroupDataError, builtin_group,
                             load_group_data, simple_roots)
 from kbranch.ktypes import KType, key_index
@@ -270,33 +270,32 @@ def test_every_verdict_reason_byte_for_byte(g, p, want):
 # ------------------------------------------------------- virtual character
 
 def _virtual_character(g, p, cutoff):
-    """e^base times the chamber's series, as the series oracle reads it,
-    the series built for the doubled height of the cutoff."""
+    """The terms (doubled height, key, m) of e^base times the chamber's
+    series, as the series oracle reads it, the series built for the doubled
+    height of the cutoff."""
     prep = validate_params(g, p)
-    cert, terms = branching._series(prep.chamber, 2 * cutoff)
-    return char_mul(FormalCharacter(prep.chamber.hm, {prep.base: 1}),
-                    FormalCharacter(prep.chamber.hm,
-                                    {key: m for _, key, m in terms},
-                                    None if cert is None else cert // 2))
+    hm = prep.chamber.hm
+    return char_mul(hm, (None, [(hm.key_height2(prep.base), prep.base, 1)]),
+                    branching._series(prep.chamber, 2 * cutoff))[1]
 
 
 def test_virtual_character_discrete():
     W = _virtual_character(GC, sl2_discrete(GC, 3, "+"), 12)
-    got = {c[0]: m for (c, _), m in W.items()}
+    got = {c[0]: m for _, (c, _), m in W}
     assert all(m == 1 for m in got.values())
     assert set(got) >= {4, 6, 8, 10}
     assert all(k >= 4 and k % 2 == 0 for k in got)
-    assert all(z == 0 for (_, z), _ in W.items())
+    assert all(z == 0 for _, (_, z), _ in W)
 
 
 def test_virtual_character_split_is_single_term():
     W = _virtual_character(GS, sl2_principal(GS, "plus"), 5)
-    assert [(c, z, m) for (c, z), m in W.items()] == [((), 0, 1)]
+    assert [(c, z, m) for _, (c, z), m in W] == [((), 0, 1)]
 
 
 def test_virtual_character_limit():
     W = _virtual_character(GC, sl2_discrete(GC, 0, "+"), 9)
-    got = sorted(c[0] for (c, _), _ in W.items())
+    got = sorted(c[0] for _, (c, _), _ in W)
     assert got == [1, 3, 5, 7, 9]
 
 
@@ -742,14 +741,6 @@ def test_call_tier_does_no_weight_arithmetic(monkeypatch):
     assert table_of(validate_params(GU, p), 6) == want
     assert want.entries and calls == {}
 
-def test_series_oracle_reads_no_coefficient(monkeypatch):
-    calls = _count_calls(monkeypatch, (FormalCharacter, "coefficient"))
-    p = su21_from_lambda(GU, [4, 1, -2])
-    assert ktype_table_series(GU, p, 4).entries
-    assert ktype_multiplicity(GU, p, KType(GU.t_weight([4, 2, -3])),
-                              "series") == 1
-    assert calls == {}
-
 
 @pytest.mark.parametrize("mode", ["partition", "series"])
 def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
@@ -759,22 +750,24 @@ def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
     top2 = _top2(index, prep.chamber.hm.height_vec)
     want = branching._evaluate(prep, mode, index, top2)
     calls = _count_calls(monkeypatch, (Weight, "__add__"),
-                         (FormalCharacter, "coefficient"))
+                         (HMLattice, "key_height2"), (branching, "char_mul"))
     assert branching._evaluate(prep, mode, index, top2) == want
-    # neither reads a Weight: the table is the chamber's, keyed by tuples
+    # neither reads a Weight, checks a key or multiplies a series: the
+    # table is the chamber's (certificate, terms), keyed by tuples
     assert calls == {}
     assert sum(map(len, index.values())) > 1000
 
 
 def test_virtual_character_steps_coordinate_tuples(monkeypatch):
-    # the roots are coordinate tuples, and every term of the character is
-    # a (coordinates, Z' index) pair built by tuple sums
+    # the roots are coordinate tuples, each checked once as a key, and
+    # every term of the series is a (coordinates, Z' index) pair built by
+    # tuple sums and never checked
     prep = validate_params(GU, su21_from_lambda(GU, [3, 1, -1]))
     calls = _count_calls(monkeypatch, (Weight, "__new__"), (Weight, "__add__"),
                          (Weight, "__mul__"), (Weight, "__rmul__"),
-                         (HMLattice, "char"))
+                         (HMLattice, "char"), (HMLattice, "key_height2"))
     assert len(branching._series(prep.chamber, 80)[1]) == 61
-    assert calls == {}
+    assert calls == {"key_height2": 3}
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Exact-arithmetic tests for weights and formal characters."""
+"""Exact-arithmetic tests for weights and series of characters of H."""
 
 import random
 from operator import add
@@ -6,10 +6,9 @@ from operator import add
 import pytest
 
 from kbranch.branching import validate_params
-from kbranch.characters import (ConeError, CutoffError, FormalCharacter,
-                                HMLattice, LatticeError, Weight, ZCharTable,
-                                char_mul, geometric_series, graded_exterior,
-                                partition_counts)
+from kbranch.characters import (ConeError, HMLattice, LatticeError, Weight,
+                                ZCharTable, char_mul, geometric_series,
+                                graded_exterior, partition_counts)
 from kbranch.groups import builtin_group
 from kbranch.presets import su21_from_lambda
 
@@ -37,6 +36,36 @@ def comb(*terms):
     return out
 
 
+def series_of(hm, terms, cert=None):
+    """The series of {key: m} certified to the doubled height cert: its
+    nonzero terms (doubled height, key, m) at most cert high, lowest first,
+    each key checked as a character of hm."""
+    return cert, sorted([(h, k, m) for k, m in terms.items()
+                         for h in [hm.key_height2(k)]
+                         if m and (cert is None or h <= cert)])
+
+
+def checked(hm, s):
+    """s, once its invariants are asserted: terms lowest first, each at its
+    key's doubled height, keys distinct, no m zero, none above the
+    certificate."""
+    cert, terms = s
+    assert cert is None or type(cert) is int
+    assert terms == sorted(terms)
+    assert len({k for _, k, _ in terms}) == len(terms)
+    for h, key, m in terms:
+        assert h == hm.key_height2(key) and type(m) is int and m != 0
+        assert cert is None or h <= cert
+    return s
+
+
+def coefficient(hm, s, key):
+    """The coefficient of s at key, a key within its certificate."""
+    cert, terms = s
+    assert cert is None or hm.key_height2(key) <= cert
+    return {k: m for _, k, m in terms}.get(key, 0)
+
+
 def height2(hm, coords):
     return hm.key_height2((coords, hm.ztable.identity))
 
@@ -47,7 +76,7 @@ def kostant(target, roots, hm):
     return partition_counts(roots, hm, height2(hm, target)).get(target, 0)
 
 
-def test_weight_arithmetic_and_denominators():
+def test_weight_reduces_a_halved_tuple_where_it_is_built():
     # a Weight has no arithmetic: it reduces a halved tuple where it is built
     assert Weight([3, -1], "x", denom=2) == Weight((3, -1), "x", 2)
     assert Weight([2, 4], "x", denom=2) == Weight([1, 2], "x")
@@ -76,12 +105,9 @@ def test_a_halved_weight_of_even_coordinates_is_its_reduction():
     lambda: Weight((1.5,), "x"),
     lambda: Weight((1,), "x", 2.0),
     lambda: builtin_group("su21").t_weight([1.9, 0, -1]),
-    lambda: FormalCharacter(SL2, {ch(SL2, [2]): 1.5}),
-    lambda: FormalCharacter(SL2, {ch(SL2, [2]): True}),
-    lambda: FormalCharacter(SL2, {}, 2.5),
     lambda: geometric_series(SL2, ALPHA, 2.5),
-], ids=["weight", "weight-bool", "Weight", "denom", "t_weight", "coefficient",
-        "coefficient-bool", "cutoff", "series-cutoff"])
+], ids=["weight", "weight-bool", "Weight", "denom", "t_weight",
+        "series-cutoff"])
 def test_non_integers_are_refused_not_truncated(build):
     with pytest.raises(ValueError):  # LatticeError is a ValueError
         build()
@@ -108,35 +134,50 @@ def test_weights_from_different_lattices_do_not_mix():
 
 
 def test_trivial_times_trivial_is_trivial():
-    one = FormalCharacter.one(SL2)
-    assert char_mul(one, one) == one
+    one = None, [(0, ch(SL2, [0]), 1)]
+    assert char_mul(SL2, one, one) == one
+
+
+def test_a_product_is_certified_to_a_whole_height():
+    # doubled heights may be odd: a factor's certificate plus the other's
+    # least height, floored to even; a truncated zero's least height lies
+    # just above its certificate
+    hm = HMLattice(1, "odd", (1,))
+    e1, s = (None, [(1, ((1,), 0), 1)]), geometric_series(hm, (1,), 2)
+    assert s[0] == 4
+    prod = checked(hm, char_mul(hm, e1, s))
+    assert prod == char_mul(hm, s, e1) == (4, [(n, ((n,), 0), 1)
+                                               for n in range(1, 5)])
+    assert char_mul(hm, (2, []), (2, [])) == (4, [])  # 2 + 2 + 1, floored
 
 
 def test_inverse_identity_up_to_height():
     # (1 - e^alpha) * sum_n e^{n alpha} is trivial below the certificate
-    prod = char_mul(graded_exterior(SL2, [ALPHA]),
-                    geometric_series(SL2, ALPHA, 10))
-    assert prod.cutoff is not None and prod.cutoff >= 10
-    assert prod == FormalCharacter.one(SL2).truncate(prod.cutoff)
+    prod = checked(SL2, char_mul(SL2, graded_exterior(SL2, [ALPHA]),
+                                 geometric_series(SL2, ALPHA, 10)))
+    assert prod[0] is not None and prod[0] >= 20
+    assert prod[1] == [(0, ch(SL2, [0]), 1)]
 
 
 def test_sl2_discrete_shift_series():
     # e^4 times the even series: coefficients 1 at 4, 6, 8, ...
-    base = FormalCharacter(SL2, {ch(SL2, [4]): 1})
-    prod = char_mul(base, geometric_series(SL2, ALPHA, 10))
+    base = series_of(SL2, {ch(SL2, [4]): 1})
+    prod = checked(SL2, char_mul(SL2, base, geometric_series(SL2, ALPHA, 10)))
     for w, want in [(4, 1), (6, 1), (8, 1), (5, 0), (2, 0), (0, 0)]:
-        assert prod.coefficient(ch(SL2, [w])) == want
+        assert coefficient(SL2, prod, ch(SL2, [w])) == want
 
 
 def test_geometric_series_examples():
-    s = geometric_series(SL2, ALPHA, 6)
-    assert [c for (c, _), _ in s.items()] == [(0,), (2,), (4,), (6,)]
-    assert geometric_series(SL2, ALPHA, 0) == FormalCharacter.one(SL2).truncate(0)
+    # certified to the doubled cutoff; the root (2) has doubled height 4
+    s = checked(SL2, geometric_series(SL2, ALPHA, 6))
+    assert s == (12, [(4 * n, ch(SL2, [2 * n]), 1) for n in range(4)])
+    assert geometric_series(SL2, ALPHA, 0) == (0, [(0, ch(SL2, [0]), 1)])
     # five terms at cutoff 4 * height(root), for either noncompact root
     for b in (B1, B2):
         h2 = height2(U21, b)
-        s = geometric_series(U21, b, 4 * h2 // 2)
-        assert len(s) == 5 and all(m == 1 for _, m in s.items())
+        cert, terms = checked(U21, geometric_series(U21, b, 4 * h2 // 2))
+        assert cert == 4 * h2 and len(terms) == 5
+        assert all(m == 1 for *_, m in terms)
 
 
 def test_geometric_series_rejects_bad_roots():
@@ -167,25 +208,26 @@ def test_series_factors_check_their_roots(factor, root, exc):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: geometric_series(SL2, ALPHA, 7),
-    lambda: geometric_series(U21, B1, 9),
-    lambda: geometric_series(U21, B2, 0),
-    lambda: graded_exterior(SL2, []),
-    lambda: graded_exterior(U21, [(1, -1, 0), B1, B2])])
+    lambda: (SL2, geometric_series(SL2, ALPHA, 7)),
+    lambda: (U21, geometric_series(U21, B1, 9)),
+    lambda: (U21, geometric_series(U21, B2, 0)),
+    lambda: (SL2, graded_exterior(SL2, [])),
+    lambda: (U21, graded_exterior(U21, [(1, -1, 0), B1, B2]))])
 def test_series_factors_equal_their_checked_build(build):
-    got = build()
-    assert len(got) and got == FormalCharacter(got.hm, dict(got.items()),
-                                               got.cutoff)
+    # each factor's terms are built unchecked; they equal the series of
+    # their coefficients built with every key checked
+    hm, got = build()
+    assert got[1] and checked(hm, got) == series_of(
+        hm, {k: m for _, k, m in got[1]}, got[0])
 
 
 def test_graded_exterior_examples():
-    assert graded_exterior(SL2, []) == FormalCharacter.one(SL2)
-    ext = graded_exterior(SL2, [ALPHA])
-    assert ext.coefficient(ch(SL2, [0])) == 1
-    assert ext.coefficient(ch(SL2, [2])) == -1
-    ext2 = graded_exterior(U21, [(1, -1, 0)])
-    assert ext2.coefficient(ch(U21, [0, 0, 0])) == 1
-    assert ext2.coefficient(ch(U21, [1, -1, 0])) == -1
+    assert graded_exterior(SL2, []) == (None, [(0, ch(SL2, [0]), 1)])
+    ext = checked(SL2, graded_exterior(SL2, [ALPHA]))
+    assert ext == (None, [(0, ch(SL2, [0]), 1), (4, ch(SL2, [2]), -1)])
+    ext2 = checked(U21, graded_exterior(U21, [(1, -1, 0)]))
+    assert ext2 == (None, [(0, ch(U21, [0, 0, 0]), 1),
+                           (2, ch(U21, [1, -1, 0]), -1)])
 
 
 def test_kostant_partition_examples():
@@ -243,38 +285,13 @@ def test_kostant_partition_memo_is_grading_independent():
 
 
 def test_kostant_equals_series_coefficient():
-    series = char_mul(geometric_series(U21, B1, 12),
-                      geometric_series(U21, B2, 12))
+    series = checked(U21, char_mul(U21, geometric_series(U21, B1, 12),
+                                   geometric_series(U21, B2, 12)))
     for n1 in range(4):
         for n2 in range(4):
             t = comb((n1, B1), (n2, B2))
             assert (kostant(t, [B1, B2], U21)
-                    == series.coefficient(ch(U21, t)))
-
-
-def test_coefficient_examples_and_cutoff_error():
-    assert FormalCharacter.one(SL2).coefficient(ch(SL2, [0])) == 1
-    ext = graded_exterior(SL2, [ALPHA])
-    assert ext.coefficient(ch(SL2, [2])) == -1
-    # discrete n=3 line: zero off the support, exact inside the window
-    base = FormalCharacter(SL2, {ch(SL2, [4]): 1})
-    d3 = char_mul(base, geometric_series(SL2, ALPHA, 20))
-    assert d3.coefficient(ch(SL2, [5])) == 0
-    with pytest.raises(CutoffError):
-        d3.coefficient(ch(SL2, [2 * (d3.cutoff + 1)]))
-
-
-def test_a_certificate_holds_no_term_above_it_and_truncation_keeps_it():
-    # e^4 has height 4 on SL2: a character certified to height 3 cannot
-    # hold it, and one certified to 4 cuts at 4 or below, never above
-    with pytest.raises(CutoffError) as e:
-        FormalCharacter(SL2, {ch(SL2, [4]): 1}, cutoff=3)
-    assert str(e.value) == "stored term above the cutoff certificate"
-    series = geometric_series(SL2, ALPHA, 4)
-    assert series.truncate(4) == series
-    with pytest.raises(CutoffError) as e:
-        series.truncate(5)
-    assert str(e.value) == "cannot extend a certificate by truncation"
+                    == coefficient(U21, series, ch(U21, t)))
 
 
 def test_zchar_table_group_structure():
@@ -301,11 +318,11 @@ def test_zchar_table_index_is_built_once():
 
 
 def test_zchars_multiply_along_characters():
-    a = FormalCharacter(SL2, {ch(SL2, [1], 1): 1})
-    b = FormalCharacter(SL2, {ch(SL2, [2], 1): 1})
-    prod = char_mul(a, b)
-    assert prod.coefficient(ch(SL2, [3], 0)) == 1
-    assert prod.coefficient(ch(SL2, [3], 1)) == 0
+    a = series_of(SL2, {ch(SL2, [1], 1): 1})
+    b = series_of(SL2, {ch(SL2, [2], 1): 1})
+    prod = checked(SL2, char_mul(SL2, a, b))
+    assert coefficient(SL2, prod, ch(SL2, [3], 0)) == 1
+    assert coefficient(SL2, prod, ch(SL2, [3], 1)) == 0
 
 
 def _random_char(rng, lat, nterms=5, span=3):
@@ -315,15 +332,17 @@ def _random_char(rng, lat, nterms=5, span=3):
                    lat.lattice)
         z = rng.randrange(lat.ztable.order)
         terms[lat.char(w, z)] = rng.randint(-4, 4)
-    return FormalCharacter(lat, terms)
+    return series_of(lat, terms)
 
 
 def test_ring_laws_randomized():
     rng = random.Random(20260811)
     for _ in range(150):
         a, b, c = (_random_char(rng, SL2) for _ in range(3))
-        assert char_mul(a, b) == char_mul(b, a)
-        assert char_mul(char_mul(a, b), c) == char_mul(a, char_mul(b, c))
+        ab = checked(SL2, char_mul(SL2, a, b))
+        assert ab == char_mul(SL2, b, a)
+        assert (checked(SL2, char_mul(SL2, ab, c))
+                == char_mul(SL2, a, char_mul(SL2, b, c)))
 
 
 def test_cutoff_soundness_randomized():
@@ -333,62 +352,52 @@ def test_cutoff_soundness_randomized():
     for _ in range(120):
         a = _random_char(rng, U21, nterms=6, span=2)
         b = _random_char(rng, U21, nterms=6, span=2)
-        exact = char_mul(a, b)
+        exact = checked(U21, char_mul(U21, a, b))
         ha = rng.randint(-2, 6)
         hb = rng.randint(-2, 6)
-        ta = FormalCharacter(
-            U21, {c: m for c, m in a.items()
-                  if U21.key_height2(c) <= 2 * ha}, ha)
-        tb = FormalCharacter(
-            U21, {c: m for c, m in b.items()
-                  if U21.key_height2(c) <= 2 * hb}, hb)
-        prod = char_mul(ta, tb)
-        if prod.cutoff is None:
+        ta = series_of(U21, {c: m for _, c, m in a[1]}, 2 * ha)
+        tb = series_of(U21, {c: m for _, c, m in b[1]}, 2 * hb)
+        prod = checked(U21, char_mul(U21, ta, tb))
+        if prod[0] is None:
             continue
-        for c, m in exact.items():
-            if U21.key_height2(c) <= 2 * prod.cutoff:
-                assert prod.coefficient(c) == m
-        for c, m in prod.items():
-            assert exact.coefficient(c) == m
+        for h, c, m in exact[1]:
+            if h <= prod[0]:
+                assert coefficient(U21, prod, c) == m
+        for _, c, m in prod[1]:
+            assert coefficient(U21, exact, c) == m
 
 
 @pytest.mark.parametrize("lat", [SL2, U21], ids=["order-2", "order-1"])
 def test_char_mul_equals_the_full_product_truncated(lat):
     # pairs above the certificate are skipped before they are formed, and
-    # the product is built without the constructor's checks; it still
-    # equals the product of every pair, truncated afterwards, built with them
+    # the product's keys are sums left unchecked; it still equals the
+    # product of every pair, truncated afterwards, each key checked
     rng = random.Random(17)
     cancelled = 0
     for _ in range(150):
         a = _random_char(rng, lat, nterms=8, span=3)
         b = _random_char(rng, lat, nterms=8, span=3)
         cuts = [rng.choice([None, rng.randint(-3, 6)]) for _ in range(2)]
-        a, b = (x if c is None else FormalCharacter(
-                    lat, {k: m for k, m in x.items()
-                          if lat.key_height2(k) <= 2 * c}, c)
+        a, b = (x if c is None else series_of(
+                    lat, {k: m for _, k, m in x[1]}, 2 * c)
                 for x, c in zip((a, b), cuts))
         full = {}
-        for (ca, za), ma in a.items():
-            for (cb, zb), mb in b.items():
+        for _, (ca, za), ma in a[1]:
+            for _, (cb, zb), mb in b[1]:
                 key = (tuple(x + y for x, y in zip(ca, cb)),
                        lat.ztable.products[za][zb])
                 full[key] = full.get(key, 0) + ma * mb
-        prod = char_mul(a, b)
-        if prod.cutoff is None:
-            assert None in cuts or not len(a) or not len(b)
-            assert prod == FormalCharacter(lat, full)
+        prod = checked(lat, char_mul(lat, a, b))
+        if prod[0] is None:
+            assert None in cuts or not a[1] or not b[1]
+            assert prod == series_of(lat, full)
             cancelled += list(full.values()).count(0)
             continue
         kept = {k: m for k, m in full.items()
-                if lat.key_height2(k) <= 2 * prod.cutoff}
-        assert prod == FormalCharacter(lat, kept, prod.cutoff)
+                if lat.key_height2(k) <= prod[0]}
+        assert prod == series_of(lat, kept, prod[0])
         cancelled += list(kept.values()).count(0)
     assert cancelled  # coefficients that cancel are dropped
-
-
-def test_lattice_mismatch_in_product():
-    with pytest.raises(LatticeError):
-        char_mul(FormalCharacter.one(SL2), FormalCharacter.one(U21))
 
 
 def test_char_defaults_to_the_identity_and_checks_its_index():
@@ -413,6 +422,4 @@ def test_char_defaults_to_the_identity_and_checks_its_index():
 ])
 def test_keys_off_the_lattice_are_refused(key):
     with pytest.raises(LatticeError):
-        FormalCharacter(U21, {key: 1})
-    with pytest.raises(LatticeError):
-        geometric_series(U21, B1, 4).coefficient(key)
+        U21.key_height2(key)

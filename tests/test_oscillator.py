@@ -465,7 +465,7 @@ def _counting(monkeypatch):
 
 
 @pytest.mark.parametrize("f", [1.0, 2.0, 4.0])
-def test_nd_lobpcg_iteration_budget(monkeypatch, f):
+def test_nd_ritz_step_budget(monkeypatch, f):
     # a work budget of the `verify dirac` 2-D check: the coupling-corrected
     # tensor vectors are within their residual bound, so A images them once,
     # A^T takes their residuals once, and nothing is preconditioned
@@ -579,7 +579,7 @@ def _start_block(monkeypatch, grid, f, rep1):
 
 
 @pytest.mark.parametrize("f", [1.0, 2.0])
-def test_nd_start_draws_on_the_guard_alone(monkeypatch, f):
+def test_nd_start_is_the_coupling_corrected_tensor_vectors(monkeypatch, f):
     # each start row is a tensor eigenvector u0 of the preconditioner, the
     # ev + 1 lowest, exactly in degree 0, plus the first-order effect of the
     # coupling, -(D2 - theta)^-1 C^T u0, in degree 2, against A^T A from
@@ -645,7 +645,7 @@ def test_nd_start_leaves_a_near_degenerate_coupling_to_the_ritz_step(
 
 
 @pytest.mark.parametrize("f", [1.0, 2.0])
-def test_nd_guard_alone_reaches_a_hidden_sector(monkeypatch, f):
+def test_nd_start_hiding_a_sector_ends_in_an_error(monkeypatch, f):
     # the Gaussian's sector (even-even on the degree 0 block) taken out of
     # every start row, with 1e-4 of a draw outside it, lest the Gaussian's
     # row vanish.  A^T A and the preconditioner keep to the sectors, so the
@@ -685,7 +685,7 @@ def test_nd_guard_alone_reaches_a_hidden_sector(monkeypatch, f):
 
 
 @pytest.mark.parametrize("rows, rank", [(2, 1), (3, 2)])
-def test_lobpcg_refuses_a_start_with_no_guard(rows, rank):
+def test_ritz_step_refuses_a_start_of_deficient_rank(rows, rank):
     # diag(1..20) has no kernel; rows spanning fewer directions than there
     # are rows are refused, as a block filled out past its span would
     # return rounding (a Ritz vector of norm 3e-17) whose image reads as a
