@@ -20,16 +20,16 @@ what every K-type shares.  That work comes in three tiers:
     a half of the roots, pointed), the lattice graded by Phi, its positives
     split by type, its compact simple roots, 2rho_n, the signed
     compact-subset sums, the keys' top covector, the plan of Blattner's
-    walk (eps, and per W_K record its shift's state and height and its
-    levels' columns, condition rows and reach), and the oracles' tables,
-    each rebuilt only at the higher bound a call needs.  A nonzero verdict
-    carries the record, and every table of Phi reads it;
+    walk (per W_K record eps det(w), its shift's state and height and its
+    levels' columns, condition rows and reach), w_Phi^T's state map and the
+    oracles' tables, each rebuilt only for a read past its certificate.  A
+    nonzero verdict carries the record, and every table of Phi reads it;
   - call: what lambda and chi fix, checked in integers (dominance, the lift
     of lambda - rho, the component values) into one record, the nonzero
-    verdict with the base key lambda - rho + 2rho_n; and what the base and
-    window move: each walk's start and the levels' bounds.  A verdict
-    records the group it judged, so a call is validate_params -> verdict ->
-    table_of, and ktype_table(g, p, window) is that call.
+    verdict with the base key lambda - rho + 2rho_n and lambda's regularity;
+    and what the base and window move: each walk's start and the levels'
+    bounds.  A verdict records the group it judged, so a call is
+    validate_params -> verdict -> table_of, as ktype_table(g, p, window).
 
 table_of evaluates Blattner's formula (Hecht-Schmid)
 
@@ -55,14 +55,13 @@ partition counts of the noncompact positives at base + S with sign
 which holds the compact exterior, at the base alone.  Each read runs in
 height order up to the call's own doubled height, never past the table's
 certificate, and is scattered by K-type through an inverted index of
-restricted K-types.  Every table over the window's box (box_table, and
-table_of outside Blattner's formula) reads the window's ktypes.KTypeBox,
-which restricts only the keys read; the spot check and ktype_multiplicity
-index their own K-types with ktypes.key_index.
-table_of spot-checks its lowest rows with an oracle its table did not
-come from: the partition counts a Blattner table, the series a box one.
-Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the entries
-are the restricted representation and always nonnegative.
+restricted K-types: the window's ktypes.KTypeBox for a table over the box,
+which restricts only the keys read, else ktypes.key_index's.  table_of
+spot-checks its lowest rows with an oracle its table did not come from,
+the partition counts a Blattner table and the series a box one, and a
+Blattner table's lowest row against Schmid's lowest K-type.  Tables carry
+the global sign (-1)^(dim s_M / 2) as metadata; the entries are the
+restricted representation and always nonnegative.
 """
 
 from __future__ import annotations
@@ -126,28 +125,13 @@ class _Term(NamedTuple):
     levels: tuple[tuple[tuple, tuple, tuple], ...]
 
 
-class _Tables(dict):
-    """The one holder of a chamber's oracle tables, name -> (bound, table),
-    written by _table alone.  Every holder equals every other and hashes
-    the same, so a chamber compares and hashes by what Phi fixes."""
-
-    __slots__ = ()
-    __ne__ = object.__ne__  # not dict's: the negation of __eq__
-
-    def __eq__(self, other):
-        return isinstance(other, _Tables)
-
-    def __hash__(self):
-        return 0
-
-
 class Chamber(NamedTuple):
     """What a positive system Phi of the Levi roots fixes for every
     parameter tuple that names it (the chamber tier above), built once per
-    (group, Phi) by _chamber.  eps, terms, heights and shift_top plan
-    Blattner's walk, read off the group's W_K records, so that a call forms
-    only what its base moves; where the formula does not apply eps is 1,
-    shift_top 0 and terms empty."""
+    (group, Phi) by _chamber.  terms, heights and shift_top plan Blattner's
+    walk, read off the group's W_K records, so that a call forms only what
+    its base moves; where the formula does not apply shift_top is 0 and
+    terms empty.  A chamber compares and hashes by what Phi fixes."""
 
     hm: HMLattice                        # the Levi lattice graded by Phi
     compact: tuple[tuple[int, ...], ...]
@@ -158,13 +142,21 @@ class Chamber(NamedTuple):
     subsets: tuple[tuple[int, tuple[int, ...]], ...]
     top: tuple[int, ...]                 # v, the _top_covector
     top_l1: int                          # |v|_1
-    # Blattner's walk plan: eps = det(w_Phi), one _Term per W_K element,
-    # the noncompact positives' doubled heights and max_w hv . shift_w
-    eps: int
+    # Blattner's walk plan: one _Term per W_K element, the noncompact
+    # positives' doubled heights and max_w hv . shift_w
     terms: tuple[_Term, ...]
     heights: tuple[int, ...]
     shift_top: int
-    tables: _Tables                      # the oracles' tables, by _table
+    lowest: Optional[tuple]  # w_Phi^T's state map where T_M = T: see table_of
+    tables: dict        # mode -> (certificate, terms), grown by _evaluate
+
+    def __eq__(self, other):
+        return isinstance(other, Chamber) and self[:-1] == other[:-1]
+
+    __ne__ = object.__ne__  # not tuple's: the negation of __eq__
+
+    def __hash__(self):
+        return hash(self[:-1])
 
 
 class ParamVerdict(NamedTuple):
@@ -174,6 +166,7 @@ class ParamVerdict(NamedTuple):
     # nonzero verdicts: the record of p.rmplus, which tables reuse
     chamber: Optional[Chamber] = None
     base: Optional[tuple] = None  # the key (lambda - rho + 2rho_n, chi)
+    regular: bool = False         # no root of Phi is orthogonal to lambda
 
     def __str__(self):
         return self.verdict if not self.reason else f"{self.verdict}: {self.reason}"
@@ -257,7 +250,8 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
             return ParamVerdict(
                 "zero", g, f"parameter orthogonal to simple compact root {a}")
     return ParamVerdict("nonzero", g, chamber=chamber, base=(
-        tuple(map(add, shifted, chamber.rho2_n)), p.chi))
+        tuple(map(add, shifted, chamber.rho2_n)), p.chi),
+        regular=all(sum(map(mul, lam, a)) for a in rmplus))
 
 
 @lru_cache(maxsize=64)
@@ -290,13 +284,15 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
     for c in compact:
         subsets += [(-sign, tuple(map(add, s, c))) for sign, s in subsets]
     rho2_c, top = subsets[-1][1], _top_covector(g, hv)
-    eps, terms = (_walk_plan(g, hv, compact, noncompact, rho2_c)
-                  if g.blattner_applies else (1, ()))
+    terms = (_walk_plan(g, hv, compact, noncompact, rho2_c)
+             if g.blattner_applies else ())
+    lowest = next((w.walk[:hm.rank] for w in g.k_weyl if w.top == rho2_c
+                   and terms and not g.fibres.dirs and g.fibres.d == 1), None)
     return Chamber(hm, tuple(compact), tuple(noncompact),
                    tuple(a for a in simple_roots(rmplus) if compact_of[a]),
                    tuple(map(sub, hv, rho2_c)), tuple(subsets), top,
-                   sum(map(abs, top)), eps, terms, tuple(heights),
-                   max((t.height for t in terms), default=0), _Tables())
+                   sum(map(abs, top)), terms, tuple(heights),
+                   max((t.height for t in terms), default=0), lowest, {})
 
 
 # ------------------------------------------------------------------ engine
@@ -310,15 +306,6 @@ def _prepare(verdict: ParamVerdict) -> Optional[ParamVerdict]:
 
 
 _Row = tuple[tuple[int, ...], int]  # (highest-weight coordinates, m)
-
-
-def _table(chamber: Chamber, name: str, build, bound2: int):
-    """The chamber's table name, build(chamber, bound2), rebuilt at exactly
-    its own bound by a call that needs more."""
-    kept = chamber.tables.get(name)
-    if kept is None or kept[0] < bound2:
-        kept = chamber.tables[name] = bound2, build(chamber, bound2)
-    return kept[1]
 
 
 def _series(chamber: Chamber, bound2: int) -> tuple[Optional[int], list]:
@@ -361,7 +348,8 @@ def _evaluate(prep: ParamVerdict, mode: str, index: Mapping[tuple, Sequence],
     partition table at base + S with sign (-1)^|S| per compact subset S,
     the series, which holds the exterior, at the base alone.  A read moves
     a key (c, i) to (c + offset, i + z_base) up to its room, top2 less the
-    offset's doubled height; no room may pass the table's certificate."""
+    offset's doubled height.  The chamber keeps the builder's pair, rebuilt
+    at the largest room past its certificate, which no room may pass."""
     chamber, (coords, z) = prep.chamber, prep.base
     build, subsets = ((_partition_table, chamber.subsets) if mode == "partition"
                       else (_series, chamber.subsets[:1]))
@@ -369,7 +357,10 @@ def _evaluate(prep: ParamVerdict, mode: str, index: Mapping[tuple, Sequence],
     rooms = [top2 - sum(map(mul, offset, chamber.hm.height_vec))
              for _, offset in reads]
     most = max(rooms)
-    cert, terms = _table(chamber, mode, build, most)
+    kept = chamber.tables.get(mode)
+    if kept is None or kept[0] is not None and kept[0] < most:
+        kept = chamber.tables[mode] = build(chamber, most)
+    cert, terms = kept
     if cert is not None and most > cert:
         raise CutoffError(f"a {mode} read to doubled height {most} beyond "
                           f"the table's certificate {cert}")
@@ -386,12 +377,12 @@ def _evaluate(prep: ParamVerdict, mode: str, index: Mapping[tuple, Sequence],
 
 def _walk_plan(g: RealGroupData, hv: tuple[int, ...],
                compact: Sequence[tuple], noncompact: Sequence[tuple],
-               rho2_c: tuple[int, ...]) -> tuple[int, tuple[_Term, ...]]:
-    """Blattner's eps = det(w_Phi) and one _Term per W_K record w, for a
-    positive system Phi graded by hv, its compact positives Phi_c summing to
-    rho2_c.  R maps the K roots one-to-one onto the compact roots, so R w_Phi
-    rho_K = rho_c, det(w_Phi) = (-1)^#(Phi_c outside the group's R K^+) and
-    shift_w = R(w rho_K) - rho_c = (R w 2rho_K - 2rho_c) / 2.  Each walk
+               rho2_c: tuple[int, ...]) -> tuple[_Term, ...]:
+    """One _Term per W_K record w, its det eps det(w), for a positive system
+    Phi graded by hv, its compact positives Phi_c summing to rho2_c.  R maps
+    the K roots one-to-one onto the compact roots, so R w_Phi rho_K = rho_c,
+    Blattner's eps = det(w_Phi) = (-1)^#(Phi_c outside the group's R K^+)
+    and shift_w = R(w rho_K) - rho_c = (R w 2rho_K - 2rho_c) / 2.  Each walk
     variable (w^T dirs_f, then the noncompact positives; a zero column if
     none) has a level: its column's state, the rows (i, s, s col[i]) of the
     conditions s state[i] >= bound, and its reach per unit of its hi:
@@ -415,9 +406,9 @@ def _walk_plan(g: RealGroupData, hv: tuple[int, ...],
             else [c if c > 0 else 0 for _, _, c in rows]))
             for k, col in enumerate(columns or ((0,) * width,))
             for rows in [tuple([(i, s, s * col[i]) for i, s in conditions])])
-        terms.append(_Term(w.det, w.walk, matvec(w.walk, shift),
+        terms.append(_Term(eps * w.det, w.walk, matvec(w.walk, shift),
                            sum(map(mul, hv, shift)), levels))
-    return eps, tuple(terms)
+    return tuple(terms)
 
 
 def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
@@ -426,8 +417,8 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
     as (highest-weight coordinates, multiplicity) in lexical order.
 
     P_n(t) counts the n in N^k with t = sum_j n_j beta_j over the k
-    noncompact positives, so the formula is eps times the sum of det(w)
-    over the (n, w) for which R w mu + shift_w - base = t has a solution mu
+    noncompact positives, so the formula is the sum of the terms' det,
+    eps det(w), over the (n, w) with R w mu + shift_w - base = t for a mu
     in the window.  As w^-1 = w^T, the fibres' one integer map reads it,
     carried by w^T (R has full row rank, so every t lies over some mu):
     d mu = A_w (t - shift_w + base) + sum_f x_f w^T dirs_f, A_w = w^T a,
@@ -439,7 +430,7 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
     runs over one interval, cut by what the later ones can still add, exact
     on the last.  Divisibility by d and the Z' character of mu have period
     d * |Z'| along it and are tested once per residue, so every (n, w)
-    reached adds det(w) at its mu.
+    reached adds its term's det at its mu.
     """
     _check_scan(g, window, len(g.fibres.dirs), "fibre points per cone point")
     chamber, d = prep.chamber, g.fibres.d
@@ -487,7 +478,7 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
                 for _ in range((hi - n) // period + 1):
                     found[mu] = found.get(mu, 0) + det
                     mu = tuple(map(add, mu, step))
-    return [(mu, chamber.eps * m) for mu, m in sorted(found.items())]
+    return sorted(found.items())
 
 
 def _walk(state: list[int], levels: Sequence[tuple]
@@ -605,11 +596,13 @@ def table_of(verdict: ParamVerdict, window: int) -> KTypeTable:
     InvalidParamsError for an invalid one, TableSizeError above a cap.
 
     Blattner's formula over the K-types the noncompact cone reaches where
-    the group data allow it, else partition counts over the box; the
+    the group data allow it, else partition counts over the box.  The
     partition oracle, or the series for a box table, checks the few nonzero
-    entries whose keys reach the least height, where it is cheapest (ties in
-    lexical order).  Entries are the restricted representation itself; the
-    table's sign field records the index sign.
+    entries of least height, where it is cheapest (ties in lexical order);
+    an empty table reads neither.  Where T_M = T, a Blattner table of a
+    regular lambda holds Schmid's lowest K-type once, alone at its least
+    height, if it is in the window: w_Phi^T Lambda, as Lambda = lambda +
+    rho_n - rho_c is dominant for Phi_c = R w_Phi K^+.
     """
     _check_window(window)
     g, prep = verdict.group, _prepare(verdict)
@@ -619,11 +612,18 @@ def table_of(verdict: ParamVerdict, window: int) -> KTypeTable:
                          else ("partition", "series"))
     rows = (_nonzero(_blattner_table(g, prep, window)) if g.blattner_applies
             else _box(g, prep, window, "partition"))
-    v = prep.chamber.top
-    spot = sorted([(sum(map(mul, mu, v)), mu, m)
-                   for mu, m in rows])[:_SPOT_CHECKS]
-    checked = _evaluate(prep, oracle, key_index(g, [mu for _, mu, _ in spot]),
-                        spot[-1][0] if spot else -1)
+    v, lowest = prep.chamber.top, prep.chamber.lowest
+    spot = sorted([(sum(map(mul, mu, v)), mu, m) for mu, m in rows])
+    if prep.regular and lowest:  # Schmid's lowest K-type u Lambda
+        low = matvec(lowest, prep.base[0])
+        h = sum(map(mul, low, v))  # the rows this high: it alone, once
+        if max(map(abs, low)) <= window and [
+                s for s in spot[:2] if s[0] <= h] != [(h, low, 1)]:
+            raise ArithmeticError(f"lowest K-type {low} is not the one row of "
+                                  "least height, with multiplicity 1")
+    spot = spot[:_SPOT_CHECKS]
+    checked = spot and _evaluate(  # an empty table reads no oracle
+        prep, oracle, key_index(g, [mu for _, mu, _ in spot]), spot[-1][0])
     for _, mu, m in spot:
         c = checked.get(mu, 0)
         if c != m:

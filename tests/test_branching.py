@@ -159,7 +159,7 @@ def test_validate_refuses_a_chi_that_is_not_an_int(g, p, hw, chi):
     p = p._replace(chi=chi)
     v = validate_params(g, p)
     assert v == ("invalid", g, f"no component character with index {chi}",
-                 None, None)
+                 None, None, False)
     for evaluate in (lambda: ktype_table(g, p, 4),
                      lambda: box_table(g, p, 4, "partition"),
                      lambda: ktype_multiplicity(g, p, KType(g.t_weight(hw)))):
@@ -1058,18 +1058,19 @@ def _term_cases():
 
 
 def test_blattner_terms_are_the_searched_terms():
-    # a term holds shift_w as its state and height: the state map is one to
-    # one (R has full row rank, so the fibres' map is the rows of one
-    # invertible elimination, carried by w^T), so the state pins the shift
+    # a term holds eps det(w) as its det and shift_w as its state and
+    # height: the state map is one to one (R has full row rank, so the
+    # fibres' map is the rows of one invertible elimination, carried by
+    # w^T), so the state pins the shift
     signs = Counter()
     for g, p in _term_cases():
         prep = validate_params(g, p)
         chamber, (eps, searched) = prep.chamber, _searched_terms(g, prep)
         hv = chamber.hm.height_vec
-        assert (chamber.eps, [(t.det, t.state, t.height, t.walk)
-                              for t in chamber.terms]) == (eps, [
-            (det, groups.matvec(walk, shift), dot(hv, shift), walk)
-            for det, shift, walk in searched])
+        assert [(t.det, t.state, t.height, t.walk)
+                for t in chamber.terms] == [
+            (eps * det, groups.matvec(walk, shift), dot(hv, shift), walk)
+            for det, shift, walk in searched]
         assert chamber.shift_top == max(dot(hv, shift)
                                         for _, shift, _ in searched)
         signs[g.name, eps] += 1
@@ -1319,9 +1320,9 @@ def test_mode_is_checked_before_any_work(monkeypatch, evaluate, lam):
 def _spot_check_bound(monkeypatch, g, name):
     """(p, window) -> the bound of the one table that ktype_table(g, p,
     window) builds by name, the check's partition_counts or the chamber's
-    _series: a doubled height bound or a cutoff.  Each table starts from a
-    cold record cache, so that it builds its chamber's table at its own
-    bound."""
+    _series: a doubled height bound or a cutoff, or None for an empty
+    table, which builds none.  Each table starts from a cold record cache,
+    so that it builds its chamber's table at its own bound."""
     build, bounds = getattr(branching, name), []
 
     def counted(*args):
@@ -1331,9 +1332,9 @@ def _spot_check_bound(monkeypatch, g, name):
     def bound(p, window):
         bounds.clear()
         branching._chamber.cache_clear()
-        ktype_table(g, p, window)
-        assert len(bounds) == 1
-        return bounds[0]
+        rows = ktype_table(g, p, window).entries
+        assert len(bounds) == (1 if rows else 0)
+        return bounds[0] if rows else None
 
     monkeypatch.setattr(branching, name, counted)
     return bound
@@ -1364,7 +1365,8 @@ def test_spot_check_partition_budget(monkeypatch):
     for singular, p in params:
         b = {window: bound(p, window) for window in (2, 3, 4, 6, 8, 16)}
         for window in (2, 3, 4, 6, 8):
-            assert b[window] <= ceilings.get((window, singular), 8)
+            assert b[window] is None or b[window] <= ceilings.get(
+                (window, singular), 8)
         assert b[16] == b[8]
     assert len(params) == 648
     assert bound(su21_from_lambda(GU, [3, 1, -1]), 64) == 4
@@ -1382,7 +1384,8 @@ def test_spot_check_series_budget(monkeypatch):
     params = list(_nonzero_tie_broken(g, 2))
     for singular, p in params:
         for window in (2, 3, 4, 6):
-            assert bound(p, window) <= ceilings.get((window, singular), 2)
+            b = bound(p, window)
+            assert b is None or b <= ceilings.get((window, singular), 2)
     assert len(params) == 125
 
 
@@ -1495,40 +1498,30 @@ _WRONG = {("det", 12): {("su21", (-1, 2, 4))},
           ("shift", 12): {("su21", (-1, 2, 4))},
           ("w", 6): {("su31", (3, 1, -1, -3))},
           ("w", 12): {("su31", (3, 1, -1, -3))}}
-# four more defects, each raising only a negative row or, for the walk
-# lines and Z', a disagreement.  The dropped last term empties six tables
-# at window 6 and five at 12, and an empty table gives the spot check no
-# row; at 12 it adds 6 rows to su21 (-1, 2, 4).  Lines started one past
-# their first point drop rows from every table they leave wrong, as from
-# su21 (5, -2, 0) (10 -> 8 rows at 6, 88 -> 80 at 12).  Skipping the Z' filter changes no
-# sl2r-compact table, where the walk's parity already fixes the Z'
-# character, and every sl2xu1 one raises.  The one dominance row dropped
-# leaves sp4r (5, 2) and (6, 1) unchanged at 6 and raises everywhere else
-_SP4R_LOW = {("sp4r", (2, 1)), ("sp4r", (3, 1))}
-_SU21_31 = {("su21", (3, 1, -1)), ("su31", (3, 1, -1, -3))}
-_EMPTIED = {("su21", (5, -2, 0)), ("sp4r", (2, -1)), ("sp4r", (3, -1)),
-            ("sp4r", (4, -3)), ("sp4r", (1, -2))}
+# four more defects, each raising a negative row, Schmid's lowest K-type
+# or, for the walk lines and Z', a disagreement.  The dropped last term
+# empties six tables at window 6 and five at 12, whose lowest K-type then
+# lies in the window with no row; at 12 it adds 6 rows to su21 (-1, 2, 4)
+# above its lowest K-type, which no check sees.  Lines started one past
+# their first point drop rows from every table they leave wrong, the
+# lowest K-type first, as from su21 (5, -2, 0) (10 -> 8 rows at 6, 88 ->
+# 80 at 12).  At window 6 the dropped term leaves su21 (-1, 2, 4) and
+# sp4r (6, 1) unchanged, and the late starts sp4r (6, 1).  Skipping the Z' filter changes no sl2r-compact table, where
+# the walk's parity already fixes the Z' character, and every sl2xu1 one
+# raises.  The one dominance row dropped leaves sp4r (5, 2) and (6, 1)
+# unchanged at 6 and raises everywhere else
+_ALL = {(g.name, lam) for g, lam, _ in _PLANTED}
 _SL2XU1 = {("sl2xu1", (lam,)) for lam in (1, 2, 3, -2, -3)}
 _CAUGHT.update({
-    ("drop", 6): _SP4R_LOW | _SU21_31,
-    ("drop", 12): _SP4R_LOW | _SU21_31 | {("sp4r", (5, 2)), ("sp4r", (6, 1))},
-    ("start", 6): {("sp4r", (1, -2)), ("sp4r", (2, 1)), ("su21", (3, 1, -1))},
-    ("start", 12): _SP4R_LOW | _SU21_31 | {("sp4r", (1, -2)),
-                                           ("sp4r", (5, 2))},
+    ("drop", 6): _ALL - {("su21", (-1, 2, 4)), ("sp4r", (6, 1))},
+    ("drop", 12): _ALL - {("su21", (-1, 2, 4))},
+    ("start", 6): _ALL - {("sp4r", (6, 1))}, ("start", 12): _ALL,
     ("zprime", 6): _SL2XU1, ("zprime", 12): _SL2XU1,
-    ("dominance", 6): {(g.name, lam) for g, lam, _ in _PLANTED} - {
-        ("sp4r", (5, 2)), ("sp4r", (6, 1))},
-    ("dominance", 12): {(g.name, lam) for g, lam, _ in _PLANTED}})
-_WRONG.update({
-    ("drop", 6): _EMPTIED | {("sp4r", (5, 2))},
-    ("drop", 12): _EMPTIED | {("su21", (-1, 2, 4))},
-    ("start", 6): {("su21", (5, -2, 0)), ("su21", (-1, 2, 4)),
-                   ("sp4r", (3, 1)), ("sp4r", (5, 2)), ("sp4r", (2, -1)),
-                   ("sp4r", (3, -1)), ("sp4r", (4, -3)),
-                   ("su31", (3, 1, -1, -3))},
-    ("start", 12): {("su21", (5, -2, 0)), ("su21", (-1, 2, 4)),
-                    ("sp4r", (6, 1)), ("sp4r", (2, -1)), ("sp4r", (3, -1)),
-                    ("sp4r", (4, -3))}})
+    ("dominance", 6): _ALL - {("sp4r", (5, 2)), ("sp4r", (6, 1))},
+    ("dominance", 12): _ALL})
+_WRONG[("drop", 12)] = {("su21", (-1, 2, 4))}
+_LOWEST = (r"lowest K-type \(.*\) is not the one row of least height, "
+           r"with multiplicity 1")
 
 
 # window 6 keeps the bare defect as its id
@@ -1551,10 +1544,11 @@ def test_partition_spot_check_catches_planted_blattner_defects(monkeypatch,
                 assert re.fullmatch({
                     "det": r"negative multiplicity -1 at .*",
                     "shift": r"evaluator disagreement at .*: "
-                             r"partition 0 vs blattner 1",
-                    "drop": r"negative multiplicity -1 at .*",
+                             r"partition 0 vs blattner 1|" + _LOWEST,
+                    "drop": r"negative multiplicity -1 at .*|" + _LOWEST,
                     "start": r"negative multiplicity -1 at .*|evaluator dis"
-                             r"agreement at .*: partition \d vs blattner \d",
+                             r"agreement at .*: partition \d vs blattner \d|"
+                             + _LOWEST,
                     "zprime": r"evaluator disagreement at .*: "
                               r"partition 0 vs blattner 1",
                     "dominance": r"negative multiplicity -1 at .*"}[defect],
@@ -1564,6 +1558,36 @@ def test_partition_spot_check_catches_planted_blattner_defects(monkeypatch,
             wrong.add((g.name, lam))
     assert caught == _CAUGHT[defect, window]
     assert wrong == _WRONG.get((defect, window), set())
+
+
+def test_an_empty_blattner_table_of_a_regular_lambda_raises(monkeypatch):
+    # Schmid: a regular lambda's lowest K-type, u(lambda + rho_n - rho_c),
+    # has multiplicity 1, so a Blattner table that lost every row raises
+    # once that K-type lies in the window, and a singular lambda's is not
+    # checked
+    regular = su21_from_lambda(GU, [5, -2, 0])
+    singular = su21_from_lambda(GU, [3, -1, -1],
+                                rmplus=[[1, -1, 0], [1, 0, -1], [0, 1, -1]])
+    assert ktype_table(GU, regular, 4).entries == {}
+    assert ktype_table(GU, regular, 5).entries[5, -2, 0] == 1
+    assert ktype_table(GU, singular, 5).entries
+    monkeypatch.setattr(branching, "_blattner_table", lambda *args: [])
+    assert ktype_table(GU, regular, 4).entries == {}
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "lowest K-type (5, -2, 0) is not the one row of least height")):
+        ktype_table(GU, regular, 5)
+    assert ktype_table(GU, singular, 5).entries == {}
+
+
+def test_an_empty_table_reads_no_oracle(cold_records):
+    # su21 (5, -2, 0) has no K-type in window 0: its table reads neither
+    # oracle, so its chamber holds no table afterwards
+    p = su21_from_lambda(GU, [5, -2, 0])
+    verdict = validate_params(GU, p)
+    assert table_of(verdict, 0).entries == {}
+    assert not verdict.chamber.tables
+    assert table_of(verdict, 6).entries
+    assert list(verdict.chamber.tables) == ["partition"]
 
 
 def _record_builds(monkeypatch):
@@ -1631,46 +1655,53 @@ def test_chamber_tables_agree_with_a_cold_record(monkeypatch, g, lam, denom):
 
 def test_chamber_series_is_rebuilt_past_its_certificate(monkeypatch,
                                                         cold_records):
-    # a table that needs a higher cutoff than the chamber's series holds
-    # rebuilds it at that cutoff, a query within it reads it as it is, and
-    # a read past the certificate of the series held raises CutoffError
+    # a table that needs more than the certificate of the chamber's series
+    # rebuilds it at its own bound, and a query within the certificate reads
+    # it as it is; a kept pair certified below a read is rebuilt, so the
+    # read returns the right table
     p = su21_from_lambda(GU, [4, 1, -2])
     builds = _record_builds(monkeypatch)["series"]
     small = ktype_table_series(GU, p, 2)
     record = validate_params(GU, p).chamber
-    bound2, (cert, _) = record.tables["series"]
-    assert builds == [((record,), bound2)] and bound2 <= cert
-    assert ktype_table_series(GU, p, 6).entries.items() > small.entries.items()
+    [((chamber,), bound2)] = builds
+    cert, _ = record.tables["series"]
+    assert chamber is record and bound2 <= cert
+    big = ktype_table_series(GU, p, 6)
+    assert big.entries.items() > small.entries.items()
     [bounds] = _grown(builds)
-    assert len(bounds) == 2
+    assert len(bounds) == 2 and bounds[-1] > cert
     q = ktype_multiplicity(GU, p, KType(GU.t_weight([4, 2, -3])), "series")
     assert len(builds) == 2 and q == 1
-    # a series certified one doubled height short of the bound it was
-    # built for
-    bound2, (_, terms) = record.tables["series"]
-    record.tables["series"] = bound2, (bound2 - 1, terms)
-    with pytest.raises(CutoffError):
-        ktype_table_series(GU, p, 6)
+    # a pair with no terms, certified one doubled height short of the read
+    bound2 = builds[-1][1]
+    record.tables["series"] = bound2 - 1, []
+    assert ktype_table_series(GU, p, 6) == big
+    assert len(builds) == 3 and builds[-1][1] == bound2
+    assert record.tables["series"][0] >= bound2
 
 
 def test_partition_table_read_past_its_certificate_raises(monkeypatch,
                                                           cold_records):
     # the partition table is certified up to the doubled height it was
-    # built for: planted below the room of a read, in the chamber's record
-    # or by its builder, as _evaluate looks the builder up when it reads,
-    # it raises CutoffError
+    # built for.  A kept pair certified below the room of a read is
+    # rebuilt; a builder that certifies its table below the room it was
+    # built for makes the read raise CutoffError, as _evaluate looks the
+    # builder up when it reads
     p = su21_from_lambda(GU, [4, 1, -2])
+    builds = _record_builds(monkeypatch)["partition"]
     want = ktype_table(GU, p, 6)
     record = validate_params(GU, p).chamber
-    bound2, (cert, terms) = record.tables["partition"]
-    assert cert == bound2 and table_of(validate_params(GU, p), 6) == want
-    record.tables["partition"] = bound2, (bound2 - 1, terms)
-    with pytest.raises(CutoffError):
-        ktype_table(GU, p, 6)
+    cert, terms = record.tables["partition"]
+    assert builds == [((record.noncompact, record.hm), cert)]
+    assert table_of(validate_params(GU, p), 6) == want and len(builds) == 1
+    record.tables["partition"] = cert - 1, terms[:1]
+    assert ktype_table(GU, p, 6) == want
+    assert builds[-1][1] == cert and record.tables["partition"][0] == cert
     build = branching._partition_table
     monkeypatch.setattr(branching, "_partition_table", lambda chamber, bound2: (
         bound2 - 1, build(chamber, bound2)[1]))
-    for evaluate in (lambda: box_table(GU, p, 4, "partition"),
+    for evaluate in (lambda: ktype_table(GU, p, 6),
+                     lambda: box_table(GU, p, 4, "partition"),
                      lambda: ktype_multiplicity(GU, p, KType(GU.t_weight(
                          min(want.entries))))):
         branching._chamber.cache_clear()

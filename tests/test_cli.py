@@ -299,17 +299,18 @@ def test_a_digest_failure_names_the_first_window_that_changed(capsys,
     # a planted defect that no check catches: each line of Blattner's walk
     # starts one past its first point.  The flipped det and the moved shifts
     # of test_branching's _plant raise on all four su21 entries at window
-    # 64, and this one on two; su21 (5, -2, 0) exits 0 with 3,720 rows for
-    # 3,780, the first change inside window 8
+    # 64, and this one on the three regular ones, whose lowest K-type it
+    # drops; su21 (3, -1, -1), singular, exits 0 with 212 rows for 245, the
+    # first change inside window 8
     walk = branching._walk
     monkeypatch.setattr(branching, "_walk", lambda state, levels: (
         (line, lo + 1, hi) for line, lo, hi in walk(state, levels)))
     pinned = json.loads((DATA / "table_su21_w64.sha256.json").read_text())
-    params = '{"lambda":[5,-2,0]}'
+    params = '{"lambda":[3,-1,-1],"rmplus":[[1,-1,0],[1,0,-1],[0,1,-1]]}'
     code, out, err = run(capsys, *pinned["argv"], "--params", params)
     assert (code, err) == (0, "")
     assert _digest_mismatch(pinned, params, out) == (
-        f"{params}: rows differ from window 8 on (3780 rows pinned, 3720 now)")
+        f"{params}: rows differ from window 8 on (245 rows pinned, 212 now)")
 
 
 def test_grid_above_cap_exits_2(capsys):

@@ -590,15 +590,17 @@ def test_unread_parameters_are_found(source, unread):
 
 
 def _readers(tree: ast.Module, name: str) -> list[str]:
-    """The innermost function around each read of a name, <module> for one
-    outside every function."""
+    """The innermost function around each read of a name, or each use, read
+    or write, of an attribute of that name; <module> for one outside every
+    function."""
     found = []
 
     def visit(node: ast.AST, func: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
         if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                and node.id == name):
+                and node.id == name) or (isinstance(node, ast.Attribute)
+                                         and node.attr == name):
             found.append(func)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -609,11 +611,11 @@ def _readers(tree: ast.Module, name: str) -> list[str]:
 
 def test_evaluate_alone_reads_a_chamber_table():
     # an oracle is a chamber table read at signed offsets: _evaluate is the
-    # one function of any module that names _table
-    readers = {p.stem: _readers(ast.parse(p.read_text()), "_table")
+    # one function of any module that reads or grows a chamber's tables
+    readers = {p.stem: _readers(ast.parse(p.read_text()), "tables")
                for p in MODULES}
     assert {m: r for m, r in readers.items() if r} == {
-        "branching": ["_evaluate"]}
+        "branching": ["_evaluate", "_evaluate"]}
 
 
 @pytest.mark.parametrize("source, readers", [
@@ -623,10 +625,21 @@ def test_evaluate_alone_reads_a_chamber_table():
     ("def f():\n    def g(): return _table()\n    return g", ["g"]),
     ("t = _table", ["<module>"]),
     ("def _table(c): return c\nx.tables = 1", []),
-    ("def f(): return m._table(c)", []),
+    ("def f(): return m._table(c)", ["f"]),
 ])
 def test_readers_are_found(source, readers):
     assert _readers(ast.parse(source), "_table") == readers
+
+
+@pytest.mark.parametrize("source, readers", [
+    ("def f():\n    return c.tables.get(m)", ["f"]),
+    ("def f():\n    c.tables[m] = t\n    return [x.tables for x in y]",
+     ["f", "f"]),
+    ("def f(c): c.tables = 1", ["f"]),
+    ("def tables(c): return c", []),
+])
+def test_attribute_uses_are_found(source, readers):
+    assert _readers(ast.parse(source), "tables") == readers
 
 
 # the lines of src/kbranch/*.py, as `cat src/kbranch/*.py | wc -l` counts
