@@ -147,7 +147,7 @@ class Chamber(NamedTuple):
     terms: tuple[_Term, ...]
     heights: tuple[int, ...]
     shift_top: int
-    lowest: Optional[tuple]  # w_Phi^T's state map where T_M = T: see table_of
+    lowest: Optional[tuple]  # w_Phi^T where T_M = T, off W_K, not the terms
     tables: dict        # mode -> (certificate, terms), grown by _evaluate
 
     def __eq__(self, other):
@@ -286,8 +286,8 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
     rho2_c, top = subsets[-1][1], _top_covector(g, hv)
     terms = (_walk_plan(g, hv, compact, noncompact, rho2_c)
              if g.blattner_applies else ())
-    lowest = next((w.walk[:hm.rank] for w in g.k_weyl if w.top == rho2_c
-                   and terms and not g.fibres.dirs and g.fibres.d == 1), None)
+    lowest = (next(w.walk[:hm.rank] for w in g.k_weyl if w.top == rho2_c)
+              if terms and not g.fibres.dirs and g.fibres.d == 1 else None)
     return Chamber(hm, tuple(compact), tuple(noncompact),
                    tuple(a for a in simple_roots(rmplus) if compact_of[a]),
                    tuple(map(sub, hv, rho2_c)), tuple(subsets), top,

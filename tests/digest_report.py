@@ -13,10 +13,9 @@ above the script's cap on candidate K-types is named, not built.
 pytest does not collect this file (its name is not test_*).  Run it from
 the repository root:
 
-    PYTHONPATH=src python tests/digest_report.py [--max-box N] [FILE ...]
+    PYTHONPATH=src python tests/digest_report.py
 """
 
-import argparse
 import hashlib
 import json
 import sys
@@ -27,6 +26,8 @@ from kbranch import branching, cli
 from kbranch.presets import resolve_params
 
 DATA = Path(__file__).parent / "data"
+# su21's box at window 64, the largest a digest file needs
+branching.MAX_BOX = 129 ** 3
 EVALUATORS = {
     "table_of": lambda g, v, p, w: branching.table_of(v, w),
     "partition": lambda g, v, p, w: branching.box_table(g, p, w, "partition"),
@@ -94,20 +95,9 @@ def report(path: Path) -> dict:
     return totals
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("files", nargs="*", type=Path,
-                        help="digest files (default: every tests/data/"
-                             "table_*.sha256.json)")
-    parser.add_argument("--max-box", type=int, default=129 ** 3,
-                        help="candidate K-types a box table may scan "
-                             "(default 129^3, su21's box at window 64, the "
-                             "largest a digest file needs)")
-    args = parser.parse_args(argv)
-    branching.MAX_BOX = args.max_box
-    files = args.files or sorted(DATA.glob("table_*.sha256.json"))
+def main() -> int:
     mismatched = 0
-    for path in files:
+    for path in sorted(DATA.glob("table_*.sha256.json")):
         totals = report(path)
         mismatched += sum(len(json.loads(path.read_text())["sha256"])
                           - equal - skipped
