@@ -26,10 +26,10 @@ what every K-type shares.  That work comes in three tiers:
     nonzero verdict carries the record, and every table of Phi reads it;
   - call: what lambda and chi fix, checked in integers (dominance, the lift
     of lambda - rho, the component values) into one record, the nonzero
-    verdict with the base key lambda - rho + 2rho_n and lambda's regularity;
-    and what the base and window move: each walk's start and the levels'
-    bounds.  A verdict records the group it judged, so a call is
-    validate_params -> verdict -> table_of, as ktype_table(g, p, window).
+    verdict with the base key lambda - rho + 2rho_n; and what the base and
+    window move: each walk's start and the levels' bounds.  A verdict
+    records the group it judged, so a call is validate_params -> verdict ->
+    table_of, as ktype_table(g, p, window).
 
 table_of evaluates Blattner's formula (Hecht-Schmid)
 
@@ -59,9 +59,9 @@ restricted K-types: the window's ktypes.KTypeBox for a table over the box,
 which restricts only the keys read, else ktypes.key_index's.  table_of
 spot-checks its lowest rows with an oracle its table did not come from,
 the partition counts a Blattner table and the series a box one, and a
-Blattner table's lowest row against Schmid's lowest K-type.  Tables carry
-the global sign (-1)^(dim s_M / 2) as metadata; the entries are the
-restricted representation and always nonnegative.
+Blattner table's lowest row against Schmid's lowest K-type, limits
+included.  Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the
+entries are the restricted representation and always nonnegative.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ class Chamber(NamedTuple):
     (group, Phi) by _chamber.  terms, heights and shift_top plan Blattner's
     walk, read off the group's W_K records, so that a call forms only what
     its base moves; where the formula does not apply shift_top is 0 and
-    terms empty.  A chamber compares and hashes by what Phi fixes."""
+    terms empty; w_Phi (R w_Phi K^+ = Phi_c) gives their eps and lowest.
+    A chamber compares and hashes by what Phi fixes."""
 
     hm: HMLattice                        # the Levi lattice graded by Phi
     compact: tuple[tuple[int, ...], ...]
@@ -166,7 +167,6 @@ class ParamVerdict(NamedTuple):
     # nonzero verdicts: the record of p.rmplus, which tables reuse
     chamber: Optional[Chamber] = None
     base: Optional[tuple] = None  # the key (lambda - rho + 2rho_n, chi)
-    regular: bool = False         # no root of Phi is orthogonal to lambda
 
     def __str__(self):
         return self.verdict if not self.reason else f"{self.verdict}: {self.reason}"
@@ -250,8 +250,7 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
             return ParamVerdict(
                 "zero", g, f"parameter orthogonal to simple compact root {a}")
     return ParamVerdict("nonzero", g, chamber=chamber, base=(
-        tuple(map(add, shifted, chamber.rho2_n)), p.chi),
-        regular=all(sum(map(mul, lam, a)) for a in rmplus))
+        tuple(map(add, shifted, chamber.rho2_n)), p.chi))
 
 
 @lru_cache(maxsize=64)
@@ -284,10 +283,11 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
     for c in compact:
         subsets += [(-sign, tuple(map(add, s, c))) for sign, s in subsets]
     rho2_c, top = subsets[-1][1], _top_covector(g, hv)
-    terms = (_walk_plan(g, hv, compact, noncompact, rho2_c)
-             if g.blattner_applies else ())
-    lowest = (next(w.walk[:hm.rank] for w in g.k_weyl if w.top == rho2_c)
-              if terms and not g.fibres.dirs and g.fibres.d == 1 else None)
+    w_phi = (next(w for w in g.k_weyl if w.top == rho2_c)  # R w K^+ = Phi_c
+             if g.blattner_applies else None)
+    terms = _walk_plan(g, hv, noncompact, rho2_c, w_phi.det) if w_phi else ()
+    lowest = (w_phi.walk[:hm.rank] if w_phi and not g.fibres.dirs
+              and g.fibres.d == 1 else None)
     return Chamber(hm, tuple(compact), tuple(noncompact),
                    tuple(a for a in simple_roots(rmplus) if compact_of[a]),
                    tuple(map(sub, hv, rho2_c)), tuple(subsets), top,
@@ -376,19 +376,18 @@ def _evaluate(prep: ParamVerdict, mode: str, index: Mapping[tuple, Sequence],
 
 
 def _walk_plan(g: RealGroupData, hv: tuple[int, ...],
-               compact: Sequence[tuple], noncompact: Sequence[tuple],
-               rho2_c: tuple[int, ...]) -> tuple[_Term, ...]:
+               noncompact: Sequence[tuple], rho2_c: tuple[int, ...],
+               eps: int) -> tuple[_Term, ...]:
     """One _Term per W_K record w, its det eps det(w), for a positive system
     Phi graded by hv, its compact positives Phi_c summing to rho2_c.  R maps
-    the K roots one-to-one onto the compact roots, so R w_Phi rho_K = rho_c,
-    Blattner's eps = det(w_Phi) = (-1)^#(Phi_c outside the group's R K^+)
+    the K roots one-to-one onto the compact roots, so R w_Phi rho_K = rho_c
+    for the one w_Phi with R w_Phi K^+ = Phi_c, Blattner's eps = det(w_Phi)
     and shift_w = R(w rho_K) - rho_c = (R w 2rho_K - 2rho_c) / 2.  Each walk
     variable (w^T dirs_f, then the noncompact positives; a zero column if
     none) has a level: its column's state, the rows (i, s, s col[i]) of the
     conditions s state[i] >= bound, and its reach per unit of its hi:
     |s col[i]| on a free coordinate, max(s col[i], 0) on a count.
     """
-    eps = (-1) ** sum(c not in g.r_k_positives for c in compact)
     rank, width = g.k_roots.rank, len(g.k_weyl[0].walk)
     # the conditions' (i, s): both signs of each entry of d mu, then each
     # pairing with a simple K root
@@ -600,9 +599,9 @@ def table_of(verdict: ParamVerdict, window: int) -> KTypeTable:
     partition oracle, or the series for a box table, checks the few nonzero
     entries of least height, where it is cheapest (ties in lexical order);
     an empty table reads neither.  Where T_M = T, a Blattner table of a
-    regular lambda holds Schmid's lowest K-type once, alone at its least
-    height, if it is in the window: w_Phi^T Lambda, as Lambda = lambda +
-    rho_n - rho_c is dominant for Phi_c = R w_Phi K^+.
+    nonzero verdict, limits too (Knapp-Zuckerman), holds Schmid's lowest
+    K-type once, alone at its least height, if it is in the window: w_Phi^T
+    Lambda, as Lambda = lambda + rho_n - rho_c is dominant for Phi_c.
     """
     _check_window(window)
     g, prep = verdict.group, _prepare(verdict)
@@ -614,7 +613,7 @@ def table_of(verdict: ParamVerdict, window: int) -> KTypeTable:
             else _box(g, prep, window, "partition"))
     v, lowest = prep.chamber.top, prep.chamber.lowest
     spot = sorted([(sum(map(mul, mu, v)), mu, m) for mu, m in rows])
-    if prep.regular and lowest:  # Schmid's lowest K-type u Lambda
+    if lowest:  # Schmid's lowest K-type u Lambda
         low = matvec(lowest, prep.base[0])
         h = sum(map(mul, low, v))  # the rows this high: it alone, once
         if max(map(abs, low)) <= window and [

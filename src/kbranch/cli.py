@@ -96,6 +96,9 @@ def cmd_table(args) -> int:
     except TableSizeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
+    except ArithmeticError as e:  # a check of the table failed
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     payload = _table_payload(g.name, doc, table)
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -259,7 +259,6 @@ class RealGroupData(NamedTuple):
     fibres: Fibres                           # R x = b, read by one integer map
     k_pairings: Fibres                       # S x = p, S the simple K roots
     blattner_applies: bool
-    r_k_positives: frozenset                 # R K^+
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -563,8 +562,7 @@ def _build(doc: dict) -> RealGroupData:
         k_weyl=_k_weyl(closure, t_lattice.height_vec, tm_in_t, fibres,
                        k_roots.simples),
         fibres=fibres, k_pairings=Fibres.of(k_roots.simples, k_rank),
-        blattner_applies=False, r_k_positives=frozenset(
-            matvec(tm_in_t, a) for a in k_roots.positives))
+        blattner_applies=False)
 
     # compact m-roots must come from roots of the compact subgroup
     k_restr = [matvec(tm_in_t, r) for r in k_roots.roots]

@@ -101,10 +101,6 @@ def _class_keys(g: RealGroupData, pairings: tuple[int, ...]) -> tuple:
     return tuple(groups.items())
 
 
-def _pairings(g: RealGroupData, hw: Sequence[int]) -> tuple[int, ...]:
-    return tuple([sum(map(mul, hw, s)) for s in g.k_roots.simples])
-
-
 def key_index(g: RealGroupData, hws: Iterable[tuple[int, ...]]
               ) -> dict[tuple, list]:
     """The restriction of a batch of distinct dominant integer tuples to
@@ -116,7 +112,7 @@ def key_index(g: RealGroupData, hws: Iterable[tuple[int, ...]]
     index: dict[tuple, list] = {}
     for hw in hws:
         r_hw, z_hw = matvec(g.tm_in_t, hw), matvec(g.zchar_rows, hw)
-        for z_t, acc in _class_keys(g, _pairings(g, hw)):
+        for z_t, acc in _class_keys(g, matvec(g.k_roots.simples, hw)):
             i = g.hm.ztable.index(map(sub, z_hw, z_t))
             for r_t, m in acc.items():
                 index.setdefault((tuple(map(sub, r_hw, r_t)), i), []
@@ -157,7 +153,7 @@ class KTypeBox:
     def _lift(self, key: tuple) -> tuple:
         """The key's entries, each K-type's read off its class's keys."""
         (c, i), g, w = key, self._g, self._window
-        f, tops, rows = g.fibres, set(), {}
+        f, simples, tops, rows = g.fibres, g.k_roots.simples, set(), {}
         base, cols = matvec(f.a, c), tuple(zip(*f.dirs)) or repeat(())
         for x in product(range(-w, w + 1), repeat=len(f.dirs)):
             t = tuple([(b + sum(map(mul, x, col))) // f.d
@@ -165,7 +161,7 @@ class KTypeBox:
             if (max(map(abs, t), default=0) <= w and matvec(g.tm_in_t, t) == c
                     and g.zchar(t) == i):
                 tops.add(next(u for u in (matvec(v.matrix, t) for v in g.k_weyl)
-                              if min(_pairings(g, u), default=0) >= 0))
+                              if min(matvec(simples, u), default=0) >= 0))
         for top in tops:
             h = sum(map(mul, top, g.t_lattice.height_vec))
             for room, s in self._cone:
@@ -173,7 +169,7 @@ class KTypeBox:
                     break
                 hw = tuple(map(add, top, s))
                 if hw in rows or max(map(abs, hw), default=0) > w or min(
-                        pairings := _pairings(g, hw), default=0) < 0:
+                        pairings := matvec(simples, hw), default=0) < 0:
                     continue
                 r_t = tuple(map(sub, matvec(g.tm_in_t, hw), c))
                 z_hw = matvec(g.zchar_rows, hw)

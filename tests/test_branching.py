@@ -29,6 +29,7 @@ from kbranch.presets import (resolve_params, sl2_discrete, sl2_principal,
                              su21_from_lambda)
 from kbranch.sl2_oracles import SL2Series, sl2_branching
 from kbranch.verify import _sl2_param_sets, random_su21_params
+from brauer_klimyk import dominant
 
 GC = builtin_group("sl2r-compact")
 GS = builtin_group("sl2r-split")
@@ -159,7 +160,7 @@ def test_validate_refuses_a_chi_that_is_not_an_int(g, p, hw, chi):
     p = p._replace(chi=chi)
     v = validate_params(g, p)
     assert v == ("invalid", g, f"no component character with index {chi}",
-                 None, None, False)
+                 None, None)
     for evaluate in (lambda: ktype_table(g, p, 4),
                      lambda: box_table(g, p, 4, "partition"),
                      lambda: ktype_multiplicity(g, p, KType(g.t_weight(hw)))):
@@ -1393,7 +1394,12 @@ SU31 = load_group_data(Path(__file__).parent / "data" / "su31.json")
 _PLANTED = ([(GU, lam, 1) for lam in ((3, 1, -1), (5, -2, 0), (-1, 2, 4))]
             + [(SP4R, lam, 1) for lam in ((2, 1), (3, 1), (5, 2), (6, 1),
                                           (2, -1), (3, -1), (4, -3), (1, -2))]
-            + [(SU31, (3, 1, -1, -3), 2)])  # lambda = rho
+            + [(SU31, (3, 1, -1, -3), 2)]  # lambda = rho
+            + [(SO43, lam, 2) for lam in ((5, 3, 1), (-1, -5, 3))])  # at 6
+# limits of su21, each on its one positive system with the planted rows
+_R1 = [[1, -1, 0], [1, 0, -1], [0, 1, -1]]
+_R2 = [[1, -1, 0], [1, 0, -1], [0, -1, 1]]
+_PLANTED_LIMITS = [((3, -1, -1), _R1), ((4, 1, 1), _R1), ((2, -1, 2), _R2)]
 # the Z' filter is planted where |Z'| = 2 (it is trivial on su21, sp4r and
 # su31): on sl2r-compact, the discrete series of lambda = +-n, and on
 # sl2xu1, where Z' splits each cone point's line of preimages by parity
@@ -1406,11 +1412,15 @@ _PLANTED_ZPRIME = (
                               (-3, 1, -2))])
 
 
-def _planted_cases(defect):
-    """(group, lambda, parameters) of each case the defect is planted on."""
+def _planted_cases(defect, window=12):
+    """(group, lambda, parameters) of each case the defect is planted on at
+    the window: SO(4,3) at window 6 only, which keeps it cheap."""
     if defect == "zprime":
         return _PLANTED_ZPRIME
-    return [(g, lam, _chamber(g, lam, denom)) for g, lam, denom in _PLANTED]
+    return ([(g, lam, _chamber(g, lam, denom)) for g, lam, denom in _PLANTED
+             if g is not SO43 or window == 6]
+            + [(GU, lam, su21_from_lambda(GU, lam, rmplus=rmplus))
+               for lam, rmplus in _PLANTED_LIMITS])
 
 
 def _plant(monkeypatch, defect, g):
@@ -1476,49 +1486,59 @@ def _plant(monkeypatch, defect, g):
 # window 6: first the nonnegativity of the rows, then the check's
 # disagreement.  The partition check catches the same; at window 12 the
 # flipped det also makes a row of sp4r (6, 1) negative
+_LIMITS = {("su21", lam) for lam, _ in _PLANTED_LIMITS}
+_SO43 = {("so43", (5, 3, 1)), ("so43", (-1, -5, 3))}
 _CAUGHT_AT_6 = {
     "det": {("su21", (3, 1, -1)), ("su21", (5, -2, 0)), ("sp4r", (2, 1)),
             ("sp4r", (3, 1)), ("sp4r", (5, 2)), ("sp4r", (2, -1)),
             ("sp4r", (3, -1)), ("sp4r", (4, -3)), ("sp4r", (1, -2)),
-            ("su31", (3, 1, -1, -3))},
+            ("su31", (3, 1, -1, -3)), ("so43", (5, 3, 1))} | _LIMITS,
     "shift": {("su21", (3, 1, -1)), ("su21", (5, -2, 0)), ("sp4r", (5, 2)),
               ("sp4r", (6, 1)), ("sp4r", (2, -1)), ("sp4r", (3, -1)),
-              ("sp4r", (4, -3)), ("sp4r", (1, -2)), ("su31", (3, 1, -1, -3))},
+              ("sp4r", (4, -3)), ("sp4r", (1, -2)), ("su31", (3, 1, -1, -3))}
+    | _LIMITS | _SO43,
     "w": set(),
 }
 _CAUGHT = {**{(d, 6): c for d, c in _CAUGHT_AT_6.items()},
-           ("det", 12): _CAUGHT_AT_6["det"] | {("sp4r", (6, 1))},
-           ("shift", 12): _CAUGHT_AT_6["shift"], ("w", 12): set()}
+           ("det", 12): _CAUGHT_AT_6["det"] - _SO43 | {("sp4r", (6, 1))},
+           ("shift", 12): _CAUGHT_AT_6["shift"] - _SO43, ("w", 12): set()}
 # the tables a planted defect leaves wrong with no check raising.  Of su21
 # (-1, 2, 4)'s 21 rows at window 12, the moved shifts drop 6 and the flipped
 # det adds 6 more; w for w^T adds rows to su31 at lambda = rho, 1 at window
 # 6 and 37 at 12.  Every row such a table shares with the right one holds
-# the right value; only the window-8 digests of su31 catch the last
+# the right value; only the window-8 digests of su31 catch the last.  On
+# su21 and SO(4,3) every W_K element is a symmetric matrix, so w changes no
+# table there, and the flipped det leaves SO(4,3) (-1, -5, 3) unchanged
 _WRONG = {("det", 12): {("su21", (-1, 2, 4))},
           ("shift", 12): {("su21", (-1, 2, 4))},
           ("w", 6): {("su31", (3, 1, -1, -3))},
           ("w", 12): {("su31", (3, 1, -1, -3))}}
 # four more defects, each raising a negative row, Schmid's lowest K-type
 # or, for the walk lines and Z', a disagreement.  The dropped last term
-# empties six tables at window 6 and five at 12, whose lowest K-type then
+# empties eight tables at window 6 and six at 12, whose lowest K-type then
 # lies in the window with no row; at 12 it adds 6 rows to su21 (-1, 2, 4)
 # above its lowest K-type, which no check sees.  Lines started one past
 # their first point drop rows from every table they leave wrong, the
 # lowest K-type first, as from su21 (5, -2, 0) (10 -> 8 rows at 6, 88 ->
-# 80 at 12).  At window 6 the dropped term leaves su21 (-1, 2, 4) and
-# sp4r (6, 1) unchanged, and the late starts sp4r (6, 1).  Skipping the Z' filter changes no sl2r-compact table, where
-# the walk's parity already fixes the Z' character, and every sl2xu1 one
-# raises.  The one dominance row dropped leaves sp4r (5, 2) and (6, 1)
+# 80 at 12).  At window 6 the dropped term leaves su21 (-1, 2, 4), sp4r
+# (6, 1) and SO(4,3) (-1, -5, 3) unchanged, and the late starts sp4r (6, 1).
+# The su21 limits raise on every defect but w.  A nonzero limit's lowest
+# K-type is checked as a regular lambda's is (Knapp-Zuckerman), and it alone
+# catches three of their tables under the dropped term and all six under
+# the late starts.  Skipping the Z' filter changes no sl2r-compact table,
+# where the walk's parity already fixes the Z' character, and every sl2xu1
+# one raises.  The one dominance row dropped leaves sp4r (5, 2) and (6, 1)
 # unchanged at 6 and raises everywhere else
-_ALL = {(g.name, lam) for g, lam, _ in _PLANTED}
+_ALL = {(g.name, lam) for g, lam, _ in _planted_cases("det", 6)}
 _SL2XU1 = {("sl2xu1", (lam,)) for lam in (1, 2, 3, -2, -3)}
 _CAUGHT.update({
-    ("drop", 6): _ALL - {("su21", (-1, 2, 4)), ("sp4r", (6, 1))},
-    ("drop", 12): _ALL - {("su21", (-1, 2, 4))},
-    ("start", 6): _ALL - {("sp4r", (6, 1))}, ("start", 12): _ALL,
+    ("drop", 6): _ALL - {("su21", (-1, 2, 4)), ("sp4r", (6, 1)),
+                         ("so43", (-1, -5, 3))},
+    ("drop", 12): _ALL - _SO43 - {("su21", (-1, 2, 4))},
+    ("start", 6): _ALL - {("sp4r", (6, 1))}, ("start", 12): _ALL - _SO43,
     ("zprime", 6): _SL2XU1, ("zprime", 12): _SL2XU1,
     ("dominance", 6): _ALL - {("sp4r", (5, 2)), ("sp4r", (6, 1))},
-    ("dominance", 12): _ALL})
+    ("dominance", 12): _ALL - _SO43})
 _WRONG[("drop", 12)] = {("su21", (-1, 2, 4))}
 _LOWEST = (r"lowest K-type \(.*\) is not the one row of least height, "
            r"with multiplicity 1")
@@ -1530,7 +1550,7 @@ _LOWEST = (r"lowest K-type \(.*\) is not the one row of least height, "
 def test_partition_spot_check_catches_planted_blattner_defects(monkeypatch,
                                                                 defect,
                                                                 window):
-    clean, cases = {}, _planted_cases(defect)
+    clean, cases = {}, _planted_cases(defect, window)
     for g, lam, p in cases:
         clean[g.name, lam] = ktype_table(g, p, window)
     caught, wrong = set(), set()
@@ -1560,23 +1580,69 @@ def test_partition_spot_check_catches_planted_blattner_defects(monkeypatch,
     assert wrong == _WRONG.get((defect, window), set())
 
 
-def test_an_empty_blattner_table_of_a_regular_lambda_raises(monkeypatch):
-    # Schmid: a regular lambda's lowest K-type, u(lambda + rho_n - rho_c),
-    # has multiplicity 1, so a Blattner table that lost every row raises
-    # once that K-type lies in the window, and a singular lambda's is not
-    # checked
+def test_an_empty_blattner_table_of_a_nonzero_lambda_raises(monkeypatch):
+    # Schmid, and Knapp-Zuckerman for a nonzero limit: the lowest K-type
+    # u(lambda + rho_n - rho_c) has multiplicity 1, so a Blattner table that
+    # lost every row raises once that K-type lies in the window, for a
+    # regular lambda and a singular one alike
     regular = su21_from_lambda(GU, [5, -2, 0])
-    singular = su21_from_lambda(GU, [3, -1, -1],
-                                rmplus=[[1, -1, 0], [1, 0, -1], [0, 1, -1]])
-    assert ktype_table(GU, regular, 4).entries == {}
-    assert ktype_table(GU, regular, 5).entries[5, -2, 0] == 1
-    assert ktype_table(GU, singular, 5).entries
-    monkeypatch.setattr(branching, "_blattner_table", lambda *args: [])
-    assert ktype_table(GU, regular, 4).entries == {}
+    singular = su21_from_lambda(GU, [3, -1, -1], rmplus=_R1)
+    for p, low in ((regular, (5, -2, 0)), (singular, (3, 0, -2))):
+        window = max(map(abs, low))
+        assert ktype_table(GU, p, window - 1).entries == {}
+        assert ktype_table(GU, p, window).entries[low] == 1
+        with monkeypatch.context() as m:
+            m.setattr(branching, "_blattner_table", lambda *args: [])
+            assert ktype_table(GU, p, window - 1).entries == {}
+            with pytest.raises(ArithmeticError, match=re.escape(
+                    f"lowest K-type {low} is not the one row of least "
+                    "height")):
+                ktype_table(GU, p, window)
+
+
+def test_late_walk_starts_on_a_limit_raise(monkeypatch):
+    # each line of Blattner's walk starts one past its first point: the
+    # limit su21 (3, -1, -1) at window 64 loses its lowest K-type, 212 rows
+    # for 245, and the check of that K-type raises
+    p = su21_from_lambda(GU, [3, -1, -1], rmplus=_R1)
+    assert len(ktype_table(GU, p, 64).entries) == 245
+    walk = branching._walk
+    monkeypatch.setattr(branching, "_walk", lambda state, levels: (
+        (line, lo + 1, hi) for line, lo, hi in walk(state, levels)))
+    rows = branching._blattner_table(GU, validate_params(GU, p), 64)
+    assert sum(1 for _, m in rows if m) == 212
     with pytest.raises(ArithmeticError, match=re.escape(
-            "lowest K-type (5, -2, 0) is not the one row of least height")):
-        ktype_table(GU, regular, 5)
-    assert ktype_table(GU, singular, 5).entries == {}
+            "lowest K-type (3, 0, -2) is not the one row of least height")):
+        ktype_table(GU, p, 64)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(-5, 5), st.integers(-5, 5),
+       st.sampled_from([(0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+       st.sampled_from(list(itertools.permutations((1, 0, -1)))),
+       st.integers(0, 3))
+def test_a_limit_s_lowest_row_is_its_lowest_k_type(a, b, where, tie, extra):
+    # Knapp-Zuckerman: a nonzero limit of discrete series has the lowest
+    # K-type u(lambda + rho_n - rho_c), once, alone at the least height.
+    # lambda has two equal coordinates, so it is singular, on each positive
+    # system that makes it dominant (ties broken by tie); the K-type and
+    # the height covector v are formed here from the roots and W_K
+    lam = tuple(b if k else a for k in where)
+    rmplus = tuple(_signed(r, (dot(lam, r), dot(tie, r)) > (0, 0))
+                   for r in GU.m_roots.positives)
+    p = TemperedParams(GU.tm_weight(lam), rmplus, 0, GU.a_weight([]))
+    assume(validate_params(GU, p).verdict == "nonzero")
+    lowest2 = [2 * x for x in lam]
+    for r in rmplus:
+        lowest2 = [x + (-y if GU.compact_of[r] else y)
+                   for x, y in zip(lowest2, r)]
+    low = tuple(x // 2 for x in dominant(GU, lowest2)[0])
+    v = dominant(GU, [sum(c) for c in zip(*rmplus)])[0]
+    window = max(map(abs, low)) + extra
+    rows = sorted((dot(mu, v), mu, m)
+                  for mu, m in ktype_table(GU, p, window).entries.items())
+    assert rows[0] == (dot(low, v), low, 1)
+    assert len(rows) == 1 or rows[1][0] > rows[0][0]
 
 
 def test_an_empty_table_reads_no_oracle(cold_records):

@@ -21,6 +21,7 @@ from kbranch.cli import main
 from kbranch.oscillator import MAX_GRID_POINTS
 from kbranch.groups import _BUILTIN_DIR, data_dir, load_group_data
 from kbranch.presets import resolve_params
+from test_branching import _plant
 from test_groups import CIRCLE_SL2XU1_DOC, GROUP_FILES
 
 DATA = Path(__file__).parent / "data"
@@ -296,21 +297,36 @@ def test_window_6_so43_tables_match_their_digests(capsys):
 
 def test_a_digest_failure_names_the_first_window_that_changed(capsys,
                                                               monkeypatch):
-    # a planted defect that no check catches: each line of Blattner's walk
-    # starts one past its first point.  The flipped det and the moved shifts
-    # of test_branching's _plant raise on all four su21 entries at window
-    # 64, and this one on the three regular ones, whose lowest K-type it
-    # drops; su21 (3, -1, -1), singular, exits 0 with 212 rows for 245, the
-    # first change inside window 8
+    # a planted defect that no check of table_of catches: each walk reads
+    # mu through w in place of w^T (test_branching's w), planted at load.
+    # 6 of SU(3,1)'s 24 chambers at window 8 then exit 0 with wrong rows;
+    # lambda = rho gets 13 rows for 6, the first change inside window 6
+    monkeypatch.setattr(cli, "_load_group", lambda spec: _plant(
+        monkeypatch, "w", load_group_data(spec)))
+    pinned = json.loads((DATA / "table_su31_w8.sha256.json").read_text())
+    params = next(iter(pinned["sha256"]))  # lambda = rho
+    assert json.loads(params)["lambda"] == [3, 1, -1, -3]
+    code, out, err = run(capsys, *pinned["argv"], "--group",
+                         str(DATA / "su31.json"), "--params", params)
+    assert (code, err) == (0, "")
+    assert _digest_mismatch(pinned, params, out) == (
+        f"{params}: rows differ from window 6 on (6 rows pinned, 13 now)")
+
+
+def test_a_failed_table_check_exits_1_with_one_line(capsys, monkeypatch,
+                                                     tmp_path):
+    # each line of Blattner's walk starts one past its first point: su21
+    # [3, 1, -1] at window 64 then fails a check of table_of, which the
+    # CLI prints as one error line, writing no table
     walk = branching._walk
     monkeypatch.setattr(branching, "_walk", lambda state, levels: (
         (line, lo + 1, hi) for line, lo, hi in walk(state, levels)))
-    pinned = json.loads((DATA / "table_su21_w64.sha256.json").read_text())
-    params = '{"lambda":[3,-1,-1],"rmplus":[[1,-1,0],[1,0,-1],[0,1,-1]]}'
-    code, out, err = run(capsys, *pinned["argv"], "--params", params)
-    assert (code, err) == (0, "")
-    assert _digest_mismatch(pinned, params, out) == (
-        f"{params}: rows differ from window 8 on (245 rows pinned, 212 now)")
+    out_file = tmp_path / "table.csv"
+    code, out, err = run(capsys, "table", "--group", "su21", "--params",
+                         '{"lambda":[3,1,-1]}', "--window", "64",
+                         "--out", str(out_file))
+    assert (code, out) == (1, "") and not out_file.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_grid_above_cap_exits_2(capsys):

@@ -9,9 +9,8 @@ W_K's records: no partition count, no series and no restriction, so it is
 independent of all that Blattner's table and both box oracles share.  It
 works in doubled coordinates.  The spin character is the product over the
 noncompact positives beta of (e^beta - e^-beta), and Brauer-Klimyk over
-W_K expands each row times it: X = 2mu + s + 2rho_K, made K-dominant by w,
-adds m sign det(w) at w X - 2rho_K unless w X is singular.  A K-type nu
-is read only where every row that reaches it lies in the window, on the
+W_K (tests/brauer_klimyk.py) expands each row times it.  A K-type nu is
+read only where every row that reaches it lies in the window, on the
 interior |nu| <= 2 window - max|s| - 2 |2rho_K| (max norms: W_K acts by
 signed permutations on these groups).  Limits are out of scope: their
 index needs a rule with its own citation first.
@@ -25,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from kbranch.branching import TemperedParams, table_of, validate_params
 from kbranch.groups import builtin_group, load_group_data, matvec
 from kbranch.presets import su21_from_lambda
+from brauer_klimyk import add, brauer_klimyk, dominant, dot, rho2_k
 from test_branching import _WRONG, _plant, _planted_cases
 
 DATA = Path(__file__).parent / "data"
@@ -32,14 +32,6 @@ GROUPS = {"sl2r-compact": builtin_group("sl2r-compact"),
           "su21": builtin_group("su21"),
           **{name: load_group_data(DATA / f"{name}.json")
              for name in ("sp4r", "su22", "su31", "so43")}}
-
-
-def _add(*vs):
-    return tuple(map(sum, zip(*vs)))
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def spin_character(g, chamber):
@@ -52,49 +44,24 @@ def spin_character(g, chamber):
         b, product = matvec(g.fibres.a, beta), {}
         for s, c in spin.items():
             for sign in (1, -1):
-                key = _add(s, [sign * x for x in b])
+                key = add(s, [sign * x for x in b])
                 product[key] = product.get(key, 0) + sign * c
         spin = {s: c for s, c in product.items() if c}
     return spin
 
 
-def dominant(g, x):
-    """(w x, det w) for the w in W_K that makes x K-dominant."""
-    for w in g.k_weyl:
-        wx = matvec(w.matrix, x)
-        if all(_dot(wx, a) >= 0 for a in g.k_roots.simples):
-            return wx, w.det
-    raise AssertionError(f"no W_K element makes {x} dominant")
-
-
 def dirac_index(g, rows, spin, window):
     """The K-types nu, in doubled coordinates, of rows (x) (S+ - S-) read
     on the window's interior, and that interior's radius."""
-    rho2_k = _add((0,) * g.k_roots.rank, *g.k_roots.positives)
-    reach = max(map(abs, rho2_k))
-    radius = 2 * window - max(max(map(abs, s)) for s in spin) - 2 * reach
-    # X reaches the interior only if |X| <= radius + |2rho_K|
-    weights = {}
-    for mu, m in rows:
-        for s, c in spin.items():
-            x = _add([2 * y for y in mu], s, rho2_k)
-            if max(map(abs, x)) <= radius + reach:
-                weights[x] = weights.get(x, 0) + m * c
-    index = {}
-    for x, c in weights.items():
-        x, det = dominant(g, x)
-        if any(_dot(x, a) == 0 for a in g.k_roots.simples):
-            continue  # singular: no K-type
-        nu = tuple(a - b for a, b in zip(x, rho2_k))
-        if max(map(abs, nu)) <= radius:
-            index[nu] = index.get(nu, 0) + c * det
-    return {nu: c for nu, c in index.items() if c}, radius
+    radius = (2 * window - max(max(map(abs, s)) for s in spin)
+              - 2 * max(map(abs, rho2_k(g))))
+    return brauer_klimyk(g, rows, spin, radius), radius
 
 
 def expected(g, p, chamber):
     """The K-dominant conjugate of 2lambda - 2rho_c, lifted to T."""
     lam2 = [2 // p.lam.denom * x for x in p.lam.coords]
-    rho2_c = _add((0,) * len(lam2), *chamber.compact)
+    rho2_c = add((0,) * len(lam2), *chamber.compact)
     return dominant(g, matvec(g.fibres.a, [
         a - b for a, b in zip(lam2, rho2_c)]))[0]
 
@@ -103,8 +70,8 @@ def assert_index(g, p, window, spin=None):
     """The table of p at the window, tensored with the spin module (its
     own, or spin), is +-1 at the K-dominant conjugate of 2lambda - 2rho_c,
     which lies inside the interior, and 0 elsewhere on it."""
+    assert all(dot(p.lam.coords, a) for a in p.rmplus)  # lambda regular
     verdict = validate_params(g, p)
-    assert verdict.regular
     rows = table_of(verdict, window).rows()
     spin = spin_character(g, verdict.chamber) if spin is None else spin
     index, radius = dirac_index(g, rows, spin, window)
@@ -116,12 +83,12 @@ def assert_index(g, p, window, spin=None):
 def _rho_chambers(g, denom):
     """lambda = w rho for every w in W, as parameters of the positive system
     that each makes dominant: rho's orbit under the Levi root reflections."""
-    rho2 = _add((0,) * g.hm.rank, *g.m_roots.positives)
+    rho2 = add((0,) * g.hm.rank, *g.m_roots.positives)
     orbit, todo = {rho2}, [rho2]
     while todo:
         v = todo.pop()
         for a in g.m_roots.positives:
-            r = tuple(x - 2 * _dot(v, a) // _dot(a, a) * y
+            r = tuple(x - 2 * dot(v, a) // dot(a, a) * y
                       for x, y in zip(v, a))
             if r not in orbit:
                 orbit.add(r)
@@ -129,7 +96,7 @@ def _rho_chambers(g, denom):
     for lam2 in sorted(orbit):
         lam = g.tm_weight([x * denom // 2 for x in lam2], denom)
         yield TemperedParams(lam, tuple(
-            r if _dot(lam2, r) > 0 else tuple(-x for x in r)
+            r if dot(lam2, r) > 0 else tuple(-x for x in r)
             for r in g.m_roots.positives), 0, g.a_weight([]))
 
 
@@ -164,7 +131,7 @@ def test_an_off_by_one_in_the_spin_weights_fails():
         p = su21_from_lambda(g, lam)
         spin = spin_character(g, validate_params(g, p).chamber)
         assert_index(g, p, 12, spin)
-        shifted = {_add(s, (1, 0, 0)): c for s, c in spin.items()}
+        shifted = {add(s, (1, 0, 0)): c for s, c in spin.items()}
         with pytest.raises(AssertionError):
             assert_index(g, p, 12, shifted)
 

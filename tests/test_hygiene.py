@@ -645,7 +645,7 @@ def test_attribute_uses_are_found(source, readers):
 # the lines of src/kbranch/*.py, as `cat src/kbranch/*.py | wc -l` counts
 # them: a change that shrinks the source lowers it, and one that grows it
 # says why
-SRC_LINES = 2980
+SRC_LINES = 2976
 
 
 def test_source_is_within_its_line_budget():

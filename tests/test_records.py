@@ -37,13 +37,12 @@ FROZEN = {
                       ("name", "k_roots", "m_roots", "dim_a", "tm_in_t",
                        "zgen_w", "zchar_rows", "hm", "t_lattice", "dim_s_m",
                        "checklist", "compact_of", "k_weyl", "fibres",
-                       "k_pairings", "blattner_applies", "r_k_positives")),
+                       "k_pairings", "blattner_applies")),
     "Fibres": (lambda: builtin_group("su21").fibres,
                ("a", "dirs", "consistency", "d", "free")),
     "TemperedParams": (lambda: _params(GU), ("lam", "rmplus", "chi", "nu")),
     "ParamVerdict": (lambda: validate_params(GU, _params(GU)),
-                     ("verdict", "group", "reason", "chamber", "base",
-                      "regular")),
+                     ("verdict", "group", "reason", "chamber", "base")),
     "Chamber": (lambda: branching._chamber.__wrapped__(
                     GU, _params(GU).rmplus),
                 ("hm", "compact", "noncompact", "compact_simples",
