@@ -18,12 +18,12 @@ what every K-type shares.  That work comes in three tiers:
     Chamber record built once per (group, Phi) and kept in a cache of 64:
     whether Phi is a positive system at all (no duplicates or non-roots,
     a half of the roots, pointed), the lattice graded by Phi, its positives
-    split by type, its compact simple roots, 2rho_n, the signed
-    compact-subset sums, the keys' top covector, the plan of Blattner's
-    walk (per W_K record eps det(w), its shift's state and height and its
-    levels' columns, condition rows and reach), w_Phi^T's state map and the
-    oracles' tables, each rebuilt only for a read past its certificate.  A
-    nonzero verdict carries the record, and every table of Phi reads it;
+    split by type, its compact simple roots, 2rho_n, the keys' top
+    covector, the plan of Blattner's walk (per W_K record eps det(w), its
+    shift's state and height and its levels' columns, condition rows and
+    reach), w_Phi^T's state map and the oracles' tables, each rebuilt only
+    for a read past its certificate.  A nonzero verdict carries the record,
+    and every table of Phi reads it;
   - call: what lambda and chi fix, checked in integers (dominance, the lift
     of lambda - rho, the component values) into one record, the nonzero
     verdict with the base key lambda - rho + 2rho_n; and what the base and
@@ -49,19 +49,19 @@ interval that keeps mu in the window and the dominant chamber, so neither
 a box of K-types nor a table of partition counts is built.
 
 Two oracles stay independent of it and of each other, each a chamber table
-(certificate, terms) read at signed offsets by _evaluate: the Kostant
-partition counts of the noncompact positives at base + S with sign
-(-1)^|S| for each compact subset S, and the truncated series product,
-which holds the compact exterior, at the base alone.  Each read runs in
-height order up to the call's own doubled height, never past the table's
-certificate, and is scattered by K-type through an inverted index of
-restricted K-types: the window's ktypes.KTypeBox for a table over the box,
-which restricts only the keys read, else ktypes.key_index's.  table_of
-spot-checks its lowest rows with an oracle its table did not come from,
-the partition counts a Blattner table and the series a box one, and a
-Blattner table's lowest row against Schmid's lowest K-type, limits
-included.  Tables carry the global sign (-1)^(dim s_M / 2) as metadata; the
-entries are the restricted representation and always nonnegative.
+(certificate, terms) of the kernel prod_c (1 - e^c) / prod_n (1 - e^n) over
+the compact and noncompact positives, read once at the base by _evaluate:
+the partition counts of the noncompact positives times each compact factor,
+and the truncated series product.  Each read runs in height order up to the
+call's own doubled height, never past the table's certificate, and is
+scattered by K-type through an inverted index of restricted K-types: the
+window's ktypes.KTypeBox for a table over the box, which restricts only the
+keys read, else ktypes.key_index's.  table_of spot-checks its lowest rows
+with an oracle its table did not come from, the partition counts a Blattner
+table and the series a box one, and a Blattner table's lowest row against
+Schmid's lowest K-type, limits included.  Tables carry the global sign
+(-1)^(dim s_M / 2) as metadata; the entries are the restricted
+representation and always nonnegative.
 """
 
 from __future__ import annotations
@@ -132,6 +132,7 @@ class Chamber(NamedTuple):
     walk, read off the group's W_K records, so that a call forms only what
     its base moves; where the formula does not apply shift_top is 0 and
     terms empty; w_Phi (R w_Phi K^+ = Phi_c) gives their eps and lowest.
+    tables holds each oracle's kernel, which _evaluate reads at the base.
     A chamber compares and hashes by what Phi fixes."""
 
     hm: HMLattice                        # the Levi lattice graded by Phi
@@ -139,8 +140,6 @@ class Chamber(NamedTuple):
     noncompact: tuple[tuple[int, ...], ...]
     compact_simples: tuple[tuple[int, ...], ...]
     rho2_n: tuple[int, ...]              # 2rho_n, the noncompact sum
-    # ((-1)^|S|, sum of S as coordinates) for every compact subset S
-    subsets: tuple[tuple[int, tuple[int, ...]], ...]
     top: tuple[int, ...]                 # v, the _top_covector
     top_l1: int                          # |v|_1
     # Blattner's walk plan: one _Term per W_K element, the noncompact
@@ -278,11 +277,8 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
         else:
             noncompact.append(a)
             heights.append(h)
-    # each subset with c, after those without it; the last is all of them
-    subsets = [(1, (0,) * hm.rank)]
-    for c in compact:
-        subsets += [(-sign, tuple(map(add, s, c))) for sign, s in subsets]
-    rho2_c, top = subsets[-1][1], _top_covector(g, hv)
+    rho2_c = tuple(map(sum, zip((0,) * hm.rank, *compact)))  # 0 if none
+    top = _top_covector(g, hv)
     w_phi = (next(w for w in g.k_weyl if w.top == rho2_c)  # R w K^+ = Phi_c
              if g.blattner_applies else None)
     terms = _walk_plan(g, hv, noncompact, rho2_c, w_phi.det) if w_phi else ()
@@ -290,7 +286,7 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
               and g.fibres.d == 1 else None)
     return Chamber(hm, tuple(compact), tuple(noncompact),
                    tuple(a for a in simple_roots(rmplus) if compact_of[a]),
-                   tuple(map(sub, hv, rho2_c)), tuple(subsets), top,
+                   tuple(map(sub, hv, rho2_c)), top,
                    sum(map(abs, top)), terms, tuple(heights),
                    max((t.height for t in terms), default=0), lowest, {})
 
@@ -321,13 +317,21 @@ def _series(chamber: Chamber, bound2: int) -> tuple[Optional[int], list]:
 
 
 def _partition_table(chamber: Chamber, bound2: int) -> tuple[int, list]:
-    """The partition counts of the noncompact positives up to the doubled
-    height bound2, which certifies them, as (doubled height, key, count)
-    lowest first."""
+    """The branching kernel, prod_alpha (1 - e^alpha) / prod_beta (1 - e^beta)
+    over the compact positives alpha and the noncompact beta, up to the
+    doubled height bound2, which certifies it: the partition counts of the
+    beta times each 1 - e^alpha, none of the series' arithmetic, cut at
+    bound2, as (doubled height, key, m) lowest first, zeros dropped."""
     hv, z = chamber.hm.height_vec, chamber.hm.ztable.identity
-    return bound2, sorted([(sum(map(mul, t, hv)), (t, z), n) for t, n in
-                           partition_counts(chamber.noncompact, chamber.hm,
-                                            bound2).items()])
+    kernel = partition_counts(chamber.noncompact, chamber.hm, bound2)
+    for alpha in chamber.compact:
+        room = bound2 - sum(map(mul, alpha, hv))
+        for t, n in list(kernel.items()):  # the counts before this factor
+            if sum(map(mul, t, hv)) <= room:
+                moved = tuple(map(add, t, alpha))
+                kernel[moved] = kernel.get(moved, 0) - n
+    return bound2, sorted([(sum(map(mul, t, hv)), (t, z), n)
+                           for t, n in kernel.items() if n])
 
 
 def _top_covector(g: RealGroupData, hv: tuple[int, ...]) -> tuple[int, ...]:
@@ -343,35 +347,29 @@ def _top_covector(g: RealGroupData, hv: tuple[int, ...]) -> tuple[int, ...]:
 def _evaluate(prep: ParamVerdict, mode: str, index: Mapping[tuple, Sequence],
               top2: int) -> dict[tuple[int, ...], int]:
     """One oracle's value at each H-key up to the doubled height top2,
-    scattered by K-type through an index of restricted K-types: a chamber
-    table of terms (doubled height, key, m) read at signed offsets, the
-    partition table at base + S with sign (-1)^|S| per compact subset S,
-    the series, which holds the exterior, at the base alone.  A read moves
-    a key (c, i) to (c + offset, i + z_base) up to its room, top2 less the
-    offset's doubled height.  The chamber keeps the builder's pair, rebuilt
-    at the largest room past its certificate, which no room may pass."""
+    scattered by K-type through an index of restricted K-types: the chamber
+    table of terms (doubled height, key, m) of the branching kernel, which
+    either builder returns, read once at the base.  The read moves a key
+    (c, i) to (c + base, i + z_base) up to its room, top2 less the base's
+    doubled height.  The chamber keeps the builder's pair, rebuilt at the
+    room past its certificate, which the room may not pass."""
     chamber, (coords, z) = prep.chamber, prep.base
-    build, subsets = ((_partition_table, chamber.subsets) if mode == "partition"
-                      else (_series, chamber.subsets[:1]))
-    reads = [(sign, tuple(map(add, coords, s))) for sign, s in subsets]
-    rooms = [top2 - sum(map(mul, offset, chamber.hm.height_vec))
-             for _, offset in reads]
-    most = max(rooms)
+    build = _partition_table if mode == "partition" else _series
+    room = top2 - sum(map(mul, coords, chamber.hm.height_vec))
     kept = chamber.tables.get(mode)
-    if kept is None or kept[0] is not None and kept[0] < most:
-        kept = chamber.tables[mode] = build(chamber, most)
+    if kept is None or kept[0] is not None and kept[0] < room:
+        kept = chamber.tables[mode] = build(chamber, room)
     cert, terms = kept
-    if cert is not None and most > cert:
-        raise CutoffError(f"a {mode} read to doubled height {most} beyond "
+    if cert is not None and room > cert:
+        raise CutoffError(f"a {mode} read to doubled height {room} beyond "
                           f"the table's certificate {cert}")
     zs, acc = chamber.hm.ztable.products[z], {}
-    for (sign, offset), room in zip(reads, rooms):
-        for h, (c, zc), m in terms:
-            if h > room:
-                break
-            key = tuple(map(add, offset, c)), zs[zc]
-            for kt, mi in index.get(key, ()):
-                acc[kt] = acc.get(kt, 0) + sign * m * mi
+    for h, (c, zc), m in terms:
+        if h > room:
+            break
+        key = tuple(map(add, coords, c)), zs[zc]
+        for kt, mi in index.get(key, ()):
+            acc[kt] = acc.get(kt, 0) + m * mi
     return acc
 
 

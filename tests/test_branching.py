@@ -1791,6 +1791,59 @@ def test_oracle_table_built_once_per_chamber(monkeypatch):
     assert builds["series"] == []
 
 
+@pytest.mark.parametrize("g, order", [
+    (GC, 2), (GU, 6), (SP4R, 8),
+    (load_group_data(Path(__file__).parent / "data" / "su22.json"), 24),
+    (SU31, 24), (SO43, 48)],
+    ids=["sl2r-compact", "su21", "sp4r", "su22", "su31", "so43"])
+def test_both_oracles_hold_the_branching_kernel(g, order):
+    # on every chamber _chamber accepts, over all sign choices of the
+    # positive roots (one per element of the Levi Weyl group), the
+    # partition table is the kernel prod_c (1 - e^c) / prod_n (1 - e^n),
+    # term for term the series up to the partition table's certificate,
+    # its own bound
+    positives = g.m_roots.positives
+    chambers = 0
+    for signs in itertools.product((True, False), repeat=len(positives)):
+        chamber = branching._chamber.__wrapped__(
+            g, tuple(map(_signed, positives, signs)))
+        if isinstance(chamber, str):
+            continue
+        chambers += 1
+        for bound2 in (0, 3, 6, 12):
+            cert, terms = branching._partition_table(chamber, bound2)
+            series = branching._series(chamber, bound2)[1]
+            assert cert == bound2
+            assert terms == [t for t in series if t[0] <= bound2]
+    assert chambers == order
+
+
+# four su21 documents, regular and singular, whose box tables at window 6
+# read 59 H-keys of the window's KTypeBox by either oracle
+_BOX_READ_DOCS = [
+    {"lambda": [0, 4, 3]},
+    {"lambda": [-3, 3, 3], "rmplus": [[-1, 1, 0], [-1, 0, 1], [0, 1, -1]]},
+    {"lambda": [1, -2, 0]},
+    {"lambda": [4, -1, -1], "rmplus": [[1, -1, 0], [1, 0, -1], [0, 1, -1]]}]
+
+
+def test_box_oracles_read_the_same_keys(monkeypatch):
+    # a count budget: each oracle's table holds the kernel and is read
+    # once, at the base, so the partition box reads as many H-keys as the
+    # series box
+    get, reads = ktypes.KTypeBox.get, Counter()
+
+    def counted(box, key, default=()):
+        reads[mode] += 1
+        return get(box, key, default)
+
+    monkeypatch.setattr(ktypes.KTypeBox, "get", counted)
+    for mode in ("partition", "series"):
+        for doc in _BOX_READ_DOCS:
+            box_table(GU, resolve_params(GU, doc), 6, mode)
+    assert reads["partition"] == reads["series"] <= 59
+
+
 def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):
     def refuse(*args):
         raise AssertionError("ktype_table scanned the K-type box")
