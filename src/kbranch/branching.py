@@ -90,11 +90,8 @@ class TableSizeError(ValueError):
 
 
 class InvalidParamsError(ValueError):
-    """Parameters failed validation (verdict carried along)."""
-
-    def __init__(self, verdict: "ParamVerdict"):
-        self.verdict = verdict
-        super().__init__(str(verdict))
+    """Parameters failed validation; the message is the verdict's text,
+    "invalid: " and its reason."""
 
 
 class TemperedParams(NamedTuple):
@@ -202,7 +199,7 @@ def validate_params(g: RealGroupData, p: TemperedParams) -> ParamVerdict:
             g.hm.lattice, g.hm.rank):
         return invalid("parameter is not a weight of the Levi Cartan")
     if not isinstance(p.nu, Weight) or (p.nu.lattice, p.nu.rank) != (
-            f"{g.name}:a", g.dim_a):
+            g.a_lattice.lattice, g.a_lattice.rank):
         return invalid("continuous parameter is not a weight of the split part")
     if type(p.chi) is not int or not 0 <= p.chi < g.hm.ztable.order:
         return invalid(f"no component character with index {p.chi}")
@@ -297,7 +294,7 @@ def _prepare(verdict: ParamVerdict) -> Optional[ParamVerdict]:
     """The one gate of every evaluator: verdict if nonzero, None if zero
     (the zero representation), InvalidParamsError if invalid."""
     if verdict.verdict == "invalid":
-        raise InvalidParamsError(verdict)
+        raise InvalidParamsError(str(verdict))
     return verdict if verdict.verdict == "nonzero" else None
 
 

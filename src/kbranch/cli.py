@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .branching import KTypeTable, TableSizeError, table_of, validate_params
-from .groups import GroupDataError, builtin_group, load_group_data
+from .groups import CHECKS, GroupDataError, builtin_group, load_group_data
 from .presets import ParamSchemaError, resolve_params
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
 
 def cmd_validate(args) -> int:
     g = load_group_data(Path(args.path))
-    for inv in g.checklist:
+    for inv in CHECKS:
         print(f"ok: {inv}")
     print(f"valid: {g.name}")
     return EXIT_OK

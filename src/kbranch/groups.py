@@ -4,21 +4,21 @@ The group structure is data, not derivation: a JSON document carries the
 root system of the maximal compact subgroup, the root system of the Levi
 factor with compact/noncompact labels, the restricted roots, the torus
 restriction matrix and the finite component group of the compact Cartan.
-Loading validates every structural invariant and names the first violated
-one, and derives, once per group, the root data the engine reads: the
-lattices of T and T_M graded by the positive systems of K and of the Levi
-factor (with their 2rho), the compactness of each Levi root, the fibres of
-the torus restriction R (onto, as T_M is a subtorus of T) and of the dot
-products with K's simple roots, whether Blattner's formula applies, and
-one record per W_K element w (WeylTerm): w, w rho_K - rho_K, R w 2rho_K
-and its walk's maps to d mu and d mu's simple K pairings.  Roots are
-integer coordinate tuples from the parse on, and every derivation is in
-integers: fibres by fraction-free elimination, v as integer fractions.
-Coordinates are, by convention, orthonormal for an invariant inner
-product; this is what makes coroot pairings exact integers and is enforced
-by the crystallographic checks below.  The Z' character of a T-weight is
-one integer product with the rows order * v of the generators, looked up
-in the character table.
+Loading runs the checks CHECKS lists, in order, and names the first
+invariant violated, then derives, once per group, the root data the engine
+reads: the lattices of T, T_M and A graded by the positive systems of K,
+of the Levi factor and of the restricted roots (with their 2rho), the
+compactness of each Levi root, the fibres of the torus restriction R
+(onto, as T_M is a subtorus of T) and of the dot products with K's simple
+roots, whether Blattner's formula applies, and one record per W_K element
+w (WeylTerm): w, w rho_K - rho_K, R w 2rho_K and its walk's maps to d mu
+and d mu's simple K pairings.  Roots are integer coordinate tuples from
+the parse on, and every derivation is in integers: fibres by fraction-free
+elimination, v as integer fractions.  Coordinates are, by convention,
+orthonormal for an invariant inner product; this is what makes coroot
+pairings exact integers and is enforced by the crystallographic checks
+below.  The Z' character of a T-weight is one integer product with the
+rows order * v of the generators, looked up in the character table.
 """
 
 from __future__ import annotations
@@ -138,10 +138,9 @@ def weyl_group(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
     return sorted((tuple(zip(*cols)), det) for cols, det in seen.items())
 
 
-def _validate_root_system(rs: RootSystem, label: str, checklist: list[str],
-                          close):
-    """Raise on the first violated invariant; return close(rs), the last
-    check: _simple_reflections, or weyl_group, which runs it first."""
+def _validate_root_system(rs: RootSystem, label: str):
+    """Raise on the first violated invariant.  The reflections' closure is
+    the caller's: weyl_group for K, _simple_reflections for the Levi."""
     def bad(inv, msg):
         raise GroupDataError(inv, f"{label}: {msg}")
 
@@ -153,7 +152,6 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str],
             bad("negation closure", "zero vector listed as a root")
         if tuple(-x for x in r) not in root_set:
             bad("negation closure", f"root {r} has no negative")
-    checklist.append(f"{label} negation closure")
 
     pos = set(rs.positives)
     neg = {tuple(-x for x in p) for p in rs.positives}
@@ -162,7 +160,6 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str],
     if pos | neg != root_set:
         bad("positive partition",
             "positives and their negatives do not exhaust the roots")
-    checklist.append(f"{label} positive partition")
 
     for s in rs.simples:
         if s not in pos:
@@ -178,16 +175,12 @@ def _validate_root_system(rs: RootSystem, label: str, checklist: list[str],
             bad("simple decomposition",
                 f"positive {p} is not a nonnegative integer "
                 "combination of the simples")
-    checklist.append(f"{label} simple decomposition")
 
     for a in rs.roots:
         for b in rs.roots:
             if not _integral_pairing(b, a):
                 bad("Weyl closure",
                     f"pairing of {b} with {a} is not integral")
-    closed = close(rs)  # raises on reflection-closure failure
-    checklist.append(f"{label} Weyl closure")
-    return closed
 
 
 def _parse_weight_list(raw, rank):
@@ -243,7 +236,7 @@ class RealGroupData(NamedTuple):
     name: str
     k_roots: RootSystem
     m_roots: RootSystem
-    dim_a: int
+    a_lattice: HMLattice                     # graded by the restricted roots
     tm_in_t: tuple[tuple[int, ...], ...]     # (rank tM) x (rank t)
     # per Z' generator, (d, c) with value exp(2*pi*i*<mu, c>/(d*order)) at
     # a weight mu of T_M, or None where the generator lies outside T_M
@@ -252,7 +245,6 @@ class RealGroupData(NamedTuple):
     hm: HMLattice                            # characters of H_M live here
     t_lattice: HMLattice                     # characters of T, graded by K
     dim_s_m: int
-    checklist: tuple[str, ...]
     # derived at load; 2rho_K is t_lattice.height_vec
     compact_of: Mapping[tuple[int, ...], bool]  # Levi root -> compact flag
     k_weyl: tuple[WeylTerm, ...]
@@ -271,7 +263,7 @@ class RealGroupData(NamedTuple):
         return Weight(coords, self.hm.lattice, denom)
 
     def a_weight(self, coords) -> Weight:
-        return Weight(coords, f"{self.name}:a")
+        return Weight(coords, self.a_lattice.lattice)
 
     # -- structure queries --------------------------------------------------
     def compact_positives(self) -> list[tuple[int, ...]]:
@@ -342,20 +334,6 @@ def _reduced(v: list[int], e: int) -> tuple[list[int], int]:
     return [x // g for x in v], e // g
 
 
-def _blattner_applies(g: RealGroupData,
-                      k_restricted: Sequence[tuple[int, ...]]) -> bool:
-    """Whether Blattner's formula holds for the group, given R = tM_in_t
-    applied to each K root: R maps the K roots one-to-one onto the compact
-    Levi roots, so the compact exterior cancels the Weyl denominator of K,
-    and every K root has a trivial Z' character, so all weights of a K-type
-    carry its highest weight's Z' character."""
-    compact = {r for r, f in g.compact_of.items() if f}
-    return (len(set(k_restricted)) == len(k_restricted)
-            and set(k_restricted) == compact
-            and all(g.zchar(a) == g.hm.ztable.identity
-                    for a in g.k_roots.roots))
-
-
 def _k_weyl(closure, rho2, tm_in_t, fibres: Fibres, simples: Sequence[tuple]
             ) -> tuple[WeylTerm, ...]:
     """One WeylTerm per (w, det w) of W_K's closure, 2rho_K = rho2; a walk
@@ -376,6 +354,16 @@ def _k_weyl(closure, rho2, tm_in_t, fibres: Fibres, simples: Sequence[tuple]
             matvec(tm_in_t, w_rho2), walk, tuple(states[rank:])))
     return tuple(terms)
 
+
+# the loader's checks in the order it runs them: `kbranch validate` reports
+# them all once a document loads, as the first one violated raises
+CHECKS = (
+    "schema", *(f"{rs} {inv}" for rs in "km" for inv in (
+        "negation closure", "positive partition", "simple decomposition",
+        "Weyl closure")),
+    "compact partition parity", "restricted pointed cone", "zmprime table",
+    "zmprime integrality", "sign factor parity", "dims consistency",
+    "compact partition", "restriction integrality", "zmprime compatibility")
 
 _SCHEMA_FIELDS = {
     "name": str, "k": dict, "m": dict, "restricted": dict,
@@ -416,7 +404,6 @@ def _require(doc: dict, field: str, typ, inv="schema", cap=None):
 
 
 def _build(doc: dict) -> RealGroupData:
-    checklist: list[str] = []
     if not isinstance(doc, dict):
         raise GroupDataError("schema", "top level must be an object")
     extra = set(doc) - set(_SCHEMA_FIELDS)
@@ -425,7 +412,6 @@ def _build(doc: dict) -> RealGroupData:
     for f, t in _SCHEMA_FIELDS.items():
         _require(doc, f, t)
     name = doc["name"]
-    checklist.append("schema")
 
     # ---- k root system -----------------------------------------------------
     k = doc["k"]
@@ -436,7 +422,8 @@ def _build(doc: dict) -> RealGroupData:
         _parse_weight_list(_require(k, "positives", list), k_rank),
         _parse_weight_list(_require(k, "simples", list), k_rank))
     t_lattice = HMLattice.graded(k_rank, f"{name}:t", k_roots.positives)
-    closure = _validate_root_system(k_roots, "k", checklist, weyl_group)
+    _validate_root_system(k_roots, "k")
+    closure = weyl_group(k_roots)  # checks K's simple reflections first
 
     # ---- m root system with compact flags ----------------------------------
     m = doc["m"]
@@ -448,7 +435,8 @@ def _build(doc: dict) -> RealGroupData:
         raise GroupDataError("schema",
                              "compact_flags must be booleans aligned with m.roots")
     m_roots = RootSystem(m_rank, m_all, m_pos, simple_roots(m_pos))
-    _validate_root_system(m_roots, "m", checklist, _simple_reflections)
+    _validate_root_system(m_roots, "m")
+    _simple_reflections(m_roots)
 
     flag_of = dict(zip(m_all, flags))
     for r, f in zip(m_all, flags):
@@ -456,20 +444,18 @@ def _build(doc: dict) -> RealGroupData:
             raise GroupDataError("compact partition",
                                  f"root {r} and its negative disagree "
                                  "on compactness")
-    checklist.append("compact partition parity")
 
     # ---- restricted roots ---------------------------------------------------
     restr = doc["restricted"]
     dim_a = _require(restr, "dim_a", int, cap=_RANK_CAP)
     _parse_weight_list(_require(restr, "roots", list), dim_a)
     r_pos = _parse_weight_list(_require(restr, "positives", list), dim_a)
-    cone = HMLattice.graded(dim_a, f"{name}:a", r_pos)
+    a_lattice = HMLattice.graded(dim_a, f"{name}:a", r_pos)
     for b in r_pos:
-        if sum(map(mul, b, cone.height_vec)) <= 0:
+        if sum(map(mul, b, a_lattice.height_vec)) <= 0:
             raise GroupDataError(
                 "restricted pointed cone",
                 f"no linear functional separates {b}")
-    checklist.append("restricted pointed cone")
 
     # ---- restriction matrix -------------------------------------------------
     tm_raw = doc["tM_in_t"]
@@ -510,7 +496,6 @@ def _build(doc: dict) -> RealGroupData:
         ztable = ZCharTable(order, rows)
     except LatticeError as e:
         raise GroupDataError("zmprime table", str(e)) from e
-    checklist.append("zmprime table")
 
     # generator values must be exact on the weight lattice
     for j, v in enumerate(vs):
@@ -519,7 +504,6 @@ def _build(doc: dict) -> RealGroupData:
                 "zmprime compatibility",
                 f"generator {j} gives lattice weights inexact values")
     zchar_rows = tuple(tuple(order * n // d for n, d in v) for v in vs)
-    checklist.append("zmprime integrality")
 
     # descent to the small torus where the generator lies in it: w = a v / d
     descent = Fibres.of([[row[r] for row in tm_in_t] for r in range(k_rank)],
@@ -535,7 +519,6 @@ def _build(doc: dict) -> RealGroupData:
     if dim_s_m % 2 != 0:
         raise GroupDataError("sign factor parity",
                              f"s_M dimension {dim_s_m} is odd")
-    checklist.append("sign factor parity")
     n_noncompact = sum(1 for f in flags if not f)
     if dim_s_m != n_noncompact:
         raise GroupDataError(
@@ -548,54 +531,57 @@ def _build(doc: dict) -> RealGroupData:
     if (r := k_rank - len(fibres.free)) < m_rank:
         raise GroupDataError("dims consistency", f"tM_in_t has rank {r} < "
                              f"{m_rank}: T_M is not a torus in T")
-    checklist.append("dims consistency")
-
-    # ---- the Levi lattice, graded by the declared positives -------------------
-    hm = HMLattice.graded(m_rank, f"{name}:tM", m_pos, ztable)
-
-    # checklist and blattner_applies are final once the checks below pass
-    g = RealGroupData(
-        name=name, k_roots=k_roots, m_roots=m_roots, dim_a=dim_a,
-        tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=zchar_rows, hm=hm,
-        t_lattice=t_lattice, dim_s_m=dim_s_m, checklist=(),
-        compact_of=MappingProxyType(flag_of),  # read-only, as the record is
-        k_weyl=_k_weyl(closure, t_lattice.height_vec, tm_in_t, fibres,
-                       k_roots.simples),
-        fibres=fibres, k_pairings=Fibres.of(k_roots.simples, k_rank),
-        blattner_applies=False)
 
     # compact m-roots must come from roots of the compact subgroup
     k_restr = [matvec(tm_in_t, r) for r in k_roots.roots]
-    for r, f in zip(m_all, flags):
-        if f and r not in k_restr:
+    compact = [r for r, f in zip(m_all, flags) if f]
+    for r in compact:
+        if r not in k_restr:
             raise GroupDataError(
                 "compact partition",
                 f"compact-flagged root {r} is not the restriction of "
                 "any compact-group root")
-    checklist.append("compact partition")
 
     # restriction sends lattice weights to weights pairing integrally with
     # the compact Levi roots
     for i, re in enumerate(zip(*tm_in_t)):  # R e_i, the i-th column
-        for r, f in zip(m_all, flags):
-            if f and not _integral_pairing(re, r):
+        for r in compact:
+            if not _integral_pairing(re, r):
                 raise GroupDataError(
                     "restriction integrality",
                     f"basis weight {i} restricts to {re}, pairing "
                     f"non-integrally with compact root {r}")
-    checklist.append("restriction integrality")
 
-    # character table consistent with the v-vectors on a spanning set
+    # character table consistent with the v-vectors on a spanning set, so
+    # zchar finds a row for every T-weight
     for i in range(k_rank):
         try:
-            g.zchar(tuple(int(j == i) for j in range(k_rank)))
+            ztable.index([row[i] for row in zchar_rows])
         except ValueError:
             raise GroupDataError("zmprime compatibility", f"basis weight {i} "
                                  "has Z' values in no table row") from None
-    checklist.append("zmprime compatibility")
 
-    return g._replace(checklist=tuple(checklist),
-                      blattner_applies=_blattner_applies(g, k_restr))
+    # Blattner's formula holds where R maps the K roots one-to-one onto the
+    # compact Levi roots, so the compact exterior cancels the Weyl
+    # denominator of K, and every K root has a trivial Z' character, so all
+    # weights of a K-type carry its highest weight's Z' character
+    blattner_applies = (
+        len(set(k_restr)) == len(k_restr)
+        and set(k_restr) == set(compact)
+        and not any(e % order for a in k_roots.roots
+                    for e in matvec(zchar_rows, a)))
+
+    return RealGroupData(
+        name=name, k_roots=k_roots, m_roots=m_roots, a_lattice=a_lattice,
+        tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=zchar_rows,
+        # the Levi lattice, graded by the declared positives
+        hm=HMLattice.graded(m_rank, f"{name}:tM", m_pos, ztable),
+        t_lattice=t_lattice, dim_s_m=dim_s_m,
+        compact_of=MappingProxyType(flag_of),  # read-only, as the record is
+        k_weyl=_k_weyl(closure, t_lattice.height_vec, tm_in_t, fibres,
+                       k_roots.simples),
+        fibres=fibres, k_pairings=Fibres.of(k_roots.simples, k_rank),
+        blattner_applies=blattner_applies)
 
 
 def data_dir() -> Path:

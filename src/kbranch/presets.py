@@ -103,7 +103,7 @@ def raw_params(g: RealGroupData, doc: dict) -> TemperedParams:
                           denom=_integers(doc, "lambda_denom", 1))
         rmplus = tuple(map(tuple, _integers(doc, "rmplus", [], 2)))
         chi = _integers(doc, "chi", 0)
-        nu = g.a_weight(_integers(doc, "nu", [0] * g.dim_a, 1))
+        nu = g.a_weight(_integers(doc, "nu", [0] * g.a_lattice.rank, 1))
     except (KeyError, TypeError, ValueError) as e:
         raise ParamSchemaError(f"bad raw parameter document: {e}") from e
     return TemperedParams(lam=lam, rmplus=rmplus, chi=chi, nu=nu)

@@ -8,7 +8,10 @@ box oracles, box_table(g, p, window, "partition") and box_table(g, p,
 window, "series").  For every document it prints each evaluator's digest
 (its first 12 hex digits, "=" where it equals the pinned one), the time it
 took, and the first rows where a box table differs from table_of's.  A box
-above the script's cap on candidate K-types is named, not built.
+above the script's cap on candidate K-types is named, not built.  Every
+timed cell starts cold: the chamber, Kostant class and K-type box caches
+are cleared before it, and table_of's cell validates its parameters, as
+the box oracles do, so no column pays for work another column reuses.
 
 pytest does not collect this file (its name is not test_*).  Run it from
 the repository root:
@@ -22,17 +25,20 @@ import sys
 import time
 from pathlib import Path
 
-from kbranch import branching, cli
+from kbranch import branching, cli, ktypes
 from kbranch.presets import resolve_params
 
 DATA = Path(__file__).parent / "data"
 # su21's box at window 64, the largest a digest file needs
 branching.MAX_BOX = 129 ** 3
 EVALUATORS = {
-    "table_of": lambda g, v, p, w: branching.table_of(v, w),
-    "partition": lambda g, v, p, w: branching.box_table(g, p, w, "partition"),
-    "series": lambda g, v, p, w: branching.box_table(g, p, w, "series"),
+    "table_of": lambda g, p, w: branching.table_of(
+        branching.validate_params(g, p), w),
+    "partition": lambda g, p, w: branching.box_table(g, p, w, "partition"),
+    "series": lambda g, p, w: branching.box_table(g, p, w, "series"),
 }
+# what a cell may build and another reuse
+CACHES = (branching._chamber, ktypes._class_keys, ktypes.ktype_box)
 
 
 def _group(pinned: dict, path: Path):
@@ -63,12 +69,13 @@ def report(path: Path) -> dict:
     for params, want in pinned["sha256"].items():
         doc = json.loads(params)
         p = resolve_params(g, doc)
-        verdict = branching.validate_params(g, p)
         cells, tables = [], {}
         for name, evaluate in EVALUATORS.items():
+            for cache in CACHES:
+                cache.cache_clear()
             t0 = time.perf_counter()
             try:
-                table = evaluate(g, verdict, p, window)
+                table = evaluate(g, p, window)
             except branching.TableSizeError:
                 totals[name][1] += 1
                 cells.append(f"{name} not built")

@@ -1,5 +1,6 @@
 """Group-data loading, validation, Weyl groups, rho shifts."""
 
+import ast
 import json
 from fractions import Fraction
 from math import lcm
@@ -282,7 +283,7 @@ def test_load_builds_one_weyl_group(monkeypatch):
 
 def test_load_checks_each_simple_reflection_once(monkeypatch):
     # K's simple reflections are checked inside weyl_group, the Levi
-    # factor's by _validate_root_system: one check per root system
+    # factor's by _build itself: one check per root system
     simple_reflections = groups._simple_reflections
     calls = []
 
@@ -563,11 +564,51 @@ def test_group_queries_refuse_what_is_not_there():
 
 
 def test_checklist_is_reported():
-    g = builtin_group("su21")
-    joined = " ".join(g.checklist)
+    joined = " ".join(groups.CHECKS)
     for piece in ("schema", "Weyl closure", "sign factor parity",
                   "zmprime compatibility", "restriction integrality"):
         assert piece in joined
+
+
+def _refused_invariants(source: str) -> set[str]:
+    """The invariant names a source gives GroupDataError: the string
+    constants in its first argument, or bound to a parameter named inv."""
+    tree = ast.parse(source)
+    params = {f.name: [a.arg for a in f.args.args] for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef)}
+    given = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):  # defaults pair from the end
+            given += [d for a, d in zip(node.args.args[::-1],
+                                        node.args.defaults[::-1])
+                      if a.arg == "inv"]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "GroupDataError":
+                given.append(node.args[0])
+            given += [v for a, v in zip(params.get(node.func.id, ()),
+                                        node.args) if a == "inv"]
+            given += [k.value for k in node.keywords if k.arg == "inv"]
+    return {c.value for arg in given for c in ast.walk(arg)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+
+
+def _unlisted(invariants) -> set[str]:
+    """The invariants, size cap apart, that no entry of CHECKS names."""
+    return {inv for inv in invariants if inv != "size cap"
+            and not any(inv in check for check in groups.CHECKS)}
+
+
+def test_every_refusal_names_a_listed_check():
+    # kbranch validate prints CHECKS once a document loads: every invariant
+    # the loader can refuse must be among them, apart from the size caps,
+    # which bound the work and guard no invariant of the data
+    source = Path(groups.__file__).read_text()
+    refused = _refused_invariants(source)
+    assert {"schema", "negation closure", "Weyl closure", "size cap",
+            "zmprime table", "zmprime compatibility"} <= refused
+    assert _unlisted(refused) == set()
+    planted = source + '\nraise GroupDataError("foo", "planted")\n'
+    assert _unlisted(_refused_invariants(planted)) == {"foo"}
 
 
 def test_group_hash_reads_name_equality_reads_data():

@@ -34,9 +34,9 @@ FROZEN = {
     "RootSystem": (lambda: builtin_group("su21").k_roots,
                    ("rank", "roots", "positives", "simples")),
     "RealGroupData": (lambda: builtin_group("su21"),
-                      ("name", "k_roots", "m_roots", "dim_a", "tm_in_t",
-                       "zgen_w", "zchar_rows", "hm", "t_lattice", "dim_s_m",
-                       "checklist", "compact_of", "k_weyl", "fibres",
+                      ("name", "k_roots", "m_roots", "a_lattice",
+                       "tm_in_t", "zgen_w", "zchar_rows", "hm", "t_lattice",
+                       "dim_s_m", "compact_of", "k_weyl", "fibres",
                        "k_pairings", "blattner_applies")),
     "Fibres": (lambda: builtin_group("su21").fibres,
                ("a", "dirs", "consistency", "d", "free")),
