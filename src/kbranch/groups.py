@@ -4,21 +4,22 @@ The group structure is data, not derivation: a JSON document carries the
 root system of the maximal compact subgroup, the root system of the Levi
 factor with compact/noncompact labels, the restricted roots, the torus
 restriction matrix and the finite component group of the compact Cartan.
-Loading runs the checks CHECKS lists, in order, and names the first
-invariant violated, then derives, once per group, the root data the engine
-reads: the lattices of T, T_M and A graded by the positive systems of K,
-of the Levi factor and of the restricted roots (with their 2rho), the
-compactness of each Levi root, the fibres of the torus restriction R
-(onto, as T_M is a subtorus of T) and of the dot products with K's simple
-roots, whether Blattner's formula applies, and one record per W_K element
-w (WeylTerm): w, w rho_K - rho_K, R w 2rho_K and its walk's maps to d mu
-and d mu's simple K pairings.  Roots are integer coordinate tuples from
-the parse on, and every derivation is in integers: fibres by fraction-free
-elimination, v as integer fractions.  Coordinates are, by convention,
-orthonormal for an invariant inner product; this is what makes coroot
-pairings exact integers and is enforced by the crystallographic checks
-below.  The Z' character of a T-weight is one integer product with the
-rows order * v of the generators, looked up in the character table.
+Loading runs one step per CHECKS entry, in order, and a refusal names the
+entry of the step that raised it (or the size cap passed), then derives,
+once per group, the root data the engine reads: the lattices of T, T_M
+and A graded by the positive systems of K, of the Levi factor and of the
+restricted roots (with their 2rho), the compactness of each Levi root,
+the fibres of the torus restriction R (onto, as T_M is a subtorus of T)
+and of the dot products with K's simple roots, whether Blattner's formula
+applies, and one record per W_K element w (WeylTerm): w, w rho_K - rho_K,
+R w 2rho_K and its walk's maps to d mu and d mu's simple K pairings.
+Roots are integer coordinate tuples from the parse on, and every
+derivation is in integers: fibres by fraction-free elimination, v as
+integer fractions.  Coordinates are, by convention, orthonormal for an
+invariant inner product; this is what makes coroot pairings exact
+integers and is enforced by the crystallographic checks below.  The Z'
+character of a T-weight is one integer product with the rows order * v
+of the generators, looked up in the character table.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from __future__ import annotations
 import json
 import os
 import re
+from functools import partial
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import add, mul
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .characters import HMLattice, LatticeError, Weight, ZCharTable
@@ -45,6 +47,10 @@ class GroupDataError(ValueError):
     def __init__(self, invariant: str, detail: str):
         self.invariant = invariant
         super().__init__(f"{invariant}: {detail}")
+
+
+class _Fault(ValueError):
+    """A helper's refusal inside a check step, read as the step's detail."""
 
 
 class RootSystem(NamedTuple):
@@ -91,21 +97,17 @@ _RANK_CAP, _ORDER_CAP = 8, 64
 def _simple_reflections(rs: RootSystem) -> list[tuple]:
     """The simple reflections, which generate the Weyl group, as _reflect's
     (a, a_vee) pairs, each checked to preserve the lattice and then to
-    permute the roots; GroupDataError("Weyl closure") otherwise."""
+    permute the roots; _Fault otherwise."""
     gens = []
     for a in rs.simples:  # e_j reflects to e_j - (2a_j/(a, a)) a
         aa = sum(map(mul, a, a))
         if any(2 * x % aa for x in a):
-            raise GroupDataError(
-                "Weyl closure",
-                f"reflection in {a} does not preserve the lattice")
+            raise _Fault(f"reflection in {a} does not preserve the lattice")
         gens.append((a, tuple(2 * x // aa for x in a)))
     root_set = set(rs.roots)
     for gen in gens:
         if set(_reflect(gen, rs.roots)) != root_set:
-            raise GroupDataError(
-                "Weyl closure",
-                f"reflection in {gen[0]} does not permute the roots")
+            raise _Fault(f"reflection in {gen[0]} does not permute the roots")
     return gens
 
 
@@ -113,9 +115,9 @@ def weyl_group(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
     """All elements generated by the simple reflections, as (matrix, det)
     pairs sorted by matrix.
 
-    Raises GroupDataError("Weyl closure") on non-crystallographic input
-    (a generated reflection fails to permute the root set); else the group
-    is finite, and GroupDataError("size cap") once it passes _WEYL_CAP.
+    Raises _Fault on non-crystallographic input (a simple reflection fails
+    to preserve the lattice or to permute the roots); else the group is
+    finite, and GroupDataError("size cap") once it passes _WEYL_CAP.
     """
     gens = _simple_reflections(rs)
     identity = tuple(tuple(int(i == j) for j in range(rs.rank))
@@ -138,58 +140,13 @@ def weyl_group(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
     return sorted((tuple(zip(*cols)), det) for cols, det in seen.items())
 
 
-def _validate_root_system(rs: RootSystem, label: str):
-    """Raise on the first violated invariant.  The reflections' closure is
-    the caller's: weyl_group for K, _simple_reflections for the Levi."""
-    def bad(inv, msg):
-        raise GroupDataError(inv, f"{label}: {msg}")
-
-    root_set = set(rs.roots)
-    if len(root_set) != len(rs.roots):
-        bad("negation closure", "duplicate roots")
-    for r in rs.roots:
-        if not any(r):
-            bad("negation closure", "zero vector listed as a root")
-        if tuple(-x for x in r) not in root_set:
-            bad("negation closure", f"root {r} has no negative")
-
-    pos = set(rs.positives)
-    neg = {tuple(-x for x in p) for p in rs.positives}
-    if pos & neg:
-        bad("positive partition", "a root and its negative both positive")
-    if pos | neg != root_set:
-        bad("positive partition",
-            "positives and their negatives do not exhaust the roots")
-
-    for s in rs.simples:
-        if s not in pos:
-            bad("simple decomposition", f"simple {s} is not positive")
-    # independence makes simple-root coordinates unique
-    fibres = Fibres.of([[s[i] for s in rs.simples] for i in range(rs.rank)],
-                       len(rs.simples))
-    if fibres.free:
-        bad("simple decomposition", "simple roots are linearly dependent")
-    for p in rs.positives:  # d times its simple coordinates, if any
-        if any(matvec(fibres.consistency, p)) or any(
-                c < 0 or c % fibres.d for c in matvec(fibres.a, p)):
-            bad("simple decomposition",
-                f"positive {p} is not a nonnegative integer "
-                "combination of the simples")
-
-    for a in rs.roots:
-        for b in rs.roots:
-            if not _integral_pairing(b, a):
-                bad("Weyl closure",
-                    f"pairing of {b} with {a} is not integral")
-
-
-def _parse_weight_list(raw, rank):
+def _weights(node: dict, field: str, rank: int) -> tuple[tuple[int, ...], ...]:
     out = []
-    for entry in raw:
+    for entry in _require(node, field, list):
         if (not isinstance(entry, list) or len(entry) != rank
                 or not all(type(c) is int for c in entry)):  # no bools
-            raise GroupDataError("schema", f"expected integer arrays of "
-                                           f"length {rank}, got {entry!r}")
+            raise _Fault(f"expected integer arrays of length {rank}, got "
+                         f"{entry!r}")
         out.append(tuple(entry))
     return tuple(out)
 
@@ -197,7 +154,7 @@ def _parse_weight_list(raw, rank):
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_rational(v, inv) -> tuple[int, int]:
+def _parse_rational(v) -> tuple[int, int]:
     """(numerator, denominator) of an int, or of an ASCII string
     [+-]digits or [+-]digits/digits with a nonzero denominator."""
     if type(v) is int:
@@ -210,8 +167,8 @@ def _parse_rational(v, inv) -> tuple[int, int]:
             den = 0
         if den:
             return num, den
-    raise GroupDataError(inv, "expected an integer or a fraction string with "
-                              f"a nonzero denominator, got {v!r}")
+    raise _Fault("expected an integer or a fraction string with a nonzero "
+                 f"denominator, got {v!r}")
 
 
 class WeylTerm(NamedTuple):
@@ -355,15 +312,144 @@ def _k_weyl(closure, rho2, tm_in_t, fibres: Fibres, simples: Sequence[tuple]
     return tuple(terms)
 
 
-# the loader's checks in the order it runs them: `kbranch validate` reports
-# them all once a document loads, as the first one violated raises
-CHECKS = (
-    "schema", *(f"{rs} {inv}" for rs in "km" for inv in (
-        "negation closure", "positive partition", "simple decomposition",
-        "Weyl closure")),
-    "compact partition parity", "restricted pointed cone", "zmprime table",
-    "zmprime integrality", "sign factor parity", "dims consistency",
-    "compact partition", "restriction integrality", "zmprime compatibility")
+def _negation_closure(label: str, p: SimpleNamespace) -> Optional[str]:
+    rs = getattr(p, label)
+    root_set = set(rs.roots)
+    if len(root_set) != len(rs.roots):
+        return "duplicate roots"
+    for r in rs.roots:
+        if not any(r):
+            return "zero vector listed as a root"
+        if tuple(-x for x in r) not in root_set:
+            return f"root {r} has no negative"
+
+
+def _positive_partition(label: str, p: SimpleNamespace) -> Optional[str]:
+    rs = getattr(p, label)
+    pos = set(rs.positives)
+    neg = {tuple(-x for x in r) for r in pos}
+    if pos & neg:
+        return "a root and its negative both positive"
+    if pos | neg != set(rs.roots):
+        return "positives and their negatives do not exhaust the roots"
+
+
+def _simple_decomposition(label: str, p: SimpleNamespace) -> Optional[str]:
+    rs = getattr(p, label)
+    pos = set(rs.positives)
+    for s in rs.simples:
+        if s not in pos:
+            return f"simple {s} is not positive"
+    # independence makes simple-root coordinates unique
+    fibres = Fibres.of([[s[i] for s in rs.simples] for i in range(rs.rank)],
+                       len(rs.simples))
+    if fibres.free:
+        return "simple roots are linearly dependent"
+    for r in rs.positives:  # d times its simple coordinates, if any
+        if any(matvec(fibres.consistency, r)) or any(
+                c < 0 or c % fibres.d for c in matvec(fibres.a, r)):
+            return (f"positive {r} is not a nonnegative integer combination "
+                    "of the simples")
+
+
+def _weyl_closure(label: str, p: SimpleNamespace) -> Optional[str]:
+    rs = getattr(p, label)
+    for a in rs.roots:
+        for b in rs.roots:
+            if not _integral_pairing(b, a):
+                return f"pairing of {b} with {a} is not integral"
+    if label == "k":  # K's Weyl group, closed once, for _k_weyl
+        p.closure = weyl_group(rs)
+    else:
+        _simple_reflections(rs)
+
+
+def _compact_partition_parity(p: SimpleNamespace) -> Optional[str]:
+    p.compact_of = dict(zip(p.m.roots, p.flags))
+    for r, f in p.compact_of.items():
+        if p.compact_of[tuple(-x for x in r)] != f:
+            return f"root {r} and its negative disagree on compactness"
+
+
+def _restricted_pointed_cone(p: SimpleNamespace) -> Optional[str]:
+    p.a_lattice = HMLattice.graded(p.dim_a, f"{p.name}:a", p.r_pos)
+    for b in p.r_pos:
+        if sum(map(mul, b, p.a_lattice.height_vec)) <= 0:
+            return f"no linear functional separates {b}"
+
+
+def _zmprime_table(p: SimpleNamespace) -> Optional[str]:
+    rank, rows, p.vs = p.k.rank, [], []
+    for g in p.gens:
+        row, v = g["char_table_row"], g["v"]
+        if not isinstance(row, list) or not all(type(e) is int for e in row):
+            return f"char_table_row must list {p.order} integer exponents"
+        if not isinstance(v, list) or len(v) != rank:
+            return f"v must have {rank} rational entries"
+        rows.append(row)
+        p.vs.append(tuple(map(_parse_rational, v)))
+    try:  # a row per character, an exponent per generator
+        rows = tuple(zip(*rows, strict=True)) or ((),) * p.order
+    except ValueError:
+        return "generators' char_table_rows differ in length"
+    try:  # the order and the row count are ZCharTable's to check
+        p.ztable = ZCharTable(p.order, rows)
+    except LatticeError as e:
+        return str(e)
+
+
+def _zmprime_integrality(p: SimpleNamespace) -> Optional[str]:
+    """Generator values exact on the weight lattice: order * v integral."""
+    for j, v in enumerate(p.vs):
+        if any(p.order * n % d for n, d in v):
+            return f"generator {j} gives lattice weights inexact values"
+    p.zchar_rows = tuple(tuple(p.order * n // d for n, d in v) for v in p.vs)
+
+
+def _sign_factor_parity(p: SimpleNamespace) -> Optional[str]:
+    if p.s_m % 2:
+        return f"s_M dimension {p.s_m} is odd"
+
+
+def _dims_consistency(p: SimpleNamespace) -> Optional[str]:
+    if p.s_m != (n := p.flags.count(False)):
+        return f"s_M dimension {p.s_m} != {n} noncompact roots"
+    if p.dims_a != p.dim_a:
+        return "dims.a disagrees with restricted.dim_a"
+    p.fibres = Fibres.of(p.tm_in_t, p.k.rank)  # every character of T_M extends
+    if (r := p.k.rank - len(p.fibres.free)) < p.m.rank:
+        return f"tM_in_t has rank {r} < {p.m.rank}: T_M is not a torus in T"
+
+
+def _compact_partition(p: SimpleNamespace) -> Optional[str]:
+    """Compact Levi roots are restrictions of roots of the compact group."""
+    p.k_restr = [matvec(p.tm_in_t, r) for r in p.k.roots]
+    p.compact = [r for r, f in p.compact_of.items() if f]
+    for r in p.compact:
+        if r not in p.k_restr:
+            return (f"compact-flagged root {r} is not the restriction of any "
+                    "compact-group root")
+
+
+def _restriction_integrality(p: SimpleNamespace) -> Optional[str]:
+    """Restriction sends lattice weights to weights pairing integrally with
+    the compact Levi roots."""
+    for i, re in enumerate(zip(*p.tm_in_t)):  # R e_i, the i-th column
+        for r in p.compact:
+            if not _integral_pairing(re, r):
+                return (f"basis weight {i} restricts to {re}, pairing "
+                        f"non-integrally with compact root {r}")
+
+
+def _zmprime_compatibility(p: SimpleNamespace) -> Optional[str]:
+    """The character table holds the Z' values of a spanning set, so zchar
+    finds a row for every T-weight."""
+    for i in range(p.k.rank):
+        try:
+            p.ztable.index([row[i] for row in p.zchar_rows])
+        except ValueError:
+            return f"basis weight {i} has Z' values in no table row"
+
 
 _SCHEMA_FIELDS = {
     "name": str, "k": dict, "m": dict, "restricted": dict,
@@ -371,216 +457,130 @@ _SCHEMA_FIELDS = {
 }
 
 
+def _schema(p: SimpleNamespace) -> Optional[str]:
+    """Read the document's text into the pieces the other steps read."""
+    text = p.source
+    try:
+        doc = json.loads(text if isinstance(text, str) else text.decode())
+    except UnicodeDecodeError as e:
+        return f"not UTF-8 text: {e}"
+    except (ValueError, RecursionError) as e:  # nesting, integer digits
+        return f"not valid JSON: {e}"
+    if not isinstance(doc, dict):
+        return "top level must be an object"
+    if extra := set(doc) - set(_SCHEMA_FIELDS):
+        return f"unknown fields {sorted(extra)}"
+    name, k, m, restr, tm, z, dims = (_require(doc, f, t)
+                                      for f, t in _SCHEMA_FIELDS.items())
+    rank = _require(k, "rank", int, _RANK_CAP)
+    p.k = RootSystem(rank, *(_weights(k, f, rank)
+                             for f in ("roots", "positives", "simples")))
+    rank = _require(m, "rank", int, _RANK_CAP)
+    m_all, m_pos = (_weights(m, f, rank) for f in ("roots", "positives"))
+    p.flags = flags = _require(m, "compact_flags", list)
+    if len(flags) != len(m_all) or not all(isinstance(f, bool) for f in flags):
+        return "compact_flags must be booleans aligned with m.roots"
+    p.m = RootSystem(rank, m_all, m_pos, simple_roots(m_pos))
+    p.dim_a = _require(restr, "dim_a", int, _RANK_CAP)
+    _weights(restr, "roots", p.dim_a)
+    p.r_pos = _weights(restr, "positives", p.dim_a)
+    if len(tm) != p.m.rank or any(
+            not isinstance(row, list) or len(row) != p.k.rank
+            or not all(type(x) is int for x in row) for row in tm):
+        return f"tM_in_t must be a {p.m.rank}x{p.k.rank} integer matrix"
+    p.order = _require(z, "order", int, _ORDER_CAP)
+    p.gens = _require(z, "generators", list)
+    if not all(isinstance(g, dict) and set(g) == {"v", "char_table_row"}
+               for g in p.gens):
+        return "each generator needs exactly v and char_table_row"
+    p.name, p.tm_in_t = name, tuple(map(tuple, tm))
+    p.s_m, p.dims_a = (_require(dims, f, int) for f in ("s_M", "a"))
+
+
+# The loader's checks in the order they run, one step per entry: a step
+# reads the pieces parsed or derived before it and returns its failure's
+# detail or None (a helper may raise it as _Fault), and _build raises it
+# under the step's entry.  `kbranch validate` prints the entries.
+_STEPS = (
+    ("schema", _schema),
+    *((f"{label} {name}", partial(step, label)) for label in "km"
+      for name, step in (("negation closure", _negation_closure),
+                         ("positive partition", _positive_partition),
+                         ("simple decomposition", _simple_decomposition),
+                         ("Weyl closure", _weyl_closure))),
+    ("compact partition parity", _compact_partition_parity),
+    ("restricted pointed cone", _restricted_pointed_cone),
+    ("zmprime table", _zmprime_table),
+    ("zmprime integrality", _zmprime_integrality),
+    ("sign factor parity", _sign_factor_parity),
+    ("dims consistency", _dims_consistency),
+    ("compact partition", _compact_partition),
+    ("restriction integrality", _restriction_integrality),
+    ("zmprime compatibility", _zmprime_compatibility))
+CHECKS = tuple(entry for entry, _ in _STEPS)
+
+
 def load_group_data(source: Union[str, bytes, os.PathLike]) -> RealGroupData:
     """Parse and fully validate a group-data document.
 
-    Accepts a path, or raw JSON text/bytes.  Raises GroupDataError with the
-    violated invariant named.
+    Accepts a path, or raw JSON text/bytes.  Raises GroupDataError naming
+    the CHECKS entry of the step that refused it, or the size cap passed.
     """
     if isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    else:  # raw bytes, or a path
-        raw = source if isinstance(source, bytes) else Path(source).read_bytes()
+        return _build(source)
+    return _build(source if isinstance(source, bytes)
+                  else Path(source).read_bytes())
+
+
+def _require(node: dict, field: str, typ, cap=None):
+    if field not in node:
+        raise _Fault(f"missing field {field!r}")
+    if not isinstance(node[field], typ) or isinstance(node[field], bool):
+        raise _Fault(f"field {field!r} must be {typ.__name__}")
+    if cap is not None and not 0 <= node[field] <= cap:  # a size
+        detail = f"{field} {node[field]} is outside 0..{cap}"
+        raise (GroupDataError("size cap", detail) if node[field] > cap
+               else _Fault(detail))
+    return node[field]
+
+
+def _build(source: Union[str, bytes]) -> RealGroupData:
+    p = SimpleNamespace(source=source)
+    for entry, step in _STEPS:
         try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise GroupDataError("schema", f"not UTF-8 text: {e}") from e
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:  # nesting, integer digits
-        raise GroupDataError("schema", f"not valid JSON: {e}") from e
-    return _build(doc)
-
-
-def _require(doc: dict, field: str, typ, inv="schema", cap=None):
-    if field not in doc:
-        raise GroupDataError(inv, f"missing field {field!r}")
-    if not isinstance(doc[field], typ) or isinstance(doc[field], bool):
-        raise GroupDataError(inv, f"field {field!r} must be {typ.__name__}")
-    if cap is not None and not 0 <= doc[field] <= cap:  # a size
-        raise GroupDataError("size cap" if doc[field] > cap else inv,
-                             f"{field} {doc[field]} is outside 0..{cap}")
-    return doc[field]
-
-
-def _build(doc: dict) -> RealGroupData:
-    if not isinstance(doc, dict):
-        raise GroupDataError("schema", "top level must be an object")
-    extra = set(doc) - set(_SCHEMA_FIELDS)
-    if extra:
-        raise GroupDataError("schema", f"unknown fields {sorted(extra)}")
-    for f, t in _SCHEMA_FIELDS.items():
-        _require(doc, f, t)
-    name = doc["name"]
-
-    # ---- k root system -----------------------------------------------------
-    k = doc["k"]
-    k_rank = _require(k, "rank", int, cap=_RANK_CAP)
-    k_roots = RootSystem(
-        k_rank,
-        _parse_weight_list(_require(k, "roots", list), k_rank),
-        _parse_weight_list(_require(k, "positives", list), k_rank),
-        _parse_weight_list(_require(k, "simples", list), k_rank))
-    t_lattice = HMLattice.graded(k_rank, f"{name}:t", k_roots.positives)
-    _validate_root_system(k_roots, "k")
-    closure = weyl_group(k_roots)  # checks K's simple reflections first
-
-    # ---- m root system with compact flags ----------------------------------
-    m = doc["m"]
-    m_rank = _require(m, "rank", int, cap=_RANK_CAP)
-    m_all = _parse_weight_list(_require(m, "roots", list), m_rank)
-    m_pos = _parse_weight_list(_require(m, "positives", list), m_rank)
-    flags = _require(m, "compact_flags", list)
-    if len(flags) != len(m_all) or not all(isinstance(f, bool) for f in flags):
-        raise GroupDataError("schema",
-                             "compact_flags must be booleans aligned with m.roots")
-    m_roots = RootSystem(m_rank, m_all, m_pos, simple_roots(m_pos))
-    _validate_root_system(m_roots, "m")
-    _simple_reflections(m_roots)
-
-    flag_of = dict(zip(m_all, flags))
-    for r, f in zip(m_all, flags):
-        if flag_of[tuple(-x for x in r)] != f:
-            raise GroupDataError("compact partition",
-                                 f"root {r} and its negative disagree "
-                                 "on compactness")
-
-    # ---- restricted roots ---------------------------------------------------
-    restr = doc["restricted"]
-    dim_a = _require(restr, "dim_a", int, cap=_RANK_CAP)
-    _parse_weight_list(_require(restr, "roots", list), dim_a)
-    r_pos = _parse_weight_list(_require(restr, "positives", list), dim_a)
-    a_lattice = HMLattice.graded(dim_a, f"{name}:a", r_pos)
-    for b in r_pos:
-        if sum(map(mul, b, a_lattice.height_vec)) <= 0:
-            raise GroupDataError(
-                "restricted pointed cone",
-                f"no linear functional separates {b}")
-
-    # ---- restriction matrix -------------------------------------------------
-    tm_raw = doc["tM_in_t"]
-    if len(tm_raw) != m_rank or any(
-            not isinstance(row, list) or len(row) != k_rank
-            or not all(type(x) is int for x in row) for row in tm_raw):
-        raise GroupDataError("schema",
-                             f"tM_in_t must be a {m_rank}x{k_rank} integer matrix")
-    tm_in_t = tuple(tuple(row) for row in tm_raw)
-
-    # ---- zmprime -------------------------------------------------------------
-    z = doc["zmprime"]
-    order = _require(z, "order", int, cap=_ORDER_CAP)
-    gens_raw = _require(z, "generators", list)
-    per_gen_rows, vs = [], []
-    for g in gens_raw:
-        if not isinstance(g, dict) or set(g) != {"v", "char_table_row"}:
-            raise GroupDataError("schema",
-                                 "each generator needs exactly v and "
-                                 "char_table_row")
-        row = g["char_table_row"]
-        if not isinstance(row, list) or not all(type(e) is int for e in row):
-            raise GroupDataError(
-                "zmprime table",
-                f"char_table_row must list {order} integer exponents")
-        per_gen_rows.append(row)
-        v = g["v"]
-        if not isinstance(v, list) or len(v) != k_rank:
-            raise GroupDataError("zmprime table",
-                                 f"v must have {k_rank} rational entries")
-        vs.append(tuple(_parse_rational(x, "zmprime table") for x in v))
-    try:  # a row per character, an exponent per generator
-        rows = tuple(zip(*per_gen_rows, strict=True)) or ((),) * order
-    except ValueError:
-        raise GroupDataError("zmprime table", "generators' char_table_rows "
-                             "differ in length") from None
-    try:  # the order and the row count are ZCharTable's to check
-        ztable = ZCharTable(order, rows)
-    except LatticeError as e:
-        raise GroupDataError("zmprime table", str(e)) from e
-
-    # generator values must be exact on the weight lattice
-    for j, v in enumerate(vs):
-        if any(order * n % d for n, d in v):
-            raise GroupDataError(
-                "zmprime compatibility",
-                f"generator {j} gives lattice weights inexact values")
-    zchar_rows = tuple(tuple(order * n // d for n, d in v) for v in vs)
-
+            detail = step(p)
+        except _Fault as e:  # refused by a helper the step calls
+            detail = str(e)
+        if detail is not None:
+            raise GroupDataError(entry, detail)
+    k, m, tm_in_t, zchar_rows = p.k, p.m, p.tm_in_t, p.zchar_rows
     # descent to the small torus where the generator lies in it: w = a v / d
-    descent = Fibres.of([[row[r] for row in tm_in_t] for r in range(k_rank)],
-                        m_rank)
-    zgen_w = tuple(None if any(matvec(descent.consistency, row))
-                   else (descent.d, matvec(descent.a, row))
-                   for row in zchar_rows)
-
-    # ---- dims -----------------------------------------------------------------
-    dims = doc["dims"]
-    dim_s_m = _require(dims, "s_M", int)
-    dim_a_decl = _require(dims, "a", int)
-    if dim_s_m % 2 != 0:
-        raise GroupDataError("sign factor parity",
-                             f"s_M dimension {dim_s_m} is odd")
-    n_noncompact = sum(1 for f in flags if not f)
-    if dim_s_m != n_noncompact:
-        raise GroupDataError(
-            "dims consistency",
-            f"s_M dimension {dim_s_m} != {n_noncompact} noncompact roots")
-    if dim_a_decl != dim_a:
-        raise GroupDataError("dims consistency",
-                             "dims.a disagrees with restricted.dim_a")
-    fibres = Fibres.of(tm_in_t, k_rank)  # every character of T_M extends
-    if (r := k_rank - len(fibres.free)) < m_rank:
-        raise GroupDataError("dims consistency", f"tM_in_t has rank {r} < "
-                             f"{m_rank}: T_M is not a torus in T")
-
-    # compact m-roots must come from roots of the compact subgroup
-    k_restr = [matvec(tm_in_t, r) for r in k_roots.roots]
-    compact = [r for r, f in zip(m_all, flags) if f]
-    for r in compact:
-        if r not in k_restr:
-            raise GroupDataError(
-                "compact partition",
-                f"compact-flagged root {r} is not the restriction of "
-                "any compact-group root")
-
-    # restriction sends lattice weights to weights pairing integrally with
-    # the compact Levi roots
-    for i, re in enumerate(zip(*tm_in_t)):  # R e_i, the i-th column
-        for r in compact:
-            if not _integral_pairing(re, r):
-                raise GroupDataError(
-                    "restriction integrality",
-                    f"basis weight {i} restricts to {re}, pairing "
-                    f"non-integrally with compact root {r}")
-
-    # character table consistent with the v-vectors on a spanning set, so
-    # zchar finds a row for every T-weight
-    for i in range(k_rank):
-        try:
-            ztable.index([row[i] for row in zchar_rows])
-        except ValueError:
-            raise GroupDataError("zmprime compatibility", f"basis weight {i} "
-                                 "has Z' values in no table row") from None
-
+    descent = Fibres.of([[row[r] for row in tm_in_t] for r in range(k.rank)],
+                        m.rank)
+    t_lattice = HMLattice.graded(k.rank, f"{p.name}:t", k.positives)
     # Blattner's formula holds where R maps the K roots one-to-one onto the
     # compact Levi roots, so the compact exterior cancels the Weyl
     # denominator of K, and every K root has a trivial Z' character, so all
     # weights of a K-type carry its highest weight's Z' character
     blattner_applies = (
-        len(set(k_restr)) == len(k_restr)
-        and set(k_restr) == set(compact)
-        and not any(e % order for a in k_roots.roots
+        len(set(p.k_restr)) == len(p.k_restr)
+        and set(p.k_restr) == set(p.compact)
+        and not any(e % p.order for a in k.roots
                     for e in matvec(zchar_rows, a)))
-
     return RealGroupData(
-        name=name, k_roots=k_roots, m_roots=m_roots, a_lattice=a_lattice,
-        tm_in_t=tm_in_t, zgen_w=zgen_w, zchar_rows=zchar_rows,
+        name=p.name, k_roots=k, m_roots=m, a_lattice=p.a_lattice,
+        tm_in_t=tm_in_t,
+        zgen_w=tuple(None if any(matvec(descent.consistency, row))
+                     else (descent.d, matvec(descent.a, row))
+                     for row in zchar_rows),
+        zchar_rows=zchar_rows,
         # the Levi lattice, graded by the declared positives
-        hm=HMLattice.graded(m_rank, f"{name}:tM", m_pos, ztable),
-        t_lattice=t_lattice, dim_s_m=dim_s_m,
-        compact_of=MappingProxyType(flag_of),  # read-only, as the record is
-        k_weyl=_k_weyl(closure, t_lattice.height_vec, tm_in_t, fibres,
-                       k_roots.simples),
-        fibres=fibres, k_pairings=Fibres.of(k_roots.simples, k_rank),
+        hm=HMLattice.graded(m.rank, f"{p.name}:tM", m.positives, p.ztable),
+        t_lattice=t_lattice, dim_s_m=p.s_m,
+        compact_of=MappingProxyType(p.compact_of),  # read-only, as the record
+        k_weyl=_k_weyl(p.closure, t_lattice.height_vec, tm_in_t, p.fibres,
+                       k.simples),
+        fibres=p.fibres, k_pairings=Fibres.of(k.simples, k.rank),
         blattner_applies=blattner_applies)
 
 

@@ -560,9 +560,10 @@ def test_validate_nonclosed_roots_names_weyl_closure(tmp_path, capsys):
     doc["zmprime"] = {"order": 1, "generators": []}
     bad = tmp_path / "open.json"
     bad.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "validate", str(bad))
-    assert code == 4
-    assert "Weyl closure" in err
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (4, "")
+    assert err == ("invalid: m Weyl closure: reflection in (1, -1) does not "
+                   "permute the roots\n")
 
 
 def _zero_denominator(doc):
@@ -611,45 +612,56 @@ def _dim_a(kind, value):
 
 
 _EMPTY = {"roots": [], "positives": []}
+_NO_V = ("expected an integer or a fraction string with a nonzero "
+         "denominator, got ")
 
-
-@pytest.mark.parametrize("mutate, invariant", [
-    (_zero_denominator, "zmprime table"),
-    (_unpointed_k_positives, "simple decomposition"),
-    (_undecodable, "schema"),
-    (_boolean("k", "rank", True), "schema"),
-    (_boolean("m", "rank", True), "schema"),
-    (_boolean("tM_in_t", [[True]]), "schema"),
-    (_boolean("dims", "a", False), "schema"),
-    (_boolean("dims", "s_M", True), "schema"),
-    (_boolean("restricted", "dim_a", False), "schema"),
-    (_boolean("zmprime", "order", True), "schema"),
-    (_boolean("m", "positives", [[True]]), "schema"),
+# each a mutation of sl2r-compact, the check that refuses it and its detail
+_MALFORMED = [
+    (_zero_denominator, "zmprime table", _NO_V + "'1/0'"),
+    (_unpointed_k_positives, "k simple decomposition",
+     "positive (1, 1) is not a nonnegative integer combination of the "
+     "simples"),
+    (_undecodable, "schema", "not UTF-8 text: 'utf-8' codec can't decode "
+     "byte 0xff in position 0: invalid start byte"),
+    (_boolean("k", "rank", True), "schema", "field 'rank' must be int"),
+    (_boolean("m", "rank", True), "schema", "field 'rank' must be int"),
+    (_boolean("tM_in_t", [[True]]), "schema",
+     "tM_in_t must be a 1x1 integer matrix"),
+    (_boolean("dims", "a", False), "schema", "field 'a' must be int"),
+    (_boolean("dims", "s_M", True), "schema", "field 's_M' must be int"),
+    (_boolean("restricted", "dim_a", False), "schema",
+     "field 'dim_a' must be int"),
+    (_boolean("zmprime", "order", True), "schema",
+     "field 'order' must be int"),
+    (_boolean("m", "positives", [[True]]), "schema",
+     "expected integer arrays of length 1, got [True]"),
     (_boolean("zmprime", "generators", 0, "char_table_row", [False, True]),
-     "zmprime table"),
-    (_boolean("zmprime", "generators", 0, "v", [True]), "zmprime table"),
+     "zmprime table", "char_table_row must list 2 integer exponents"),
+    (_boolean("zmprime", "generators", 0, "v", [True]), "zmprime table",
+     _NO_V + "True"),
     (_setting("negative", ("k", {"rank": -1, "simples": [], **_EMPTY})),
-     "schema"),
+     "schema", "rank -1 is outside 0..8"),
     (_setting("negative", ("m", {"rank": -1, "compact_flags": [], **_EMPTY})),
-     "schema"),
-    (_dim_a("negative", -1), "schema"),
-    (_dim_a("huge", 3_000_000), "size cap"),
-])
+     "schema", "rank -1 is outside 0..8"),
+    (_dim_a("negative", -1), "schema", "dim_a -1 is outside 0..8"),
+    (_dim_a("huge", 3_000_000), "size cap", "dim_a 3000000 is outside 0..8"),
+]
+
+
+@pytest.mark.parametrize("mutate, invariant, detail", _MALFORMED, ids=[
+    f"{mutate.__name__}-{invariant}" for mutate, invariant, _ in _MALFORMED])
 def test_validate_malformed_group_file_exits_4(tmp_path, capsys, mutate,
-                                               invariant):
+                                               invariant, detail):
     """mutate edits the document in place, or returns the file's bytes."""
     doc = json.loads((_BUILTIN_DIR / "sl2r-compact.json").read_text())
     raw = mutate(doc)
     bad = tmp_path / "bad.json"
     bad.write_bytes(json.dumps(doc).encode() if raw is None else raw)
     code, out, err = run(capsys, "validate", str(bad))
-    assert code == 4
-    assert out == ""
-    assert f"invalid: {invariant}" in err
+    assert (code, out, err) == (4, "", f"invalid: {invariant}: {detail}\n")
     code, out, err = run(capsys, "table", "--group", str(bad), "--params",
                          '{"series":"discrete","n":3,"sign":"+"}')
-    assert (code, out) == (4, "")
-    assert f"error: {invariant}" in err
+    assert (code, out, err) == (4, "", f"error: {invariant}: {detail}\n")
 
 
 def test_cli_table_and_validate_leave_numpy_and_verify_unloaded():

@@ -1,6 +1,7 @@
 """Group-data loading, validation, Weyl groups, rho shifts."""
 
 import ast
+import inspect
 import json
 from fractions import Fraction
 from math import lcm
@@ -96,7 +97,7 @@ def test_negation_closure_violation():
     doc["m"]["compact_flags"] = [False]
     with pytest.raises(GroupDataError) as e:
         load_group_data(json.dumps(doc))
-    assert e.value.invariant == "negation closure"
+    assert e.value.invariant == "m negation closure"
 
 
 def test_reflection_closure_violation():
@@ -111,8 +112,8 @@ def test_reflection_closure_violation():
     doc["zmprime"] = {"order": 1, "generators": []}
     with pytest.raises(GroupDataError) as e:
         load_group_data(json.dumps(doc))
-    assert e.value.invariant == "Weyl closure"
-    assert str(e.value) == ("Weyl closure: reflection in (1, -1) does not "
+    assert e.value.invariant == "m Weyl closure"
+    assert str(e.value) == ("m Weyl closure: reflection in (1, -1) does not "
                             "permute the roots")
 
 
@@ -142,10 +143,10 @@ def _pair_doc(k, m, tm_in_t, s_m):
     (_pair_doc((1, [[2], [-2]]),
                (2, [([3, 0], False), ([-3, 0], False), ([1, 1], False),
                     ([-1, -1], False)]), [[1], [0]], 4),
-     "Weyl closure: m: pairing of (1, 1) with (3, 0) is not integral"),
+     "m Weyl closure: pairing of (1, 1) with (3, 0) is not integral"),
     (_pair_doc((2, [[2, 2], [-2, -2]]), (1, [([2], False), ([-2], False)]),
                [[1, 0]], 2),
-     "Weyl closure: reflection in (2, 2) does not preserve the lattice"),
+     "k Weyl closure: reflection in (2, 2) does not preserve the lattice"),
     # a non-reduced Levi factor: 2 noncompact, 4 = R(1, 1) compact
     (_pair_doc((2, [[1, 1], [-1, -1]]),
                (1, [([2], False), ([-2], False), ([4], True), ([-4], True)]),
@@ -188,7 +189,9 @@ def test_zmprime_value_must_be_exact_on_lattice():
     doc["zmprime"]["generators"][0]["v"] = ["1/3"]
     with pytest.raises(GroupDataError) as e:
         load_group_data(json.dumps(doc))
-    assert e.value.invariant in ("zmprime compatibility", "zmprime table")
+    assert (e.value.invariant, str(e.value)) == (
+        "zmprime integrality",
+        "zmprime integrality: generator 0 gives lattice weights inexact values")
 
 
 def _rank_1000(doc):
@@ -414,12 +417,19 @@ def test_restriction_map():
     assert matvec(gu.tm_in_t, (1, 2, 3)) == (1, 2, 3)
 
 
+def _with_v(v) -> str:
+    """sl2r-compact's document with its generator's v the one entry v."""
+    doc = doc_sl2_compact()
+    doc["zmprime"]["generators"][0]["v"] = [v]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("v", [3, -2, "3", "+1/2", "-1/2", "2/4", "007/14",
                                "0/5"])
 def test_v_is_read_in_integers(v):
-    num, den = groups._parse_rational(v, "zmprime table")
-    assert type(num) is type(den) is int and den > 0
-    assert Fraction(num, den) == Fraction(v)
+    # the Z' row is order * v, read in integers: the order is 2
+    (row,) = load_group_data(_with_v(v)).zchar_rows
+    assert type(row[0]) is int and row == (2 * Fraction(v),)
 
 
 # among them forms that Fraction reads: decimals, exponents, underscores,
@@ -429,7 +439,7 @@ def test_v_is_read_in_integers(v):
                                "", "9" * 5000, 1.0, True, None, ["1"]])
 def test_v_outside_the_grammar_is_refused(v):
     with pytest.raises(GroupDataError) as e:
-        groups._parse_rational(v, "zmprime table")
+        load_group_data(_with_v(v))
     assert str(e.value) == ("zmprime table: expected an integer or a fraction "
                             "string with a nonzero denominator, got "
                             f"{v!r}")
@@ -487,26 +497,30 @@ def _edited(name, edits):
 
 
 _SL2_GEN = {"v": ["1/2"], "char_table_row": [0, 1]}
+# A2 roots, as su21's Levi factor lists them
+_A2 = [[1, -1, 0], [-1, 1, 0], [1, 0, -1], [-1, 0, 1], [0, 1, -1], [0, -1, 1]]
 
 
-@pytest.mark.parametrize("name, edits, invariant, message", [
+# (group, edits, invariant, detail): one document per CHECKS entry at
+# least, each refused by that entry's step alone
+_REFUSALS = [
     ("su21", [("k", "roots", [[1, -1, 0], [-1, 1, 0], [1, -1, 0]])],
-     "negation closure", "k: duplicate roots"),
+     "k negation closure", "duplicate roots"),
     ("su21", [("k", "roots", [[1, -1, 0], [-1, 1, 0], [0, 0, 0]])],
-     "negation closure", "k: zero vector listed as a root"),
+     "k negation closure", "zero vector listed as a root"),
     ("su21", [("k", "positives", [[1, -1, 0], [-1, 1, 0]])],
-     "positive partition", "k: a root and its negative both positive"),
-    ("su21", [("k", "positives", [])], "positive partition",
-     "k: positives and their negatives do not exhaust the roots"),
-    ("su21", [("k", "simples", [[-1, 1, 0]])], "simple decomposition",
-     "k: simple (-1, 1, 0) is not positive"),
+     "k positive partition", "a root and its negative both positive"),
+    ("su21", [("k", "positives", [])], "k positive partition",
+     "positives and their negatives do not exhaust the roots"),
+    ("su21", [("k", "simples", [[-1, 1, 0]])], "k simple decomposition",
+     "simple (-1, 1, 0) is not positive"),
     ("su21", [("k", "simples", [[1, -1, 0], [1, -1, 0]])],
-     "simple decomposition", "k: simple roots are linearly dependent"),
+     "k simple decomposition", "simple roots are linearly dependent"),
     ("su21", [([],)], "schema", "top level must be an object"),
     ("sl2r-compact", [("zmprime", "generators", 0, {"v": ["1/2"]})],
      "schema", "each generator needs exactly v and char_table_row"),
     ("su21", [("m", "compact_flags", [True] + [False] * 5)],
-     "compact partition",
+     "compact partition parity",
      "root (1, -1, 0) and its negative disagree on compactness"),
     ("su21", [("m", "compact_flags", [True] * 4 + [False] * 2),
               ("dims", "s_M", 2)], "compact partition",
@@ -538,21 +552,59 @@ _SL2_GEN = {"v": ["1/2"], "char_table_row": [0, 1]}
     ("sl2r-compact", [("zmprime", "generators", [
         _SL2_GEN, {"v": ["1/2"], "char_table_row": [0, 0]}])],
      "zmprime compatibility",
-     "basis weight 0 has Z' values in no table row")],
-    ids=["duplicate-roots", "zero-root", "both-signs-positive",
-         "positives-short", "simple-not-positive", "dependent-simples",
-         "top-level-list", "generator-keys", "flag-parity",
-         "flag-without-k-root", "unpointed-cone", "order-0", "row-count",
-         "ragged-rows",
-         "exponent-out-of-range", "v-length",
-         "table-not-closed", "dims-a", "restriction-not-onto",
-         "basis-weight-off-table"])
+     "basis weight 0 has Z' values in no table row"),
+    # K's simple reflection in e_1 sends e_1 + e_2 to e_2 - e_1
+    ("su21", [("k", "roots", [[1, 0, 0], [-1, 0, 0], [1, 1, 0], [-1, -1, 0]]),
+              ("k", "positives", [[1, 0, 0], [1, 1, 0]]),
+              ("k", "simples", [[1, 0, 0], [1, 1, 0]])],
+     "k Weyl closure", "reflection in (1, 0, 0) does not permute the roots"),
+    ("su21", [("m", "roots", _A2[:5] + [[0, -1, 2]])], "m negation closure",
+     "root (0, 1, -1) has no negative"),
+    ("su21", [("m", "positives", [[1, -1, 0], [1, 0, -1]])],
+     "m positive partition",
+     "positives and their negatives do not exhaust the roots"),
+    # a positive system that is not closed: no positive is a sum of two,
+    # so the Levi factor's simples are all three, which are dependent
+    ("su21", [("m", "positives", [[1, -1, 0], [0, 1, -1], [-1, 0, 1]])],
+     "m simple decomposition", "simple roots are linearly dependent"),
+    ("su21", [(_pair_doc((1, [[2], [-2]]),
+                         (2, [([3, 0], False), ([-3, 0], False),
+                              ([1, 1], False), ([-1, -1], False)]),
+                         [[1], [0]], 4),)],
+     "m Weyl closure", "pairing of (1, 1) with (3, 0) is not integral"),
+    ("sl2r-compact", [("zmprime", "generators", 0, "v", ["1/3"])],
+     "zmprime integrality", "generator 0 gives lattice weights inexact values"),
+    ("sl2r-compact", [("dims", "s_M", 3)], "sign factor parity",
+     "s_M dimension 3 is odd"),
+    # a non-reduced Levi factor: 2 noncompact, 4 = R(1, 1) compact
+    ("su21", [(_pair_doc((2, [[1, 1], [-1, -1]]),
+                         (1, [([2], False), ([-2], False), ([4], True),
+                              ([-4], True)]), [[1, 3]], 2),)],
+     "restriction integrality", "basis weight 0 restricts to (1,), pairing "
+     "non-integrally with compact root (4,)"),
+]
+
+
+@pytest.mark.parametrize("name, edits, invariant, message", _REFUSALS, ids=[
+    "duplicate-roots", "zero-root", "both-signs-positive", "positives-short",
+    "simple-not-positive", "dependent-simples", "top-level-list",
+    "generator-keys", "flag-parity", "flag-without-k-root", "unpointed-cone",
+    "order-0", "row-count", "ragged-rows", "exponent-out-of-range",
+    "v-length", "table-not-closed", "dims-a", "restriction-not-onto",
+    "basis-weight-off-table", "k-reflection-not-closed", "m-no-negative",
+    "m-positives-short", "m-positives-not-closed", "m-pairing",
+    "inexact-v", "odd-s-m", "restriction-pairing"])
 def test_loader_refuses_each_broken_invariant(name, edits, invariant,
                                               message):
     with pytest.raises(GroupDataError) as e:
         load_group_data(json.dumps(_edited(name, edits)).encode())
     assert (e.value.invariant, str(e.value)) == (invariant,
                                                  f"{invariant}: {message}")
+
+
+def test_every_check_has_a_planted_refusal():
+    assert {invariant for _, _, invariant, _ in _REFUSALS} == set(
+        groups.CHECKS)
 
 
 def test_group_queries_refuse_what_is_not_there():
@@ -570,45 +622,27 @@ def test_checklist_is_reported():
         assert piece in joined
 
 
-def _refused_invariants(source: str) -> set[str]:
-    """The invariant names a source gives GroupDataError: the string
-    constants in its first argument, or bound to a parameter named inv."""
-    tree = ast.parse(source)
-    params = {f.name: [a.arg for a in f.args.args] for f in ast.walk(tree)
-              if isinstance(f, ast.FunctionDef)}
-    given = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):  # defaults pair from the end
-            given += [d for a, d in zip(node.args.args[::-1],
-                                        node.args.defaults[::-1])
-                      if a.arg == "inv"]
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id == "GroupDataError":
-                given.append(node.args[0])
-            given += [v for a, v in zip(params.get(node.func.id, ()),
-                                        node.args) if a == "inv"]
-            given += [k.value for k in node.keywords if k.arg == "inv"]
-    return {c.value for arg in given for c in ast.walk(arg)
-            if isinstance(c, ast.Constant) and isinstance(c.value, str)}
-
-
-def _unlisted(invariants) -> set[str]:
-    """The invariants, size cap apart, that no entry of CHECKS names."""
-    return {inv for inv in invariants if inv != "size cap"
-            and not any(inv in check for check in groups.CHECKS)}
+def _refusals(source: str) -> set[str]:
+    """The first argument of each GroupDataError call in a source: a string
+    constant's value, else the argument's source text."""
+    return {a.value if isinstance(a, ast.Constant) else ast.unparse(a)
+            for a in (node.args[0] for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "GroupDataError")}
 
 
 def test_every_refusal_names_a_listed_check():
-    # kbranch validate prints CHECKS once a document loads: every invariant
-    # the loader can refuse must be among them, apart from the size caps,
-    # which bound the work and guard no invariant of the data
+    # a step returns its failure's detail, and _build alone raises it, under
+    # the CHECKS entry of that step; the size caps, which bound the work and
+    # guard no invariant of the data, are the one refusal named elsewhere
     source = Path(groups.__file__).read_text()
-    refused = _refused_invariants(source)
-    assert {"schema", "negation closure", "Weyl closure", "size cap",
-            "zmprime table", "zmprime compatibility"} <= refused
-    assert _unlisted(refused) == set()
-    planted = source + '\nraise GroupDataError("foo", "planted")\n'
-    assert _unlisted(_refused_invariants(planted)) == {"foo"}
+    assert _refusals(source) == {"entry", "size cap"}
+    assert _refusals(inspect.getsource(groups._build)) == {"entry"}
+    assert groups.CHECKS == tuple(entry for entry, _ in groups._STEPS)
+    # a refusal under a fragment of an entry, which the check once took for
+    # the entry, is an invariant of its own
+    planted = source + '\nraise GroupDataError("Weyl closure", "planted")\n'
+    assert _refusals(planted) - {"entry", "size cap"} == {"Weyl closure"}
 
 
 def test_group_hash_reads_name_equality_reads_data():
