@@ -92,6 +92,9 @@ _WEYL_CAP = 5_040
 # loading costs O(rank^2) and O(order^3) before any shape check can fail;
 # the shipped groups use ranks 1-3 and order 2
 _RANK_CAP, _ORDER_CAP = 8, 64
+# and O(roots^2) in a declared root list: E8's 240 roots are the most of
+# any root system of rank <= _RANK_CAP
+_ROOTS_CAP = 240
 
 
 def _simple_reflections(rs: RootSystem) -> list[tuple]:
@@ -141,8 +144,11 @@ def weyl_group(rs: RootSystem) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
 
 
 def _weights(node: dict, field: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for entry in _require(node, field, list):
+    out, entries = [], _require(node, field, list)
+    if len(entries) > _ROOTS_CAP:
+        raise GroupDataError("size cap", f"{field} lists {len(entries)} "
+                             f"roots, above {_ROOTS_CAP}")
+    for entry in entries:
         if (not isinstance(entry, list) or len(entry) != rank
                 or not all(type(c) is int for c in entry)):  # no bools
             raise _Fault(f"expected integer arrays of length {rank}, got "
@@ -327,6 +333,8 @@ def _negation_closure(label: str, p: SimpleNamespace) -> Optional[str]:
 def _positive_partition(label: str, p: SimpleNamespace) -> Optional[str]:
     rs = getattr(p, label)
     pos = set(rs.positives)
+    if len(pos) != len(rs.positives):
+        return "duplicate positives"
     neg = {tuple(-x for x in r) for r in pos}
     if pos & neg:
         return "a root and its negative both positive"

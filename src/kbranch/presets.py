@@ -1,15 +1,14 @@
-"""Friendly parameter documents for the shipped groups.
+"""The parameter documents of the CLI.
 
-Each builtin group accepts a small JSON vocabulary that maps onto raw
-parameter tuples; raw input (lambda, lambda_denom, rmplus, chi, nu) is an
-escape hatch on every group but su21, whose lambda documents take its own
-form.  Every form refuses a field it does not read, never defaulting it.
+Every group reads one raw form (lambda, lambda_denom, rmplus, chi, nu),
+rmplus optional for a regular lambda; the two SL(2,R) builtins also read
+a small series vocabulary in their own chi and root conventions.  Every
+form refuses a field it does not read, never defaulting it.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Optional
 
 from .branching import TemperedParams
 from .groups import RealGroupData
@@ -70,41 +69,31 @@ def sl2_principal(g: RealGroupData, chi: str, nu: int = 1) -> TemperedParams:
                           nu=g.a_weight([nu]))
 
 
-def su21_from_lambda(g: RealGroupData, coords,
-                     rmplus: Optional[list] = None,
-                     chi: int = 0) -> TemperedParams:
-    """Parameters from a Harish-Chandra parameter on the rank-3 torus.
-
-    For regular coords the positive system is derived from the sign of the
-    pairings; singular parameters (limits) must supply rmplus explicitly.
-    Its roots, given or derived, are kept as coordinate tuples.
-    """
-    lam = g.tm_weight(coords)
-    if rmplus is not None:
-        pos = tuple(map(tuple, rmplus))
-    else:
-        pos = []
-        for r in g.m_roots.positives:
-            d = sum(map(mul, lam.coords, r))
-            if d == 0:
-                raise ParamSchemaError(
-                    f"parameter is orthogonal to root {r}; supply "
-                    "rmplus explicitly for limits")
-            pos.append(r if d > 0 else tuple([-x for x in r]))
-        pos = tuple(pos)
-    return TemperedParams(lam=lam, rmplus=pos, chi=chi, nu=g.a_weight([]))
-
-
 def raw_params(g: RealGroupData, doc: dict) -> TemperedParams:
-    """Parameters from the raw form, rmplus as coordinate tuples."""
+    """Parameters from the raw form, rmplus as coordinate tuples.  With no
+    rmplus, the positive system a regular lambda makes dominant, each Levi
+    positive r or -r in turn; a singular one (a limit) must supply it."""
     _only(doc, "lambda", "lambda_denom", "rmplus", "chi", "nu")
     try:
-        lam = g.tm_weight(_integers(doc, "lambda", depth=1),
-                          denom=_integers(doc, "lambda_denom", 1))
-        rmplus = tuple(map(tuple, _integers(doc, "rmplus", [], 2)))
+        coords = _integers(doc, "lambda", depth=1)
+        if len(coords) != g.hm.rank:
+            raise ParamSchemaError(f"'lambda' needs {g.hm.rank} entries")
+        lam = g.tm_weight(coords, denom=_integers(doc, "lambda_denom", 1))
+        if "rmplus" in doc:
+            rmplus = tuple(map(tuple, _integers(doc, "rmplus", depth=2)))
+        else:
+            rmplus = []
+            for r in g.m_roots.positives:
+                d = sum(map(mul, coords, r))
+                if not d:
+                    raise ParamSchemaError(
+                        f"parameter is orthogonal to root {r}; supply "
+                        "rmplus explicitly for limits")
+                rmplus.append(r if d > 0 else tuple([-x for x in r]))
+            rmplus = tuple(rmplus)
         chi = _integers(doc, "chi", 0)
         nu = g.a_weight(_integers(doc, "nu", [0] * g.a_lattice.rank, 1))
-    except (KeyError, TypeError, ValueError) as e:
+    except ValueError as e:
         raise ParamSchemaError(f"bad raw parameter document: {e}") from e
     return TemperedParams(lam=lam, rmplus=rmplus, chi=chi, nu=nu)
 
@@ -113,7 +102,7 @@ def resolve_params(g: RealGroupData, doc: dict) -> TemperedParams:
     """Map a parameter document to a TemperedParams for this group."""
     if not isinstance(doc, dict):
         raise ParamSchemaError("parameter document must be a JSON object")
-    if "lambda" in doc and g.name != "su21":
+    if "lambda" in doc:
         return raw_params(g, doc)
     if g.name == "sl2r-compact":
         series = doc.get("series")
@@ -134,14 +123,4 @@ def resolve_params(g: RealGroupData, doc: dict) -> TemperedParams:
             return sl2_principal(g, doc["chi"], _integers(doc, "nu", 1))
         raise ParamSchemaError(
             'expected {"chi": "plus"|"minus"} or raw parameters')
-    if g.name == "su21":
-        if "lambda" in doc:
-            _only(doc, "lambda", "rmplus", "chi")
-            lam = _integers(doc, "lambda", depth=1)
-            if len(lam) != g.hm.rank:
-                raise ParamSchemaError(f"'lambda' needs {g.hm.rank} entries")
-            rmplus = (None if "rmplus" not in doc
-                      else _integers(doc, "rmplus", depth=2))
-            return su21_from_lambda(g, lam, rmplus, _integers(doc, "chi", 0))
-        raise ParamSchemaError('expected {"lambda": [a, b, c], ...}')
     return raw_params(g, doc)

@@ -148,9 +148,9 @@ def random_su21_params(g, rng) -> TemperedParams:
         b = rng.randint(-4, a)
         c = rng.randint(-4, 4)
         # r or -r, whichever lam pairs positively with; tie breaks ties
-        p = presets.su21_from_lambda(g, [a, b, c], [
-            r if (sum(map(mul, (a, b, c), r)), sum(map(mul, tie, r))) > (0, 0)
-            else [-x for x in r] for r in g.m_roots.positives])
+        p = presets.resolve_params(g, {"lambda": [a, b, c], "rmplus": [
+            list(r) if (sum(map(mul, (a, b, c), r)), sum(map(mul, tie, r)))
+            > (0, 0) else [-x for x in r] for r in g.m_roots.positives]})
         if validate_params(g, p).verdict == "nonzero":
             return p
 

@@ -25,8 +25,7 @@ from kbranch.characters import (CutoffError, HMLattice, LatticeError, Weight,
 from kbranch.groups import (_BUILTIN_DIR, GroupDataError, builtin_group,
                             load_group_data, simple_roots)
 from kbranch.ktypes import KType, key_index
-from kbranch.presets import (resolve_params, sl2_discrete, sl2_principal,
-                             su21_from_lambda)
+from kbranch.presets import resolve_params, sl2_discrete, sl2_principal
 from kbranch.sl2_oracles import SL2Series, sl2_branching
 from kbranch.verify import _sl2_param_sets, random_su21_params
 from brauer_klimyk import dominant
@@ -42,6 +41,11 @@ def restrict_to_hm(g, hw):
 
 
 STD_POS = ((1, -1, 0), (1, 0, -1), (0, 1, -1))
+
+
+def lam_params(g, lam, **doc):
+    """The parameters of g's raw document with this lambda."""
+    return resolve_params(g, {"lambda": list(lam), **doc})
 
 
 def dot(a, b):
@@ -65,8 +69,8 @@ def test_validate_limit_nonzero_vacuous_compact_condition():
 
 
 def test_validate_su21_zero_on_compact_wall():
-    p = su21_from_lambda(GU, [2, 2, -1], rmplus=[[1, -1, 0], [1, 0, -1],
-                                                 [0, 1, -1]])
+    p = lam_params(GU, [2, 2, -1], rmplus=[[1, -1, 0], [1, 0, -1],
+                                           [0, 1, -1]])
     v = validate_params(GU, p)
     assert v.verdict == "zero"
     assert "(1, -1, 0)" in v.reason
@@ -78,16 +82,16 @@ def test_validate_refuses_root_coordinates_that_are_not_roots(lattice,
                                                               denom):
     # the coordinates of the su21 positives, on the lattice of T or halved:
     # a verdict, not a LatticeError from grading the positive system
-    p = su21_from_lambda(GU, [3, 1, -1])._replace(rmplus=tuple(
+    p = lam_params(GU, [3, 1, -1])._replace(rmplus=tuple(
         Weight(r, lattice, denom) for r in STD_POS))
     v = validate_params(GU, p)
     assert v.verdict == "invalid"
     assert v.reason == "positive system contains non-roots or duplicates"
 
 
-_P1, _P2 = su21_from_lambda(GU, [3, 1, -1]), su21_from_lambda(GU, [4, 1, -2])
-_ZERO = su21_from_lambda(GU, [2, 2, -1], rmplus=[[1, -1, 0], [1, 0, -1],
-                                                 [0, 1, -1]])
+_P1, _P2 = lam_params(GU, [3, 1, -1]), lam_params(GU, [4, 1, -2])
+_ZERO = lam_params(GU, [2, 2, -1], rmplus=[[1, -1, 0], [1, 0, -1],
+                                           [0, 1, -1]])
 
 
 @pytest.mark.parametrize("p", [_P1, _ZERO], ids=["p1", "zero"])
@@ -131,7 +135,7 @@ def test_a_verdict_is_refused_with_what_it_did_not_judge(monkeypatch, g, p,
 def test_a_verdict_is_bound_by_equality():
     # equal parameters, and an equal group loaded apart, give a verdict
     # that tables as the first pair does
-    q = su21_from_lambda(GU, [3, 1, -1])
+    q = lam_params(GU, [3, 1, -1])
     verdict = validate_params(builtin_group("su21"), q)
     assert q is not _P1 and table_of(verdict, 4) == ktype_table(GU, _P1, 4)
     assert table_of(validate_params(GU, _ZERO), 4).entries == {}
@@ -153,7 +157,7 @@ def test_validate_rejects_wrong_component_character():
 
 @pytest.mark.parametrize("chi", [0.0, False, True, 0.5])
 @pytest.mark.parametrize("g, p, hw", [
-    (GU, su21_from_lambda(GU, [3, 1, -1]), [4, 1, -2]),
+    (GU, lam_params(GU, [3, 1, -1]), [4, 1, -2]),
     (GC, sl2_discrete(GC, 3, "+"), [4])], ids=["su21", "sl2r-compact"])
 def test_validate_refuses_a_chi_that_is_not_an_int(g, p, hw, chi):
     # an index equal to a valid one, or between two, is still no index
@@ -198,7 +202,7 @@ CIRCLE2 = load_group_data(json.dumps({
     "zmprime": {"order": 2,
                 "generators": [{"v": ["1/2"], "char_table_row": [0, 1]}]},
     "dims": {"s_M": 2, "a": 0}}))
-_U = su21_from_lambda(GU, [3, 1, -1])
+_U = lam_params(GU, [3, 1, -1])
 
 
 @pytest.mark.parametrize("g, p, want", [
@@ -366,8 +370,8 @@ def test_table_principal_minus_window_5():
 
 
 def test_table_zero_verdict_is_empty():
-    p = su21_from_lambda(GU, [2, 2, -1], rmplus=[[1, -1, 0], [1, 0, -1],
-                                                 [0, 1, -1]])
+    p = lam_params(GU, [2, 2, -1], rmplus=[[1, -1, 0], [1, 0, -1],
+                                           [0, 1, -1]])
     t = ktype_table(GU, p, 4)
     assert t.entries == {}
 
@@ -464,7 +468,7 @@ def test_tables_validate_once(monkeypatch, table):
         return validate_params(g, p)
 
     monkeypatch.setattr(branching, "validate_params", counted)
-    p = su21_from_lambda(GU, [3, 1, -1])
+    p = lam_params(GU, [3, 1, -1])
     counts = []
     for window in (2, 4):
         calls.clear()
@@ -511,7 +515,7 @@ def test_engine_reads_the_weyl_group_from_load(monkeypatch):
     for mod in (groups, branching, ktypes):
         if getattr(mod, "weyl_group", None) is weyl_group:
             monkeypatch.setattr(mod, "weyl_group", counted)
-    p = su21_from_lambda(g, [3, 1, -1])
+    p = lam_params(g, [3, 1, -1])
     ktype_table(g, p, 6)
     ktype_table_series(g, p, 4)
     ktype_multiplicity(g, p, KType(g.t_weight([4, 1, -2])))
@@ -537,12 +541,12 @@ def _counted_lifts(monkeypatch):
 def test_series_tables_share_the_restriction_cache(monkeypatch):
     # a second table at the same window, of either oracle, re-lifts no key
     # of the window that an earlier one read
-    p = su21_from_lambda(GU, [4, 1, -2])
+    p = lam_params(GU, [4, 1, -2])
     ktypes.ktype_box.cache_clear()
     lifted = _counted_lifts(monkeypatch)
     ktype_table_series(GU, p, 4)
     first = sum(1 for _, n in lifted if n)
-    ktype_table_series(GU, su21_from_lambda(GU, [3, 1, -1]), 4)
+    ktype_table_series(GU, lam_params(GU, [3, 1, -1]), 4)
     box_table(GU, p, 4, "partition")
     held = [key for key, n in lifted if n]
     assert 0 < first < len(held) == len(set(held))
@@ -676,7 +680,7 @@ def test_sl2xsl2_tables_are_products_of_sl2_tables():
 
 def test_all_noncompact_su21_keeps_partition_table():
     g = all_noncompact_su21()
-    p = su21_from_lambda(g, [3, 1, -1])
+    p = lam_params(g, [3, 1, -1])
     t = ktype_table(g, p, 4)
     assert t.entries == {(4, 1, -2): 1, (4, 2, -3): 1, (4, 3, -4): 1}
     assert t.sign == -1
@@ -686,7 +690,7 @@ def test_all_noncompact_su21_keeps_partition_table():
 def test_partition_fallback_is_the_partition_table():
     g = all_noncompact_su21()
     for lam in ([3, 1, -1], [4, -2, 1], [-1, -3, 2]):
-        p = su21_from_lambda(g, lam)
+        p = lam_params(g, lam)
         assert (ktype_table(g, p, 4).entries
                 == box_table(g, p, 4, "partition").entries)
 
@@ -706,7 +710,7 @@ def _count_calls(monkeypatch, *targets):
 def test_tables_build_no_weight_per_ktype(monkeypatch):
     # K-types travel as highest-weight tuples, so a warm table builds the
     # same Weights, those of its parameters, at every window
-    p = su21_from_lambda(GU, [3, 1, -1])
+    p = lam_params(GU, [3, 1, -1])
     calls = _count_calls(monkeypatch, (Weight, "__new__"))
     for table in (lambda w: ktype_table_series(GU, p, w),
                   lambda w: box_table(GU, p, w, "partition"),
@@ -736,7 +740,7 @@ def test_su21_lambda_document_builds_two_weights(monkeypatch, doc):
 def test_call_tier_does_no_weight_arithmetic(monkeypatch):
     # the chamber and its tables are warm: lambda - rho, its Z' values and
     # the base key are integer tuples, and no key is checked as a Weight
-    p = su21_from_lambda(GU, [4, 1, -2])
+    p = lam_params(GU, [4, 1, -2])
     want = ktype_table(GU, p, 6)
     calls = _count_calls(monkeypatch, (Weight, "__add__"), (HMLattice, "char"))
     assert table_of(validate_params(GU, p), 6) == want
@@ -746,7 +750,7 @@ def test_call_tier_does_no_weight_arithmetic(monkeypatch):
 @pytest.mark.parametrize("mode", ["partition", "series"])
 def test_oracles_do_no_weight_work_per_term(monkeypatch, mode):
     # the chamber's table is built by the first evaluation, read by the next
-    prep = validate_params(GU, su21_from_lambda(GU, [4, 1, -2]))
+    prep = validate_params(GU, lam_params(GU, [4, 1, -2]))
     index = key_index(GU, ktypes.enumerate_ktypes(GU, 4))
     top2 = _top2(index, prep.chamber.hm.height_vec)
     want = branching._evaluate(prep, mode, index, top2)
@@ -763,7 +767,7 @@ def test_virtual_character_steps_coordinate_tuples(monkeypatch):
     # the roots are coordinate tuples, each checked once as a key, and
     # every term of the series is a (coordinates, Z' index) pair built by
     # tuple sums and never checked
-    prep = validate_params(GU, su21_from_lambda(GU, [3, 1, -1]))
+    prep = validate_params(GU, lam_params(GU, [3, 1, -1]))
     calls = _count_calls(monkeypatch, (Weight, "__new__"), (Weight, "__add__"),
                          (Weight, "__mul__"), (Weight, "__rmul__"),
                          (HMLattice, "char"), (HMLattice, "key_height2"))
@@ -783,7 +787,7 @@ def cold_records():
 def test_short_certificate_raises_cutoff_error(monkeypatch, cold_records):
     # ktype_table reaches the series in its spot check only where the table
     # is not Blattner's, as on the all-noncompact su21
-    p = su21_from_lambda(GU, [4, 1, -2])
+    p = lam_params(GU, [4, 1, -2])
     noncompact = all_noncompact_su21()
     q = _chamber(noncompact, [3, 1, -1])
     top = max(ktype_table(GU, p, 4).entries)
@@ -841,7 +845,7 @@ def test_restrict_to_hm_does_no_weight_work(monkeypatch):
     KType(GU.t_weight([1, 4, -2])),                        # not dominant
 ])
 def test_ktype_off_the_group_lattice_raises(kt):
-    p = su21_from_lambda(GU, [3, 1, -1])
+    p = lam_params(GU, [3, 1, -1])
     # a K-type from outside the engine is checked where it comes in, once:
     # HMLattice.char fixes its lattice, rank and denominator, and
     # ktype_multiplicity tests dominance
@@ -1062,7 +1066,8 @@ def test_blattner_terms_are_the_searched_terms():
     # a term holds eps det(w) as its det and shift_w as its state and
     # height: the state map is one to one (R has full row rank, so the
     # fibres' map is the rows of one invertible elimination, carried by
-    # w^T), so the state pins the shift
+    # w^T), so the state pins the shift.  No shift is higher than w_Phi's,
+    # 0, on a genuine chamber (the planted shift defect raises shift_top)
     signs = Counter()
     for g, p in _term_cases():
         prep = validate_params(g, p)
@@ -1073,7 +1078,7 @@ def test_blattner_terms_are_the_searched_terms():
             (eps * det, groups.matvec(walk, shift), dot(hv, shift), walk)
             for det, shift, walk in searched]
         assert chamber.shift_top == max(dot(hv, shift)
-                                        for _, shift, _ in searched)
+                                        for _, shift, _ in searched) == 0
         signs[g.name, eps] += 1
     # both compact chambers of su21 and of Sp(4,R)
     assert all(signs[name, eps] for name in ("su21", "sp4r")
@@ -1110,7 +1115,7 @@ def test_blattner_partition_calls_track_rows(monkeypatch):
     monkeypatch.setattr(branching, "_evaluate", spot_check)
     monkeypatch.setattr(branching, "_blattner_table", counted)
     branching._chamber.cache_clear()  # the check builds its chamber's table
-    t = ktype_table(GU, su21_from_lambda(GU, [3, 1, -1]), 16)
+    t = ktype_table(GU, lam_params(GU, [3, 1, -1]), 16)
     # the box holds 18,513 K-types, each needing |W_K| = 2 counts; the walk
     # returns the K-types some term reaches, before the terms cancel
     assert len(t.entries) == 28
@@ -1177,7 +1182,7 @@ def test_top_covector_once_per_chamber(monkeypatch):
     # v is the positive system's: the first evaluation derives it, with the
     # chamber's record, and the next two read that record
     calls = _count_calls(monkeypatch, (branching, "_top_covector"))
-    p = su21_from_lambda(GU, [3, 1, -1])
+    p = lam_params(GU, [3, 1, -1])
     branching._chamber.cache_clear()
     for evaluate, derived in ((lambda: ktype_table(GU, p, 6), 1),
                               (lambda: box_table(GU, p, 6, "series"), 0),
@@ -1268,8 +1273,8 @@ def test_chamber_records_keep_groups_of_one_name_apart():
 def test_a_singular_parameter_gets_a_record_per_positive_system():
     # lambda = (2, 1, 1) lies on the wall of the noncompact root (0, 1, -1)
     # and is dominant for both positive systems on either side of it
-    params = [su21_from_lambda(GU, [2, 1, 1], rmplus=[[1, -1, 0], [1, 0, -1],
-                                                      r]) for r in
+    params = [lam_params(GU, [2, 1, 1], rmplus=[[1, -1, 0], [1, 0, -1],
+                                                r]) for r in
               ([0, 1, -1], [0, -1, 1])]
     verdicts = [validate_params(GU, p) for p in params]
     assert [v.verdict for v in verdicts] == ["nonzero", "nonzero"]
@@ -1290,7 +1295,7 @@ def test_window_must_be_a_nonnegative_int(monkeypatch, table, window):
     def refuse(*args, **kwargs):
         raise AssertionError("prepared before the window was checked")
 
-    p = su21_from_lambda(GU, [3, 1, -1])
+    p = lam_params(GU, [3, 1, -1])
     monkeypatch.setattr(branching, "_prepare", refuse)
     error, message = ((TableSizeError, "window 65 is above the cap of 64")
                       if window == 65 else (ValueError, "window must be a "
@@ -1311,7 +1316,7 @@ def test_mode_is_checked_before_any_work(monkeypatch, evaluate, lam):
     def refuse(*args, **kwargs):
         raise AssertionError("prepared before the mode was checked")
 
-    p = su21_from_lambda(GU, lam, rmplus=[[1, -1, 0], [1, 0, -1], [0, 1, -1]])
+    p = lam_params(GU, lam, rmplus=[[1, -1, 0], [1, 0, -1], [0, 1, -1]])
     for _ in range(2):  # as it is, then with no parameters prepared
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):
             evaluate(p, "bogus")
@@ -1370,7 +1375,7 @@ def test_spot_check_partition_budget(monkeypatch):
                 (window, singular), 8)
         assert b[16] == b[8]
     assert len(params) == 648
-    assert bound(su21_from_lambda(GU, [3, 1, -1]), 64) == 4
+    assert bound(lam_params(GU, [3, 1, -1]), 64) == 4
 
 
 def test_spot_check_series_budget(monkeypatch):
@@ -1419,7 +1424,7 @@ def _planted_cases(defect, window=12):
         return _PLANTED_ZPRIME
     return ([(g, lam, _chamber(g, lam, denom)) for g, lam, denom in _PLANTED
              if g is not SO43 or window == 6]
-            + [(GU, lam, su21_from_lambda(GU, lam, rmplus=rmplus))
+            + [(GU, lam, lam_params(GU, lam, rmplus=rmplus))
                for lam, rmplus in _PLANTED_LIMITS])
 
 
@@ -1585,8 +1590,8 @@ def test_an_empty_blattner_table_of_a_nonzero_lambda_raises(monkeypatch):
     # u(lambda + rho_n - rho_c) has multiplicity 1, so a Blattner table that
     # lost every row raises once that K-type lies in the window, for a
     # regular lambda and a singular one alike
-    regular = su21_from_lambda(GU, [5, -2, 0])
-    singular = su21_from_lambda(GU, [3, -1, -1], rmplus=_R1)
+    regular = lam_params(GU, [5, -2, 0])
+    singular = lam_params(GU, [3, -1, -1], rmplus=_R1)
     for p, low in ((regular, (5, -2, 0)), (singular, (3, 0, -2))):
         window = max(map(abs, low))
         assert ktype_table(GU, p, window - 1).entries == {}
@@ -1604,7 +1609,7 @@ def test_late_walk_starts_on_a_limit_raise(monkeypatch):
     # each line of Blattner's walk starts one past its first point: the
     # limit su21 (3, -1, -1) at window 64 loses its lowest K-type, 212 rows
     # for 245, and the check of that K-type raises
-    p = su21_from_lambda(GU, [3, -1, -1], rmplus=_R1)
+    p = lam_params(GU, [3, -1, -1], rmplus=_R1)
     assert len(ktype_table(GU, p, 64).entries) == 245
     walk = branching._walk
     monkeypatch.setattr(branching, "_walk", lambda state, levels: (
@@ -1648,7 +1653,7 @@ def test_a_limit_s_lowest_row_is_its_lowest_k_type(a, b, where, tie, extra):
 def test_an_empty_table_reads_no_oracle(cold_records):
     # su21 (5, -2, 0) has no K-type in window 0: its table reads neither
     # oracle, so its chamber holds no table afterwards
-    p = su21_from_lambda(GU, [5, -2, 0])
+    p = lam_params(GU, [5, -2, 0])
     verdict = validate_params(GU, p)
     assert table_of(verdict, 0).entries == {}
     assert not verdict.chamber.tables
@@ -1725,7 +1730,7 @@ def test_chamber_series_is_rebuilt_past_its_certificate(monkeypatch,
     # rebuilds it at its own bound, and a query within the certificate reads
     # it as it is; a kept pair certified below a read is rebuilt, so the
     # read returns the right table
-    p = su21_from_lambda(GU, [4, 1, -2])
+    p = lam_params(GU, [4, 1, -2])
     builds = _record_builds(monkeypatch)["series"]
     small = ktype_table_series(GU, p, 2)
     record = validate_params(GU, p).chamber
@@ -1753,7 +1758,7 @@ def test_partition_table_read_past_its_certificate_raises(monkeypatch,
     # rebuilt; a builder that certifies its table below the room it was
     # built for makes the read raise CutoffError, as _evaluate looks the
     # builder up when it reads
-    p = su21_from_lambda(GU, [4, 1, -2])
+    p = lam_params(GU, [4, 1, -2])
     builds = _record_builds(monkeypatch)["partition"]
     want = ktype_table(GU, p, 6)
     record = validate_params(GU, p).chamber
@@ -1856,8 +1861,8 @@ def test_ktype_table_skips_box_and_restricts_spot_checks_only(monkeypatch):
 
     monkeypatch.setattr(branching, "ktype_box", refuse)
     monkeypatch.setattr(branching, "key_index", counted)
-    for g, p in ((GU, su21_from_lambda(GU, [3, 1, -1])),
-                 (GU, su21_from_lambda(GU, [-1, 3, 1])),  # the other chamber
+    for g, p in ((GU, lam_params(GU, [3, 1, -1])),
+                 (GU, lam_params(GU, [-1, 3, 1])),  # the other chamber
                  (GC, sl2_discrete(GC, 2, "-")),
                  (GS, sl2_principal(GS, "minus"))):
         restricted.clear()

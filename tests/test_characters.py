@@ -10,7 +10,7 @@ from kbranch.characters import (ConeError, HMLattice, LatticeError, Weight,
                                 ZCharTable, char_mul, geometric_series,
                                 graded_exterior, partition_counts)
 from kbranch.groups import builtin_group
-from kbranch.presets import su21_from_lambda
+from kbranch.presets import resolve_params
 
 # rank-1 lattice shaped like the compact-Cartan setup: positive root (2),
 # height covector = that root, order-2 component group
@@ -121,7 +121,7 @@ def test_weights_from_different_lattices_do_not_mix():
               g.tm_weight([1, 0]), g.tm_weight([1, 0, -1, 2])):
         with pytest.raises(LatticeError):
             g.hm.char(w)
-    p = su21_from_lambda(g, [3, 1, -1])
+    p = resolve_params(g, {"lambda": [3, 1, -1]})
     for lam in (g.t_weight([3, 1, -1]), g.tm_weight([3, 1]),
                 g.tm_weight([3, 1, -1, 0])):
         v = validate_params(g, p._replace(lam=lam))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kbranch
-from kbranch import branching, cli, verify
+from kbranch import branching, cli, groups, verify
 from kbranch.branching import MAX_WINDOW, TableSizeError
 from kbranch.cli import main
 from kbranch.oscillator import MAX_GRID_POINTS
@@ -101,12 +101,18 @@ def test_bad_params_document_exits_2(capsys):
     ("sl2r-split", '{"chi":[]}'),
     ("sl2r-split", '{"chi":{}}'),
     ("su21", '{"lambda":[3,1,-1],"bogus":5}'),
-    ("su21", '{"lambda":[3,1,-1],"lambda_denom":2}'),
+    # a field no form reads
+    ("su21", '{"lambda":[3,1,-1],"denom":2}'),
     ("sl2r-compact", '{"series":"limit","n":3,"sign":"+"}'),
     ("sl2r-split", '{"chi":"plus","rmplus":[[1]]}'),
     ("su21", '{"lambda":[3,1,-1],"rmplus":null}'),
     # a group with no friendly form reads a document as raw parameters
     (str(DATA / "sp4r.json"), '{"chi":0}'),
+    # a singular lambda must name its positive system, and every lambda
+    # has the Levi rank
+    ("su21", '{"lambda":[2,1,1]}'),
+    (str(DATA / "sp4r.json"), '{"lambda":[1,-1]}'),
+    (str(DATA / "sp4r.json"), '{"lambda":[2,1,0]}'),
 ])
 def test_malformed_params_document_exits_2(capsys, group, params):
     code, out, err = run(capsys, "table", "--group", group,
@@ -118,9 +124,39 @@ def test_malformed_params_document_exits_2(capsys, group, params):
 
 def test_unknown_params_field_is_named(capsys):
     code, out, err = run(capsys, "table", "--group", "su21", "--params",
-                         '{"lambda":[3,1,-1],"lambda_denom":2}')
+                         '{"lambda":[3,1,-1],"denom":2}')
     assert (code, out) == (2, "")
-    assert "'lambda_denom'" in err
+    assert "'denom'" in err
+
+
+def test_a_group_reads_the_lambda_form_whatever_its_name():
+    # su21-noncompact's name, su21, once chose a form of its own for its
+    # lambda documents: the raw form is every group's, read the same under
+    # any name (the lattice tags alone carry the name)
+    doc = json.loads((DATA / "su21-noncompact.json").read_text())
+    params = [resolve_params(load_group_data(json.dumps(doc | {"name": n})),
+                             {"lambda": [3, 1, -1]}) for n in ("su21", "u21")]
+    assert len({(p.lam.coords, p.lam.denom, p.rmplus, p.chi, p.nu.coords)
+                for p in params}) == 1
+    assert params[0].rmplus == ((1, -1, 0), (1, 0, -1), (0, 1, -1))
+
+
+@pytest.mark.parametrize("pinned", ["table_sp4r_w32", "table_so43_w6",
+                                    "table_su22_w8", "table_su31_w8"])
+def test_a_regular_lambda_needs_no_rmplus(pinned):
+    # each pinned document writes out the positive system its regular
+    # lambda makes dominant, in the order of the Levi positives
+    g = load_group_data(DATA / f"{pinned.split('_')[1]}.json")
+    docs = list(map(json.loads, json.loads(
+        (DATA / f"{pinned}.sha256.json").read_text())["sha256"]))
+    bare = [{k: v for k, v in doc.items() if k != "rmplus"} for doc in docs]
+    for doc, without in zip(docs, bare):
+        assert resolve_params(g, without) == resolve_params(g, doc)
+    # and the table of the positive system written out in another order
+    doc = docs[-1] | {"rmplus": sorted(docs[-1]["rmplus"])}
+    assert doc["rmplus"] != docs[-1]["rmplus"]
+    assert (branching.ktype_table(g, resolve_params(g, doc), 4)
+            == branching.ktype_table(g, resolve_params(g, bare[-1]), 4))
 
 
 def test_negative_window_exits_2(capsys):
@@ -714,6 +750,34 @@ def test_validate_rank_above_cap_exits_4(tmp_path, capsys):
     assert "invalid: size cap" in err
 
 
+def test_a_positive_listed_twice_exits_4(tmp_path, capsys):
+    # it doubled its share of 2rho_K, and the table died in _chamber
+    doc = json.loads((_BUILTIN_DIR / "su21.json").read_text())
+    doc["k"]["positives"] = [[1, -1, 0], [1, -1, 0]]
+    bad = tmp_path / "twice.json"
+    bad.write_text(json.dumps(doc))
+    line = "k positive partition: duplicate positives\n"
+    assert run(capsys, "validate", str(bad)) == (4, "", "invalid: " + line)
+    assert run(capsys, "table", "--group", str(bad), "--params",
+               '{"lambda":[3,1,-1]}') == (4, "", "error: " + line)
+
+
+def test_a_long_root_list_is_refused_before_its_simple_roots(
+        tmp_path, capsys, monkeypatch):
+    # simple_roots pairs every two positives: 2,000 copies of one root took
+    # over a second before the positive partition refused them
+    def refuse(positives):
+        raise AssertionError("reached simple_roots")
+
+    monkeypatch.setattr(groups, "simple_roots", refuse)
+    doc = json.loads((_BUILTIN_DIR / "su21.json").read_text())
+    doc["m"]["positives"] = [[1, -1, 0]] * 2000
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(bad)) == (
+        4, "", "invalid: size cap: positives lists 2000 roots, above 240\n")
+
+
 @pytest.mark.parametrize("argv, forwarded", [
     ((), {}), (("--svd-tol", "1"), {"svd_tol": 1.0}),
     (("--grid-h", "0.025", "--grid-L", "12"),
@@ -882,6 +946,11 @@ _DOCS = {
         {"lambda": st.lists(_SMALL, min_size=3, max_size=3)},
         optional={"rmplus": _RAW["rmplus"], "chi": _RAW["chi"]}),
     "raw": st.fixed_dictionaries({}, optional=_RAW),
+    # a group with no friendly form, its lambda's positive system derived
+    # where the document has no rmplus
+    str(DATA / "sp4r.json"): st.fixed_dictionaries(
+        {"lambda": st.lists(_SMALL, min_size=2, max_size=2)},
+        optional={k: _RAW[k] for k in ("lambda_denom", "chi", "nu")}),
 }
 
 
@@ -889,7 +958,8 @@ _DOCS = {
 def _table_argv(draw):
     """A table command whose document is a plausible one with up to two
     fields replaced by any JSON value."""
-    group = draw(st.sampled_from(["sl2r-compact", "sl2r-split", "su21"]))
+    group = draw(st.sampled_from(["sl2r-compact", "sl2r-split", "su21",
+                                  str(DATA / "sp4r.json")]))
     doc = draw(_DOCS[draw(st.sampled_from([group, "raw"]))])
     for key in draw(st.lists(st.sampled_from(
             ["series", "n", "sign", "chi", "nu", *_RAW, "other"]),

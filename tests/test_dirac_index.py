@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from kbranch.branching import TemperedParams, table_of, validate_params
 from kbranch.groups import builtin_group, load_group_data, matvec
-from kbranch.presets import su21_from_lambda
+from kbranch.presets import resolve_params
 from brauer_klimyk import add, brauer_klimyk, dominant, dot, rho2_k
 from test_branching import _WRONG, _plant, _planted_cases
 
@@ -122,13 +122,13 @@ def test_regular_su21_tables_have_index_one_ktype(lam):
     # distinct coordinates: regular for every root of A_2, and off the
     # compact wall, so the verdict is nonzero
     g = GROUPS["su21"]
-    assert_index(g, su21_from_lambda(g, lam), max(map(abs, lam)) + 6)
+    assert_index(g, resolve_params(g, {"lambda": lam}), max(map(abs, lam)) + 6)
 
 
 def test_an_off_by_one_in_the_spin_weights_fails():
     g = GROUPS["su21"]
     for lam in ([3, 1, -1], [5, -2, 0], [-1, 2, 4]):
-        p = su21_from_lambda(g, lam)
+        p = resolve_params(g, {"lambda": lam})
         spin = spin_character(g, validate_params(g, p).chamber)
         assert_index(g, p, 12, spin)
         shifted = {add(s, (1, 0, 0)): c for s, c in spin.items()}

@@ -512,6 +512,12 @@ _REFUSALS = [
      "k positive partition", "a root and its negative both positive"),
     ("su21", [("k", "positives", [])], "k positive partition",
      "positives and their negatives do not exhaust the roots"),
+    # a repeated positive would double its share of 2rho
+    ("su21", [("k", "positives", [[1, -1, 0], [1, -1, 0]])],
+     "k positive partition", "duplicate positives"),
+    ("su21", [("m", "positives", [[1, -1, 0], [1, 0, -1], [0, 1, -1],
+                                  [1, 0, -1]])],
+     "m positive partition", "duplicate positives"),
     ("su21", [("k", "simples", [[-1, 1, 0]])], "k simple decomposition",
      "simple (-1, 1, 0) is not positive"),
     ("su21", [("k", "simples", [[1, -1, 0], [1, -1, 0]])],
@@ -587,6 +593,7 @@ _REFUSALS = [
 
 @pytest.mark.parametrize("name, edits, invariant, message", _REFUSALS, ids=[
     "duplicate-roots", "zero-root", "both-signs-positive", "positives-short",
+    "duplicate-positives", "m-duplicate-positives",
     "simple-not-positive", "dependent-simples", "top-level-list",
     "generator-keys", "flag-parity", "flag-without-k-root", "unpointed-cone",
     "order-0", "row-count", "ragged-rows", "exponent-out-of-range",

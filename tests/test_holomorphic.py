@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kbranch.branching import ktype_table
 from kbranch.groups import matvec
-from kbranch.presets import su21_from_lambda
+from kbranch.presets import resolve_params
 from brauer_klimyk import add, brauer_klimyk, dominant, dot, rho2_k
 from test_branching import _WRONG, _plant, _planted_cases
 from test_dirac_index import GROUPS, _rho_chambers
@@ -86,7 +86,7 @@ def test_regular_holomorphic_su21_tables_are_schmid_s(lam, extra):
     # distinct coordinates: regular, and nonzero; holomorphic where the
     # noncompact coordinate, the last, is the least or the greatest
     g = GROUPS["su21"]
-    p = su21_from_lambda(g, lam)
+    p = resolve_params(g, {"lambda": lam})
     assume(holomorphic(g, p))
     window = max(map(abs, lam)) + extra
     assert ktype_table(g, p, window).entries == schmid_table(g, p, window)

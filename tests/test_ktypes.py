@@ -264,9 +264,9 @@ def test_batch_restriction_is_the_per_weight_definition(g):
 def test_a_caller_cannot_change_the_box_a_later_table_reads():
     # every later table of the window reads the box ktype_box keeps
     from kbranch.branching import box_table
-    from kbranch.presets import su21_from_lambda
+    from kbranch.presets import resolve_params
     g = builtin_group("su21")
-    p = su21_from_lambda(g, [3, 1, -1])
+    p = resolve_params(g, {"lambda": [3, 1, -1]})
     ktypes.ktype_box.cache_clear()
     box = ktypes.ktype_box(g, 6)
     want = box_table(g, p, 6, "series")

@@ -12,7 +12,7 @@ from kbranch.characters import HMLattice, LatticeError, Weight, ZCharTable
 from kbranch.groups import builtin_group, load_group_data
 from kbranch.ktypes import KType
 from kbranch.oscillator import GridError, GridSpec, KernelReport
-from kbranch.presets import su21_from_lambda
+from kbranch.presets import resolve_params
 from kbranch.sl2_oracles import MatchReport, SL2Series
 from kbranch.verify import Check
 
@@ -21,7 +21,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def _params(g):
-    return su21_from_lambda(g, [3, 1, -1])
+    return resolve_params(g, {"lambda": [3, 1, -1]})
 
 
 # each frozen record, built from scratch on every call, with its fields
