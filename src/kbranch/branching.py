@@ -20,16 +20,16 @@ what every K-type shares.  That work comes in three tiers:
     a half of the roots, pointed), the lattice graded by Phi, its positives
     split by type, its compact simple roots, 2rho_n, the keys' top
     covector, the plan of Blattner's walk (per W_K record eps det(w), its
-    shift's state and height and its levels' columns, condition rows and
-    reach), w_Phi^T's state map and the oracles' tables, each rebuilt only
-    for a read past its certificate.  A nonzero verdict carries the record,
-    and every table of Phi reads it;
+    shift and its levels' columns, condition rows and reach), w_Phi^T's
+    state map and the oracles' tables, each rebuilt only for a read past
+    its certificate.  A nonzero verdict carries the record, and every
+    table of Phi reads it;
   - call: what lambda and chi fix, checked in integers (dominance, the lift
     of lambda - rho, the component values) into one record, the nonzero
     verdict with the base key lambda - rho + 2rho_n; and what the base and
-    window move: each walk's start and the levels' bounds.  A verdict
-    records the group it judged, so a call is validate_params -> verdict ->
-    table_of, as ktype_table(g, p, window).
+    window move: the walk's height bound, each walk's start and the levels'
+    bounds.  A verdict records the group it judged, so a call is
+    validate_params -> verdict -> table_of, as ktype_table(g, p, window).
 
 table_of evaluates Blattner's formula (Hecht-Schmid)
 
@@ -116,8 +116,7 @@ class _Term(NamedTuple):
 
     det: int
     walk: tuple[tuple[int, ...], ...]   # the group's state map b -> state
-    state: tuple[int, ...]              # walk . shift_w
-    height: int                         # hv . shift_w
+    shift: tuple[int, ...]              # shift_w = R(w rho_K) - rho_c
     # per walk variable: (column, rows (i, s, s * col[i]), reach per unit hi)
     levels: tuple[tuple[tuple, tuple, tuple], ...]
 
@@ -125,10 +124,10 @@ class _Term(NamedTuple):
 class Chamber(NamedTuple):
     """What a positive system Phi of the Levi roots fixes for every
     parameter tuple that names it (the chamber tier above), built once per
-    (group, Phi) by _chamber.  terms, heights and shift_top plan Blattner's
-    walk, read off the group's W_K records, so that a call forms only what
-    its base moves; where the formula does not apply shift_top is 0 and
-    terms empty; w_Phi (R w_Phi K^+ = Phi_c) gives their eps and lowest.
+    (group, Phi) by _chamber.  terms plan Blattner's walk, read off the
+    group's W_K records, so that a call forms only what its base moves;
+    where the formula does not apply terms is empty; w_Phi (R w_Phi K^+ =
+    Phi_c) gives their eps and lowest.
     tables holds each oracle's kernel, which _evaluate reads at the base.
     A chamber compares and hashes by what Phi fixes."""
 
@@ -138,12 +137,7 @@ class Chamber(NamedTuple):
     compact_simples: tuple[tuple[int, ...], ...]
     rho2_n: tuple[int, ...]              # 2rho_n, the noncompact sum
     top: tuple[int, ...]                 # v, the _top_covector
-    top_l1: int                          # |v|_1
-    # Blattner's walk plan: one _Term per W_K element, the noncompact
-    # positives' doubled heights and max_w hv . shift_w
-    terms: tuple[_Term, ...]
-    heights: tuple[int, ...]
-    shift_top: int
+    terms: tuple[_Term, ...]             # Blattner's walk, one per W_K element
     lowest: Optional[tuple]  # w_Phi^T where T_M = T, off W_K, not the terms
     tables: dict        # mode -> (certificate, terms), grown by _evaluate
 
@@ -264,28 +258,24 @@ def _chamber(g: RealGroupData, rmplus: tuple) -> Union[Chamber, str]:
 
     # a genuine positive system is separated by its own root sum
     hm = HMLattice.graded(g.hm.rank, g.hm.lattice, rmplus, g.hm.ztable)
-    hv, compact, noncompact, heights = hm.height_vec, [], [], []
+    hv, compact, noncompact = hm.height_vec, [], []
     for a in rmplus:
-        h = sum(map(mul, hv, a))
-        if h <= 0:
+        if sum(map(mul, hv, a)) <= 0:
             return f"chosen positive system is not pointed at {a}"
         if compact_of[a]:
             compact.append(a)
         else:
             noncompact.append(a)
-            heights.append(h)
     rho2_c = tuple(map(sum, zip((0,) * hm.rank, *compact)))  # 0 if none
     top = _top_covector(g, hv)
     w_phi = (next(w for w in g.k_weyl if w.top == rho2_c)  # R w K^+ = Phi_c
              if g.blattner_applies else None)
-    terms = _walk_plan(g, hv, noncompact, rho2_c, w_phi.det) if w_phi else ()
+    terms = _walk_plan(g, noncompact, rho2_c, w_phi.det) if w_phi else ()
     lowest = (w_phi.walk[:hm.rank] if w_phi and not g.fibres.dirs
               and g.fibres.d == 1 else None)
     return Chamber(hm, tuple(compact), tuple(noncompact),
                    tuple(a for a in simple_roots(rmplus) if compact_of[a]),
-                   tuple(map(sub, hv, rho2_c)), top,
-                   sum(map(abs, top)), terms, tuple(heights),
-                   max((t.height for t in terms), default=0), lowest, {})
+                   tuple(map(sub, hv, rho2_c)), top, terms, lowest, {})
 
 
 # ------------------------------------------------------------------ engine
@@ -370,14 +360,13 @@ def _evaluate(prep: ParamVerdict, mode: str, index: Mapping[tuple, Sequence],
     return acc
 
 
-def _walk_plan(g: RealGroupData, hv: tuple[int, ...],
-               noncompact: Sequence[tuple], rho2_c: tuple[int, ...],
-               eps: int) -> tuple[_Term, ...]:
+def _walk_plan(g: RealGroupData, noncompact: Sequence[tuple],
+               rho2_c: tuple[int, ...], eps: int) -> tuple[_Term, ...]:
     """One _Term per W_K record w, its det eps det(w), for a positive system
-    Phi graded by hv, its compact positives Phi_c summing to rho2_c.  R maps
-    the K roots one-to-one onto the compact roots, so R w_Phi rho_K = rho_c
-    for the one w_Phi with R w_Phi K^+ = Phi_c, Blattner's eps = det(w_Phi)
-    and shift_w = R(w rho_K) - rho_c = (R w 2rho_K - 2rho_c) / 2.  Each walk
+    Phi, its compact positives Phi_c summing to rho2_c.  R maps the K roots
+    one-to-one onto the compact roots, so R w_Phi rho_K = rho_c for the one
+    w_Phi with R w_Phi K^+ = Phi_c, Blattner's eps = det(w_Phi) and
+    shift_w = R(w rho_K) - rho_c = (R w 2rho_K - 2rho_c) / 2.  Each walk
     variable (w^T dirs_f, then the noncompact positives; a zero column if
     none) has a level: its column's state, the rows (i, s, s col[i]) of the
     conditions s state[i] >= bound, and its reach per unit of its hi:
@@ -393,15 +382,14 @@ def _walk_plan(g: RealGroupData, hv: tuple[int, ...],
         # exact: R w 2rho_K - R 2rho_K = 2 R(w rho_K - rho_K), and R 2rho_K
         # and 2rho_c sum R K^+ and Phi_c, each one root of every compact
         # pair +-a, so differ by twice the sum of R K^+ outside Phi_c
-        shift = [(x - y) // 2 for x, y in zip(w.top, rho2_c)]
+        shift = tuple([(x - y) // 2 for x, y in zip(w.top, rho2_c)])
         columns = w.dirs + tuple([matvec(w.walk, b) for b in noncompact])
         levels = tuple((col, rows, tuple(
             [abs(c) for _, _, c in rows] if k < len(w.dirs)
             else [c if c > 0 else 0 for _, _, c in rows]))
             for k, col in enumerate(columns or ((0,) * width,))
             for rows in [tuple([(i, s, s * col[i]) for i, s in conditions])])
-        terms.append(_Term(eps * w.det, w.walk, matvec(w.walk, shift),
-                           sum(map(mul, hv, shift)), levels))
+        terms.append(_Term(eps * w.det, w.walk, shift, levels))
     return tuple(terms)
 
 
@@ -414,13 +402,14 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
     noncompact positives, so the formula is the sum of the terms' det,
     eps det(w), over the (n, w) with R w mu + shift_w - base = t for a mu
     in the window.  As w^-1 = w^T, the fibres' one integer map reads it,
-    carried by w^T (R has full row rank, so every t lies over some mu):
+    carried by w^T (R has full row rank but need not be onto, so t lies
+    over a rational mu, integral where d divides d mu):
     d mu = A_w (t - shift_w + base) + sum_f x_f w^T dirs_f, A_w = w^T a,
     over the free coordinates x_f of w mu, in [-window, window] as w is a
     signed permutation.  The walk carries d mu and its pairings with the
-    simple K roots as running sums, from walk . base - walk . shift_w, over
-    the free coordinates and then the counts, each at most the largest
-    target height over its own; the conditions are linear, so each variable
+    simple K roots as running sums, from walk . (base - shift_w), over the
+    free coordinates and then the counts, each at most the largest target
+    height, bound2, over its own; the conditions are linear, so each variable
     runs over one interval, cut by what the later ones can still add, exact
     on the last.  Divisibility by d and the Z' character of mu have period
     d * |Z'| along it and are tested once per residue, so every (n, w)
@@ -429,12 +418,13 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
     _check_scan(g, window, len(g.fibres.dirs), "fibre points per cone point")
     chamber, d = prep.chamber, g.fibres.d
     (base, zbase), order = prep.base, chamber.hm.ztable.order
-    rank = g.k_roots.rank
+    rank, hv = g.k_roots.rank, chamber.hm.height_vec
     # R w mu runs over the window's keys, as w permutes the window's weights
-    bound2 = (window * chamber.top_l1 + chamber.shift_top
-              - sum(map(mul, chamber.hm.height_vec, base)))
+    bound2 = (window * sum(map(abs, chamber.top)) - sum(map(mul, hv, base))
+              + max(sum(map(mul, hv, t.shift)) for t in chamber.terms))
     ranges = ([(-window, window)] * len(g.fibres.dirs) + [
-        (0, bound2 // h) for h in chamber.heights] or [(0, 0)])[::-1]
+        (0, bound2 // sum(map(mul, hv, b))) for b in chamber.noncompact]
+        or [(0, 0)])[::-1]
     nrows = len(chamber.terms[0].levels[0][1])
     # the last variable's bounds: the window's on d mu, 0 for the rest
     last = [-d * window] * (2 * rank) + [0] * (nrows - 2 * rank)
@@ -442,7 +432,7 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
 
     found: dict[tuple[int, ...], int] = {}
     walked = 0  # the table's lines so far, over every term's walk
-    for det, walk, state, _, plan in chamber.terms:
+    for det, walk, shift, plan in chamber.terms:
         # each earlier level's bounds are lowered by what the later variable
         # adds at most, its reach times its hi (an empty range walks none)
         levels, bounds = [], last
@@ -454,8 +444,8 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
         levels.reverse()
         dcol = plan[-1][0][:rank]
         step = tuple([order * x for x in dcol])
-        start = list(map(sub, matvec(walk, base), state))
-        for line, lo, hi in _walk(start, levels):
+        for line, lo, hi in _walk(matvec(walk, list(map(sub, base, shift))),
+                                  levels):
             walked += 1
             if walked > MAX_WALK_LINES:
                 raise TableSizeError(
@@ -475,7 +465,7 @@ def _blattner_table(g: RealGroupData, prep: ParamVerdict, window: int
     return sorted(found.items())
 
 
-def _walk(state: list[int], levels: Sequence[tuple]
+def _walk(state: Sequence[int], levels: Sequence[tuple]
           ) -> Iterator[tuple[list[int], int, int]]:
     """The lines (state at the last variable 0, lo, hi) of a walk over the
     levels (column, rows (i, s, c), lo, hi, bounds): lo..hi are the values n
@@ -545,7 +535,7 @@ def _box(g: RealGroupData, prep: ParamVerdict, window: int, mode: str
     values scattered through its KTypeBox, the nonzero rows in lexical order."""
     _check_scan(g, window, g.k_roots.rank, "K-types of the window's box")
     acc = _evaluate(prep, mode, ktype_box(g, window),
-                    window * prep.chamber.top_l1)
+                    window * sum(map(abs, prep.chamber.top)))
     return _nonzero(sorted(acc.items()))
 
 

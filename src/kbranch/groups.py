@@ -9,9 +9,10 @@ entry of the step that raised it (or the size cap passed), then derives,
 once per group, the root data the engine reads: the lattices of T, T_M
 and A graded by the positive systems of K, of the Levi factor and of the
 restricted roots (with their 2rho), the compactness of each Levi root,
-the fibres of the torus restriction R (onto, as T_M is a subtorus of T)
-and of the dot products with K's simple roots, whether Blattner's formula
-applies, and one record per W_K element w (WeylTerm): w, w rho_K - rho_K,
+the fibres of the torus restriction R (of full row rank, all that is
+checked: R need not be onto, as tM_in_t [[2]] is not) and of the dot
+products with K's simple roots, whether Blattner's formula applies, and
+one record per W_K element w (WeylTerm): w, w rho_K - rho_K,
 R w 2rho_K and its walk's maps to d mu and d mu's simple K pairings.
 Roots are integer coordinate tuples from the parse on, and every
 derivation is in integers: fibres by fraction-free elimination, v as
@@ -424,7 +425,7 @@ def _dims_consistency(p: SimpleNamespace) -> Optional[str]:
         return f"s_M dimension {p.s_m} != {n} noncompact roots"
     if p.dims_a != p.dim_a:
         return "dims.a disagrees with restricted.dim_a"
-    p.fibres = Fibres.of(p.tm_in_t, p.k.rank)  # every character of T_M extends
+    p.fibres = Fibres.of(p.tm_in_t, p.k.rank)  # rank only: R need not be onto
     if (r := p.k.rank - len(p.fibres.free)) < p.m.rank:
         return f"tM_in_t has rank {r} < {p.m.rank}: T_M is not a torus in T"
 

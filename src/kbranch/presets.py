@@ -78,7 +78,9 @@ def raw_params(g: RealGroupData, doc: dict) -> TemperedParams:
         coords = _integers(doc, "lambda", depth=1)
         if len(coords) != g.hm.rank:
             raise ParamSchemaError(f"'lambda' needs {g.hm.rank} entries")
-        lam = g.tm_weight(coords, denom=_integers(doc, "lambda_denom", 1))
+        if (denom := _integers(doc, "lambda_denom", 1)) not in (1, 2):
+            raise ParamSchemaError(f"'lambda_denom' must be 1 or 2, got {denom}")
+        lam = g.tm_weight(coords, denom=denom)
         if "rmplus" in doc:
             rmplus = tuple(map(tuple, _integers(doc, "rmplus", depth=2)))
         else:

@@ -1063,22 +1063,17 @@ def _term_cases():
 
 
 def test_blattner_terms_are_the_searched_terms():
-    # a term holds eps det(w) as its det and shift_w as its state and
-    # height: the state map is one to one (R has full row rank, so the
-    # fibres' map is the rows of one invertible elimination, carried by
-    # w^T), so the state pins the shift.  No shift is higher than w_Phi's,
-    # 0, on a genuine chamber (the planted shift defect raises shift_top)
+    # a term holds eps det(w) as its det and shift_w as its shift.  No
+    # shift is higher than w_Phi's, 0, on a genuine chamber (the planted
+    # shift defect raises it, and the walk's bound, formed per call, with it)
     signs = Counter()
     for g, p in _term_cases():
         prep = validate_params(g, p)
         chamber, (eps, searched) = prep.chamber, _searched_terms(g, prep)
-        hv = chamber.hm.height_vec
-        assert [(t.det, t.state, t.height, t.walk)
-                for t in chamber.terms] == [
-            (eps * det, groups.matvec(walk, shift), dot(hv, shift), walk)
-            for det, shift, walk in searched]
-        assert chamber.shift_top == max(dot(hv, shift)
-                                        for _, shift, _ in searched) == 0
+        assert [(t.det, t.shift, t.walk) for t in chamber.terms] == [
+            (eps * det, tuple(shift), walk) for det, shift, walk in searched]
+        assert max(dot(chamber.hm.height_vec, t.shift)
+                   for t in chamber.terms) == 0
         signs[g.name, eps] += 1
     # both compact chambers of su21 and of Sp(4,R)
     assert all(signs[name, eps] for name in ("su21", "sp4r")
@@ -1205,8 +1200,8 @@ def test_chamber_derived_once_per_positive_system(monkeypatch):
     # once.  The records read what the group alone fixes from its load (the
     # W_K records and R K^+): no product with the fibres' map, their
     # consistency rows or R, and no derivation of the walk data.  A table
-    # on a warm record multiplies each term's walk map by its base, once,
-    # and walks the record's own condition rows
+    # on a warm record multiplies each term's walk map by base - shift_w,
+    # once, and walks the record's own condition rows
     calls = _count_calls(monkeypatch, (HMLattice, "graded"),
                          (groups, "_k_weyl"), (branching, "_walk_plan"))
     group_only = {id(GU.fibres.a), id(GU.fibres.consistency), id(GU.tm_in_t)}
@@ -1238,7 +1233,8 @@ def test_chamber_derived_once_per_positive_system(monkeypatch):
         on_walks.clear()
         walked.clear()
         rows.append(ktype_table(GU, p, 6).rows())
-        assert on_walks == [verdict.base[0]] * len(GU.k_weyl)
+        assert on_walks == [tuple(map(sub, verdict.base[0], t.shift))
+                            for t in verdict.chamber.terms]
         planned = {id(r) for t in verdict.chamber.terms
                    for _, r, _ in t.levels}
         assert walked and {id(r) for r in walked} <= planned
@@ -1465,9 +1461,8 @@ def _plant(monkeypatch, defect, g):
 
     def moved(c):
         beta = c.noncompact[0]
-        return c.terms[:1] + tuple(t._replace(
-            state=tuple(map(add, t.state, groups.matvec(t.walk, beta))),
-            height=t.height + dot(c.hm.height_vec, beta))
+        return c.terms[:1] + tuple(
+            t._replace(shift=tuple(map(add, t.shift, beta)))
             for t in c.terms[1:])
 
     def undominant(c):
@@ -1480,8 +1475,7 @@ def _plant(monkeypatch, defect, g):
         c = chamber(g, rmplus)
         terms = {"det": flipped, "shift": moved, "dominance": undominant,
                  "drop": lambda c: c.terms[:-1]}[defect](c)
-        return c._replace(terms=terms,
-                          shift_top=max(t.height for t in terms))
+        return c._replace(terms=terms)
     monkeypatch.setattr(branching, "_chamber", planted)
     return g
 

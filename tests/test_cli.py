@@ -92,6 +92,12 @@ def test_bad_params_document_exits_2(capsys):
     assert code == 2
 
 
+# the cases below whose whole stderr is pinned
+_MALFORMED_ERR = {("su21", '{"lambda":[3,1,-1],"lambda_denom":3}'): (
+    "error: bad raw parameter document: 'lambda_denom' must be 1 or 2, "
+    "got 3\n")}
+
+
 @pytest.mark.parametrize("group, params", [
     ("su21", '{"lambda":[3.7,1,-1]}'),
     ("su21", '{"lambda":"abc"}'),
@@ -113,6 +119,8 @@ def test_bad_params_document_exits_2(capsys):
     ("su21", '{"lambda":[2,1,1]}'),
     (str(DATA / "sp4r.json"), '{"lambda":[1,-1]}'),
     (str(DATA / "sp4r.json"), '{"lambda":[2,1,0]}'),
+    # refused under the document's own field name
+    ("su21", '{"lambda":[3,1,-1],"lambda_denom":3}'),
 ])
 def test_malformed_params_document_exits_2(capsys, group, params):
     code, out, err = run(capsys, "table", "--group", group,
@@ -120,6 +128,7 @@ def test_malformed_params_document_exits_2(capsys, group, params):
     assert code == 2
     assert out == ""
     assert "error:" in err
+    assert err == _MALFORMED_ERR.get((group, params), err)
 
 
 def test_unknown_params_field_is_named(capsys):

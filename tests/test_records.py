@@ -46,8 +46,7 @@ FROZEN = {
     "Chamber": (lambda: branching._chamber.__wrapped__(
                     GU, _params(GU).rmplus),
                 ("hm", "compact", "noncompact", "compact_simples",
-                 "rho2_n", "top", "top_l1", "terms",
-                 "heights", "shift_top", "lowest", "tables")),
+                 "rho2_n", "top", "terms", "lowest", "tables")),
     "KType": (lambda: KType(Weight((2, 0, -1), "t")), ("highest",)),
     "GridSpec": (lambda: GridSpec(6.0, 0.1), ("halfwidth", "step")),
     "SL2Series": (lambda: SL2Series("discrete_plus", 3), ("kind", "n")),
